@@ -6,28 +6,28 @@
 //
 // Scenarios:
 //
-//	qp_warm_vs_cold — MPC-shaped box QP, cold solve vs warm re-solve of a
-//	                  perturbed problem (sweeps are deterministic)
+//	qp_warm_vs_cold — MPC-shaped box QP, cold solve (no warm point) vs warm
+//	                  re-solve of a perturbed problem (sweeps are
+//	                  deterministic)
 //	tick_loop       — steady-state SprintCon tick: allocations per tick
 //	                  (must be 0 with telemetry off) and ns/tick
 //	trace_overhead  — the same tick loop with the observability plane
 //	                  detached vs attached: allocations per tick (must stay
 //	                  0 detached) and the on/off wall-time ratio
-//	mpc_sweeps      — mean QP sweeps per MPC solve over the default
-//	                  closed-loop run, warm vs the pre-optimization
-//	                  legacy path
-//	event_engine    — single-rack diurnal power-capping run under the
-//	                  discrete-event engine vs the tick engine: bitwise
-//	                  identity, the in-process speedup, the fraction of
-//	                  plant ticks closed analytically, and the marginal
-//	                  heap allocations per discrete event (must be 0 in
-//	                  steady state)
-//	cluster_sweep   — 1000-rack day-long stepped-diurnal fleet under the
-//	                  event engine (the tentpole scale scenario): wall
-//	                  time of the fleet, serial tick vs serial event on a
-//	                  rack subset (the ≥10× engine speedup), and a
-//	                  bit-identical check between the engines at every
-//	                  control period
+//	mpc_sweeps      — mean QP sweeps per MPC solve, and unconverged
+//	                  solves, over the default closed-loop run
+//	event_engine    — single-rack diurnal power-capping run through
+//	                  RunWith (the discrete-event core) vs the Runner.Step
+//	                  tick loop: bitwise identity, the in-process speedup,
+//	                  the fraction of plant ticks closed analytically, and
+//	                  the marginal heap allocations per discrete event
+//	                  (must be 0 in steady state)
+//	cluster_sweep   — 1000-rack day-long stepped-diurnal fleet on the
+//	                  event core (the scale scenario): wall time of the
+//	                  fleet, serial Runner.Step tick loop vs serial RunWith
+//	                  on a rack subset (the ≥10× event-core speedup), and a
+//	                  bit-identical check between the two at every control
+//	                  period
 //	cluster_link    — fault-free linked run (RunLinked) vs the static
 //	                  phase-offset run: the control link's stepping
 //	                  overhead, a parallel-vs-serial bit-identical check,
@@ -185,8 +185,8 @@ func sortedKeys(m map[string]float64) []string {
 	return keys
 }
 
-// qpWarmVsCold re-solves a perturbed MPC-shaped QP warm vs cold. Sweep
-// counts are fully deterministic.
+// qpWarmVsCold re-solves a perturbed MPC-shaped QP warm vs cold (no warm
+// point, fresh workspace). Sweep counts are fully deterministic.
 func qpWarmVsCold() Scenario {
 	const n = 64
 	h := mathx.NewMatrix(n, n)
@@ -332,37 +332,43 @@ func traceOverhead(quick bool) Scenario {
 }
 
 // mpcSweeps runs the default closed-loop scenario instrumented and reports
-// the mean QP sweeps per MPC solve, warm vs the pre-optimization legacy
-// path. Both are deterministic.
+// the mean QP sweeps per MPC solve and the unconverged solve count. Both are
+// deterministic.
 func mpcSweeps(quick bool) Scenario {
 	scn := sim.DefaultScenario()
 	if quick {
 		scn.DurationS = 300
 	}
-	run := func(legacy bool) (mean float64, unconverged float64) {
-		cfg := core.DefaultConfig()
-		cfg.LegacyQP = legacy
-		reg := telemetry.NewRegistry()
-		res, err := sim.RunWith(scn, core.New(cfg), sim.RunOptions{Metrics: reg})
-		if err != nil {
-			fatal(err)
-		}
-		p, ok := res.Telemetry.Get("qp_iterations")
-		if !ok || p.Count == 0 {
-			fatal(fmt.Errorf("qp_iterations missing from telemetry"))
-		}
-		u, _ := res.Telemetry.Value("qp_unconverged_total")
-		return p.Value / float64(p.Count), u
+	reg := telemetry.NewRegistry()
+	res, err := sim.RunWith(scn, core.New(core.DefaultConfig()), sim.RunOptions{Metrics: reg})
+	if err != nil {
+		fatal(err)
 	}
-	warmMean, warmUnconv := run(false)
-	legacyMean, legacyUnconv := run(true)
+	p, ok := res.Telemetry.Get("qp_iterations")
+	if !ok || p.Count == 0 {
+		fatal(fmt.Errorf("qp_iterations missing from telemetry"))
+	}
+	u, _ := res.Telemetry.Value("qp_unconverged_total")
 	return Scenario{Name: "mpc_sweeps", Metrics: map[string]float64{
-		"mean_sweeps_warm":   warmMean,
-		"mean_sweeps_legacy": legacyMean,
-		"sweep_reduction":    legacyMean / math.Max(1e-9, warmMean),
-		"unconverged_warm":   warmUnconv,
-		"unconverged_legacy": legacyUnconv,
+		"mean_sweeps_warm": p.Value / float64(p.Count),
+		"unconverged_warm": u,
 	}}
+}
+
+// tickRun is the tick reference: the run driven tick by tick through
+// Runner.Step, never opening a quiescent span. The event-core scenarios
+// time and bit-compare RunWith against it.
+func tickRun(scn sim.Scenario, p sim.Policy, opts sim.RunOptions) (*sim.Result, error) {
+	r, err := sim.NewRunner(scn, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	for !r.Done() {
+		if err := r.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return r.Finish(), nil
 }
 
 // diurnalScenario builds the pinned event-engine workload: deterministic
@@ -424,10 +430,11 @@ func seriesBitIdentical(a, b *sim.Result) float64 {
 	return 1
 }
 
-// eventEngine pins the discrete-event engine against the tick engine on a
-// single-rack diurnal run: bitwise identity of the recorded series, the
-// in-process speedup, the fraction of plant ticks the engine closed
-// analytically, and the marginal heap allocations per discrete event.
+// eventEngine pins RunWith's discrete-event core against the Runner.Step
+// tick loop on a single-rack diurnal run: bitwise identity of the recorded
+// series, the in-process speedup, the fraction of plant ticks the event
+// core closed analytically, and the marginal heap allocations per discrete
+// event.
 //
 // The allocation metric is a two-point measurement: two event runs whose
 // durations differ 2× but whose series stride scales with duration, so both
@@ -450,7 +457,7 @@ func eventEngine(quick bool) Scenario {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		res, err := sim.RunWith(scn, p, sim.RunOptions{Engine: "event", SeriesStride: stride, DropEvents: true})
+		res, err := sim.RunWith(scn, p, sim.RunOptions{SeriesStride: stride, DropEvents: true})
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			fatal(err)
@@ -469,14 +476,14 @@ func eventEngine(quick bool) Scenario {
 	scn := diurnalScenario(0, d1, 900)
 	p := core.New(cfg)
 	t0 := time.Now()
-	tickRes, err := sim.RunWith(scn, p, sim.RunOptions{Engine: "tick"})
+	tickRes, err := tickRun(scn, p, sim.RunOptions{})
 	tickNs := float64(time.Since(t0).Nanoseconds())
 	if err != nil {
 		fatal(err)
 	}
 	p = core.New(cfg)
 	t0 = time.Now()
-	eventRes, err := sim.RunWith(scn, p, sim.RunOptions{Engine: "event"})
+	eventRes, err := sim.RunWith(scn, p, sim.RunOptions{})
 	eventNs := float64(time.Since(t0).Nanoseconds())
 	if err != nil {
 		fatal(err)
@@ -494,13 +501,13 @@ func eventEngine(quick bool) Scenario {
 	}}
 }
 
-// clusterSweep is the tentpole scale scenario: a 1000-rack day-long
-// stepped-diurnal fleet (hourly plateaus) run rack-independent under the
-// event engine on the worker pool. A rack subset runs serially under both
-// engines for the in-process engine speedup and a bit-identical check at
-// every control period (the subset records every control boundary; the
-// recorded P_cb/P_batch targets are the controller's decisions, so bitwise
-// equality pins decision equivalence there).
+// clusterSweep is the scale scenario: a 1000-rack day-long stepped-diurnal
+// fleet (hourly plateaus) run rack-independent through RunWith on the worker
+// pool. A rack subset runs serially through both the Runner.Step tick loop
+// and RunWith for the in-process event-core speedup and a bit-identical
+// check at every control period (the subset records every control boundary;
+// the recorded P_cb/P_batch targets are the controller's decisions, so
+// bitwise equality pins decision equivalence there).
 func clusterSweep(quick bool) Scenario {
 	racks, durationS, subset := 1000, 86400.0, 8
 	if quick {
@@ -518,13 +525,13 @@ func clusterSweep(quick bool) Scenario {
 	for i := 0; i < subset; i++ {
 		scn := diurnalScenario(i, durationS, plateauS)
 		t0 := time.Now()
-		tickRes, err := sim.RunWith(scn, core.New(cfg), sim.RunOptions{Engine: "tick", SeriesStride: ctlStride})
+		tickRes, err := tickRun(scn, core.New(cfg), sim.RunOptions{SeriesStride: ctlStride})
 		tickNs += float64(time.Since(t0).Nanoseconds())
 		if err != nil {
 			fatal(err)
 		}
 		t0 = time.Now()
-		eventRes, err := sim.RunWith(scn, core.New(cfg), sim.RunOptions{Engine: "event", SeriesStride: ctlStride})
+		eventRes, err := sim.RunWith(scn, core.New(cfg), sim.RunOptions{SeriesStride: ctlStride})
 		eventNs += float64(time.Since(t0).Nanoseconds())
 		if err != nil {
 			fatal(err)
@@ -534,7 +541,7 @@ func clusterSweep(quick bool) Scenario {
 		}
 	}
 
-	// The full fleet, rack-independent on the worker pool, event engine,
+	// The full fleet, rack-independent on the worker pool, event core,
 	// hourly series stride (memory stays bounded at building scale).
 	jobs := make([]sim.Job, racks)
 	for i := range jobs {
@@ -542,11 +549,11 @@ func clusterSweep(quick bool) Scenario {
 			Key:      fmt.Sprintf("rack%d", i),
 			Scenario: diurnalScenario(i, durationS, plateauS),
 			Policy:   core.New(cfg),
-			Opts:     sim.RunOptions{Engine: "event", SeriesStride: 3600},
+			Opts:     sim.RunOptions{SeriesStride: 3600},
 		}
 	}
 	t0 := time.Now()
-	results, err := sim.RunManyOrdered(jobs)
+	results, err := sim.RunManyOrdered(jobs, 0)
 	fleetNs := float64(time.Since(t0).Nanoseconds())
 	if err != nil {
 		fatal(err)

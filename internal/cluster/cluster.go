@@ -53,9 +53,10 @@ type Config struct {
 	FeederBudgetW float64
 	// SprintCon tunes the per-rack policy.
 	SprintCon core.Config
-	// Serial runs the racks one at a time instead of on the worker pool.
-	// Results are bit-identical either way; the knob exists so the
-	// benchmark harness can measure the parallel speedup.
+	// Serial runs the racks one at a time (a one-worker pool). Results,
+	// and a failing or panicking rack's error, are identical either way;
+	// the knob exists so the benchmark harness can measure the parallel
+	// speedup.
 	Serial bool
 	// Stop, when non-nil, cancels the run once the channel closes:
 	// RunLinked polls it between lock-step ticks (so cancellation lands
@@ -319,27 +320,18 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	racks := make([]*sim.Result, cfg.NumRacks)
+	jobs := make([]sim.Job, cfg.NumRacks)
+	for i := range jobs {
+		scn, p := rackJob(cfg, i)
+		jobs[i] = sim.Job{Key: fmt.Sprintf("rack%d", i), Scenario: scn, Policy: p}
+	}
+	workers := 0 // GOMAXPROCS
 	if cfg.Serial {
-		for i := 0; i < cfg.NumRacks; i++ {
-			scn, p := rackJob(cfg, i)
-			res, err := sim.Run(scn, p)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: rack %d: %w", i, err)
-			}
-			racks[i] = res
-		}
-	} else {
-		jobs := make([]sim.Job, cfg.NumRacks)
-		for i := range jobs {
-			scn, p := rackJob(cfg, i)
-			jobs[i] = sim.Job{Key: fmt.Sprintf("rack%d", i), Scenario: scn, Policy: p}
-		}
-		var err error
-		racks, err = sim.RunManyOrdered(jobs)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
+		workers = 1
+	}
+	racks, err := sim.RunManyOrdered(jobs, workers)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	out := &Result{Racks: racks}

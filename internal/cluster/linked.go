@@ -256,6 +256,12 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 	aggregate := make([]float64, steps-start)
 	workers := runtime.GOMAXPROCS(0)
 	stepErrs := make([]error, cfg.NumRacks)
+	// stepRack advances rack i one tick with panic isolation on both the
+	// serial and the parallel path.
+	stepRack := func(i int) {
+		defer sim.RecoverPanic(&stepErrs[i])
+		stepErrs[i] = runners[i].Step()
+	}
 	coordDown := false
 	canceled := false
 
@@ -309,29 +315,28 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 		// delivered grants, so the sweep parallelizes without affecting
 		// the result.
 		if cfg.Serial || workers <= 1 {
-			for i, r := range runners {
-				if err := r.Step(); err != nil {
-					return nil, fmt.Errorf("cluster: rack %d: %w", i, err)
+			for i := range runners {
+				if stepRack(i); stepErrs[i] != nil {
+					break
 				}
 			}
 		} else {
 			var wg sync.WaitGroup
 			sem := make(chan struct{}, workers)
-			for i, r := range runners {
+			for i := range runners {
 				wg.Add(1)
 				sem <- struct{}{}
-				go func(i int, r *sim.Runner) {
+				go func(i int) {
 					defer wg.Done()
 					defer func() { <-sem }()
-					defer sim.RecoverPanic(&stepErrs[i])
-					stepErrs[i] = r.Step()
-				}(i, r)
+					stepRack(i)
+				}(i)
 			}
 			wg.Wait()
-			for i, e := range stepErrs {
-				if e != nil {
-					return nil, fmt.Errorf("cluster: rack %d: %w", i, e)
-				}
+		}
+		for i, e := range stepErrs {
+			if e != nil {
+				return nil, fmt.Errorf("cluster: rack %d: %w", i, e)
 			}
 		}
 

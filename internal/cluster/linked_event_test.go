@@ -8,11 +8,12 @@ import (
 )
 
 // Linked racks are structurally tick-bound: the lock-step loop interleaves
-// the coordinator between rack ticks and linkedPolicy applies an
-// always-active external budget, so the quiescence digest can never certify
-// a span. Selecting the event engine for linked racks must therefore
-// degenerate honestly — bit-identical results to the default run, zero
-// spans, zero skipped ticks.
+// the coordinator between rack ticks through Runner.Step, and linkedPolicy
+// applies an always-active external budget, so the quiescence digest can
+// never certify a span. Handing the racks run options that the
+// discrete-event core consumes (here its discard-mode event log) must
+// therefore degenerate honestly — bit-identical results to the default
+// run, zero spans, zero skipped ticks.
 func TestLinkedEventEngineDegeneratesToTick(t *testing.T) {
 	cfg := linkedConfig()
 	cfg.NumRacks = 3
@@ -27,7 +28,7 @@ func TestLinkedEventEngineDegeneratesToTick(t *testing.T) {
 
 	ev := cfg
 	ev.Link.RackOptions = func(rack int) sim.RunOptions {
-		return sim.RunOptions{Engine: "event"}
+		return sim.RunOptions{DropEvents: true}
 	}
 	eres, err := RunLinked(ev)
 	if err != nil {
@@ -42,15 +43,16 @@ func TestLinkedEventEngineDegeneratesToTick(t *testing.T) {
 				math.Float64bits(b.SoC[tk]) != math.Float64bits(e.SoC[tk]) ||
 				math.Float64bits(b.FreqBatch[tk]) != math.Float64bits(e.FreqBatch[tk]) ||
 				math.Float64bits(b.PCbW[tk]) != math.Float64bits(e.PCbW[tk]) {
-				t.Fatalf("rack %d diverges at tick %d under the event engine label", i, tk)
+				t.Fatalf("rack %d diverges at tick %d under event-core run options", i, tk)
 			}
 		}
-		st := eres.Racks[i].Engine
-		if st.Name != "event" {
-			t.Fatalf("rack %d engine label %q, want event", i, st.Name)
+		if n := len(eres.Racks[i].Events); n != 0 {
+			t.Fatalf("rack %d ignored its run options: %d events logged with DropEvents", i, n)
 		}
-		if st.Spans != 0 || st.TicksSkipped != 0 {
-			t.Fatalf("rack %d fast-forwarded inside a lock-step linked run: %+v", i, st)
+		for _, res := range []*sim.Result{base.Racks[i], eres.Racks[i]} {
+			if st := res.Engine; st.Spans != 0 || st.TicksSkipped != 0 {
+				t.Fatalf("rack %d fast-forwarded inside a lock-step linked run: %+v", i, st)
+			}
 		}
 		if !clientStatsEqual(base.Clients[i], eres.Clients[i]) {
 			t.Fatalf("rack %d link stats diverge: %+v vs %+v", i, base.Clients[i], eres.Clients[i])
@@ -64,18 +66,5 @@ func TestLinkedEventEngineDegeneratesToTick(t *testing.T) {
 	if base.Transport != eres.Transport || base.Coord != eres.Coord {
 		t.Fatalf("link accounting diverges:\nbase %+v / %+v\nevent %+v / %+v",
 			base.Transport, base.Coord, eres.Transport, eres.Coord)
-	}
-}
-
-// An unknown engine name via Link.RackOptions must fail rack construction.
-func TestLinkedRejectsUnknownEngine(t *testing.T) {
-	cfg := linkedConfig()
-	cfg.Scenario.DurationS = 120
-	cfg.Scenario.BurstDurationS = 120
-	cfg.Link.RackOptions = func(rack int) sim.RunOptions {
-		return sim.RunOptions{Engine: "warp"}
-	}
-	if _, err := RunLinked(cfg); err == nil {
-		t.Fatal("linked run accepted an unknown engine name")
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"sprintcon/internal/faults"
 	"sprintcon/internal/link"
 	"sprintcon/internal/sim"
+	"sprintcon/internal/telemetry"
 )
 
 func linkedConfig() Config {
@@ -161,6 +163,13 @@ func TestLinkedHealthyStaysCoordinated(t *testing.T) {
 			t.Fatalf("rack %d invariant breaches %+v", i, inv)
 		}
 	}
+	// The lock-step loop drives every rack through Runner.Step and never
+	// opens a quiescent span: the lease budget is always active.
+	for i, r := range res.Racks {
+		if r.Engine.Spans != 0 || r.Engine.TicksSkipped != 0 {
+			t.Fatalf("rack %d fast-forwarded inside a lock-step linked run: %+v", i, r.Engine)
+		}
+	}
 }
 
 // Serial and parallel linked runs must be bit-identical, including under
@@ -206,6 +215,37 @@ func TestLinkedParallelMatchesSerial(t *testing.T) {
 	if par.Transport != ser.Transport || par.Coord != ser.Coord {
 		t.Fatalf("link accounting diverges:\npar %+v / %+v\nser %+v / %+v",
 			par.Transport, par.Coord, ser.Transport, ser.Coord)
+	}
+}
+
+// panicWriter fails every decision-record write with a panic.
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("decision writer exploded") }
+
+// A rack that panics inside its lock-step tick must fail the linked run
+// with a *sim.PanicError naming the rack on the serial path exactly as on
+// the parallel one, never crash the caller.
+func TestLinkedRackPanicIsolatedSerialAndParallel(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		cfg := linkedConfig()
+		cfg.Scenario.DurationS = 120
+		cfg.Scenario.BurstDurationS = 120
+		cfg.Serial = serial
+		cfg.Link.RackOptions = func(rack int) sim.RunOptions {
+			if rack == 1 {
+				return sim.RunOptions{Decisions: telemetry.NewDecisionSink(panicWriter{})}
+			}
+			return sim.RunOptions{}
+		}
+		_, err := RunLinked(cfg)
+		var pe *sim.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("serial=%v: err = %v, want a *sim.PanicError", serial, err)
+		}
+		if !strings.Contains(err.Error(), "cluster: rack 1") {
+			t.Fatalf("serial=%v: error lacks rack attribution: %v", serial, err)
+		}
 	}
 }
 

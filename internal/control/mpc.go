@@ -58,27 +58,10 @@ type MPCConfig struct {
 	// Eq. (9) bounds stay simple boxes and the same QP solver applies;
 	// only the first move is actuated.
 	FullHorizon bool
-	// WarmStart seeds each period's QP with the previous period's solution
-	// (the receding-horizon problems differ only by the measured gap and
-	// the shifted bounds, so the previous minimizer is a few coordinate-
-	// descent sweeps from the new one). The controller invalidates the
-	// cached solution whenever the locked-core mask changes — a stuck
-	// actuator being excluded, a probe rejoining, a server crashing — and
-	// the cache dies with the controller, so a core-set change or a model
-	// rebuild (online estimation) always re-solves cold. The warm solve
-	// converges to the same minimizer within the QP's KKT tolerance; see
-	// the warm-vs-cold equivalence test in the qp package.
-	WarmStart bool
-	// LegacyQP forces the original cold QP path: no warm start, no
-	// workspace, allocation per solve. It exists so the benchmark harness
-	// can measure the warm-started solver against the pre-optimization
-	// behavior in the same binary; production configurations leave it
-	// false. LegacyQP overrides WarmStart.
-	LegacyQP bool
 }
 
 // DefaultMPCConfig returns the tuning used throughout the evaluation for a
-// rack with the given per-core model slopes (W/GHz), warm-starting enabled.
+// rack with the given per-core model slopes (W/GHz).
 // With the paper's constant-move prediction simplification, the closed loop
 // closes roughly Σh·e_h/Σh² ≈ 40 % of the power gap per period, settling
 // well within the allocator's 30 s period at the 4 s control period.
@@ -93,7 +76,6 @@ func DefaultMPCConfig(kWPerGHz []float64) MPCConfig {
 		KWPerGHz:          kWPerGHz,
 		FMinGHz:           0.4,
 		FMaxGHz:           2.0,
-		WarmStart:         true,
 	}
 }
 
@@ -440,21 +422,20 @@ func (m *MPC) refreshHGen(rweights []float64) {
 // counters, for the qp_cache_hits / qp_cache_evictions telemetry gauges.
 func (m *MPC) FactorCacheStats() qp.CacheStats { return m.ws.FactorCacheStats() }
 
-// solve runs the QP over the prepared h/g/lo/hi buffers, warm-starting from
-// the cached previous solution when the configuration allows it and the
-// locked mask is unchanged, and refreshes the cache and LastSolve stats.
+// solve runs the QP over the prepared h/g/lo/hi buffers and refreshes the
+// warm-start cache and LastSolve stats. Each period's QP is seeded with the
+// previous period's solution (the receding-horizon problems differ only by
+// the measured gap and the shifted bounds, so the previous minimizer — and
+// its active bound set — is almost exactly right). The cache is invalidated
+// whenever the locked-core mask changes — a stuck actuator being excluded,
+// a probe rejoining, a server crashing — and it dies with the controller, so
+// a core-set change or a model rebuild (online estimation) always re-solves
+// cold. A warm solve converges to the same minimizer within the QP's KKT
+// tolerance; see the warm-vs-cold equivalence test in the qp package.
 func (m *MPC) solve(locked []bool) (qp.Result, error) {
-	if m.cfg.LegacyQP {
-		res, err := qp.Solve(qp.Problem{H: m.h, G: m.g, Lo: m.lo, Hi: m.hi}, qp.Options{})
-		if err != nil {
-			return res, err
-		}
-		m.last = SolveStats{Sweeps: res.Sweeps, Converged: res.Converged, Objective: res.Objective}
-		return res, nil
-	}
 	opt := qp.Options{Ws: m.ws, HGen: m.hGen}
 	warm := false
-	if m.cfg.WarmStart && m.warmOK && maskUnchanged(m.warmMask, locked) {
+	if m.warmOK && maskUnchanged(m.warmMask, locked) {
 		opt.Warm = m.warmX
 		warm = true
 	}
@@ -463,13 +444,11 @@ func (m *MPC) solve(locked []bool) (qp.Result, error) {
 		m.warmOK = false
 		return res, err
 	}
-	if m.cfg.WarmStart {
-		copy(m.warmX, res.X)
-		for i := range m.warmMask {
-			m.warmMask[i] = locked != nil && locked[i]
-		}
-		m.warmOK = true
+	copy(m.warmX, res.X)
+	for i := range m.warmMask {
+		m.warmMask[i] = locked != nil && locked[i]
 	}
+	m.warmOK = true
 	m.last = SolveStats{Sweeps: res.Sweeps, Converged: res.Converged, Objective: res.Objective, Warm: warm}
 	return res, nil
 }

@@ -83,33 +83,3 @@ func TestMPCWarmCacheInvalidation(t *testing.T) {
 		t.Fatal("mask revert must invalidate the warm cache")
 	}
 }
-
-// With WarmStart disabled (the zero-value config), no solve is ever warm —
-// the legacy behavior.
-func TestMPCWarmStartDisabled(t *testing.T) {
-	const n = 8
-	k := make([]float64, n)
-	for i := range k {
-		k[i] = 9.6
-	}
-	cfg := DefaultMPCConfig(k)
-	cfg.WarmStart = false
-	m, err := NewMPC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freqs := make([]float64, n)
-	weights := make([]float64, n)
-	for i := range freqs {
-		freqs[i] = 1.0
-		weights[i] = 1
-	}
-	for range 3 {
-		if _, err := m.Step(800, 900, freqs, weights); err != nil {
-			t.Fatal(err)
-		}
-		if m.LastSolve().Warm {
-			t.Fatal("WarmStart=false must never solve warm")
-		}
-	}
-}

@@ -10,7 +10,7 @@ import (
 )
 
 // recordStore retains every snapshot, so a test can compare capture
-// schedules across engines and pick a resume point.
+// schedules across drivers and pick a resume point.
 type recordStore struct {
 	saves []checkpoint.Snapshot
 }
@@ -39,26 +39,21 @@ func (r *recordStore) at(t float64) *checkpoint.Snapshot {
 	return nil
 }
 
-// A checkpointing run must be bit-identical between engines, keep opening
-// spans (the capture-due barrier ends spans, it does not disable them), and
-// capture the same snapshots at the same simulated times: captures execute
-// only on real ticks, and the barrier forces a real tick wherever the tick
-// engine would have captured.
+// A checkpointing run must be bit-identical to the Runner.Step oracle, keep
+// opening spans (the capture-due barrier ends spans, it does not disable
+// them), and capture the same snapshots at the same simulated times:
+// captures execute only on real ticks, and the barrier forces a real tick
+// wherever the oracle would have captured.
 func TestEventEngineBitIdenticalWithCheckpointing(t *testing.T) {
 	scn := quiesceScenario(t, 4*3600)
 	cfg := DefaultConfig()
 	cfg.NoSprint = true
 
 	tickStore, eventStore := &recordStore{}, &recordStore{}
-	tick, err := sim.RunWith(scn, New(cfg), sim.RunOptions{
-		Engine:     "tick",
+	tick := runTicks(t, scn, New(cfg), sim.RunOptions{
 		Checkpoint: &sim.CheckpointOptions{Store: tickStore, EveryS: 600},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	event, err := sim.RunWith(scn, New(cfg), sim.RunOptions{
-		Engine:     "event",
 		Checkpoint: &sim.CheckpointOptions{Store: eventStore, EveryS: 600},
 	})
 	if err != nil {
@@ -81,26 +76,23 @@ func TestEventEngineBitIdenticalWithCheckpointing(t *testing.T) {
 	t.Logf("spans=%d skipped=%d captures=%d", event.Engine.Spans, event.Engine.TicksSkipped, len(eventStore.saves))
 }
 
-// Resuming from a tick-engine snapshot whose capture time falls inside one
-// of the event run's quiescent spans must continue bit-identically — on
-// both engines, and matching the uninterrupted runs' tails. This is the
-// portability guarantee: a snapshot is a plain state vector with no
-// event-queue remnant (the queue is rebuilt from scratch at every span
-// plan), so either engine can consume a snapshot the other produced.
+// Resuming from an oracle snapshot whose capture time falls inside one of
+// the event run's quiescent spans must continue bit-identically — under the
+// oracle and under RunWith, and matching the uninterrupted runs' tails.
+// This is the portability guarantee: a snapshot is a plain state vector
+// with no event-queue remnant (the queue is rebuilt from scratch at every
+// span plan), so a tick-by-tick driver and the event core can each consume
+// a snapshot the other produced.
 func TestEventEngineResumeMidSpanBitIdentical(t *testing.T) {
 	scn := quiesceScenario(t, 4*3600)
 	cfg := DefaultConfig()
 	cfg.NoSprint = true
 
 	store := &recordStore{}
-	full, err := sim.RunWith(scn, New(cfg), sim.RunOptions{
-		Engine:     "tick",
+	full := runTicks(t, scn, New(cfg), sim.RunOptions{
 		Checkpoint: &sim.CheckpointOptions{Store: store, EveryS: 300},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullEvent, err := sim.RunWith(scn, New(cfg), sim.RunOptions{Engine: "event"})
+	fullEvent, err := sim.RunWith(scn, New(cfg), sim.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +107,8 @@ func TestEventEngineResumeMidSpanBitIdentical(t *testing.T) {
 		t.Fatal("no snapshot captured near t=3000")
 	}
 
-	tickTail, err := sim.RunWith(scn, New(cfg), sim.RunOptions{Engine: "tick", Resume: sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eventTail, err := sim.RunWith(scn, New(cfg), sim.RunOptions{Engine: "event", Resume: sp})
+	tickTail := runTicks(t, scn, New(cfg), sim.RunOptions{Resume: sp})
+	eventTail, err := sim.RunWith(scn, New(cfg), sim.RunOptions{Resume: sp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +151,8 @@ func TestEventEngineResumeMidSpanBitIdentical(t *testing.T) {
 }
 
 // A controller crash with a checkpointed restart must behave identically
-// under both engines: the dead window blocks spans, the restore runs on a
-// real tick, and the post-restore trajectory re-quiesces.
+// under the oracle and RunWith: the dead window blocks spans, the restore
+// runs on a real tick, and the post-restore trajectory re-quiesces.
 func TestEventEngineBitIdenticalCrashRestore(t *testing.T) {
 	scn := quiesceScenario(t, 3*3600)
 	scn.Faults = faults.Plan{Faults: []faults.Fault{
@@ -172,17 +161,14 @@ func TestEventEngineBitIdenticalCrashRestore(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoSprint = true
 
-	run := func(engine string) *sim.Result {
-		res, err := sim.RunWith(scn, New(cfg), sim.RunOptions{
-			Engine:     engine,
-			Checkpoint: &sim.CheckpointOptions{Store: checkpoint.NewMemStore(), EveryS: 600},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	opts := func() sim.RunOptions {
+		return sim.RunOptions{Checkpoint: &sim.CheckpointOptions{Store: checkpoint.NewMemStore(), EveryS: 600}}
 	}
-	tick, event := run("tick"), run("event")
+	tick := runTicks(t, scn, New(cfg), opts())
+	event, err := sim.RunWith(scn, New(cfg), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertBitIdentical(t, tick, event)
 	if event.Engine.Spans == 0 {
 		t.Fatal("crash/restore run opened no spans around the dead window")

@@ -110,36 +110,45 @@ func assertBitIdentical(t *testing.T, tick, event *sim.Result) {
 	}
 }
 
-// runBoth executes the same scenario+config under the tick and the event
-// engine and returns both results.
-func runBoth(t *testing.T, cfg Config, scn sim.Scenario, opts sim.RunOptions) (tick, event *sim.Result) {
+// runTicks is the tick reference oracle: the same run driven tick by tick
+// through Runner.Step, never opening a quiescent span.
+func runTicks(t *testing.T, scn sim.Scenario, p sim.Policy, opts sim.RunOptions) *sim.Result {
 	t.Helper()
-	to := opts
-	to.Engine = "tick"
-	tick, err := sim.RunWith(scn, New(cfg), to)
+	r, err := sim.NewRunner(scn, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eo := opts
-	eo.Engine = "event"
-	event, err = sim.RunWith(scn, New(cfg), eo)
+	for !r.Done() {
+		if err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r.Finish()
+}
+
+// runBoth executes the same scenario+config through the Runner.Step oracle
+// and through RunWith (the event core) and returns both results.
+func runBoth(t *testing.T, cfg Config, scn sim.Scenario, opts sim.RunOptions) (tick, event *sim.Result) {
+	t.Helper()
+	tick = runTicks(t, scn, New(cfg), opts)
+	event, err := sim.RunWith(scn, New(cfg), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tick, event
 }
 
-// The headline tentpole property: a day-fraction diurnal power-capping run
-// is bit-identical between engines AND the event engine actually skips the
-// bulk of the ticks.
+// The headline property: a day-fraction diurnal power-capping run is
+// bit-identical to the Runner.Step oracle AND the event core actually skips
+// the bulk of the ticks.
 func TestEventEngineBitIdenticalNoSprintDiurnal(t *testing.T) {
 	scn := quiesceScenario(t, 4*3600)
 	cfg := DefaultConfig()
 	cfg.NoSprint = true
 	tick, event := runBoth(t, cfg, scn, sim.RunOptions{})
 	assertBitIdentical(t, tick, event)
-	if event.Engine.Name != "event" || tick.Engine.Name != "tick" {
-		t.Fatalf("engine names %q / %q", event.Engine.Name, tick.Engine.Name)
+	if tick.Engine.Spans != 0 {
+		t.Fatalf("the Runner.Step oracle opened %d spans", tick.Engine.Spans)
 	}
 	if event.Engine.Spans == 0 {
 		t.Fatal("event engine opened no quiescent spans on a diurnal plateau trace")
@@ -225,7 +234,7 @@ func TestEventEngineBitIdenticalWithSeriesStride(t *testing.T) {
 	}
 }
 
-// Every control-period boundary in the series must agree between engines:
+// Every control-period boundary in the series must agree with the oracle:
 // the recorded P_cb/P_batch targets are the controller's decisions, so
 // bitwise equality here pins decision equivalence at each control period.
 func TestEventEngineDecisionsAgreeAtControlBoundaries(t *testing.T) {
@@ -251,11 +260,11 @@ func TestDropEventsBitInvisible(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoSprint = true
 
-	logged, err := sim.RunWith(scn, New(cfg), sim.RunOptions{Engine: "event"})
+	logged, err := sim.RunWith(scn, New(cfg), sim.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped, err := sim.RunWith(scn, New(cfg), sim.RunOptions{Engine: "event", DropEvents: true})
+	dropped, err := sim.RunWith(scn, New(cfg), sim.RunOptions{DropEvents: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,10 +109,6 @@ type Config struct {
 	// discharge — classic power capping at the breaker rating ([8]).
 	// This quantifies what sprinting buys (experiment E17).
 	NoSprint bool
-	// LegacyQP forces the MPC onto the pre-optimization cold QP path (no
-	// warm start, no workspace). Benchmark-harness knob for measuring the
-	// hot-path speedup in one binary; leave false in production.
-	LegacyQP bool
 	// Harden configures the fault defenses (measurement guard, telemetry
 	// and UPS watchdogs, actuator-effectiveness monitoring). Defenses are
 	// ON by default; set Harden.Disabled for the paper-faithful
@@ -400,10 +396,6 @@ func (s *SprintCon) rebuildControllers(n int) error {
 	mcfg.RefTimeConstS = s.cfg.RefTimeConstS
 	mcfg.FMinGHz, mcfg.FMaxGHz = s.fmin, s.fmax
 	mcfg.FullHorizon = s.cfg.Controller == ControllerMPCFull
-	if s.cfg.LegacyQP {
-		mcfg.LegacyQP = true
-		mcfg.WarmStart = false
-	}
 	m, err := control.NewMPC(mcfg)
 	if err != nil {
 		return fmt.Errorf("core: MPC: %w", err)

@@ -163,7 +163,7 @@ func AblationOverloadSchedule() (*Table, error) {
 		cfg.AllocOverride = &acfg
 		jobs[i] = sim.Job{Key: v.label, Scenario: scn, Policy: core.New(cfg)}
 	}
-	results, err := sim.RunManyOrdered(jobs)
+	results, err := sim.RunManyOrdered(jobs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +209,7 @@ func AblationUPSControl() (*Table, error) {
 		cfg.UPSCtl = v.ucfg
 		jobs[i] = sim.Job{Key: v.label, Scenario: scn, Policy: core.New(cfg)}
 	}
-	results, err := sim.RunManyOrdered(jobs)
+	results, err := sim.RunManyOrdered(jobs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +247,7 @@ func Sensitivity() (*Table, error) {
 			})
 		}
 	}
-	results, err := sim.RunManyOrdered(jobs)
+	results, err := sim.RunManyOrdered(jobs, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -36,8 +36,9 @@
 //
 // RunSweep is the uncoordinated counterpart for capacity studies at
 // thousands of racks: static slot-packed phase offsets per row, executed
-// on the sim worker pool sharded row by row (sim.RunManyOrdered), with
-// results bit-identical between serial and parallel execution.
+// on the sim worker pool sharded row by row (sim.RunManyOrdered), where
+// each rack's sim.RunWith fast-forwards quiescent spans. Results are
+// bit-identical between serial and parallel execution.
 //
 // Rack seeds are offset by the rack's global index across the whole
 // building, so every rack sees distinct traffic, noise and fault timings,

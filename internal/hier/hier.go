@@ -61,7 +61,7 @@ type Config struct {
 	Obs []*obs.Cluster
 	// RackOptions, when non-nil, supplies per-rack run options for
 	// RunLinked and RunSweep — the hook sprintd uses to attach
-	// decision-trace sinks, and sweeps use to select the event engine.
+	// decision-trace sinks to linked racks.
 	RackOptions func(row, rack int) sim.RunOptions
 	// OnRowTick, when non-nil, is called after every lock-step tick of
 	// every row with that row's id, step index, simulated time and feeder

@@ -66,10 +66,10 @@ func sweepJob(c Config, a Allocation, row, j int) (sim.Scenario, sim.Policy) {
 // RunSweep executes the building with static, per-row slot-packed phase
 // offsets — no control link, no coordinator — on the sim worker pool,
 // sharded row by row: each row's racks run as one sim.RunManyOrdered batch
-// (Config.Serial runs them one at a time instead), rows in order. Results
-// are bit-identical between the serial and parallel paths. Budgets come
-// from the same Allocate waterfall as RunLinked, and every level is scored
-// by the same shadow breakers.
+// (Config.Serial runs it on one worker), rows in order. Results — and a
+// failing or panicking rack's error — are identical between the serial and
+// parallel paths. Budgets come from the same Allocate waterfall as
+// RunLinked, and every level is scored by the same shadow breakers.
 func RunSweep(c Config) (*SweepResult, error) {
 	a, err := Allocate(c)
 	if err != nil {
@@ -82,6 +82,10 @@ func RunSweep(c Config) (*SweepResult, error) {
 		RowExceedFrac: make([]float64, len(a.Rows)),
 		RowTrips:      make([]int, len(a.Rows)),
 	}
+	workers := 0 // GOMAXPROCS
+	if c.Serial {
+		workers = 1
+	}
 	for r := range a.Rows {
 		if c.Stop != nil {
 			select {
@@ -90,35 +94,19 @@ func RunSweep(c Config) (*SweepResult, error) {
 			default:
 			}
 		}
-		n := a.Rows[r].Racks
-		opts := func(j int) sim.RunOptions {
-			o := sim.RunOptions{}
+		jobs := make([]sim.Job, a.Rows[r].Racks)
+		for j := range jobs {
+			scn, p := sweepJob(c, a, r, j)
+			var o sim.RunOptions
 			if c.RackOptions != nil {
 				o = c.RackOptions(r, j)
 			}
 			o.Stop = c.Stop
-			return o
+			jobs[j] = sim.Job{Key: fmt.Sprintf("row%d-rack%d", r, j), Scenario: scn, Policy: p, Opts: o}
 		}
-		if c.Serial {
-			out.Rows[r] = make([]*sim.Result, n)
-			for j := 0; j < n; j++ {
-				scn, p := sweepJob(c, a, r, j)
-				res, err := sim.RunWith(scn, p, opts(j))
-				if err != nil {
-					return nil, fmt.Errorf("hier: row %d rack %d: %w", r, j, err)
-				}
-				out.Rows[r][j] = res
-			}
-		} else {
-			jobs := make([]sim.Job, n)
-			for j := range jobs {
-				scn, p := sweepJob(c, a, r, j)
-				jobs[j] = sim.Job{Key: fmt.Sprintf("row%d-rack%d", r, j), Scenario: scn, Policy: p, Opts: opts(j)}
-			}
-			out.Rows[r], err = sim.RunManyOrdered(jobs)
-			if err != nil {
-				return nil, fmt.Errorf("hier: row %d: %w", r, err)
-			}
+		out.Rows[r], err = sim.RunManyOrdered(jobs, workers)
+		if err != nil {
+			return nil, fmt.Errorf("hier: row %d: %w", r, err)
 		}
 		if c.OnRowDone != nil {
 			c.OnRowDone(r)

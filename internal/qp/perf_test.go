@@ -8,8 +8,8 @@ import (
 )
 
 // constrainedProblem builds an n-variable strictly convex QP whose
-// unconstrained minimizer violates the box, so the solver must run
-// coordinate descent (the MPC's steady-state shape: dense rank-one tracking
+// unconstrained minimizer violates the box, so the solver must iterate on
+// the active set (the MPC's steady-state shape: dense rank-one tracking
 // term plus a positive diagonal).
 func constrainedProblem(n int) Problem {
 	h := mathx.NewMatrix(n, n)
@@ -57,7 +57,7 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !base.Converged || base.Sweeps == 0 {
-		t.Fatalf("base solve should converge via coordinate descent, got %+v", base)
+		t.Fatalf("base solve should converge through box-constrained iterations, got %+v", base)
 	}
 
 	next := perturb(p, 0.01)
@@ -133,27 +133,70 @@ func TestSolveWorkspaceZeroAlloc(t *testing.T) {
 	}
 }
 
-// The fast path must agree with the legacy path on the same problem. Both
-// get a generous sweep budget so the comparison is between converged
-// minimizers (the legacy solver needs ~800 sweeps at n=64; the active-set
-// fast path needs a few dozen factorizations at most).
+// solveLegacy is the original cold solver — the unconstrained Cholesky
+// shortcut, else cyclic projected coordinate descent from the projection of
+// 0 — kept as the reference Solve is checked against. tol is the already
+// scaled KKT tolerance.
+func solveLegacy(p Problem, maxSweeps int, tol float64) Result {
+	if x, err := p.H.SolveSPD(p.G.Scale(-1)); err == nil {
+		inBox := true
+		for i := range x {
+			if x[i] < p.Lo[i]-1e-12 || x[i] > p.Hi[i]+1e-12 {
+				inBox = false
+				break
+			}
+		}
+		if inBox {
+			x.Clamp(p.Lo, p.Hi)
+			return Result{X: x, Objective: p.Objective(x), Converged: true}
+		}
+	}
+	x := p.Lo.Clone()
+	for i := range x {
+		x[i] = math.Min(math.Max(0, p.Lo[i]), p.Hi[i])
+	}
+	grad := p.Gradient(x)
+	sweeps := 0
+	for ; sweeps < maxSweeps; sweeps++ {
+		maxMove := sweepOnce(p, x, grad)
+		if p.KKTResidual(x) <= tol {
+			return Result{X: x, Objective: p.Objective(x), Sweeps: sweeps + 1, Converged: true}
+		}
+		if maxMove == 0 {
+			break
+		}
+	}
+	return Result{X: x, Objective: p.Objective(x), Sweeps: sweeps, Converged: p.KKTResidual(x) <= tol*10}
+}
+
+// Solve must agree with the legacy coordinate-descent reference on the
+// same problem. The reference gets a generous sweep budget so the
+// comparison is between converged minimizers (it needs ~800 sweeps at
+// n=64; the active-set solver needs a few dozen factorizations at most).
 func TestFastMatchesLegacy(t *testing.T) {
 	for _, n := range []int{1, 4, 16, 64} {
 		p := constrainedProblem(n)
-		legacy, err := Solve(p, Options{MaxSweeps: 10000})
-		if err != nil {
-			t.Fatal(err)
-		}
+		legacy := solveLegacy(p, 10000, defaultTol*(1+p.G.NormInf()))
 		fast, err := Solve(p, Options{Ws: NewWorkspace(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !legacy.Converged || !fast.Converged {
-			t.Fatalf("n=%d: both paths must converge: legacy=%+v fast=%+v", n, legacy.Converged, fast.Converged)
+		cold, err := Solve(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !legacy.Converged || !fast.Converged || !cold.Converged {
+			t.Fatalf("n=%d: every path must converge: legacy=%v fast=%v cold=%v",
+				n, legacy.Converged, fast.Converged, cold.Converged)
 		}
 		for i := range legacy.X {
 			if math.Abs(legacy.X[i]-fast.X[i]) > 1e-6 {
 				t.Fatalf("n=%d: legacy and fast minimizers diverge at %d: %v vs %v", n, i, legacy.X[i], fast.X[i])
+			}
+			// A solve with no workspace runs the same solver on a fresh
+			// one: bit-identical to the workspace solve.
+			if math.Float64bits(cold.X[i]) != math.Float64bits(fast.X[i]) {
+				t.Fatalf("n=%d: fresh-workspace and workspace solves differ at %d: %v vs %v", n, i, cold.X[i], fast.X[i])
 			}
 		}
 	}

@@ -7,26 +7,24 @@
 // H must be symmetric positive definite (the MPC cost is strictly convex
 // because the control-penalty weights are strictly positive). The solver
 // first tries the unconstrained Cholesky solution; if it violates the box it
-// falls back to cyclic projected coordinate descent, which converges to the
-// unique minimizer for strictly convex quadratics. Problem sizes here are at
-// most a few hundred variables (one per batch CPU core on the rack).
+// runs a primal active-set Newton method (one small Cholesky factorization
+// of the free block per working-set change) whose working set is
+// initialized from the seed's bound pattern, falling back to cyclic
+// projected coordinate descent — which converges to the unique minimizer
+// for strictly convex quadratics — only on numerically degenerate problems.
+// Problem sizes here are at most a few hundred variables (one per batch CPU
+// core on the rack).
 //
 // Two optional accelerations serve the per-control-period hot path:
 //
 //   - Options.Warm seeds the solver with the previous period's solution
 //     (the MPC re-solves a nearly identical QP every period, so the
 //     previous minimizer — and, more importantly, its active bound set —
-//     is almost exactly right for the new problem);
+//     is almost exactly right for the new problem); without it the seed is
+//     the projection of 0;
 //   - Options.Ws supplies a reusable Workspace so a steady-state solve
-//     performs no heap allocation at all.
-//
-// Either option selects the fast path: box-constrained solves run a primal
-// active-set Newton method (one small Cholesky factorization of the free
-// block per working-set change) whose working set is initialized from the
-// seed's bound pattern, falling back to projected coordinate descent only
-// on numerically degenerate problems. Calls without options run the
-// original, bit-exact legacy coordinate-descent path; fast-path results
-// agree with it within the KKT tolerance, not bit for bit.
+//     performs no heap allocation at all; without it each solve allocates
+//     a fresh one.
 package qp
 
 import (
@@ -46,15 +44,15 @@ type Problem struct {
 }
 
 // Options controls solver effort and, via Warm and Ws, the hot-path
-// accelerations. The zero value selects the legacy cold solver.
+// accelerations. The zero value is a cold solve on a fresh workspace.
 type Options struct {
-	// MaxSweeps bounds the number of full coordinate-descent sweeps.
-	// Zero selects the default (500).
+	// MaxSweeps bounds the number of full coordinate-descent sweeps of the
+	// degenerate-problem fallback. Zero selects the default (500).
 	MaxSweeps int
 	// Tol is the KKT residual tolerance. Zero selects the default (1e-9,
 	// scaled by the magnitude of the gradient).
 	Tol float64
-	// Warm, when non-nil, seeds the fast path with this point (projected
+	// Warm, when non-nil, seeds the solver with this point (projected
 	// into the box) instead of the projection of 0. The unconstrained
 	// Cholesky shortcut still runs first — when the box is inactive it is
 	// exact and beats any iteration — so the warm point matters for
@@ -85,10 +83,10 @@ type Options struct {
 type Result struct {
 	X         mathx.Vector // minimizer (aliases Options.Ws scratch when set)
 	Objective float64      // ½xᵀHx + gᵀx at X
-	// Sweeps counts solver iterations: coordinate-descent sweeps on the
-	// legacy path, active-set Newton iterations (one free-block
-	// factorization each) on the fast path. 0 when the unconstrained
-	// Cholesky shortcut solved the problem outright.
+	// Sweeps counts solver iterations: active-set Newton iterations (one
+	// free-block factorization each) plus any coordinate-descent sweeps of
+	// the fallback. 0 when the unconstrained Cholesky shortcut solved the
+	// problem outright.
 	Sweeps    int
 	Converged bool // KKT residual below tolerance
 }
@@ -366,58 +364,10 @@ func Solve(p Problem, opt Options) (Result, error) {
 	if len(opt.Warm) != 0 && len(opt.Warm) != n {
 		return Result{}, fmt.Errorf("%w: warm start has %d elements for n=%d", ErrDimension, len(opt.Warm), n)
 	}
-	if opt.Ws != nil || len(opt.Warm) > 0 {
-		return solveFast(p, opt, maxSweeps, tol)
-	}
-	return solveLegacy(p, opt, maxSweeps, tol)
+	return solveFast(p, opt, maxSweeps, tol)
 }
 
-// solveLegacy is the original cold solver, kept bit-exact for callers that
-// pass no warm start and no workspace.
-func solveLegacy(p Problem, _ Options, maxSweeps int, tol float64) (Result, error) {
-	// Fast path: unconstrained minimizer, if it respects the box.
-	if x, err := p.H.SolveSPD(p.G.Scale(-1)); err == nil {
-		inBox := true
-		for i := range x {
-			if x[i] < p.Lo[i]-1e-12 || x[i] > p.Hi[i]+1e-12 {
-				inBox = false
-				break
-			}
-		}
-		if inBox {
-			x.Clamp(p.Lo, p.Hi)
-			return Result{X: x, Objective: p.Objective(x), Converged: true}, nil
-		}
-	}
-
-	// Projected cyclic coordinate descent. Maintain grad = Hx + g
-	// incrementally: an update Δ to x_i adds Δ·H[:,i] to the gradient.
-	x := p.Lo.Clone()
-	// Start from the projection of 0.
-	for i := range x {
-		x[i] = math.Min(math.Max(0, p.Lo[i]), p.Hi[i])
-	}
-	grad := p.Gradient(x)
-
-	sweeps := 0
-	for ; sweeps < maxSweeps; sweeps++ {
-		maxMove := sweepOnce(p, x, grad)
-		if p.KKTResidual(x) <= tol {
-			return Result{X: x, Objective: p.Objective(x), Sweeps: sweeps + 1, Converged: true}, nil
-		}
-		if maxMove == 0 {
-			break // stationary but KKT above tol: numerical floor reached
-		}
-	}
-	return Result{
-		X:         x,
-		Objective: p.Objective(x),
-		Sweeps:    sweeps,
-		Converged: p.KKTResidual(x) <= tol*10,
-	}, nil
-}
-
-// solveFast is the hot-path solver: allocation-free with a workspace,
+// solveFast is the solver behind Solve: allocation-free with a workspace,
 // optionally warm-started, converging on the incrementally maintained
 // gradient with an exact verification before any solution is accepted.
 func solveFast(p Problem, opt Options, maxSweeps int, tol float64) (Result, error) {
@@ -452,8 +402,7 @@ func solveFast(p Problem, opt Options, maxSweeps int, tol float64) (Result, erro
 	}
 	// Box-constrained: run the primal active-set solver, seeded from the
 	// warm point when given (its bound pattern is near the optimal active
-	// set on a re-solve), else from the projection of 0 as in the legacy
-	// path.
+	// set on a re-solve), else from the projection of 0.
 	if len(opt.Warm) != 0 {
 		copy(x, opt.Warm)
 		x.Clamp(p.Lo, p.Hi)

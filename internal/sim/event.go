@@ -6,9 +6,9 @@ import (
 	"sprintcon/internal/engine"
 )
 
-// This file is the discrete-event execution core (DESIGN.md §15). RunEvent
-// produces results bit-identical to the fixed-step tick loop while skipping
-// the plant and controller work of provably quiescent spans:
+// This file is the discrete-event execution core (DESIGN.md §15) behind
+// RunWith. It produces results bit-identical to the Runner.Step loop while
+// skipping the plant and controller work of provably quiescent spans:
 //
 //  1. After every normal tick it hashes the complete mutable controller +
 //     plant state (minus a small replayed-exactly remainder) into an
@@ -35,11 +35,11 @@ import (
 // Anything the proof does not cover falls back to normal ticking: noisy
 // monitors, utilization jitter, ambient swing, live telemetry, and
 // non-quiescent controllers (a drifting PI integral, probing locked-core
-// defenses) simply never open spans and run the exact legacy path.
+// defenses) simply never open spans and run tick by tick.
 
 // QuiescentPolicy is the optional policy contract for event-driven
 // execution. A policy implementing it certifies fixed points and replays
-// its excluded state; policies without it run tick-by-tick under RunEvent.
+// its excluded state; policies without it run tick by tick under RunWith.
 type QuiescentPolicy interface {
 	Policy
 	// QuiescenceDigest appends all mutable controller state (except what
@@ -63,7 +63,7 @@ type QuiescentPolicy interface {
 // plans just run normal ticks (span setup costs a few barrier queries).
 const minSpanTicks = 8
 
-// eventCore is the event engine's working state on a Runner.
+// eventCore is the event core's working state on a Runner.
 type eventCore struct {
 	qp      QuiescentPolicy
 	q       engine.Queue
@@ -101,21 +101,13 @@ func (r *Runner) eventEligible() bool {
 		r.opts.Status == nil
 }
 
-// RunEvent drives the run to completion on the discrete-event core.
-func (r *Runner) RunEvent() error {
+// startEventCore builds the event core's state for RunWith. It leaves r.ev
+// nil — every tick then runs through Runner.Step — when the policy has no
+// fixed-point contract or the run is statically ineligible.
+func (r *Runner) startEventCore() {
 	qp, ok := r.p.(QuiescentPolicy)
 	if !ok || !r.eventEligible() {
-		// No fixed-point contract or statically ineligible: the event
-		// engine degenerates to the exact tick loop (0 spans reported).
-		for !r.Done() {
-			if stopped(r.opts.Stop) {
-				return ErrCanceled
-			}
-			if err := r.Step(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return
 	}
 	r.ev = &eventCore{
 		qp:              qp,
@@ -123,23 +115,6 @@ func (r *Runner) RunEvent() error {
 		cadence:         qp.QuiescenceCadenceTicks(r.dt),
 		lastInputChange: r.step,
 	}
-	for !r.Done() {
-		if stopped(r.opts.Stop) {
-			return ErrCanceled
-		}
-		if r.spanReady() {
-			if n := r.planSpan(); n >= minSpanTicks {
-				r.fastForward(n)
-				r.probeQuiescence()
-				continue
-			}
-		}
-		if err := r.Step(); err != nil {
-			return err
-		}
-		r.probeQuiescence()
-	}
-	return nil
 }
 
 // spanReady reports whether the next tick may open a quiescent span: the

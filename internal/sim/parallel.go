@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Job names one simulation of a parameter sweep.
@@ -14,8 +15,8 @@ type Job struct {
 	// between jobs — they carry per-run state.
 	Scenario Scenario
 	Policy   Policy
-	// Opts carries per-job run options (engine selection, series stride,
-	// checkpointing, sinks). The zero value is the default tick engine.
+	// Opts carries per-job run options (series stride, checkpointing,
+	// sinks, cancellation). The zero value runs with telemetry off.
 	Opts RunOptions
 }
 
@@ -23,11 +24,8 @@ type Job struct {
 // returns results keyed by Job.Key. Each simulation is fully independent —
 // its own rack, breaker, UPS and trace — so the sweep parallelizes
 // embarrassingly; this is what makes the full experiment suite fast enough
-// to run in CI. The first error aborts the sweep.
+// to run in CI. The first failing job in job order aborts the sweep.
 func RunMany(jobs []Job) (map[string]*Result, error) {
-	if len(jobs) == 0 {
-		return map[string]*Result{}, nil
-	}
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
 		if j.Key == "" {
@@ -38,60 +36,54 @@ func RunMany(jobs []Job) (map[string]*Result, error) {
 		}
 		seen[j.Key] = true
 	}
-
-	type outcome struct {
-		key string
-		res *Result
-		err error
+	results, err := RunManyOrdered(jobs, 0)
+	if err != nil {
+		return nil, err
 	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	results := make(chan outcome, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j Job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := runJob(j)
-			results <- outcome{key: j.Key, res: res, err: err}
-		}(j)
-	}
-	wg.Wait()
-	close(results)
-
 	out := make(map[string]*Result, len(jobs))
-	for o := range results {
-		if o.err != nil {
-			return nil, fmt.Errorf("sim: job %s: %w", o.key, o.err)
-		}
-		out[o.key] = o.res
+	for i, j := range jobs {
+		out[j.Key] = results[i]
 	}
 	return out, nil
 }
 
-// RunManyOrdered executes the jobs concurrently (bounded by GOMAXPROCS) and
-// returns results in job order, so callers that depend on positional
-// identity — cluster racks, sweep rows — get deterministic output
-// regardless of scheduling. Each simulation is fully independent and every
-// run is seeded, so the results are bit-identical to running the same jobs
-// serially. The first error (by job order) aborts the sweep.
-func RunManyOrdered(jobs []Job) ([]*Result, error) {
+// RunManyOrdered executes the jobs on workers goroutines (0 or less means
+// GOMAXPROCS) and returns results in job order, so callers that depend on
+// positional identity — cluster racks, sweep rows — get deterministic
+// output regardless of scheduling. Workers take jobs in job order, so one
+// worker runs them strictly one at a time. Each simulation is fully
+// independent and every run is seeded, so the results are bit-identical at
+// any worker count. The first failing job in job order aborts the sweep:
+// once a job fails no further job starts, and every job before it has
+// already started and runs to completion, so the reported job is the same
+// at any worker count.
+func RunManyOrdered(jobs []Job, workers int) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(jobs))
 	out := make([]*Result, len(jobs))
 	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(i int, j Job) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = runJob(j)
-		}(i, j)
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				if out[i], errs[i] = runJob(jobs[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -107,7 +99,7 @@ func RunManyOrdered(jobs []Job) ([]*Result, error) {
 }
 
 // runJob executes one job with panic isolation: a panic on the worker
-// goroutine becomes a *PanicError instead of crashing the pool.
+// goroutine becomes a *PanicError instead of crashing the process.
 func runJob(j Job) (res *Result, err error) {
 	defer RecoverPanic(&err)
 	return RunWith(j.Scenario, j.Policy, j.Opts)

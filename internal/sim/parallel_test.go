@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -52,5 +54,31 @@ func TestRunManyValidation(t *testing.T) {
 	bad.DurationS = 0
 	if _, err := RunMany([]Job{{Key: "bad", Scenario: bad, Policy: &stubPolicy{name: "x"}}}); err == nil {
 		t.Fatal("invalid scenario should propagate")
+	}
+}
+
+// With two failing jobs the reported failure is the first in job order, not
+// whichever failed first in wall time: the slow panicking job precedes a
+// job that fails at once.
+func TestRunManyReportsFirstFailureInJobOrder(t *testing.T) {
+	scn := shortScenario()
+	slow := &stubPolicy{name: "slow", onTick: func(env *Env, s Snapshot) float64 {
+		if s.Now >= 50 {
+			panic("slow job failed")
+		}
+		return 0
+	}}
+	jobs := []Job{
+		{Key: "ok", Scenario: scn, Policy: &stubPolicy{name: "ok"}},
+		{Key: "slow-fail", Scenario: scn, Policy: slow},
+		{Key: "fast-fail", Scenario: scn, Policy: &stubPolicy{name: "fast", startErr: errors.New("start refused")}},
+	}
+	_, err := RunMany(jobs)
+	if err == nil || !strings.Contains(err.Error(), "job slow-fail") {
+		t.Fatalf("err = %v, want the slow-fail job's error", err)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PanicError", err)
 	}
 }

@@ -42,7 +42,8 @@ type Runner struct {
 	lastCBW         float64
 	snap            Snapshot
 
-	// ev is the discrete-event core's state; nil until RunEvent builds it.
+	// ev is the discrete-event core's state; RunWith builds it, and it stays
+	// nil for runs that can never open a span.
 	ev *eventCore
 
 	finished bool
@@ -51,11 +52,6 @@ type Runner struct {
 // NewRunner validates the scenario, builds the environment and starts (or
 // resumes) the policy, leaving the run positioned before its first tick.
 func NewRunner(scn Scenario, p Policy, opts RunOptions) (*Runner, error) {
-	switch opts.Engine {
-	case "", "tick", "event":
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %q (want \"tick\" or \"event\")", opts.Engine)
-	}
 	if err := scn.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,10 +69,6 @@ func NewRunner(scn Scenario, p Policy, opts RunOptions) (*Runner, error) {
 	res := &Result{Policy: p.Name(), Scenario: scn, MaxCompletionTimeS: math.NaN()}
 	res.InteractiveDemand = env.Trace.Summary()
 	res.Series.DtS = scn.DtS
-	res.Engine.Name = opts.Engine
-	if res.Engine.Name == "" {
-		res.Engine.Name = "tick"
-	}
 
 	// Fault injection: nil when the plan is empty, so fault-free runs
 	// follow the exact legacy code path (bit-identical results). Built

@@ -276,8 +276,7 @@ type Result struct {
 	// (nil when the run had no registry) — the experiments harness
 	// aggregates these into its reports.
 	Telemetry telemetry.Snapshot
-	// Engine reports how the run was executed (tick loop versus
-	// discrete-event core) and how much work the event core elided.
+	// Engine reports how much plant work the discrete-event core elided.
 	Engine EngineStats
 
 	// Summary accumulators, maintained per tick by recordTick in the same
@@ -288,17 +287,15 @@ type Result struct {
 	sumFreqBatch float64
 }
 
-// EngineStats describes the execution engine's work for one run.
+// EngineStats describes the discrete-event core's work for one run.
 type EngineStats struct {
-	// Name is "tick" or "event".
-	Name string
-	// Spans is the number of quiescent spans the event engine closed
-	// analytically; TicksSkipped is the number of plant ticks those spans
-	// covered (0 under the tick engine).
+	// Spans is the number of quiescent spans closed analytically;
+	// TicksSkipped is the number of plant ticks those spans covered (both
+	// 0 for runs driven tick by tick through Runner.Step).
 	Spans        int
 	TicksSkipped int
-	// Events is the number of discrete events (barriers) the event engine
-	// dequeued while planning spans.
+	// Events is the number of discrete events (barriers) dequeued while
+	// planning spans.
 	Events int
 }
 
@@ -345,11 +342,6 @@ type RunOptions struct {
 	// step instead of starting at t=0. The Result then covers only the
 	// resumed window.
 	Resume *checkpoint.Snapshot
-	// Engine selects the execution core: "" or "tick" runs the classic
-	// fixed-step loop; "event" runs the discrete-event core, which
-	// advances time by next-event deltas and closes provably quiescent
-	// spans analytically. Results are bit-identical between the two.
-	Engine string
 	// SeriesStride records every SeriesStride-th tick into Result.Series
 	// (0 or 1 records every tick). Summary statistics are unaffected:
 	// they accumulate per tick regardless of the stride. Long diurnal
@@ -362,11 +354,12 @@ type RunOptions struct {
 	// counting diagnostic log volume (each entry must box its format
 	// arguments and build a fresh string).
 	DropEvents bool
-	// Stop, when non-nil, is polled between ticks: once it closes, RunWith
-	// (and the event engine) abandon the run and return ErrCanceled. The
-	// check sits outside Runner.Step, so lock-step drivers that call Step
-	// directly (cluster.RunLinked) implement their own cancellation and
-	// the per-tick hot path is unchanged for runs that never cancel.
+	// Stop, when non-nil, is polled before every tick and every quiescent
+	// span: once it closes, RunWith abandons the run and returns
+	// ErrCanceled. The check sits outside Runner.Step, so lock-step
+	// drivers that call Step directly (cluster.RunLinked) implement their
+	// own cancellation and the per-tick hot path is unchanged for runs
+	// that never cancel.
 	Stop <-chan struct{}
 }
 
@@ -447,30 +440,35 @@ func (em *engineMetrics) observeTick(now, pTotal, cbW, upsW float64, env *Env) {
 }
 
 // RunWith simulates the scenario under the policy with the given
-// observability options. It is the convenience loop over a Runner; callers
-// that need to interleave work between ticks (the cluster's lock-step
-// control link) drive the Runner directly and get bit-identical results.
+// observability options. It is the convenience loop over a Runner: every
+// tick runs through Runner.Step, except provably quiescent spans, which the
+// discrete-event core closes analytically with bit-identical results
+// (event.go). Callers that need to interleave work between ticks (the
+// cluster's lock-step control link) drive the Runner directly and get
+// bit-identical results.
 func RunWith(scn Scenario, p Policy, opts RunOptions) (*Result, error) {
 	r, err := NewRunner(scn, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	switch opts.Engine {
-	case "", "tick":
-		for !r.Done() {
-			if stopped(opts.Stop) {
-				return nil, ErrCanceled
-			}
-			if err := r.Step(); err != nil {
-				return nil, err
+	r.startEventCore()
+	for !r.Done() {
+		if stopped(opts.Stop) {
+			return nil, ErrCanceled
+		}
+		if r.ev != nil && r.spanReady() {
+			if n := r.planSpan(); n >= minSpanTicks {
+				r.fastForward(n)
+				r.probeQuiescence()
+				continue
 			}
 		}
-	case "event":
-		if err := r.RunEvent(); err != nil {
+		if err := r.Step(); err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %q (want \"tick\" or \"event\")", opts.Engine)
+		if r.ev != nil {
+			r.probeQuiescence()
+		}
 	}
 	return r.Finish(), nil
 }
