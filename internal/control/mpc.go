@@ -129,6 +129,9 @@ type MPC struct {
 	g, lo, hi mathx.Vector
 	next      []float64
 	ws        *qp.Workspace
+	// hint describes the constant-move H as diag(D) + α·k·kᵀ for the QP
+	// (qp.Problem.Hint); FullHorizon leaves it unused.
+	hint qp.DiagRankOne
 
 	// Warm-start cache: the previous period's QP solution and the locked
 	// mask it was solved under. warmOK is false until the first solve and
@@ -201,6 +204,7 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 		hi:       mathx.NewVector(nv),
 		next:     make([]float64, n),
 		ws:       qp.NewWorkspace(nv),
+		hint:     qp.DiagRankOne{D: mathx.NewVector(n), K: cfg.KWPerGHz},
 		warmX:    mathx.NewVector(nv),
 		warmMask: make([]bool, n),
 	}, nil
@@ -267,7 +271,8 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 		eh := gap * (1 - math.Exp(-hf*m.cfg.PeriodS/m.cfg.RefTimeConstS))
 		g.AXPY(-m.cfg.QWeight*hf*eh, k)
 	}
-	h.OuterAdd(m.cfg.QWeight*sumH2, k, k)
+	m.hint.Alpha = m.cfg.QWeight * sumH2
+	h.OuterAdd(m.hint.Alpha, k, k)
 
 	var sumM, sumM2 float64
 	for mv := 1; mv <= m.cfg.ControlHorizon; mv++ {
@@ -276,7 +281,8 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	}
 	for i := 0; i < n; i++ {
 		r := m.cfg.RScale * math.Max(rweights[i], 1e-6)
-		h.Inc(i, i, sumM2*r)
+		m.hint.D[i] = sumM2 * r
+		h.Inc(i, i, m.hint.D[i])
 		g[i] += sumM * r * (freqs[i] - m.cfg.FMaxGHz)
 	}
 
@@ -290,7 +296,7 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 		hi[i] = m.cfg.FMaxGHz - freqs[i]
 	}
 
-	res, err := m.solve(locked)
+	res, err := m.solve(locked, &m.hint)
 	if err != nil {
 		return nil, fmt.Errorf("control: MPC QP: %w", err)
 	}
@@ -377,7 +383,7 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 		}
 	}
 
-	res, err := m.solve(locked)
+	res, err := m.solve(locked, nil)
 	if err != nil {
 		return nil, fmt.Errorf("control: full-horizon MPC QP: %w", err)
 	}
@@ -431,15 +437,16 @@ func (m *MPC) FactorCacheStats() qp.CacheStats { return m.ws.FactorCacheStats() 
 // a probe rejoining, a server crashing — and it dies with the controller, so
 // a core-set change or a model rebuild (online estimation) always re-solves
 // cold. A warm solve converges to the same minimizer within the QP's KKT
-// tolerance; see the warm-vs-cold equivalence test in the qp package.
-func (m *MPC) solve(locked []bool) (qp.Result, error) {
+// tolerance; see the warm-vs-cold equivalence test in the qp package. hint,
+// when non-nil, is the structure of H (qp.Problem.Hint).
+func (m *MPC) solve(locked []bool, hint *qp.DiagRankOne) (qp.Result, error) {
 	opt := qp.Options{Ws: m.ws, HGen: m.hGen}
 	warm := false
 	if m.warmOK && maskUnchanged(m.warmMask, locked) {
 		opt.Warm = m.warmX
 		warm = true
 	}
-	res, err := qp.Solve(qp.Problem{H: m.h, G: m.g, Lo: m.lo, Hi: m.hi}, opt)
+	res, err := qp.Solve(qp.Problem{H: m.h, G: m.g, Lo: m.lo, Hi: m.hi, Hint: hint}, opt)
 	if err != nil {
 		m.warmOK = false
 		return res, err

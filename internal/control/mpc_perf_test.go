@@ -40,6 +40,26 @@ func TestMPCStepZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("MPC.Step allocates %.1f times per run, want 0", allocs)
 	}
+
+	// A 3 kW gap drives the unconstrained move far past FMax, so the QP's
+	// structure hint certifies the box violation and the solve skips the
+	// dense shortcut for the active-set solver.
+	locked := make([]bool, n)
+	locked[0] = true
+	if _, err := m.StepLocked(3000, 6000, freqs, weights, locked); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := m.StepLocked(3000, 6000, freqs, weights, locked); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("box-constrained MPC.StepLocked allocates %.1f times per run, want 0", allocs)
+	}
+	if st := m.LastSolve(); st.Sweeps == 0 {
+		t.Fatalf("large-gap step solved without the active-set solver: %+v", st)
+	}
 }
 
 // The warm-start cache must be used only while the locked mask is

@@ -3,6 +3,7 @@ package hier
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sprintcon/internal/cluster"
@@ -245,9 +246,10 @@ func TestRunLinkedMetricsAndHooks(t *testing.T) {
 		}
 		<-mu
 	}
-	var opts int
+	// RackOptions is called from the concurrently running rows.
+	var opts atomic.Int64
 	c.RackOptions = func(row, rack int) sim.RunOptions {
-		opts++
+		opts.Add(1)
 		return sim.RunOptions{}
 	}
 	res, err := RunLinked(c)
@@ -260,8 +262,8 @@ func TestRunLinkedMetricsAndHooks(t *testing.T) {
 			t.Errorf("row %d last observed step = %d, want %d", r, ticks[r], steps-1)
 		}
 	}
-	if want := 4 + 5; opts != want {
-		t.Errorf("RackOptions called %d times, want %d", opts, want)
+	if want := int64(4 + 5); opts.Load() != want {
+		t.Errorf("RackOptions called %d times, want %d", opts.Load(), want)
 	}
 	var found bool
 	for _, m := range c.Metrics.Snapshot() {

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -139,4 +140,124 @@ func TestDotSumFillBitwise(t *testing.T) {
 		}
 	}()
 	DotSlices(x, y[:2])
+}
+
+// choleskyReference is the textbook row-by-row Cholesky loop over At/Set
+// that CholeskyFactor replaced. It returns the first non-positive pivot, or
+// -1.
+func choleskyReference(m, l *Matrix) int {
+	n := m.Rows()
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			s := m.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			if i == j {
+				if s <= 0 {
+					return i
+				}
+				l.Set(i, i, math.Sqrt(s))
+			} else {
+				l.Set(i, j, s/l.At(j, j))
+			}
+		}
+	}
+	return -1
+}
+
+// choleskySolveReference is forward then back substitution over At, the
+// loop CholeskySolve replaced.
+func choleskySolveReference(l *Matrix, b Vector) Vector {
+	n := l.Rows()
+	y, x := NewVector(n), NewVector(n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l.At(i, k) * y[k]
+		}
+		y[i] = s / l.At(i, i)
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * x[k]
+		}
+		x[i] = s / l.At(i, i)
+	}
+	return x
+}
+
+// diagPlusRankOne builds diag(d) + alpha·k·kᵀ the way the MPC assembles its
+// Hessian: the rank-one term first, then the diagonal added on top.
+func diagPlusRankOne(rng *rand.Rand, m int) *Matrix {
+	a := NewMatrix(m, m)
+	k := NewVector(m)
+	for i := range k {
+		k[i] = 8 + 3*rng.Float64()
+	}
+	a.OuterAdd(30*rng.Float64(), k, k)
+	for i := 0; i < m; i++ {
+		a.Inc(i, i, 200*math.Max(3*rng.Float64(), 1e-6))
+	}
+	return a
+}
+
+// CholeskyFactor and CholeskySolve must reproduce the At-indexed reference
+// loops bit for bit, on dense SPD and on MPC-shaped diagonal-plus-rank-one
+// matrices of every size the interleaved kernel's four-row blocking and
+// remainder can produce.
+func TestCholeskyKernelBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	for m := 1; m <= 70; m++ {
+		for _, a := range []*Matrix{randomSPD(rng, m), diagPlusRankOne(rng, m)} {
+			ref := NewMatrix(m, m)
+			if piv := choleskyReference(a, ref); piv >= 0 {
+				t.Fatalf("m=%d: reference rejected an SPD matrix at pivot %d", m, piv)
+			}
+			l, piv := factor(a)
+			if piv >= 0 {
+				t.Fatalf("m=%d: CholeskyFactor rejected an SPD matrix at pivot %d", m, piv)
+			}
+			for i := 0; i < m; i++ {
+				for j := 0; j <= i; j++ {
+					if math.Float64bits(l.At(i, j)) != math.Float64bits(ref.At(i, j)) {
+						t.Fatalf("m=%d: L[%d][%d] = %v, reference %v", m, i, j, l.At(i, j), ref.At(i, j))
+					}
+				}
+			}
+			b := NewVector(m)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			want := choleskySolveReference(ref, b)
+			got := b.Clone()
+			CholeskySolve(l.data, got, m)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("m=%d: x[%d] = %v, reference %v", m, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// A matrix that is not positive definite must be rejected at the same pivot
+// the reference loop stops at, whether that pivot falls in a four-row block
+// or in the remainder.
+func TestCholeskyKernelRejectsAtSamePivot(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for m := 1; m <= 70; m++ {
+		a := diagPlusRankOne(rng, m)
+		// A negative diagonal entry is the first pivot to fail.
+		bad := rng.Intn(m)
+		a.Set(bad, bad, -a.At(bad, bad)*rng.Float64())
+		want := choleskyReference(a, NewMatrix(m, m))
+		if want < 0 {
+			t.Fatalf("m=%d: reference accepted an indefinite matrix", m)
+		}
+		if _, got := factor(a); got != want {
+			t.Fatalf("m=%d: CholeskyFactor failed at pivot %d, reference at %d", m, got, want)
+		}
+	}
 }

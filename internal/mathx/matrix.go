@@ -162,91 +162,3 @@ func (m *Matrix) SymmetricMaxDiff() float64 {
 	}
 	return d
 }
-
-// Cholesky computes the lower-triangular factor L with m = L·Lᵀ.
-// m must be symmetric positive definite; otherwise an error is returned.
-// m is not modified.
-func (m *Matrix) Cholesky() (*Matrix, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("mathx: Cholesky of non-square %dx%d matrix", m.rows, m.cols)
-	}
-	l := NewMatrix(m.rows, m.rows)
-	if err := m.CholeskyInto(l); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// CholeskyInto factors m = L·Lᵀ into the preallocated l (same shape as m),
-// overwriting l's lower triangle; entries above the diagonal are left as-is
-// and are never read by SolveCholesky. It performs no allocation, so a
-// warm-started solver can refactor every period without garbage.
-func (m *Matrix) CholeskyInto(l *Matrix) error {
-	if m.rows != m.cols {
-		return fmt.Errorf("mathx: Cholesky of non-square %dx%d matrix", m.rows, m.cols)
-	}
-	if l.rows != m.rows || l.cols != m.cols {
-		return fmt.Errorf("mathx: CholeskyInto destination %dx%d for %dx%d matrix", l.rows, l.cols, m.rows, m.cols)
-	}
-	n := m.rows
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := m.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return fmt.Errorf("mathx: Cholesky: matrix not positive definite at pivot %d (value %g)", i, s)
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	return nil
-}
-
-// SolveCholesky solves m·x = b given the Cholesky factor l of m
-// (forward then backward substitution).
-func SolveCholesky(l *Matrix, b Vector) Vector {
-	n := l.rows
-	return SolveCholeskyInto(l, b, make(Vector, n), make(Vector, n))
-}
-
-// SolveCholeskyInto solves m·x = b given the Cholesky factor l of m, writing
-// the intermediate forward solve into y and the solution into x (both length
-// l.Rows(); x is returned). It performs no allocation. b may alias x but not y.
-func SolveCholeskyInto(l *Matrix, b, y, x Vector) Vector {
-	n := l.rows
-	if len(b) != n || len(y) != n || len(x) != n {
-		panic(fmt.Sprintf("mathx: SolveCholesky dimension mismatch %d vs b=%d y=%d x=%d", n, len(b), len(y), len(x)))
-	}
-	// Forward: L·y = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Backward: Lᵀ·x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
-}
-
-// SolveSPD solves m·x = b for a symmetric positive-definite m.
-func (m *Matrix) SolveSPD(b Vector) (Vector, error) {
-	l, err := m.Cholesky()
-	if err != nil {
-		return nil, err
-	}
-	return SolveCholesky(l, b), nil
-}

@@ -123,14 +123,25 @@ func randomSPD(rng *rand.Rand, n int) *Matrix {
 	return a
 }
 
+// factor returns the Cholesky factor of a from CholeskyFactor (lower
+// triangle, zeros above) and the failing pivot, -1 on success.
+func factor(a *Matrix) (*Matrix, int) {
+	n := a.Rows()
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		copy(l.Row(i)[:i+1], a.Row(i)[:i+1])
+	}
+	return l, CholeskyFactor(l.data, n)
+}
+
 func TestCholeskyReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(12)
 		a := randomSPD(rng, n)
-		l, err := a.Cholesky()
-		if err != nil {
-			t.Fatalf("Cholesky failed: %v", err)
+		l, piv := factor(a)
+		if piv >= 0 {
+			t.Fatalf("CholeskyFactor failed at pivot %d", piv)
 		}
 		rec := l.Mul(l.Transpose())
 		for i := 0; i < n; i++ {
@@ -146,13 +157,15 @@ func TestCholeskyReconstructs(t *testing.T) {
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	m := Identity(2)
 	m.Set(1, 1, -1)
-	if _, err := m.Cholesky(); err == nil {
-		t.Fatal("Cholesky should reject an indefinite matrix")
+	if _, piv := factor(m); piv != 1 {
+		t.Fatalf("CholeskyFactor of diag(1, -1) failed at pivot %d, want 1", piv)
 	}
-	r := NewMatrix(2, 3)
-	if _, err := r.Cholesky(); err == nil {
-		t.Fatal("Cholesky should reject a non-square matrix")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CholeskyFactor on a buffer shorter than n×n did not panic")
+		}
+	}()
+	CholeskyFactor(make([]float64, 3), 2)
 }
 
 func TestSolveSPD(t *testing.T) {
@@ -164,11 +177,12 @@ func TestSolveSPD(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b := a.MulVec(want)
-		got, err := a.SolveSPD(b)
-		if err != nil {
-			t.Fatalf("SolveSPD: %v", err)
+		got := a.MulVec(want)
+		l, piv := factor(a)
+		if piv >= 0 {
+			t.Fatalf("CholeskyFactor failed at pivot %d", piv)
 		}
+		CholeskySolve(l.data, got, n)
 		if diff := got.Sub(want).Norm2(); diff > 1e-7*(1+want.Norm2()) {
 			t.Fatalf("trial %d: solution error %v", trial, diff)
 		}

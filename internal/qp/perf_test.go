@@ -13,10 +13,7 @@ import (
 // term plus a positive diagonal).
 func constrainedProblem(n int) Problem {
 	h := mathx.NewMatrix(n, n)
-	k := mathx.NewVector(n)
-	for i := range k {
-		k[i] = 9 + 0.1*float64(i%7)
-	}
+	k := constrainedK(n)
 	// Weight matches the MPC's Σh² ≈ 30 over a 4-period horizon; the
 	// dominant rank-one term is what makes cyclic descent take many
 	// sweeps from a cold start.
@@ -34,6 +31,20 @@ func constrainedProblem(n int) Problem {
 		hi[i] = 0.4
 	}
 	return Problem{H: h, G: g, Lo: lo, Hi: hi}
+}
+
+// constrainedK is constrainedProblem's per-core slope vector.
+func constrainedK(n int) mathx.Vector {
+	k := mathx.NewVector(n)
+	for i := range k {
+		k[i] = 9 + 0.1*float64(i%7)
+	}
+	return k
+}
+
+// constrainedHint is the structure hint of constrainedProblem's H.
+func constrainedHint(n int) *DiagRankOne {
+	return &DiagRankOne{D: mathx.Constant(n, 400), Alpha: 30, K: constrainedK(n)}
 }
 
 // perturb returns a copy of p with the linear term nudged — the shape of an
@@ -131,6 +142,22 @@ func TestSolveWorkspaceZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("cold workspace solve allocates %.1f times per run, want 0", allocs)
 	}
+
+	// The hinted path: the certificate fires here (the box is violated),
+	// so the solve skips the shortcut and goes straight to the active set.
+	hinted := p
+	hinted.Hint = constrainedHint(32)
+	if !certifiesOutside(hinted, mathx.NewVector(32)) {
+		t.Fatal("certificate does not fire on the box-violating problem")
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := Solve(hinted, Options{Ws: ws, Warm: warm}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("hinted workspace solve allocates %.1f times per run, want 0", allocs)
+	}
 }
 
 // solveLegacy is the original cold solver — the unconstrained Cholesky
@@ -138,18 +165,10 @@ func TestSolveWorkspaceZeroAlloc(t *testing.T) {
 // 0 — kept as the reference Solve is checked against. tol is the already
 // scaled KKT tolerance.
 func solveLegacy(p Problem, maxSweeps int, tol float64) Result {
-	if x, err := p.H.SolveSPD(p.G.Scale(-1)); err == nil {
-		inBox := true
-		for i := range x {
-			if x[i] < p.Lo[i]-1e-12 || x[i] > p.Hi[i]+1e-12 {
-				inBox = false
-				break
-			}
-		}
-		if inBox {
-			x.Clamp(p.Lo, p.Hi)
-			return Result{X: x, Objective: p.Objective(x), Converged: true}
-		}
+	if ws := NewWorkspace(len(p.G)); unconstrainedInBox(p, ws) {
+		x := ws.x.Clone()
+		x.Clamp(p.Lo, p.Hi)
+		return Result{X: x, Objective: p.Objective(x), Converged: true}
 	}
 	x := p.Lo.Clone()
 	for i := range x {

@@ -12,11 +12,18 @@
 // initialized from the seed's bound pattern, falling back to cyclic
 // projected coordinate descent — which converges to the unique minimizer
 // for strictly convex quadratics — only on numerically degenerate problems.
-// Problem sizes here are at most a few hundred variables (one per batch CPU
-// core on the rack).
+// Every factorization and triangular solve runs the shared slice kernels
+// mathx.CholeskyFactor and mathx.CholeskySolve. Problem sizes here are at
+// most a few hundred variables (one per batch CPU core on the rack).
 //
-// Two optional accelerations serve the per-control-period hot path:
+// Three optional accelerations serve the per-control-period hot path:
 //
+//   - Problem.Hint describes H as diag(D) + α·k·kᵀ, the constant-move MPC
+//     Hessian's shape. From it the solver computes the unconstrained
+//     minimizer in O(n) by Sherman–Morrison and skips the O(n³) shortcut
+//     when that estimate is outside the box by more than a rounding-error
+//     bound, i.e. when the shortcut would have been thrown away; results
+//     are bit-identical with and without the hint;
 //   - Options.Warm seeds the solver with the previous period's solution
 //     (the MPC re-solves a nearly identical QP every period, so the
 //     previous minimizer — and, more importantly, its active bound set —
@@ -41,6 +48,21 @@ type Problem struct {
 	G  mathx.Vector  // linear cost term (units: cost per unit)
 	Lo mathx.Vector  // element-wise lower bounds (decision-variable units, e.g. GHz)
 	Hi mathx.Vector  // element-wise upper bounds (decision-variable units, e.g. GHz)
+	// Hint, when non-nil, describes H as diag(D) + α·k·kᵀ. It only lets
+	// Solve skip the unconstrained shortcut when the shortcut is certain
+	// to land outside the box (see certifiesOutside); a hint that does not
+	// match H changes which path runs, never whether the result is a
+	// KKT-verified minimizer.
+	Hint *DiagRankOne
+}
+
+// DiagRankOne is the structure hint diag(D) + Alpha·K·Kᵀ for a Problem's H,
+// with every D[i] > 0 and Alpha ≥ 0. The constant-move MPC Hessian has
+// exactly this shape.
+type DiagRankOne struct {
+	D     mathx.Vector
+	Alpha float64
+	K     mathx.Vector
 }
 
 // Options controls solver effort and, via Warm and Ws, the hot-path
@@ -96,11 +118,10 @@ type Result struct {
 // the hot path; see Options.Ws for the aliasing contract.
 type Workspace struct {
 	x, grad, scratch mathx.Vector
-	y                mathx.Vector // triangular-solve intermediate
-	chol             *mathx.Matrix
-	// Active-set solver scratch: the free-variable subproblem H_FF·d = −g_F
-	// is factored in place in subH (row-major, m×m packed into the first
-	// m² entries), with subB as its right-hand side / solution.
+	// Factorization scratch: the unconstrained shortcut factors H in subH,
+	// and the active-set solver factors its free-variable subproblem
+	// H_FF·d = −g_F there (row-major, m×m packed into the first m²
+	// entries), with subB as its right-hand side / solution.
 	free   []int
 	pinned []bool
 	subH   []float64
@@ -230,14 +251,12 @@ func NewWorkspace(n int) *Workspace {
 
 // ensure (re)sizes the buffers for an n-variable problem.
 func (w *Workspace) ensure(n int) {
-	if len(w.x) == n && w.chol != nil {
+	if len(w.x) == n && w.subH != nil {
 		return
 	}
 	w.x = mathx.NewVector(n)
 	w.grad = mathx.NewVector(n)
 	w.scratch = mathx.NewVector(n)
-	w.y = mathx.NewVector(n)
-	w.chol = mathx.NewMatrix(n, n)
 	w.free = make([]int, 0, n)
 	w.pinned = make([]bool, n)
 	w.subH = make([]float64, n*n)
@@ -272,6 +291,9 @@ func (p Problem) Validate() error {
 		if p.H.At(i, i) <= 0 {
 			return fmt.Errorf("%w: index %d (%g)", ErrNotConvex, i, p.H.At(i, i))
 		}
+	}
+	if h := p.Hint; h != nil && (len(h.D) != n || len(h.K) != n) {
+		return fmt.Errorf("%w: n=%d hint D=%d K=%d", ErrDimension, n, len(h.D), len(h.K))
 	}
 	return nil
 }
@@ -382,23 +404,12 @@ func solveFast(p Problem, opt Options, maxSweeps int, tol float64) (Result, erro
 	// The unconstrained Cholesky shortcut is the best opening move even
 	// with a warm point: when the box is inactive it is exact in O(n³),
 	// while coordinate descent on the rank-one-coupled MPC Hessian can
-	// need hundreds of O(n²) sweeps.
-	for i := range ws.scratch {
-		ws.scratch[i] = -p.G[i]
-	}
-	if err := p.H.CholeskyInto(ws.chol); err == nil {
-		mathx.SolveCholeskyInto(ws.chol, ws.scratch, ws.y, x)
-		inBox := true
-		for i := range x {
-			if x[i] < p.Lo[i]-1e-12 || x[i] > p.Hi[i]+1e-12 {
-				inBox = false
-				break
-			}
-		}
-		if inBox {
-			x.Clamp(p.Lo, p.Hi)
-			return Result{X: x, Objective: p.objectiveWith(x, ws.scratch), Converged: true}, nil
-		}
+	// need hundreds of O(n²) sweeps. When the structure hint certifies
+	// that it would land outside the box, it is skipped: it would have
+	// been thrown away, so the result is the same bits either way.
+	if !certifiesOutside(p, ws.scratch) && unconstrainedInBox(p, ws) {
+		x.Clamp(p.Lo, p.Hi)
+		return Result{X: x, Objective: p.objectiveWith(x, ws.scratch), Converged: true}, nil
 	}
 	// Box-constrained: run the primal active-set solver, seeded from the
 	// warm point when given (its bound pattern is near the optimal active
@@ -446,6 +457,95 @@ func solveFast(p Problem, opt Options, maxSweeps int, tol float64) (Result, erro
 		Converged: p.residualAt(x, grad) <= tol*10,
 	}, nil
 }
+
+// boxSlack is how far outside the box the unconstrained shortcut's solution
+// may land and still be accepted (then clamped) as the minimizer.
+const boxSlack = 1e-12
+
+// unconstrainedInBox runs the unconstrained shortcut: it solves H·x = −g by
+// a dense Cholesky factorization of H into ws.subH, writing the solution to
+// ws.x, and reports whether it lies within boxSlack of the box. It reports
+// false when H is not numerically positive definite.
+func unconstrainedInBox(p Problem, ws *Workspace) bool {
+	n := len(p.G)
+	sub, x := ws.subH, ws.x
+	for i := 0; i < n; i++ {
+		copy(sub[i*n:i*n+i+1], p.H.Row(i)[:i+1])
+	}
+	if mathx.CholeskyFactor(sub, n) >= 0 {
+		return false
+	}
+	for i := range x {
+		x[i] = -p.G[i]
+	}
+	mathx.CholeskySolve(sub, x, n)
+	for i := range x {
+		if x[i] < p.Lo[i]-boxSlack || x[i] > p.Hi[i]+boxSlack {
+			return false
+		}
+	}
+	return true
+}
+
+// certSafety is the safety factor of certifiesOutside's error bound.
+const certSafety = 16
+
+// certifiesOutside reports whether p.Hint proves that the unconstrained
+// shortcut would reject its own solution, so it can be skipped. It writes
+// the Sherman–Morrison minimizer of diag(D) + α·k·kᵀ,
+//
+//	x̃ = −D⁻¹g + s·D⁻¹k,   s = α·kᵀD⁻¹g / (1 + α·kᵀD⁻¹k),
+//
+// into xt in O(n) and fires only if some x̃ᵢ lies outside the box by more
+// than boxSlack + δ, with
+//
+//	δ = certSafety · n · κ̂ · ε · (1 + ‖x̃‖∞),   κ̂ = (max D + α‖k‖²) / min D.
+//
+// κ̂ bounds the 2-norm condition number of H from above (H ⪰ diag(D) and
+// ‖H‖₂ ≤ max D + α‖k‖²), and n·κ·ε·‖x‖ is the first-order size of each
+// error between x̃ and the shortcut's x̂: the dense Cholesky solve's
+// forward error, the Sherman–Morrison evaluation's, and the rounding of H's
+// assembled entries away from the hinted form. The safety factor covers
+// their constants. Whenever |x̂ᵢ − x̃ᵢ| ≤ δ, a fired certificate means
+// x̂ᵢ is outside by more than boxSlack too: the shortcut would have been
+// thrown away, and skipping it changes no result bit. Without a hint, with
+// a hint violating D > 0 or α ≥ 0, or with non-finite values, it does not
+// fire.
+func certifiesOutside(p Problem, xt mathx.Vector) bool {
+	h := p.Hint
+	if h == nil || !(h.Alpha >= 0) {
+		return false
+	}
+	minD, maxD := math.Inf(1), 0.0
+	var kDg, kDk, kk float64
+	for i, d := range h.D {
+		if !(d > 0) {
+			return false
+		}
+		minD, maxD = math.Min(minD, d), math.Max(maxD, d)
+		ki := h.K[i]
+		kDg += ki * (p.G[i] / d)
+		kDk += ki * (ki / d)
+		kk += ki * ki
+	}
+	s := h.Alpha * kDg / (1 + h.Alpha*kDk)
+	var norm float64
+	for i, d := range h.D {
+		xt[i] = (s*h.K[i] - p.G[i]) / d
+		norm = math.Max(norm, math.Abs(xt[i]))
+	}
+	kappa := (maxD + h.Alpha*kk) / minD
+	delta := certSafety * float64(len(xt)) * kappa * epsilon * (1 + norm)
+	for i, v := range xt {
+		if v < p.Lo[i]-boxSlack-delta || v > p.Hi[i]+boxSlack+delta {
+			return true
+		}
+	}
+	return false
+}
+
+// epsilon is the float64 unit roundoff, 2⁻⁵³.
+const epsilon = 0x1p-53
 
 // activeSetIterCap bounds primal active-set iterations for an n-variable
 // problem. In the non-degenerate case the solver needs at most one
@@ -508,7 +608,9 @@ func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64, hgen 
 						subH[a*m+b] = row[j]
 					}
 				}
-				if !cholFactorInPlace(subH, m) {
+				// A NaN pivot spreads to the last one (mathx.CholeskyFactor),
+				// so testing that one rejects NaN anywhere in the block.
+				if mathx.CholeskyFactor(subH, m) >= 0 || math.IsNaN(subH[m*m-1]) {
 					return Result{}, iter, false // not SPD on the free block: fall back
 				}
 				if hgen != 0 {
@@ -516,7 +618,7 @@ func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64, hgen 
 				}
 				fac = subH
 			}
-			cholBacksubInPlace(fac, subB, m)
+			mathx.CholeskySolve(fac, subB, m)
 			// Truncate the Newton step at the first bound crossing.
 			alpha, blk, blkAt := 1.0, -1, 0.0
 			for a, i := range free {
@@ -580,64 +682,6 @@ func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64, hgen 
 		pin[worstI] = false
 	}
 	return Result{}, activeSetIterCap(n), false
-}
-
-// cholSolveInPlace factors the m×m row-major SPD matrix a in place
-// (lower-triangular Cholesky) and overwrites b with the solution of the
-// original system a·x = b. Returns false if a is not numerically SPD.
-func cholSolveInPlace(a, b []float64, m int) bool {
-	if !cholFactorInPlace(a, m) {
-		return false
-	}
-	cholBacksubInPlace(a, b, m)
-	return true
-}
-
-// cholFactorInPlace overwrites the lower triangle of the m×m row-major SPD
-// matrix a with its Cholesky factor L (a = L·Lᵀ). Returns false if a is not
-// numerically SPD. The factorization is deterministic: bit-identical input
-// yields a bit-identical factor, which is what makes caching factors across
-// solves exact rather than approximate.
-func cholFactorInPlace(a []float64, m int) bool {
-	for j := 0; j < m; j++ {
-		d := a[j*m+j]
-		for k := 0; k < j; k++ {
-			d -= a[j*m+k] * a[j*m+k]
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return false
-		}
-		d = math.Sqrt(d)
-		a[j*m+j] = d
-		for i := j + 1; i < m; i++ {
-			s := a[i*m+j]
-			for k := 0; k < j; k++ {
-				s -= a[i*m+k] * a[j*m+k]
-			}
-			a[i*m+j] = s / d
-		}
-	}
-	return true
-}
-
-// cholBacksubInPlace overwrites b with the solution of (L·Lᵀ)·x = b given
-// the factor L in the lower triangle of a (as left by cholFactorInPlace).
-// It only reads a.
-func cholBacksubInPlace(a, b []float64, m int) {
-	for i := 0; i < m; i++ { // forward: L·y = b
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= a[i*m+k] * b[k]
-		}
-		b[i] = s / a[i*m+i]
-	}
-	for i := m - 1; i >= 0; i-- { // backward: Lᵀ·x = y
-		s := b[i]
-		for k := i + 1; k < m; k++ {
-			s -= a[k*m+i] * b[k]
-		}
-		b[i] = s / a[i*m+i]
-	}
 }
 
 // sweepOnce performs one cyclic projected coordinate-descent sweep over x,
