@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -56,105 +57,95 @@ func main() {
 		}()
 	}
 
-	switch *exp {
+	if err := run(os.Stdout, *exp, *plot); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// tables maps the experiments that print one table to its constructor.
+var tables = map[string]func() (*experiments.Table, error){
+	"fig1":                 experiments.Fig1PerWattSpeedup,
+	"fig2":                 experiments.Fig2TripCurve,
+	"fig3":                 experiments.Fig3PeriodicSprint,
+	"fig7":                 experiments.Fig7FrequencyBehavior,
+	"fig8a":                experiments.Fig8aTimeUse,
+	"fig8b":                experiments.Fig8bDoD,
+	"headline":             experiments.Headline,
+	"ablation-controller":  experiments.AblationController,
+	"ablation-schedule":    experiments.AblationOverloadSchedule,
+	"ablation-ups":         experiments.AblationUPSControl,
+	"sensitivity":          experiments.Sensitivity,
+	"qos":                  experiments.QoSComparison,
+	"daily-cost":           experiments.DailyCost,
+	"ablation-estimation":  experiments.AblationEstimation,
+	"cluster":              experiments.ClusterStagger,
+	"battery-provisioning": experiments.BatteryProvisioning,
+	"burst-regimes":        experiments.BurstRegimes,
+	"efficiency":           experiments.EnergyEfficiency,
+	"sprinting-benefit":    experiments.SprintingBenefit,
+	"faults":               experiments.FaultMatrix,
+	"partition":            experiments.PartitionMatrix,
+	"telemetry":            experiments.TelemetrySummary,
+	"obs":                  experiments.AlertCoverage,
+	"hier":                 experiments.HierarchyExceedance,
+}
+
+// run writes experiment exp's output to w: its tables and, with plot, the
+// ASCII series plots of the time-series figures.
+func run(w io.Writer, exp string, plot bool) error {
+	switch exp {
 	case "all":
-		tables, err := experiments.All()
+		all, err := experiments.All()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		for _, t := range tables {
-			t.Fprint(os.Stdout)
+		for _, t := range all {
+			t.Fprint(w)
 		}
-	case "fig1":
-		print1(experiments.Fig1PerWattSpeedup())
-	case "fig2":
-		print1(experiments.Fig2TripCurve())
-	case "fig3":
-		print1(experiments.Fig3PeriodicSprint())
 	case "fig5":
 		t, res, err := experiments.Fig5Uncontrolled()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		t.Fprint(os.Stdout)
-		if *plot {
-			plotSeries(res)
+		t.Fprint(w)
+		if plot {
+			plotSeries(w, res)
 		}
 	case "fig6":
 		t, all, err := experiments.Fig6PowerBehavior()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		t.Fprint(os.Stdout)
-		if *plot {
+		t.Fprint(w)
+		if plot {
 			for _, name := range []string{"SprintCon", "SGCT-V1", "SGCT-V2"} {
-				fmt.Printf("--- %s ---\n", name)
-				plotSeries(all[name])
+				fmt.Fprintf(w, "--- %s ---\n", name)
+				plotSeries(w, all[name])
 			}
 		}
-	case "fig7":
-		print1(experiments.Fig7FrequencyBehavior())
-	case "fig8a":
-		print1(experiments.Fig8aTimeUse())
-	case "fig8b":
-		print1(experiments.Fig8bDoD())
-	case "headline":
-		print1(experiments.Headline())
-	case "ablation-controller":
-		print1(experiments.AblationController())
-	case "ablation-schedule":
-		print1(experiments.AblationOverloadSchedule())
-	case "ablation-ups":
-		print1(experiments.AblationUPSControl())
-	case "sensitivity":
-		print1(experiments.Sensitivity())
-	case "qos":
-		print1(experiments.QoSComparison())
-	case "daily-cost":
-		print1(experiments.DailyCost())
-	case "ablation-estimation":
-		print1(experiments.AblationEstimation())
-	case "cluster":
-		print1(experiments.ClusterStagger())
-	case "battery-provisioning":
-		print1(experiments.BatteryProvisioning())
-	case "burst-regimes":
-		print1(experiments.BurstRegimes())
-	case "efficiency":
-		print1(experiments.EnergyEfficiency())
-	case "sprinting-benefit":
-		print1(experiments.SprintingBenefit())
-	case "faults":
-		print1(experiments.FaultMatrix())
-	case "partition":
-		print1(experiments.PartitionMatrix())
-	case "telemetry":
-		print1(experiments.TelemetrySummary())
-	case "obs":
-		print1(experiments.AlertCoverage())
-	case "hier":
-		print1(experiments.HierarchyExceedance())
 	default:
-		log.Fatalf("unknown experiment %q", *exp)
+		ctor, ok := tables[exp]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", exp)
+		}
+		t, err := ctor()
+		if err != nil {
+			return err
+		}
+		t.Fprint(w)
 	}
+	return nil
 }
 
-func print1(t *experiments.Table, err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-	t.Fprint(os.Stdout)
-}
-
-func plotSeries(res *sim.Result) {
+func plotSeries(w io.Writer, res *sim.Result) {
 	const width = 90
 	s := &res.Series
-	fmt.Println(seriesio.PlotRow("total", s.TotalW, width, "W"))
-	fmt.Println(seriesio.PlotRow("cb", s.CBW, width, "W"))
-	fmt.Println(seriesio.PlotRow("cb budget", s.PCbW, width, "W"))
-	fmt.Println(seriesio.PlotRow("ups", s.UPSW, width, "W"))
-	fmt.Println(seriesio.PlotRow("freq inter", s.FreqInter, width, "norm"))
-	fmt.Println(seriesio.PlotRow("freq batch", s.FreqBatch, width, "norm"))
-	fmt.Println(seriesio.PlotRow("ups soc", s.SoC, width, "frac"))
-	fmt.Println()
+	fmt.Fprintln(w, seriesio.PlotRow("total", s.TotalW, width, "W"))
+	fmt.Fprintln(w, seriesio.PlotRow("cb", s.CBW, width, "W"))
+	fmt.Fprintln(w, seriesio.PlotRow("cb budget", s.PCbW, width, "W"))
+	fmt.Fprintln(w, seriesio.PlotRow("ups", s.UPSW, width, "W"))
+	fmt.Fprintln(w, seriesio.PlotRow("freq inter", s.FreqInter, width, "norm"))
+	fmt.Fprintln(w, seriesio.PlotRow("freq batch", s.FreqBatch, width, "norm"))
+	fmt.Fprintln(w, seriesio.PlotRow("ups soc", s.SoC, width, "frac"))
+	fmt.Fprintln(w)
 }

@@ -124,14 +124,16 @@ type MPC struct {
 
 	// Preallocated per-solve state (the zero-alloc tick contract,
 	// DESIGN.md §10). Sized n for the constant-move formulation and
-	// n·ControlHorizon for FullHorizon.
+	// n·ControlHorizon for FullHorizon. The Hessian lives in offDiag, its
+	// exact equal-off-diagonal form (qp.Problem.EqualOffDiag), when the
+	// formulation is constant-move and every KWPerGHz entry has the same
+	// bits; otherwise in the dense h. NewMPC chooses once, so KWPerGHz
+	// must not change after it.
 	h         *mathx.Matrix
+	offDiag   *qp.EqualOffDiag
 	g, lo, hi mathx.Vector
 	next      []float64
 	ws        *qp.Workspace
-	// hint describes the constant-move H as diag(D) + α·k·kᵀ for the QP
-	// (qp.Problem.Hint); FullHorizon leaves it unused.
-	hint qp.DiagRankOne
 
 	// Warm-start cache: the previous period's QP solution and the locked
 	// mask it was solved under. warmOK is false until the first solve and
@@ -139,15 +141,6 @@ type MPC struct {
 	warmX    mathx.Vector
 	warmMask []bool
 	warmOK   bool
-
-	// H generation for the QP's Cholesky factor cache (qp.Options.HGen).
-	// The Hessian is a pure function of the fixed configuration and the
-	// per-core R weights, so hGen advances exactly when the weights change
-	// bit-wise; lastRW holds the weights the current generation was minted
-	// for. A model rebuild constructs a fresh MPC (and workspace), so
-	// cached factors can never outlive the H they were computed from.
-	hGen   uint64
-	lastRW []float64
 }
 
 // SolveStats reports the diagnostics of the most recent Step, for the
@@ -196,18 +189,26 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 	if cfg.FullHorizon {
 		nv = n * cfg.ControlHorizon
 	}
-	return &MPC{
+	m := &MPC{
 		cfg:      cfg,
-		h:        mathx.NewMatrix(nv, nv),
 		g:        mathx.NewVector(nv),
 		lo:       mathx.NewVector(nv),
 		hi:       mathx.NewVector(nv),
 		next:     make([]float64, n),
 		ws:       qp.NewWorkspace(nv),
-		hint:     qp.DiagRankOne{D: mathx.NewVector(n), K: cfg.KWPerGHz},
 		warmX:    mathx.NewVector(nv),
 		warmMask: make([]bool, n),
-	}, nil
+	}
+	dense := cfg.FullHorizon
+	for _, k := range cfg.KWPerGHz {
+		dense = dense || math.Float64bits(k) != math.Float64bits(cfg.KWPerGHz[0])
+	}
+	if dense {
+		m.h = mathx.NewMatrix(nv, nv)
+	} else {
+		m.offDiag = &qp.EqualOffDiag{D: mathx.NewVector(n)}
+	}
+	return m, nil
 }
 
 // Config returns the controller configuration.
@@ -247,7 +248,6 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	if locked != nil && len(locked) != n {
 		return nil, fmt.Errorf("control: Step got %d locked flags for %d cores", len(locked), n)
 	}
-	m.refreshHGen(rweights)
 	if m.cfg.FullHorizon {
 		return m.stepFullHorizon(pfbW, pTargetW, freqs, rweights, locked)
 	}
@@ -257,8 +257,9 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	// g = −Σ_{h=1..Lp} Q·h·e_h·k + Σ_{m=1..Lc} m·diag(R·RScale)·d
 	// where e_h = p_r(t+h) − p_fb = (P_batch − p_fb)(1 − exp(−h·T/τ_r))
 	// (Eq. 7) and d = F − F_max (how far below peak each core sits).
-	h := m.h
-	h.Zero()
+	// When every core shares one slope k, every off-diagonal entry of H is
+	// the same float64 (Q·Σh²·k)·k, so offDiag states H exactly and no
+	// dense H is built.
 	g := m.g
 	for i := range g {
 		g[i] = 0
@@ -271,8 +272,14 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 		eh := gap * (1 - math.Exp(-hf*m.cfg.PeriodS/m.cfg.RefTimeConstS))
 		g.AXPY(-m.cfg.QWeight*hf*eh, k)
 	}
-	m.hint.Alpha = m.cfg.QWeight * sumH2
-	h.OuterAdd(m.hint.Alpha, k, k)
+	alpha := m.cfg.QWeight * sumH2
+	h, e := m.h, m.offDiag
+	if e != nil {
+		e.C = (alpha * k[0]) * k[0]
+	} else {
+		h.Zero()
+		h.OuterAdd(alpha, k, k)
+	}
 
 	var sumM, sumM2 float64
 	for mv := 1; mv <= m.cfg.ControlHorizon; mv++ {
@@ -281,8 +288,12 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	}
 	for i := 0; i < n; i++ {
 		r := m.cfg.RScale * math.Max(rweights[i], 1e-6)
-		m.hint.D[i] = sumM2 * r
-		h.Inc(i, i, m.hint.D[i])
+		d := sumM2 * r
+		if e != nil {
+			e.D[i] = d
+		} else {
+			h.Inc(i, i, d)
+		}
 		g[i] += sumM * r * (freqs[i] - m.cfg.FMaxGHz)
 	}
 
@@ -296,7 +307,7 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 		hi[i] = m.cfg.FMaxGHz - freqs[i]
 	}
 
-	res, err := m.solve(locked, &m.hint)
+	res, err := m.solve(locked)
 	if err != nil {
 		return nil, fmt.Errorf("control: MPC QP: %w", err)
 	}
@@ -383,7 +394,7 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 		}
 	}
 
-	res, err := m.solve(locked, nil)
+	res, err := m.solve(locked)
 	if err != nil {
 		return nil, fmt.Errorf("control: full-horizon MPC QP: %w", err)
 	}
@@ -403,50 +414,24 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 // full-horizon formulation; real deployments use L_c of 2–4.
 const maxControlHorizon = 32
 
-// refreshHGen advances the H generation when the per-core R weights differ
-// bit-wise from the ones the current generation was minted for. Equality is
-// exact (Float64bits), never tolerance-based: a one-ulp weight change
-// changes H and must invalidate cached factors.
-func (m *MPC) refreshHGen(rweights []float64) {
-	if len(m.lastRW) == len(rweights) {
-		same := true
-		for i, w := range rweights {
-			if math.Float64bits(m.lastRW[i]) != math.Float64bits(w) {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
-	}
-	m.hGen++
-	m.lastRW = append(m.lastRW[:0], rweights...)
-}
-
-// FactorCacheStats returns the QP workspace's Cholesky factor cache
-// counters, for the qp_cache_hits / qp_cache_evictions telemetry gauges.
-func (m *MPC) FactorCacheStats() qp.CacheStats { return m.ws.FactorCacheStats() }
-
-// solve runs the QP over the prepared h/g/lo/hi buffers and refreshes the
-// warm-start cache and LastSolve stats. Each period's QP is seeded with the
-// previous period's solution (the receding-horizon problems differ only by
+// solve runs the QP over the prepared Hessian (h or offDiag) and g/lo/hi
+// buffers and refreshes the warm-start cache and LastSolve stats. Each
+// period's QP is seeded with the previous period's solution (the receding-horizon problems differ only by
 // the measured gap and the shifted bounds, so the previous minimizer — and
 // its active bound set — is almost exactly right). The cache is invalidated
 // whenever the locked-core mask changes — a stuck actuator being excluded,
 // a probe rejoining, a server crashing — and it dies with the controller, so
 // a core-set change or a model rebuild (online estimation) always re-solves
 // cold. A warm solve converges to the same minimizer within the QP's KKT
-// tolerance; see the warm-vs-cold equivalence test in the qp package. hint,
-// when non-nil, is the structure of H (qp.Problem.Hint).
-func (m *MPC) solve(locked []bool, hint *qp.DiagRankOne) (qp.Result, error) {
-	opt := qp.Options{Ws: m.ws, HGen: m.hGen}
+// tolerance; see the warm-vs-cold equivalence test in the qp package.
+func (m *MPC) solve(locked []bool) (qp.Result, error) {
+	opt := qp.Options{Ws: m.ws}
 	warm := false
 	if m.warmOK && maskUnchanged(m.warmMask, locked) {
 		opt.Warm = m.warmX
 		warm = true
 	}
-	res, err := qp.Solve(qp.Problem{H: m.h, G: m.g, Lo: m.lo, Hi: m.hi, Hint: hint}, opt)
+	res, err := qp.Solve(qp.Problem{H: m.h, EqualOffDiag: m.offDiag, G: m.g, Lo: m.lo, Hi: m.hi}, opt)
 	if err != nil {
 		m.warmOK = false
 		return res, err

@@ -18,47 +18,61 @@ func newTestMPC(t *testing.T, n int) *MPC {
 }
 
 // A steady-state MPC step must not allocate: all solve buffers are owned by
-// the controller (DESIGN.md §10).
+// the controller (DESIGN.md §10). Both Hessian forms are covered: the
+// equal-off-diagonal one of uniform slopes and the dense one of
+// heterogeneous slopes.
 func TestMPCStepZeroAlloc(t *testing.T) {
 	const n = 32
-	m := newTestMPC(t, n)
-	freqs := make([]float64, n)
-	weights := make([]float64, n)
-	for i := range freqs {
-		freqs[i] = 1.2
-		weights[i] = 1
+	hetero := make([]float64, n)
+	for i := range hetero {
+		hetero[i] = 9 + 0.1*float64(i%7)
 	}
-	// Prime the warm cache and any lazily sized state.
-	if _, err := m.Step(3000, 3100, freqs, weights); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for name, k := range map[string][]float64{"equal-off-diagonal": uniformK(n, 9.6), "dense": hetero} {
+		m, err := NewMPC(DefaultMPCConfig(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (m.offDiag != nil) != (name == "equal-off-diagonal") {
+			t.Fatalf("%s: wrong Hessian form selected", name)
+		}
+		freqs := make([]float64, n)
+		weights := make([]float64, n)
+		for i := range freqs {
+			freqs[i] = 1.2
+			weights[i] = 1
+		}
+		// Prime the warm cache and any lazily sized state.
 		if _, err := m.Step(3000, 3100, freqs, weights); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("MPC.Step allocates %.1f times per run, want 0", allocs)
-	}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := m.Step(3000, 3100, freqs, weights); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: MPC.Step allocates %.1f times per run, want 0", name, allocs)
+		}
 
-	// A 3 kW gap drives the unconstrained move far past FMax, so the QP's
-	// structure hint certifies the box violation and the solve skips the
-	// dense shortcut for the active-set solver.
-	locked := make([]bool, n)
-	locked[0] = true
-	if _, err := m.StepLocked(3000, 6000, freqs, weights, locked); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
+		// A 3 kW gap drives the unconstrained move far past FMax, so the
+		// solve needs the active-set solver; on the equal-off-diagonal
+		// form the certificate skips the shortcut first.
+		locked := make([]bool, n)
+		locked[0] = true
 		if _, err := m.StepLocked(3000, 6000, freqs, weights, locked); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("box-constrained MPC.StepLocked allocates %.1f times per run, want 0", allocs)
-	}
-	if st := m.LastSolve(); st.Sweeps == 0 {
-		t.Fatalf("large-gap step solved without the active-set solver: %+v", st)
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := m.StepLocked(3000, 6000, freqs, weights, locked); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: box-constrained MPC.StepLocked allocates %.1f times per run, want 0", name, allocs)
+		}
+		if st := m.LastSolve(); st.Sweeps == 0 {
+			t.Fatalf("%s: large-gap step solved without the active-set solver: %+v", name, st)
+		}
 	}
 }
 

@@ -649,9 +649,6 @@ func (s *SprintCon) serverPowerControl(env *sim.Env, snap sim.Snapshot, pcb, pIn
 			if !stats.Converged {
 				s.tm.qpUnconverged.Inc()
 			}
-			cache := s.mpc.FactorCacheStats()
-			s.tm.qpCacheHits.Set(float64(cache.Hits))
-			s.tm.qpCacheEvictions.Set(float64(cache.Evictions))
 		}
 	}
 	if err != nil {

@@ -13,11 +13,9 @@ import (
 type coreMetrics struct {
 	enabled bool
 	// Server power controller.
-	solveSeconds     *telemetry.Histogram // wall clock; never in the trace
-	qpIterations     *telemetry.Histogram
-	qpUnconverged    *telemetry.Counter
-	qpCacheHits      *telemetry.Gauge
-	qpCacheEvictions *telemetry.Gauge
+	solveSeconds  *telemetry.Histogram // wall clock; never in the trace
+	qpIterations  *telemetry.Histogram
+	qpUnconverged *telemetry.Counter
 	// Measurement guard / watchdogs.
 	guardRejected *telemetry.Counter
 	guardConf     *telemetry.Gauge
@@ -55,10 +53,6 @@ func newCoreMetrics(r *telemetry.Registry) coreMetrics {
 			qpSweepBuckets()),
 		qpUnconverged: r.Counter("qp_unconverged_total",
 			"MPC solves that hit the sweep cap before meeting tolerance"),
-		qpCacheHits: r.Gauge("qp_cache_hits",
-			"cumulative QP Cholesky factor cache hits (free-block refactorizations skipped)"),
-		qpCacheEvictions: r.Gauge("qp_cache_evictions",
-			"cumulative QP Cholesky factor cache LRU evictions"),
 		guardRejected: r.Counter("guard_rejected_samples_total",
 			"power readings the measurement guard rejected"),
 		guardConf: r.Gauge("guard_confidence",

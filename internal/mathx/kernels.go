@@ -178,3 +178,91 @@ func CholeskySolve(l, b []float64, n int) {
 		b[i] = s / l[i*n+i]
 	}
 }
+
+// The EqualOffDiag kernels work on an n×n symmetric matrix whose every
+// off-diagonal entry is the same float64 c and whose diagonal entries are
+// c + d[i], rounded once. Each kernel gives every entry of its output the
+// same float64 operations, on the same operand values and in the same order,
+// as the dense kernel on the assembled matrix, so the results are
+// bit-identical to CholeskyFactor, CholeskySolve and Matrix.MulVecInto. Each
+// product stays inside the same s -= a*b or s += a*b expression the dense
+// kernel uses, so targets that fuse multiply-adds fuse both alike.
+
+// EqualOffDiagFactor computes the Cholesky factor of the matrix with
+// off-diagonal c and diagonal c + d[i], n = len(d). Below the diagonal,
+// column j of the factor holds one value for every row, written to l[j];
+// the diagonal is written to diag, which may alias d. Column j's entries are
+// l[j] = t_j / diag[j], with t_0 = c and t_{j+1} = t_j − l[j]·l[j], and
+// diag[j] = √(c + d[j] − l[0]·l[0] − … − l[j−1]·l[j−1]): the sums the
+// dense kernel forms for those entries. It returns -1 on success or the
+// index of the first pivot that is not positive, and spreads a NaN pivot to
+// the last one, as CholeskyFactor does. It runs in O(n²).
+func EqualOffDiagFactor(c float64, d, l, diag []float64) int {
+	n := len(d)
+	if len(l) != n || len(diag) != n {
+		panic("mathx: EqualOffDiagFactor dimension mismatch")
+	}
+	t := c
+	for j := 0; j < n; j++ {
+		s := c + d[j]
+		for _, v := range l[:j] {
+			s -= v * v
+		}
+		if s <= 0 {
+			return j
+		}
+		s = math.Sqrt(s)
+		diag[j] = s
+		l[j] = t / s
+		t -= l[j] * l[j]
+	}
+	return -1
+}
+
+// EqualOffDiagSolve overwrites b with the solution x of (L·Lᵀ)·x = b, given
+// the factor (l, diag) as EqualOffDiagFactor leaves it: forward then back
+// substitution, each sum subtracted in ascending index order, bit-identical
+// to CholeskySolve on the dense factor. It only reads l and diag.
+func EqualOffDiagSolve(l, diag, b []float64) {
+	n := len(b)
+	if len(l) != n || len(diag) != n {
+		panic("mathx: EqualOffDiagSolve dimension mismatch")
+	}
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k, v := range b[:i] {
+			s -= l[k] * v
+		}
+		b[i] = s / diag[i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		li := l[i]
+		for _, v := range b[i+1:] {
+			s -= li * v
+		}
+		b[i] = s / diag[i]
+	}
+}
+
+// EqualOffDiagMulVec computes dst = H·x for H with off-diagonal c and
+// diagonal c + d[i]. Row i's sum is the shared prefix Σ_{j<i} c·x[j], then
+// (c + d[i])·x[i], then c·x[j] for every j > i: the terms and order of
+// Matrix.MulVecInto's row sum. dst must not alias x. It runs in O(n²)
+// without reading a matrix.
+func EqualOffDiagMulVec(dst []float64, c float64, d, x []float64) {
+	n := len(x)
+	if len(d) != n || len(dst) != n {
+		panic("mathx: EqualOffDiagMulVec dimension mismatch")
+	}
+	var p float64
+	for i, xi := range x {
+		s := p
+		s += (c + d[i]) * xi
+		for _, v := range x[i+1:] {
+			s += c * v
+		}
+		dst[i] = s
+		p += c * xi
+	}
+}

@@ -261,3 +261,118 @@ func TestCholeskyKernelRejectsAtSamePivot(t *testing.T) {
 		}
 	}
 }
+
+// equalOffDiag draws an m×m MPC-shaped equal-off-diagonal matrix: c =
+// (α·k)·k with one slope k for every core, and d[i] = 200·max(w, 1e-6) with
+// log-uniform weights w, a fifth of them at the 1e-6 floor. It returns c, d
+// and the dense matrix assembled the way the dense MPC path builds it:
+// 0 + c in every entry, then d[i] added on the diagonal.
+func equalOffDiag(rng *rand.Rand, m int) (float64, Vector, *Matrix) {
+	k := 8 + 3*rng.Float64()
+	c := (30 * rng.Float64() * k) * k
+	d := NewVector(m)
+	for i := range d {
+		w := math.Pow(10, -2+4*rng.Float64())
+		if rng.Float64() < 0.2 {
+			w = 0
+		}
+		d[i] = 200 * math.Max(w, 1e-6)
+	}
+	a := NewMatrix(m, m)
+	for i := range a.data {
+		a.data[i] += c
+	}
+	for i := 0; i < m; i++ {
+		a.Inc(i, i, d[i])
+	}
+	return c, d, a
+}
+
+// sameBits reports whether x and y agree bit for bit.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// The EqualOffDiag factor, solve and product must reproduce the dense
+// kernels on the assembled matrix bit for bit, for every size up to 70.
+func TestEqualOffDiagKernelsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for m := 1; m <= 70; m++ {
+		c, d, a := equalOffDiag(rng, m)
+		dense, piv := factor(a)
+		if piv >= 0 {
+			t.Fatalf("m=%d: CholeskyFactor rejected an SPD matrix at pivot %d", m, piv)
+		}
+		l, diag := NewVector(m), NewVector(m)
+		if piv := EqualOffDiagFactor(c, d, l, diag); piv >= 0 {
+			t.Fatalf("m=%d: EqualOffDiagFactor rejected an SPD matrix at pivot %d", m, piv)
+		}
+		for i := 0; i < m; i++ {
+			if !sameBits(diag[i], dense.At(i, i)) {
+				t.Fatalf("m=%d: L[%d][%d] = %v, dense %v", m, i, i, diag[i], dense.At(i, i))
+			}
+			for j := 0; j < i; j++ {
+				if !sameBits(l[j], dense.At(i, j)) {
+					t.Fatalf("m=%d: L[%d][%d] = %v, dense %v", m, i, j, l[j], dense.At(i, j))
+				}
+			}
+		}
+		// diag may alias d.
+		inPlace, lp := d.Clone(), NewVector(m)
+		EqualOffDiagFactor(c, inPlace, lp, inPlace)
+		for i := range inPlace {
+			if !sameBits(inPlace[i], diag[i]) || !sameBits(lp[i], l[i]) {
+				t.Fatalf("m=%d: in-place factor differs at %d", m, i)
+			}
+		}
+
+		x := NewVector(m)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		want := x.Clone()
+		CholeskySolve(dense.data, want, m)
+		got := x.Clone()
+		EqualOffDiagSolve(l, diag, got)
+		wantHx := a.MulVec(x)
+		gotHx := NewVector(m)
+		EqualOffDiagMulVec(gotHx, c, d, x)
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("m=%d: solve x[%d] = %v, dense %v", m, i, got[i], want[i])
+			}
+			if !sameBits(gotHx[i], wantHx[i]) {
+				t.Fatalf("m=%d: (H·x)[%d] = %v, dense %v", m, i, gotHx[i], wantHx[i])
+			}
+		}
+	}
+}
+
+// A matrix that is not positive definite must be rejected at the pivot the
+// dense kernel stops at, and a NaN must spread to the last pivot of both.
+func TestEqualOffDiagFactorRejectsLikeDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for m := 1; m <= 70; m++ {
+		c, d, a := equalOffDiag(rng, m)
+		bad := rng.Intn(m)
+		d[bad] = -c * (1 + rng.Float64())
+		a.Set(bad, bad, c+d[bad])
+		_, want := factor(a)
+		if want < 0 {
+			t.Fatalf("m=%d: dense kernel accepted an indefinite matrix", m)
+		}
+		if got := EqualOffDiagFactor(c, d, NewVector(m), NewVector(m)); got != want {
+			t.Fatalf("m=%d: EqualOffDiagFactor failed at pivot %d, dense at %d", m, got, want)
+		}
+
+		c, d, a = equalOffDiag(rng, m)
+		d[bad] = math.NaN()
+		a.Set(bad, bad, c+d[bad])
+		dense, piv := factor(a)
+		diag := NewVector(m)
+		if got := EqualOffDiagFactor(c, d, NewVector(m), diag); got != piv || got != -1 {
+			t.Fatalf("m=%d: NaN input returned pivot %d, dense %d, want -1", m, got, piv)
+		}
+		if last := diag[m-1]; !math.IsNaN(last) || !math.IsNaN(dense.At(m-1, m-1)) {
+			t.Fatalf("m=%d: NaN did not reach the last pivot: %v, dense %v", m, last, dense.At(m-1, m-1))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package qp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"sprintcon/internal/mathx"
@@ -40,11 +41,6 @@ func constrainedK(n int) mathx.Vector {
 		k[i] = 9 + 0.1*float64(i%7)
 	}
 	return k
-}
-
-// constrainedHint is the structure hint of constrainedProblem's H.
-func constrainedHint(n int) *DiagRankOne {
-	return &DiagRankOne{D: mathx.Constant(n, 400), Alpha: 30, K: constrainedK(n)}
 }
 
 // perturb returns a copy of p with the linear term nudged — the shape of an
@@ -143,20 +139,31 @@ func TestSolveWorkspaceZeroAlloc(t *testing.T) {
 		t.Fatalf("cold workspace solve allocates %.1f times per run, want 0", allocs)
 	}
 
-	// The hinted path: the certificate fires here (the box is violated),
-	// so the solve skips the shortcut and goes straight to the active set.
-	hinted := p
-	hinted.Hint = constrainedHint(32)
-	if !certifiesOutside(hinted, mathx.NewVector(32)) {
+	// The equal-off-diagonal form, on the same workspace: a box-violating
+	// problem the certificate sends straight to the active set, warm and
+	// cold, and one whose shortcut succeeds.
+	rng := rand.New(rand.NewSource(32))
+	shape := newMPCShape(rng, 32, 0.2, 0.1)
+	outside, inBox := shape.problem(rng, farOutside), shape.problem(rng, inside)
+	if !certifiesOutside(outside, mathx.NewVector(32)) {
 		t.Fatal("certificate does not fire on the box-violating problem")
 	}
-	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := Solve(hinted, Options{Ws: ws, Warm: warm}); err != nil {
+	for _, c := range []struct {
+		name string
+		p    Problem
+		warm mathx.Vector
+	}{{"box-violating warm", outside, warm}, {"box-violating cold", outside, nil}, {"inactive-box", inBox, nil}} {
+		if _, err := Solve(c.p, Options{Ws: ws, Warm: c.warm}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("hinted workspace solve allocates %.1f times per run, want 0", allocs)
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := Solve(c.p, Options{Ws: ws, Warm: c.warm}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s equal-off-diagonal solve allocates %.1f times per run, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -12,18 +12,26 @@
 // initialized from the seed's bound pattern, falling back to cyclic
 // projected coordinate descent — which converges to the unique minimizer
 // for strictly convex quadratics — only on numerically degenerate problems.
-// Every factorization and triangular solve runs the shared slice kernels
-// mathx.CholeskyFactor and mathx.CholeskySolve. Problem sizes here are at
-// most a few hundred variables (one per batch CPU core on the rack).
+// Problem sizes here are at most a few hundred variables (one per batch CPU
+// core on the rack).
 //
-// Three optional accelerations serve the per-control-period hot path:
+// H comes in one of two forms, and the solver runs one algorithm on both:
 //
-//   - Problem.Hint describes H as diag(D) + α·k·kᵀ, the constant-move MPC
-//     Hessian's shape. From it the solver computes the unconstrained
-//     minimizer in O(n) by Sherman–Morrison and skips the O(n³) shortcut
-//     when that estimate is outside the box by more than a rounding-error
-//     bound, i.e. when the shortcut would have been thrown away; results
-//     are bit-identical with and without the hint;
+//   - Problem.H, a dense matrix, factored and solved by the mathx kernels
+//     CholeskyFactor and CholeskySolve;
+//   - Problem.EqualOffDiag, the exact description of a matrix whose
+//     off-diagonal entries all hold one value — the constant-move MPC
+//     Hessian when every core shares one model slope. Its kernels
+//     (mathx.EqualOffDiagFactor, EqualOffDiagSolve, EqualOffDiagMulVec) run
+//     in O(n²) without an n×n buffer and are bit-identical to the dense
+//     kernels on the assembled matrix, so both forms give the same result
+//     bits. This form also lets the solver compute the unconstrained
+//     minimizer in O(n) and skip the shortcut when that estimate is outside
+//     the box by more than a rounding-error bound, i.e. when the shortcut
+//     would have been thrown away (certifiesOutside).
+//
+// Two options serve the per-control-period hot path:
+//
 //   - Options.Warm seeds the solver with the previous period's solution
 //     (the MPC re-solves a nearly identical QP every period, so the
 //     previous minimizer — and, more importantly, its active bound set —
@@ -42,27 +50,23 @@ import (
 	"sprintcon/internal/mathx"
 )
 
-// Problem describes a box-constrained quadratic program.
+// Problem describes a box-constrained quadratic program. Exactly one of H
+// and EqualOffDiag describes the cost matrix.
 type Problem struct {
-	H  *mathx.Matrix // symmetric positive definite cost matrix (units: cost per unit²)
-	G  mathx.Vector  // linear cost term (units: cost per unit)
-	Lo mathx.Vector  // element-wise lower bounds (decision-variable units, e.g. GHz)
-	Hi mathx.Vector  // element-wise upper bounds (decision-variable units, e.g. GHz)
-	// Hint, when non-nil, describes H as diag(D) + α·k·kᵀ. It only lets
-	// Solve skip the unconstrained shortcut when the shortcut is certain
-	// to land outside the box (see certifiesOutside); a hint that does not
-	// match H changes which path runs, never whether the result is a
-	// KKT-verified minimizer.
-	Hint *DiagRankOne
+	H *mathx.Matrix // symmetric positive definite cost matrix (units: cost per unit²)
+	// EqualOffDiag, when non-nil, is the cost matrix instead of H.
+	EqualOffDiag *EqualOffDiag
+	G            mathx.Vector // linear cost term (units: cost per unit)
+	Lo           mathx.Vector // element-wise lower bounds (decision-variable units, e.g. GHz)
+	Hi           mathx.Vector // element-wise upper bounds (decision-variable units, e.g. GHz)
 }
 
-// DiagRankOne is the structure hint diag(D) + Alpha·K·Kᵀ for a Problem's H,
-// with every D[i] > 0 and Alpha ≥ 0. The constant-move MPC Hessian has
-// exactly this shape.
-type DiagRankOne struct {
-	D     mathx.Vector
-	Alpha float64
-	K     mathx.Vector
+// EqualOffDiag describes exactly the cost matrix H with H_ij = C for i ≠ j
+// and H_ii = C + D[i], rounded once: the bits a dense assembly stores when
+// it adds C to a zeroed matrix and then D[i] to the diagonal.
+type EqualOffDiag struct {
+	C float64
+	D mathx.Vector
 }
 
 // Options controls solver effort and, via Warm and Ws, the hot-path
@@ -89,16 +93,6 @@ type Options struct {
 	// it must outlive the next call). Workspaces are not safe for
 	// concurrent use.
 	Ws *Workspace
-	// HGen, when non-zero, is the caller's generation tag for the contents
-	// of H: the caller promises that two Solve calls on the same Workspace
-	// carrying the same HGen saw bit-identical H matrices. Under that
-	// promise the active-set solver caches the Cholesky factors of its
-	// free-variable blocks across solves (keyed by generation and free
-	// set), skipping the O(m³) refactorization when the working set
-	// repeats — the common case for a re-solved MPC whose bound pattern is
-	// stable. A reused factor is the bit-identical output of the identical
-	// factorization, so solutions are unchanged. Zero disables the cache.
-	HGen uint64
 }
 
 // Result reports the solution of a Problem.
@@ -118,128 +112,17 @@ type Result struct {
 // the hot path; see Options.Ws for the aliasing contract.
 type Workspace struct {
 	x, grad, scratch mathx.Vector
-	// Factorization scratch: the unconstrained shortcut factors H in subH,
-	// and the active-set solver factors its free-variable subproblem
-	// H_FF·d = −g_F there (row-major, m×m packed into the first m²
-	// entries), with subB as its right-hand side / solution.
-	free   []int
-	pinned []bool
-	subH   []float64
-	subB   []float64
-	// Cholesky factor cache for the active-set subproblems (Options.HGen).
-	factors factorCache
-}
-
-// CacheStats counts the factor cache's lifetime activity on one Workspace.
-type CacheStats struct {
-	Hits      uint64 // solves that reused a cached free-block factor
-	Misses    uint64 // cache-enabled factorizations that ran fresh
-	Evictions uint64 // entries displaced by the LRU policy
-}
-
-// FactorCacheStats returns the workspace's factor cache counters.
-func (w *Workspace) FactorCacheStats() CacheStats { return w.factors.stats }
-
-// factorCacheCap bounds the per-workspace factor cache. The MPC's working
-// set alternates between a handful of bound patterns in steady state (fully
-// free, batch floor pinned, a stuck core locked), so a small cache captures
-// essentially all reuse while keeping lookup a trivial linear scan.
-const factorCacheCap = 8
-
-// factorEntry is one cached lower-triangular Cholesky factor of an m×m
-// free-variable block, valid for the H generation it was computed under.
-type factorEntry struct {
-	hgen uint64
-	free []int     // the free index set, defensively copied
-	fac  []float64 // m×m row-major; lower triangle holds the factor
-	used uint64    // LRU clock value of the last touch
-}
-
-// factorCache is a small exact-match LRU keyed by (HGen, free set). The key
-// comparison is the full index-set equality, never a hash, so a hit can only
-// return the factor of the exact matrix the caller would have factored.
-type factorCache struct {
-	entries []factorEntry
-	n       int // entry buffers are pre-sized for n-variable problems
-	clock   uint64
-	stats   CacheStats
-}
-
-// grow pre-sizes every entry's key and factor buffers for n-variable
-// problems and clears the cache if it was sized smaller. Pre-sizing makes
-// insert allocation-free: while the active set re-converges after a
-// disturbance it inserts a factor per candidate free set, and letting those
-// inserts grow buffers on demand would put heap churn on the solver's
-// steady-state path (and on the event engine's span-replanning ticks).
-func (c *factorCache) grow(n int) {
-	if n <= c.n {
-		return
-	}
-	c.n = n
-	c.entries = make([]factorEntry, 0, factorCacheCap)
-	for i := 0; i < factorCacheCap; i++ {
-		c.entries = append(c.entries, factorEntry{
-			free: make([]int, 0, n),
-			fac:  make([]float64, 0, n*n),
-		})
-	}
-	c.entries = c.entries[:0]
-}
-
-// lookup returns the cached factor for (hgen, free), or nil.
-func (c *factorCache) lookup(hgen uint64, free []int) []float64 {
-	for i := range c.entries {
-		e := &c.entries[i]
-		if e.hgen != hgen || len(e.free) != len(free) {
-			continue
-		}
-		match := true
-		for j, f := range free {
-			if e.free[j] != f {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		c.clock++
-		e.used = c.clock
-		c.stats.Hits++
-		return e.fac
-	}
-	c.stats.Misses++
-	return nil
-}
-
-// insert stores a copy of the m×m factor under (hgen, free), evicting the
-// least-recently-used entry when the cache is full. Evicted entries donate
-// their buffers, so a steady-state mix of repeating keys inserts nothing and
-// allocates nothing.
-func (c *factorCache) insert(hgen uint64, free []int, fac []float64) {
-	var e *factorEntry
-	if len(c.entries) < cap(c.entries) {
-		// grow pre-sized the backing array: re-extend over an entry whose
-		// buffers are already allocated at full capacity.
-		c.entries = c.entries[:len(c.entries)+1]
-		e = &c.entries[len(c.entries)-1]
-	} else if len(c.entries) < factorCacheCap {
-		c.entries = append(c.entries, factorEntry{})
-		e = &c.entries[len(c.entries)-1]
-	} else {
-		e = &c.entries[0]
-		for i := 1; i < len(c.entries); i++ {
-			if c.entries[i].used < e.used {
-				e = &c.entries[i]
-			}
-		}
-		c.stats.Evictions++
-	}
-	e.hgen = hgen
-	e.free = append(e.free[:0], free...)
-	e.fac = append(e.fac[:0], fac...)
-	c.clock++
-	e.used = c.clock
+	// Factorization scratch: the unconstrained shortcut factors all of H,
+	// and the active-set solver its free-variable subproblem
+	// H_FF·d = −g_F, with subB as the right-hand side / solution. A dense
+	// H's m×m block is factored in subH (row-major, packed into the first
+	// m² entries), which is allocated by the first dense factorization; an
+	// EqualOffDiag H's factor is the pair (subL, subD).
+	free       []int
+	pinned     []bool
+	subH       []float64
+	subL, subD []float64
+	subB       []float64
 }
 
 // NewWorkspace returns a workspace for n-variable problems.
@@ -249,19 +132,20 @@ func NewWorkspace(n int) *Workspace {
 	return w
 }
 
-// ensure (re)sizes the buffers for an n-variable problem.
+// ensure (re)sizes the buffers for an n-variable problem. The dense factor
+// buffer is left to the first dense factorization (Problem.factor).
 func (w *Workspace) ensure(n int) {
-	if len(w.x) == n && w.subH != nil {
-		return
+	if len(w.x) != n {
+		w.x = mathx.NewVector(n)
+		w.grad = mathx.NewVector(n)
+		w.scratch = mathx.NewVector(n)
+		w.free = make([]int, 0, n)
+		w.pinned = make([]bool, n)
+		w.subH = nil
+		w.subL = make([]float64, n)
+		w.subD = make([]float64, n)
+		w.subB = make([]float64, n)
 	}
-	w.x = mathx.NewVector(n)
-	w.grad = mathx.NewVector(n)
-	w.scratch = mathx.NewVector(n)
-	w.free = make([]int, 0, n)
-	w.pinned = make([]bool, n)
-	w.subH = make([]float64, n*n)
-	w.subB = make([]float64, n)
-	w.factors.grow(n)
 }
 
 const (
@@ -270,7 +154,8 @@ const (
 )
 
 var (
-	// ErrDimension reports inconsistent problem dimensions.
+	// ErrDimension reports inconsistent problem dimensions, or a cost
+	// matrix given in neither or both of the two forms.
 	ErrDimension = errors.New("qp: inconsistent problem dimensions")
 	// ErrBounds reports lo[i] > hi[i] for some i.
 	ErrBounds = errors.New("qp: lower bound exceeds upper bound")
@@ -280,55 +165,102 @@ var (
 
 // Validate checks the problem for structural errors.
 func (p Problem) Validate() error {
-	n := len(p.G)
-	if p.H == nil || p.H.Rows() != n || p.H.Cols() != n || len(p.Lo) != n || len(p.Hi) != n {
-		return fmt.Errorf("%w: n=%d H=%v lo=%d hi=%d", ErrDimension, n, shape(p.H), len(p.Lo), len(p.Hi))
+	n, e := len(p.G), p.EqualOffDiag
+	if (p.H == nil) == (e == nil) {
+		return fmt.Errorf("%w: set exactly one of H and EqualOffDiag", ErrDimension)
+	}
+	if e != nil && len(e.D) != n || p.H != nil && (p.H.Rows() != n || p.H.Cols() != n) ||
+		len(p.Lo) != n || len(p.Hi) != n {
+		return fmt.Errorf("%w: n=%d lo=%d hi=%d, or H is not n×n", ErrDimension, n, len(p.Lo), len(p.Hi))
 	}
 	for i := 0; i < n; i++ {
 		if p.Lo[i] > p.Hi[i] {
 			return fmt.Errorf("%w: index %d (%g > %g)", ErrBounds, i, p.Lo[i], p.Hi[i])
 		}
-		if p.H.At(i, i) <= 0 {
-			return fmt.Errorf("%w: index %d (%g)", ErrNotConvex, i, p.H.At(i, i))
+		if h := p.diag(i); h <= 0 {
+			return fmt.Errorf("%w: index %d (%g)", ErrNotConvex, i, h)
 		}
-	}
-	if h := p.Hint; h != nil && (len(h.D) != n || len(h.K) != n) {
-		return fmt.Errorf("%w: n=%d hint D=%d K=%d", ErrDimension, n, len(h.D), len(h.K))
 	}
 	return nil
 }
 
-func shape(m *mathx.Matrix) string {
-	if m == nil {
-		return "nil"
+// diag returns H_ii.
+func (p Problem) diag(i int) float64 {
+	if e := p.EqualOffDiag; e != nil {
+		return e.C + e.D[i]
 	}
-	return fmt.Sprintf("%dx%d", m.Rows(), m.Cols())
+	return p.H.At(i, i)
+}
+
+// mulVecInto computes dst = H·x without allocating and returns dst.
+func (p Problem) mulVecInto(dst, x mathx.Vector) mathx.Vector {
+	if e := p.EqualOffDiag; e != nil {
+		mathx.EqualOffDiagMulVec(dst, e.C, e.D, x)
+		return dst
+	}
+	return p.H.MulVecInto(dst, x)
 }
 
 // Objective evaluates ½xᵀHx + gᵀx.
 func (p Problem) Objective(x mathx.Vector) float64 {
-	hx := p.H.MulVec(x)
-	return 0.5*x.Dot(hx) + p.G.Dot(x)
+	return p.objectiveWith(x, mathx.NewVector(len(x)))
 }
 
 // objectiveWith evaluates the objective using scratch for H·x (no allocation).
 func (p Problem) objectiveWith(x, scratch mathx.Vector) float64 {
-	hx := p.H.MulVecInto(scratch, x)
+	hx := p.mulVecInto(scratch, x)
 	return 0.5*x.Dot(hx) + p.G.Dot(x)
 }
 
 // Gradient evaluates Hx + g.
 func (p Problem) Gradient(x mathx.Vector) mathx.Vector {
-	grad := p.H.MulVec(x)
-	grad.AXPY(1, p.G)
-	return grad
+	return p.gradientInto(mathx.NewVector(len(x)), x)
 }
 
 // gradientInto evaluates dst = Hx + g without allocating.
 func (p Problem) gradientInto(dst, x mathx.Vector) mathx.Vector {
-	p.H.MulVecInto(dst, x)
+	p.mulVecInto(dst, x)
 	dst.AXPY(1, p.G)
 	return dst
+}
+
+// factor Cholesky-factors H's principal block on the ascending index set
+// idx into ws, for solveFactored. It reports false when a pivot is not
+// positive; a NaN in the block does not stop it but spreads to the
+// returned last pivot instead.
+func (p Problem) factor(ws *Workspace, idx []int) (last float64, ok bool) {
+	m := len(idx)
+	if e := p.EqualOffDiag; e != nil {
+		d := ws.subD[:m]
+		for a, i := range idx {
+			d[a] = e.D[i]
+		}
+		ok = mathx.EqualOffDiagFactor(e.C, d, ws.subL[:m], d) < 0
+		return d[m-1], ok
+	}
+	if n := len(ws.x); len(ws.subH) < n*n {
+		ws.subH = make([]float64, n*n)
+	}
+	sub := ws.subH[:m*m]
+	for a, i := range idx {
+		row := p.H.Row(i)
+		for b, j := range idx[:a+1] {
+			sub[a*m+b] = row[j]
+		}
+	}
+	ok = mathx.CholeskyFactor(sub, m) < 0
+	return sub[m*m-1], ok
+}
+
+// solveFactored overwrites b with the solution of H_FF·x = b, given the
+// factor the last factor call left in ws for a block of size len(b).
+func (p Problem) solveFactored(ws *Workspace, b []float64) {
+	m := len(b)
+	if p.EqualOffDiag != nil {
+		mathx.EqualOffDiagSolve(ws.subL[:m], ws.subD[:m], b)
+		return
+	}
+	mathx.CholeskySolve(ws.subH[:m*m], b, m)
 }
 
 // KKTResidual returns the maximum violation of the first-order optimality
@@ -402,11 +334,12 @@ func solveFast(p Problem, opt Options, maxSweeps int, tol float64) (Result, erro
 	x := ws.x
 
 	// The unconstrained Cholesky shortcut is the best opening move even
-	// with a warm point: when the box is inactive it is exact in O(n³),
-	// while coordinate descent on the rank-one-coupled MPC Hessian can
-	// need hundreds of O(n²) sweeps. When the structure hint certifies
-	// that it would land outside the box, it is skipped: it would have
-	// been thrown away, so the result is the same bits either way.
+	// with a warm point: when the box is inactive it is exact in one
+	// factorization, while coordinate descent on the rank-one-coupled MPC
+	// Hessian can need hundreds of O(n²) sweeps. When the equal-off-diagonal
+	// form certifies that it would land outside the box, it is skipped: it
+	// would have been thrown away, so the result is the same bits either
+	// way.
 	if !certifiesOutside(p, ws.scratch) && unconstrainedInBox(p, ws) {
 		x.Clamp(p.Lo, p.Hi)
 		return Result{X: x, Objective: p.objectiveWith(x, ws.scratch), Converged: true}, nil
@@ -423,7 +356,7 @@ func solveFast(p Problem, opt Options, maxSweeps int, tol float64) (Result, erro
 		}
 	}
 
-	res, asIters, ok := solveActiveSet(p, ws, x, tol, opt.HGen)
+	res, asIters, ok := solveActiveSet(p, ws, x, tol)
 	if ok {
 		return res, nil
 	}
@@ -463,22 +396,22 @@ func solveFast(p Problem, opt Options, maxSweeps int, tol float64) (Result, erro
 const boxSlack = 1e-12
 
 // unconstrainedInBox runs the unconstrained shortcut: it solves H·x = −g by
-// a dense Cholesky factorization of H into ws.subH, writing the solution to
-// ws.x, and reports whether it lies within boxSlack of the box. It reports
-// false when H is not numerically positive definite.
+// a Cholesky factorization of all of H, writing the solution to ws.x, and
+// reports whether it lies within boxSlack of the box. It reports false when
+// H is not numerically positive definite.
 func unconstrainedInBox(p Problem, ws *Workspace) bool {
-	n := len(p.G)
-	sub, x := ws.subH, ws.x
-	for i := 0; i < n; i++ {
-		copy(sub[i*n:i*n+i+1], p.H.Row(i)[:i+1])
+	all := ws.free[:len(p.G)]
+	for i := range all {
+		all[i] = i
 	}
-	if mathx.CholeskyFactor(sub, n) >= 0 {
+	if _, ok := p.factor(ws, all); !ok {
 		return false
 	}
+	x := ws.x
 	for i := range x {
 		x[i] = -p.G[i]
 	}
-	mathx.CholeskySolve(sub, x, n)
+	p.solveFactored(ws, x)
 	for i := range x {
 		if x[i] < p.Lo[i]-boxSlack || x[i] > p.Hi[i]+boxSlack {
 			return false
@@ -490,52 +423,51 @@ func unconstrainedInBox(p Problem, ws *Workspace) bool {
 // certSafety is the safety factor of certifiesOutside's error bound.
 const certSafety = 16
 
-// certifiesOutside reports whether p.Hint proves that the unconstrained
-// shortcut would reject its own solution, so it can be skipped. It writes
-// the Sherman–Morrison minimizer of diag(D) + α·k·kᵀ,
+// certifiesOutside reports whether p's equal-off-diagonal form proves that
+// the unconstrained shortcut would reject its own solution, so it can be
+// skipped. H is diag(D) + C·11ᵀ, so it writes the Sherman–Morrison
+// minimizer
 //
-//	x̃ = −D⁻¹g + s·D⁻¹k,   s = α·kᵀD⁻¹g / (1 + α·kᵀD⁻¹k),
+//	x̃ = −D⁻¹g + s·D⁻¹1,   s = C·1ᵀD⁻¹g / (1 + C·1ᵀD⁻¹1),
 //
 // into xt in O(n) and fires only if some x̃ᵢ lies outside the box by more
 // than boxSlack + δ, with
 //
-//	δ = certSafety · n · κ̂ · ε · (1 + ‖x̃‖∞),   κ̂ = (max D + α‖k‖²) / min D.
+//	δ = certSafety · n · κ̂ · ε · (1 + ‖x̃‖∞),   κ̂ = (max D + C·n) / min D.
 //
 // κ̂ bounds the 2-norm condition number of H from above (H ⪰ diag(D) and
-// ‖H‖₂ ≤ max D + α‖k‖²), and n·κ·ε·‖x‖ is the first-order size of each
-// error between x̃ and the shortcut's x̂: the dense Cholesky solve's
-// forward error, the Sherman–Morrison evaluation's, and the rounding of H's
-// assembled entries away from the hinted form. The safety factor covers
-// their constants. Whenever |x̂ᵢ − x̃ᵢ| ≤ δ, a fired certificate means
-// x̂ᵢ is outside by more than boxSlack too: the shortcut would have been
-// thrown away, and skipping it changes no result bit. Without a hint, with
-// a hint violating D > 0 or α ≥ 0, or with non-finite values, it does not
-// fire.
+// ‖H‖₂ ≤ max D + C·n), and n·κ·ε·‖x‖ is the first-order size of each error
+// between x̃ and the shortcut's x̂: the Cholesky solve's forward error, the
+// Sherman–Morrison evaluation's, and the rounding of the diagonal entries
+// C + D[i]. The safety factor covers their constants. Whenever
+// |x̂ᵢ − x̃ᵢ| ≤ δ, a fired certificate means x̂ᵢ is outside by more than
+// boxSlack too: the shortcut would have been thrown away, and skipping it
+// changes no result bit. For a dense H, with D ≯ 0 or C < 0, or with
+// non-finite values, it does not fire.
 func certifiesOutside(p Problem, xt mathx.Vector) bool {
-	h := p.Hint
-	if h == nil || !(h.Alpha >= 0) {
+	e := p.EqualOffDiag
+	if e == nil || !(e.C >= 0) {
 		return false
 	}
 	minD, maxD := math.Inf(1), 0.0
-	var kDg, kDk, kk float64
-	for i, d := range h.D {
+	var sumDg, sumD float64
+	for i, d := range e.D {
 		if !(d > 0) {
 			return false
 		}
 		minD, maxD = math.Min(minD, d), math.Max(maxD, d)
-		ki := h.K[i]
-		kDg += ki * (p.G[i] / d)
-		kDk += ki * (ki / d)
-		kk += ki * ki
+		sumDg += p.G[i] / d
+		sumD += 1 / d
 	}
-	s := h.Alpha * kDg / (1 + h.Alpha*kDk)
+	s := e.C * sumDg / (1 + e.C*sumD)
 	var norm float64
-	for i, d := range h.D {
-		xt[i] = (s*h.K[i] - p.G[i]) / d
+	for i, d := range e.D {
+		xt[i] = (s - p.G[i]) / d
 		norm = math.Max(norm, math.Abs(xt[i]))
 	}
-	kappa := (maxD + h.Alpha*kk) / minD
-	delta := certSafety * float64(len(xt)) * kappa * epsilon * (1 + norm)
+	n := float64(len(xt))
+	kappa := (maxD + e.C*n) / minD
+	delta := certSafety * n * kappa * epsilon * (1 + norm)
 	for i, v := range xt {
 		if v < p.Lo[i]-boxSlack-delta || v > p.Hi[i]+boxSlack+delta {
 			return true
@@ -566,19 +498,21 @@ func activeSetIterCap(n int) int { return 3*n + 16 }
 // Returns ok=false — with the number of iterations spent — when the
 // subproblem factorization fails or the iteration cap is hit; x then holds
 // the best iterate for the caller's fallback.
-//
-// When hgen is non-zero (Options.HGen), each free-block factor is looked up
-// in — and on a miss inserted into — the workspace's factor cache, so a
-// repeated working set under an unchanged H pays only the O(m²) gather of
-// the right-hand side and back-substitution.
-func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64, hgen uint64) (Result, int, bool) {
+func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64) (Result, int, bool) {
 	n := len(x)
 	pin := ws.pinned
 	for i := 0; i < n; i++ {
 		pin[i] = x[i] <= p.Lo[i] || x[i] >= p.Hi[i]
 	}
+	grad := ws.grad
+	// released is set when the last iteration only released a bound: x
+	// did not move, so grad still holds Hx + g at x.
+	released := false
 	for iter := 0; iter < activeSetIterCap(n); iter++ {
-		grad := p.gradientInto(ws.grad, x)
+		if !released {
+			p.gradientInto(grad, x)
+		}
+		released = false
 		if p.residualAt(x, grad) <= tol {
 			return Result{X: x, Objective: p.objectiveWith(x, ws.scratch), Sweeps: iter, Converged: true}, iter, true
 		}
@@ -592,33 +526,16 @@ func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64, hgen 
 		m := len(free)
 		blocked := false
 		if m > 0 {
+			// A NaN pivot spreads to the last one, so testing that one
+			// rejects NaN anywhere in the block.
+			if last, ok := p.factor(ws, free); !ok || math.IsNaN(last) {
+				return Result{}, iter, false // not SPD on the free block: fall back
+			}
 			subB := ws.subB[:m]
 			for a, i := range free {
 				subB[a] = -grad[i]
 			}
-			var fac []float64
-			if hgen != 0 {
-				fac = ws.factors.lookup(hgen, free)
-			}
-			if fac == nil {
-				subH := ws.subH[:m*m]
-				for a, i := range free {
-					row := p.H.Row(i)
-					for b, j := range free {
-						subH[a*m+b] = row[j]
-					}
-				}
-				// A NaN pivot spreads to the last one (mathx.CholeskyFactor),
-				// so testing that one rejects NaN anywhere in the block.
-				if mathx.CholeskyFactor(subH, m) >= 0 || math.IsNaN(subH[m*m-1]) {
-					return Result{}, iter, false // not SPD on the free block: fall back
-				}
-				if hgen != 0 {
-					ws.factors.insert(hgen, free, subH)
-				}
-				fac = subH
-			}
-			mathx.CholeskySolve(fac, subB, m)
+			p.solveFactored(ws, subB)
 			// Truncate the Newton step at the first bound crossing.
 			alpha, blk, blkAt := 1.0, -1, 0.0
 			for a, i := range free {
@@ -655,7 +572,7 @@ func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64, hgen 
 		// optimum): release the pinned coordinate whose multiplier says
 		// the bound is not binding. Releasing only after a full step is
 		// what prevents active-set cycling.
-		grad = p.gradientInto(ws.grad, x)
+		p.gradientInto(grad, x)
 		worst, worstI := tol, -1
 		for i := 0; i < n; i++ {
 			if !pin[i] || p.Lo[i] >= p.Hi[i] {
@@ -680,6 +597,7 @@ func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64, hgen 
 			return Result{}, iter + 1, false // residual floor: fall back
 		}
 		pin[worstI] = false
+		released = true
 	}
 	return Result{}, activeSetIterCap(n), false
 }
@@ -690,7 +608,7 @@ func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64, hgen 
 func sweepOnce(p Problem, x, grad mathx.Vector) float64 {
 	var maxMove float64
 	for i := range x {
-		hii := p.H.At(i, i)
+		hii := p.diag(i)
 		xi := x[i] - grad[i]/hii
 		if xi < p.Lo[i] {
 			xi = p.Lo[i]
@@ -703,7 +621,18 @@ func sweepOnce(p Problem, x, grad mathx.Vector) float64 {
 		}
 		x[i] = xi
 		// grad += d * H[:,i] (H symmetric, so use row i).
-		grad.AXPY(d, p.H.Row(i))
+		if e := p.EqualOffDiag; e != nil {
+			c := e.C
+			for j := range grad[:i] {
+				grad[j] += d * c
+			}
+			grad[i] += d * hii
+			for j := i + 1; j < len(grad); j++ {
+				grad[j] += d * c
+			}
+		} else {
+			grad.AXPY(d, p.H.Row(i))
+		}
 		if a := math.Abs(d); a > maxMove {
 			maxMove = a
 		}

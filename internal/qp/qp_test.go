@@ -182,6 +182,33 @@ func TestValidateRejectsBadProblems(t *testing.T) {
 	if _, err := Solve(bad, Options{}); err == nil {
 		t.Fatal("Solve must propagate validation errors")
 	}
+
+	eod := &EqualOffDiag{C: 1, D: mathx.Vector{1, 1}}
+	structured := good
+	structured.H, structured.EqualOffDiag = nil, eod
+	if err := structured.Validate(); err != nil {
+		t.Fatalf("good equal-off-diagonal problem rejected: %v", err)
+	}
+	bad = good
+	bad.EqualOffDiag = eod
+	if err := bad.Validate(); err == nil {
+		t.Fatal("a problem with both H and EqualOffDiag should be rejected")
+	}
+	bad = good
+	bad.H = nil
+	if err := bad.Validate(); err == nil {
+		t.Fatal("a problem with neither H nor EqualOffDiag should be rejected")
+	}
+	bad = structured
+	bad.EqualOffDiag = &EqualOffDiag{C: 1, D: mathx.Vector{1}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("an EqualOffDiag D of the wrong length should be rejected")
+	}
+	bad = structured
+	bad.EqualOffDiag = &EqualOffDiag{C: -1, D: mathx.Vector{1, 2}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("a zero diagonal entry C + D[i] should be rejected")
+	}
 }
 
 func TestSolveEmptyProblem(t *testing.T) {
