@@ -1,6 +1,7 @@
 package qp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,6 +205,18 @@ func TestEqualOffDiagFallbackBitIdentical(t *testing.T) {
 	}
 	if !sameResult(got, want) {
 		t.Fatalf("equal-off-diagonal %+v, dense %+v", got, want)
+	}
+}
+
+// An MPC-shaped problem whose equal-off-diagonal D (the successor of the
+// old diagonal-plus-rank-one hint) is shorter than n is a dimension error
+// from Solve, not a silent read past the end or a wrong answer.
+func TestHintDimensionMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := newMPCShape(rng, 8, 0, 0).problem(rng, inside)
+	p.EqualOffDiag = &EqualOffDiag{C: p.EqualOffDiag.C, D: p.EqualOffDiag.D[:7]}
+	if _, err := Solve(p, Options{}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("expected ErrDimension for a mismatched EqualOffDiag, got %v", err)
 	}
 }
 
