@@ -11,7 +11,7 @@ build:
 
 vet:
 	$(GO) vet ./...
-	gofmt -l .
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

@@ -506,7 +506,6 @@ func (a *Allocator) QuiescenceDigest(d *engine.Digest) {
 // SetReserve overrides the interactive reserve (supervisor degraded modes).
 func (a *Allocator) SetReserve(w float64) { a.reserveW = math.Max(0, w) }
 
-// quantile returns the q-quantile of xs (xs is not modified).
 // quantile returns the q-quantile of xs, sorting xs in place (callers pass
 // a scratch copy so the observation window keeps its arrival order).
 func quantile(xs []float64, q float64) float64 {

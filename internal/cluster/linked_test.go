@@ -174,47 +174,69 @@ func TestLinkedHealthyStaysCoordinated(t *testing.T) {
 
 // Serial and parallel linked runs must be bit-identical, including under
 // active link faults — all link state lives on the coordinating goroutine.
+// The clean rows are the benchmark's cluster_link configs (quick and full
+// mode).
 func TestLinkedParallelMatchesSerial(t *testing.T) {
-	cfg := linkedConfig()
-	cfg.NumRacks = 3
-	cfg.FeederBudgetW = 3*cfg.Scenario.Breaker.RatedPower + 0.25*cfg.Scenario.Breaker.RatedPower*2
-	cfg.Scenario.DurationS = 400
-	cfg.Scenario.BurstDurationS = 400
-	cfg.Scenario.Faults.Faults = []faults.Fault{
+	faulted := linkedConfig()
+	faulted.NumRacks = 3
+	faulted.FeederBudgetW = 3*faulted.Scenario.Breaker.RatedPower + 0.25*faulted.Scenario.Breaker.RatedPower*2
+	faulted.Scenario.DurationS = 400
+	faulted.Scenario.BurstDurationS = 400
+	faulted.Scenario.Faults.Faults = []faults.Fault{
 		{Kind: faults.LinkLoss, OnsetS: 50, DurationS: 200, Severity: 0.3},
 		{Kind: faults.LinkDelay, OnsetS: 50, DurationS: 200, Severity: 3},
 		partitionAt(0, 150, 120),
 	}
+	quick := linkedConfig()
+	quick.NumRacks = 2
+	quick.Scenario.DurationS = 300
+	rated := quick.Scenario.Breaker.RatedPower
+	quick.FeederBudgetW = 2*rated + 0.25*rated
 
-	par, err := RunLinked(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Serial = true
-	ser, err := RunLinked(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range par.Racks {
-		p, s := par.Racks[i], ser.Racks[i]
-		for tk := range p.Series.TotalW {
-			if p.Series.TotalW[tk] != s.Series.TotalW[tk] || p.Series.CBW[tk] != s.Series.CBW[tk] ||
-				p.Series.SoC[tk] != s.Series.SoC[tk] || p.Series.FreqBatch[tk] != s.Series.FreqBatch[tk] {
-				t.Fatalf("rack %d diverges at tick %d", i, tk)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"faulted", faulted},
+		{"bench_quick", quick},
+		{"default", linkedConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			par, err := RunLinked(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !clientStatsEqual(par.Clients[i], ser.Clients[i]) {
-			t.Fatalf("rack %d link stats diverge: %+v vs %+v", i, par.Clients[i], ser.Clients[i])
-		}
-	}
-	for tk := range par.AggregateW {
-		if par.AggregateW[tk] != ser.AggregateW[tk] {
-			t.Fatalf("aggregate diverges at tick %d", tk)
-		}
-	}
-	if par.Transport != ser.Transport || par.Coord != ser.Coord {
-		t.Fatalf("link accounting diverges:\npar %+v / %+v\nser %+v / %+v",
-			par.Transport, par.Coord, ser.Transport, ser.Coord)
+			cfg.Serial = true
+			ser, err := RunLinked(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range par.Racks {
+				p, s := par.Racks[i].Series, ser.Racks[i].Series
+				if len(p.TotalW) != len(s.TotalW) {
+					t.Fatalf("rack %d: %d vs %d recorded ticks", i, len(p.TotalW), len(s.TotalW))
+				}
+				for tk := range p.TotalW {
+					if p.TotalW[tk] != s.TotalW[tk] || p.CBW[tk] != s.CBW[tk] || p.SoC[tk] != s.SoC[tk] ||
+						p.FreqBatch[tk] != s.FreqBatch[tk] || p.FreqInter[tk] != s.FreqInter[tk] {
+						t.Fatalf("rack %d diverges at tick %d", i, tk)
+					}
+				}
+				if !clientStatsEqual(par.Clients[i], ser.Clients[i]) {
+					t.Fatalf("rack %d link stats diverge: %+v vs %+v", i, par.Clients[i], ser.Clients[i])
+				}
+			}
+			for tk := range par.AggregateW {
+				if par.AggregateW[tk] != ser.AggregateW[tk] {
+					t.Fatalf("aggregate diverges at tick %d", tk)
+				}
+			}
+			if par.Transport != ser.Transport || par.Coord != ser.Coord {
+				t.Fatalf("link accounting diverges:\npar %+v / %+v\nser %+v / %+v",
+					par.Transport, par.Coord, ser.Transport, ser.Coord)
+			}
+		})
 	}
 }
 

@@ -253,8 +253,8 @@ func TestEventEngineDecisionsAgreeAtControlBoundaries(t *testing.T) {
 // DropEvents must be behavior-invisible: nothing reads the log mid-run, so
 // a dropped-log run stays bit-identical to a logging run in every series
 // column and summary — only Result.Events comes back empty. This is the
-// contract that lets the bench measure the engine's steady-state allocation
-// cost (zero allocs per event) without counting diagnostic log volume.
+// contract that lets TestEventEngineZeroAllocsPerEvent measure the engine's
+// steady-state allocation cost without counting diagnostic log volume.
 func TestDropEventsBitInvisible(t *testing.T) {
 	scn := quiesceScenario(t, 2*3600)
 	cfg := DefaultConfig()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sprintcon/internal/sim"
+	"sprintcon/internal/telemetry"
 )
 
 // The steady-state tick path must not allocate when telemetry is off
@@ -43,8 +44,38 @@ func TestTickPathZeroAlloc(t *testing.T) {
 		tick()
 	}
 
-	allocs := testing.AllocsPerRun(200, tick)
+	allocs := testing.AllocsPerRun(600, tick)
 	if allocs != 0 {
 		t.Fatalf("steady-state tick allocates %.2f times per run, want 0", allocs)
+	}
+}
+
+// The warm-started MPC must keep its QP effort per control period bounded:
+// the mean sweeps per solve over the default closed-loop run stays within
+// 1.2× of its recorded value (2.8 at 300 s, 4.058 at 900 s), and no solve
+// hits the sweep cap. Both figures are deterministic.
+func TestMPCSweepsPerSolveBounded(t *testing.T) {
+	for _, tc := range []struct {
+		durationS, maxMean float64
+	}{
+		{300, 3.36},
+		{900, 4.869},
+	} {
+		scn := sim.DefaultScenario()
+		scn.DurationS = tc.durationS
+		res, err := sim.RunWith(scn, New(DefaultConfig()), sim.RunOptions{Metrics: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := res.Telemetry.Get("qp_iterations")
+		if !ok || p.Count == 0 {
+			t.Fatalf("%g s: qp_iterations missing from telemetry", tc.durationS)
+		}
+		if mean := p.Value / float64(p.Count); mean > tc.maxMean {
+			t.Errorf("%g s: %.4g QP sweeps per MPC solve, want <= %g", tc.durationS, mean, tc.maxMean)
+		}
+		if u, _ := res.Telemetry.Value("qp_unconverged_total"); u != 0 {
+			t.Errorf("%g s: %g unconverged QP solves, want 0", tc.durationS, u)
+		}
 	}
 }

@@ -170,26 +170,66 @@ func TestRunLinkedConservationPerPeriod(t *testing.T) {
 
 // TestRunLinkedParallelMatchesSerial: rows only share read-only
 // configuration, so the concurrent row fan-out must be bit-identical to
-// the serial path.
+// the serial path in every rack's series and in the building aggregate.
+// The last two rows are the benchmark's cluster_hier configs (quick and
+// full mode); the 4×16-rack full one is skipped in -short mode.
 func TestRunLinkedParallelMatchesSerial(t *testing.T) {
-	c := testConfig()
-	c.Serial = true
-	serial, err := RunLinked(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Serial = false
-	parallel, err := RunLinked(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.BuildingAggregateW {
-		if serial.BuildingAggregateW[i] != parallel.BuildingAggregateW[i] {
-			t.Fatalf("tick %d: serial %v != parallel %v", i, serial.BuildingAggregateW[i], parallel.BuildingAggregateW[i])
-		}
-	}
-	if serial.DegradedS() != parallel.DegradedS() || serial.CBTrips != parallel.CBTrips {
-		t.Fatal("summary stats differ between serial and parallel row execution")
+	quick := DefaultConfig()
+	quick.Rows = []RowConfig{{Racks: 4}, {Racks: 4}}
+	quick.Scenario.DurationS = 300
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mixed", testConfig()},
+		{"bench_quick", quick},
+		{"default", DefaultConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "default" && testing.Short() {
+				t.Skip("4×16-rack linked run skipped in -short mode")
+			}
+			c := tc.cfg
+			c.Serial = true
+			serial, err := RunLinked(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Serial = false
+			parallel, err := RunLinked(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(serial.Rows) != len(parallel.Rows) {
+				t.Fatalf("row count %d != %d", len(serial.Rows), len(parallel.Rows))
+			}
+			for r := range serial.Rows {
+				if len(serial.Rows[r].Racks) != len(parallel.Rows[r].Racks) {
+					t.Fatalf("row %d: rack count %d != %d", r, len(serial.Rows[r].Racks), len(parallel.Rows[r].Racks))
+				}
+				for j := range serial.Rows[r].Racks {
+					a, b := serial.Rows[r].Racks[j].Series, parallel.Rows[r].Racks[j].Series
+					if len(a.TotalW) != len(b.TotalW) {
+						t.Fatalf("row %d rack %d: %d vs %d recorded ticks", r, j, len(a.TotalW), len(b.TotalW))
+					}
+					for tk := range a.TotalW {
+						if a.TotalW[tk] != b.TotalW[tk] || a.CBW[tk] != b.CBW[tk] || a.SoC[tk] != b.SoC[tk] ||
+							a.FreqBatch[tk] != b.FreqBatch[tk] || a.FreqInter[tk] != b.FreqInter[tk] {
+							t.Fatalf("row %d rack %d diverges at tick %d", r, j, tk)
+						}
+					}
+				}
+			}
+			for i := range serial.BuildingAggregateW {
+				if serial.BuildingAggregateW[i] != parallel.BuildingAggregateW[i] {
+					t.Fatalf("tick %d: serial %v != parallel %v", i, serial.BuildingAggregateW[i], parallel.BuildingAggregateW[i])
+				}
+			}
+			if serial.DegradedS() != parallel.DegradedS() || serial.CBTrips != parallel.CBTrips {
+				t.Fatal("summary stats differ between serial and parallel row execution")
+			}
+		})
 	}
 }
 
