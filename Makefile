@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-service soak fuzz bench bench-check gobench report experiments docs-check clean
+.PHONY: all build vet test examples race chaos chaos-service soak fuzz bench bench-check gobench report experiments docs-check clean
 
 all: build vet test
 
@@ -15,6 +15,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Run every example end to end with its output discarded; stops at the
+# first example that fails or exits non-zero (go build only compiles them).
+examples:
+	@set -e; for d in examples/*/; do \
+		d=$${d%/}; echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null; \
+	done
 
 race:
 	$(GO) test -race ./...

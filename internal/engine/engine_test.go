@@ -113,33 +113,6 @@ func TestQueueResetKeepsSequenceMonotonic(t *testing.T) {
 	}
 }
 
-func TestQueuePendingRestoreRoundTrip(t *testing.T) {
-	var q Queue
-	for i := 0; i < 20; i++ {
-		q.Push(int64(20-i), Kind(i%6))
-	}
-	saved := q.Pending()
-
-	var r Queue
-	r.Restore(saved)
-	if r.Len() != q.Len() {
-		t.Fatalf("restored %d events, want %d", r.Len(), q.Len())
-	}
-	for q.Len() > 0 {
-		a, _ := q.Pop()
-		b, _ := r.Pop()
-		if a != b {
-			t.Fatalf("restored queue pops %+v, original pops %+v", b, a)
-		}
-	}
-	// Post-restore pushes must not collide with restored sequence numbers.
-	r.Push(1, KindRunEnd)
-	e, _ := r.Pop()
-	if e.Seq < 20 {
-		t.Fatalf("post-restore push reused sequence %d", e.Seq)
-	}
-}
-
 func TestQueueSteadyStateDoesNotAllocate(t *testing.T) {
 	var q Queue
 	for i := 0; i < 8; i++ {

@@ -46,8 +46,7 @@ func (k Kind) String() string {
 
 // Event is one pending barrier: the step index at which it fires and why.
 // Seq is the insertion sequence, the final tie-break, so the pop order of a
-// Queue is a pure function of the push sequence (deterministic across runs
-// and across checkpoint restore).
+// Queue is a pure function of the push sequence (deterministic across runs).
 type Event struct {
 	Step int64
 	Kind Kind
@@ -62,9 +61,8 @@ type Queue struct {
 	seq uint64
 }
 
-// Reset empties the queue, keeping capacity. Sequence numbers continue, so
-// events pushed after a Reset still order deterministically against any
-// snapshot taken before it.
+// Reset empties the queue, keeping capacity. Sequence numbers continue
+// across a Reset.
 func (q *Queue) Reset() {
 	q.h = q.h[:0]
 }
@@ -122,44 +120,6 @@ func (q *Queue) Peek() (Event, bool) {
 		return Event{}, false
 	}
 	return q.h[0], true
-}
-
-// Pending returns a copy of the pending events in heap order (not sorted),
-// for checkpoint capture; feed them back through Restore to reconstruct an
-// equivalent queue.
-func (q *Queue) Pending() []Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return append([]Event(nil), q.h...)
-}
-
-// Restore replaces the queue's contents with the given events (as returned
-// by Pending) and continues sequence numbering above the largest restored
-// Seq, so post-restore pushes cannot collide with restored events.
-func (q *Queue) Restore(events []Event) {
-	q.h = q.h[:0]
-	var maxSeq uint64
-	for _, e := range events {
-		if e.Seq >= maxSeq {
-			maxSeq = e.Seq + 1
-		}
-	}
-	if maxSeq > q.seq {
-		q.seq = maxSeq
-	}
-	for _, e := range events {
-		q.h = append(q.h, e)
-		i := len(q.h) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !eventLess(q.h[i], q.h[parent]) {
-				break
-			}
-			q.h[i], q.h[parent] = q.h[parent], q.h[i]
-			i = parent
-		}
-	}
 }
 
 func eventLess(a, b Event) bool {

@@ -91,7 +91,7 @@ type Config struct {
 	// 0). Rows may resume from different steps — each row's snapshots are
 	// captured on its own lock-step cadence — so the building-level series
 	// and statistics cover the common window ⟦max(row starts), end⟧ (see
-	// Result.ResumeStep).
+	// Result.ResumeStep). It may not have more entries than Rows.
 	Resume [][]*checkpoint.Snapshot
 }
 
@@ -157,11 +157,15 @@ func (c Config) allocConfig() alloc.Config {
 	return alloc.DefaultConfig(c.Scenario.Breaker.RatedPower, c.Scenario.Breaker.TripBudget())
 }
 
-// Validate reports structural errors in the configuration: a building
-// budget that cannot fund every row's minimum packing, and any error the
-// per-row linked-cluster configurations would report (scenario, fault
-// plan, link protocol, slot packing).
+// Validate reports structural errors in the configuration: per-row Obs or
+// Resume slices that do not fit the row count, a building budget that
+// cannot fund every row's minimum packing, and any error the per-row
+// linked-cluster configurations would report (scenario, fault plan, link
+// protocol, slot packing).
 func (c Config) Validate() error {
+	if err := c.checkRowSlices(); err != nil {
+		return err
+	}
 	a, err := Allocate(c)
 	if err != nil {
 		return err
@@ -170,6 +174,19 @@ func (c Config) Validate() error {
 		if err := rowClusterConfig(c, a, i).Validate(); err != nil {
 			return fmt.Errorf("hier: row %d: %w", i, err)
 		}
+	}
+	return nil
+}
+
+// checkRowSlices rejects per-row slices that do not fit the row count:
+// Obs must be empty or have one entry per row, and Resume may not hold
+// entries for rows that do not exist.
+func (c Config) checkRowSlices() error {
+	if len(c.Obs) != 0 && len(c.Obs) != len(c.Rows) {
+		return fmt.Errorf("hier: Obs has %d entries for %d rows; it must be empty or have one per row", len(c.Obs), len(c.Rows))
+	}
+	if len(c.Resume) > len(c.Rows) {
+		return fmt.Errorf("hier: Resume has %d entries for %d rows", len(c.Resume), len(c.Rows))
 	}
 	return nil
 }

@@ -1,13 +1,16 @@
 package hier
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"sprintcon/internal/checkpoint"
 	"sprintcon/internal/cluster"
 	"sprintcon/internal/faults"
+	"sprintcon/internal/obs"
 	"sprintcon/internal/sim"
 	"sprintcon/internal/telemetry"
 )
@@ -122,6 +125,45 @@ func TestAllocateTightenOnly(t *testing.T) {
 				if math.Abs(r.BudgetW-want) > 1e-6 {
 					t.Errorf("row %d budget %g W inconsistent with K=%d (want %g)", i, r.BudgetW, r.SlotCapacity, want)
 				}
+			}
+		})
+	}
+}
+
+// TestValidateRowSliceLengths checks that the per-row slices Obs and
+// Resume are rejected, not indexed out of range or silently truncated,
+// when their length does not fit the row count.
+func TestValidateRowSliceLengths(t *testing.T) {
+	cases := []struct {
+		name    string
+		obs     []*obs.Cluster
+		resume  [][]*checkpoint.Snapshot
+		wantErr string
+	}{
+		{name: "none"},
+		{name: "obs one per row", obs: make([]*obs.Cluster, 4)},
+		{name: "resume shorter than rows", resume: make([][]*checkpoint.Snapshot, 2)},
+		{name: "obs short", obs: make([]*obs.Cluster, 1), wantErr: "Obs has 1 entries"},
+		{name: "obs long", obs: make([]*obs.Cluster, 5), wantErr: "Obs has 5 entries"},
+		{name: "resume long", resume: make([][]*checkpoint.Snapshot, 5), wantErr: "Resume has 5 entries"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := DefaultConfig()
+			c.Obs, c.Resume = tc.obs, tc.resume
+			err := c.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Validate: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate error = %v, want substring %q", err, tc.wantErr)
+			}
+			var pe *sim.PanicError
+			if _, err := RunLinked(c); err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("RunLinked error = %v, want a plain error containing %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -136,6 +136,9 @@ func rowClusterConfig(c Config, a Allocation, row int) cluster.Config {
 // draw, the sum of the row aggregates, is scored against a shadow breaker
 // at the building budget.
 func RunLinked(c Config) (*Result, error) {
+	if err := c.checkRowSlices(); err != nil {
+		return nil, err
+	}
 	a, err := Allocate(c)
 	if err != nil {
 		return nil, err

@@ -111,22 +111,3 @@ func TestEvaluate(t *testing.T) {
 		t.Fatal("invalid config should error")
 	}
 }
-
-func TestSpeedupForLatency(t *testing.T) {
-	c := DefaultConfig()
-	// demand 0.5, target 100 ms → f̂ = 0.5 + 20/100 = 0.7.
-	f := c.SpeedupForLatency(0.5, 100)
-	if math.Abs(f-0.7) > 1e-9 {
-		t.Fatalf("SpeedupForLatency = %v, want 0.7", f)
-	}
-	ms, sat := c.ResponseTime(0.5, f)
-	if sat || math.Abs(ms-100) > 1e-6 {
-		t.Fatalf("check: %v ms at computed frequency", ms)
-	}
-	if !math.IsNaN(c.SpeedupForLatency(0.99, 100)) {
-		t.Fatal("impossible target should be NaN")
-	}
-	if !math.IsNaN(c.SpeedupForLatency(0.5, 1)) {
-		t.Fatal("target below service time should be NaN")
-	}
-}
