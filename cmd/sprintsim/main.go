@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -134,7 +135,7 @@ func main() {
 		return
 	}
 
-	scn := sim.DefaultScenario()
+	scn := flagScenario(*duration, *deadline, *seed)
 	if *scenPath != "" {
 		f, err := os.Open(*scenPath)
 		if err != nil {
@@ -145,12 +146,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	} else {
-		scn.DurationS = *duration
-		scn.BurstDurationS = *duration
-		scn.BatchDeadlineS = *deadline
-		scn.Interactive.Seed = *seed
-		scn.Interactive.BurstEndS = *duration
 	}
 	if !flist.plan.Empty() {
 		scn.Faults = flist.plan
@@ -178,8 +173,13 @@ func main() {
 		if *policyName != "sprintcon" {
 			log.Fatalf("cluster mode runs the sprintcon policy per rack; -policy %s is single-rack only", *policyName)
 		}
-		runCluster(scn, *racks, *linkOn, *naiveLink, *feederBudget, *linkSeed, *unhardened,
-			*traceSpans, *metricsAddr, *holdServer)
+		err := runCluster(os.Stdout, scn, clusterOpts{
+			racks: *racks, link: *linkOn, naive: *naiveLink, budgetW: *feederBudget, linkSeed: *linkSeed,
+			unhardened: *unhardened, traceSpans: *traceSpans, metricsAddr: *metricsAddr, hold: *holdServer,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 	if *linkOn || *naiveLink {
@@ -312,7 +312,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		printAlerts(plane.Alerts())
+		printAlerts(os.Stdout, plane.Alerts())
 	}
 
 	printSummary(res)
@@ -427,103 +427,125 @@ func writeSpanFile(path string, spans []telemetry.Span) error {
 }
 
 // printAlerts lists the anomaly detectors' structured alerts.
-func printAlerts(alerts []obs.Alert) {
+func printAlerts(w io.Writer, alerts []obs.Alert) {
 	if len(alerts) == 0 {
-		fmt.Println("alerts:               none")
+		fmt.Fprintln(w, "alerts:               none")
 		return
 	}
-	fmt.Printf("alerts:               %d\n", len(alerts))
+	fmt.Fprintf(w, "alerts:               %d\n", len(alerts))
 	for _, a := range alerts {
 		span := ""
 		if a.SpanID != 0 {
 			span = fmt.Sprintf(" span=%d", a.SpanID)
 		}
-		fmt.Printf("  [t=%4.0fs] rack %d %s: %s%s\n", a.AtS, a.Rack, a.Detector, a.Detail, span)
+		fmt.Fprintf(w, "  [t=%4.0fs] rack %d %s: %s%s\n", a.AtS, a.Rack, a.Detector, a.Detail, span)
 	}
 }
 
-// runCluster executes the multi-rack feeder group: the static phase-offset
-// schedule by default, the lease-based control link with -link. The feeder
-// budget defaults to the provisioning rule of cluster.DefaultConfig scaled
-// to the group — every rack's rated draw plus ⌈N·overload/cycle⌉ funded
-// overload bonuses.
-func runCluster(scn sim.Scenario, n int, linkOn, naive bool, budgetW float64, linkSeed int64, unhardened bool,
-	traceSpans, metricsAddr string, hold bool) {
+// flagScenario is the scenario the -duration, -deadline and -seed flags
+// describe (the default scenario unless -scenario replaces it).
+func flagScenario(durationS, deadlineS float64, seed int64) sim.Scenario {
+	scn := sim.DefaultScenario()
+	scn.DurationS = durationS
+	scn.BurstDurationS = durationS
+	scn.BatchDeadlineS = deadlineS
+	scn.Interactive.Seed = seed
+	scn.Interactive.BurstEndS = durationS
+	return scn
+}
+
+// clusterOpts carries the cluster-mode flags.
+type clusterOpts struct {
+	racks       int
+	link, naive bool
+	budgetW     float64
+	linkSeed    int64
+	unhardened  bool
+	traceSpans  string
+	metricsAddr string
+	hold        bool
+}
+
+// runCluster executes the multi-rack feeder group and writes its summary
+// to w: the static phase-offset schedule by default, the lease-based
+// control link with -link. The feeder budget defaults to the provisioning
+// rule of cluster.DefaultConfig scaled to the group — every rack's rated
+// draw plus ⌈N·overload/cycle⌉ funded overload bonuses.
+func runCluster(w io.Writer, scn sim.Scenario, o clusterOpts) error {
 	cfg := cluster.DefaultConfig()
-	cfg.NumRacks = n
+	cfg.NumRacks = o.racks
 	cfg.Scenario = scn
-	cfg.SprintCon.Harden.Disabled = unhardened
-	if budgetW > 0 {
-		cfg.FeederBudgetW = budgetW
+	cfg.SprintCon.Harden.Disabled = o.unhardened
+	if o.budgetW > 0 {
+		cfg.FeederBudgetW = o.budgetW
 	} else {
 		rated := scn.Breaker.RatedPower
-		slots := (n + 2) / 3 // ⌈N·150/450⌉ for the default schedule
-		cfg.FeederBudgetW = float64(n)*rated + 0.25*rated*float64(slots)
+		slots := (o.racks + 2) / 3 // ⌈N·150/450⌉ for the default schedule
+		cfg.FeederBudgetW = float64(o.racks)*rated + 0.25*rated*float64(slots)
 	}
 
-	if !linkOn {
+	if !o.link {
 		res, err := cluster.Run(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		printClusterSummary(&cfg, res, nil)
-		return
+		printClusterSummary(w, &cfg, res, nil)
+		return nil
 	}
 
 	cfg.Link.Enabled = true
-	cfg.Link.NaiveTrustLastGrant = naive
-	cfg.Link.Seed = linkSeed
+	cfg.Link.NaiveTrustLastGrant = o.naive
+	cfg.Link.Seed = o.linkSeed
 
 	// The observability plane rides the link: spans need the lease grant IDs
 	// and the health rollups need the per-rack planes RunLinked attaches.
 	var oc *obs.Cluster
-	if traceSpans != "" || metricsAddr != "" {
+	if o.traceSpans != "" || o.metricsAddr != "" {
 		oc = obs.NewCluster(cfg.NumRacks, obs.DefaultDetectorConfig())
 		cfg.Link.Obs = oc
 	}
 	var stopServer func() error
-	if metricsAddr != "" {
+	if o.metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		cfg.Link.Metrics = reg
 		for i, p := range oc.Racks {
 			p.Bind(reg, fmt.Sprintf("obs_rack%d_", i))
 		}
-		bound, stop, err := telemetry.Serve(metricsAddr, telemetry.Handler(reg, nil,
+		bound, stop, err := telemetry.Serve(o.metricsAddr, telemetry.Handler(reg, nil,
 			telemetry.Endpoint{Path: "/status/cluster", Doc: oc.Doc}))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stopServer = stop
-		fmt.Printf("serving /metrics, /status/cluster, /debug/pprof on http://%s\n", bound)
+		fmt.Fprintf(w, "serving /metrics, /status/cluster, /debug/pprof on http://%s\n", bound)
 	}
 
 	res, err := cluster.RunLinked(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if traceSpans != "" {
-		if err := writeSpanFile(traceSpans, oc.Spans()); err != nil {
-			log.Fatal(err)
+	if o.traceSpans != "" {
+		if err := writeSpanFile(o.traceSpans, oc.Spans()); err != nil {
+			return err
 		}
 	}
-	printClusterSummary(&cfg, &res.Result, res)
+	printClusterSummary(w, &cfg, &res.Result, res)
 	if oc != nil {
-		printAlerts(oc.Alerts())
+		printAlerts(w, oc.Alerts())
 	}
 	if stopServer != nil {
-		if hold {
-			fmt.Println("run finished; still serving (interrupt to exit)")
+		if o.hold {
+			fmt.Fprintln(w, "run finished; still serving (interrupt to exit)")
 			ch := make(chan os.Signal, 1)
 			signal.Notify(ch, os.Interrupt)
 			<-ch
 		}
-		if err := stopServer(); err != nil {
-			log.Print(err)
-		}
+		return stopServer()
 	}
+	return nil
 }
 
-func printClusterSummary(cfg *cluster.Config, res *cluster.Result, linked *cluster.LinkedResult) {
+func printClusterSummary(w io.Writer, cfg *cluster.Config, res *cluster.Result, linked *cluster.LinkedResult) {
 	mode := "static offsets"
 	if linked != nil {
 		mode = "control link"
@@ -531,22 +553,22 @@ func printClusterSummary(cfg *cluster.Config, res *cluster.Result, linked *clust
 			mode = "control link (naive trust-last-grant)"
 		}
 	}
-	fmt.Printf("racks:                %d (%s)\n", cfg.NumRacks, mode)
-	fmt.Printf("feeder budget:        %.0f W\n", cfg.FeederBudgetW)
-	fmt.Printf("aggregate peak/mean:  %.0f / %.0f W\n", res.PeakW, res.MeanW)
-	fmt.Printf("over budget:          %.2f %% of ticks\n", 100*res.OverBudgetFrac)
-	fmt.Printf("CB trips:             %d\n", res.CBTrips)
-	fmt.Printf("outage:               %.0f s\n", res.OutageS)
-	fmt.Printf("deadline misses:      %d\n", res.DeadlineMisses)
+	fmt.Fprintf(w, "racks:                %d (%s)\n", cfg.NumRacks, mode)
+	fmt.Fprintf(w, "feeder budget:        %.0f W\n", cfg.FeederBudgetW)
+	fmt.Fprintf(w, "aggregate peak/mean:  %.0f / %.0f W\n", res.PeakW, res.MeanW)
+	fmt.Fprintf(w, "over budget:          %.2f %% of ticks\n", 100*res.OverBudgetFrac)
+	fmt.Fprintf(w, "CB trips:             %d\n", res.CBTrips)
+	fmt.Fprintf(w, "outage:               %.0f s\n", res.OutageS)
+	fmt.Fprintf(w, "deadline misses:      %d\n", res.DeadlineMisses)
 	if linked != nil {
-		fmt.Printf("feeder exceedance:    %.2f %% of ticks (beyond tracking tolerance)\n", 100*linked.FeederExceedFrac)
-		fmt.Printf("feeder trips:         %d\n", linked.FeederTrips)
-		fmt.Printf("degraded:             %.0f rack-seconds (resyncs: %d)\n", linked.DegradedS(), linked.Resyncs())
+		fmt.Fprintf(w, "feeder exceedance:    %.2f %% of ticks (beyond tracking tolerance)\n", 100*linked.FeederExceedFrac)
+		fmt.Fprintf(w, "feeder trips:         %d\n", linked.FeederTrips)
+		fmt.Fprintf(w, "degraded:             %.0f rack-seconds (resyncs: %d)\n", linked.DegradedS(), linked.Resyncs())
 		tr := linked.Transport
-		fmt.Printf("grants sent/lost:     %d / %d (dup extras: %d)\n",
+		fmt.Fprintf(w, "grants sent/lost:     %d / %d (dup extras: %d)\n",
 			tr.GrantsSent, tr.GrantsLost+tr.GrantsPartition, tr.GrantsDuped)
-		fmt.Printf("beats sent/lost:      %d / %d\n", tr.BeatsSent, tr.BeatsLost+tr.BeatsPartition)
-		fmt.Printf("coordinator:          %d grants, %d probes, %d repacks, %d presumed-degraded\n",
+		fmt.Fprintf(w, "beats sent/lost:      %d / %d\n", tr.BeatsSent, tr.BeatsLost+tr.BeatsPartition)
+		fmt.Fprintf(w, "coordinator:          %d grants, %d probes, %d repacks, %d presumed-degraded\n",
 			linked.Coord.Grants, linked.Coord.Probes, linked.Coord.Repacks, linked.Coord.Presumed)
 	}
 	for i, r := range res.Racks {
@@ -556,7 +578,7 @@ func printClusterSummary(cfg *cluster.Config, res *cluster.Result, linked *clust
 			c := linked.Clients[i]
 			line += fmt.Sprintf(" degraded=%.0fs resyncs=%d", c.DegradedS, c.Resyncs)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 }
 
