@@ -28,7 +28,7 @@ race:
 	$(GO) test -race ./...
 
 chaos:
-	$(GO) test -run TestChaos -v ./internal/core/ ./internal/cluster/
+	$(GO) test -run TestChaos -v ./internal/core/ ./internal/hier/
 
 # Service chaos: submission storms with abusive stream clients against a
 # live sprintd, then kill -9 + restart of a real sprintd process on a
@@ -38,11 +38,11 @@ chaos-service:
 	$(GO) test -run TestChaosService -v ./cmd/sprintd/
 
 # Soak: randomized fault storms — rack-local storms with controller crashes
-# (core), and network storms over the control link (cluster), alternating
+# (core), and network storms over the control link (hier), alternating
 # restore-from-checkpoint and fail-safe restarts. Every run must stay trip-,
 # outage- and SoC-breach-free. SOAK_RUNS scales it.
 soak:
-	SOAK_RUNS=40 $(GO) test -run TestSoak -v ./internal/core/ ./internal/cluster/
+	SOAK_RUNS=40 $(GO) test -run TestSoak -v ./internal/core/ ./internal/hier/
 
 # Fuzz smoke: the checkpoint decoder and the scenario loader, a few seconds
 # each (CI runs the same budget; leave the fuzzers running longer locally

@@ -10,9 +10,8 @@
 // zero allocations per tick and per event, bounded QP effort per control
 // period, serial ≡ parallel fan-out — live in the Go tests that own them
 // (TestTickPathZeroAlloc, TestEventEngineZeroAllocsPerEvent,
-// TestMPCSweepsPerSolveBounded, TestLinkedParallelMatchesSerial,
-// TestRunLinkedParallelMatchesSerial), so `go test` checks them at any
-// core count.
+// TestMPCSweepsPerSolveBounded, TestRunLinkedParallelMatchesSerial), so
+// `go test` checks them at any core count.
 //
 // Scenarios:
 //
@@ -32,10 +31,10 @@
 //	                  on a rack subset (the ≥10× event-core speedup), and a
 //	                  bit-identical check between the two at every control
 //	                  period
-//	cluster_link    — fault-free linked run (RunLinked) vs the static
-//	                  phase-offset run: the control link's stepping
-//	                  overhead and the degraded-mode seconds (must stay
-//	                  zero with no faults on the wire)
+//	cluster_link    — fault-free linked run (a one-row hier.RunLinked) vs
+//	                  the static phase-offset cluster.Run: the control
+//	                  link's stepping overhead and the degraded-mode
+//	                  seconds (must stay zero with no faults on the wire)
 //	cluster_hier    — hierarchical building run (internal/hier): the linked
 //	                  rows' wall time and per-level shadow-breaker record
 //	                  (must stay zero on a clean network), and the sharded
@@ -470,21 +469,22 @@ func clusterSweep(quick bool) Scenario {
 }
 
 // clusterLink measures what the control link costs when the network is
-// clean: the same cluster stepped through RunLinked (transport, leases,
-// heartbeats and coordinator in the loop every tick) vs the static
-// phase-offset Run. With no faults on the wire the link must be near-free —
-// the overhead ratio is the regression gate — and every lease must renew on
-// schedule (zero degraded seconds).
+// clean: the feeder group stepped through hier.RunLinked as a one-row
+// building (transport, leases, heartbeats and coordinator in the loop every
+// tick) vs the static phase-offset cluster.Run. With no faults on the wire
+// the link must be near-free — the overhead ratio is the regression gate —
+// and every lease must renew on schedule (zero degraded seconds).
 func clusterLink(quick bool) Scenario {
 	cfg := cluster.DefaultConfig()
 	if quick {
 		cfg.NumRacks = 2
 		cfg.Scenario.DurationS = 300
-		// Rescale the feeder to the smaller group: N rated draws plus one
-		// funded overload slot, mirroring DefaultConfig's provisioning rule.
-		rated := cfg.Scenario.Breaker.RatedPower
-		cfg.FeederBudgetW = float64(cfg.NumRacks)*rated + 0.25*rated
 	}
+	// The linked group is a one-row building, auto-provisioned at its
+	// minimum packing N·rated + ⌈N/3⌉·bonus.
+	hcfg := hier.DefaultConfig()
+	hcfg.Rows = []hier.RowConfig{{Racks: cfg.NumRacks}}
+	hcfg.Scenario = cfg.Scenario
 
 	t0 := time.Now()
 	if _, err := cluster.Run(cfg); err != nil {
@@ -492,13 +492,13 @@ func clusterLink(quick bool) Scenario {
 	}
 	staticNs := float64(time.Since(t0).Nanoseconds())
 
-	cfg.Link.Enabled = true
 	t0 = time.Now()
-	res, err := cluster.RunLinked(cfg)
+	run, err := hier.RunLinked(hcfg)
 	if err != nil {
 		fatal(err)
 	}
 	linkedNs := float64(time.Since(t0).Nanoseconds())
+	res := run.Rows[0]
 
 	return Scenario{Name: "cluster_link", Metrics: map[string]float64{
 		"static_ns":     staticNs,
@@ -542,8 +542,8 @@ func clusterHier(quick bool) Scenario {
 	sweepParRes, sweepNs := timeSweep(cfg)
 
 	trips := linkedRes.BuildingTrips
-	for _, n := range linkedRes.RowTrips() {
-		trips += n
+	for _, row := range linkedRes.Rows {
+		trips += row.FeederTrips
 	}
 
 	return Scenario{Name: "cluster_hier", Metrics: map[string]float64{

@@ -18,7 +18,9 @@
 // (DESIGN.md §12), which unlocks the link-scoped fault kinds
 // (link-loss, link-delay, link-dup, link-partition, coordinator-crash);
 // -naive-link swaps in the always-trust-last-grant strawman client and
-// -feeder-budget overrides the feeder provisioning. Cluster mode prints a
+// -feeder-budget sets the feeder rating (a linked run packs, and is scored,
+// to the largest whole number of overload bonuses the rating funds, and
+// prints both when they differ). Cluster mode prints a
 // feeder/link summary; with -link it also takes -trace-spans and
 // -metrics-addr (which adds a /status/cluster health document), but not the
 // single-rack checkpoint/CSV/decision-trace flags.
@@ -47,9 +49,11 @@ import (
 	"sprintcon/internal/cluster"
 	"sprintcon/internal/core"
 	"sprintcon/internal/faults"
+	"sprintcon/internal/hier"
 	"sprintcon/internal/obs"
 	"sprintcon/internal/seriesio"
 	"sprintcon/internal/sim"
+	"sprintcon/internal/stats"
 	"sprintcon/internal/telemetry"
 	"sprintcon/internal/workload"
 )
@@ -100,7 +104,7 @@ func main() {
 		racks        = flag.Int("racks", 0, "cluster mode: run this many racks on one feeder (0 = single rack)")
 		linkOn       = flag.Bool("link", false, "cluster mode: run the lease-based control link instead of static phase offsets")
 		naiveLink    = flag.Bool("naive-link", false, "cluster mode: always-trust-last-grant client (unsafe baseline; needs -link)")
-		feederBudget = flag.Float64("feeder-budget", 0, "cluster mode: feeder budget in W (0 = rated sum plus funded overload slots)")
+		feederBudget = flag.Float64("feeder-budget", 0, "cluster mode: feeder rating in W (0 = rated sum plus funded overload slots)")
 		linkSeed     = flag.Int64("link-seed", 0, "cluster mode: transport fault-randomness seed")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, /status JSON, /status/obs health and /debug/pprof on this address (e.g. :9090)")
@@ -467,47 +471,53 @@ type clusterOpts struct {
 }
 
 // runCluster executes the multi-rack feeder group and writes its summary
-// to w: the static phase-offset schedule by default, the lease-based
-// control link with -link. The feeder budget defaults to the provisioning
-// rule of cluster.DefaultConfig scaled to the group — every rack's rated
-// draw plus ⌈N·overload/cycle⌉ funded overload bonuses.
+// to w: the static phase-offset schedule of cluster.Run by default, the
+// lease-based control link with -link, run as a one-row hier building. The
+// feeder is one row rated at -feeder-budget, or auto-provisioned at its
+// minimum packing — every rack's rated draw plus ⌈N·overload/cycle⌉ funded
+// overload bonuses — when the flag is zero. A linked run is scored against
+// the budget the coordinator packs to, the largest whole number of bonuses
+// the rating funds.
 func runCluster(w io.Writer, scn sim.Scenario, o clusterOpts) error {
-	cfg := cluster.DefaultConfig()
-	cfg.NumRacks = o.racks
-	cfg.Scenario = scn
-	cfg.SprintCon.Harden.Disabled = o.unhardened
-	if o.budgetW > 0 {
-		cfg.FeederBudgetW = o.budgetW
-	} else {
-		rated := scn.Breaker.RatedPower
-		slots := (o.racks + 2) / 3 // ⌈N·150/450⌉ for the default schedule
-		cfg.FeederBudgetW = float64(o.racks)*rated + 0.25*rated*float64(slots)
-	}
+	hcfg := hier.DefaultConfig()
+	hcfg.Rows = []hier.RowConfig{{Racks: o.racks, RatingW: o.budgetW}}
+	hcfg.Scenario = scn
+	hcfg.SprintCon.Harden.Disabled = o.unhardened
+	hcfg.NaiveTrustLastGrant = o.naive
+	hcfg.Seed = o.linkSeed
 
 	if !o.link {
+		cfg := cluster.DefaultConfig()
+		cfg.NumRacks = o.racks
+		cfg.Scenario = scn
+		cfg.SprintCon = hcfg.SprintCon
+		cfg.FeederBudgetW = o.budgetW
+		if cfg.FeederBudgetW == 0 {
+			a, err := hier.Allocate(hcfg)
+			if err != nil {
+				return err
+			}
+			cfg.FeederBudgetW = a.Rows[0].RatingW
+		}
 		res, err := cluster.Run(cfg)
 		if err != nil {
 			return err
 		}
-		printClusterSummary(w, &cfg, res, nil)
+		printClusterSummary(w, "static offsets", cfg.FeederBudgetW, cfg.FeederBudgetW, res.Racks, res.AggregateW, nil)
 		return nil
 	}
-
-	cfg.Link.Enabled = true
-	cfg.Link.NaiveTrustLastGrant = o.naive
-	cfg.Link.Seed = o.linkSeed
 
 	// The observability plane rides the link: spans need the lease grant IDs
 	// and the health rollups need the per-rack planes RunLinked attaches.
 	var oc *obs.Cluster
 	if o.traceSpans != "" || o.metricsAddr != "" {
-		oc = obs.NewCluster(cfg.NumRacks, obs.DefaultDetectorConfig())
-		cfg.Link.Obs = oc
+		oc = obs.NewCluster(o.racks, obs.DefaultDetectorConfig())
+		hcfg.Obs = []*obs.Cluster{oc}
 	}
 	var stopServer func() error
 	if o.metricsAddr != "" {
 		reg := telemetry.NewRegistry()
-		cfg.Link.Metrics = reg
+		hcfg.Metrics = reg
 		for i, p := range oc.Racks {
 			p.Bind(reg, fmt.Sprintf("obs_rack%d_", i))
 		}
@@ -520,7 +530,7 @@ func runCluster(w io.Writer, scn sim.Scenario, o clusterOpts) error {
 		fmt.Fprintf(w, "serving /metrics, /status/cluster, /debug/pprof on http://%s\n", bound)
 	}
 
-	res, err := cluster.RunLinked(cfg)
+	res, err := hier.RunLinked(hcfg)
 	if err != nil {
 		return err
 	}
@@ -529,7 +539,13 @@ func runCluster(w io.Writer, scn sim.Scenario, o clusterOpts) error {
 			return err
 		}
 	}
-	printClusterSummary(w, &cfg, &res.Result, res)
+	mode := "control link"
+	if o.naive {
+		mode = "control link (naive trust-last-grant)"
+	}
+	ra := res.Alloc.Rows[0]
+	row := res.Rows[0]
+	printClusterSummary(w, mode, ra.RatingW, ra.BudgetW, row.Racks, row.AggregateW, row)
 	if oc != nil {
 		printAlerts(w, oc.Alerts())
 	}
@@ -545,21 +561,28 @@ func runCluster(w io.Writer, scn sim.Scenario, o clusterOpts) error {
 	return nil
 }
 
-func printClusterSummary(w io.Writer, cfg *cluster.Config, res *cluster.Result, linked *cluster.LinkedResult) {
-	mode := "static offsets"
-	if linked != nil {
-		mode = "control link"
-		if cfg.Link.NaiveTrustLastGrant {
-			mode = "control link (naive trust-last-grant)"
-		}
+// printClusterSummary writes the feeder group's summary: the feeder
+// record against budgetW (and the rating when it differs — a linked run
+// packs to whole overload bonuses), the per-rack safety rollups, and for
+// a linked run (linked non-nil) the link's accounting.
+func printClusterSummary(w io.Writer, mode string, ratingW, budgetW float64, racks []*sim.Result, agg []float64, linked *hier.RowResult) {
+	var trips, misses int
+	var outageS float64
+	for _, r := range racks {
+		trips += r.CBTrips
+		outageS += r.OutageS
+		misses += r.DeadlineMisses
 	}
-	fmt.Fprintf(w, "racks:                %d (%s)\n", cfg.NumRacks, mode)
-	fmt.Fprintf(w, "feeder budget:        %.0f W\n", cfg.FeederBudgetW)
-	fmt.Fprintf(w, "aggregate peak/mean:  %.0f / %.0f W\n", res.PeakW, res.MeanW)
-	fmt.Fprintf(w, "over budget:          %.2f %% of ticks\n", 100*res.OverBudgetFrac)
-	fmt.Fprintf(w, "CB trips:             %d\n", res.CBTrips)
-	fmt.Fprintf(w, "outage:               %.0f s\n", res.OutageS)
-	fmt.Fprintf(w, "deadline misses:      %d\n", res.DeadlineMisses)
+	fmt.Fprintf(w, "racks:                %d (%s)\n", len(racks), mode)
+	if ratingW != budgetW {
+		fmt.Fprintf(w, "feeder rating:        %.0f W\n", ratingW)
+	}
+	fmt.Fprintf(w, "feeder budget:        %.0f W\n", budgetW)
+	fmt.Fprintf(w, "aggregate peak/mean:  %.0f / %.0f W\n", stats.Max(agg), stats.Mean(agg))
+	fmt.Fprintf(w, "over budget:          %.2f %% of ticks\n", 100*stats.FracAbove(agg, budgetW))
+	fmt.Fprintf(w, "CB trips:             %d\n", trips)
+	fmt.Fprintf(w, "outage:               %.0f s\n", outageS)
+	fmt.Fprintf(w, "deadline misses:      %d\n", misses)
 	if linked != nil {
 		fmt.Fprintf(w, "feeder exceedance:    %.2f %% of ticks (beyond tracking tolerance)\n", 100*linked.FeederExceedFrac)
 		fmt.Fprintf(w, "feeder trips:         %d\n", linked.FeederTrips)
@@ -571,7 +594,7 @@ func printClusterSummary(w io.Writer, cfg *cluster.Config, res *cluster.Result, 
 		fmt.Fprintf(w, "coordinator:          %d grants, %d probes, %d repacks, %d presumed-degraded\n",
 			linked.Coord.Grants, linked.Coord.Probes, linked.Coord.Repacks, linked.Coord.Presumed)
 	}
-	for i, r := range res.Racks {
+	for i, r := range racks {
 		line := fmt.Sprintf("  rack %d: trips=%d outage=%.0fs misses=%d avg_fi=%.3f avg_fb=%.3f",
 			i, r.CBTrips, r.OutageS, r.DeadlineMisses, r.AvgFreqInter, r.AvgFreqBatch)
 		if linked != nil {

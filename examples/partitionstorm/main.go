@@ -15,37 +15,40 @@ import (
 	"fmt"
 	"log"
 
-	"sprintcon/internal/cluster"
 	"sprintcon/internal/faults"
+	"sprintcon/internal/hier"
 	"sprintcon/internal/seriesio"
 )
 
 func main() {
 	for _, naive := range []bool{false, true} {
-		cfg := cluster.DefaultConfig()
-		cfg.Link.Enabled = true
-		cfg.Link.NaiveTrustLastGrant = naive
+		// Four racks on one feeder: a one-row building, auto-provisioned
+		// with two concurrent overload slots.
+		cfg := hier.DefaultConfig()
+		cfg.Rows = []hier.RowConfig{{Racks: 4}}
+		cfg.NaiveTrustLastGrant = naive
 		// Cut rack 0 off the control network from t=10 s until t=700 s.
 		cfg.Scenario.Faults.Faults = []faults.Fault{
 			{Kind: faults.LinkPartition, Server: 0, OnsetS: 10, DurationS: 690, Severity: 1},
 		}
 
-		res, err := cluster.RunLinked(cfg)
+		run, err := hier.RunLinked(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := run.Rows[0]
 
 		mode := "lease-disciplined link"
 		if naive {
 			mode = "naive trust-last-grant link"
 		}
-		fmt.Printf("=== %d racks, %s ===\n", cfg.NumRacks, mode)
+		fmt.Printf("=== %d racks, %s ===\n", len(res.Racks), mode)
 		fmt.Printf("feeder peak %.0f W | exceedance %.1f%% of ticks | feeder trips %d | rack trips %d\n",
 			res.PeakW, 100*res.FeederExceedFrac, res.FeederTrips, res.CBTrips)
 		fmt.Printf("degraded %.0f rack-seconds | resyncs %d | coordinator repacks %d, presumed-degraded %d\n",
 			res.DegradedS(), res.Resyncs(), res.Coord.Repacks, res.Coord.Presumed)
 		fmt.Println(seriesio.PlotRow("feeder", res.AggregateW, 80, "W"))
-		fmt.Printf("(budget %.0f W)\n\n", cfg.FeederBudgetW)
+		fmt.Printf("(budget %.0f W)\n\n", run.Alloc.Rows[0].BudgetW)
 	}
 	fmt.Println("The lease TTL turns a silent partition into a bounded, local degradation;")
 	fmt.Println("trusting the last grant turns it into a feeder overdraw nobody scheduled.")

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"testing"
+
+	"sprintcon/internal/faults"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -25,6 +27,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := Run(bad); err == nil {
 		t.Fatal("Run should reject invalid config")
+	}
+	// Static offsets have no control link, so link-scoped faults are
+	// rejected (a linked run is a one-row hier building).
+	bad = DefaultConfig()
+	bad.Scenario.Faults.Faults = []faults.Fault{
+		{Kind: faults.LinkPartition, Server: 0, OnsetS: 100, DurationS: 50, Severity: 1},
+	}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("static-offset cluster accepted a link-scoped fault")
 	}
 }
 

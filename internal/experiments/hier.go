@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"sprintcon/internal/cluster"
 	"sprintcon/internal/hier"
 	"sprintcon/internal/stats"
 )
@@ -44,19 +43,17 @@ func HierarchyExceedance() (*Table, error) {
 	a := hres.Alloc
 
 	// The flat strawman: one coordinator over all racks with the whole
-	// building budget. Rack seeds match the hierarchy's global indices
-	// (both offset the default scenario's seeds by the rack's building-wide
-	// index), so the two runs see identical per-rack traffic.
-	fcfg := cluster.DefaultConfig()
-	fcfg.NumRacks = hierRowCount * hierRacksPerRow
-	fcfg.Scenario = hcfg.Scenario
-	fcfg.SprintCon = hcfg.SprintCon
-	fcfg.FeederBudgetW = a.BuildingBudgetW
-	fcfg.Link.Enabled = true
-	fres, err := cluster.RunLinked(fcfg)
+	// building budget — a one-row building whose row is rated at it. Rack
+	// seeds match the hierarchy's global indices (both offset the default
+	// scenario's seeds by the rack's building-wide index), so the two runs
+	// see identical per-rack traffic.
+	fcfg := hcfg
+	fcfg.Rows = []hier.RowConfig{{Racks: hierRowCount * hierRacksPerRow, RatingW: a.BuildingBudgetW}}
+	flat, err := hier.RunLinked(fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: flat run: %w", err)
 	}
+	fres := flat.Rows[0]
 
 	t := &Table{
 		ID:    "e20",
@@ -65,7 +62,7 @@ func HierarchyExceedance() (*Table, error) {
 			"flat_exceed", "flat_trips"},
 	}
 	dt := hcfg.Scenario.DtS
-	tol := 1 + cluster.FeederTolerance
+	tol := 1 + hier.FeederTolerance
 	worstFlatRow := 0.0
 	for r, row := range a.Rows {
 		// Row r's draw under the flat allocation: the summed breaker draw
@@ -78,7 +75,7 @@ func HierarchyExceedance() (*Table, error) {
 			}
 		}
 		flatExceed := stats.FracAbove(draw, row.RatingW*tol)
-		flatTrips := cluster.ShadowTrips(row.RatingW, draw, dt)
+		flatTrips := hier.ShadowTrips(row.RatingW, draw, dt)
 		if flatExceed > worstFlatRow {
 			worstFlatRow = flatExceed
 		}
@@ -90,7 +87,7 @@ func HierarchyExceedance() (*Table, error) {
 		hres.BuildingExceedFrac, hres.BuildingTrips,
 		fres.FeederExceedFrac, fres.FeederTrips)
 
-	kFlat := int((fcfg.FeederBudgetW-float64(fcfg.NumRacks)*a.RatedW)/a.BonusW + 1e-9)
+	kFlat := flat.Alloc.Rows[0].SlotCapacity
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("both allocations grant %g W total; only the hierarchy constrains where the concurrency lands", a.BuildingBudgetW),
 		"hierarchical rows must show exceed=0 and trips=0 on every feeder",

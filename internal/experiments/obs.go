@@ -5,8 +5,8 @@ import (
 	"math"
 	"strings"
 
-	"sprintcon/internal/cluster"
 	"sprintcon/internal/core"
+	"sprintcon/internal/hier"
 	"sprintcon/internal/obs"
 	"sprintcon/internal/sim"
 )
@@ -178,14 +178,13 @@ func AlertCoverage() (*Table, error) {
 		}
 	}
 
-	// E19: network conditions on the linked cluster with the lease client.
+	// E19: network conditions on the linked feeder group with the lease client.
 	for _, r := range PartitionRows() {
-		cfg := cluster.DefaultConfig()
-		cfg.Link.Enabled = true
+		cfg := linkedGroup()
 		cfg.Scenario.Faults = r.Plan
-		oc := obs.NewCluster(cfg.NumRacks, obs.DefaultDetectorConfig())
-		cfg.Link.Obs = oc
-		if _, err := cluster.RunLinked(cfg); err != nil {
+		oc := obs.NewCluster(cfg.Rows[0].Racks, obs.DefaultDetectorConfig())
+		cfg.Obs = []*obs.Cluster{oc}
+		if _, err := hier.RunLinked(cfg); err != nil {
 			return nil, fmt.Errorf("experiments: alert coverage %s: %w", r.Label, err)
 		}
 		var expect string

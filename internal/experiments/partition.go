@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"sprintcon/internal/cluster"
 	"sprintcon/internal/faults"
+	"sprintcon/internal/hier"
+	"sprintcon/internal/link"
 )
 
 // partitionRow is one network condition of the E19 matrix.
@@ -45,6 +46,15 @@ func PartitionRows() []partitionRow {
 	}
 }
 
+// linkedGroup is the E19 feeder group: four paper racks on one row feeder,
+// auto-provisioned at their minimum packing (4·rated + 2·bonus), run as a
+// one-row building.
+func linkedGroup() hier.Config {
+	cfg := hier.DefaultConfig()
+	cfg.Rows = []hier.RowConfig{{Racks: 4}}
+	return cfg
+}
+
 // PartitionMatrix is experiment E19: every network condition runs the default
 // four-rack feeder group twice — once with the lease-disciplined link client,
 // once with the naive always-trust-last-grant strawman that keeps sprinting
@@ -65,14 +75,14 @@ func PartitionMatrix() (*Table, error) {
 	leaseClean := true
 	for _, r := range PartitionRows() {
 		for _, naive := range []bool{false, true} {
-			cfg := cluster.DefaultConfig()
-			cfg.Link.Enabled = true
-			cfg.Link.NaiveTrustLastGrant = naive
+			cfg := linkedGroup()
+			cfg.NaiveTrustLastGrant = naive
 			cfg.Scenario.Faults = r.Plan
-			res, err := cluster.RunLinked(cfg)
+			run, err := hier.RunLinked(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: partition matrix %s: %w", r.Label, err)
 			}
+			res := run.Rows[0]
 			name := "lease"
 			if naive {
 				name = "naive"
@@ -89,10 +99,7 @@ func PartitionMatrix() (*Table, error) {
 				}
 				if r.Rack >= 0 && !math.IsNaN(r.HealS) {
 					c := res.Clients[r.Rack]
-					period := cfg.Link.Protocol.RefreshS
-					if period == 0 {
-						period = 4 // link.DefaultConfig refresh cadence
-					}
+					period := link.DefaultConfig().RefreshS
 					t.Notes = append(t.Notes, fmt.Sprintf(
 						"%s: rack %d re-synced %.0f s after the heal (budget: one %g s control period + transit)",
 						r.Label, r.Rack, c.LastResyncS-r.HealS, period))

@@ -311,7 +311,7 @@ func (p Plan) ValidateForRack(numServers int) error {
 	}
 	for i, f := range p.Faults {
 		if f.Kind.Scope() == ScopeLink {
-			return fmt.Errorf("faults: fault %d: %s is link-scoped and needs a cluster run with a control link (cluster.RunLinked); single-rack scenarios have none", i, f.Kind)
+			return fmt.Errorf("faults: fault %d: %s is link-scoped and needs a linked cluster run with a control link (hier.RunLinked, sprintsim -racks N -link); single-rack and static-offset scenarios have none", i, f.Kind)
 		}
 		if f.Kind.perServer() && f.Server >= numServers {
 			return fmt.Errorf("faults: fault %d: server %d out of range (rack has %d)", i, f.Server, numServers)

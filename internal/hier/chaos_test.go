@@ -1,4 +1,4 @@
-package cluster
+package hier
 
 import (
 	"fmt"
@@ -58,7 +58,7 @@ func randomNetworkStorm(rng *rand.Rand, numRacks int) []faults.Fault {
 	return out
 }
 
-func assertLinkedSafe(t *testing.T, res *LinkedResult, plan []faults.Fault, label string) {
+func assertLinkedSafe(t *testing.T, res *RowResult, plan []faults.Fault, label string) {
 	t.Helper()
 	if res.CBTrips != 0 {
 		t.Errorf("%s: %d rack breaker trips under %v", label, res.CBTrips, plan)
@@ -84,10 +84,10 @@ func TestChaosNetworkStormsStaySafe(t *testing.T) {
 		t.Run(fmt.Sprintf("storm-%02d", i), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(90_000 + 7919*i)))
-			cfg := linkedConfig()
+			cfg := rowConfig()
 			cfg.Scenario.Interactive.Seed = rng.Int63()
-			cfg.Link.Seed = rng.Int63()
-			cfg.Scenario.Faults.Faults = randomNetworkStorm(rng, cfg.NumRacks)
+			cfg.Seed = rng.Int63()
+			cfg.Scenario.Faults.Faults = randomNetworkStorm(rng, cfg.Rows[0].Racks)
 			if err := cfg.Validate(); err != nil {
 				t.Fatalf("generated invalid config: %v", err)
 			}
@@ -95,7 +95,7 @@ func TestChaosNetworkStormsStaySafe(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run failed under %v: %v", cfg.Scenario.Faults.Faults, err)
 			}
-			assertLinkedSafe(t, res, cfg.Scenario.Faults.Faults, "chaos")
+			assertLinkedSafe(t, res.Rows[0], cfg.Scenario.Faults.Faults, "chaos")
 		})
 	}
 }
@@ -105,17 +105,10 @@ func TestChaosNetworkStormsStaySafe(t *testing.T) {
 // so any chaos failure is replayable.
 func TestChaosNetworkStormDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
-	cfg := linkedConfig()
-	cfg.Link.Seed = 99
-	cfg.Scenario.Faults.Faults = randomNetworkStorm(rng, cfg.NumRacks)
-	a, err := RunLinked(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunLinked(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := rowConfig()
+	cfg.Seed = 99
+	cfg.Scenario.Faults.Faults = randomNetworkStorm(rng, cfg.Rows[0].Racks)
+	a, b := linkedRow(t, cfg), linkedRow(t, cfg)
 	if a.CBTrips != b.CBTrips || a.FeederExceedFrac != b.FeederExceedFrac ||
 		a.DegradedS() != b.DegradedS() || a.Transport != b.Transport || a.Coord != b.Coord {
 		t.Fatalf("identical storm runs diverged:\na %+v / %+v\nb %+v / %+v",
@@ -147,10 +140,10 @@ func TestSoakLinkedStormsStaySafe(t *testing.T) {
 		t.Run(fmt.Sprintf("run-%03d", i), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(130_000 + 104_729*i)))
-			cfg := linkedConfig()
+			cfg := rowConfig()
 			cfg.Scenario.Interactive.Seed = rng.Int63()
-			cfg.Link.Seed = rng.Int63()
-			plan := randomNetworkStorm(rng, cfg.NumRacks)
+			cfg.Seed = rng.Int63()
+			plan := randomNetworkStorm(rng, cfg.Rows[0].Racks)
 			plan = append(plan, faults.Fault{
 				Kind:      faults.ControllerCrash,
 				OnsetS:    float64(rng.Intn(700)),
@@ -159,7 +152,7 @@ func TestSoakLinkedStormsStaySafe(t *testing.T) {
 			})
 			cfg.Scenario.Faults.Faults = plan
 			if i%2 == 0 {
-				cfg.Link.RackOptions = func(rack int) sim.RunOptions {
+				cfg.RackOptions = func(_, _ int) sim.RunOptions {
 					return sim.RunOptions{Checkpoint: &sim.CheckpointOptions{Store: checkpoint.NewMemStore()}}
 				}
 			}
@@ -170,7 +163,7 @@ func TestSoakLinkedStormsStaySafe(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run failed under %v: %v", plan, err)
 			}
-			assertLinkedSafe(t, res, plan, fmt.Sprintf("soak (checkpointed=%v)", i%2 == 0))
+			assertLinkedSafe(t, res.Rows[0], plan, fmt.Sprintf("soak (checkpointed=%v)", i%2 == 0))
 		})
 	}
 }

@@ -6,7 +6,7 @@
 // # Budget waterfall
 //
 // Allocate turns a building budget into per-row budgets with the same
-// tighten-only discipline the linked cluster applies per rack: a child
+// tighten-only discipline each row coordinator applies per rack: a child
 // level never receives more than its parent can fund, and the sum of the
 // budgets granted to the children of any node never exceeds that node's
 // own budget. Budgets move in whole overload-bonus quanta
@@ -24,15 +24,18 @@
 //
 // # Runtime
 //
-// RunLinked drives each row as an independent cluster.RunLinked — a row
-// coordinator, a lossy transport, and lease-based clients per rack — with
-// the row's granted budget as its feeder budget. Partitions therefore
-// degrade one subtree: a row whose network fails falls back to rated-power
-// autonomy (the degraded ladder of DESIGN.md §12) while the other rows
-// keep sprinting on their leases, and the building aggregate stays inside
-// its breaker. Every level is scored by a shadow breaker
-// (cluster.ShadowTrips) and an exceedance fraction with the same
-// cluster.FeederTolerance slack.
+// RunLinked is the repository's one linked fleet driver. Each row runs its
+// own lock-step loop — a row coordinator packing the row's granted slot
+// capacity, a lossy transport (package link), and lease-based clients per
+// rack — with the row's granted budget as its feeder budget. Partitions
+// therefore degrade one subtree: a row whose network fails falls back to
+// rated-power autonomy (the degraded ladder of DESIGN.md §12) while the
+// other rows keep sprinting on their leases, and the building aggregate
+// stays inside its breaker. Every level is scored by a shadow breaker
+// (ShadowTrips) and an exceedance fraction with the same FeederTolerance
+// slack. A single feeder group — experiment E19, sprintsim -link, the
+// partitionstorm example — is a one-row building, and E20's flat strawman
+// is a one-row building rated at the whole building budget.
 //
 // RunSweep is the uncoordinated counterpart for capacity studies at
 // thousands of racks: static slot-packed phase offsets per row, executed
@@ -42,6 +45,6 @@
 //
 // Rack seeds are offset by the rack's global index across the whole
 // building, so every rack sees distinct traffic, noise and fault timings,
-// and a flat cluster over the same racks is directly comparable
+// and a flat one-row building over the same racks is directly comparable
 // (experiment E20).
 package hier

@@ -16,7 +16,7 @@ import (
 
 // RowConfig describes one row feeder and the racks behind it.
 type RowConfig struct {
-	// Racks is the number of racks on the row feeder, in [1, cluster.MaxRacks].
+	// Racks is the number of racks on the row feeder, in [1, MaxRacks].
 	Racks int
 	// RatingW is the row breaker rating (W). Zero auto-provisions the row
 	// at its minimum packing, racks·rated + ⌈racks/slots⌉·bonus — the
@@ -48,16 +48,25 @@ type Config struct {
 	// Seed drives the per-row link transports' fault randomness; row r
 	// uses Seed+r so rows draw independent loss/delay/duplication series.
 	Seed int64
+	// NaiveTrustLastGrant selects the baseline link client that ignores
+	// lease expiry and keeps sprinting on the last grant it ever heard —
+	// the unsafe strawman experiment E19 measures against.
+	NaiveTrustLastGrant bool
 	// Serial runs rows, and the racks within them, one at a time.
 	// Results are bit-identical either way.
 	Serial bool
 	// Metrics, when non-nil, receives the hierarchy instruments
 	// (per-level budgets, exceedance fractions, shadow trips, degraded
-	// seconds) after a run completes.
+	// seconds) and, for RunLinked, the link instruments aggregated over
+	// rows (grants and beats sent/lost, re-syncs, probes, repacks, lease
+	// expiries, degraded seconds, backoff peak, lease age) after a run
+	// completes.
 	Metrics *telemetry.Registry
 	// Obs, when non-nil, holds one observability plane per row (index =
 	// row id); RunLinked attaches row r's planes to row r's coordinator
-	// and racks. Must be empty or have one entry per row.
+	// and racks. Must be empty or have one entry per row; a nil entry
+	// leaves its row unobserved, and a plane must hold at least one rack
+	// plane per rack of its row.
 	Obs []*obs.Cluster
 	// RackOptions, when non-nil, supplies per-rack run options for
 	// RunLinked and RunSweep — the hook sprintd uses to attach
@@ -94,6 +103,11 @@ type Config struct {
 	// Result.ResumeStep). It may not have more entries than Rows.
 	Resume [][]*checkpoint.Snapshot
 }
+
+// MaxRacks bounds RowConfig.Racks: each rack is a full seeded simulation
+// holding its series in memory, and a row beyond this size indicates a
+// misconfigured topology rather than a plausible row feeder.
+const MaxRacks = 1024
 
 // DefaultConfig returns the acceptance topology: four rows of sixteen
 // paper racks each, every level auto-provisioned at its minimum packing.
@@ -159,36 +173,35 @@ func (c Config) allocConfig() alloc.Config {
 
 // Validate reports structural errors in the configuration: per-row Obs or
 // Resume slices that do not fit the row count, a building budget that
-// cannot fund every row's minimum packing, and any error the per-row
-// linked-cluster configurations would report (scenario, fault plan, link
-// protocol, slot packing).
+// cannot fund every row's minimum packing, a checkpoint cadence below the
+// tick, and per-row errors (rack count, scenario and fault plan,
+// observability plane size, resume set shape, slot packing).
 func (c Config) Validate() error {
-	if err := c.checkRowSlices(); err != nil {
-		return err
+	_, err := c.resolve()
+	return err
+}
+
+// resolve validates the configuration and returns its budget waterfall.
+func (c Config) resolve() (Allocation, error) {
+	if len(c.Obs) != 0 && len(c.Obs) != len(c.Rows) {
+		return Allocation{}, fmt.Errorf("hier: Obs has %d entries for %d rows; it must be empty or have one per row", len(c.Obs), len(c.Rows))
+	}
+	if len(c.Resume) > len(c.Rows) {
+		return Allocation{}, fmt.Errorf("hier: Resume has %d entries for %d rows", len(c.Resume), len(c.Rows))
 	}
 	a, err := Allocate(c)
 	if err != nil {
-		return err
+		return Allocation{}, err
+	}
+	if c.CheckpointEveryS > 0 && c.OnRowCheckpoint != nil && c.CheckpointEveryS < c.Scenario.DtS {
+		return Allocation{}, fmt.Errorf("hier: CheckpointEveryS %g s is below the tick %g s", c.CheckpointEveryS, c.Scenario.DtS)
 	}
 	for i := range a.Rows {
-		if err := rowClusterConfig(c, a, i).Validate(); err != nil {
-			return fmt.Errorf("hier: row %d: %w", i, err)
+		if err := c.validateRow(a, i); err != nil {
+			return Allocation{}, fmt.Errorf("hier: row %d: %w", i, err)
 		}
 	}
-	return nil
-}
-
-// checkRowSlices rejects per-row slices that do not fit the row count:
-// Obs must be empty or have one entry per row, and Resume may not hold
-// entries for rows that do not exist.
-func (c Config) checkRowSlices() error {
-	if len(c.Obs) != 0 && len(c.Obs) != len(c.Rows) {
-		return fmt.Errorf("hier: Obs has %d entries for %d rows; it must be empty or have one per row", len(c.Obs), len(c.Rows))
-	}
-	if len(c.Resume) > len(c.Rows) {
-		return fmt.Errorf("hier: Resume has %d entries for %d rows", len(c.Resume), len(c.Rows))
-	}
-	return nil
+	return a, nil
 }
 
 // Allocate resolves the tighten-only budget waterfall: every row gets its

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sprintcon/internal/checkpoint"
-	"sprintcon/internal/cluster"
 	"sprintcon/internal/faults"
 	"sprintcon/internal/obs"
 	"sprintcon/internal/sim"
@@ -132,7 +131,8 @@ func TestAllocateTightenOnly(t *testing.T) {
 
 // TestValidateRowSliceLengths checks that the per-row slices Obs and
 // Resume are rejected, not indexed out of range or silently truncated,
-// when their length does not fit the row count.
+// when their length does not fit the row count — and that an Obs plane
+// with fewer rack planes than its row has racks is rejected up front.
 func TestValidateRowSliceLengths(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -146,6 +146,8 @@ func TestValidateRowSliceLengths(t *testing.T) {
 		{name: "obs short", obs: make([]*obs.Cluster, 1), wantErr: "Obs has 1 entries"},
 		{name: "obs long", obs: make([]*obs.Cluster, 5), wantErr: "Obs has 5 entries"},
 		{name: "resume long", resume: make([][]*checkpoint.Snapshot, 5), wantErr: "Resume has 5 entries"},
+		{name: "obs plane short of racks", obs: []*obs.Cluster{nil, obs.NewCluster(2, obs.DefaultDetectorConfig()), nil, nil},
+			wantErr: "row 1: observability plane has 2 rack planes for 16 racks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,14 +213,28 @@ func TestRunLinkedConservationPerPeriod(t *testing.T) {
 }
 
 // TestRunLinkedParallelMatchesSerial: rows only share read-only
-// configuration, so the concurrent row fan-out must be bit-identical to
-// the serial path in every rack's series and in the building aggregate.
-// The last two rows are the benchmark's cluster_hier configs (quick and
-// full mode); the 4×16-rack full one is skipped in -short mode.
+// configuration and racks only exchange state through the link on their
+// row's coordinating goroutine, so the concurrent row and rack fan-out
+// must be bit-identical to the serial path in every rack's series, every
+// row's aggregate and link accounting, and the building aggregate —
+// including under active link faults. bench_quick and default are the
+// benchmark's cluster_hier configs (quick and full mode; the 4×16-rack
+// full one is skipped in -short mode); row_bench_quick and row_default
+// are its one-row cluster_link configs.
 func TestRunLinkedParallelMatchesSerial(t *testing.T) {
 	quick := DefaultConfig()
 	quick.Rows = []RowConfig{{Racks: 4}, {Racks: 4}}
 	quick.Scenario.DurationS = 300
+
+	faulted := threeRackRow()
+	faulted.Scenario.Faults.Faults = []faults.Fault{
+		{Kind: faults.LinkLoss, OnsetS: 50, DurationS: 200, Severity: 0.3},
+		{Kind: faults.LinkDelay, OnsetS: 50, DurationS: 200, Severity: 3},
+		partitionAt(0, 150, 120),
+	}
+	rowQuick := DefaultConfig()
+	rowQuick.Rows = []RowConfig{{Racks: 2}}
+	rowQuick.Scenario.DurationS = 300
 
 	for _, tc := range []struct {
 		name string
@@ -227,6 +243,9 @@ func TestRunLinkedParallelMatchesSerial(t *testing.T) {
 		{"mixed", testConfig()},
 		{"bench_quick", quick},
 		{"default", DefaultConfig()},
+		{"row_faulted", faulted},
+		{"row_bench_quick", rowQuick},
+		{"row_default", rowConfig()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "default" && testing.Short() {
@@ -247,11 +266,12 @@ func TestRunLinkedParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("row count %d != %d", len(serial.Rows), len(parallel.Rows))
 			}
 			for r := range serial.Rows {
-				if len(serial.Rows[r].Racks) != len(parallel.Rows[r].Racks) {
-					t.Fatalf("row %d: rack count %d != %d", r, len(serial.Rows[r].Racks), len(parallel.Rows[r].Racks))
+				sr, pr := serial.Rows[r], parallel.Rows[r]
+				if len(sr.Racks) != len(pr.Racks) {
+					t.Fatalf("row %d: rack count %d != %d", r, len(sr.Racks), len(pr.Racks))
 				}
-				for j := range serial.Rows[r].Racks {
-					a, b := serial.Rows[r].Racks[j].Series, parallel.Rows[r].Racks[j].Series
+				for j := range sr.Racks {
+					a, b := sr.Racks[j].Series, pr.Racks[j].Series
 					if len(a.TotalW) != len(b.TotalW) {
 						t.Fatalf("row %d rack %d: %d vs %d recorded ticks", r, j, len(a.TotalW), len(b.TotalW))
 					}
@@ -261,6 +281,18 @@ func TestRunLinkedParallelMatchesSerial(t *testing.T) {
 							t.Fatalf("row %d rack %d diverges at tick %d", r, j, tk)
 						}
 					}
+					if !clientStatsEqual(sr.Clients[j], pr.Clients[j]) {
+						t.Fatalf("row %d rack %d link stats diverge: %+v vs %+v", r, j, sr.Clients[j], pr.Clients[j])
+					}
+				}
+				for tk := range sr.AggregateW {
+					if sr.AggregateW[tk] != pr.AggregateW[tk] {
+						t.Fatalf("row %d aggregate diverges at tick %d", r, tk)
+					}
+				}
+				if sr.Transport != pr.Transport || sr.Coord != pr.Coord {
+					t.Fatalf("row %d link accounting diverges:\nserial   %+v / %+v\nparallel %+v / %+v",
+						r, sr.Transport, sr.Coord, pr.Transport, pr.Coord)
 				}
 			}
 			for i := range serial.BuildingAggregateW {
@@ -361,11 +393,11 @@ func TestRunLinkedMetricsAndHooks(t *testing.T) {
 	}
 }
 
-// TestShadowTolerancesShared pins the hier scoring to the cluster's: the
-// tolerance constant is shared, so a future re-tuning cannot silently
-// diverge the levels.
+// TestShadowTolerancesShared pins the feeder tolerance every level is
+// scored with to the value the documentation states, so a future re-tuning
+// cannot silently diverge code and docs.
 func TestShadowTolerancesShared(t *testing.T) {
-	if cluster.FeederTolerance != 0.035 {
-		t.Fatalf("cluster.FeederTolerance = %g; DESIGN.md §12/§14 document 0.035 — update both if this is intentional", cluster.FeederTolerance)
+	if FeederTolerance != 0.035 {
+		t.Fatalf("FeederTolerance = %g; DESIGN.md §12/§14 document 0.035 — update both if this is intentional", FeederTolerance)
 	}
 }

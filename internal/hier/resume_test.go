@@ -8,14 +8,21 @@ import (
 
 	"sprintcon/internal/checkpoint"
 	"sprintcon/internal/sim"
+	"sprintcon/internal/telemetry"
 )
 
-// TestRunLinkedCancelAndResume: a building run canceled mid-flight returns
-// sim.ErrCanceled, leaves one final coherent checkpoint per row, and a run
-// resumed from those snapshots covers the remaining common window —
-// Result.ResumeStep is the latest row start and the building series has
-// exactly steps−ResumeStep samples.
+// TestRunLinkedCancelAndResume: closing Stop abandons a linked run within
+// one tick with sim.ErrCanceled and leaves one final coherent checkpoint
+// per row at the cancellation boundary; a run resumed from those snapshots
+// covers the remaining window. For a building, Result.ResumeStep is the
+// latest row start and the building series has exactly steps−ResumeStep
+// samples; for one row the capture lands exactly one tick after the stop.
 func TestRunLinkedCancelAndResume(t *testing.T) {
+	t.Run("building", testCancelAndResumeBuilding)
+	t.Run("one_row", testCancelAndResumeOneRow)
+}
+
+func testCancelAndResumeBuilding(t *testing.T) {
 	c := testConfig()
 	stop := make(chan struct{})
 	c.Stop = stop
@@ -74,6 +81,44 @@ func TestRunLinkedCancelAndResume(t *testing.T) {
 	}
 }
 
+func testCancelAndResumeOneRow(t *testing.T) {
+	cfg := rowConfig()
+	cfg.Scenario.DurationS = 600
+	stop := make(chan struct{})
+	cfg.Stop = stop
+	cap := &captureSink{}
+	cfg.CheckpointEveryS, cfg.OnRowCheckpoint = 1e6, cap.sink // cadence beyond the run: only the cancel capture fires
+	var once sync.Once
+	cfg.OnRowTick = func(_, step int, _, _ float64) {
+		if step >= 99 {
+			once.Do(func() { close(stop) })
+		}
+	}
+	if _, err := RunLinked(cfg); !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("err = %v, want sim.ErrCanceled", err)
+	}
+	sets := cap.row(0)
+	if len(sets) != 1 {
+		t.Fatalf("captured %d sets on cancel, want exactly the final capture", len(sets))
+	}
+	set := sets[0]
+	if set[0].Step != 100 {
+		t.Fatalf("cancel capture at step %d, want 100 (one tick after the stop)", set[0].Step)
+	}
+
+	rcfg := rowConfig()
+	rcfg.Scenario.DurationS = 600
+	rcfg.Resume = [][]*checkpoint.Snapshot{set}
+	res := linkedRow(t, rcfg)
+	if res.StartStep != 100 {
+		t.Fatalf("resumed StartStep = %d, want 100", res.StartStep)
+	}
+	steps := int(cfg.Scenario.DurationS / cfg.Scenario.DtS)
+	if len(res.AggregateW) != steps-100 {
+		t.Fatalf("resumed aggregate covers %d steps, want %d", len(res.AggregateW), steps-100)
+	}
+}
+
 // TestRunSweepCancel: sweeps poll the stop channel too — both between rows
 // and inside the racks' tick loops.
 func TestRunSweepCancel(t *testing.T) {
@@ -86,24 +131,50 @@ func TestRunSweepCancel(t *testing.T) {
 	}
 }
 
-// TestRunLinkedPanicIsolated: a panic inside a row callback surfaces as a
-// *sim.PanicError naming the row instead of crashing the process.
+// TestRunLinkedPanicIsolated: a panic inside a row callback, or inside a
+// rack's lock-step tick on the serial path exactly as on the parallel one,
+// surfaces as a *sim.PanicError naming the row (and the rack) instead of
+// crashing the process.
 func TestRunLinkedPanicIsolated(t *testing.T) {
-	c := testConfig()
-	c.OnRowTick = func(row, step int, _, _ float64) {
-		if row == 1 && step == 10 {
-			panic("boom from row 1")
+	t.Run("row_callback", func(t *testing.T) {
+		c := testConfig()
+		c.OnRowTick = func(row, step int, _, _ float64) {
+			if row == 1 && step == 10 {
+				panic("boom from row 1")
+			}
 		}
-	}
-	_, err := RunLinked(c)
-	if err == nil {
-		t.Fatal("panicking run returned nil error")
-	}
-	var pe *sim.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a *sim.PanicError", err)
-	}
-	if !strings.Contains(err.Error(), "boom from row 1") || !strings.Contains(err.Error(), "hier: row 1") {
-		t.Fatalf("error lacks panic value or row attribution: %v", err)
-	}
+		_, err := RunLinked(c)
+		if err == nil {
+			t.Fatal("panicking run returned nil error")
+		}
+		var pe *sim.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want a *sim.PanicError", err)
+		}
+		if !strings.Contains(err.Error(), "boom from row 1") || !strings.Contains(err.Error(), "hier: row 1") {
+			t.Fatalf("error lacks panic value or row attribution: %v", err)
+		}
+	})
+	t.Run("rack", func(t *testing.T) {
+		for _, serial := range []bool{false, true} {
+			cfg := rowConfig()
+			cfg.Scenario.DurationS = 120
+			cfg.Scenario.BurstDurationS = 120
+			cfg.Serial = serial
+			cfg.RackOptions = func(_, rack int) sim.RunOptions {
+				if rack == 1 {
+					return sim.RunOptions{Decisions: telemetry.NewDecisionSink(panicWriter{})}
+				}
+				return sim.RunOptions{}
+			}
+			_, err := RunLinked(cfg)
+			var pe *sim.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("serial=%v: err = %v, want a *sim.PanicError", serial, err)
+			}
+			if !strings.Contains(err.Error(), "hier: row 0: rack 1") {
+				t.Fatalf("serial=%v: error lacks row and rack attribution: %v", serial, err)
+			}
+		}
+	})
 }

@@ -1,4 +1,4 @@
-package cluster
+package hier
 
 import (
 	"fmt"
@@ -10,38 +10,51 @@ import (
 	"sprintcon/internal/checkpoint"
 	"sprintcon/internal/core"
 	"sprintcon/internal/link"
+	"sprintcon/internal/obs"
 	"sprintcon/internal/sim"
 	"sprintcon/internal/stats"
+	"sprintcon/internal/telemetry"
 )
 
 // FeederTolerance is the relative slack applied before an aggregate-draw
-// sample counts as a feeder exceedance. A correctly packed cluster sits
-// *exactly* at the budget while SlotCapacity racks overload — the budget
+// sample counts as a feeder exceedance. A correctly packed row sits
+// *exactly* at its budget while SlotCapacity racks overload — the budget
 // funds K overloads and the coordinator schedules K — so control-tracking
 // noise alone reaches ~3% of the budget at the peaks. One *extra*
 // uncoordinated overload adds a full bonus, rated·(degree−1), ≈5.6% of the
-// default budget. The tolerance sits between the two: tracking noise does
-// not count as an exceedance, a stolen overload slot always does. The
-// hierarchical runner applies the same slack at the row and building
-// levels, where the reasoning carries over unchanged.
+// four-rack default budget. The tolerance sits between the two: tracking
+// noise does not count as an exceedance, a stolen overload slot always
+// does. The building level applies the same slack, where the reasoning
+// carries over unchanged.
 const FeederTolerance = 0.035
 
-// LinkedResult extends Result with the feeder safety record and the control
-// link's accounting.
-type LinkedResult struct {
-	Result
+// RowResult is one row's linked run: the per-rack results, the row
+// feeder's safety record and the control link's accounting.
+type RowResult struct {
+	Racks []*sim.Result // per-rack results, index = rack id within the row
 
 	// StartStep is the first executed step: 0 for a fresh run, the resume
-	// snapshots' step for a run resumed through Config.Resume. AggregateW
+	// snapshots' step for a row resumed through Config.Resume. AggregateW
 	// and the feeder statistics cover [StartStep, steps) only.
 	StartStep int
 
+	// AggregateW is the row feeder draw per tick (sum of rack CB draws;
+	// UPS discharge is rack-local and does not load the feeder).
+	AggregateW []float64
+	// PeakW and MeanW summarize the feeder draw.
+	PeakW, MeanW float64
 	// FeederExceedFrac is the fraction of ticks the aggregate draw exceeded
-	// the feeder budget by more than the tracking tolerance.
+	// the row budget by more than FeederTolerance.
 	FeederExceedFrac float64
 	// FeederTrips counts trips of a shadow feeder breaker rated at the
 	// budget (metric-only: power is never actually cut).
 	FeederTrips int
+
+	// Safety rollups summed across the row's racks: breaker trips (count),
+	// interactive-service outage (s), and batch deadline misses (count).
+	CBTrips        int
+	OutageS        float64
+	DeadlineMisses int
 
 	Transport link.TransportStats
 	Coord     link.CoordStats
@@ -49,10 +62,14 @@ type LinkedResult struct {
 	Clients []link.ClientStats
 	// Invariants holds each rack's safety-invariant breach counters.
 	Invariants []core.InvariantReport
+
+	// leaseAgeS is the oldest live lease at the end of the run (0 when no
+	// rack holds one), kept for the link_lease_age_seconds gauge.
+	leaseAgeS float64
 }
 
-// DegradedS sums degraded-mode seconds across racks.
-func (r *LinkedResult) DegradedS() float64 {
+// DegradedS sums degraded-mode seconds across the row's racks.
+func (r *RowResult) DegradedS() float64 {
 	var s float64
 	for _, c := range r.Clients {
 		s += c.DegradedS
@@ -60,8 +77,8 @@ func (r *LinkedResult) DegradedS() float64 {
 	return s
 }
 
-// Resyncs sums degraded→coordinated recoveries across racks.
-func (r *LinkedResult) Resyncs() int {
+// Resyncs sums degraded→coordinated recoveries across the row's racks.
+func (r *RowResult) Resyncs() int {
 	var n int
 	for _, c := range r.Clients {
 		n += c.Resyncs
@@ -150,96 +167,140 @@ func (lp *linkedPolicy) RestoreCheckpoint(env *sim.Env, scn sim.Scenario, st *ch
 	return nil
 }
 
-// linkedRackJob is rackJob for linked runs: the same per-rack seed offsets,
-// the rack-scoped half of the fault plan, and the bootstrap lease's slot as
-// the initial overload phase (the link re-imposes the offset every tick, so
-// this only matters for the instant before the first Tick).
-func linkedRackJob(cfg Config, i int, rackPlan sim.Scenario, bootOffsetS float64) (sim.Scenario, *core.SprintCon) {
-	scn := rackPlan
-	scn.Interactive.Seed += int64(i)
-	scn.Rack.Seed += int64(i)
-	scn.Faults.Seed += int64(i)
-
-	pcfg := cfg.SprintCon
-	acfg := cfg.allocConfig()
-	acfg.PhaseOffsetS = bootOffsetS
-	pcfg.AllocOverride = &acfg
-	return scn, core.New(pcfg)
+// rowCoordConfig is row r's coordinator configuration: the default link
+// timing with the allocator's overload schedule, the client flavor, and
+// the slot capacity Allocate granted the row.
+func (c Config) rowCoordConfig(a Allocation, row int) link.CoordConfig {
+	acfg := c.allocConfig()
+	proto := link.DefaultConfig()
+	proto.OverloadS = acfg.OverloadS
+	proto.CycleS = acfg.OverloadS + acfg.RecoveryS
+	proto.TrustLastGrant = c.NaiveTrustLastGrant
+	return link.CoordConfig{Link: proto, NumRacks: a.Rows[row].Racks, SlotCapacity: a.Rows[row].SlotCapacity}
 }
 
-// RunLinked simulates the cluster in lock-step with the control link in the
-// loop: every tick the transport's fault schedule advances, due grants reach
-// the rack clients, all racks execute one physics tick (concurrently unless
+// rowObs returns row r's observability plane, nil when it has none.
+func (c Config) rowObs(row int) *obs.Cluster {
+	if len(c.Obs) == 0 {
+		return nil
+	}
+	return c.Obs[row]
+}
+
+// rowResume returns row r's resume set, nil when the row starts fresh.
+func (c Config) rowResume(row int) []*checkpoint.Snapshot {
+	if row < len(c.Resume) {
+		return c.Resume[row]
+	}
+	return nil
+}
+
+// validateRow reports the errors row r's linked run would hit: rack count,
+// scenario and fault plan, observability plane size, resume set shape and
+// the coordinator's slot packing.
+func (c Config) validateRow(a Allocation, row int) error {
+	ra := a.Rows[row]
+	if ra.Racks > MaxRacks {
+		return fmt.Errorf("%d racks exceed MaxRacks %d", ra.Racks, MaxRacks)
+	}
+	// The fault plan may carry link-scoped faults, which the per-rack
+	// validation rejects — split first and validate each half against its
+	// consumer.
+	scn := rowScenario(c, ra, row)
+	rackPlan, linkPlan := scn.Faults.Split()
+	scn.Faults = rackPlan
+	if err := scn.Validate(); err != nil {
+		return err
+	}
+	if err := linkPlan.ValidateForCluster(ra.Racks, scn.Rack.NumServers); err != nil {
+		return err
+	}
+	if oc := c.rowObs(row); oc != nil && len(oc.Racks) < ra.Racks {
+		return fmt.Errorf("observability plane has %d rack planes for %d racks", len(oc.Racks), ra.Racks)
+	}
+	if snaps := c.rowResume(row); snaps != nil {
+		if len(snaps) != ra.Racks {
+			return fmt.Errorf("resume set holds %d snapshots for %d racks", len(snaps), ra.Racks)
+		}
+		for i, sp := range snaps {
+			if sp == nil {
+				return fmt.Errorf("resume snapshot for rack %d is nil", i)
+			}
+			if sp.Step != snaps[0].Step {
+				return fmt.Errorf("resume snapshots are incoherent: rack %d at step %d, rack 0 at step %d",
+					i, sp.Step, snaps[0].Step)
+			}
+		}
+	}
+	return c.rowCoordConfig(a, row).Validate()
+}
+
+// runRow simulates row r in lock-step with the control link in the loop:
+// every tick the transport's fault schedule advances, due grants reach the
+// rack clients, all racks execute one physics tick (concurrently unless
 // Config.Serial — results are bit-identical either way, since racks only
-// exchange state through the link on the coordinating goroutine), heartbeats
-// travel back, and the coordinator issues fresh leases. The feeder draw is
-// scored against a shadow breaker rated at the budget.
-func RunLinked(cfg Config) (*LinkedResult, error) {
-	if !cfg.Link.Enabled {
-		return nil, fmt.Errorf("cluster: RunLinked needs Link.Enabled (use Run for static phase offsets)")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	proto, ccfg, err := cfg.linkSetup()
-	if err != nil {
-		return nil, err
-	}
+// exchange state through the link on the coordinating goroutine),
+// heartbeats travel back, and the coordinator issues fresh leases. The row
+// draw is scored against a shadow breaker rated at the row budget. The
+// configuration must already be validated.
+func runRow(c Config, a Allocation, row int) (*RowResult, error) {
+	ra := a.Rows[row]
+	ccfg := c.rowCoordConfig(a, row)
 	coord, err := link.NewCoordinator(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Link.Obs != nil {
-		if len(cfg.Link.Obs.Racks) < cfg.NumRacks {
-			return nil, fmt.Errorf("cluster: observability plane has %d rack planes for %d racks", len(cfg.Link.Obs.Racks), cfg.NumRacks)
-		}
+	oc := c.rowObs(row)
+	if oc != nil {
 		// Attach before Bootstrap so the bootstrap grants are spanned and
 		// their IDs reach the clients' initial leases.
-		coord.Attach(cfg.Link.Obs.Coord)
+		coord.Attach(oc.Coord)
 	}
-	rackPlan, linkPlan := cfg.Scenario.Faults.Split()
-	rackScn := cfg.Scenario
-	rackScn.Faults = rackPlan
+	_, linkPlan := rowScenario(c, ra, row).Faults.Split()
 
-	dt := cfg.Scenario.DtS
-	tr := link.NewTransport(linkPlan, cfg.NumRacks, cfg.Link.Seed, dt)
+	dt := c.Scenario.DtS
+	tr := link.NewTransport(linkPlan, ra.Racks, c.Seed+int64(row), dt)
 	boot := coord.Bootstrap()
+	resume := c.rowResume(row)
 
-	runners := make([]*sim.Runner, cfg.NumRacks)
-	clients := make([]*link.Client, cfg.NumRacks)
-	inners := make([]*core.SprintCon, cfg.NumRacks)
+	runners := make([]*sim.Runner, ra.Racks)
+	clients := make([]*link.Client, ra.Racks)
+	inners := make([]*core.SprintCon, ra.Racks)
 	for i := range runners {
 		// Runner construction is the expensive pre-run phase (per-tick
 		// series preallocation, trace generation — seconds per rack at
 		// day-long horizons), so honor cancellation between racks: a run
 		// stopped during setup returns within one rack's build, not after
 		// all of them.
-		if cfg.Stop != nil {
+		if c.Stop != nil {
 			select {
-			case <-cfg.Stop:
+			case <-c.Stop:
 				return nil, sim.ErrCanceled
 			default:
 			}
 		}
-		scn, inner := linkedRackJob(cfg, i, rackScn, boot[i].PhaseOffsetS)
+		// Rack i starts in its bootstrap slot; the link re-imposes the
+		// offset every tick, so the initial phase only matters before the
+		// first Tick.
+		scn, inner := rackJob(c, a, row, i, boot[i].PhaseOffsetS)
 		inners[i] = inner
 		b := boot[i]
-		clients[i] = link.NewClient(proto, i, &b)
-		lp := &linkedPolicy{inner: inner, client: clients[i], ratedW: scn.Breaker.RatedPower, cycleS: proto.CycleS}
+		clients[i] = link.NewClient(ccfg.Link, i, &b)
+		lp := &linkedPolicy{inner: inner, client: clients[i], ratedW: scn.Breaker.RatedPower, cycleS: ccfg.Link.CycleS}
 		var opts sim.RunOptions
-		if cfg.Link.RackOptions != nil {
-			opts = cfg.Link.RackOptions(i)
+		if c.RackOptions != nil {
+			opts = c.RackOptions(row, i)
 		}
-		if cfg.Link.Obs != nil {
-			clients[i].Attach(cfg.Link.Obs.Racks[i])
-			opts.Obs = cfg.Link.Obs.Racks[i]
+		if oc != nil {
+			clients[i].Attach(oc.Racks[i])
+			opts.Obs = oc.Racks[i]
 		}
-		if cfg.Resume != nil {
-			opts.Resume = cfg.Resume[i]
+		if resume != nil {
+			opts.Resume = resume[i]
 		}
 		r, err := sim.NewRunner(scn, lp, opts)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: rack %d: %w", i, err)
+			return nil, fmt.Errorf("rack %d: %w", i, err)
 		}
 		runners[i] = r
 	}
@@ -255,7 +316,7 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 	}
 	aggregate := make([]float64, steps-start)
 	workers := runtime.GOMAXPROCS(0)
-	stepErrs := make([]error, cfg.NumRacks)
+	stepErrs := make([]error, ra.Racks)
 	// stepRack advances rack i one tick with panic isolation on both the
 	// serial and the parallel path.
 	stepRack := func(i int) {
@@ -267,25 +328,26 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 
 	// Coherent row snapshots: every rack exported at the same tick
 	// boundary, handed to the sink as one set.
+	checkpointing := c.CheckpointEveryS > 0 && c.OnRowCheckpoint != nil
 	lastCkS := float64(start) * dt
 	captureRow := func(tNext float64) error {
 		snaps := make([]*checkpoint.Snapshot, len(runners))
 		for i, r := range runners {
 			sp, err := r.ExportSnapshot()
 			if err != nil {
-				return fmt.Errorf("cluster: rack %d checkpoint: %w", i, err)
+				return fmt.Errorf("rack %d checkpoint: %w", i, err)
 			}
 			snaps[i] = sp
 		}
-		cfg.Checkpoint.Sink(snaps)
+		c.OnRowCheckpoint(row, snaps)
 		lastCkS = tNext
 		return nil
 	}
 
 	for step := start; step < steps; step++ {
-		if cfg.Stop != nil {
+		if c.Stop != nil {
 			select {
-			case <-cfg.Stop:
+			case <-c.Stop:
 				canceled = true
 			default:
 			}
@@ -305,16 +367,16 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 		coordDown = down
 
 		// 2. Due grants reach the rack clients, in rack order.
-		for i, c := range clients {
+		for i, cl := range clients {
 			for _, l := range tr.DeliverGrants(i, now) {
-				c.Offer(now, l)
+				cl.Offer(now, l)
 			}
 		}
 
 		// 3. One physics tick per rack. Racks are independent given their
 		// delivered grants, so the sweep parallelizes without affecting
 		// the result.
-		if cfg.Serial || workers <= 1 {
+		if c.Serial || workers <= 1 {
 			for i := range runners {
 				if stepRack(i); stepErrs[i] != nil {
 					break
@@ -336,7 +398,7 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 		}
 		for i, e := range stepErrs {
 			if e != nil {
-				return nil, fmt.Errorf("cluster: rack %d: %w", i, e)
+				return nil, fmt.Errorf("rack %d: %w", i, e)
 			}
 		}
 
@@ -345,11 +407,11 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 		// unreachable so the coordinator's timeout path reclaims its slot),
 		// then due beats into the coordinator, then fresh grants onto the
 		// wire.
-		for i, c := range clients {
+		for i, cl := range clients {
 			if runners[i].ControllerDead() || runners[i].Dark() {
 				continue
 			}
-			if hb, ok := c.MaybeBeat(now); ok {
+			if hb, ok := cl.MaybeBeat(now); ok {
 				tr.SendBeat(now, hb)
 			}
 		}
@@ -368,15 +430,15 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 			agg += r.LastCBPowerW()
 		}
 		aggregate[step-start] = agg
-		if cfg.Link.OnTick != nil {
-			cfg.Link.OnTick(step, now, agg)
+		if c.OnRowTick != nil {
+			c.OnRowTick(row, step, now, agg)
 		}
 
 		// 6. Cadenced coherent checkpoint at the tick boundary just
 		// crossed (the exported step is step+1, the next to execute).
-		if cfg.Checkpoint != nil {
+		if checkpointing {
 			tNext := float64(step+1) * dt
-			if tNext >= lastCkS+cfg.Checkpoint.EveryS-1e-9 {
+			if tNext >= lastCkS+c.CheckpointEveryS-1e-9 {
 				if err := captureRow(tNext); err != nil {
 					return nil, err
 				}
@@ -387,7 +449,7 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 	if canceled {
 		// A drain wants the freshest possible resume point: capture the
 		// boundary the run stopped at, then report the cancellation.
-		if cfg.Checkpoint != nil {
+		if checkpointing {
 			if err := captureRow(math.NaN()); err != nil {
 				return nil, err
 			}
@@ -395,13 +457,14 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 		return nil, sim.ErrCanceled
 	}
 
-	out := &LinkedResult{
-		Result:     Result{Racks: make([]*sim.Result, cfg.NumRacks), AggregateW: aggregate},
+	out := &RowResult{
+		Racks:      make([]*sim.Result, ra.Racks),
 		StartStep:  start,
+		AggregateW: aggregate,
 		Transport:  tr.Stats(),
 		Coord:      coord.Stats(),
-		Clients:    make([]link.ClientStats, cfg.NumRacks),
-		Invariants: make([]core.InvariantReport, cfg.NumRacks),
+		Clients:    make([]link.ClientStats, ra.Racks),
+		Invariants: make([]core.InvariantReport, ra.Racks),
 	}
 	for i, r := range runners {
 		res := r.Finish()
@@ -412,24 +475,31 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 		out.Clients[i] = clients[i].Stats()
 		out.Invariants[i] = inners[i].InvariantViolations()
 	}
-	out.PeakW = stats.Max(aggregate)
-	out.MeanW = stats.Mean(aggregate)
-	out.OverBudgetFrac = stats.FracAbove(aggregate, cfg.FeederBudgetW)
-	out.FeederExceedFrac = stats.FracAbove(aggregate, cfg.FeederBudgetW*(1+FeederTolerance))
-	out.FeederTrips = ShadowTrips(cfg.FeederBudgetW, aggregate, dt)
-
-	if cfg.Link.Metrics != nil {
-		registerLinkMetrics(cfg, out, clients, steps, dt)
+	out.PeakW, out.MeanW, out.FeederExceedFrac, out.FeederTrips = scoreFeeder(ra.BudgetW, aggregate, dt)
+	endS := float64(steps) * dt
+	for _, cl := range clients {
+		if age := cl.LeaseAgeS(endS); !math.IsNaN(age) && age > out.leaseAgeS {
+			out.leaseAgeS = age
+		}
 	}
 	return out, nil
+}
+
+// scoreFeeder scores an aggregate draw series sampled every dtS seconds
+// against a feeder budget: its peak and mean, the fraction of samples
+// above the budget by more than FeederTolerance, and the shadow breaker's
+// trip count. Every feeder level — row, building, and the flat and sweep
+// variants — is scored through it.
+func scoreFeeder(budgetW float64, draw []float64, dtS float64) (peakW, meanW, exceedFrac float64, trips int) {
+	return stats.Max(draw), stats.Mean(draw), stats.FracAbove(draw, budgetW*(1+FeederTolerance)),
+		ShadowTrips(budgetW, draw, dtS)
 }
 
 // ShadowTrips runs a shadow breaker rated at budgetW over an aggregate draw
 // series sampled every dtS seconds, and returns the trip count. It is
 // metric-only — while "tripped" it cools and recloses rather than cutting
 // power, so one sustained violation can score several trips but never
-// alters the simulation. The linked cluster scores its feeder with it, and
-// the hierarchical runner reuses it for the row and building breakers.
+// alters the simulation. Every feeder level is scored with it.
 func ShadowTrips(budgetW float64, aggregate []float64, dtS float64) int {
 	bcfg := breaker.DefaultConfig()
 	bcfg.RatedPower = budgetW
@@ -450,33 +520,33 @@ func ShadowTrips(budgetW float64, aggregate []float64, dtS float64) int {
 	return fb.Trips()
 }
 
-// registerLinkMetrics publishes the run's link accounting on the configured
-// registry.
-func registerLinkMetrics(cfg Config, out *LinkedResult, clients []*link.Client, steps int, dt float64) {
-	m := cfg.Link.Metrics
-	m.Counter("link_grants_sent_total", "budget leases put on the wire").Add(float64(out.Transport.GrantsSent))
-	m.Counter("link_grants_lost_total", "leases dropped by loss faults, partitions or coordinator downtime").
-		Add(float64(out.Transport.GrantsLost + out.Transport.GrantsPartition))
-	m.Counter("link_beats_sent_total", "heartbeats put on the wire").Add(float64(out.Transport.BeatsSent))
-	m.Counter("link_beats_lost_total", "heartbeats dropped by loss faults, partitions or coordinator downtime").
-		Add(float64(out.Transport.BeatsLost + out.Transport.BeatsPartition))
-	m.Counter("link_resyncs_total", "degraded→coordinated recoveries across racks").Add(float64(out.Resyncs()))
-	m.Counter("link_probes_total", "re-sync probes issued to unreachable racks").Add(float64(out.Coord.Probes))
-	m.Counter("link_repacks_total", "overload slot-assignment changes").Add(float64(out.Coord.Repacks))
-	m.Counter("link_presumed_degraded_total", "coordinator transitions into presumed-degraded").Add(float64(out.Coord.Presumed))
-	var expiries int
-	for _, c := range out.Clients {
-		expiries += c.Expiries
-	}
-	m.Counter("link_expiries_total", "lease expiries (degraded-mode entries) across racks").Add(float64(expiries))
-	m.Gauge("link_regrant_backoff_peak_seconds", "largest re-grant retry backoff reached").Set(out.Coord.PeakBackoffS)
-	m.Gauge("link_degraded_seconds", "total rack-seconds spent in the degraded standalone fallback").Set(out.DegradedS())
-	endS := float64(steps) * dt
-	age := 0.0
-	for _, c := range clients {
-		if a := c.LeaseAgeS(endS); !math.IsNaN(a) && a > age {
-			age = a
+// registerLinkMetrics publishes the run's link accounting on m, aggregated
+// over rows: counters and degraded seconds are summed, the re-grant
+// backoff peak and the oldest lease age take the maximum.
+func registerLinkMetrics(m *telemetry.Registry, rows []*RowResult) {
+	var degradedS, peakBackoffS, leaseAgeS float64
+	for _, r := range rows {
+		tr, co := r.Transport, r.Coord
+		m.Counter("link_grants_sent_total", "budget leases put on the wire").Add(float64(tr.GrantsSent))
+		m.Counter("link_grants_lost_total", "leases dropped by loss faults, partitions or coordinator downtime").
+			Add(float64(tr.GrantsLost + tr.GrantsPartition))
+		m.Counter("link_beats_sent_total", "heartbeats put on the wire").Add(float64(tr.BeatsSent))
+		m.Counter("link_beats_lost_total", "heartbeats dropped by loss faults, partitions or coordinator downtime").
+			Add(float64(tr.BeatsLost + tr.BeatsPartition))
+		m.Counter("link_resyncs_total", "degraded→coordinated recoveries across racks").Add(float64(r.Resyncs()))
+		m.Counter("link_probes_total", "re-sync probes issued to unreachable racks").Add(float64(co.Probes))
+		m.Counter("link_repacks_total", "overload slot-assignment changes").Add(float64(co.Repacks))
+		m.Counter("link_presumed_degraded_total", "coordinator transitions into presumed-degraded").Add(float64(co.Presumed))
+		var expiries int
+		for _, c := range r.Clients {
+			expiries += c.Expiries
 		}
+		m.Counter("link_expiries_total", "lease expiries (degraded-mode entries) across racks").Add(float64(expiries))
+		degradedS += r.DegradedS()
+		peakBackoffS = math.Max(peakBackoffS, co.PeakBackoffS)
+		leaseAgeS = math.Max(leaseAgeS, r.leaseAgeS)
 	}
-	m.Gauge("link_lease_age_seconds", "oldest live lease age at end of run").Set(age)
+	m.Gauge("link_regrant_backoff_peak_seconds", "largest re-grant retry backoff reached").Set(peakBackoffS)
+	m.Gauge("link_degraded_seconds", "total rack-seconds spent in the degraded standalone fallback").Set(degradedS)
+	m.Gauge("link_lease_age_seconds", "oldest live lease age at end of run").Set(leaseAgeS)
 }

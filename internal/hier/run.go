@@ -4,20 +4,18 @@ import (
 	"fmt"
 	"sync"
 
-	"sprintcon/internal/checkpoint"
-	"sprintcon/internal/cluster"
+	"sprintcon/internal/core"
 	"sprintcon/internal/sim"
-	"sprintcon/internal/stats"
 )
 
 // Result aggregates a hierarchical linked run: the resolved allocation,
-// every row's linked-cluster result, and the building-level safety record.
+// every row's linked result, and the building-level safety record.
 type Result struct {
 	// Alloc is the budget waterfall the run executed.
 	Alloc Allocation
 	// Rows holds each row's linked result (feeder record, link accounting,
 	// per-rack results), index = row id.
-	Rows []*cluster.LinkedResult
+	Rows []*RowResult
 
 	// ResumeStep is the first step of the building-level series: 0 for a
 	// fresh run; for a run resumed through Config.Resume it is the latest
@@ -33,7 +31,7 @@ type Result struct {
 	// BuildingPeakW and BuildingMeanW summarize the building draw.
 	BuildingPeakW, BuildingMeanW float64
 	// BuildingExceedFrac is the fraction of ticks the building draw
-	// exceeded the building budget by more than cluster.FeederTolerance.
+	// exceeded the building budget by more than FeederTolerance.
 	BuildingExceedFrac float64
 	// BuildingTrips counts trips of a shadow breaker rated at the building
 	// budget (metric-only, like the rows' feeder breakers).
@@ -63,18 +61,9 @@ func (r *Result) Resyncs() int {
 	return n
 }
 
-// RowTrips returns each row's shadow feeder-breaker trip count.
-func (r *Result) RowTrips() []int {
-	out := make([]int, len(r.Rows))
-	for i, row := range r.Rows {
-		out[i] = row.FeederTrips
-	}
-	return out
-}
-
 // rowScenario builds row r's scenario: the shared scenario with seeds
-// offset by the row's first global rack index (the row's cluster offsets a
-// further +i per rack, so every rack in the building draws distinct
+// offset by the row's first global rack index (rackJob offsets a
+// further +j per rack, so every rack in the building draws distinct
 // traffic, noise and fault timings), and the row's fault-plan override if
 // one is configured.
 func rowScenario(c Config, ra RowAllocation, row int) sim.Scenario {
@@ -89,71 +78,47 @@ func rowScenario(c Config, ra RowAllocation, row int) sim.Scenario {
 	return scn
 }
 
-// rowClusterConfig assembles row r's linked-cluster configuration from the
-// shared scenario and the row's granted budget.
-func rowClusterConfig(c Config, a Allocation, row int) cluster.Config {
-	ra := a.Rows[row]
-	ccfg := cluster.Config{
-		NumRacks:      ra.Racks,
-		Scenario:      rowScenario(c, ra, row),
-		FeederBudgetW: ra.BudgetW,
-		SprintCon:     c.SprintCon,
-		Serial:        c.Serial,
-		Stop:          c.Stop,
-	}
-	if c.CheckpointEveryS > 0 && c.OnRowCheckpoint != nil {
-		sink := c.OnRowCheckpoint
-		ccfg.Checkpoint = &cluster.LinkedCheckpoint{
-			EveryS: c.CheckpointEveryS,
-			Sink:   func(snaps []*checkpoint.Snapshot) { sink(row, snaps) },
-		}
-	}
-	if c.Resume != nil && row < len(c.Resume) {
-		ccfg.Resume = c.Resume[row]
-	}
-	ccfg.Link.Enabled = true
-	ccfg.Link.Seed = c.Seed + int64(row)
-	if len(c.Obs) > 0 {
-		ccfg.Link.Obs = c.Obs[row]
-	}
-	if c.RackOptions != nil {
-		ccfg.Link.RackOptions = func(rack int) sim.RunOptions {
-			return c.RackOptions(row, rack)
-		}
-	}
-	if c.OnRowTick != nil {
-		ccfg.Link.OnTick = func(step int, nowS, aggregateW float64) {
-			c.OnRowTick(row, step, nowS, aggregateW)
-		}
-	}
-	return ccfg
+// rackJob builds rack j of row r: the row's scenario with the rack-scoped
+// half of its fault plan and seeds offset by a further j (the rack's
+// global index in all), and a SprintCon whose overload phase starts at
+// offsetS.
+func rackJob(c Config, a Allocation, row, j int, offsetS float64) (sim.Scenario, *core.SprintCon) {
+	scn := rowScenario(c, a.Rows[row], row)
+	scn.Faults, _ = scn.Faults.Split()
+	scn.Interactive.Seed += int64(j)
+	scn.Rack.Seed += int64(j)
+	scn.Faults.Seed += int64(j)
+
+	pcfg := c.SprintCon
+	acfg := c.allocConfig()
+	acfg.PhaseOffsetS = offsetS
+	pcfg.AllocOverride = &acfg
+	return scn, core.New(pcfg)
 }
 
-// RunLinked executes the building: Allocate resolves the waterfall, then
-// every row runs as an independent linked cluster (concurrently unless
-// Config.Serial — rows only share the read-only configuration, so results
-// are bit-identical either way) against its granted budget. The building
+// RunLinked executes the building: Validate resolves the waterfall, then
+// every row runs its own lock-step linked loop — a row coordinator, a
+// lossy transport, and lease-based clients per rack — against its granted
+// budget, concurrently unless Config.Serial (rows only share the read-only
+// configuration, so results are bit-identical either way). The building
 // draw, the sum of the row aggregates, is scored against a shadow breaker
 // at the building budget.
 func RunLinked(c Config) (*Result, error) {
-	if err := c.checkRowSlices(); err != nil {
-		return nil, err
-	}
-	a, err := Allocate(c)
+	a, err := c.resolve()
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Alloc: a, Rows: make([]*cluster.LinkedResult, len(a.Rows))}
+	out := &Result{Alloc: a, Rows: make([]*RowResult, len(a.Rows))}
 	errs := make([]error, len(a.Rows))
-	runRow := func(i int) {
+	runRowAt := func(i int) {
 		// A panic in a row (policy, link callback, checkpoint sink) fails
 		// the run with a *sim.PanicError instead of killing the process.
 		defer sim.RecoverPanic(&errs[i])
-		out.Rows[i], errs[i] = cluster.RunLinked(rowClusterConfig(c, a, i))
+		out.Rows[i], errs[i] = runRow(c, a, i)
 	}
 	if c.Serial {
 		for i := range a.Rows {
-			runRow(i)
+			runRowAt(i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -161,7 +126,7 @@ func RunLinked(c Config) (*Result, error) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				runRow(i)
+				runRowAt(i)
 			}(i)
 		}
 		wg.Wait()
@@ -197,13 +162,12 @@ func RunLinked(c Config) (*Result, error) {
 			out.BuildingAggregateW[t] += row.AggregateW[off+t]
 		}
 	}
-	out.BuildingPeakW = stats.Max(out.BuildingAggregateW)
-	out.BuildingMeanW = stats.Mean(out.BuildingAggregateW)
-	out.BuildingExceedFrac = stats.FracAbove(out.BuildingAggregateW, a.BuildingBudgetW*(1+cluster.FeederTolerance))
-	out.BuildingTrips = cluster.ShadowTrips(a.BuildingBudgetW, out.BuildingAggregateW, c.Scenario.DtS)
+	out.BuildingPeakW, out.BuildingMeanW, out.BuildingExceedFrac, out.BuildingTrips =
+		scoreFeeder(a.BuildingBudgetW, out.BuildingAggregateW, c.Scenario.DtS)
 
 	if c.Metrics != nil {
 		registerHierMetrics(c, out)
+		registerLinkMetrics(c.Metrics, out.Rows)
 	}
 	return out, nil
 }

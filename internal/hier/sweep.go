@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"sprintcon/internal/cluster"
-	"sprintcon/internal/core"
 	"sprintcon/internal/sim"
-	"sprintcon/internal/stats"
 )
 
 // SweepResult aggregates a hierarchical static-offset sweep.
@@ -37,30 +34,14 @@ type SweepResult struct {
 	DeadlineMisses int
 }
 
-// sweepJob builds the scenario and policy for rack j of row r: seeds offset
-// by the rack's global index, the row's fault override (link-scoped faults
-// stripped — a sweep has no link), and the statically slot-packed phase
-// offset slot = ⌊j/K⌋, the same packing the row coordinator would bootstrap.
+// sweepJob builds rack j of row r for a sweep: link-scoped faults dropped
+// (a sweep has no link) and the statically slot-packed phase offset
+// slot = ⌊j/K⌋, the same packing the row coordinator would bootstrap.
 func sweepJob(c Config, a Allocation, row, j int) (sim.Scenario, sim.Policy) {
-	ra := a.Rows[row]
-	scn := c.Scenario
-	if c.Rows[row].Faults != nil {
-		scn.Faults = *c.Rows[row].Faults
-	}
-	rackPlan, _ := scn.Faults.Split()
-	scn.Faults = rackPlan
-	g := int64(ra.StartRack + j)
-	scn.Interactive.Seed += g
-	scn.Rack.Seed += g
-	scn.Faults.Seed += g
-
-	pcfg := c.SprintCon
 	acfg := c.allocConfig()
 	cycle := acfg.OverloadS + acfg.RecoveryS
-	slot := j / ra.SlotCapacity
-	acfg.PhaseOffsetS = math.Mod(cycle-float64(slot)*acfg.OverloadS, cycle)
-	pcfg.AllocOverride = &acfg
-	return scn, core.New(pcfg)
+	slot := j / a.Rows[row].SlotCapacity
+	return rackJob(c, a, row, j, math.Mod(cycle-float64(slot)*acfg.OverloadS, cycle))
 }
 
 // RunSweep executes the building with static, per-row slot-packed phase
@@ -131,8 +112,7 @@ func RunSweep(c Config) (*SweepResult, error) {
 			}
 		}
 		out.RowAggregateW[r] = agg
-		out.RowExceedFrac[r] = stats.FracAbove(agg, a.Rows[r].BudgetW*(1+cluster.FeederTolerance))
-		out.RowTrips[r] = cluster.ShadowTrips(a.Rows[r].BudgetW, agg, dt)
+		_, _, out.RowExceedFrac[r], out.RowTrips[r] = scoreFeeder(a.Rows[r].BudgetW, agg, dt)
 		if out.BuildingAggregateW == nil {
 			out.BuildingAggregateW = make([]float64, len(agg))
 		}
@@ -140,9 +120,7 @@ func RunSweep(c Config) (*SweepResult, error) {
 			out.BuildingAggregateW[t] += w
 		}
 	}
-	out.BuildingPeakW = stats.Max(out.BuildingAggregateW)
-	out.BuildingMeanW = stats.Mean(out.BuildingAggregateW)
-	out.BuildingExceedFrac = stats.FracAbove(out.BuildingAggregateW, a.BuildingBudgetW*(1+cluster.FeederTolerance))
-	out.BuildingTrips = cluster.ShadowTrips(a.BuildingBudgetW, out.BuildingAggregateW, dt)
+	out.BuildingPeakW, out.BuildingMeanW, out.BuildingExceedFrac, out.BuildingTrips =
+		scoreFeeder(a.BuildingBudgetW, out.BuildingAggregateW, dt)
 	return out, nil
 }

@@ -1,7 +1,8 @@
-// Package link is the coordinator↔rack control link of a linked cluster run
-// (DESIGN.md §12): an explicit message-passing channel carrying power-budget
-// grants from the cluster coordinator to each rack's SprintCon instance and
-// telemetry heartbeats back. Where cluster.Run hands each rack a static
+// Package link is the coordinator↔rack control link of a linked row run
+// (hier.RunLinked, DESIGN.md §12): an explicit message-passing channel
+// carrying power-budget grants from the row coordinator to each rack's
+// SprintCon instance and telemetry heartbeats back. Where cluster.Run and
+// hier.RunSweep hand each rack a static
 // phase offset at construction time — an in-memory call that can never be
 // lost — the link models the real network ROADMAP item 1 puts there, with
 // deterministic seeded fault hooks for message loss, delay (reordering),

@@ -13,9 +13,10 @@ import (
 // Runner is the steppable form of the simulation engine: NewRunner builds
 // the environment and binds the policy exactly as RunWith does, Step
 // advances one tick, and Finish assembles the Result. RunWith is the
-// convenience loop over a Runner, so single-rack runs and lock-step cluster
-// runs (cluster.RunLinked, which interleaves a coordinator and a message
-// transport between rack ticks) share one engine and stay bit-identical.
+// convenience loop over a Runner, so single-rack runs and lock-step linked
+// runs (hier.RunLinked, which interleaves each row's coordinator and
+// message transport between rack ticks) share one engine and stay
+// bit-identical.
 type Runner struct {
 	scn  Scenario
 	p    Policy
