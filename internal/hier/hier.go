@@ -89,7 +89,9 @@ type Config struct {
 	// CheckpointEveryS, when positive together with OnRowCheckpoint,
 	// captures coherent per-row snapshots during RunLinked: every rack of
 	// a row exported at the same tick boundary, every CheckpointEveryS
-	// simulated seconds, plus a final set when the run cancels. Rows run
+	// simulated seconds (at least one tick), plus a final set when the
+	// run cancels. The sink runs on the row's goroutine and the row waits
+	// on it, so it must return quickly. Rows run
 	// concurrently, so OnRowCheckpoint must be safe for concurrent use
 	// across different row ids.
 	CheckpointEveryS float64
