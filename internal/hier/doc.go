@@ -24,7 +24,7 @@
 //
 // # Runtime
 //
-// RunLinked is the repository's one linked fleet driver. Each row runs its
+// RunLinked is the only linked entry point. Each row runs its
 // own lock-step loop — a row coordinator packing the row's granted slot
 // capacity, a lossy transport (package link), and lease-based clients per
 // rack — with the row's granted budget as its feeder budget. Partitions

@@ -357,7 +357,7 @@ type RunOptions struct {
 	// Stop, when non-nil, is polled before every tick and every quiescent
 	// span: once it closes, RunWith abandons the run and returns
 	// ErrCanceled. The check sits outside Runner.Step, so lock-step
-	// drivers that call Step directly (hier.RunLinked) implement their
+	// loops that call Step directly (hier.RunLinked) implement their
 	// own cancellation and the per-tick hot path is unchanged for runs
 	// that never cancel.
 	Stop <-chan struct{}
