@@ -10,7 +10,7 @@
 // zero allocations per tick and per event, bounded QP effort per control
 // period, serial ≡ parallel fan-out — live in the Go tests that own them
 // (TestTickPathZeroAlloc, TestEventEngineZeroAllocsPerEvent,
-// TestMPCSweepsPerSolveBounded, TestRunLinkedParallelMatchesSerial), so
+// TestMPCSweepsPerSolveBounded, TestRunLinked(OneRow)ParallelMatchesSerial), so
 // `go test` checks them at any core count.
 //
 // Scenarios:

@@ -216,25 +216,13 @@ func TestRunLinkedConservationPerPeriod(t *testing.T) {
 // configuration and racks only exchange state through the link on their
 // row's coordinating goroutine, so the concurrent row and rack fan-out
 // must be bit-identical to the serial path in every rack's series, every
-// row's aggregate and link accounting, and the building aggregate —
-// including under active link faults. bench_quick and default are the
-// benchmark's cluster_hier configs (quick and full mode; the 4×16-rack
-// full one is skipped in -short mode); row_bench_quick and row_default
-// are its one-row cluster_link configs.
+// row's aggregate and link accounting, and the building aggregate.
+// bench_quick and default are the benchmark's cluster_hier configs (quick
+// and full mode; the 4×16-rack full one is skipped in -short mode).
 func TestRunLinkedParallelMatchesSerial(t *testing.T) {
 	quick := DefaultConfig()
 	quick.Rows = []RowConfig{{Racks: 4}, {Racks: 4}}
 	quick.Scenario.DurationS = 300
-
-	faulted := threeRackRow()
-	faulted.Scenario.Faults.Faults = []faults.Fault{
-		{Kind: faults.LinkLoss, OnsetS: 50, DurationS: 200, Severity: 0.3},
-		{Kind: faults.LinkDelay, OnsetS: 50, DurationS: 200, Severity: 3},
-		partitionAt(0, 150, 120),
-	}
-	rowQuick := DefaultConfig()
-	rowQuick.Rows = []RowConfig{{Racks: 2}}
-	rowQuick.Scenario.DurationS = 300
 
 	for _, tc := range []struct {
 		name string
@@ -243,67 +231,99 @@ func TestRunLinkedParallelMatchesSerial(t *testing.T) {
 		{"mixed", testConfig()},
 		{"bench_quick", quick},
 		{"default", DefaultConfig()},
-		{"row_faulted", faulted},
-		{"row_bench_quick", rowQuick},
-		{"row_default", rowConfig()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "default" && testing.Short() {
 				t.Skip("4×16-rack linked run skipped in -short mode")
 			}
-			c := tc.cfg
-			c.Serial = true
-			serial, err := RunLinked(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Serial = false
-			parallel, err := RunLinked(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(serial.Rows) != len(parallel.Rows) {
-				t.Fatalf("row count %d != %d", len(serial.Rows), len(parallel.Rows))
-			}
-			for r := range serial.Rows {
-				sr, pr := serial.Rows[r], parallel.Rows[r]
-				if len(sr.Racks) != len(pr.Racks) {
-					t.Fatalf("row %d: rack count %d != %d", r, len(sr.Racks), len(pr.Racks))
-				}
-				for j := range sr.Racks {
-					a, b := sr.Racks[j].Series, pr.Racks[j].Series
-					if len(a.TotalW) != len(b.TotalW) {
-						t.Fatalf("row %d rack %d: %d vs %d recorded ticks", r, j, len(a.TotalW), len(b.TotalW))
-					}
-					for tk := range a.TotalW {
-						if a.TotalW[tk] != b.TotalW[tk] || a.CBW[tk] != b.CBW[tk] || a.SoC[tk] != b.SoC[tk] ||
-							a.FreqBatch[tk] != b.FreqBatch[tk] || a.FreqInter[tk] != b.FreqInter[tk] {
-							t.Fatalf("row %d rack %d diverges at tick %d", r, j, tk)
-						}
-					}
-					if !clientStatsEqual(sr.Clients[j], pr.Clients[j]) {
-						t.Fatalf("row %d rack %d link stats diverge: %+v vs %+v", r, j, sr.Clients[j], pr.Clients[j])
-					}
-				}
-				for tk := range sr.AggregateW {
-					if sr.AggregateW[tk] != pr.AggregateW[tk] {
-						t.Fatalf("row %d aggregate diverges at tick %d", r, tk)
-					}
-				}
-				if sr.Transport != pr.Transport || sr.Coord != pr.Coord {
-					t.Fatalf("row %d link accounting diverges:\nserial   %+v / %+v\nparallel %+v / %+v",
-						r, sr.Transport, sr.Coord, pr.Transport, pr.Coord)
-				}
-			}
-			for i := range serial.BuildingAggregateW {
-				if serial.BuildingAggregateW[i] != parallel.BuildingAggregateW[i] {
-					t.Fatalf("tick %d: serial %v != parallel %v", i, serial.BuildingAggregateW[i], parallel.BuildingAggregateW[i])
-				}
-			}
-			if serial.DegradedS() != parallel.DegradedS() || serial.CBTrips != parallel.CBTrips {
-				t.Fatal("summary stats differ between serial and parallel row execution")
-			}
+			checkParallelMatchesSerial(t, tc.cfg)
 		})
+	}
+}
+
+// TestRunLinkedOneRowParallelMatchesSerial is the serial-vs-parallel
+// check on one-row buildings, where only the rack fan-out is concurrent —
+// including under active link faults. bench_quick and default are the
+// benchmark's cluster_link configs.
+func TestRunLinkedOneRowParallelMatchesSerial(t *testing.T) {
+	faulted := threeRackRow()
+	faulted.Scenario.Faults.Faults = []faults.Fault{
+		{Kind: faults.LinkLoss, OnsetS: 50, DurationS: 200, Severity: 0.3},
+		{Kind: faults.LinkDelay, OnsetS: 50, DurationS: 200, Severity: 3},
+		partitionAt(0, 150, 120),
+	}
+	quick := DefaultConfig()
+	quick.Rows = []RowConfig{{Racks: 2}}
+	quick.Scenario.DurationS = 300
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"faulted", faulted},
+		{"bench_quick", quick},
+		{"default", rowConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkParallelMatchesSerial(t, tc.cfg) })
+	}
+}
+
+// checkParallelMatchesSerial runs cfg serially and in parallel and fails
+// on the first difference in any rack series, link counter, row or
+// building aggregate, or summary statistic.
+func checkParallelMatchesSerial(t *testing.T, cfg Config) {
+	t.Helper()
+	c := cfg
+	c.Serial = true
+	serial, err := RunLinked(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Serial = false
+	parallel, err := RunLinked(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Rows) != len(parallel.Rows) {
+		t.Fatalf("row count %d != %d", len(serial.Rows), len(parallel.Rows))
+	}
+	for r := range serial.Rows {
+		sr, pr := serial.Rows[r], parallel.Rows[r]
+		if len(sr.Racks) != len(pr.Racks) {
+			t.Fatalf("row %d: rack count %d != %d", r, len(sr.Racks), len(pr.Racks))
+		}
+		for j := range sr.Racks {
+			a, b := sr.Racks[j].Series, pr.Racks[j].Series
+			if len(a.TotalW) != len(b.TotalW) {
+				t.Fatalf("row %d rack %d: %d vs %d recorded ticks", r, j, len(a.TotalW), len(b.TotalW))
+			}
+			for tk := range a.TotalW {
+				if a.TotalW[tk] != b.TotalW[tk] || a.CBW[tk] != b.CBW[tk] || a.SoC[tk] != b.SoC[tk] ||
+					a.FreqBatch[tk] != b.FreqBatch[tk] || a.FreqInter[tk] != b.FreqInter[tk] {
+					t.Fatalf("row %d rack %d diverges at tick %d", r, j, tk)
+				}
+			}
+			if !clientStatsEqual(sr.Clients[j], pr.Clients[j]) {
+				t.Fatalf("row %d rack %d link stats diverge: %+v vs %+v", r, j, sr.Clients[j], pr.Clients[j])
+			}
+		}
+		for tk := range sr.AggregateW {
+			if sr.AggregateW[tk] != pr.AggregateW[tk] {
+				t.Fatalf("row %d aggregate diverges at tick %d", r, tk)
+			}
+		}
+		if sr.Transport != pr.Transport || sr.Coord != pr.Coord {
+			t.Fatalf("row %d link accounting diverges:\nserial   %+v / %+v\nparallel %+v / %+v",
+				r, sr.Transport, sr.Coord, pr.Transport, pr.Coord)
+		}
+	}
+	for i := range serial.BuildingAggregateW {
+		if serial.BuildingAggregateW[i] != parallel.BuildingAggregateW[i] {
+			t.Fatalf("tick %d: serial %v != parallel %v", i, serial.BuildingAggregateW[i], parallel.BuildingAggregateW[i])
+		}
+	}
+	if serial.DegradedS() != parallel.DegradedS() || serial.CBTrips != parallel.CBTrips {
+		t.Fatal("summary stats differ between serial and parallel row execution")
 	}
 }
 

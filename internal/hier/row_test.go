@@ -125,6 +125,32 @@ func TestLinkedConfigValidation(t *testing.T) {
 	}
 }
 
+// A zero row rating is not an error: the row is auto-provisioned at its
+// minimum packing, N·rated + ⌈N/slots⌉·bonus, and the linked run is
+// budgeted and scored against that.
+func TestLinkedZeroFeederBudgetAutoProvisions(t *testing.T) {
+	cfg := rowConfig()
+	cfg.Rows[0].RatingW = 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("zero row rating rejected: %v", err)
+	}
+	a, err := Allocate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra := a.Rows[0]
+	wantK := (ra.Racks + a.NumSlots - 1) / a.NumSlots
+	want := float64(ra.Racks)*a.RatedW + float64(wantK)*a.BonusW
+	if ra.SlotCapacity != wantK || ra.RatingW != want || ra.BudgetW != want {
+		t.Fatalf("auto-provisioned row: K=%d rating %g budget %g, want K=%d and %g W",
+			ra.SlotCapacity, ra.RatingW, ra.BudgetW, wantK, want)
+	}
+	res := linkedRow(t, cfg)
+	if res.CBTrips != 0 || res.FeederTrips != 0 {
+		t.Fatalf("auto-provisioned row unsafe: rack trips=%d feeder trips=%d", res.CBTrips, res.FeederTrips)
+	}
+}
+
 // A fault-free linked run must behave like the statically staggered cluster:
 // coordinated sprinting, no degraded time, and a feeder that stays at or
 // under its budget.
