@@ -307,6 +307,7 @@ func TestSpecValidationTable(t *testing.T) {
 		{"huge rows", `{"rows": 4096}`, "at most 1024 rows"},
 		{"negative racks per row", `{"racks_per_row": -2}`, "racks_per_row is -2"},
 		{"negative duration", `{"duration_s": -5}`, "duration_s is -5"},
+		{"unbounded duration", `{"duration_s": 1e12}`, "at most 10000000"},
 		{"negative chaos step", `{"chaos_panic_at_step": -1}`, "chaos_panic_at_step is -1"},
 		{"oversized row_configs", huge, "at most 1024 rows"},
 		{"zero-rack row", `{"row_configs": [{"racks": 0}]}`, "at least one"},

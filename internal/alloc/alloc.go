@@ -191,9 +191,6 @@ func (a *Allocator) SetConfidence(c float64) {
 	a.conf = c
 }
 
-// Confidence returns the current measurement-confidence factor.
-func (a *Allocator) Confidence() float64 { return a.conf }
-
 // SetPhaseOffsetS re-phases the periodic overload schedule at runtime — the
 // control link's re-pack path moves a rack to a different overload slot this
 // way. Non-finite or negative offsets are clamped to 0 (the validated
@@ -298,11 +295,6 @@ func (a *Allocator) derate(pcbW float64) float64 {
 	return a.cfg.RatedPowerW + a.conf*(pcbW-a.cfg.RatedPowerW)
 }
 
-// Overloading reports whether the schedule is in an overload phase at now.
-func (a *Allocator) Overloading(now float64) bool {
-	return a.PCb(now) > a.cfg.RatedPowerW
-}
-
 // OverloadBonusW returns the extra CB power available while overloading:
 // rated × (degree − 1).
 func (a *Allocator) OverloadBonusW() float64 {
@@ -348,11 +340,6 @@ func (a *Allocator) PBatchAt(now float64) float64 {
 		return a.bMax
 	}
 	return clampF(pcb-a.reserveW-a.idleW+a.shiftW, a.bMin, a.bMax)
-}
-
-// PBatch returns the recovery-phase (rated P_cb) batch budget.
-func (a *Allocator) PBatch() float64 {
-	return clampF(a.cfg.RatedPowerW-a.reserveW-a.idleW+a.shiftW, a.bMin, a.bMax)
 }
 
 // ObserveHeadroom records one interactive-power sample for the adaptation

@@ -104,7 +104,7 @@ func TestPCbLongBurstPeriodicSchedule(t *testing.T) {
 			t.Errorf("PCb(%v) = %v, want %v", tc.at, got, tc.want)
 		}
 	}
-	if !a.Overloading(10) || a.Overloading(200) {
+	if a.PCb(10) <= rated || a.PCb(200) > rated {
 		t.Fatal("Overloading phase detection wrong")
 	}
 }
@@ -273,7 +273,7 @@ func TestShiftCappedByBatchMax(t *testing.T) {
 	a := mustNew(t)
 	a.StartBurst(0, 900, idleW, 3000)
 	a.MaybeUpdatePBatch(31, 6000, 0, 2500) // absurd deadline demand
-	if got := a.PBatch(); got > 2500+1e-9 {
+	if got := a.PBatchAt(31); got > 2500+1e-9 {
 		t.Fatalf("recovery budget %v exceeds batch max 2500", got)
 	}
 }
@@ -313,16 +313,16 @@ func TestPhaseOffsetShiftsSchedule(t *testing.T) {
 	a.StartBurst(0, 900, idleW, 1000)
 	// With a half-cycle offset, t=0 sits mid-recovery and the overload
 	// phase begins at t=225.
-	if a.Overloading(0) {
+	if a.PCb(0) > rated {
 		t.Fatal("offset schedule should start in recovery")
 	}
-	if !a.Overloading(230) {
+	if a.PCb(230) <= rated {
 		t.Fatal("offset schedule should overload at t=230")
 	}
 	// The unshifted schedule is the complement.
 	b := mustNew(t)
 	b.StartBurst(0, 900, idleW, 1000)
-	if !b.Overloading(0) || b.Overloading(230) {
+	if b.PCb(0) <= rated || b.PCb(230) > rated {
 		t.Fatal("unshifted schedule wrong")
 	}
 	bad := DefaultConfig(rated, budget)

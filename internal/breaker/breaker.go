@@ -93,9 +93,6 @@ func New(cfg Config) (*Breaker, error) {
 	return &Breaker{cfg: cfg, budget: cfg.TripBudget()}, nil
 }
 
-// Config returns the breaker's configuration.
-func (b *Breaker) Config() Config { return b.cfg }
-
 // RatedPower returns the continuous rating in watts.
 func (b *Breaker) RatedPower() float64 { return b.cfg.RatedPower }
 
@@ -153,15 +150,6 @@ func (b *Breaker) TripTime(o float64) float64 {
 	return b.budget / (o*o - 1)
 }
 
-// HeadroomSeconds returns how long the breaker can sustain overload degree o
-// from its current thermal state before tripping; +Inf for o ≤ 1.
-func (b *Breaker) HeadroomSeconds(o float64) float64 {
-	if o <= 1 {
-		return math.Inf(1)
-	}
-	return (b.budget - b.theta) / (o*o - 1)
-}
-
 // CanReclose reports whether a tripped breaker has cooled enough to close
 // again (θ back to zero). Real breakers require a manual or motorized
 // reclose; the simulation models that as Reclose after cooling.
@@ -189,10 +177,4 @@ func (b *Breaker) Reclose() error {
 	}
 	b.tripped = false
 	return nil
-}
-
-// Reset returns the breaker to cold, closed state (test support).
-func (b *Breaker) Reset() {
-	b.theta = 0
-	b.tripped = false
 }

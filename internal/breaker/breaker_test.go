@@ -137,12 +137,12 @@ func TestRecloseRequiresCooling(t *testing.T) {
 	for !b.CanReclose() {
 		b.Cool(1)
 		cooled++
-		if cooled > 2*b.Config().RecoveryTime {
+		if cooled > 2*b.cfg.RecoveryTime {
 			t.Fatal("breaker never cooled")
 		}
 	}
-	if cooled > b.Config().RecoveryTime+1 {
-		t.Fatalf("cooling took %v s, config promises ≤ %v", cooled, b.Config().RecoveryTime)
+	if cooled > b.cfg.RecoveryTime+1 {
+		t.Fatalf("cooling took %v s, config promises ≤ %v", cooled, b.cfg.RecoveryTime)
 	}
 	if err := b.Reclose(); err != nil {
 		t.Fatalf("reclose after cooling: %v", err)
@@ -163,22 +163,6 @@ func TestNearTripFiresBeforeTrip(t *testing.T) {
 	}
 	if !sawNearTrip {
 		t.Fatal("NearTrip never reported before tripping")
-	}
-}
-
-func TestHeadroomSecondsDecreasesUnderLoad(t *testing.T) {
-	b := mustNew(t)
-	h0 := b.HeadroomSeconds(1.25)
-	b.Step(1.25*b.RatedPower(), 30)
-	h1 := b.HeadroomSeconds(1.25)
-	if h1 >= h0 {
-		t.Fatalf("headroom did not shrink: %v -> %v", h0, h1)
-	}
-	if math.Abs((h0-h1)-30) > 1e-6 {
-		t.Fatalf("headroom at the same overload should shrink by wall time, got %v", h0-h1)
-	}
-	if !math.IsInf(b.HeadroomSeconds(0.9), 1) {
-		t.Fatal("headroom below rating must be infinite")
 	}
 }
 

@@ -64,9 +64,6 @@ type FileStore struct {
 // NewFileStore returns a store writing to path.
 func NewFileStore(path string) *FileStore { return &FileStore{path: path} }
 
-// Path returns the checkpoint file path.
-func (f *FileStore) Path() string { return f.path }
-
 // Save atomically replaces the checkpoint file and returns its size.
 func (f *FileStore) Save(s *Snapshot) (int, error) {
 	b, err := Encode(s)

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"sprintcon/internal/alloc"
 	"sprintcon/internal/faults"
+	"sprintcon/internal/hier"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -151,5 +155,48 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if par.AggregateW[tk] != ser.AggregateW[tk] {
 			t.Fatalf("aggregate diverges at tick %d", tk)
 		}
+	}
+}
+
+// The synchronized group is a fully slotted sweep: cluster.Run without
+// stagger is bit for bit a one-row hier.RunSweep rated at N·(rated +
+// bonus), where slot capacity K = N puts every rack at phase offset 0.
+// This pins the seed and phase conventions the two drivers share.
+func TestSynchronizedMatchesFullySlottedSweep(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Stagger = false
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rated := cfg.Scenario.Breaker.RatedPower
+	bonus := rated * (alloc.DefaultConfig(rated, cfg.Scenario.Breaker.TripBudget()).OverloadDegree - 1)
+	sw, err := hier.RunSweep(hier.Config{
+		Rows:      []hier.RowConfig{{Racks: cfg.NumRacks, RatingW: float64(cfg.NumRacks) * (rated + bonus)}},
+		Scenario:  cfg.Scenario,
+		SprintCon: cfg.SprintCon,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := sw.Alloc.Rows[0].SlotCapacity; k != cfg.NumRacks {
+		t.Fatalf("slot capacity %d, want %d (every rack in slot 0)", k, cfg.NumRacks)
+	}
+
+	sameBits := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d ticks vs %d", what, len(a), len(b))
+		}
+		for tk := range a {
+			if math.Float64bits(a[tk]) != math.Float64bits(b[tk]) {
+				t.Fatalf("%s diverges at tick %d: %v vs %v", what, tk, a[tk], b[tk])
+			}
+		}
+	}
+	sameBits("aggregate", res.AggregateW, sw.RowAggregateW[0])
+	for i, r := range res.Racks {
+		sameBits(fmt.Sprintf("rack %d CBW", i), r.Series.CBW, sw.Rows[0][i].Series.CBW)
 	}
 }

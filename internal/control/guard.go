@@ -95,9 +95,6 @@ func NewMeasurementGuard(cfg MeasurementGuardConfig) (*MeasurementGuard, error) 
 // Confidence returns the current measurement confidence in [0, 1].
 func (g *MeasurementGuard) Confidence() float64 { return g.confidence }
 
-// Held returns the value the guard currently serves downstream.
-func (g *MeasurementGuard) Held() float64 { return g.held }
-
 // Step validates one reading. modelEstW is the design model's estimate of
 // the same quantity, used only as the decay target while readings are
 // invalid. It returns the value downstream consumers should use and whether

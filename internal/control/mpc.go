@@ -211,9 +211,6 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 	return m, nil
 }
 
-// Config returns the controller configuration.
-func (m *MPC) Config() MPCConfig { return m.cfg }
-
 // Step computes the next per-core frequencies.
 //
 //	pfbW      — Eq. (6) feedback estimate of current batch power (W)
@@ -455,14 +452,4 @@ func maskUnchanged(cached []bool, locked []bool) bool {
 		}
 	}
 	return true
-}
-
-// PredictPower returns the design model's one-step power prediction (W) for
-// a frequency move, used by tests and the allocator's what-if analysis.
-func (m *MPC) PredictPower(pfbW float64, dFreqs []float64) float64 {
-	p := pfbW
-	for i, k := range m.cfg.KWPerGHz {
-		p += k * dFreqs[i]
-	}
-	return p
 }

@@ -232,10 +232,3 @@ func TestMPCConvergesOnNonlinearPlant(t *testing.T) {
 		t.Fatalf("nonlinear plant: settled at %v vs target %v (rel %.3f)", p, target, rel)
 	}
 }
-
-func TestMPCPredictPower(t *testing.T) {
-	m, _ := NewMPC(DefaultMPCConfig([]float64{10, 20}))
-	if got := m.PredictPower(100, []float64{0.1, 0.2}); math.Abs(got-105) > 1e-9 {
-		t.Fatalf("PredictPower = %v, want 105", got)
-	}
-}

@@ -37,9 +37,6 @@ func NewRLS(k0, lambda, kMin, kMax float64) (*RLS, error) {
 // K returns the current slope estimate.
 func (r *RLS) K() float64 { return r.k }
 
-// Updates returns how many observations have been absorbed.
-func (r *RLS) Updates() int { return r.updates }
-
 // Observe absorbs one (ΔF, Δp) pair. Observations with too little
 // excitation (|ΔF| below minExcitation) are ignored — they carry only
 // noise. Non-finite inputs are ignored.

@@ -34,7 +34,7 @@ func TestRLSConvergesToTrueSlope(t *testing.T) {
 	if math.Abs(r.K()-truth) > 1 {
 		t.Fatalf("K = %v after 200 observations, want ≈%v", r.K(), truth)
 	}
-	if r.Updates() == 0 {
+	if r.updates == 0 {
 		t.Fatal("no updates recorded")
 	}
 }
@@ -61,8 +61,8 @@ func TestRLSIgnoresWeakExcitation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Observe(0.001, 50, 0.05) // tiny ΔF, big noise power
 	}
-	if r.Updates() != 0 || r.K() != 9.6 {
-		t.Fatalf("weak excitation should be ignored: K=%v updates=%d", r.K(), r.Updates())
+	if r.updates != 0 || r.K() != 9.6 {
+		t.Fatalf("weak excitation should be ignored: K=%v updates=%d", r.K(), r.updates)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestRLSIgnoresNonFinite(t *testing.T) {
 	r, _ := NewRLS(9.6, 0.98, 1, 40)
 	r.Observe(math.NaN(), 1, 0.05)
 	r.Observe(1, math.Inf(1), 0.05)
-	if r.Updates() != 0 {
+	if r.updates != 0 {
 		t.Fatal("non-finite observations must be ignored")
 	}
 }

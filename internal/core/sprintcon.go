@@ -694,7 +694,7 @@ func (s *SprintCon) serverPowerControl(env *sim.Env, snap sim.Snapshot, pcb, pIn
 	copy(s.cmdFreqs, next)
 	applied, aerr := env.Rack.SetBatchFreqsInto(next, s.appliedBuf)
 	if aerr != nil {
-		panic(fmt.Sprintf("core: SetBatchFreqs: %v", aerr)) // structural bug
+		panic(fmt.Sprintf("core: SetBatchFreqsInto: %v", aerr)) // structural bug
 	}
 	if s.hd.enabled() {
 		s.observeActuation(env, next, applied)

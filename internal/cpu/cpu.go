@@ -183,9 +183,6 @@ func New(n int, table PStateTable) (*CPU, error) {
 // NumCores returns the number of cores.
 func (c *CPU) NumCores() int { return len(c.freqs) }
 
-// Table returns the P-state table.
-func (c *CPU) Table() PStateTable { return c.table }
-
 // Core returns core i's state.
 func (c *CPU) Core(i int) Core {
 	return Core{Freq: c.freqs[i], Util: c.utils[i], Class: c.classes[i]}
@@ -197,9 +194,6 @@ func (c *CPU) Freqs() []float64 { return c.freqs }
 
 // Utils returns the per-core utilization slice (live, read-only).
 func (c *CPU) Utils() []float64 { return c.utils }
-
-// Classes returns the per-core class slice (live, read-only).
-func (c *CPU) Classes() []Class { return c.classes }
 
 // SetFreq requests frequency f on core i; the applied (quantized) frequency
 // is returned. This is the paper's "server modulator" writing a frequency.
@@ -216,48 +210,3 @@ func (c *CPU) SetUtil(i int, u float64) {
 
 // SetClass assigns the workload class of core i.
 func (c *CPU) SetClass(i int, cl Class) { c.classes[i] = cl }
-
-// CoresOf returns the indices of cores with the given class, in order.
-func (c *CPU) CoresOf(cl Class) []int {
-	var out []int
-	for i, cc := range c.classes {
-		if cc == cl {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// MeanFreqOf returns the average frequency of cores in class cl, or 0 when
-// the class is empty.
-func (c *CPU) MeanFreqOf(cl Class) float64 {
-	var sum float64
-	var n int
-	for i, cc := range c.classes {
-		if cc == cl {
-			sum += c.freqs[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// MeanUtilOf returns the average utilization of cores in class cl, or 0
-// when the class is empty.
-func (c *CPU) MeanUtilOf(cl Class) float64 {
-	var sum float64
-	var n int
-	for i, cc := range c.classes {
-		if cc == cl {
-			sum += c.utils[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

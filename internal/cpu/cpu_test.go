@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"sprintcon/internal/mathx"
 )
 
 func TestNewPStateTableValidation(t *testing.T) {
@@ -91,9 +89,8 @@ func TestCPUCoreStateManagement(t *testing.T) {
 	for i := 4; i < 8; i++ {
 		c.SetClass(i, Batch)
 	}
-	got := c.CoresOf(Batch)
-	if len(got) != 4 || got[0] != 4 {
-		t.Fatalf("CoresOf(Batch) = %v", got)
+	if c.Core(3).Class != Interactive || c.Core(4).Class != Batch {
+		t.Fatalf("classes = %v, %v", c.Core(3).Class, c.Core(4).Class)
 	}
 	applied := c.SetFreq(5, 1.234)
 	if applied != 1.2 {
@@ -112,25 +109,6 @@ func TestCPUCoreStateManagement(t *testing.T) {
 	}
 }
 
-func TestMeanFreqAndUtilOf(t *testing.T) {
-	c, _ := New(4, DefaultPStates())
-	c.SetClass(0, Batch)
-	c.SetClass(1, Batch)
-	c.SetFreq(0, 1.0)
-	c.SetFreq(1, 2.0)
-	c.SetUtil(0, 0.5)
-	c.SetUtil(1, 1.0)
-	if got := c.MeanFreqOf(Batch); math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("MeanFreqOf = %v", got)
-	}
-	if got := c.MeanUtilOf(Batch); math.Abs(got-0.75) > 1e-9 {
-		t.Fatalf("MeanUtilOf = %v", got)
-	}
-	if got := c.MeanFreqOf(Interactive); got != 0 {
-		t.Fatalf("empty class mean = %v, want 0", got)
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if Idle.String() != "idle" || Interactive.String() != "interactive" || Batch.String() != "batch" {
 		t.Fatal("class names wrong")
@@ -146,33 +124,5 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(4, PStateTable{}); err == nil {
 		t.Error("empty table should fail")
-	}
-}
-
-// The mathx batch-quantization kernel must agree bitwise with the scalar
-// P-state quantizer at every input — it is the struct-of-arrays counterpart
-// of Quantize, and any drift between the two would let a vectorized plant
-// path diverge from the per-core model.
-func TestQuantizeSliceParityWithTable(t *testing.T) {
-	table := DefaultPStates()
-	grid := table.Freqs()
-
-	var in []float64
-	for f := -0.3; f <= 2.6; f += 0.007 {
-		in = append(in, f)
-	}
-	in = append(in, grid...) // exact P-states map to themselves
-	for i := 1; i < len(grid); i++ {
-		in = append(in, (grid[i-1]+grid[i])/2) // midpoints: ties round up
-	}
-
-	got := make([]float64, len(in))
-	copy(got, in)
-	mathx.QuantizeSlice(got, grid)
-	for i, f := range in {
-		want := table.Quantize(f)
-		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("input %v: kernel %v, scalar %v", f, got[i], want)
-		}
 	}
 }

@@ -7,6 +7,10 @@ import (
 	"sprintcon/internal/sim"
 )
 
+// SimulateDay and DayOutcome are test-only: the day-by-day simulation is the
+// oracle TestSimulateDaySprintCon and TestSimulateDayTrickleChargerCompounds
+// check Evaluate's one-sprint extrapolation against.
+
 // DayOutcome is the result of actually simulating a full operating day —
 // every sprint in sequence with recharge windows between them and the UPS
 // state of charge carried across — rather than extrapolating from one

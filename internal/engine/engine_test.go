@@ -103,7 +103,7 @@ func TestQueueResetKeepsSequenceMonotonic(t *testing.T) {
 	q.Push(1, KindRunEnd)
 	q.Push(2, KindRunEnd)
 	q.Reset()
-	if q.Len() != 0 {
+	if len(q.h) != 0 {
 		t.Fatal("Reset left events pending")
 	}
 	q.Push(1, KindRunEnd)

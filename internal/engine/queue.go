@@ -67,9 +67,6 @@ func (q *Queue) Reset() {
 	q.h = q.h[:0]
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
-
 // Push inserts an event at the given step.
 func (q *Queue) Push(step int64, kind Kind) {
 	e := Event{Step: step, Kind: kind, Seq: q.seq}

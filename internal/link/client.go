@@ -174,10 +174,6 @@ func (c *Client) Advance(now, dt float64) Budget {
 	return b
 }
 
-// Degraded reports whether the client is currently in the standalone
-// fallback.
-func (c *Client) Degraded() bool { return c.degraded }
-
 // LeaseVersion returns the current lease version (0 when none was ever
 // held).
 func (c *Client) LeaseVersion() uint64 {
@@ -250,6 +246,3 @@ func (c *Client) Attach(p *obs.Plane) {
 		p.LeaseAccepted(c.lease.IssuedAtS, c.lease.SpanID, c.lease.Version)
 	}
 }
-
-// ID returns the rack id this client serves.
-func (c *Client) ID() int { return c.id }

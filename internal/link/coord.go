@@ -173,12 +173,6 @@ func (c *Coordinator) reachable(rack int, now float64) bool {
 	return r.haveBeat && now-r.lastBeatS <= c.cfg.Link.BeatTimeoutS+1e-9
 }
 
-// PresumedDegraded reports whether the coordinator has written the rack off
-// as running standalone (unreachable and every sprint grant expired).
-func (c *Coordinator) PresumedDegraded(rack int) bool {
-	return c.racks[rack].presumedDown
-}
-
 // Stats returns the coordinator counters.
 func (c *Coordinator) Stats() CoordStats { return c.stats }
 

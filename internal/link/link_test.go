@@ -420,10 +420,10 @@ func TestCoordinatorPresumeDegradedAndRepack(t *testing.T) {
 		beatAll(c, now, 1, 2, 3)
 		lastGrants = append(lastGrants, c.Step(now)...)
 	}
-	if !c.PresumedDegraded(0) {
+	if !c.racks[0].presumedDown {
 		t.Fatal("silent rack not presumed degraded after timeout + sprint expiry")
 	}
-	if c.PresumedDegraded(1) {
+	if c.racks[1].presumedDown {
 		t.Fatal("beating rack presumed degraded")
 	}
 	// After the repack, live racks 1,2,3 pack as {1,2}@slot0, {3}@slot1:
@@ -464,7 +464,7 @@ func TestCoordinatorPresumeDegradedAndRepack(t *testing.T) {
 	if r0 == nil || !r0.AllowOverload {
 		t.Fatalf("healed rack not re-granted immediately: %+v", healed)
 	}
-	if c.PresumedDegraded(0) {
+	if c.racks[0].presumedDown {
 		t.Fatal("healed rack still presumed degraded")
 	}
 }
@@ -522,8 +522,8 @@ func TestClientStateRoundTrip(t *testing.T) {
 	if err := c2.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if c2.LeaseVersion() != 5 || c2.Degraded() != c.Degraded() {
-		t.Fatalf("restore mismatch: v%d degraded=%v", c2.LeaseVersion(), c2.Degraded())
+	if c2.LeaseVersion() != 5 || c2.degraded != c.degraded {
+		t.Fatalf("restore mismatch: v%d degraded=%v", c2.LeaseVersion(), c2.degraded)
 	}
 	b1, b2 := c.Advance(13, 1), c2.Advance(13, 1)
 	if b1 != b2 {

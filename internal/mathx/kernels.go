@@ -2,12 +2,11 @@ package mathx
 
 import "math"
 
-// Fused slice kernels for the struct-of-arrays hot path. These operate on
+// Fused slice kernels for the QP and MPC hot path. These operate on
 // contiguous float64 slices with simple branch-free inner loops the compiler
 // can keep in registers (and, where profitable, auto-vectorize). They are
 // deliberately free of bounds re-checks beyond the initial length match so
-// the per-core plant math (power, clamping, quantization) runs as tight
-// batch loops instead of per-struct method calls.
+// they run as tight loops instead of per-element method calls.
 
 // Axpy computes y[i] += alpha*x[i] over matching slices.
 func Axpy(alpha float64, x, y []float64) {
@@ -16,60 +15,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 	for i := range x {
 		y[i] += alpha * x[i]
-	}
-}
-
-// ScaleSlice computes x[i] *= alpha in place.
-func ScaleSlice(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// ClampSlice clamps every element of x into [lo, hi] in place.
-func ClampSlice(x []float64, lo, hi float64) {
-	for i, v := range x {
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		x[i] = v
-	}
-}
-
-// QuantizeSlice maps every element of x onto the nearest value of the sorted
-// grid, in place, with ties rounding up — elementwise identical to the
-// scalar binary-search quantization it replaces. The grid must be
-// non-empty and ascending.
-func QuantizeSlice(x []float64, grid []float64) {
-	n := len(grid)
-	if n == 0 {
-		panic("mathx: QuantizeSlice with empty grid")
-	}
-	min, max := grid[0], grid[n-1]
-	for i, f := range x {
-		switch {
-		case f <= min:
-			x[i] = min
-		case f >= max:
-			x[i] = max
-		default:
-			lo, hi := 0, n-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if grid[mid] < f {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo > 0 && f-grid[lo-1] < grid[lo]-f {
-				lo--
-			}
-			x[i] = grid[lo]
-		}
 	}
 }
 
@@ -83,22 +28,6 @@ func DotSlices(x, y []float64) float64 {
 		s += x[i] * y[i]
 	}
 	return s
-}
-
-// SumSlice returns Σ x[i].
-func SumSlice(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// FillSlice sets every element of x to v.
-func FillSlice(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
 }
 
 // CholeskyFactor overwrites the lower triangle of the n×n row-major matrix a

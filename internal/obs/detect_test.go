@@ -218,7 +218,7 @@ func TestNilPlaneNoOps(t *testing.T) {
 	if p.GrantSpan(0, 0, 1, false, false, 0) != 0 {
 		t.Fatal("nil GrantSpan must return 0")
 	}
-	if p.Alerts() != nil || p.Spans() != nil || p.Degraded() || p.Tracer() != nil {
+	if p.Alerts() != nil || p.Spans() != nil || p.Tracer() != nil {
 		t.Fatal("nil plane leaked state")
 	}
 }

@@ -348,17 +348,6 @@ func (p *Plane) Spans() []telemetry.Span {
 	return p.Tracer().Spans()
 }
 
-// Degraded reports whether the plane last saw the rack in the degraded
-// fallback.
-func (p *Plane) Degraded() bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.degraded
-}
-
 // Snapshot assembles the rack's live health document.
 func (p *Plane) Snapshot() HealthSnapshot {
 	if p == nil {

@@ -58,14 +58,6 @@ func (w *WindowStat) Push(v float64) {
 	w.n++
 }
 
-// Len returns the live sample count.
-func (w *WindowStat) Len() int {
-	if w == nil {
-		return 0
-	}
-	return w.n
-}
-
 // Last returns the most recent sample (NaN when empty).
 func (w *WindowStat) Last() float64 {
 	if w == nil || w.n == 0 {

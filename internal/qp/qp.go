@@ -201,20 +201,10 @@ func (p Problem) mulVecInto(dst, x mathx.Vector) mathx.Vector {
 	return p.H.MulVecInto(dst, x)
 }
 
-// Objective evaluates ½xᵀHx + gᵀx.
-func (p Problem) Objective(x mathx.Vector) float64 {
-	return p.objectiveWith(x, mathx.NewVector(len(x)))
-}
-
 // objectiveWith evaluates the objective using scratch for H·x (no allocation).
 func (p Problem) objectiveWith(x, scratch mathx.Vector) float64 {
 	hx := p.mulVecInto(scratch, x)
 	return 0.5*x.Dot(hx) + p.G.Dot(x)
-}
-
-// Gradient evaluates Hx + g.
-func (p Problem) Gradient(x mathx.Vector) mathx.Vector {
-	return p.gradientInto(mathx.NewVector(len(x)), x)
 }
 
 // gradientInto evaluates dst = Hx + g without allocating.
@@ -261,14 +251,6 @@ func (p Problem) solveFactored(ws *Workspace, b []float64) {
 		return
 	}
 	mathx.CholeskySolve(ws.subH[:m*m], b, m)
-}
-
-// KKTResidual returns the maximum violation of the first-order optimality
-// conditions for the box-constrained problem at x: at a lower bound the
-// gradient may be positive, at an upper bound negative, and in the interior
-// it must vanish.
-func (p Problem) KKTResidual(x mathx.Vector) float64 {
-	return p.residualAt(x, p.Gradient(x))
 }
 
 // residualAt evaluates the KKT residual at x given grad = Hx + g.

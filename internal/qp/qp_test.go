@@ -13,23 +13,70 @@ func spd(rng *rand.Rand, n int) *mathx.Matrix {
 	b := mathx.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			b.Set(i, j, rng.NormFloat64())
+			b.Inc(i, j, rng.NormFloat64())
 		}
 	}
-	h := b.Transpose().Mul(b)
+	// h = bᵀ·b + 0.5·I, written into zeroed matrices with Inc.
+	h := mathx.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < n; k++ {
+				s += b.At(k, i) * b.At(k, j)
+			}
+			h.Inc(i, j, s)
+		}
 		h.Inc(i, i, 0.5)
 	}
 	return h
 }
 
+// identity returns the n×n identity matrix.
+func identity(n int) *mathx.Matrix {
+	m := mathx.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Inc(i, i, 1)
+	}
+	return m
+}
+
+// constant returns a length-n vector with every element set to v.
+func constant(n int, v float64) mathx.Vector {
+	x := mathx.NewVector(n)
+	for i := range x {
+		x[i] = v
+	}
+	return x
+}
+
+// Test-only evaluations of the problem: the optimality oracles the solver
+// tests check its results against.
+
+// Objective evaluates ½xᵀHx + gᵀx.
+func (p Problem) Objective(x mathx.Vector) float64 {
+	return p.objectiveWith(x, mathx.NewVector(len(x)))
+}
+
+// Gradient evaluates Hx + g.
+func (p Problem) Gradient(x mathx.Vector) mathx.Vector {
+	return p.gradientInto(mathx.NewVector(len(x)), x)
+}
+
+// KKTResidual returns the maximum violation of the first-order optimality
+// conditions for the box-constrained problem at x: at a lower bound the
+// gradient may be positive, at an upper bound negative, and in the interior
+// it must vanish.
+func (p Problem) KKTResidual(x mathx.Vector) float64 {
+	return p.residualAt(x, p.Gradient(x))
+}
+
 func TestSolveUnconstrainedInterior(t *testing.T) {
 	// min ½xᵀIx − [1 2]x with wide bounds → x = [1 2].
 	p := Problem{
-		H:  mathx.Identity(2),
+		H:  identity(2),
 		G:  mathx.Vector{-1, -2},
-		Lo: mathx.Constant(2, -100),
-		Hi: mathx.Constant(2, 100),
+		Lo: constant(2, -100),
+		Hi: constant(2, 100),
 	}
 	r, err := Solve(p, Options{})
 	if err != nil {
@@ -50,10 +97,10 @@ func TestSolveClampedToBounds(t *testing.T) {
 	// Unconstrained minimum [1 2] but box [0,0.5]² → both at upper bound?
 	// For identity H coordinates decouple: x = [0.5, 0.5].
 	p := Problem{
-		H:  mathx.Identity(2),
+		H:  identity(2),
 		G:  mathx.Vector{-1, -2},
-		Lo: mathx.Constant(2, 0),
-		Hi: mathx.Constant(2, 0.5),
+		Lo: constant(2, 0),
+		Hi: constant(2, 0.5),
 	}
 	r, err := Solve(p, Options{})
 	if err != nil {
@@ -70,10 +117,10 @@ func TestSolveClampedToBounds(t *testing.T) {
 func TestSolveMatchesGridSearch2D(t *testing.T) {
 	// Coupled 2-D problem verified against a fine grid search.
 	h := mathx.NewMatrix(2, 2)
-	h.Set(0, 0, 2)
-	h.Set(0, 1, 0.8)
-	h.Set(1, 0, 0.8)
-	h.Set(1, 1, 1.5)
+	h.Inc(0, 0, 2)
+	h.Inc(0, 1, 0.8)
+	h.Inc(1, 0, 0.8)
+	h.Inc(1, 1, 1.5)
 	p := Problem{H: h, G: mathx.Vector{1.0, -2.0}, Lo: mathx.Vector{-1, -1}, Hi: mathx.Vector{1, 1}}
 
 	r, err := Solve(p, Options{})
@@ -160,7 +207,7 @@ func TestSolveBeatsRandomFeasiblePointsProperty(t *testing.T) {
 }
 
 func TestValidateRejectsBadProblems(t *testing.T) {
-	good := Problem{H: mathx.Identity(2), G: mathx.Vector{0, 0}, Lo: mathx.Vector{0, 0}, Hi: mathx.Vector{1, 1}}
+	good := Problem{H: identity(2), G: mathx.Vector{0, 0}, Lo: mathx.Vector{0, 0}, Hi: mathx.Vector{1, 1}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good problem rejected: %v", err)
 	}
@@ -222,7 +269,7 @@ func TestSolveEmptyProblem(t *testing.T) {
 func TestSolveEqualBounds(t *testing.T) {
 	// Degenerate box lo==hi pins the solution exactly.
 	p := Problem{
-		H:  mathx.Identity(3),
+		H:  identity(3),
 		G:  mathx.Vector{5, -5, 0},
 		Lo: mathx.Vector{0.3, 0.3, 0.3},
 		Hi: mathx.Vector{0.3, 0.3, 0.3},
@@ -242,7 +289,7 @@ func TestSolveMPCSizedProblem(t *testing.T) {
 	// 128 variables ≈ one frequency move per batch core on the rack.
 	rng := rand.New(rand.NewSource(99))
 	n := 128
-	p := Problem{H: spd(rng, n), G: mathx.NewVector(n), Lo: mathx.Constant(n, -0.4), Hi: mathx.Constant(n, 0.4)}
+	p := Problem{H: spd(rng, n), G: mathx.NewVector(n), Lo: constant(n, -0.4), Hi: constant(n, 0.4)}
 	for i := range p.G {
 		p.G[i] = rng.NormFloat64() * 5
 	}
@@ -258,7 +305,7 @@ func TestSolveMPCSizedProblem(t *testing.T) {
 func BenchmarkSolve128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 128
-	p := Problem{H: spd(rng, n), G: mathx.NewVector(n), Lo: mathx.Constant(n, -0.4), Hi: mathx.Constant(n, 0.4)}
+	p := Problem{H: spd(rng, n), G: mathx.NewVector(n), Lo: constant(n, -0.4), Hi: constant(n, 0.4)}
 	for i := range p.G {
 		p.G[i] = rng.NormFloat64() * 5
 	}

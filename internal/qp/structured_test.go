@@ -69,7 +69,7 @@ func newMPCShape(rng *rand.Rand, n int, floorFrac, lockedFrac float64) mpcShape 
 		lo:  mathx.NewVector(n),
 		hi:  mathx.NewVector(n),
 	}
-	s.h.OuterAdd(alpha, mathx.Constant(n, k), mathx.Constant(n, k))
+	s.h.OuterAdd(alpha, constant(n, k), constant(n, k))
 	for i := 0; i < n; i++ {
 		w := math.Pow(10, -2+4*rng.Float64())
 		if rng.Float64() < floorFrac {
@@ -106,7 +106,11 @@ func (s mpcShape) problem(rng *rand.Rand, where placement) Problem {
 			xs[j] = s.hi[j] + 0.05 + rng.Float64()
 		}
 	}
-	return Problem{EqualOffDiag: s.eod, G: s.h.MulVec(xs).Scale(-1), Lo: s.lo, Hi: s.hi}
+	g := s.h.MulVecInto(mathx.NewVector(len(xs)), xs)
+	for i := range g {
+		g[i] *= -1
+	}
+	return Problem{EqualOffDiag: s.eod, G: g, Lo: s.lo, Hi: s.hi}
 }
 
 // dense returns p with its cost matrix given as the dense twin h.

@@ -173,9 +173,6 @@ func (r *Rack) ServerOffline(serverIdx int) bool {
 	return r.FaultStateOf(serverIdx).Offline
 }
 
-// Config returns the rack configuration.
-func (r *Rack) Config() Config { return r.cfg }
-
 // Servers returns the rack's servers (shared state, not a copy).
 func (r *Rack) Servers() []*server.Server { return r.servers }
 
@@ -187,9 +184,6 @@ func (r *Rack) InteractiveCores() []CoreRef { return r.inter }
 
 // SetAmbient sets the inlet air temperature seen by every server.
 func (r *Rack) SetAmbient(c float64) { r.env.AmbientC = c }
-
-// Environment returns the current disturbance inputs.
-func (r *Rack) Environment() server.Environment { return r.env }
 
 // BindJob attaches a batch job to a batch core.
 func (r *Rack) BindJob(ref CoreRef, j *workload.BatchJob) error {
@@ -211,17 +205,6 @@ func (r *Rack) BindJob(ref CoreRef, j *workload.BatchJob) error {
 
 // Job returns the job bound to a core (nil if none).
 func (r *Rack) Job(ref CoreRef) *workload.BatchJob { return r.jobs[ref] }
-
-// Jobs returns all bound jobs in batch-core order (skipping unbound cores).
-func (r *Rack) Jobs() []*workload.BatchJob {
-	out := make([]*workload.BatchJob, 0, len(r.jobs))
-	for _, ref := range r.batch {
-		if j := r.jobs[ref]; j != nil {
-			out = append(out, j)
-		}
-	}
-	return out
-}
 
 // ApplyInteractiveDemand sets the utilization of every interactive core
 // from the demand fraction plus per-core jitter. Demand is expressed
@@ -281,15 +264,11 @@ func (r *Rack) SetInteractiveFreq(f float64) {
 	}
 }
 
-// SetBatchFreqs applies a frequency per batch core in BatchCores() order,
-// quantized to the P-state table, and returns the applied values (GHz).
-func (r *Rack) SetBatchFreqs(freqs []float64) ([]float64, error) {
-	return r.SetBatchFreqsInto(freqs, make([]float64, len(freqs)))
-}
-
-// SetBatchFreqsInto is SetBatchFreqs writing the applied values into the
-// preallocated applied slice (returned), for allocation-free control
-// periods. applied must have the same length as freqs and may alias it.
+// SetBatchFreqsInto applies a frequency per batch core in BatchCores()
+// order, quantized to the P-state table, and writes the applied values
+// (GHz) into the preallocated applied slice (returned), for allocation-free
+// control periods. applied must have the same length as freqs and may
+// alias it.
 func (r *Rack) SetBatchFreqsInto(freqs, applied []float64) ([]float64, error) {
 	if len(freqs) != len(r.batch) {
 		return nil, fmt.Errorf("rack: got %d frequencies for %d batch cores", len(freqs), len(r.batch))
@@ -405,18 +384,6 @@ func (r *Rack) TruePower() float64 {
 	return p
 }
 
-// TruePowerOfClass returns the exact rack power attributable to a class.
-func (r *Rack) TruePowerOfClass(cl cpu.Class) float64 {
-	var p float64
-	for i, s := range r.servers {
-		if r.faults[i].Offline {
-			continue
-		}
-		p += s.PowerOfClass(cl, r.env)
-	}
-	return p
-}
-
 // MeasuredPower returns the rack power monitor's reading: true power with
 // multiplicative Gaussian error (paper: p_total "can be physically measured
 // by a power monitor" — real monitors are a fraction of a percent off).
@@ -474,16 +441,10 @@ func (r *Rack) BatchFeedback(measuredTotal float64) float64 {
 	return math.Max(0, fb)
 }
 
-// RWeights returns the paper's per-batch-core control-penalty weights
-// R_{i,j} (dimensionless) at time now, in BatchCores() order (1 for unbound
-// cores).
-func (r *Rack) RWeights(now float64) []float64 {
-	return r.RWeightsInto(make([]float64, len(r.batch)), now)
-}
-
-// RWeightsInto is RWeights writing into the preallocated dst (returned),
-// for allocation-free control periods. dst must have one element per batch
-// core.
+// RWeightsInto writes the paper's per-batch-core control-penalty weights
+// R_{i,j} (dimensionless) at time now into the preallocated dst (returned),
+// in BatchCores() order (1 for unbound cores), for allocation-free control
+// periods. dst must have one element per batch core.
 func (r *Rack) RWeightsInto(dst []float64, now float64) []float64 {
 	if len(dst) != len(r.batch) {
 		panic(fmt.Sprintf("rack: RWeightsInto dst length %d for %d batch cores", len(dst), len(r.batch)))

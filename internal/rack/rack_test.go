@@ -103,21 +103,23 @@ func TestBindAndAdvanceJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(r.Jobs()) != 64 {
-		t.Fatalf("jobs = %d", len(r.Jobs()))
+	for _, ref := range r.BatchCores() {
+		if r.Job(ref) == nil {
+			t.Fatalf("core %v has no job", ref)
+		}
 	}
 	// Run all batch cores at peak for 60 s; every job must make progress.
 	freqs := make([]float64, 64)
 	for i := range freqs {
 		freqs[i] = 2.0
 	}
-	if _, err := r.SetBatchFreqs(freqs); err != nil {
+	if _, err := r.SetBatchFreqsInto(freqs, make([]float64, len(freqs))); err != nil {
 		t.Fatal(err)
 	}
 	r.AdvanceBatch(60, 0)
-	for i, j := range r.Jobs() {
-		if j.Progress() <= 0 {
-			t.Fatalf("job %d made no progress", i)
+	for _, ref := range r.BatchCores() {
+		if r.Job(ref).Progress() <= 0 {
+			t.Fatalf("job %v made no progress", ref)
 		}
 	}
 	// Batch utilization reflects the specs.
@@ -187,7 +189,7 @@ func TestSetBatchFreqsQuantizesAndValidates(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1.234
 	}
-	applied, err := r.SetBatchFreqs(freqs)
+	applied, err := r.SetBatchFreqsInto(freqs, make([]float64, len(freqs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestSetBatchFreqsQuantizesAndValidates(t *testing.T) {
 			t.Fatalf("BatchFreqs returned %v", f)
 		}
 	}
-	if _, err := r.SetBatchFreqs(freqs[:3]); err == nil {
+	if _, err := r.SetBatchFreqsInto(freqs[:3], make([]float64, 3)); err == nil {
 		t.Fatal("wrong length should fail")
 	}
 }
@@ -250,7 +252,7 @@ func TestBatchFeedbackTracksTrueBatchPower(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1.5
 	}
-	r.SetBatchFreqs(freqs)
+	r.SetBatchFreqsInto(freqs, make([]float64, len(freqs)))
 	r.AdvanceBatch(1, 0)
 
 	fb := r.BatchFeedback(r.TruePower())
@@ -272,7 +274,7 @@ func TestRWeights(t *testing.T) {
 	specs := workload.SpecCPU2006()
 	j, _ := workload.NewBatchJob(specs[0], 0, 600)
 	r.BindJob(r.BatchCores()[0], j)
-	w := r.RWeights(0)
+	w := r.RWeightsInto(make([]float64, len(r.BatchCores())), 0)
 	if len(w) != 64 {
 		t.Fatalf("weights length %d", len(w))
 	}
@@ -296,7 +298,7 @@ func TestMeanFreqNormMetrics(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1.0
 	}
-	r.SetBatchFreqs(freqs)
+	r.SetBatchFreqsInto(freqs, make([]float64, len(freqs)))
 	if got := r.MeanBatchFreqNorm(); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("batch norm freq %v, want 0.5", got)
 	}
@@ -310,4 +312,17 @@ func TestClassPowerPartition(t *testing.T) {
 	if math.Abs(total-sum) > 1e-6 {
 		t.Fatalf("class powers %v ≠ total %v", sum, total)
 	}
+}
+
+// TruePowerOfClass returns the exact rack power attributable to a class:
+// the test oracle for BatchFeedback's Eq. (6) estimate.
+func (r *Rack) TruePowerOfClass(cl cpu.Class) float64 {
+	var p float64
+	for i, s := range r.servers {
+		if r.faults[i].Offline {
+			continue
+		}
+		p += s.PowerOfClass(cl, r.env)
+	}
+	return p
 }

@@ -3,8 +3,10 @@ package seriesio
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -104,23 +106,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	s := demoSeries()
-	s.PCbW = []float64{3200, 3200, 3200} // JSON cannot carry NaN
-	s.PBatchW = []float64{1500, 1500, 1500}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := decoded["Time"]; !ok {
-		t.Fatal("JSON missing Time field")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	got := Sparkline([]float64{0, 1, 2, 3}, 4)
 	if utf8.RuneCountInString(got) != 4 {
@@ -184,4 +169,59 @@ func TestPoolMeanPooling(t *testing.T) {
 	if !math.IsNaN(out[0]) || out[1] != 4 {
 		t.Fatalf("NaN pool = %v", out)
 	}
+}
+
+// ReadCSV is WriteCSV's test-only inverse: the round-trip tests decode
+// with it.
+// It parses a series previously written by WriteCSV. Empty cells decode
+// as NaN, inverting WriteCSV's encoding of NaN (policies without a batch
+// budget write empty pbatch_target_w columns). Columns are resolved by
+// header name, so a reordered or extended file still reads correctly as
+// long as the WriteCSV columns are present.
+func ReadCSV(r io.Reader) (*sim.Series, error) {
+	cr := csv.NewReader(r)
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("seriesio: reading header: %w", err)
+	}
+	col := make(map[string]int, len(header))
+	for i, name := range header {
+		col[name] = i
+	}
+	var s sim.Series
+	dests := []struct {
+		name string
+		dst  *[]float64
+	}{
+		{"time_s", &s.Time}, {"total_w", &s.TotalW}, {"cb_w", &s.CBW},
+		{"ups_w", &s.UPSW}, {"pcb_target_w", &s.PCbW}, {"pbatch_target_w", &s.PBatchW},
+		{"freq_inter_norm", &s.FreqInter}, {"freq_batch_norm", &s.FreqBatch}, {"ups_soc", &s.SoC},
+	}
+	for _, d := range dests {
+		if _, ok := col[d.name]; !ok {
+			return nil, fmt.Errorf("seriesio: missing column %q", d.name)
+		}
+	}
+	for line := 2; ; line++ {
+		row, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("seriesio: line %d: %w", line, err)
+		}
+		for _, d := range dests {
+			cell := row[col[d.name]]
+			if cell == "" {
+				*d.dst = append(*d.dst, math.NaN())
+				continue
+			}
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				return nil, fmt.Errorf("seriesio: line %d, column %s: %w", line, d.name, err)
+			}
+			*d.dst = append(*d.dst, v)
+		}
+	}
+	return &s, nil
 }

@@ -113,9 +113,6 @@ func New(id int, p Params) (*Server, error) {
 // ID returns the server's identifier.
 func (s *Server) ID() int { return s.id }
 
-// Params returns the server's model parameters.
-func (s *Server) Params() Params { return s.p }
-
 // CPU exposes the server's cores for class/frequency/utilization updates.
 func (s *Server) CPU() *cpu.CPU { return s.cpu }
 

@@ -56,7 +56,7 @@ func TestFullLoadPeakPowerNear300W(t *testing.T) {
 	}
 	got := s.Power(env())
 	// 300 W plus the small fan disturbance at full load.
-	if got < 300 || got > 300+s.Params().FanW+1 {
+	if got < 300 || got > 300+s.p.FanW+1 {
 		t.Fatalf("full-load power = %v, want ≈300 (+fan)", got)
 	}
 }
@@ -68,7 +68,7 @@ func TestPowerMonotoneInFrequency(t *testing.T) {
 		s.CPU().SetUtil(i, 0.9)
 	}
 	prev := 0.0
-	for _, f := range s.Params().PStates.Freqs() {
+	for _, f := range s.p.PStates.Freqs() {
 		for i := 0; i < 8; i++ {
 			s.CPU().SetFreq(i, f)
 		}

@@ -215,9 +215,7 @@ func (c *ckRuntime) maybeRestart(env *Env, now float64) error {
 // While the controller is dead nothing is saved: the checkpointer is part
 // of the controller process, and overwriting the last pre-crash snapshot
 // with controller-less state would defeat the restore.
-func (c *ckRuntime) capture(env *Env, inj *faults.Injector, res *Result,
-	tNext float64, stepNext int, snap Snapshot, outage bool,
-	controlled, over int, trackErrSum float64) {
+func (c *ckRuntime) capture(r *Runner, tNext float64, stepNext int) {
 	if c.store == nil || c.ctlDead {
 		return
 	}
@@ -227,40 +225,10 @@ func (c *ckRuntime) capture(env *Env, inj *faults.Injector, res *Result,
 	if c.haveSave && c.everyS > 0 && tNext < c.lastSaveS+c.everyS-1e-9 {
 		return
 	}
-	sp := &checkpoint.Snapshot{
-		Version:     checkpoint.Version,
-		SimTimeS:    tNext,
-		Step:        int64(stepNext),
-		PolicyName:  c.p.Name(),
-		ScenarioSum: c.sum,
-	}
-	if c.cp != nil {
-		sp.HasController = true
-		sp.Controller = c.cp.ExportCheckpoint(tNext)
-	}
-	sp.Plant = checkpoint.PlantState{
-		Breaker: env.Breaker.ExportState(),
-		UPS:     env.UPS.ExportState(),
-		Rack:    env.Rack.ExportState(),
-		Engine: checkpoint.EngineState{
-			Outage:          outage,
-			OutageS:         res.OutageS,
-			CBTrips:         res.CBTrips,
-			ControlledTicks: controlled,
-			OverTicks:       over,
-			TrackErrSum:     trackErrSum,
-			EventSeq:        env.Events.Len(),
-			Snap:            snapToState(snap),
-		},
-	}
-	if inj != nil {
-		sp.Plant.HasInjector = true
-		sp.Plant.Injector = inj.ExportState()
-	}
-	n, err := c.store.Save(sp)
+	n, err := c.store.Save(r.snapshotAt(tNext, stepNext, c.sum))
 	if err != nil {
 		c.cm.saveErrs.Inc()
-		env.Events.Logf("checkpoint", "save failed: %v", err)
+		r.env.Events.Logf("checkpoint", "save failed: %v", err)
 		return
 	}
 	c.saves++
@@ -272,6 +240,44 @@ func (c *ckRuntime) capture(env *Env, inj *faults.Injector, res *Result,
 		c.cm.bytes.Set(float64(n))
 		c.cm.ageS.Set(0)
 	}
+}
+
+// snapshotAt builds the run's checkpoint.Snapshot for the tick boundary at
+// time t and step, the position of the next tick to execute, under the
+// scenario fingerprint sum. The checkpoint cadence and ExportSnapshot both
+// build through it.
+func (r *Runner) snapshotAt(t float64, step int, sum uint64) *checkpoint.Snapshot {
+	sp := &checkpoint.Snapshot{
+		Version:     checkpoint.Version,
+		SimTimeS:    t,
+		Step:        int64(step),
+		PolicyName:  r.p.Name(),
+		ScenarioSum: sum,
+	}
+	if cp, ok := r.p.(Checkpointable); ok {
+		sp.HasController = true
+		sp.Controller = cp.ExportCheckpoint(t)
+	}
+	sp.Plant = checkpoint.PlantState{
+		Breaker: r.env.Breaker.ExportState(),
+		UPS:     r.env.UPS.ExportState(),
+		Rack:    r.env.Rack.ExportState(),
+		Engine: checkpoint.EngineState{
+			Outage:          r.outage,
+			OutageS:         r.res.OutageS,
+			CBTrips:         r.res.CBTrips,
+			ControlledTicks: r.controlledTicks,
+			OverTicks:       r.overTicks,
+			TrackErrSum:     r.trackErrSum,
+			EventSeq:        r.env.Events.Len(),
+			Snap:            snapToState(r.snap),
+		},
+	}
+	if r.inj != nil {
+		sp.Plant.HasInjector = true
+		sp.Plant.Injector = r.inj.ExportState()
+	}
+	return sp
 }
 
 func snapToState(s Snapshot) checkpoint.SnapState {
@@ -327,37 +333,7 @@ func (r *Runner) ExportSnapshot() (*checkpoint.Snapshot, error) {
 		}
 		r.scnSum = sum
 	}
-	now := r.Now()
-	sp := &checkpoint.Snapshot{
-		Version:     checkpoint.Version,
-		SimTimeS:    now,
-		Step:        int64(r.step),
-		PolicyName:  r.p.Name(),
-		ScenarioSum: r.scnSum,
-	}
-	if cp, ok := r.p.(Checkpointable); ok {
-		sp.HasController = true
-		sp.Controller = cp.ExportCheckpoint(now)
-	}
-	sp.Plant = checkpoint.PlantState{
-		Breaker: r.env.Breaker.ExportState(),
-		UPS:     r.env.UPS.ExportState(),
-		Rack:    r.env.Rack.ExportState(),
-		Engine: checkpoint.EngineState{
-			Outage:          r.outage,
-			OutageS:         r.res.OutageS,
-			CBTrips:         r.res.CBTrips,
-			ControlledTicks: r.controlledTicks,
-			OverTicks:       r.overTicks,
-			TrackErrSum:     r.trackErrSum,
-			EventSeq:        r.env.Events.Len(),
-			Snap:            snapToState(r.snap),
-		},
-	}
-	if r.inj != nil {
-		sp.Plant.HasInjector = true
-		sp.Plant.Injector = r.inj.ExportState()
-	}
+	sp := r.snapshotAt(r.Now(), r.step, r.scnSum)
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}

@@ -48,7 +48,8 @@ func TestExampleScenariosLoad(t *testing.T) {
 // FuzzScenarioJSON holds the scenario loader to its contract: arbitrary
 // bytes either produce a descriptive error or a scenario that passes
 // Validate and runs through the engine's own pre-flight checks — never a
-// panic, and never a scenario whose fault plan the fault layer rejects
+// panic, never more than MaxSteps ticks (the 1e308/1e-308 seed must be
+// rejected), and never a scenario whose fault plan the fault layer rejects
 // (a malformed controller-crash spec must not reach the run and restore
 // into an overload-enabled state).
 func FuzzScenarioJSON(f *testing.F) {
@@ -66,6 +67,9 @@ func FuzzScenarioJSON(f *testing.F) {
 		}
 		if verr := scn.Validate(); verr != nil {
 			t.Fatalf("loader accepted a scenario Validate rejects: %v", verr)
+		}
+		if n := scn.DurationS / scn.DtS; !(n <= MaxSteps) {
+			t.Fatalf("loader accepted %g ticks, above MaxSteps %d", n, MaxSteps)
 		}
 		for _, flt := range scn.Faults.Faults {
 			if flt.Kind == "controller-crash" && flt.Severity < 0 {

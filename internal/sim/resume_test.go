@@ -44,11 +44,11 @@ func TestResumeContinuationBitIdentical(t *testing.T) {
 		t.Fatalf("no snapshot captured at t=%ds", resumeAt)
 	}
 
-	fs := checkpoint.NewFileStore(t.TempDir() + "/resume.ckpt")
-	if _, err := fs.Save(store.sp); err != nil {
+	path := t.TempDir() + "/resume.ckpt"
+	if _, err := checkpoint.NewFileStore(path).Save(store.sp); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := checkpoint.ReadFile(fs.Path())
+	sp, err := checkpoint.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,13 +137,6 @@ func NewRunner(scn Scenario, p Policy, opts RunOptions) (*Runner, error) {
 	return r, nil
 }
 
-// Env exposes the run's environment (for lock-step coordinators that read
-// plant state between ticks — heartbeat telemetry, aggregate power).
-func (r *Runner) Env() *Env { return r.env }
-
-// Policy returns the bound policy.
-func (r *Runner) Policy() Policy { return r.p }
-
 // Now returns the simulation time of the next tick to execute.
 func (r *Runner) Now() float64 { return float64(r.step) * r.dt }
 
@@ -260,7 +253,7 @@ func (r *Runner) Step() error {
 			r.snap.UPSSoC, r.snap.UPSDepleted = inj.FilterSoC(r.snap.UPSSoC, r.snap.UPSDepleted)
 		}
 		if ckr != nil {
-			ckr.capture(env, inj, res, now+dt, r.step+1, r.snap, true, r.controlledTicks, r.overTicks, r.trackErrSum)
+			ckr.capture(r, now+dt, r.step+1)
 		}
 		if r.em.enabled {
 			r.em.outageS.Add(dt)
@@ -359,7 +352,7 @@ func (r *Runner) Step() error {
 		r.snap.UPSSoC, r.snap.UPSDepleted = inj.FilterSoC(r.snap.UPSSoC, r.snap.UPSDepleted)
 	}
 	if ckr != nil {
-		ckr.capture(env, inj, res, now+dt, r.step+1, r.snap, r.outage, r.controlledTicks, r.overTicks, r.trackErrSum)
+		ckr.capture(r, now+dt, r.step+1)
 	}
 	r.step++
 	return nil

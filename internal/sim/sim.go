@@ -150,6 +150,12 @@ func DefaultScenario() Scenario {
 	}
 }
 
+// MaxSteps bounds a scenario's tick count, DurationS/DtS. Every rack
+// allocates its interactive trace and its series channels at that length
+// before the first tick, so an unbounded count could exhaust memory; 10^7
+// ticks is 115 days at the default 1 s step.
+const MaxSteps = 10_000_000
+
 // Validate reports structural errors in the scenario. Beyond the zero
 // checks it rejects NaN/Inf in every numeric field: a single NaN duration
 // or ambient swing silently corrupts an entire run's physics, so it must be
@@ -178,6 +184,8 @@ func (s Scenario) Validate() error {
 		return errors.New("sim: duration and dt must be positive")
 	case s.DtS > s.DurationS:
 		return errors.New("sim: dt exceeds duration")
+	case s.DurationS/s.DtS > MaxSteps:
+		return fmt.Errorf("sim: %g s at a %g s step is %.3g ticks; at most %d are supported", s.DurationS, s.DtS, s.DurationS/s.DtS, MaxSteps)
 	case s.BurstDurationS <= 0:
 		return errors.New("sim: burst duration must be positive")
 	case s.BatchDeadlineS <= 0:

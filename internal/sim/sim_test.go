@@ -47,6 +47,8 @@ func TestScenarioValidate(t *testing.T) {
 	}{
 		{"zero duration", func(s *Scenario) { s.DurationS = 0 }},
 		{"dt > duration", func(s *Scenario) { s.DtS = 1e6 }},
+		{"10^13 ticks", func(s *Scenario) { s.DurationS, s.DtS = 1e13, 1 }},
+		{"tick count overflows int", func(s *Scenario) { s.DurationS = 1e300 }},
 		{"zero burst", func(s *Scenario) { s.BurstDurationS = 0 }},
 		{"zero deadline", func(s *Scenario) { s.BatchDeadlineS = 0 }},
 		{"bad fills", func(s *Scenario) { s.WorkFillMin = 0 }},
@@ -74,12 +76,19 @@ func TestBuildEnvBindsAllBatchCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(env.Rack.Jobs()); got != 64 {
-		t.Fatalf("jobs bound = %d, want 64", got)
+	cores := env.Rack.BatchCores()
+	for _, ref := range cores {
+		if env.Rack.Job(ref) == nil {
+			t.Fatalf("batch core %v has no job", ref)
+		}
+	}
+	if len(cores) != 64 {
+		t.Fatalf("batch cores = %d, want 64", len(cores))
 	}
 	// Jobs carry different fills (work sizes) deterministically.
-	w0 := env.Rack.Jobs()[0].RemainingSeconds(2.0, 2.0)
-	w1 := env.Rack.Jobs()[8].RemainingSeconds(2.0, 2.0) // same spec, next round
+	work := func(env *Env, i int) float64 { return env.Rack.Job(env.Rack.BatchCores()[i]).ExportState().TotalWork }
+	w0 := work(env, 0)
+	w1 := work(env, 8) // same spec, next round
 	if w0 == w1 {
 		t.Fatal("fills should differ across cores of the same benchmark")
 	}
@@ -87,7 +96,7 @@ func TestBuildEnvBindsAllBatchCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env2.Rack.Jobs()[0].RemainingSeconds(2.0, 2.0) != w0 {
+	if work(env2, 0) != w0 {
 		t.Fatal("BuildEnv must be deterministic")
 	}
 }

@@ -65,15 +65,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return tmp[lo]*(1-frac) + tmp[hi]*frac, nil
 }
 
-// Min returns the smallest element (+Inf for empty input).
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		m = math.Min(m, x)
-	}
-	return m
-}
-
 // Max returns the largest element (−Inf for empty input).
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -98,35 +89,6 @@ func RMSE(a, b []float64) (float64, error) {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(a))), nil
-}
-
-// TimeWeightedMean integrates a piecewise-constant series sampled at times
-// ts (ascending) with values xs, over [ts[0], end]. Each value holds from
-// its timestamp to the next. It returns an error on malformed input.
-func TimeWeightedMean(ts, xs []float64, end float64) (float64, error) {
-	if len(ts) != len(xs) || len(ts) == 0 {
-		return 0, errors.New("stats: TimeWeightedMean needs equal non-empty series")
-	}
-	if end < ts[len(ts)-1] {
-		return 0, errors.New("stats: end precedes last sample")
-	}
-	var area, span float64
-	for i := range ts {
-		t1 := end
-		if i+1 < len(ts) {
-			t1 = ts[i+1]
-			if t1 < ts[i] {
-				return 0, errors.New("stats: timestamps not ascending")
-			}
-		}
-		dt := t1 - ts[i]
-		area += xs[i] * dt
-		span += dt
-	}
-	if span == 0 {
-		return xs[len(xs)-1], nil
-	}
-	return area / span, nil
 }
 
 // FracAbove returns the fraction of samples strictly above the threshold.

@@ -80,31 +80,6 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
-func TestTimeWeightedMean(t *testing.T) {
-	// Value 10 for 1 s, then 20 for 3 s: mean = (10+60)/4 = 17.5.
-	got, err := TimeWeightedMean([]float64{0, 1}, []float64{10, 20}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 17.5 {
-		t.Fatalf("TimeWeightedMean = %v, want 17.5", got)
-	}
-	if _, err := TimeWeightedMean([]float64{0, 1}, []float64{1}, 2); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-	if _, err := TimeWeightedMean([]float64{0, 2}, []float64{1, 2}, 1); err == nil {
-		t.Fatal("end before last sample should error")
-	}
-	if _, err := TimeWeightedMean([]float64{2, 1, 3}, []float64{1, 2, 3}, 4); err == nil {
-		t.Fatal("non-ascending timestamps should error")
-	}
-	// Zero-span series returns the last value.
-	got, err = TimeWeightedMean([]float64{5}, []float64{42}, 5)
-	if err != nil || got != 42 {
-		t.Fatalf("zero-span = %v, %v", got, err)
-	}
-}
-
 func TestFracAbove(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := FracAbove(xs, 2); got != 0.5 {
@@ -174,4 +149,14 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Min is Max's test-only counterpart, the lower bound the Percentile
+// property is checked against.
+func Min(xs []float64) float64 {
+	m := math.Inf(1)
+	for _, x := range xs {
+		m = math.Min(m, x)
+	}
+	return m
 }

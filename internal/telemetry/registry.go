@@ -130,14 +130,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// Mean returns Sum/Count, or 0 before the first sample.
-func (h *Histogram) Mean() float64 {
-	if n := h.Count(); n > 0 {
-		return h.Sum() / float64(n)
-	}
-	return 0
-}
-
 // DefTimeBuckets are the default wall-clock-seconds buckets, spanning the
 // sub-microsecond QP solves of a small rack up to pathological multi-second
 // stalls.

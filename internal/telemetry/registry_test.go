@@ -84,7 +84,7 @@ func TestNilSafety(t *testing.T) {
 	c.Add(1)
 	g.Set(2)
 	h.Observe(3)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	if r.Snapshot() != nil {

@@ -13,7 +13,6 @@ type State struct {
 	EnergyWh     float64
 	MinEnergyWh  float64
 	DischargedWh float64
-	FloorWh      float64
 }
 
 // ExportState captures the battery's mutable state.
@@ -22,7 +21,6 @@ func (u *UPS) ExportState() State {
 		EnergyWh:     u.energyWh,
 		MinEnergyWh:  u.minEnergyWh,
 		DischargedWh: u.dischargedWh,
-		FloorWh:      u.floorWh,
 	}
 }
 
@@ -38,7 +36,6 @@ func (u *UPS) RestoreState(st State) error {
 		{"EnergyWh", st.EnergyWh},
 		{"MinEnergyWh", st.MinEnergyWh},
 		{"DischargedWh", st.DischargedWh},
-		{"FloorWh", st.FloorWh},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("ups: snapshot %s is %g; must be finite", f.name, f.v)
@@ -53,12 +50,9 @@ func (u *UPS) RestoreState(st State) error {
 		return fmt.Errorf("ups: snapshot min energy %g Wh exceeds energy %g Wh", st.MinEnergyWh, st.EnergyWh)
 	case st.DischargedWh < 0:
 		return fmt.Errorf("ups: snapshot discharged energy %g Wh is negative", st.DischargedWh)
-	case st.FloorWh < 0 || st.FloorWh > u.cfg.CapacityWh:
-		return fmt.Errorf("ups: snapshot derating floor %g Wh outside [0, %g]", st.FloorWh, u.cfg.CapacityWh)
 	}
 	u.energyWh = st.EnergyWh
 	u.minEnergyWh = st.MinEnergyWh
 	u.dischargedWh = st.DischargedWh
-	u.floorWh = st.FloorWh
 	return nil
 }

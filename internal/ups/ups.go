@@ -20,8 +20,6 @@ type Config struct {
 	// MaxDischargeW limits instantaneous discharge power (paper: the UPS
 	// can carry the whole rack, so 4.8 kW).
 	MaxDischargeW float64
-	// MaxChargeW limits recharge power (0 disables recharging).
-	MaxChargeW float64
 	// DischargeEfficiency is delivered power / energy drawn (0 < η ≤ 1).
 	DischargeEfficiency float64
 	// DutyQuantum is the resolution of the duty-cycled discharge switch:
@@ -37,10 +35,6 @@ type Config struct {
 	// strings much steeper (k ≈ 1.2–1.3).
 	PeukertExponent float64
 	PeukertRefW     float64
-	// ColdDeratePerC reduces the usable capacity by this fraction per °C
-	// below 25 °C (set the operating temperature with SetTemperature).
-	// Zero disables temperature derating.
-	ColdDeratePerC float64
 }
 
 // DefaultConfig returns the paper's evaluation UPS: 400 Wh, able to carry
@@ -49,7 +43,6 @@ func DefaultConfig() Config {
 	return Config{
 		CapacityWh:          400,
 		MaxDischargeW:       4800,
-		MaxChargeW:          0,
 		DischargeEfficiency: 0.95,
 		DutyQuantum:         0.01,
 		InitialSoC:          1,
@@ -63,8 +56,6 @@ func (c Config) Validate() error {
 		return errors.New("ups: CapacityWh must be positive")
 	case c.MaxDischargeW <= 0:
 		return errors.New("ups: MaxDischargeW must be positive")
-	case c.MaxChargeW < 0:
-		return errors.New("ups: MaxChargeW must be non-negative")
 	case c.DischargeEfficiency <= 0 || c.DischargeEfficiency > 1:
 		return errors.New("ups: DischargeEfficiency must be in (0, 1]")
 	case c.DutyQuantum < 0 || c.DutyQuantum > 1:
@@ -73,8 +64,6 @@ func (c Config) Validate() error {
 		return errors.New("ups: InitialSoC must be in [0, 1]")
 	case c.PeukertExponent < 0 || (c.PeukertExponent > 1 && c.PeukertRefW <= 0):
 		return errors.New("ups: PeukertExponent > 1 needs a positive PeukertRefW")
-	case c.ColdDeratePerC < 0 || c.ColdDeratePerC > 0.2:
-		return errors.New("ups: ColdDeratePerC must be in [0, 0.2]")
 	}
 	return nil
 }
@@ -83,9 +72,8 @@ func (c Config) Validate() error {
 type UPS struct {
 	cfg          Config
 	energyWh     float64 // remaining usable energy
-	minEnergyWh  float64 // lowest energy reached since last ResetCycle
-	dischargedWh float64 // cumulative energy drawn since last ResetCycle
-	floorWh      float64 // energy made unusable by temperature derating
+	minEnergyWh  float64 // lowest energy reached
+	dischargedWh float64 // cumulative energy drawn
 }
 
 // New returns a UPS at its configured initial state of charge.
@@ -97,29 +85,11 @@ func New(cfg Config) (*UPS, error) {
 	return &UPS{cfg: cfg, energyWh: e, minEnergyWh: e}, nil
 }
 
-// Config returns the UPS configuration.
-func (u *UPS) Config() Config { return u.cfg }
-
 // SoC returns the state of charge in [0, 1].
 func (u *UPS) SoC() float64 { return u.energyWh / u.cfg.CapacityWh }
 
-// EnergyWh returns the remaining usable energy in watt-hours.
-func (u *UPS) EnergyWh() float64 { return u.energyWh }
-
 // Depleted reports whether the battery can no longer deliver power.
-func (u *UPS) Depleted() bool { return u.energyWh <= u.floorWh }
-
-// SetTemperature sets the cell temperature in °C. Below 25 °C the usable
-// capacity shrinks by ColdDeratePerC per degree (no effect if derating is
-// disabled); above 25 °C there is no bonus.
-func (u *UPS) SetTemperature(c float64) {
-	if u.cfg.ColdDeratePerC == 0 {
-		return
-	}
-	cold := math.Max(0, 25-c)
-	frac := math.Min(0.95, cold*u.cfg.ColdDeratePerC)
-	u.floorWh = frac * u.cfg.CapacityWh
-}
+func (u *UPS) Depleted() bool { return u.energyWh <= 0 }
 
 // peukertFactor returns how much faster than the delivered power the cells
 // drain at delivery power p.
@@ -132,23 +102,14 @@ func (u *UPS) peukertFactor(p float64) float64 {
 }
 
 // DoD returns the depth of discharge of the current cycle: the maximum
-// depletion below full capacity reached since the last ResetCycle,
-// as a fraction of capacity. This is the quantity in the paper's Fig. 8(b).
+// depletion below full capacity reached so far, as a fraction of capacity. This is the quantity in the paper's Fig. 8(b).
 func (u *UPS) DoD() float64 {
 	return (u.cfg.CapacityWh - u.minEnergyWh) / u.cfg.CapacityWh
 }
 
-// DischargedWh returns the cumulative energy drawn from the battery since
-// the last ResetCycle (total use of stored energy, "demand of energy
-// storage" in the paper's abstract).
+// DischargedWh returns the cumulative energy drawn from the battery (total
+// use of stored energy, "demand of energy storage" in the paper's abstract).
 func (u *UPS) DischargedWh() float64 { return u.dischargedWh }
-
-// ResetCycle marks the beginning of a new discharge cycle for DoD and
-// cumulative-discharge accounting without altering the state of charge.
-func (u *UPS) ResetCycle() {
-	u.minEnergyWh = u.energyWh
-	u.dischargedWh = 0
-}
 
 // Discharge requests that the UPS deliver requestW of the rack's totalW
 // demand for dt seconds, and returns the power actually delivered after
@@ -181,40 +142,17 @@ func (u *UPS) Discharge(requestW, totalW, dt float64) float64 {
 	// Energy drawn from cells exceeds energy delivered by 1/η, and by
 	// the Peukert factor at high discharge rates.
 	drawWh := p * dt / 3600 / u.cfg.DischargeEfficiency * u.peukertFactor(p)
-	if usable := u.energyWh - u.floorWh; drawWh > usable {
+	if drawWh > u.energyWh {
 		// Partial delivery in the step that empties the battery.
-		frac := usable / drawWh
+		frac := u.energyWh / drawWh
 		p *= frac
-		drawWh = usable
+		drawWh = u.energyWh
 	}
 	u.energyWh -= drawWh
 	u.dischargedWh += drawWh
 	if u.energyWh < u.minEnergyWh {
 		u.minEnergyWh = u.energyWh
 	}
-	return p
-}
-
-// Recharge stores energy for dt seconds at up to powerW, bounded by the
-// configured charge limit and remaining headroom. It returns the charging
-// power actually accepted.
-func (u *UPS) Recharge(powerW, dt float64) float64 {
-	if dt < 0 {
-		panic(fmt.Sprintf("ups: negative dt %g", dt))
-	}
-	if powerW <= 0 || u.cfg.MaxChargeW == 0 {
-		return 0
-	}
-	p := math.Min(powerW, u.cfg.MaxChargeW)
-	addWh := p * dt / 3600
-	if room := u.cfg.CapacityWh - u.energyWh; addWh > room {
-		if room <= 0 {
-			return 0
-		}
-		p *= room / addWh
-		addWh = room
-	}
-	u.energyWh += addWh
 	return p
 }
 

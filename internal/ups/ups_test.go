@@ -22,7 +22,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero capacity", func(c *Config) { c.CapacityWh = 0 }},
 		{"zero discharge", func(c *Config) { c.MaxDischargeW = 0 }},
-		{"negative charge", func(c *Config) { c.MaxChargeW = -1 }},
 		{"bad efficiency", func(c *Config) { c.DischargeEfficiency = 1.2 }},
 		{"bad quantum", func(c *Config) { c.DutyQuantum = 2 }},
 		{"bad soc", func(c *Config) { c.InitialSoC = -0.1 }},
@@ -48,8 +47,8 @@ func TestDischargeDrainsEnergy(t *testing.T) {
 			t.Fatalf("s=%d delivered %v, want 4800", s, got)
 		}
 	}
-	if !u.Depleted() && u.EnergyWh() > 1e-6 {
-		t.Fatalf("battery should be empty, has %v Wh", u.EnergyWh())
+	if !u.Depleted() && u.energyWh > 1e-6 {
+		t.Fatalf("battery should be empty, has %v Wh", u.energyWh)
 	}
 	if math.Abs(u.DoD()-1) > 1e-9 {
 		t.Fatalf("DoD = %v, want 1", u.DoD())
@@ -61,8 +60,8 @@ func TestDischargeDrainsEnergy(t *testing.T) {
 
 func TestDischargeRespectsPowerLimit(t *testing.T) {
 	u := mustNew(t, DefaultConfig())
-	if got := u.Discharge(10000, 10000, 1); got > u.Config().MaxDischargeW+1e-9 {
-		t.Fatalf("delivered %v above limit %v", got, u.Config().MaxDischargeW)
+	if got := u.Discharge(10000, 10000, 1); got > u.cfg.MaxDischargeW+1e-9 {
+		t.Fatalf("delivered %v above limit %v", got, u.cfg.MaxDischargeW)
 	}
 }
 
@@ -91,9 +90,9 @@ func TestDischargeEfficiencyDrawsMoreThanDelivered(t *testing.T) {
 	cfg.DischargeEfficiency = 0.5
 	cfg.DutyQuantum = 0
 	u := mustNew(t, cfg)
-	before := u.EnergyWh()
+	before := u.energyWh
 	delivered := u.Discharge(1800, 1800, 3600) // 1 hour at 1.8 kW
-	drawn := before - u.EnergyWh()
+	drawn := before - u.energyWh
 	if delivered <= 0 {
 		t.Fatal("no power delivered")
 	}
@@ -126,33 +125,8 @@ func TestPartialDeliveryOnDepletion(t *testing.T) {
 	}
 }
 
-func TestRecharge(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxChargeW = 1000
-	cfg.InitialSoC = 0.5
-	u := mustNew(t, cfg)
-	accepted := u.Recharge(2000, 3600) // limited to 1 kW for 1 h = 1 kWh, room is 200 Wh
-	if accepted <= 0 {
-		t.Fatal("no charge accepted")
-	}
-	if math.Abs(u.SoC()-1) > 1e-9 {
-		t.Fatalf("SoC = %v, want 1 after filling", u.SoC())
-	}
-	if got := u.Recharge(100, 10); got != 0 {
-		t.Fatalf("full pack accepted %v W", got)
-	}
-}
-
-func TestRechargeDisabledByDefault(t *testing.T) {
-	u := mustNew(t, DefaultConfig())
-	if got := u.Recharge(1000, 100); got != 0 {
-		t.Fatalf("charging disabled but accepted %v W", got)
-	}
-}
-
 func TestDoDTracksDeepestPoint(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxChargeW = 4800
 	cfg.DischargeEfficiency = 1
 	cfg.DutyQuantum = 0
 	u := mustNew(t, cfg)
@@ -160,13 +134,9 @@ func TestDoDTracksDeepestPoint(t *testing.T) {
 	if math.Abs(u.DoD()-0.25) > 1e-6 {
 		t.Fatalf("DoD = %v, want 0.25", u.DoD())
 	}
-	u.Recharge(4800, 75) // refill
+	u.energyWh = cfg.CapacityWh // refill
 	if math.Abs(u.DoD()-0.25) > 1e-6 {
-		t.Fatalf("DoD after recharge = %v, must remember deepest point", u.DoD())
-	}
-	u.ResetCycle()
-	if u.DoD() != 0 {
-		t.Fatalf("DoD after ResetCycle = %v", u.DoD())
+		t.Fatalf("DoD after refill = %v, must remember deepest point", u.DoD())
 	}
 }
 
@@ -177,9 +147,9 @@ func TestPeukertDrawsMoreAtHighRate(t *testing.T) {
 	cfg.PeukertExponent = 1.2
 	cfg.PeukertRefW = 1000
 	u := mustNew(t, cfg)
-	before := u.EnergyWh()
+	before := u.energyWh
 	delivered := u.Discharge(4000, 4000, 60)
-	drawn := before - u.EnergyWh()
+	drawn := before - u.energyWh
 	deliveredWh := delivered * 60 / 3600
 	// 4 kW is 4× the reference: draw multiplier 4^0.2 ≈ 1.32.
 	want := deliveredWh * math.Pow(4, 0.2)
@@ -188,9 +158,9 @@ func TestPeukertDrawsMoreAtHighRate(t *testing.T) {
 	}
 	// At or below the reference rate the effect vanishes.
 	u2 := mustNew(t, cfg)
-	before = u2.EnergyWh()
+	before = u2.energyWh
 	delivered = u2.Discharge(1000, 1000, 60)
-	drawn = before - u2.EnergyWh()
+	drawn = before - u2.energyWh
 	if math.Abs(drawn-delivered*60/3600) > 1e-9 {
 		t.Fatalf("at the reference rate Peukert must be neutral: drawn %v", drawn)
 	}
@@ -201,34 +171,6 @@ func TestPeukertValidation(t *testing.T) {
 	cfg.PeukertExponent = 1.2 // without a reference power
 	if _, err := New(cfg); err == nil {
 		t.Fatal("Peukert without reference should error")
-	}
-}
-
-func TestColdDeratingShrinksUsableEnergy(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DischargeEfficiency = 1
-	cfg.DutyQuantum = 0
-	cfg.ColdDeratePerC = 0.01 // 1 %/°C below 25
-	u := mustNew(t, cfg)
-	u.SetTemperature(5) // 20° cold → 20 % of capacity unusable
-	var delivered float64
-	for i := 0; i < 600; i++ {
-		delivered += u.Discharge(4800, 4800, 1) / 3600
-	}
-	if !u.Depleted() {
-		t.Fatal("cold pack should deplete early")
-	}
-	want := 0.8 * cfg.CapacityWh
-	if math.Abs(delivered-want) > 1 {
-		t.Fatalf("cold pack delivered %v Wh, want ≈%v", delivered, want)
-	}
-	// Warming it back up frees the reserve.
-	u.SetTemperature(25)
-	if u.Depleted() {
-		t.Fatal("warmed pack has usable energy again")
-	}
-	if _, err := New(Config{CapacityWh: 1, MaxDischargeW: 1, DischargeEfficiency: 1, ColdDeratePerC: 0.5}); err == nil {
-		t.Fatal("absurd derate should fail validation")
 	}
 }
 
@@ -287,9 +229,9 @@ func TestEnergyConservationProperty(t *testing.T) {
 		}
 		for _, r := range requests {
 			req := math.Mod(math.Abs(r), 6000)
-			before := u.EnergyWh()
+			before := u.energyWh
 			delivered := u.Discharge(req, 4800, 5)
-			drawn := before - u.EnergyWh()
+			drawn := before - u.energyWh
 			wantDraw := delivered * 5 / 3600 / cfg.DischargeEfficiency
 			if math.Abs(drawn-wantDraw) > 1e-9 {
 				return false
@@ -307,17 +249,10 @@ func TestEnergyConservationProperty(t *testing.T) {
 
 func TestNegativeDtPanics(t *testing.T) {
 	u := mustNew(t, DefaultConfig())
-	for name, fn := range map[string]func(){
-		"discharge": func() { u.Discharge(1, 1, -1) },
-		"recharge":  func() { u.Recharge(1, -1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: negative dt should panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("discharge: negative dt should panic")
+		}
+	}()
+	u.Discharge(1, 1, -1)
 }

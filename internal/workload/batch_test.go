@@ -126,8 +126,8 @@ func TestBatchJobLifecycle(t *testing.T) {
 	if got := j.CompletionTime(); math.Abs(got-100) > 1e-6 {
 		t.Fatalf("completion time = %v, want 100", got)
 	}
-	if j.Completions() != 1 {
-		t.Fatalf("completions = %d", j.Completions())
+	if j.completed != 1 {
+		t.Fatalf("completions = %d", j.completed)
 	}
 	// Re-execution restarted: 20 s of the new run done.
 	if got := j.Progress(); math.Abs(got-0.2) > 1e-9 {
@@ -155,8 +155,8 @@ func TestBatchJobMultipleCompletionsInOneStep(t *testing.T) {
 	spec := BatchSpec{Name: "x", MemBound: 0, Util: 1, PeakSeconds: 10}
 	j, _ := NewBatchJob(spec, 0, 1000)
 	j.Advance(2.0, 2.0, 35, 0) // 3.5 executions
-	if j.Completions() != 3 {
-		t.Fatalf("completions = %d, want 3", j.Completions())
+	if j.completed != 3 {
+		t.Fatalf("completions = %d, want 3", j.completed)
 	}
 	if math.Abs(j.Progress()-0.5) > 1e-9 {
 		t.Fatalf("progress = %v, want 0.5", j.Progress())
@@ -305,4 +305,67 @@ func TestBatchCompletionTimeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Test-only inverses and estimates the rate and deadline tests check the
+// job model against.
+
+// FreqForRate inverts Rate: the minimum frequency at which the workload
+// achieves relative rate r. Rates at or above the workload's best are
+// clamped to fmax; non-positive rates return 0. The power load allocator
+// uses this to turn deadline-required rates into frequency (and hence
+// power) floors.
+func (s BatchSpec) FreqForRate(r, fmax float64) float64 {
+	if r <= 0 {
+		return 0
+	}
+	if r >= 1 {
+		return fmax
+	}
+	beta := s.EffectiveMemBound()
+	denom := 1/r - beta
+	if denom <= 0 {
+		return fmax
+	}
+	f := (1 - beta) * fmax / denom
+	if f > fmax {
+		f = fmax
+	}
+	return f
+}
+
+// RemainingSeconds estimates the wall time to complete the current
+// execution at constant frequency f (+Inf at f ≤ 0), integrating across the
+// remaining phase segments. This is the "short-term profiling" estimate
+// the power load allocator uses.
+func (j *BatchJob) RemainingSeconds(f, fmax float64) float64 {
+	if f <= 0 {
+		return math.Inf(1)
+	}
+	pos := j.totalWork - j.remaining
+	phases := j.Spec.phases()
+	var cum, secs float64
+	for _, p := range phases {
+		segStart := cum
+		cum += p.Frac * j.totalWork
+		if cum <= pos {
+			continue
+		}
+		w := cum - math.Max(segStart, pos)
+		secs += w / phaseRate(p, f, fmax)
+	}
+	return secs
+}
+
+// RequiredRate returns the minimum relative execution rate that still meets
+// the deadline from time now (∞ if the deadline has passed with work left).
+func (j *BatchJob) RequiredRate(now float64) float64 {
+	left := j.Deadline - now
+	if left <= 0 {
+		if j.remaining > 0 && !j.Completed() {
+			return math.Inf(1)
+		}
+		return 0
+	}
+	return j.remaining / left
 }

@@ -147,11 +147,6 @@ func (tr *InteractiveTrace) At(t float64) float64 {
 	return tr.Demand[i]
 }
 
-// Duration returns the trace length in seconds.
-func (tr *InteractiveTrace) Duration() float64 {
-	return float64(len(tr.Demand)) * tr.DtS
-}
-
 // Stats summarizes a trace.
 type Stats struct {
 	Mean, Min, Max, Std float64

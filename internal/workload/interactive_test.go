@@ -132,8 +132,8 @@ func TestAtClampsOutOfRange(t *testing.T) {
 
 func TestDurationAndEmptySummary(t *testing.T) {
 	tr, _ := GenInteractive(DefaultInteractiveConfig(), 120, 0.5)
-	if math.Abs(tr.Duration()-120) > 0.5 {
-		t.Fatalf("Duration = %v", tr.Duration())
+	if d := float64(len(tr.Demand)) * tr.DtS; math.Abs(d-120) > 0.5 {
+		t.Fatalf("duration = %v", d)
 	}
 	empty := &InteractiveTrace{DtS: 1}
 	if s := empty.Summary(); s.Mean != 0 || s.Std != 0 {

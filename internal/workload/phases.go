@@ -49,7 +49,7 @@ func (s BatchSpec) phases() []Phase {
 
 // EffectiveMemBound returns the work-weighted memory-boundness. Because
 // per-unit-work execution time is linear in β, the aggregate progress model
-// (Rate, Speedup, FreqForRate) is exact with this averaged value.
+// (Rate, Speedup) is exact with this averaged value.
 func (s BatchSpec) EffectiveMemBound() float64 {
 	if len(s.Phases) == 0 {
 		return s.MemBound

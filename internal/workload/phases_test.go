@@ -140,8 +140,8 @@ func TestPhasedCompletionAcrossSteps(t *testing.T) {
 	j, _ := NewBatchJob(s, 0, 1e9)
 	// One execution at peak: 5/1 + 5/(1/(0.6+0.4)) = 5 + 5 = 10 s.
 	j.Advance(2.0, 2.0, 25, 0)
-	if j.Completions() != 2 {
-		t.Fatalf("completions = %d, want 2 in 25 s", j.Completions())
+	if j.completed != 2 {
+		t.Fatalf("completions = %d, want 2 in 25 s", j.completed)
 	}
 	if math.Abs(j.Progress()-0.5) > 1e-6 {
 		t.Fatalf("progress = %v, want 0.5", j.Progress())
