@@ -1,8 +1,20 @@
 package hier
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"sprintcon/internal/sim"
+	"sprintcon/internal/stats"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files from the current output")
 
 // identical asserts two sweeps are bit-identical, series for series.
 func identical(t *testing.T, serial, parallel *SweepResult) {
@@ -103,5 +115,99 @@ func TestSweepCleanRunStaysInsideEveryBreaker(t *testing.T) {
 	}
 	if res.BuildingExceedFrac != 0 || res.BuildingTrips != 0 {
 		t.Errorf("building: exceed frac %g, trips %d", res.BuildingExceedFrac, res.BuildingTrips)
+	}
+}
+
+// seriesDigest is an FNV-64a digest over the bits of a rack's TotalW, CBW,
+// SoC, FreqBatch and FreqInter series, in that order.
+func seriesDigest(s sim.Series) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, ch := range [][]float64{s.TotalW, s.CBW, s.SoC, s.FreqBatch, s.FreqInter} {
+		for _, v := range ch {
+			bits := math.Float64bits(v)
+			for i := range b {
+				b[i] = byte(bits >> (8 * i))
+			}
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// sweepDigest renders one sweep as a single line: a digest per rack, then
+// each row's and the building's exceedance, trips, peak and mean, floats
+// as their bits.
+func sweepDigest(name string, res *SweepResult) string {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%s:", name)
+	level := func(label string, exceed float64, trips int, peak, mean float64) {
+		fmt.Fprintf(&buf, " %s exceed=%016x trips=%d peak=%016x mean=%016x", label,
+			math.Float64bits(exceed), trips, math.Float64bits(peak), math.Float64bits(mean))
+	}
+	for r, racks := range res.Rows {
+		fmt.Fprintf(&buf, " row%d K=%d racks=[", r, res.Alloc.Rows[r].SlotCapacity)
+		for j, rk := range racks {
+			if j > 0 {
+				buf.WriteByte(' ')
+			}
+			fmt.Fprintf(&buf, "%016x", seriesDigest(rk.Series))
+		}
+		buf.WriteByte(']')
+		agg := res.RowAggregateW[r]
+		level(fmt.Sprintf("row%d", r), res.RowExceedFrac[r], res.RowTrips[r], stats.Max(agg), stats.Mean(agg))
+	}
+	level("building", res.BuildingExceedFrac, res.BuildingTrips, res.BuildingPeakW, res.BuildingMeanW)
+	buf.WriteByte('\n')
+	return buf.String()
+}
+
+// TestSweepGolden pins RunSweep's output bits, one line per case: a
+// one-row building of 4 racks auto-provisioned (K=2), the same row rated
+// at 4·(rated+bonus) (K=N, every rack in phase), 16 racks at K=8, and a
+// 2×4 building, each over 300 s. Regenerate deliberately with:
+//
+//	go test ./internal/hier -run SweepGolden -update
+func TestSweepGolden(t *testing.T) {
+	c := DefaultConfig()
+	c.Scenario.DurationS = 300
+	a, err := Allocate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rated, bonus := a.RatedW, a.BonusW
+	var buf bytes.Buffer
+	for _, tc := range []struct {
+		name string
+		rows []RowConfig
+	}{
+		{"row4_auto", []RowConfig{{Racks: 4}}},
+		{"row4_in_phase", []RowConfig{{Racks: 4, RatingW: 4 * (rated + bonus)}}},
+		{"row16_k8", []RowConfig{{Racks: 16, RatingW: 16*rated + 8*bonus}}},
+		{"building2x4", []RowConfig{{Racks: 4}, {Racks: 4}}},
+	} {
+		c.Rows = tc.rows
+		res, err := RunSweep(c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		buf.WriteString(sweepDigest(tc.name, res))
+	}
+	golden := filepath.Join("testdata", "sweep.golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("sweep output diverged from %s:\n got:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
 	}
 }
