@@ -37,10 +37,14 @@
 // partitionstorm example — is a one-row building, and E20's flat strawman
 // is a one-row building rated at the whole building budget.
 //
-// RunSweep is the uncoordinated counterpart for capacity studies at
-// thousands of racks: static slot-packed phase offsets per row, executed
-// on the sim worker pool sharded row by row (sim.RunManyOrdered), where
-// each rack's sim.RunWith fast-forwards quiescent spans. Results are
+// RunSweep is the uncoordinated counterpart, and the only static fleet
+// driver: experiment E12, sprintsim -racks without -link and capacity
+// studies at thousands of racks. Each row staggers its racks' phase
+// offsets evenly across the cycle, rack j at j·cycle/N, or runs them in
+// phase when its slot capacity funds every rack's overload (the linked
+// coordinator still bootstraps fill-first slots). A sweep executes on the
+// sim worker pool sharded row by row (sim.RunManyOrdered), where each
+// rack's sim.RunWith fast-forwards quiescent spans. Results are
 // bit-identical between serial and parallel execution.
 //
 // Rack seeds are offset by the rack's global index across the whole

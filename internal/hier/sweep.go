@@ -2,7 +2,6 @@ package hier
 
 import (
 	"fmt"
-	"math"
 
 	"sprintcon/internal/sim"
 )
@@ -35,16 +34,22 @@ type SweepResult struct {
 }
 
 // sweepJob builds rack j of row r for a sweep: link-scoped faults dropped
-// (a sweep has no link) and the statically slot-packed phase offset
-// slot = ⌊j/K⌋, the same packing the row coordinator would bootstrap.
+// (a sweep has no link) and the even-stagger phase offset j·cycle/N. The
+// stagger never has more than ⌈N·overload/cycle⌉ ≤ K racks overloading at
+// once. A row whose slot capacity K funds every rack's overload (K ≥ N)
+// runs its racks in phase, at offset 0. (The linked row coordinator still
+// bootstraps fill-first slots, ⌊j/K⌋.)
 func sweepJob(c Config, a Allocation, row, j int) (sim.Scenario, sim.Policy) {
-	acfg := c.allocConfig()
-	cycle := acfg.OverloadS + acfg.RecoveryS
-	slot := j / a.Rows[row].SlotCapacity
-	return rackJob(c, a, row, j, math.Mod(cycle-float64(slot)*acfg.OverloadS, cycle))
+	ra := a.Rows[row]
+	var offsetS float64
+	if ra.SlotCapacity < ra.Racks {
+		acfg := c.allocConfig()
+		offsetS = float64(j) * (acfg.OverloadS + acfg.RecoveryS) / float64(ra.Racks)
+	}
+	return rackJob(c, a, row, j, offsetS)
 }
 
-// RunSweep executes the building with static, per-row slot-packed phase
+// RunSweep executes the building with static, per-row even-stagger phase
 // offsets — no control link, no coordinator — on the sim worker pool,
 // sharded row by row: each row's racks run as one sim.RunManyOrdered batch
 // (Config.Serial runs it on one worker), rows in order. Results — and a

@@ -98,7 +98,7 @@ func TestSweep1000RacksBitIdentity(t *testing.T) {
 }
 
 // TestSweepCleanRunStaysInsideEveryBreaker: with auto-provisioned budgets
-// and slot-packed offsets, no level of the hierarchy may register an
+// and even-stagger offsets, no level of the hierarchy may register an
 // exceedance or a shadow trip.
 func TestSweepCleanRunStaysInsideEveryBreaker(t *testing.T) {
 	c := DefaultConfig()
