@@ -84,7 +84,6 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/OPERATING.md
 	$(GO) doc sprintcon/internal/hier >/dev/null
-	$(GO) doc sprintcon/internal/cluster >/dev/null
 	$(GO) doc sprintcon/internal/link >/dev/null
 	$(GO) doc sprintcon/internal/core >/dev/null
 

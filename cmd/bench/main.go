@@ -32,7 +32,7 @@
 //	                  bit-identical check between the two at every control
 //	                  period
 //	cluster_link    — fault-free linked run (a one-row hier.RunLinked) vs
-//	                  the static phase-offset cluster.Run: the control
+//	                  the same row as a static hier.RunSweep: the control
 //	                  link's stepping overhead and the degraded-mode
 //	                  seconds (must stay zero with no faults on the wire)
 //	cluster_hier    — hierarchical building run (internal/hier): the linked
@@ -64,7 +64,6 @@ import (
 	"strings"
 	"time"
 
-	"sprintcon/internal/cluster"
 	"sprintcon/internal/core"
 	"sprintcon/internal/hier"
 	"sprintcon/internal/mathx"
@@ -471,23 +470,22 @@ func clusterSweep(quick bool) Scenario {
 // clusterLink measures what the control link costs when the network is
 // clean: the feeder group stepped through hier.RunLinked as a one-row
 // building (transport, leases, heartbeats and coordinator in the loop every
-// tick) vs the static phase-offset cluster.Run. With no faults on the wire
-// the link must be near-free — the overhead ratio is the regression gate —
-// and every lease must renew on schedule (zero degraded seconds).
+// tick) vs the same row as a static hier.RunSweep. With no faults on the
+// wire the link must be near-free — the overhead ratio is the regression
+// gate — and every lease must renew on schedule (zero degraded seconds).
 func clusterLink(quick bool) Scenario {
-	cfg := cluster.DefaultConfig()
-	if quick {
-		cfg.NumRacks = 2
-		cfg.Scenario.DurationS = 300
-	}
-	// The linked group is a one-row building, auto-provisioned at its
-	// minimum packing N·rated + ⌈N/3⌉·bonus.
+	// The group is a one-row building, auto-provisioned at its minimum
+	// packing N·rated + ⌈N/3⌉·bonus.
+	racks := 4
 	hcfg := hier.DefaultConfig()
-	hcfg.Rows = []hier.RowConfig{{Racks: cfg.NumRacks}}
-	hcfg.Scenario = cfg.Scenario
+	if quick {
+		racks = 2
+		hcfg.Scenario.DurationS = 300
+	}
+	hcfg.Rows = []hier.RowConfig{{Racks: racks}}
 
 	t0 := time.Now()
-	if _, err := cluster.Run(cfg); err != nil {
+	if _, err := hier.RunSweep(hcfg); err != nil {
 		fatal(err)
 	}
 	staticNs := float64(time.Since(t0).Nanoseconds())

@@ -31,7 +31,7 @@ const maxRows = 1024
 type RunSpec struct {
 	// Mode selects the runtime: "linked" (default) drives every row
 	// through the lease-based control link; "sweep" runs static
-	// slot-packed phase offsets on the worker pool (capacity studies at
+	// even-stagger phase offsets on the worker pool (capacity studies at
 	// thousands of racks — no link, no decision streams).
 	Mode string `json:"mode,omitempty"`
 	// Rows and RacksPerRow describe a uniform topology (defaults 4×16).

@@ -5,7 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"sprintcon/internal/faults"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from the current output")
@@ -46,6 +49,45 @@ func TestClusterSummaryGolden(t *testing.T) {
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("cluster summary diverged from %s:\n got:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+			}
+		})
+	}
+}
+
+// TestStaticClusterInputs covers the input rules of `sprintsim -racks N`
+// without -link: a link-scoped fault is rejected with an error naming
+// -link, a rating below the row's minimum packing is rejected, and a
+// rating that funds every rack's overload runs the racks in phase (the
+// synchronized peak of experiment E12).
+func TestStaticClusterInputs(t *testing.T) {
+	linkFault := []faults.Fault{{Kind: faults.LinkPartition, Server: 0, OnsetS: 100, DurationS: 50, Severity: 1}}
+	for _, tc := range []struct {
+		name    string
+		budgetW float64
+		faults  []faults.Fault
+		wantErr string
+		wantOut string
+	}{
+		{name: "link_fault_needs_link", faults: linkFault, wantErr: "-link"},
+		{name: "budget_below_min_packing", budgetW: 13000, wantErr: "for a full packing"},
+		{name: "budget_funds_every_rack", budgetW: 16000, wantOut: "aggregate peak/mean:  16461 /"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scn := flagScenario(900, 720, 1)
+			scn.Faults.Faults = tc.faults
+			var buf bytes.Buffer
+			err := runCluster(&buf, scn, clusterOpts{racks: 4, budgetW: tc.budgetW})
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), tc.wantOut) {
+				t.Fatalf("output lacks %q:\n%s", tc.wantOut, buf.String())
 			}
 		})
 	}

@@ -13,17 +13,19 @@
 // (kind:onset:duration[:severity[:server]]); -unhardened strips SprintCon's
 // defenses to reproduce the paper-faithful fault-oblivious controller.
 //
-// Cluster mode: -racks N runs a feeder group of N SprintCon racks; -link
-// puts the lease-based coordinator↔rack control link in the loop
-// (DESIGN.md §12), which unlocks the link-scoped fault kinds
-// (link-loss, link-delay, link-dup, link-partition, coordinator-crash);
-// -naive-link swaps in the always-trust-last-grant strawman client and
-// -feeder-budget sets the feeder rating (a linked run packs, and is scored,
-// to the largest whole number of overload bonuses the rating funds, and
-// prints both when they differ). Cluster mode prints a
-// feeder/link summary; with -link it also takes -trace-spans and
-// -metrics-addr (which adds a /status/cluster health document), but not the
-// single-rack checkpoint/CSV/decision-trace flags.
+// Cluster mode: -racks N runs a feeder group of N SprintCon racks as a
+// one-row static sweep with evenly staggered overload phases; -link puts
+// the lease-based coordinator↔rack control link in the loop (DESIGN.md
+// §12), which unlocks the link-scoped fault kinds (link-loss, link-delay,
+// link-dup, link-partition, coordinator-crash); -naive-link swaps in the
+// always-trust-last-grant strawman client and -feeder-budget sets the
+// feeder rating. The rating must fund the row's minimum packing. A static
+// row rated for every rack's overload runs its racks in phase; a linked
+// run packs, and is scored, to the largest whole number of overload
+// bonuses the rating funds, and prints both when they differ. Cluster
+// mode prints a feeder/link summary; with -link it also takes -trace-spans
+// and -metrics-addr (which adds a /status/cluster health document), but
+// not the single-rack checkpoint/CSV/decision-trace flags.
 //
 // Observability: -trace-jsonl streams one structured decision record per
 // control period; -trace-spans records the causal span trace (lease
@@ -46,7 +48,6 @@ import (
 
 	"sprintcon/internal/baseline"
 	"sprintcon/internal/checkpoint"
-	"sprintcon/internal/cluster"
 	"sprintcon/internal/core"
 	"sprintcon/internal/faults"
 	"sprintcon/internal/hier"
@@ -470,14 +471,16 @@ type clusterOpts struct {
 	hold        bool
 }
 
-// runCluster executes the multi-rack feeder group and writes its summary
-// to w: the static phase-offset schedule of cluster.Run by default, the
-// lease-based control link with -link, run as a one-row hier building. The
-// feeder is one row rated at -feeder-budget, or auto-provisioned at its
-// minimum packing — every rack's rated draw plus ⌈N·overload/cycle⌉ funded
-// overload bonuses — when the flag is zero. A linked run is scored against
-// the budget the coordinator packs to, the largest whole number of bonuses
-// the rating funds.
+// runCluster executes the multi-rack feeder group as a one-row hier
+// building and writes its summary to w: a static sweep by default, the
+// lease-based control link with -link. The feeder is one row rated at
+// -feeder-budget, or auto-provisioned at its minimum packing — every
+// rack's rated draw plus ⌈N·overload/cycle⌉ funded overload bonuses — when
+// the flag is zero. A static row staggers its racks evenly across the
+// cycle, or runs them in phase when the rating funds every rack's
+// overload, and is scored against the rating. A linked run is scored
+// against the budget the coordinator packs to, the largest whole number
+// of bonuses the rating funds.
 func runCluster(w io.Writer, scn sim.Scenario, o clusterOpts) error {
 	hcfg := hier.DefaultConfig()
 	hcfg.Rows = []hier.RowConfig{{Racks: o.racks, RatingW: o.budgetW}}
@@ -487,23 +490,17 @@ func runCluster(w io.Writer, scn sim.Scenario, o clusterOpts) error {
 	hcfg.Seed = o.linkSeed
 
 	if !o.link {
-		cfg := cluster.DefaultConfig()
-		cfg.NumRacks = o.racks
-		cfg.Scenario = scn
-		cfg.SprintCon = hcfg.SprintCon
-		cfg.FeederBudgetW = o.budgetW
-		if cfg.FeederBudgetW == 0 {
-			a, err := hier.Allocate(hcfg)
-			if err != nil {
-				return err
-			}
-			cfg.FeederBudgetW = a.Rows[0].RatingW
+		// A sweep drops link-scoped faults; without a link they are an
+		// input error, which the per-rack validation reports.
+		if err := scn.Validate(); err != nil {
+			return err
 		}
-		res, err := cluster.Run(cfg)
+		res, err := hier.RunSweep(hcfg)
 		if err != nil {
 			return err
 		}
-		printClusterSummary(w, "static offsets", cfg.FeederBudgetW, cfg.FeederBudgetW, res.Racks, res.AggregateW, nil)
+		budgetW := res.Alloc.Rows[0].RatingW
+		printClusterSummary(w, "static offsets", budgetW, budgetW, res.Rows[0], res.RowAggregateW[0], nil)
 		return nil
 	}
 

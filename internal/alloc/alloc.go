@@ -307,22 +307,6 @@ func (a *Allocator) OverloadFrac() float64 {
 	return a.cfg.OverloadS / (a.cfg.OverloadS + a.cfg.RecoveryS)
 }
 
-// avgBonusW returns the cycle-average extra CB power the schedule provides
-// above the rating.
-func (a *Allocator) avgBonusW() float64 {
-	if !a.started {
-		return 0
-	}
-	switch {
-	case a.burstDur < a.cfg.ShortBurstS:
-		return a.OverloadBonusW()
-	case a.burstDur <= a.cfg.MidBurstS:
-		return a.cfg.RatedPowerW * (a.SafeConstantDegree(a.burstDur) - 1)
-	default:
-		return a.OverloadFrac() * a.OverloadBonusW()
-	}
-}
-
 // InteractiveReserveW returns the current interactive power reserve.
 func (a *Allocator) InteractiveReserveW() float64 { return a.reserveW }
 

@@ -333,17 +333,10 @@ func TestPhaseOffsetShiftsSchedule(t *testing.T) {
 }
 
 func TestMidBurstAvgBonusConsistent(t *testing.T) {
-	// For a mid-length burst the average bonus equals the constant
-	// overload's bonus, so the deadline shift plans with the same
-	// affordance PBatchAt delivers.
+	// A mid-length burst runs one constant overload, so PBatchAt is
+	// constant across the burst (single overload phase).
 	a := mustNew(t)
 	a.StartBurst(0, 480, idleW, 1000)
-	deg := a.SafeConstantDegree(480)
-	want := rated * (deg - 1)
-	if got := a.avgBonusW(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("avg bonus %v, want %v", got, want)
-	}
-	// PBatchAt is constant across the burst (single overload phase).
 	if a.PBatchAt(10) != a.PBatchAt(400) {
 		t.Fatal("mid-burst batch budget should be constant")
 	}

@@ -66,9 +66,6 @@ func NewPI(cfg PIConfig) (*PI, error) {
 	return &PI{cfg: cfg, next: make([]float64, cfg.Cores)}, nil
 }
 
-// Reset clears the integral state.
-func (p *PI) Reset() { p.integral = 0 }
-
 // Step computes the next per-core frequencies from the aggregate batch
 // power error (W in, GHz out). All cores receive the same move (the PI
 // baseline has no notion of per-core urgency, which is one of the things

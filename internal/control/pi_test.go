@@ -89,15 +89,6 @@ func TestPIAntiWindup(t *testing.T) {
 	}
 }
 
-func TestPIReset(t *testing.T) {
-	pi, _ := NewPI(DefaultPIConfig(2, 2*9.6))
-	pi.Step(0, 1000, uniformK(2, 1.0))
-	pi.Reset()
-	if pi.integral != 0 {
-		t.Fatal("Reset should clear the integral")
-	}
-}
-
 func TestPIUniformMove(t *testing.T) {
 	// The PI baseline cannot differentiate cores: all moves are equal.
 	pi, _ := NewPI(DefaultPIConfig(3, 3*9.6))

@@ -75,9 +75,6 @@ func NewUPSController(cfg UPSControllerConfig) (*UPSController, error) {
 	return &UPSController{cfg: cfg}, nil
 }
 
-// Reset clears the integral trim.
-func (u *UPSController) Reset() { u.trim = 0 }
-
 // Step returns the discharge power to request from the UPS for the next
 // period, given the measured rack total and measured CB power from the last
 // period and the allocator's CB budget P_cb. Non-negative by construction:

@@ -133,12 +133,3 @@ func TestPurePIVariantStillRegulates(t *testing.T) {
 		t.Fatalf("pure-PI variant settled at CB %v vs budget %v", cb, pcb)
 	}
 }
-
-func TestUPSControllerReset(t *testing.T) {
-	c, _ := NewUPSController(DefaultUPSControllerConfig())
-	c.Step(5000, 5000, 3200)
-	c.Reset()
-	if c.trim != 0 {
-		t.Fatal("Reset should clear trim")
-	}
-}

@@ -37,7 +37,7 @@ func randomStorm(rng *rand.Rand, numServers int) faults.Plan {
 		}
 		// Single-rack storms draw only rack- and server-scoped kinds;
 		// link-scoped faults need a cluster with a control link (the
-		// cluster package soaks those).
+		// hier package soaks those).
 		kinds := append(faults.KindsForScope(faults.ScopeRack), faults.KindsForScope(faults.ScopeServer)...)
 		f.Kind = kinds[rng.Intn(len(kinds))]
 		switch f.Kind {

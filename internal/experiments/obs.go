@@ -33,17 +33,6 @@ func expectedDetector(label string) string {
 	return ""
 }
 
-// firstExceed returns the first time ≥ fromS the series rises above thresh
-// (NaN if it never does).
-func firstExceed(series []float64, dt, fromS, thresh float64) float64 {
-	for i, v := range series {
-		if t := float64(i) * dt; t >= fromS && v > thresh {
-			return t
-		}
-	}
-	return math.NaN()
-}
-
 // firstMove returns the first time ≥ fromS the series moves by more than eps
 // from one sample to the next (NaN if it never does).
 func firstMove(series []float64, dt, fromS, eps float64) float64 {

@@ -117,7 +117,7 @@ func TestLinkedConfigValidation(t *testing.T) {
 		t.Fatalf("want an OverloadDegree error for a degree-1 override, got %v", err)
 	}
 	// Link-scoped faults are valid in a linked configuration (the
-	// single-rack and static-offset forms reject them).
+	// single-rack form rejects them).
 	withFault := rowConfig()
 	withFault.Scenario.Faults.Faults = append(withFault.Scenario.Faults.Faults, partitionAt(0, 100, 50))
 	if err := withFault.Validate(); err != nil {

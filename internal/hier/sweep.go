@@ -54,10 +54,11 @@ func sweepJob(c Config, a Allocation, row, j int) (sim.Scenario, sim.Policy) {
 // sharded row by row: each row's racks run as one sim.RunManyOrdered batch
 // (Config.Serial runs it on one worker), rows in order. Results — and a
 // failing or panicking rack's error — are identical between the serial and
-// parallel paths. Budgets come from the same Allocate waterfall as
-// RunLinked, and every level is scored by the same shadow breakers.
+// parallel paths. The configuration is validated as for RunLinked, budgets
+// come from the same Allocate waterfall, and every level is scored by the
+// same shadow breakers.
 func RunSweep(c Config) (*SweepResult, error) {
-	a, err := Allocate(c)
+	a, err := c.resolve()
 	if err != nil {
 		return nil, err
 	}

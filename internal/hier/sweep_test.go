@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sprintcon/internal/sim"
@@ -209,5 +210,104 @@ func TestSweepGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("sweep output diverged from %s:\n got:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// TestRunSweepValidates: RunSweep validates like RunLinked, so a zero-rack
+// row, a negative rating, an invalid scenario and a row above MaxRacks are
+// rejected before any rack runs, while a row of exactly MaxRacks passes.
+func TestRunSweepValidates(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"zero racks", func(c *Config) { c.Rows[0].Racks = 0 }, "every row needs at least one"},
+		{"negative rating", func(c *Config) { c.Rows[0].RatingW = -1 }, "finite and non-negative"},
+		{"bad scenario", func(c *Config) { c.Scenario.DurationS = 0 }, ""},
+		{"above MaxRacks", func(c *Config) { c.Rows[0].Racks = MaxRacks + 1 }, "exceed MaxRacks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := DefaultConfig()
+			c.Rows = []RowConfig{{Racks: 4}}
+			c.Scenario.DurationS = 10
+			tc.mutate(&c)
+			_, err := RunSweep(c)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("RunSweep error = %v, want one containing %q", err, tc.wantErr)
+			}
+		})
+	}
+	c := DefaultConfig()
+	c.Rows = []RowConfig{{Racks: MaxRacks}}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("a row of MaxRacks racks must validate: %v", err)
+	}
+}
+
+// e12Rows runs E12's two one-row sweeps of four racks: synchronized, rated
+// at 4·(rated+bonus) so every rack overloads in phase, and staggered,
+// auto-provisioned at the minimum packing (two concurrent overloads). It
+// returns both results and the staggered row's rating, the feeder budget.
+func e12Rows(t *testing.T) (syncRes, stagRes *SweepResult, feederW float64) {
+	t.Helper()
+	c := DefaultConfig()
+	c.Rows = []RowConfig{{Racks: 4}}
+	stagRes, err := RunSweep(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := stagRes.Alloc
+	c.Rows[0].RatingW = 4 * (a.RatedW + a.BonusW)
+	syncRes, err = RunSweep(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return syncRes, stagRes, a.Rows[0].RatingW
+}
+
+func TestStaggeringFlattensAggregate(t *testing.T) {
+	syncRes, stagRes, feederW := e12Rows(t)
+	syncOver := stats.FracAbove(syncRes.BuildingAggregateW, feederW)
+	stagOver := stats.FracAbove(stagRes.BuildingAggregateW, feederW)
+
+	// Synchronized racks all overload together: aggregate peak near
+	// 4 × 4.0 kW. Staggered racks keep at most ⌈4·150/450⌉ = 2 racks
+	// overloading at once.
+	if stagRes.BuildingPeakW >= syncRes.BuildingPeakW-500 {
+		t.Fatalf("staggered peak %v not clearly below synchronized %v", stagRes.BuildingPeakW, syncRes.BuildingPeakW)
+	}
+	// Against a feeder sized for staggered operation, synchronization
+	// violates the budget, staggering stays within it.
+	if syncOver < 0.05 {
+		t.Fatalf("synchronized over-budget fraction %v implausibly low", syncOver)
+	}
+	// The feeder is sized for exactly two concurrent overload bonuses,
+	// so brief demand spikes can still poke above it — but staggering
+	// must cut the violation rate by a large factor.
+	if stagOver > 0.05 || stagOver > syncOver/4 {
+		t.Fatalf("staggered over-budget fraction %v vs synchronized %v", stagOver, syncOver)
+	}
+	// Energy throughput stays comparable: staggering shifts, not sheds.
+	if stagRes.BuildingMeanW < 0.9*syncRes.BuildingMeanW {
+		t.Fatalf("staggered mean %v lost energy vs %v", stagRes.BuildingMeanW, syncRes.BuildingMeanW)
+	}
+}
+
+func TestClusterSafetyRollups(t *testing.T) {
+	_, res, _ := e12Rows(t)
+	racks := res.Rows[0]
+	if len(racks) != 4 {
+		t.Fatalf("racks = %d", len(racks))
+	}
+	if res.CBTrips != 0 || res.OutageS != 0 {
+		t.Fatalf("cluster safety violated: trips=%d outage=%v", res.CBTrips, res.OutageS)
+	}
+	if res.DeadlineMisses != 0 {
+		t.Fatalf("cluster misses = %d", res.DeadlineMisses)
+	}
+	// Racks see different traffic (different seeds).
+	if racks[0].InteractiveDemand.Mean == racks[1].InteractiveDemand.Mean {
+		t.Fatal("racks should not share an identical trace")
 	}
 }

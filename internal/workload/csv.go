@@ -9,8 +9,8 @@ import (
 )
 
 // TraceFromCSV loads an interactive demand trace from CSV with columns
-// time_s,demand_frac (the format cmd/tracegen emits, and the natural shape
-// for replaying a production trace such as the paper's Wikipedia source).
+// time_s,demand_frac (the format sprintsim -trace replays, and the natural
+// shape for a production trace such as the paper's Wikipedia source).
 // Timestamps must be ascending and evenly spaced; demand is clamped to
 // [0, 1.2] like the generator's output.
 func TraceFromCSV(r io.Reader) (*InteractiveTrace, error) {

@@ -53,7 +53,7 @@ func TestTraceFromCSVErrors(t *testing.T) {
 }
 
 func TestTraceRoundTripThroughCSV(t *testing.T) {
-	// Generate a trace, serialize it the way cmd/tracegen does, reload
+	// Generate a trace, serialize it as time_s,demand_frac CSV, reload
 	// it, and verify the samples survive.
 	orig, err := GenInteractive(DefaultInteractiveConfig(), 60, 1)
 	if err != nil {
