@@ -213,10 +213,10 @@ func TestSweepGolden(t *testing.T) {
 	}
 }
 
-// TestRunSweepValidates: RunSweep validates like RunLinked, so a zero-rack
-// row, a negative rating, an invalid scenario and a row above MaxRacks are
-// rejected before any rack runs, while a row of exactly MaxRacks passes.
-func TestRunSweepValidates(t *testing.T) {
+// TestConfigValidate: RunSweep validates like RunLinked, so a zero-rack
+// row, a negative rating and an invalid scenario are rejected before any
+// rack runs.
+func TestConfigValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		mutate  func(*Config)
@@ -225,7 +225,6 @@ func TestRunSweepValidates(t *testing.T) {
 		{"zero racks", func(c *Config) { c.Rows[0].Racks = 0 }, "every row needs at least one"},
 		{"negative rating", func(c *Config) { c.Rows[0].RatingW = -1 }, "finite and non-negative"},
 		{"bad scenario", func(c *Config) { c.Scenario.DurationS = 0 }, ""},
-		{"above MaxRacks", func(c *Config) { c.Rows[0].Racks = MaxRacks + 1 }, "exceed MaxRacks"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := DefaultConfig()
@@ -238,10 +237,51 @@ func TestRunSweepValidates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNumRacksBounds: a sweep row above MaxRacks is rejected, while a row
+// of exactly MaxRacks passes validation.
+func TestNumRacksBounds(t *testing.T) {
 	c := DefaultConfig()
+	c.Rows = []RowConfig{{Racks: MaxRacks + 1}}
+	c.Scenario.DurationS = 10
+	if _, err := RunSweep(c); err == nil || !strings.Contains(err.Error(), "exceed MaxRacks") {
+		t.Fatalf("RunSweep error = %v, want one containing %q", err, "exceed MaxRacks")
+	}
 	c.Rows = []RowConfig{{Racks: MaxRacks}}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("a row of MaxRacks racks must validate: %v", err)
+	}
+}
+
+// TestParallelMatchesSerial: a one-row static fleet of three racks, the
+// shape E12 and sprintsim -racks run, must give the same rack series and
+// per-rack safety counts whether its racks run on the pool or serially.
+func TestParallelMatchesSerial(t *testing.T) {
+	c := DefaultConfig()
+	c.Rows = []RowConfig{{Racks: 3}}
+	c.Scenario.DurationS = 300
+
+	par, err := RunSweep(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Serial = true
+	ser, err := RunSweep(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	identical(t, ser, par)
+	for i := range par.Rows[0] {
+		p, s := par.Rows[0][i], ser.Rows[0][i]
+		for tk := range p.Series.FreqBatch {
+			if p.Series.FreqBatch[tk] != s.Series.FreqBatch[tk] {
+				t.Fatalf("rack %d batch frequency diverges at tick %d", i, tk)
+			}
+		}
+		if p.CBTrips != s.CBTrips || p.OutageS != s.OutageS || p.DeadlineMisses != s.DeadlineMisses {
+			t.Fatalf("rack %d summary stats diverge", i)
+		}
 	}
 }
 
