@@ -9,12 +9,16 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# perfbench is its own module (it imports sprintcon/internal/...), so the
+# root ./... patterns never compile it; vet and test it explicitly.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 # Run every example end to end with its output discarded; stops at the
 # first example that fails or exits non-zero (go build only compiles them).

@@ -56,32 +56,12 @@ type Config struct {
 	// Θ = τ(o)·(o²−1), used to size safe constant overloads for
 	// medium-length bursts; it must match the breaker's calibration.
 	TripBudgetS float64
-	// SafetyMargin derates computed overload degrees (fraction).
-	SafetyMargin float64
-	// ShortBurstS: bursts shorter than this are left uncontrolled
-	// (paper: < 1 minute, "perhaps unnecessary to control").
-	ShortBurstS float64
 	// MidBurstS: bursts up to this length get one constant overload
 	// sized to last the whole burst (paper: 5–10 minutes). Longer bursts
 	// use the periodic schedule.
 	MidBurstS float64
-	// PBatchPeriodS is the P_batch adaptation period (paper: 30 s,
-	// longer than the server power controller's settling time).
-	PBatchPeriodS float64
 	// Mode selects quantile (default) or threshold adaptation.
 	Mode AdaptMode
-	// ReserveQuantile is the interactive-power quantile reserved out of
-	// the CB budget in quantile mode.
-	ReserveQuantile float64
-	// PBatchStepW is the stepping size in threshold mode.
-	PBatchStepW float64
-	// HeadroomHighFrac / HeadroomLowFrac are the threshold mode's
-	// saturation thresholds (paper: "more than 90 % of the time").
-	HeadroomHighFrac float64
-	HeadroomLowFrac  float64
-	// DeadlineMargin inflates the deadline-required batch power
-	// (fraction) so that model error does not cause misses.
-	DeadlineMargin float64
 	// PhaseOffsetS shifts the periodic overload schedule in time, which
 	// is how every multi-rack layer packs overload windows: the E12
 	// stagger spreads co-located racks' phases evenly, the link
@@ -92,25 +72,41 @@ type Config struct {
 	PhaseOffsetS float64
 }
 
+// Fixed allocator tuning: the paper's evaluation settings.
+const (
+	// safetyMargin derates computed overload degrees (fraction).
+	safetyMargin float64 = 0.03
+	// shortBurstS: bursts shorter than this are left uncontrolled
+	// (paper: < 1 minute, "perhaps unnecessary to control").
+	shortBurstS float64 = 60
+	// PBatchPeriodS is the P_batch adaptation period (paper: 30 s,
+	// longer than the server power controller's settling time).
+	PBatchPeriodS float64 = 30
+	// reserveQuantile is the interactive-power quantile reserved out of
+	// the CB budget in quantile mode.
+	reserveQuantile float64 = 0.8
+	// pBatchStepW is the stepping size in threshold mode.
+	pBatchStepW float64 = 160
+	// headroomHighFrac / headroomLowFrac are the threshold mode's
+	// saturation thresholds (paper: "more than 90 % of the time").
+	headroomHighFrac float64 = 0.9
+	headroomLowFrac  float64 = 0.5
+	// deadlineMargin inflates the deadline-required batch power
+	// (fraction) so that model error does not cause misses.
+	deadlineMargin float64 = 0.15
+)
+
 // DefaultConfig returns the paper's evaluation settings for a breaker with
 // the given rating and trip budget.
 func DefaultConfig(ratedW, tripBudgetS float64) Config {
 	return Config{
-		RatedPowerW:      ratedW,
-		OverloadDegree:   1.25,
-		OverloadS:        150,
-		RecoveryS:        300,
-		TripBudgetS:      tripBudgetS,
-		SafetyMargin:     0.03,
-		ShortBurstS:      60,
-		MidBurstS:        600,
-		PBatchPeriodS:    30,
-		Mode:             AdaptQuantile,
-		ReserveQuantile:  0.8,
-		PBatchStepW:      160,
-		HeadroomHighFrac: 0.9,
-		HeadroomLowFrac:  0.5,
-		DeadlineMargin:   0.15,
+		RatedPowerW:    ratedW,
+		OverloadDegree: 1.25,
+		OverloadS:      150,
+		RecoveryS:      300,
+		TripBudgetS:    tripBudgetS,
+		MidBurstS:      600,
+		Mode:           AdaptQuantile,
 	}
 }
 
@@ -125,18 +121,8 @@ func (c Config) Validate() error {
 		return errors.New("alloc: overload/recovery durations must be positive")
 	case c.TripBudgetS <= 0:
 		return errors.New("alloc: TripBudgetS must be positive")
-	case c.SafetyMargin < 0 || c.SafetyMargin >= 1:
-		return errors.New("alloc: SafetyMargin must be in [0, 1)")
-	case c.ShortBurstS < 0 || c.MidBurstS <= c.ShortBurstS:
-		return errors.New("alloc: need 0 ≤ ShortBurstS < MidBurstS")
-	case c.PBatchPeriodS <= 0 || c.PBatchStepW <= 0:
-		return errors.New("alloc: P_batch period and step must be positive")
-	case c.ReserveQuantile <= 0 || c.ReserveQuantile > 1:
-		return errors.New("alloc: ReserveQuantile must be in (0, 1]")
-	case c.HeadroomHighFrac <= c.HeadroomLowFrac || c.HeadroomHighFrac > 1 || c.HeadroomLowFrac < 0:
-		return errors.New("alloc: need 0 ≤ HeadroomLowFrac < HeadroomHighFrac ≤ 1")
-	case c.DeadlineMargin < 0:
-		return errors.New("alloc: DeadlineMargin must be non-negative")
+	case c.MidBurstS <= shortBurstS:
+		return errors.New("alloc: MidBurstS must exceed the short-burst cutoff")
 	case c.PhaseOffsetS < 0:
 		return errors.New("alloc: PhaseOffsetS must be non-negative")
 	}
@@ -229,7 +215,7 @@ func (a *Allocator) StartBurst(now, expectedDurationS, idleW, initialReserveW fl
 	a.shiftW = 0
 	// Arm the first P_batch update to fire on the very first control
 	// period, so the deadline shift is active from the sprint's start.
-	a.lastUpdate = now - a.cfg.PBatchPeriodS
+	a.lastUpdate = now - PBatchPeriodS
 	a.samples = a.samples[:0]
 	a.samplesHigh = 0
 }
@@ -250,7 +236,7 @@ func (a *Allocator) SafeConstantDegree(durationS float64) float64 {
 	}
 	// τ(o) = Θ/(o²−1) = durationS  →  o = √(1 + Θ/durationS).
 	o := math.Sqrt(1 + a.cfg.TripBudgetS/durationS)
-	o *= 1 - a.cfg.SafetyMargin
+	o *= 1 - safetyMargin
 	if o > a.cfg.OverloadDegree {
 		o = a.cfg.OverloadDegree
 	}
@@ -267,7 +253,7 @@ func (a *Allocator) PCb(now float64) float64 {
 		return a.cfg.RatedPowerW
 	}
 	switch {
-	case a.burstDur < a.cfg.ShortBurstS:
+	case a.burstDur < shortBurstS:
 		return math.Inf(1)
 	case a.burstDur <= a.cfg.MidBurstS:
 		// One constant overload lasting the whole burst, at the
@@ -357,7 +343,7 @@ func (a *Allocator) ObserveHeadroom(pInterW, now float64) {
 // (all at floor / all at peak frequency). It returns whether an update
 // occurred.
 func (a *Allocator) MaybeUpdatePBatch(now, pDeadlineW, pBatchMinW, pBatchMaxW float64) bool {
-	if !a.started || now-a.lastUpdate < a.cfg.PBatchPeriodS {
+	if !a.started || now-a.lastUpdate < PBatchPeriodS {
 		return false
 	}
 	a.lastUpdate = now
@@ -369,17 +355,17 @@ func (a *Allocator) MaybeUpdatePBatch(now, pDeadlineW, pBatchMinW, pBatchMaxW fl
 		case AdaptThreshold:
 			frac := float64(a.samplesHigh) / float64(len(a.samples))
 			switch {
-			case frac > a.cfg.HeadroomHighFrac:
+			case frac > headroomHighFrac:
 				// Interactive saturates the headroom: grow the
 				// reserve (shrink P_batch) so interactive work
 				// draws CB power instead of UPS power.
-				a.reserveW += a.cfg.PBatchStepW
-			case frac < a.cfg.HeadroomLowFrac:
-				a.reserveW = math.Max(0, a.reserveW-a.cfg.PBatchStepW)
+				a.reserveW += pBatchStepW
+			case frac < headroomLowFrac:
+				a.reserveW = math.Max(0, a.reserveW-pBatchStepW)
 			}
 		default:
 			a.qScratch = append(a.qScratch[:0], a.samples...)
-			a.reserveW = quantile(a.qScratch, a.cfg.ReserveQuantile)
+			a.reserveW = quantile(a.qScratch, reserveQuantile)
 		}
 	}
 	a.samples = a.samples[:0]
@@ -393,7 +379,7 @@ func (a *Allocator) MaybeUpdatePBatch(now, pDeadlineW, pBatchMinW, pBatchMaxW fl
 	// (paper Section VII-D: "only SprintCon can efficiently make use of
 	// the time before deadlines to save the power consumption of batch
 	// workloads").
-	need := pDeadlineW * (1 + a.cfg.DeadlineMargin)
+	need := pDeadlineW * (1 + deadlineMargin)
 	phi := a.OverloadFrac()
 	base := a.cfg.RatedPowerW - a.reserveW - a.idleW
 	bonus := a.OverloadBonusW()

@@ -34,18 +34,33 @@ func TestConfigValidate(t *testing.T) {
 		{"degree 1", func(c *Config) { c.OverloadDegree = 1 }},
 		{"zero overload", func(c *Config) { c.OverloadS = 0 }},
 		{"zero budget", func(c *Config) { c.TripBudgetS = 0 }},
-		{"margin 1", func(c *Config) { c.SafetyMargin = 1 }},
 		{"mid < short", func(c *Config) { c.MidBurstS = 10 }},
-		{"zero period", func(c *Config) { c.PBatchPeriodS = 0 }},
-		{"bad quantile", func(c *Config) { c.ReserveQuantile = 0 }},
-		{"headroom order", func(c *Config) { c.HeadroomLowFrac = 0.95 }},
-		{"negative deadline margin", func(c *Config) { c.DeadlineMargin = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(rated, budget)
 		tc.mutate(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestTuningConstants keeps the ranges the fixed allocator tuning must
+// satisfy for the schedule and both adaptation modes to make sense.
+func TestTuningConstants(t *testing.T) {
+	for _, c := range []struct {
+		cond string
+		ok   bool
+	}{
+		{"0 ≤ headroomLowFrac < headroomHighFrac ≤ 1", 0 <= headroomLowFrac && headroomLowFrac < headroomHighFrac && headroomHighFrac <= 1},
+		{"0 < reserveQuantile ≤ 1", 0 < reserveQuantile && reserveQuantile <= 1},
+		{"0 ≤ safetyMargin < 1", 0 <= safetyMargin && safetyMargin < 1},
+		{"deadlineMargin ≥ 0", deadlineMargin >= 0},
+		{"PBatchPeriodS > 0 and pBatchStepW > 0", PBatchPeriodS > 0 && pBatchStepW > 0},
+		{"shortBurstS ≥ 0", shortBurstS >= 0},
+	} {
+		if !c.ok {
+			t.Errorf("allocator tuning violates %s", c.cond)
 		}
 	}
 }
@@ -199,7 +214,7 @@ func TestDeadlineShiftCoversShortfall(t *testing.T) {
 	a.MaybeUpdatePBatch(31, need, 0, 5000)
 	// Cycle-average affordance: rated + avg bonus − reserve − idle.
 	afford := rated + a.OverloadFrac()*a.OverloadBonusW() - a.InteractiveReserveW()
-	wantShift := need*(1+a.Config().DeadlineMargin) - afford
+	wantShift := need*(1+deadlineMargin) - afford
 	if math.Abs(a.DeadlineShiftW()-wantShift) > 1e-6 {
 		t.Fatalf("shift = %v, want %v", a.DeadlineShiftW(), wantShift)
 	}
@@ -218,7 +233,7 @@ func TestDeadlineShiftCoversShortfall(t *testing.T) {
 	// The delivered cycle-average equals the (margin-inflated) need.
 	phi := a2.OverloadFrac()
 	deliver := phi*a2.PBatchAt(451) + (1-phi)*a2.PBatchAt(200)
-	want := 100 * (1 + a2.Config().DeadlineMargin)
+	want := 100 * (1 + deadlineMargin)
 	if math.Abs(deliver-want) > 1 {
 		t.Fatalf("delivered %v, want %v", deliver, want)
 	}
@@ -256,7 +271,7 @@ func TestThresholdModeStepsReserve(t *testing.T) {
 		a.ObserveHeadroom(3500, float64(s))
 	}
 	a.MaybeUpdatePBatch(31, 100, 0, 5000)
-	if got := a.InteractiveReserveW(); math.Abs(got-(1000+cfg.PBatchStepW)) > 1e-9 {
+	if got := a.InteractiveReserveW(); math.Abs(got-(1000+pBatchStepW)) > 1e-9 {
 		t.Fatalf("reserve = %v, want one step above 1000", got)
 	}
 	// Idle headroom → the reserve shrinks by one step.

@@ -1,80 +1,47 @@
 package control
 
-import (
-	"errors"
-	"math"
+import "math"
+
+// Measurement-guard tuning of the hardened policy: three identical samples
+// flag a freeze, the slew band tolerates the largest legitimate per-tick
+// power moves with a wide margin, and confidence collapses within roughly
+// one 4-second control period of telemetry loss.
+const (
+	// freezeTicks consecutive bit-identical readings flag the stream as
+	// frozen. Real monitors carry noise, so exact repeats are a reliable
+	// stuck-at signature.
+	freezeTicks int = 3
+	// guardSlewFrac bounds the plausible relative change between
+	// consecutive accepted readings; guardSlewFloorW is the absolute floor
+	// of that band so small rack power does not make the band degenerate.
+	// A reading outside last-known-good ± max(guardSlewFrac·good,
+	// guardSlewFloorW) is rejected as a spike or step fault.
+	guardSlewFrac   float64 = 0.30
+	guardSlewFloorW float64 = 250
+	// guardDecayPerTick moves the held last-known-good value toward the
+	// design model's power estimate while readings are invalid, so a long
+	// outage degrades gracefully to model-based open-loop operation instead
+	// of serving an ever-staler sample.
+	guardDecayPerTick float64 = 0.25
+	// guardConfidenceDecay multiplies the confidence on each invalid
+	// reading; guardConfidenceRecover is added back per valid reading.
+	// Confidence is clamped to [0, 1] and starts at 1.
+	guardConfidenceDecay   float64 = 0.5
+	guardConfidenceRecover float64 = 0.34
 )
-
-// MeasurementGuardConfig parameterizes the power-measurement plausibility
-// filter that sits between the rack power monitor and every consumer of its
-// readings. The guard exists because a sprinting controller that trusts a
-// frozen or absent monitor during a scheduled breaker overload will ride
-// the overload with no real feedback — the exact failure mode the safety
-// supervisor must never allow.
-type MeasurementGuardConfig struct {
-	// FreezeTicks flags the stream as frozen after this many consecutive
-	// bit-identical readings. Real monitors carry noise, so exact repeats
-	// are a reliable stuck-at signature; set 0 to disable (mandatory when
-	// the monitor is configured noise-free, where repeats are legitimate).
-	FreezeTicks int
-	// SlewFrac bounds the plausible relative change between consecutive
-	// accepted readings; SlewFloorW is the absolute floor of that band so
-	// small rack power does not make the band degenerate. A reading
-	// outside last-known-good ± max(SlewFrac·good, SlewFloorW) is
-	// rejected as a spike or step fault.
-	SlewFrac   float64
-	SlewFloorW float64
-	// DecayPerTick moves the held last-known-good value toward the design
-	// model's power estimate while readings are invalid, so a long outage
-	// degrades gracefully to model-based open-loop operation instead of
-	// serving an ever-staler sample.
-	DecayPerTick float64
-	// ConfidenceDecay multiplies the confidence on each invalid reading;
-	// ConfidenceRecover is added back per valid reading. Confidence is
-	// clamped to [0, 1] and starts at 1.
-	ConfidenceDecay   float64
-	ConfidenceRecover float64
-}
-
-// DefaultMeasurementGuardConfig returns the hardened-policy defaults: three
-// identical samples flag a freeze, the slew band tolerates the largest
-// legitimate per-tick power moves with a wide margin, and confidence
-// collapses within roughly one 4-second control period of telemetry loss.
-func DefaultMeasurementGuardConfig() MeasurementGuardConfig {
-	return MeasurementGuardConfig{
-		FreezeTicks:       3,
-		SlewFrac:          0.30,
-		SlewFloorW:        250,
-		DecayPerTick:      0.25,
-		ConfidenceDecay:   0.5,
-		ConfidenceRecover: 0.34,
-	}
-}
-
-// Validate reports structural errors in the configuration.
-func (c MeasurementGuardConfig) Validate() error {
-	switch {
-	case c.FreezeTicks < 0:
-		return errors.New("control: FreezeTicks must be non-negative")
-	case c.SlewFrac <= 0 || c.SlewFloorW <= 0:
-		return errors.New("control: slew band must be positive")
-	case c.DecayPerTick < 0 || c.DecayPerTick > 1:
-		return errors.New("control: DecayPerTick must be in [0, 1]")
-	case c.ConfidenceDecay <= 0 || c.ConfidenceDecay >= 1:
-		return errors.New("control: ConfidenceDecay must be in (0, 1)")
-	case c.ConfidenceRecover <= 0:
-		return errors.New("control: ConfidenceRecover must be positive")
-	}
-	return nil
-}
 
 // MeasurementGuard validates each power reading and substitutes a
 // last-known-good estimate when the monitor misbehaves. It also maintains a
 // confidence score the supervisor and allocator act on: the allocator
 // derates the overload budget proportionally, and the supervisor refuses to
 // overload at all below its confidence floor.
+//
+// The guard exists because a sprinting controller that trusts a frozen or
+// absent monitor during a scheduled breaker overload will ride the overload
+// with no real feedback — the exact failure mode the safety supervisor must
+// never allow.
 type MeasurementGuard struct {
-	cfg MeasurementGuardConfig
+	detectFreeze bool
 
 	held       float64 // last-known-good (or decayed) value served downstream
 	haveHeld   bool
@@ -84,12 +51,11 @@ type MeasurementGuard struct {
 	confidence float64
 }
 
-// NewMeasurementGuard returns a guard or an error for invalid config.
-func NewMeasurementGuard(cfg MeasurementGuardConfig) (*MeasurementGuard, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &MeasurementGuard{cfg: cfg, confidence: 1}, nil
+// NewMeasurementGuard returns a guard. detectFreeze enables exact-repeat
+// freeze detection; it must be off when the monitor is noise-free, where
+// repeated readings are legitimate.
+func NewMeasurementGuard(detectFreeze bool) *MeasurementGuard {
+	return &MeasurementGuard{detectFreeze: detectFreeze, confidence: 1}
 }
 
 // Confidence returns the current measurement confidence in [0, 1].
@@ -104,10 +70,10 @@ func (g *MeasurementGuard) Step(rawW, modelEstW float64) (float64, bool) {
 
 	// Freeze detection: bit-identical repeats. Tracked on the raw stream
 	// before any other check so a frozen-then-biased chain still counts.
-	if valid && g.cfg.FreezeTicks > 0 {
+	if valid && g.detectFreeze {
 		if g.havePrev && rawW == g.prevRaw {
 			g.identical++
-			if g.identical >= g.cfg.FreezeTicks {
+			if g.identical >= freezeTicks {
 				valid = false
 			}
 		} else {
@@ -123,7 +89,7 @@ func (g *MeasurementGuard) Step(rawW, modelEstW float64) (float64, bool) {
 	// spike or a step fault (e.g. bias onset), not physics — the rack
 	// cannot move that much power in one tick.
 	if valid && g.haveHeld {
-		band := math.Max(g.cfg.SlewFrac*math.Abs(g.held), g.cfg.SlewFloorW)
+		band := math.Max(guardSlewFrac*math.Abs(g.held), guardSlewFloorW)
 		if math.Abs(rawW-g.held) > band {
 			valid = false
 		}
@@ -132,17 +98,17 @@ func (g *MeasurementGuard) Step(rawW, modelEstW float64) (float64, bool) {
 	if valid {
 		g.held = rawW
 		g.haveHeld = true
-		g.confidence = math.Min(1, g.confidence+g.cfg.ConfidenceRecover)
+		g.confidence = math.Min(1, g.confidence+guardConfidenceRecover)
 		return rawW, true
 	}
 
-	g.confidence *= g.cfg.ConfidenceDecay
+	g.confidence *= guardConfidenceDecay
 	if !g.haveHeld {
 		// Never saw a good reading: the model estimate is all there is.
 		g.held = modelEstW
 		g.haveHeld = true
 	} else if !math.IsNaN(modelEstW) && !math.IsInf(modelEstW, 0) {
-		g.held += g.cfg.DecayPerTick * (modelEstW - g.held)
+		g.held += guardDecayPerTick * (modelEstW - g.held)
 	}
 	return g.held, false
 }

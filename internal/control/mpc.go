@@ -27,25 +27,29 @@ import (
 	"sprintcon/internal/qp"
 )
 
+// Fixed MPC tuning, used throughout the evaluation.
+const (
+	// predictionHorizon is L_p of Eq. (8); controlHorizon is L_c. Both
+	// count control periods (dimensionless).
+	predictionHorizon int = 4
+	controlHorizon    int = 2
+	// qWeight is the tracking-error weight Q (uniform over the horizon),
+	// in cost per W² of tracking error.
+	qWeight float64 = 1
+	// rScale converts the dimensionless per-core R weights into the cost
+	// function's units, balancing watts² of tracking error against GHz²
+	// of control penalty.
+	rScale float64 = 40
+)
+
 // MPCConfig parameterizes the server power controller.
 type MPCConfig struct {
-	// PredictionHorizon is L_p of Eq. (8); ControlHorizon is L_c. Both
-	// count control periods (dimensionless).
-	PredictionHorizon int
-	ControlHorizon    int
 	// PeriodS is the control period T in seconds.
 	PeriodS float64
 	// RefTimeConstS is τ_r of the Eq. (7) reference trajectory in seconds:
 	// larger values trade convergence speed for smaller overshoot
 	// (Section V-B).
 	RefTimeConstS float64
-	// QWeight is the tracking-error weight Q (uniform over the horizon),
-	// in cost per W² of tracking error.
-	QWeight float64
-	// RScale converts the dimensionless per-core R weights into the cost
-	// function's units, balancing watts² of tracking error against GHz²
-	// of control penalty.
-	RScale float64
 	// KWPerGHz is the design-model slope per batch core (paper Eq. 1–4):
 	// the predicted change in batch power per GHz of that core, in W/GHz.
 	KWPerGHz []float64
@@ -53,7 +57,7 @@ type MPCConfig struct {
 	FMinGHz, FMaxGHz float64
 	// FullHorizon replaces the paper's prediction simplification
 	// ("the same operation will continue") with a true receding-horizon
-	// optimization over ControlHorizon *distinct* moves. The cumulative
+	// optimization over controlHorizon *distinct* moves. The cumulative
 	// moves z_h = Σ_{i≤h} Δ_i substitute as decision variables, so the
 	// Eq. (9) bounds stay simple boxes and the same QP solver applies;
 	// only the first move is actuated.
@@ -67,33 +71,21 @@ type MPCConfig struct {
 // well within the allocator's 30 s period at the 4 s control period.
 func DefaultMPCConfig(kWPerGHz []float64) MPCConfig {
 	return MPCConfig{
-		PredictionHorizon: 4,
-		ControlHorizon:    2,
-		PeriodS:           4,
-		RefTimeConstS:     2,
-		QWeight:           1,
-		RScale:            40,
-		KWPerGHz:          kWPerGHz,
-		FMinGHz:           0.4,
-		FMaxGHz:           2.0,
+		PeriodS:       4,
+		RefTimeConstS: 2,
+		KWPerGHz:      kWPerGHz,
+		FMinGHz:       0.4,
+		FMaxGHz:       2.0,
 	}
 }
 
 // Validate reports structural errors in the configuration.
 func (c MPCConfig) Validate() error {
 	switch {
-	case c.PredictionHorizon <= 0:
-		return errors.New("control: PredictionHorizon must be positive")
-	case c.ControlHorizon <= 0 || c.ControlHorizon > c.PredictionHorizon:
-		return errors.New("control: need 0 < ControlHorizon ≤ PredictionHorizon")
 	case c.PeriodS <= 0:
 		return errors.New("control: PeriodS must be positive")
 	case c.RefTimeConstS <= 0:
 		return errors.New("control: RefTimeConstS must be positive")
-	case c.QWeight <= 0:
-		return errors.New("control: QWeight must be positive")
-	case c.RScale <= 0:
-		return errors.New("control: RScale must be positive")
 	case len(c.KWPerGHz) == 0:
 		return errors.New("control: KWPerGHz must not be empty")
 	case c.FMinGHz <= 0 || c.FMaxGHz <= c.FMinGHz:
@@ -124,7 +116,7 @@ type MPC struct {
 
 	// Preallocated per-solve state (the zero-alloc tick contract,
 	// DESIGN.md §10). Sized n for the constant-move formulation and
-	// n·ControlHorizon for FullHorizon. The Hessian lives in offDiag, its
+	// n·controlHorizon for FullHorizon. The Hessian lives in offDiag, its
 	// exact equal-off-diagonal form (qp.Problem.EqualOffDiag), when the
 	// formulation is constant-move and every KWPerGHz entry has the same
 	// bits; otherwise in the dense h. NewMPC chooses once, so KWPerGHz
@@ -169,9 +161,9 @@ func (m *MPC) LastSolve() SolveStats { return m.last }
 // toward, not just where it ended up. It allocates; the hot path calls it
 // only when a decision trace is attached.
 func (m *MPC) ReferenceTrajectory(pfbW, pTargetW float64) []float64 {
-	out := make([]float64, m.cfg.PredictionHorizon)
+	out := make([]float64, predictionHorizon)
 	gap := pTargetW - pfbW
-	for h := 1; h <= m.cfg.PredictionHorizon; h++ {
+	for h := 1; h <= predictionHorizon; h++ {
 		out[h-1] = pfbW + gap*(1-math.Exp(-float64(h)*m.cfg.PeriodS/m.cfg.RefTimeConstS))
 	}
 	return out
@@ -187,7 +179,7 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 	n := len(cfg.KWPerGHz)
 	nv := n
 	if cfg.FullHorizon {
-		nv = n * cfg.ControlHorizon
+		nv = n * controlHorizon
 	}
 	m := &MPC{
 		cfg:      cfg,
@@ -263,13 +255,13 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	}
 	var sumH2 float64
 	gap := pTargetW - pfbW
-	for step := 1; step <= m.cfg.PredictionHorizon; step++ {
+	for step := 1; step <= predictionHorizon; step++ {
 		hf := float64(step)
 		sumH2 += hf * hf
 		eh := gap * (1 - math.Exp(-hf*m.cfg.PeriodS/m.cfg.RefTimeConstS))
-		g.AXPY(-m.cfg.QWeight*hf*eh, k)
+		g.AXPY(-qWeight*hf*eh, k)
 	}
-	alpha := m.cfg.QWeight * sumH2
+	alpha := qWeight * sumH2
 	h, e := m.h, m.offDiag
 	if e != nil {
 		e.C = (alpha * k[0]) * k[0]
@@ -279,12 +271,12 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	}
 
 	var sumM, sumM2 float64
-	for mv := 1; mv <= m.cfg.ControlHorizon; mv++ {
+	for mv := 1; mv <= controlHorizon; mv++ {
 		sumM += float64(mv)
 		sumM2 += float64(mv) * float64(mv)
 	}
 	for i := 0; i < n; i++ {
-		r := m.cfg.RScale * math.Max(rweights[i], 1e-6)
+		r := rScale * math.Max(rweights[i], 1e-6)
 		d := sumM2 * r
 		if e != nil {
 			e.D[i] = d
@@ -322,13 +314,13 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	return next, nil
 }
 
-// stepFullHorizon solves the receding-horizon problem with ControlHorizon
+// stepFullHorizon solves the receding-horizon problem with controlHorizon
 // distinct moves. Decision variables are the cumulative moves
 // z_h ∈ Rⁿ (h = 1..L_c); the predicted power at horizon step h is
 // p_fb + K·z_{min(h,L_c)} and the Eq. (9) bounds apply to F + z_h.
 func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64, locked []bool) ([]float64, error) {
 	n := len(m.cfg.KWPerGHz)
-	lc := m.cfg.ControlHorizon
+	const lc = controlHorizon
 	k := mathx.Vector(m.cfg.KWPerGHz)
 	gap := pTargetW - pfbW
 
@@ -341,22 +333,16 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 
 	// Tracking term: for each prediction step hp, the active block is
 	// m(hp) = min(hp, Lc); accumulate Q·kkᵀ and −Q·e_hp·k there.
-	var blockQ [maxControlHorizon + 1]float64 // Σ Q over steps mapped to block
-	var blockE [maxControlHorizon + 1]float64 // Σ Q·e_hp over steps mapped to block
-	if lc > maxControlHorizon {
-		return nil, fmt.Errorf("control: ControlHorizon %d exceeds supported maximum %d", lc, maxControlHorizon)
-	}
-	for b := range blockQ[:lc+1] {
-		blockQ[b], blockE[b] = 0, 0
-	}
-	for hp := 1; hp <= m.cfg.PredictionHorizon; hp++ {
+	var blockQ [lc + 1]float64 // Σ Q over steps mapped to block
+	var blockE [lc + 1]float64 // Σ Q·e_hp over steps mapped to block
+	for hp := 1; hp <= predictionHorizon; hp++ {
 		blk := hp
 		if blk > lc {
 			blk = lc
 		}
 		e := gap * (1 - math.Exp(-float64(hp)*m.cfg.PeriodS/m.cfg.RefTimeConstS))
-		blockQ[blk] += m.cfg.QWeight
-		blockE[blk] += m.cfg.QWeight * e
+		blockQ[blk] += qWeight
+		blockE[blk] += qWeight * e
 	}
 	for blk := 1; blk <= lc; blk++ {
 		off := (blk - 1) * n
@@ -373,7 +359,7 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 	for blk := 1; blk <= lc; blk++ {
 		off := (blk - 1) * n
 		for i := 0; i < n; i++ {
-			r := m.cfg.RScale * math.Max(rweights[i], 1e-6)
+			r := rScale * math.Max(rweights[i], 1e-6)
 			h.Inc(off+i, off+i, r)
 			g[off+i] += r * (freqs[i] - m.cfg.FMaxGHz)
 		}
@@ -406,10 +392,6 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 	}
 	return next, nil
 }
-
-// maxControlHorizon bounds the stack-allocated per-block accumulators of the
-// full-horizon formulation; real deployments use L_c of 2–4.
-const maxControlHorizon = 32
 
 // solve runs the QP over the prepared Hessian (h or offDiag) and g/lo/hi
 // buffers and refreshes the warm-start cache and LastSolve stats. Each

@@ -33,21 +33,21 @@ func (m *denseMPC) step(pfbW, pTargetW float64, freqs, rweights []float64, locke
 	h, g := mathx.NewMatrix(n, n), mathx.NewVector(n)
 	var sumH2 float64
 	gap := pTargetW - pfbW
-	for step := 1; step <= c.PredictionHorizon; step++ {
+	for step := 1; step <= predictionHorizon; step++ {
 		hf := float64(step)
 		sumH2 += hf * hf
 		eh := gap * (1 - math.Exp(-hf*c.PeriodS/c.RefTimeConstS))
-		g.AXPY(-c.QWeight*hf*eh, k)
+		g.AXPY(-qWeight*hf*eh, k)
 	}
-	h.OuterAdd(c.QWeight*sumH2, k, k)
+	h.OuterAdd(qWeight*sumH2, k, k)
 	var sumM, sumM2 float64
-	for mv := 1; mv <= c.ControlHorizon; mv++ {
+	for mv := 1; mv <= controlHorizon; mv++ {
 		sumM += float64(mv)
 		sumM2 += float64(mv) * float64(mv)
 	}
 	lo, hi := mathx.NewVector(n), mathx.NewVector(n)
 	for i := 0; i < n; i++ {
-		r := c.RScale * math.Max(rweights[i], 1e-6)
+		r := rScale * math.Max(rweights[i], 1e-6)
 		d := sumM2 * r
 		h.Inc(i, i, d)
 		g[i] += sumM * r * (freqs[i] - c.FMaxGHz)

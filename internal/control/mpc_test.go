@@ -36,12 +36,8 @@ func TestMPCConfigValidate(t *testing.T) {
 		name   string
 		mutate func(*MPCConfig)
 	}{
-		{"zero horizon", func(c *MPCConfig) { c.PredictionHorizon = 0 }},
-		{"control > prediction", func(c *MPCConfig) { c.ControlHorizon = 99 }},
 		{"zero period", func(c *MPCConfig) { c.PeriodS = 0 }},
 		{"zero tau", func(c *MPCConfig) { c.RefTimeConstS = 0 }},
-		{"zero Q", func(c *MPCConfig) { c.QWeight = 0 }},
-		{"zero Rscale", func(c *MPCConfig) { c.RScale = 0 }},
 		{"empty K", func(c *MPCConfig) { c.KWPerGHz = nil }},
 		{"negative k", func(c *MPCConfig) { c.KWPerGHz = []float64{9, -1} }},
 		{"bad bounds", func(c *MPCConfig) { c.FMinGHz = 2.0; c.FMaxGHz = 0.4 }},
@@ -51,6 +47,27 @@ func TestMPCConfigValidate(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := NewMPC(cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestTuningConstants keeps the ranges the fixed MPC and measurement-guard
+// tuning must satisfy for the cost function and the guard to be well posed.
+func TestTuningConstants(t *testing.T) {
+	for _, c := range []struct {
+		cond string
+		ok   bool
+	}{
+		{"0 < controlHorizon ≤ predictionHorizon", 0 < controlHorizon && controlHorizon <= predictionHorizon},
+		{"qWeight > 0 and rScale > 0", qWeight > 0 && rScale > 0},
+		{"freezeTicks > 0", freezeTicks > 0},
+		{"guard slew band positive", guardSlewFrac > 0 && guardSlewFloorW > 0},
+		{"0 ≤ guardDecayPerTick ≤ 1", 0 <= guardDecayPerTick && guardDecayPerTick <= 1},
+		{"0 < guardConfidenceDecay < 1", 0 < guardConfidenceDecay && guardConfidenceDecay < 1},
+		{"guardConfidenceRecover > 0", guardConfidenceRecover > 0},
+	} {
+		if !c.ok {
+			t.Errorf("control tuning violates %s", c.cond)
 		}
 	}
 }

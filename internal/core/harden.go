@@ -1,14 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"sprintcon/internal/control"
 	"sprintcon/internal/sim"
 )
 
-// HardeningConfig tunes SprintCon's fault defenses (on by default). Each
+// HardeningConfig switches SprintCon's fault defenses (on by default). Each
 // defense maps to one class of injected fault (DESIGN.md §8):
 //
 //   - the measurement guard (stale/NaN/spike detection with
@@ -28,86 +27,34 @@ type HardeningConfig struct {
 	// Disabled turns every defense off, restoring the paper-faithful
 	// (fault-oblivious) controller. Used by ablations and E18.
 	Disabled bool
-	// Guard configures the measurement plausibility filter.
-	Guard control.MeasurementGuardConfig
-	// MinConfidence suspends CB overloading when measurement confidence
-	// falls below it; RecoverConfidence re-enables overloading once
+}
+
+// Hardening tuning: telemetry loss suspends overloading within two ticks
+// (well inside one 4 s control period), a failed UPS path is declared after
+// three betrayed requests, and a stuck actuator is excluded after two
+// unresponsive control periods.
+const (
+	// minConfidence suspends CB overloading when measurement confidence
+	// falls below it; recoverConfidence re-enables overloading once
 	// confidence climbs back above it (hysteresis).
-	MinConfidence     float64
-	RecoverConfidence float64
-	// UPSFailTicks consecutive ticks in which the UPS delivered less than
-	// UPSFailFrac of a request exceeding UPSFailMinReqW mark the
-	// discharge path as failed (sticky).
-	UPSFailTicks   int
-	UPSFailFrac    float64
-	UPSFailMinReqW float64
-	// StuckDetectPeriods control periods in which a commanded move larger
-	// than StuckCmdEpsGHz produces an actual move smaller than
-	// StuckActEpsGHz lock the core out of the move set. Every
-	// StuckProbePeriods periods a locked core receives a probe move to
+	minConfidence     float64 = 0.35
+	recoverConfidence float64 = 0.95
+	// upsFailTicks consecutive ticks in which the UPS delivered less than
+	// upsFailFrac of a request exceeding upsFailMinReqW mark the discharge
+	// path as failed (sticky).
+	upsFailTicks   int     = 3
+	upsFailFrac    float64 = 0.25
+	upsFailMinReqW float64 = 50
+	// stuckDetectPeriods control periods in which a commanded move larger
+	// than stuckCmdEpsGHz produces an actual move smaller than
+	// stuckActEpsGHz lock the core out of the move set. Every
+	// stuckProbePeriods periods a locked core receives a probe move to
 	// detect actuator recovery.
-	StuckDetectPeriods int
-	StuckCmdEpsGHz     float64
-	StuckActEpsGHz     float64
-	StuckProbePeriods  int
-}
-
-// DefaultHardeningConfig returns the default-on hardening: telemetry loss
-// suspends overloading within two ticks (well inside one 4 s control
-// period), a failed UPS path is declared after three betrayed requests, and
-// a stuck actuator is excluded after two unresponsive control periods.
-func DefaultHardeningConfig() HardeningConfig {
-	return HardeningConfig{
-		Guard:              control.DefaultMeasurementGuardConfig(),
-		MinConfidence:      0.35,
-		RecoverConfidence:  0.95,
-		UPSFailTicks:       3,
-		UPSFailFrac:        0.25,
-		UPSFailMinReqW:     50,
-		StuckDetectPeriods: 2,
-		StuckCmdEpsGHz:     0.09,
-		StuckActEpsGHz:     0.04,
-		StuckProbePeriods:  8,
-	}
-}
-
-// withDefaults fills zero-valued fields from DefaultHardeningConfig, so a
-// partially-specified config composes with the defaults like the rest of
-// Config does.
-func (h HardeningConfig) withDefaults() HardeningConfig {
-	d := DefaultHardeningConfig()
-	if h.Guard == (control.MeasurementGuardConfig{}) {
-		h.Guard = d.Guard
-	}
-	if h.MinConfidence == 0 {
-		h.MinConfidence = d.MinConfidence
-	}
-	if h.RecoverConfidence == 0 {
-		h.RecoverConfidence = d.RecoverConfidence
-	}
-	if h.UPSFailTicks == 0 {
-		h.UPSFailTicks = d.UPSFailTicks
-	}
-	if h.UPSFailFrac == 0 {
-		h.UPSFailFrac = d.UPSFailFrac
-	}
-	if h.UPSFailMinReqW == 0 {
-		h.UPSFailMinReqW = d.UPSFailMinReqW
-	}
-	if h.StuckDetectPeriods == 0 {
-		h.StuckDetectPeriods = d.StuckDetectPeriods
-	}
-	if h.StuckCmdEpsGHz == 0 {
-		h.StuckCmdEpsGHz = d.StuckCmdEpsGHz
-	}
-	if h.StuckActEpsGHz == 0 {
-		h.StuckActEpsGHz = d.StuckActEpsGHz
-	}
-	if h.StuckProbePeriods == 0 {
-		h.StuckProbePeriods = d.StuckProbePeriods
-	}
-	return h
-}
+	stuckDetectPeriods int     = 2
+	stuckCmdEpsGHz     float64 = 0.09
+	stuckActEpsGHz     float64 = 0.04
+	stuckProbePeriods  int     = 8
+)
 
 // hardenState is the per-sprint mutable state of the defenses.
 type hardenState struct {
@@ -129,30 +76,21 @@ type hardenState struct {
 func (h *hardenState) enabled() bool { return h != nil && h.guard != nil }
 
 // startHardening initializes the defense state for a fresh sprint.
-func (s *SprintCon) startHardening(env *sim.Env) error {
+func (s *SprintCon) startHardening(env *sim.Env) {
 	if s.cfg.Harden.Disabled {
 		s.hd = nil
-		return nil
-	}
-	hc := s.cfg.Harden
-	if s.scn.Rack.MonitorNoiseStd == 0 {
-		// A noise-free monitor legitimately repeats readings; exact-
-		// repeat freeze detection would false-positive immediately.
-		hc.Guard.FreezeTicks = 0
-	}
-	g, err := control.NewMeasurementGuard(hc.Guard)
-	if err != nil {
-		return fmt.Errorf("core: measurement guard: %w", err)
+		return
 	}
 	n := len(env.Rack.BatchCores())
 	s.hd = &hardenState{
-		guard:       g,
+		// A noise-free monitor legitimately repeats readings; exact-
+		// repeat freeze detection would false-positive immediately.
+		guard:       control.NewMeasurementGuard(s.scn.Rack.MonitorNoiseStd != 0),
 		lastApplied: append([]float64(nil), env.Rack.BatchFreqs()...),
 		stuckCount:  make([]int, n),
 		locked:      make([]bool, n),
 		probeLeft:   make([]int, n),
 	}
-	return nil
 }
 
 // modelTotalW is the design model's estimate of the rack's total power from
@@ -180,12 +118,12 @@ func (s *SprintCon) guardMeasurement(env *sim.Env, rawW, pInterEstW float64) flo
 	s.tm.guardConf.Set(conf)
 	s.allocator.SetConfidence(conf)
 	switch {
-	case !s.hd.degraded && conf < s.cfg.Harden.MinConfidence:
+	case !s.hd.degraded && conf < minConfidence:
 		s.hd.degraded = true
 		if env.Events != nil {
-			env.Events.Logf("watchdog", "measurement confidence %.2f < %.2f: overload suspended, serving last-known-good %.0f W", conf, s.cfg.Harden.MinConfidence, filtered)
+			env.Events.Logf("watchdog", "measurement confidence %.2f < %.2f: overload suspended, serving last-known-good %.0f W", conf, minConfidence, filtered)
 		}
-	case s.hd.degraded && conf >= s.cfg.Harden.RecoverConfidence:
+	case s.hd.degraded && conf >= recoverConfidence:
 		s.hd.degraded = false
 		if env.Events != nil {
 			env.Events.Logf("watchdog", "measurement confidence %.2f restored: overload re-enabled", conf)
@@ -204,9 +142,9 @@ func (s *SprintCon) watchUPS(env *sim.Env, snap sim.Snapshot) {
 		return
 	}
 	req := s.hd.upsLastReqW
-	if req > s.cfg.Harden.UPSFailMinReqW && snap.UPSPowerW < s.cfg.Harden.UPSFailFrac*req {
+	if req > upsFailMinReqW && snap.UPSPowerW < upsFailFrac*req {
 		s.hd.upsFailTicks++
-		if s.hd.upsFailTicks >= s.cfg.Harden.UPSFailTicks {
+		if s.hd.upsFailTicks >= upsFailTicks {
 			s.hd.upsFailed = true
 			if env.Events != nil {
 				env.Events.Logf("watchdog", "UPS delivered %.0f W of a %.0f W request for %d ticks: discharge path treated as failed", snap.UPSPowerW, req, s.hd.upsFailTicks)
@@ -237,7 +175,6 @@ func (s *SprintCon) lockedMask(env *sim.Env) []bool {
 // commanded and applied frequencies, and plants probe moves for the next
 // period where due.
 func (s *SprintCon) observeActuation(env *sim.Env, next, applied []float64) {
-	hc := s.cfg.Harden
 	for i, ref := range env.Rack.BatchCores() {
 		if env.Rack.ServerOffline(ref.Server) {
 			// A dark server's actuators are unreachable by definition;
@@ -249,16 +186,16 @@ func (s *SprintCon) observeActuation(env *sim.Env, next, applied []float64) {
 		cmdMove := math.Abs(next[i] - s.hd.lastApplied[i])
 		actMove := math.Abs(applied[i] - s.hd.lastApplied[i])
 		switch {
-		case cmdMove > hc.StuckCmdEpsGHz && actMove < hc.StuckActEpsGHz:
+		case cmdMove > stuckCmdEpsGHz && actMove < stuckActEpsGHz:
 			s.hd.stuckCount[i]++
-			if !s.hd.locked[i] && s.hd.stuckCount[i] >= hc.StuckDetectPeriods {
+			if !s.hd.locked[i] && s.hd.stuckCount[i] >= stuckDetectPeriods {
 				s.hd.locked[i] = true
-				s.hd.probeLeft[i] = hc.StuckProbePeriods
+				s.hd.probeLeft[i] = stuckProbePeriods
 				if env.Events != nil {
 					env.Events.Logf("watchdog", "batch core %s unresponsive for %d periods (commanded %.2f GHz, stayed %.2f GHz): excluded from MPC move set", ref, s.hd.stuckCount[i], next[i], applied[i])
 				}
 			}
-		case cmdMove > hc.StuckCmdEpsGHz:
+		case cmdMove > stuckCmdEpsGHz:
 			s.hd.stuckCount[i] = 0
 			if s.hd.locked[i] {
 				s.hd.locked[i] = false
@@ -281,8 +218,8 @@ func (s *SprintCon) applyProbes(next []float64) {
 		}
 		s.hd.probeLeft[i]--
 		if s.hd.probeLeft[i] <= 0 {
-			s.hd.probeLeft[i] = s.cfg.Harden.StuckProbePeriods
-			nudge := 2 * s.cfg.Harden.StuckCmdEpsGHz
+			s.hd.probeLeft[i] = stuckProbePeriods
+			nudge := 2 * stuckCmdEpsGHz
 			if s.hd.lastApplied[i] > (s.fmin+s.fmax)/2 {
 				nudge = -nudge
 			}

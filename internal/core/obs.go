@@ -51,6 +51,7 @@ func (s *SprintCon) observePlane(env *sim.Env, snap sim.Snapshot, pcb float64) {
 		return
 	}
 	sig := obs.TickSignals{
+		DtS:           snap.Dt,
 		TripMargin:    1 - snap.CBThermalFraction,
 		SoC:           snap.UPSSoC,
 		UPSDeliveredW: snap.UPSPowerW,

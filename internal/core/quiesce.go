@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"sprintcon/internal/alloc"
 	"sprintcon/internal/engine"
 	"sprintcon/internal/sim"
 )
@@ -101,8 +102,8 @@ func (s *SprintCon) QuiescenceCadenceTicks(dt float64) int {
 		ctlTicks = 1
 	}
 	pbCtl := 1
-	if pb := s.allocator.Config().PBatchPeriodS; pb > 0 && s.cfg.ControlPeriodS > 0 {
-		if pbCtl = int(math.Ceil(pb / s.cfg.ControlPeriodS)); pbCtl < 1 {
+	if s.cfg.ControlPeriodS > 0 {
+		if pbCtl = int(math.Ceil(alloc.PBatchPeriodS / s.cfg.ControlPeriodS)); pbCtl < 1 {
 			pbCtl = 1
 		}
 	}

@@ -77,9 +77,6 @@ const (
 type Config struct {
 	// Controller selects MPC (paper) or PI (ablation).
 	Controller ServerController
-	// RefUtil is the utilization at which the linear design model is
-	// fitted (batch cores run nearly saturated).
-	RefUtil float64
 	// ControlPeriodS is the server power controller period.
 	ControlPeriodS float64
 	// RefTimeConstS is the MPC reference-trajectory time constant τ_r.
@@ -89,14 +86,6 @@ type Config struct {
 	// AllocOverride, when non-nil, replaces the allocator configuration
 	// derived from the scenario (used by ablations A2).
 	AllocOverride *alloc.Config
-	// MinInteractiveFreqNorm floors interactive throttling during power
-	// bidding (never slow interactive cores below this fraction of peak).
-	MinInteractiveFreqNorm float64
-	// CBOnlyMarginFrac derates the CB budget in the degraded modes where
-	// the UPS can no longer absorb error: without it the total power
-	// hovers *at* the rating and the breaker's thermal state never
-	// decays.
-	CBOnlyMarginFrac float64
 	// InitialKScale multiplies the design model's frequency slope K,
 	// simulating a miscalibrated power model (1 = calibrated). Used by
 	// the online-estimation ablation.
@@ -119,16 +108,28 @@ type Config struct {
 // DefaultConfig returns the paper-faithful configuration.
 func DefaultConfig() Config {
 	return Config{
-		Controller:             ControllerMPC,
-		RefUtil:                0.9,
-		ControlPeriodS:         4,
-		RefTimeConstS:          2,
-		UPSCtl:                 control.DefaultUPSControllerConfig(),
-		MinInteractiveFreqNorm: 0.2,
-		CBOnlyMarginFrac:       0.04,
-		InitialKScale:          1,
+		Controller:     ControllerMPC,
+		ControlPeriodS: 4,
+		RefTimeConstS:  2,
+		UPSCtl:         control.DefaultUPSControllerConfig(),
+		InitialKScale:  1,
 	}
 }
+
+// Fixed SprintCon tuning.
+const (
+	// refUtil is the utilization at which the linear design model is
+	// fitted (batch cores run nearly saturated).
+	refUtil float64 = 0.9
+	// minInteractiveFreqNorm floors interactive throttling during power
+	// bidding (never slow interactive cores below this fraction of peak).
+	minInteractiveFreqNorm float64 = 0.2
+	// cbOnlyMarginFrac derates the CB budget in the degraded modes where
+	// the UPS can no longer absorb error: without it the total power
+	// hovers *at* the rating and the breaker's thermal state never
+	// decays.
+	cbOnlyMarginFrac float64 = 0.04
+)
 
 // SprintCon is the policy. Create with New; it binds to an environment in
 // Start and is not safe for concurrent use.
@@ -199,9 +200,6 @@ type SprintCon struct {
 // fields are filled from DefaultConfig.
 func New(cfg Config) *SprintCon {
 	def := DefaultConfig()
-	if cfg.RefUtil == 0 {
-		cfg.RefUtil = def.RefUtil
-	}
 	if cfg.ControlPeriodS == 0 {
 		cfg.ControlPeriodS = def.ControlPeriodS
 	}
@@ -211,16 +209,9 @@ func New(cfg Config) *SprintCon {
 	if cfg.UPSCtl == (control.UPSControllerConfig{}) {
 		cfg.UPSCtl = def.UPSCtl
 	}
-	if cfg.MinInteractiveFreqNorm == 0 {
-		cfg.MinInteractiveFreqNorm = def.MinInteractiveFreqNorm
-	}
-	if cfg.CBOnlyMarginFrac == 0 {
-		cfg.CBOnlyMarginFrac = def.CBOnlyMarginFrac
-	}
 	if cfg.InitialKScale == 0 {
 		cfg.InitialKScale = def.InitialKScale
 	}
-	cfg.Harden = cfg.Harden.withDefaults()
 	return &SprintCon{cfg: cfg}
 }
 
@@ -327,7 +318,7 @@ func (s *SprintCon) initCommon(env *sim.Env, scn sim.Scenario) error {
 	s.ob = obsHook{plane: env.Obs, capacityWh: scn.UPS.CapacityWh}
 
 	params := scn.Rack.ServerParams
-	co := params.DesignCoeffs(s.cfg.RefUtil)
+	co := params.DesignCoeffs(refUtil)
 	s.kPerCore = co.KWPerGHz * s.cfg.InitialKScale
 	s.cSharePer = co.CIdleShareW
 	s.fmin = params.PStates.Min()
@@ -370,7 +361,8 @@ func (s *SprintCon) initCommon(env *sim.Env, scn sim.Scenario) error {
 		return fmt.Errorf("core: UPS controller: %w", err)
 	}
 	s.upsctl = uc
-	return s.startHardening(env)
+	s.startHardening(env)
+	return nil
 }
 
 // interactiveEstimate is the Eq. (5) interactive power estimate at peak
@@ -609,7 +601,7 @@ func (s *SprintCon) serverPowerControl(env *sim.Env, snap sim.Snapshot, pcb, pIn
 		// The target may sit below the linear-model batch floor: the
 		// estimator biases cancel through the feedback, and the MPC's
 		// frequency box constraints enforce the physical floor.
-		safe := pcb * (1 - s.cfg.CBOnlyMarginFrac)
+		safe := pcb * (1 - cbOnlyMarginFrac)
 		target = clamp(pfb+safe-snap.MeasuredTotalW, 0, s.pBatchMax)
 		s.allocator.SetReserve(pInterEst)
 	}
@@ -732,12 +724,12 @@ func (s *SprintCon) manageInteractive(env *sim.Env, pcb, pInterEst float64) {
 		env.Rack.SetInteractiveFreq(s.fmax)
 		return
 	}
-	avail := pcb*(1-s.cfg.CBOnlyMarginFrac) - s.idleEstW - s.pBatchMin
+	avail := pcb*(1-cbOnlyMarginFrac) - s.idleEstW - s.pBatchMin
 	if pInterEst <= 0 || avail >= pInterEst {
 		env.Rack.SetInteractiveFreq(s.fmax)
 		return
 	}
-	scale := clamp(avail/pInterEst, s.cfg.MinInteractiveFreqNorm, 1)
+	scale := clamp(avail/pInterEst, minInteractiveFreqNorm, 1)
 	env.Rack.SetInteractiveFreq(scale * s.fmax)
 }
 

@@ -48,7 +48,7 @@ func TestStartRejectsNilEnv(t *testing.T) {
 
 func TestZeroConfigFilledWithDefaults(t *testing.T) {
 	p := New(Config{})
-	if p.cfg.RefUtil == 0 || p.cfg.ControlPeriodS == 0 || p.cfg.UPSCtl.PeriodS == 0 {
+	if p.cfg.ControlPeriodS == 0 || p.cfg.RefTimeConstS == 0 || p.cfg.UPSCtl.PeriodS == 0 || p.cfg.InitialKScale == 0 {
 		t.Fatal("zero-value config fields should be defaulted")
 	}
 }

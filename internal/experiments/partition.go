@@ -99,10 +99,9 @@ func PartitionMatrix() (*Table, error) {
 				}
 				if r.Rack >= 0 && !math.IsNaN(r.HealS) {
 					c := res.Clients[r.Rack]
-					period := link.DefaultConfig().RefreshS
 					t.Notes = append(t.Notes, fmt.Sprintf(
 						"%s: rack %d re-synced %.0f s after the heal (budget: one %g s control period + transit)",
-						r.Label, r.Rack, c.LastResyncS-r.HealS, period))
+						r.Label, r.Rack, c.LastResyncS-r.HealS, link.RefreshS))
 				}
 			}
 		}

@@ -55,12 +55,12 @@ type Config struct {
 	// Serial runs rows, and the racks within them, one at a time.
 	// Results are bit-identical either way.
 	Serial bool
-	// Metrics, when non-nil, receives the hierarchy instruments
-	// (per-level budgets, exceedance fractions, shadow trips, degraded
-	// seconds) and, for RunLinked, the link instruments aggregated over
-	// rows (grants and beats sent/lost, re-syncs, probes, repacks, lease
-	// expiries, degraded seconds, backoff peak, lease age) after a run
-	// completes.
+	// Metrics, when non-nil, receives RunLinked's instruments after a run
+	// completes: the hierarchy instruments (per-level budgets, exceedance
+	// fractions, shadow trips, degraded seconds) and the link instruments
+	// aggregated over rows (grants and beats sent/lost, re-syncs, probes,
+	// repacks, lease expiries, degraded seconds, backoff peak, lease age).
+	// RunSweep ignores it.
 	Metrics *telemetry.Registry
 	// Obs, when non-nil, holds one observability plane per row (index =
 	// row id); RunLinked attaches row r's planes to row r's coordinator

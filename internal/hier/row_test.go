@@ -206,7 +206,6 @@ func TestLinkedPartitionDegradesAndResyncs(t *testing.T) {
 	cfg.Scenario.Faults.Faults = []faults.Fault{partitionAt(0, onset, dur)}
 
 	res := linkedRow(t, cfg)
-	proto := link.DefaultConfig()
 	ctl := cfg.SprintCon.ControlPeriodS
 	if ctl == 0 {
 		ctl = 4
@@ -218,7 +217,7 @@ func TestLinkedPartitionDegradesAndResyncs(t *testing.T) {
 	}
 	// Degraded entry: the last pre-partition grant expires at most
 	// onset+TTL; from expiry to fallback is at most one control period.
-	minDegraded := dur - proto.TTLS - ctl
+	minDegraded := dur - link.LeaseTTLS - ctl
 	if c0.DegradedS < minDegraded {
 		t.Fatalf("rack 0 degraded %g s, want ≥ %g (partition %g s minus lease tail)", c0.DegradedS, minDegraded, dur)
 	}
@@ -665,18 +664,17 @@ func TestRegisterLinkMetricsUnderPartition(t *testing.T) {
 	if got := get("link_presumed_degraded_total"); got != float64(co.Presumed) || got == 0 {
 		t.Fatalf("presumed_degraded_total %v, accounting says %d", got, co.Presumed)
 	}
-	proto := link.DefaultConfig()
 	// A 690 s partition walks the re-grant backoff all the way to its cap;
 	// the healthy row never backs off, so the maximum is the cap.
-	if got := get("link_regrant_backoff_peak_seconds"); got != proto.MaxBackoffS {
-		t.Fatalf("backoff peak %v, want cap %v", got, proto.MaxBackoffS)
+	if got := get("link_regrant_backoff_peak_seconds"); got != link.MaxBackoffS {
+		t.Fatalf("backoff peak %v, want cap %v", got, link.MaxBackoffS)
 	}
 	if got := get("link_degraded_seconds"); got != degradedS || got == 0 {
 		t.Fatalf("degraded_seconds %v, accounting says %v", got, degradedS)
 	}
 	age := get("link_lease_age_seconds")
-	if math.IsNaN(age) || age < 0 || age > proto.TTLS {
-		t.Fatalf("end-of-run lease age %v outside [0, TTL=%v]", age, proto.TTLS)
+	if math.IsNaN(age) || age < 0 || age > link.LeaseTTLS {
+		t.Fatalf("end-of-run lease age %v outside [0, TTL=%v]", age, link.LeaseTTLS)
 	}
 }
 

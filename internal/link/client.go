@@ -206,7 +206,7 @@ func (c *Client) NoteTelemetry(measuredW, soc float64, overloading bool, mode in
 // MaybeBeat returns the heartbeat due at time now, if any: one beat every
 // BeatPeriodS, starting at the first call.
 func (c *Client) MaybeBeat(now float64) (Heartbeat, bool) {
-	if c.beatEver && now < c.lastBeatS+c.cfg.BeatPeriodS-1e-9 {
+	if c.beatEver && now < c.lastBeatS+BeatPeriodS-1e-9 {
 		return Heartbeat{}, false
 	}
 	c.beatEver = true

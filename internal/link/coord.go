@@ -84,7 +84,7 @@ type CoordStats struct {
 	Repacks  int // slot-assignment changes
 	Presumed int // transitions into presumed-degraded
 	// PeakBackoffS is the largest re-grant retry backoff actually used
-	// (capped at the link's MaxBackoffS); under a sustained partition it
+	// (capped at MaxBackoffS); under a sustained partition it
 	// climbs the exponential ladder to the cap.
 	PeakBackoffS float64
 }
@@ -118,9 +118,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		c.racks[i] = rackState{
 			nextVersion:   2, // version 1 is the bootstrap lease
 			haveBeat:      true,
-			sprintExpiryS: cfg.Link.TTLS,
-			nextSendS:     cfg.Link.RefreshS,
-			backoffS:      cfg.Link.RetryBackoffS,
+			sprintExpiryS: LeaseTTLS,
+			nextSendS:     RefreshS,
+			backoffS:      RetryBackoffS,
 			sentOffset:    cfg.slotOffset(i / cfg.SlotCapacity),
 			sentOverload:  true,
 			everSent:      true,
@@ -139,7 +139,7 @@ func (c *Coordinator) Bootstrap() []Lease {
 			RackID:        i,
 			Version:       1,
 			IssuedAtS:     0,
-			TTLS:          c.cfg.Link.TTLS,
+			TTLS:          LeaseTTLS,
 			AllowOverload: true,
 			AllowUPS:      true,
 			PhaseOffsetS:  c.cfg.slotOffset(i / c.cfg.SlotCapacity),
@@ -159,7 +159,7 @@ func (c *Coordinator) Observe(hb Heartbeat, now float64) {
 	r.lastBeatS = now
 	r.haveBeat = true
 	r.degradedByHb = hb.Degraded
-	r.backoffS = c.cfg.Link.RetryBackoffS
+	r.backoffS = RetryBackoffS
 	// Version recovery: after a coordinator restart the echoed lease
 	// version is the only record of where the monotone counter got to.
 	if hb.LeaseVersion >= r.nextVersion {
@@ -170,7 +170,7 @@ func (c *Coordinator) Observe(hb Heartbeat, now float64) {
 // reachable reports whether the rack's last beat is within the timeout.
 func (c *Coordinator) reachable(rack int, now float64) bool {
 	r := &c.racks[rack]
-	return r.haveBeat && now-r.lastBeatS <= c.cfg.Link.BeatTimeoutS+1e-9
+	return r.haveBeat && now-r.lastBeatS <= BeatTimeoutS+1e-9
 }
 
 // Stats returns the coordinator counters.
@@ -185,9 +185,9 @@ func (c *Coordinator) Restart(now float64) {
 	for i := range c.racks {
 		c.racks[i] = rackState{
 			nextVersion:   1,
-			sprintExpiryS: now + c.cfg.Link.TTLS,
+			sprintExpiryS: now + LeaseTTLS,
 			nextSendS:     now,
-			backoffS:      c.cfg.Link.RetryBackoffS,
+			backoffS:      RetryBackoffS,
 		}
 	}
 }
@@ -250,7 +250,7 @@ func (c *Coordinator) Step(now float64) []Lease {
 				RackID:        i,
 				Version:       r.nextVersion,
 				IssuedAtS:     now,
-				TTLS:          c.cfg.Link.TTLS,
+				TTLS:          LeaseTTLS,
 				AllowOverload: true,
 				AllowUPS:      true,
 				PhaseOffsetS:  want,
@@ -259,7 +259,7 @@ func (c *Coordinator) Step(now float64) []Lease {
 			r.lastSpanID = l.SpanID
 			r.nextVersion++
 			r.sprintExpiryS = l.ExpiresAtS()
-			r.nextSendS = now + c.cfg.Link.RefreshS
+			r.nextSendS = now + RefreshS
 			r.sentOffset = want
 			r.sentOverload = true
 			r.everSent = true
@@ -279,7 +279,7 @@ func (c *Coordinator) Step(now float64) []Lease {
 			RackID:       i,
 			Version:      r.nextVersion,
 			IssuedAtS:    now,
-			TTLS:         c.cfg.Link.TTLS,
+			TTLS:         LeaseTTLS,
 			PhaseOffsetS: r.sentOffset,
 		}
 		l.SpanID = c.plane.GrantSpan(now, i, l.Version, true, false, r.backoffS)
@@ -289,7 +289,7 @@ func (c *Coordinator) Step(now float64) []Lease {
 		if r.backoffS > c.stats.PeakBackoffS {
 			c.stats.PeakBackoffS = r.backoffS
 		}
-		r.backoffS = math.Min(r.backoffS*2, c.cfg.Link.MaxBackoffS)
+		r.backoffS = math.Min(r.backoffS*2, MaxBackoffS)
 		r.sentOverload = false
 		r.everSent = true
 		c.stats.Probes++

@@ -73,24 +73,29 @@ type Heartbeat struct {
 	Degraded     bool
 }
 
+// Link protocol timing, matched to the paper's schedule (150 s overload /
+// 300 s recovery) and SprintCon's 4 s control period.
+const (
+	// LeaseTTLS is the lease validity window. It must cover at least one
+	// refresh period plus transit, or healthy racks would flap degraded.
+	LeaseTTLS float64 = 12
+	// RefreshS is the coordinator's grant-refresh cadence per rack (the
+	// link control period).
+	RefreshS float64 = 4
+	// BeatPeriodS is the rack heartbeat cadence.
+	BeatPeriodS float64 = 2
+	// BeatTimeoutS marks a rack unreachable when its last heartbeat is
+	// older than this.
+	BeatTimeoutS float64 = 8
+	// RetryBackoffS and MaxBackoffS bound the coordinator's exponential
+	// re-grant backoff toward unreachable racks.
+	RetryBackoffS float64 = 1
+	MaxBackoffS   float64 = 8
+)
+
 // Config holds the link protocol parameters shared by the Client and the
 // Coordinator.
 type Config struct {
-	// TTLS is the lease validity window. It must cover at least one
-	// refresh period plus transit, or healthy racks would flap degraded.
-	TTLS float64
-	// RefreshS is the coordinator's grant-refresh cadence per rack (the
-	// link control period).
-	RefreshS float64
-	// BeatPeriodS is the rack heartbeat cadence.
-	BeatPeriodS float64
-	// BeatTimeoutS marks a rack unreachable when its last heartbeat is
-	// older than this.
-	BeatTimeoutS float64
-	// RetryBackoffS and MaxBackoffS bound the coordinator's exponential
-	// re-grant backoff toward unreachable racks.
-	RetryBackoffS float64
-	MaxBackoffS   float64
 	// OverloadS and CycleS describe the racks' overload schedule (window
 	// length and full overload+recovery period); the client's re-phase
 	// guard and the coordinator's slot packing both need them.
@@ -112,34 +117,21 @@ func (c Config) NumSlots() int {
 }
 
 // DefaultConfig returns link parameters matched to the paper's schedule
-// (150 s overload / 300 s recovery) and SprintCon's 4 s control period.
+// (150 s overload / 300 s recovery).
 func DefaultConfig() Config {
 	return Config{
-		TTLS:          12,
-		RefreshS:      4,
-		BeatPeriodS:   2,
-		BeatTimeoutS:  8,
-		RetryBackoffS: 1,
-		MaxBackoffS:   8,
-		OverloadS:     150,
-		CycleS:        450,
+		OverloadS: 150,
+		CycleS:    450,
 	}
 }
 
 // Validate reports structural errors in the configuration. Every duration is
-// rejected when NaN, Inf or non-positive — a single NaN TTL silently
-// disables the entire degraded-mode ladder.
+// rejected when NaN, Inf or non-positive.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{
-		{"TTLS", c.TTLS},
-		{"RefreshS", c.RefreshS},
-		{"BeatPeriodS", c.BeatPeriodS},
-		{"BeatTimeoutS", c.BeatTimeoutS},
-		{"RetryBackoffS", c.RetryBackoffS},
-		{"MaxBackoffS", c.MaxBackoffS},
 		{"OverloadS", c.OverloadS},
 		{"CycleS", c.CycleS},
 	} {
@@ -150,14 +142,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("link: %s must be positive (got %g)", f.name, f.v)
 		}
 	}
-	switch {
-	case c.TTLS <= c.RefreshS:
-		return errors.New("link: TTLS must exceed RefreshS, or healthy racks flap degraded between refreshes")
-	case c.BeatTimeoutS < c.BeatPeriodS:
-		return errors.New("link: BeatTimeoutS must be at least BeatPeriodS")
-	case c.MaxBackoffS < c.RetryBackoffS:
-		return errors.New("link: MaxBackoffS must be at least RetryBackoffS")
-	case c.CycleS <= c.OverloadS:
+	if c.CycleS <= c.OverloadS {
 		return errors.New("link: CycleS must exceed OverloadS")
 	}
 	return nil

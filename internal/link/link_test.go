@@ -19,17 +19,8 @@ func TestConfigValidate(t *testing.T) {
 		wantErr bool
 	}{
 		{"default", func(c *Config) {}, false},
-		{"nan ttl", func(c *Config) { c.TTLS = math.NaN() }, true},
-		{"inf refresh", func(c *Config) { c.RefreshS = math.Inf(1) }, true},
-		{"negative beat period", func(c *Config) { c.BeatPeriodS = -1 }, true},
-		{"zero beat timeout", func(c *Config) { c.BeatTimeoutS = 0 }, true},
-		{"nan backoff", func(c *Config) { c.RetryBackoffS = math.NaN() }, true},
-		{"negative max backoff", func(c *Config) { c.MaxBackoffS = -2 }, true},
 		{"zero overload", func(c *Config) { c.OverloadS = 0 }, true},
 		{"inf cycle", func(c *Config) { c.CycleS = math.Inf(-1) }, true},
-		{"ttl not past refresh", func(c *Config) { c.TTLS = c.RefreshS }, true},
-		{"timeout under beat period", func(c *Config) { c.BeatTimeoutS = c.BeatPeriodS / 2 }, true},
-		{"max backoff under retry", func(c *Config) { c.MaxBackoffS = c.RetryBackoffS / 2 }, true},
 		{"cycle not past overload", func(c *Config) { c.CycleS = c.OverloadS }, true},
 	}
 	for _, tc := range cases {
@@ -39,6 +30,27 @@ func TestConfigValidate(t *testing.T) {
 			err := c.Validate()
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("Validate() = %v, wantErr %v", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestProtocolConstants keeps the orderings the fixed protocol timing must
+// satisfy: a lease outlives one refresh period, or healthy racks flap
+// degraded between refreshes; a rack is declared unreachable only after at
+// least one missed beat; and the backoff ladder climbs from its first step.
+func TestProtocolConstants(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"ttl past refresh", LeaseTTLS > RefreshS && RefreshS > 0},
+		{"timeout covers beat period", BeatTimeoutS >= BeatPeriodS && BeatPeriodS > 0},
+		{"max backoff covers retry", MaxBackoffS >= RetryBackoffS && RetryBackoffS > 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if !c.ok {
+				t.Fatal("protocol timing violates the ordering")
 			}
 		})
 	}
@@ -73,7 +85,7 @@ func TestCoordConfigValidate(t *testing.T) {
 func TestClientVersionMonotone(t *testing.T) {
 	cfg := testCfg()
 	c := NewClient(cfg, 0, nil)
-	l2 := Lease{RackID: 0, Version: 2, IssuedAtS: 0, TTLS: cfg.TTLS, AllowOverload: true}
+	l2 := Lease{RackID: 0, Version: 2, IssuedAtS: 0, TTLS: LeaseTTLS, AllowOverload: true}
 	if !c.Offer(0, l2) {
 		t.Fatal("fresh lease rejected")
 	}
@@ -104,18 +116,18 @@ func TestClientVersionMonotone(t *testing.T) {
 
 func TestClientDegradedLadderAndResync(t *testing.T) {
 	cfg := testCfg()
-	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: cfg.TTLS, AllowOverload: true, AllowUPS: true})
+	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: LeaseTTLS, AllowOverload: true, AllowUPS: true})
 	dt := 1.0
 	b := c.Advance(0, dt)
 	if b.Degraded || !b.AllowOverload || !b.AllowUPS {
 		t.Fatalf("boot budget degraded: %+v", b)
 	}
 	// Let the lease expire with no refresh.
-	b = c.Advance(cfg.TTLS+1, dt)
+	b = c.Advance(LeaseTTLS+1, dt)
 	if !b.Degraded || b.AllowOverload || b.AllowUPS {
 		t.Fatalf("expired lease still granted: %+v", b)
 	}
-	b = c.Advance(cfg.TTLS+2, dt)
+	b = c.Advance(LeaseTTLS+2, dt)
 	if !b.Degraded {
 		t.Fatal("second degraded tick not degraded")
 	}
@@ -124,8 +136,8 @@ func TestClientDegradedLadderAndResync(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 expiry / %g degraded seconds", st, 2*dt)
 	}
 	// Heal: a fresh grant re-syncs on the next advance.
-	heal := cfg.TTLS + 3
-	if !c.Offer(heal, Lease{RackID: 0, Version: 2, IssuedAtS: heal, TTLS: cfg.TTLS, AllowOverload: true, AllowUPS: true}) {
+	heal := LeaseTTLS + 3
+	if !c.Offer(heal, Lease{RackID: 0, Version: 2, IssuedAtS: heal, TTLS: LeaseTTLS, AllowOverload: true, AllowUPS: true}) {
 		t.Fatal("re-sync grant rejected")
 	}
 	b = c.Advance(heal, dt)
@@ -141,8 +153,8 @@ func TestClientDegradedLadderAndResync(t *testing.T) {
 func TestClientTrustLastGrantNeverDegrades(t *testing.T) {
 	cfg := testCfg()
 	cfg.TrustLastGrant = true
-	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: cfg.TTLS, AllowOverload: true})
-	b := c.Advance(10*cfg.TTLS, 1)
+	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: LeaseTTLS, AllowOverload: true})
+	b := c.Advance(10*LeaseTTLS, 1)
 	if b.Degraded || !b.AllowOverload {
 		t.Fatalf("naive client degraded: %+v", b)
 	}
@@ -153,12 +165,12 @@ func TestClientTrustLastGrantNeverDegrades(t *testing.T) {
 
 func TestClientRePhaseEntryGuard(t *testing.T) {
 	cfg := testCfg()
-	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: cfg.TTLS, AllowOverload: true, PhaseOffsetS: cfg.CycleS - cfg.OverloadS})
+	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: LeaseTTLS, AllowOverload: true, PhaseOffsetS: cfg.CycleS - cfg.OverloadS})
 	// At t=20 the boot slot (window [150,300)) is quiet; the new lease moves
 	// the rack to slot 0, whose window [0,150) is mid-flight. Entering late
 	// must be suppressed until that window ends at t=150.
 	now := 20.0
-	if !c.Offer(now, Lease{RackID: 0, Version: 2, IssuedAtS: now, TTLS: cfg.TTLS, AllowOverload: true, PhaseOffsetS: 0}) {
+	if !c.Offer(now, Lease{RackID: 0, Version: 2, IssuedAtS: now, TTLS: LeaseTTLS, AllowOverload: true, PhaseOffsetS: 0}) {
 		t.Fatal("re-phase grant rejected")
 	}
 	b := c.Advance(now, 1)
@@ -166,7 +178,7 @@ func TestClientRePhaseEntryGuard(t *testing.T) {
 		t.Fatalf("mid-window entry not suppressed: %+v", b)
 	}
 	// Keep the lease fresh and check permission returns when the window ends.
-	if !c.Offer(145, Lease{RackID: 0, Version: 3, IssuedAtS: 145, TTLS: cfg.TTLS, AllowOverload: true, PhaseOffsetS: 0}) {
+	if !c.Offer(145, Lease{RackID: 0, Version: 3, IssuedAtS: 145, TTLS: LeaseTTLS, AllowOverload: true, PhaseOffsetS: 0}) {
 		t.Fatal("refresh rejected")
 	}
 	if b := c.Advance(145, 1); b.AllowOverload {
@@ -184,11 +196,11 @@ func TestClientRePhaseEntryGuard(t *testing.T) {
 func TestClientRepackRecoveryGuard(t *testing.T) {
 	cfg := testCfg()
 	slot1 := cfg.CycleS - cfg.OverloadS // window [150, 300) on the default 450 s cycle
-	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: cfg.TTLS, AllowOverload: true, PhaseOffsetS: slot1})
+	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: LeaseTTLS, AllowOverload: true, PhaseOffsetS: slot1})
 	v := uint64(2)
 	refresh := func(now, offset float64) {
 		t.Helper()
-		if !c.Offer(now, Lease{RackID: 0, Version: v, IssuedAtS: now, TTLS: cfg.TTLS, AllowOverload: true, PhaseOffsetS: offset}) {
+		if !c.Offer(now, Lease{RackID: 0, Version: v, IssuedAtS: now, TTLS: LeaseTTLS, AllowOverload: true, PhaseOffsetS: offset}) {
 			t.Fatalf("refresh at t=%g rejected", now)
 		}
 		v++
@@ -392,12 +404,12 @@ func TestCoordinatorBootstrapSlots(t *testing.T) {
 }
 
 func TestCoordinatorRefreshCadence(t *testing.T) {
-	c, cfg := coordForTest(t)
+	c, _ := coordForTest(t)
 	if out := c.Step(1); len(out) != 0 {
 		t.Fatalf("grants before first refresh due: %+v", out)
 	}
 	beatAll(c, 2, 0, 1, 2, 3)
-	out := c.Step(cfg.Link.RefreshS)
+	out := c.Step(RefreshS)
 	if len(out) != 4 {
 		t.Fatalf("%d grants at refresh, want 4", len(out))
 	}
@@ -406,7 +418,7 @@ func TestCoordinatorRefreshCadence(t *testing.T) {
 			t.Fatalf("refresh grant %d = %+v", i, l)
 		}
 	}
-	if out := c.Step(cfg.Link.RefreshS + 1); len(out) != 0 {
+	if out := c.Step(RefreshS + 1); len(out) != 0 {
 		t.Fatal("re-granted before next refresh")
 	}
 }
@@ -416,7 +428,7 @@ func TestCoordinatorPresumeDegradedAndRepack(t *testing.T) {
 	// Rack 0 goes silent; the others keep beating.
 	var lastGrants []Lease
 	var now float64
-	for now = cfg.Link.BeatPeriodS; now <= 40; now += cfg.Link.BeatPeriodS {
+	for now = BeatPeriodS; now <= 40; now += BeatPeriodS {
 		beatAll(c, now, 1, 2, 3)
 		lastGrants = append(lastGrants, c.Step(now)...)
 	}
@@ -444,7 +456,7 @@ func TestCoordinatorPresumeDegradedAndRepack(t *testing.T) {
 	// never overload permission. (Before the timeout the coordinator cannot
 	// yet know the rack is gone, so early sprint grants are legitimate.)
 	for _, l := range lastGrants {
-		if l.RackID == 0 && l.AllowOverload && l.IssuedAtS > cfg.Link.BeatTimeoutS {
+		if l.RackID == 0 && l.AllowOverload && l.IssuedAtS > BeatTimeoutS {
 			t.Fatalf("unreachable rack got a sprint grant: %+v", l)
 		}
 	}
@@ -489,9 +501,9 @@ func TestCoordinatorBackoff(t *testing.T) {
 }
 
 func TestCoordinatorRestartRecoversVersions(t *testing.T) {
-	c, cfg := coordForTest(t)
+	c, _ := coordForTest(t)
 	beatAll(c, 2, 0, 1, 2, 3)
-	c.Step(cfg.Link.RefreshS) // issues version 2 everywhere
+	c.Step(RefreshS) // issues version 2 everywhere
 	c.Restart(20)
 	// Racks echo their lease versions in beats; the coordinator must resume
 	// the monotone counter above them.
@@ -513,7 +525,7 @@ func TestCoordinatorRestartRecoversVersions(t *testing.T) {
 
 func TestClientStateRoundTrip(t *testing.T) {
 	cfg := testCfg()
-	c := NewClient(cfg, 3, &Lease{RackID: 3, Version: 5, IssuedAtS: 10, TTLS: cfg.TTLS, AllowOverload: true, PhaseOffsetS: 150})
+	c := NewClient(cfg, 3, &Lease{RackID: 3, Version: 5, IssuedAtS: 10, TTLS: LeaseTTLS, AllowOverload: true, PhaseOffsetS: 150})
 	c.Advance(11, 1)
 	c.NoteTelemetry(2500, 0.8, true, 1)
 	c.MaybeBeat(12)
@@ -547,11 +559,11 @@ func TestClientStateRoundTrip(t *testing.T) {
 // re-overload before a full recovery period has elapsed.
 func TestClientFailSafeReappliesEntryGuards(t *testing.T) {
 	cfg := testCfg()
-	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: cfg.TTLS, AllowOverload: true, PhaseOffsetS: 0})
+	c := NewClient(cfg, 0, &Lease{RackID: 0, Version: 1, IssuedAtS: 0, TTLS: LeaseTTLS, AllowOverload: true, PhaseOffsetS: 0})
 	v := uint64(2)
 	refresh := func(now, offset float64) {
 		t.Helper()
-		if !c.Offer(now, Lease{RackID: 0, Version: v, IssuedAtS: now, TTLS: cfg.TTLS, AllowOverload: true, PhaseOffsetS: offset}) {
+		if !c.Offer(now, Lease{RackID: 0, Version: v, IssuedAtS: now, TTLS: LeaseTTLS, AllowOverload: true, PhaseOffsetS: offset}) {
 			t.Fatalf("grant at t=%g rejected", now)
 		}
 		v++

@@ -57,9 +57,6 @@ const (
 // and E19 partition case fires its detector (see experiments.AlertCoverage
 // and DESIGN.md §13 for the tuning rationale).
 type DetectorConfig struct {
-	// TickS is the sampling period the per-tick detectors run on.
-	TickS float64
-
 	// SustainTicks is how many consecutive ticks a per-tick condition must
 	// hold before an episode opens — one-tick transients never alert.
 	SustainTicks int
@@ -105,11 +102,10 @@ type DetectorConfig struct {
 	SilentAfterS float64
 }
 
-// DefaultDetectorConfig returns the tuned thresholds for the default
+// DefaultDetectorConfig returns the thresholds tuned on the default
 // scenario (1 s ticks, 4 s control periods).
 func DefaultDetectorConfig() DetectorConfig {
 	return DetectorConfig{
-		TickS:            1,
 		SustainTicks:     2,
 		ConfidenceFloor:  0.7,
 		SensorGapW:       600,
@@ -194,10 +190,10 @@ type detectState struct {
 
 // slopeProjectsBelow reports whether the window's trend, extrapolated
 // horizonS ahead at the given sampling period, crosses below floor.
-func slopeProjectsBelow(w *WindowStat, tickS, horizonS, floor float64) bool {
+func slopeProjectsBelow(w *WindowStat, dtS, horizonS, floor float64) bool {
 	slope := w.Slope()
 	if math.IsNaN(slope) || slope >= 0 {
 		return false
 	}
-	return w.Last()+slope/tickS*horizonS < floor
+	return w.Last()+slope/dtS*horizonS < floor
 }

@@ -73,7 +73,7 @@ func TestUPSGaugeDriftDirection(t *testing.T) {
 		// 400 Wh capacity, 720 W delivered: SoC drops 0.0005 per 1 s tick —
 		// exactly the physically possible trajectory.
 		honest.ObserveTick(float64(i), TickSignals{
-			SoC: soc, UPSDeliveredW: 720, UPSCapacityWh: 400, TripMargin: 0.5, Confidence: 1,
+			DtS: 1, SoC: soc, UPSDeliveredW: 720, UPSCapacityWh: 400, TripMargin: 0.5, Confidence: 1,
 		})
 		soc -= 720.0 / 3600 / 400
 	}
@@ -87,7 +87,7 @@ func TestUPSGaugeDriftDirection(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		// Same delivery, but the gauge never moves.
 		lying.ObserveTick(float64(i), TickSignals{
-			SoC: 1.0, UPSDeliveredW: 720, UPSCapacityWh: 400, TripMargin: 0.5, Confidence: 1,
+			DtS: 1, SoC: 1.0, UPSDeliveredW: 720, UPSCapacityWh: 400, TripMargin: 0.5, Confidence: 1,
 		})
 	}
 	var fired bool
@@ -104,8 +104,8 @@ func TestUPSGaugeDriftDirection(t *testing.T) {
 func TestSensorDetectorGapAndConfidence(t *testing.T) {
 	cfg := DefaultDetectorConfig()
 	for name, sig := range map[string]TickSignals{
-		"confidence": {TripMargin: 0.5, SoC: 1, Confidence: cfg.ConfidenceFloor / 2},
-		"gap":        {TripMargin: 0.5, SoC: 1, Confidence: 1, SensorGapW: cfg.SensorGapW * 2},
+		"confidence": {DtS: 1, TripMargin: 0.5, SoC: 1, Confidence: cfg.ConfidenceFloor / 2},
+		"gap":        {DtS: 1, TripMargin: 0.5, SoC: 1, Confidence: 1, SensorGapW: cfg.SensorGapW * 2},
 	} {
 		p := NewPlane(0, cfg)
 		for i := 0; i <= cfg.SustainTicks; i++ {

@@ -29,6 +29,9 @@ import (
 // saw — a lying sensor is caught by its inconsistency with physics, not by
 // peeking at ground truth.
 type TickSignals struct {
+	// DtS is the tick length in seconds: the sampling period of the
+	// per-tick detectors.
+	DtS float64
 	// TripMargin is 1 − breaker thermal fraction.
 	TripMargin float64
 	// SoC is the observed UPS state of charge.
@@ -76,9 +79,9 @@ type Plane struct {
 }
 
 // NewPlane returns an enabled plane for the given rack (CoordinatorSource
-// for the coordinator).
+// for the coordinator). A zero cfg selects DefaultDetectorConfig.
 func NewPlane(rack int, cfg DetectorConfig) *Plane {
-	if cfg.TickS <= 0 {
+	if cfg == (DetectorConfig{}) {
 		cfg = DefaultDetectorConfig()
 	}
 	return &Plane{rack: rack, cfg: cfg, tr: NewTracer(rack), health: NewRackHealth()}
@@ -148,7 +151,7 @@ func (p *Plane) ObserveTick(now float64, sig TickSignals) {
 	// only drain it faster). Accumulated violation means the gauge lies
 	// high — the failure mode that silently discharges the battery flat.
 	if p.det.haveSoC && sig.UPSDeliveredW > 0 && sig.UPSCapacityWh > 0 {
-		possible := p.det.prevSoC - sig.UPSDeliveredW*cfg.TickS/3600/sig.UPSCapacityWh
+		possible := p.det.prevSoC - sig.UPSDeliveredW*sig.DtS/3600/sig.UPSCapacityWh
 		if excess := sig.SoC - possible; excess > 0 {
 			p.det.upsDrift += excess
 		}
@@ -163,7 +166,7 @@ func (p *Plane) ObserveTick(now float64, sig TickSignals) {
 		p.alert(DetectorTripBurn, p.rack, now, p.cause,
 			fmt.Sprintf("margin %.3f below %.3f and still burning", sig.TripMargin, cfg.TripBurnFloor))
 	}
-	if p.det.socDepl.update(sig.SoC < 0.95 && slopeProjectsBelow(p.health.SoC, cfg.TickS, cfg.SoCHorizonS, cfg.SoCFloor), cfg.SustainTicks) {
+	if p.det.socDepl.update(sig.SoC < 0.95 && slopeProjectsBelow(p.health.SoC, sig.DtS, cfg.SoCHorizonS, cfg.SoCFloor), cfg.SustainTicks) {
 		p.alert(DetectorSoCDepletion, p.rack, now, p.cause,
 			fmt.Sprintf("SoC %.3f projects below %.2f within %.0f s", sig.SoC, cfg.SoCFloor, cfg.SoCHorizonS))
 	}

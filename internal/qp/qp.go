@@ -75,9 +75,6 @@ type Options struct {
 	// MaxSweeps bounds the number of full coordinate-descent sweeps of the
 	// degenerate-problem fallback. Zero selects the default (500).
 	MaxSweeps int
-	// Tol is the KKT residual tolerance. Zero selects the default (1e-9,
-	// scaled by the magnitude of the gradient).
-	Tol float64
 	// Warm, when non-nil, seeds the solver with this point (projected
 	// into the box) instead of the projection of 0. The unconstrained
 	// Cholesky shortcut still runs first — when the box is inactive it is
@@ -284,14 +281,10 @@ func Solve(p Problem, opt Options) (Result, error) {
 	if maxSweeps <= 0 {
 		maxSweeps = defaultMaxSweeps
 	}
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = defaultTol
-	}
-	// Scale the tolerance to the problem so watts-sized and
+	// The KKT residual tolerance, scaled to the problem so watts-sized and
 	// gigahertz-sized formulations behave alike.
 	scale := 1 + p.G.NormInf()
-	tol *= scale
+	tol := defaultTol * scale
 
 	n := len(p.G)
 	if n == 0 {
