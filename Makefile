@@ -49,15 +49,17 @@ soak:
 	SOAK_RUNS=40 $(GO) test -run TestSoak -v ./internal/core/ ./internal/hier/
 
 # Fuzz smoke: every fuzz target (checkpoint decoder, scenario loader,
-# interactive-trace CSV parser, batch-job advance, P-state quantizer), ten
-# seconds each (CI runs the same budget; leave the fuzzers running longer
-# locally with go test -fuzz=... -fuzztime=10m).
+# interactive-trace CSV parser, batch-job advance, P-state quantizer,
+# generated tick ≡ event scenarios), ten seconds each (CI runs the same
+# budget; leave the fuzzers running longer locally with go test -fuzz=...
+# -fuzztime=10m).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/checkpoint/
 	$(GO) test -fuzz='^FuzzScenarioJSON$$' -fuzztime=10s -run='^$$' ./internal/sim/
 	$(GO) test -fuzz='^FuzzTraceFromCSV$$' -fuzztime=10s -run='^$$' ./internal/workload/
 	$(GO) test -fuzz='^FuzzBatchAdvance$$' -fuzztime=10s -run='^$$' ./internal/workload/
 	$(GO) test -fuzz='^FuzzQuantize$$' -fuzztime=10s -run='^$$' ./internal/cpu/
+	$(GO) test -fuzz='^FuzzEventMatchesTick$$' -fuzztime=10s -run='^$$' ./internal/core/
 
 # Full pinned-scenario benchmark: writes BENCH_<date>.json and compares
 # against the committed baseline (skipped when the baseline's -quick flag

@@ -49,29 +49,6 @@ func newJournal(dir string) (*journal, error) {
 
 func (j *journal) runDir(id string) string { return filepath.Join(j.dir, "runs", id) }
 
-// writeAtomic writes b to path via a temp file in the same directory.
-func writeAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
 // saveRecord persists the run's lifecycle record.
 func (j *journal) saveRecord(rec journalRecord) error {
 	dir := j.runDir(rec.ID)
@@ -82,7 +59,7 @@ func (j *journal) saveRecord(rec journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if err := writeAtomic(filepath.Join(dir, "record.json"), b); err != nil {
+	if err := checkpoint.WriteFileAtomic(filepath.Join(dir, "record.json"), b); err != nil {
 		return fmt.Errorf("journal: %s: %w", rec.ID, err)
 	}
 	return nil
@@ -109,7 +86,7 @@ func (j *journal) saveRowCheckpoint(id string, row int, snaps []*checkpoint.Snap
 		buf = append(buf, b...)
 	}
 	path := filepath.Join(j.runDir(id), fmt.Sprintf("row%d.ckpt", row))
-	if err := writeAtomic(path, buf); err != nil {
+	if err := checkpoint.WriteFileAtomic(path, buf); err != nil {
 		return fmt.Errorf("journal: %s row %d: %w", id, row, err)
 	}
 	return nil
@@ -130,6 +107,12 @@ func (j *journal) loadRowCheckpoint(id string, row int) ([]*checkpoint.Snapshot,
 	b = b[len(rowCkptMagic):]
 	n := int(binary.BigEndian.Uint32(b))
 	b = b[4:]
+	// Every frame carries at least its 4-byte length, so a count the
+	// remaining bytes cannot hold is corrupt; reject it before sizing
+	// anything from it.
+	if n > len(b)/4 {
+		return nil, fmt.Errorf("journal: %s row %d: rack count %d exceeds the file", id, row, n)
+	}
 	snaps := make([]*checkpoint.Snapshot, 0, n)
 	for i := 0; i < n; i++ {
 		if len(b) < 4 {

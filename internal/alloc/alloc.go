@@ -440,24 +440,24 @@ func (a *Allocator) NextBudgetEdge(now float64) float64 {
 	return now + (cycle - phase)
 }
 
-// QuiescenceDigest appends the allocator state that must be bit-stable for
-// a quiescent span to the digest. The adaptation-window bookkeeping
+// QuiescentState appends the allocator state that must be bit-stable for
+// a quiescent span. The adaptation-window bookkeeping
 // (lastUpdate, samples, samplesHigh, qScratch) is deliberately excluded:
 // the event engine replays ObserveHeadroom and MaybeUpdatePBatch exactly
 // across a span, so that state evolves identically whether or not ticks are
-// fast-forwarded, while the digested fields are proven rewritten-identically
+// fast-forwarded, while the appended fields are proven rewritten-identically
 // at a certified fixed point.
-func (a *Allocator) QuiescenceDigest(d *engine.Digest) {
-	d.F64(a.burstStart)
-	d.F64(a.burstDur)
-	d.Bool(a.started)
-	d.F64(a.idleW)
-	d.F64(a.reserveW)
-	d.F64(a.shiftW)
-	d.F64(a.bMin)
-	d.F64(a.bMax)
-	d.F64(a.conf)
-	d.F64(a.cfg.PhaseOffsetS)
+func (a *Allocator) QuiescentState(st *engine.State) {
+	st.F64(a.burstStart)
+	st.F64(a.burstDur)
+	st.Bool(a.started)
+	st.F64(a.idleW)
+	st.F64(a.reserveW)
+	st.F64(a.shiftW)
+	st.F64(a.bMin)
+	st.F64(a.bMax)
+	st.F64(a.conf)
+	st.F64(a.cfg.PhaseOffsetS)
 }
 
 // SetReserve overrides the interactive reserve (supervisor degraded modes).

@@ -70,25 +70,34 @@ func (f *FileStore) Save(s *Snapshot) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	dir := filepath.Dir(f.path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
+	if err := WriteFileAtomic(f.path, b); err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
+	}
+	return len(b), nil
+}
+
+// WriteFileAtomic writes b to path through a temp file in the same
+// directory renamed over the target, so a crash mid-write leaves either the
+// previous or the new file intact, never a torn one.
+func WriteFileAtomic(path string, b []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
 	}
 	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("checkpoint: close %s: %w", tmp.Name(), err)
+		return err
 	}
-	if err := os.Rename(tmp.Name(), f.path); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("checkpoint: %w", err)
+		return err
 	}
-	return len(b), nil
+	return nil
 }
 
 // Latest reads and decodes the checkpoint file ((nil, nil) when absent).

@@ -14,19 +14,26 @@ import (
 // swing) and a piecewise-constant diurnal demand trace with long plateaus.
 func quiesceScenario(t *testing.T, durationS float64) sim.Scenario {
 	t.Helper()
+	// Plateau levels sit in the regime where the capped closed loop settles
+	// to an exact fixed point (batch throttled against its frequency floor).
+	// At lighter demand the quantized batch actuator hunts between two
+	// P-states forever — genuine plant dynamics the event engine must not
+	// (and does not) fast-forward.
+	return plateauScenario(t, []float64{0.5, 0.62, 0.75, 0.55}, 1800, durationS)
+}
+
+// plateauScenario is quiesceScenario over an arbitrary stepped diurnal
+// trace: the given demand levels, each held for plateauS seconds, cycling.
+func plateauScenario(t *testing.T, levels []float64, plateauS, durationS float64) sim.Scenario {
+	t.Helper()
 	scn := sim.DefaultScenario()
 	scn.DurationS = durationS
 	scn.BurstDurationS = durationS
 	scn.AmbientSwingC = 0
 	scn.Rack.MonitorNoiseStd = 0
 	scn.Rack.UtilJitterStd = 0
-	// Plateau levels sit in the regime where the capped closed loop settles
-	// to an exact fixed point (batch throttled against its frequency floor).
-	// At lighter demand the quantized batch actuator hunts between two
-	// P-states forever — genuine plant dynamics the event engine must not
-	// (and does not) fast-forward.
 	scn.BatchSpecs = workload.SteadyStateSpecs()
-	tr, err := workload.SteppedDiurnal([]float64{0.5, 0.62, 0.75, 0.55}, 1800, durationS, scn.DtS)
+	tr, err := workload.SteppedDiurnal(levels, plateauS, durationS, scn.DtS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,5 +299,36 @@ func TestDropEventsBitInvisible(t *testing.T) {
 	if logged.Engine.Spans != dropped.Engine.Spans ||
 		logged.Engine.TicksSkipped != dropped.Engine.TicksSkipped {
 		t.Fatalf("engine stats diverge: %+v vs %+v", logged.Engine, dropped.Engine)
+	}
+}
+
+// TestSpanPlanPinned pins where the event core opens and closes spans:
+// per-run (Spans, TicksSkipped, Events) on the quiescent diurnal scenario,
+// sprinting and capping, at three durations. Bit identity alone would not
+// notice a certificate change that merely moved span boundaries (a later
+// or earlier opening is still exact); this table does.
+func TestSpanPlanPinned(t *testing.T) {
+	for _, tc := range []struct {
+		noSprint  bool
+		durationS float64
+		want      sim.EngineStats
+	}{
+		{true, 3600, sim.EngineStats{Spans: 2, TicksSkipped: 2414, Events: 3}},
+		{true, 7200, sim.EngineStats{Spans: 4, TicksSkipped: 5884, Events: 7}},
+		{true, 14400, sim.EngineStats{Spans: 8, TicksSkipped: 12824, Events: 15}},
+		{false, 3600, sim.EngineStats{Spans: 3, TicksSkipped: 311, Events: 9}},
+		{false, 7200, sim.EngineStats{Spans: 3, TicksSkipped: 311, Events: 9}},
+		{false, 14400, sim.EngineStats{Spans: 7, TicksSkipped: 757, Events: 21}},
+	} {
+		cfg := DefaultConfig()
+		cfg.NoSprint = tc.noSprint
+		res, err := sim.RunWith(quiesceScenario(t, tc.durationS), New(cfg), sim.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Engine != tc.want {
+			t.Errorf("NoSprint=%v %.0f s: engine stats %+v, want %+v",
+				tc.noSprint, tc.durationS, res.Engine, tc.want)
+		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 
 // This file implements the event engine's quiescent-span protocol for
 // SprintCon (sim.QuiescentPolicy, DESIGN.md §15). The engine certifies an
-// exact floating-point fixed point by observing the digest below stay
+// exact floating-point fixed point by observing the state below stay
 // bit-identical for more than one full adaptation cadence, then closes
 // spans analytically with AdvanceQuiescent instead of calling Tick every
 // second.
 //
-// The digest covers every mutable field a Tick can read or write, with two
+// The state covers every mutable field a Tick can read or write, with two
 // deliberate exclusions, both replayed exactly by AdvanceQuiescent rather
 // than certified stable:
 //
@@ -24,73 +24,74 @@ import (
 //     re-runs ObserveHeadroom each tick and the control-period firings
 //     (deadlinePowerFloor + MaybeUpdatePBatch) at the real cadence;
 //   - batch-job progress: jobs keep executing through a span (the rack
-//     replays them with AdvanceBatchTicks), so job state cannot be hashed.
+//     replays them with AdvanceBatchTicks), so job state cannot be compared.
 //     Instead, all-jobs-completed is a hard eligibility condition: a
 //     completed job's control weight and deadline floor are constants,
 //     while an incomplete job's RWeight(now) varies with now and would
-//     change the MPC's inputs one control period before any digest noticed.
+//     change the MPC's inputs one control period before the compared
+//     state noticed.
 //
 // Everything else the skipped Tick would have written is rewritten
-// bit-identically at a certified fixed point (that is what digest equality
+// bit-identically at a certified fixed point (that is what state equality
 // across consecutive ticks means), so not calling it leaves the state
 // exact.
 
-// QuiescenceDigest implements sim.QuiescentPolicy: it appends the
-// controller's mutable state to the digest and reports whether the policy
+// QuiescentState implements sim.QuiescentPolicy: it appends the
+// controller's mutable state to st and reports whether the policy
 // is structurally eligible for span fast-forwarding at all. Ineligible
 // states — an active external budget (retightened by a coordinator outside
 // this policy's view), online model estimation, a pending decision record,
 // live telemetry, or any incomplete batch job — return false without
-// touching the digest.
-func (s *SprintCon) QuiescenceDigest(env *sim.Env, d *engine.Digest) bool {
+// touching st.
+func (s *SprintCon) QuiescentState(env *sim.Env, st *engine.State) bool {
 	if s.ext.Active || s.rls != nil || s.pending != nil || s.tm.enabled {
 		return false
 	}
 	if !env.Rack.AllBatchJobsCompleted() {
 		return false
 	}
-	d.Int(int(s.mode))
-	d.Bool(s.everNearTrip)
-	d.Bool(s.everDepleted)
-	d.F64(s.failSafeUntil)
-	d.F64(s.curPCb)
-	d.F64(s.curPBatch)
-	d.F64(s.kModel)
-	d.F64(s.prevPfb)
-	d.F64(s.lastMoveSum)
-	d.Bool(s.havePrev)
-	d.F64s(s.cmdFreqs)
-	d.Int(s.inv.cbMargin)
-	d.Int(s.inv.socFloor)
-	d.Int(s.inv.freqBounds)
-	d.Int(s.inv.deadline)
-	d.Bool(s.inv.cbLogged)
-	d.Bool(s.inv.socLogged)
-	d.Bool(s.inv.freqLogged)
-	d.Bool(s.inv.deadlineLogged)
-	s.allocator.QuiescenceDigest(d)
-	s.mpc.QuiescenceDigest(d)
-	s.pi.QuiescenceDigest(d)
-	s.upsctl.QuiescenceDigest(d)
+	st.Int(int(s.mode))
+	st.Bool(s.everNearTrip)
+	st.Bool(s.everDepleted)
+	st.F64(s.failSafeUntil)
+	st.F64(s.curPCb)
+	st.F64(s.curPBatch)
+	st.F64(s.kModel)
+	st.F64(s.prevPfb)
+	st.F64(s.lastMoveSum)
+	st.Bool(s.havePrev)
+	st.F64s(s.cmdFreqs)
+	st.Int(s.inv.cbMargin)
+	st.Int(s.inv.socFloor)
+	st.Int(s.inv.freqBounds)
+	st.Int(s.inv.deadline)
+	st.Bool(s.inv.cbLogged)
+	st.Bool(s.inv.socLogged)
+	st.Bool(s.inv.freqLogged)
+	st.Bool(s.inv.deadlineLogged)
+	s.allocator.QuiescentState(st)
+	s.mpc.QuiescentState(st)
+	s.pi.QuiescentState(st)
+	s.upsctl.QuiescentState(st)
 	if s.hd.enabled() {
-		d.Bool(true)
-		s.hd.guard.QuiescenceDigest(d)
-		d.Bool(s.hd.degraded)
-		d.F64(s.hd.upsLastReqW)
-		d.Int(s.hd.upsFailTicks)
-		d.Bool(s.hd.upsFailed)
-		d.F64s(s.hd.lastApplied)
-		d.Ints(s.hd.stuckCount)
-		d.Bools(s.hd.locked)
-		d.Ints(s.hd.probeLeft)
+		st.Bool(true)
+		s.hd.guard.QuiescentState(st)
+		st.Bool(s.hd.degraded)
+		st.F64(s.hd.upsLastReqW)
+		st.Int(s.hd.upsFailTicks)
+		st.Bool(s.hd.upsFailed)
+		st.F64s(s.hd.lastApplied)
+		st.Ints(s.hd.stuckCount)
+		st.Bools(s.hd.locked)
+		st.Ints(s.hd.probeLeft)
 	} else {
-		d.Bool(false)
+		st.Bool(false)
 	}
 	return true
 }
 
 // QuiescenceCadenceTicks implements sim.QuiescentPolicy: the number of
-// consecutive bit-identical digests required before a fixed point is
+// consecutive bit-identical states required before a fixed point is
 // certified. It must strictly exceed the controller's slowest internal
 // period — the allocator's P_batch adaptation window — measured in ticks,
 // plus one more control period so the post-adaptation state is observed
@@ -119,7 +120,7 @@ func (s *SprintCon) QuiescentHorizonTicks(now, dt float64, maxTicks int) int {
 	// only open while the schedule still evaluates to the budget the
 	// controller last applied. The two diverge exactly when a schedule edge
 	// (overload onset/exit, fail-safe expiry) falls on the span's opening
-	// tick: the digest streak was certified on pre-edge ticks and cannot
+	// tick: the state streak was certified on pre-edge ticks and cannot
 	// see it. Forcing a zero horizon makes the edge tick run as a real
 	// tick, whose control firing re-reads the schedule.
 	if s.effectivePCb(now) != s.curPCb {
@@ -152,9 +153,9 @@ func (s *SprintCon) QuiescentHorizonTicks(now, dt float64, maxTicks int) int {
 }
 
 // AdvanceQuiescent implements sim.QuiescentPolicy: it replays the
-// digest-excluded controller state across n fast-forwarded ticks at times
-// (step0+k)·dt, k = 0..n−1, bit-identically to n real Tick calls at a
-// certified fixed point. Only three mutations survive at a fixed point:
+// controller state QuiescentState excludes across n fast-forwarded ticks
+// at times (step0+k)·dt, k = 0..n−1, bit-identically to n real Tick calls
+// at a certified fixed point. Only three mutations survive at a fixed point:
 // the per-tick headroom observation, the control-period clock, and the
 // periodic P_batch adaptation — everything else Tick writes is rewritten
 // identically and is skipped.

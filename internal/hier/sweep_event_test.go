@@ -192,3 +192,42 @@ func TestSweepRackPanicIsolatedSerialAndParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanPlanPinned pins each sweep rack's span plan — (Spans,
+// TicksSkipped, Events) in row-major rack order — on quiesceSweepConfig,
+// sprinting and capping, at three durations. The racks' staggered
+// overload phases give the sprinting sweeps distinct plans per rack.
+func TestSpanPlanPinned(t *testing.T) {
+	for _, tc := range []struct {
+		noSprint  bool
+		durationS float64
+		want      [5][3]int
+	}{
+		{true, 3600, [5][3]int{{3, 2341, 5}, {3, 2341, 5}, {3, 2341, 5}, {3, 2341, 5}, {3, 2341, 5}}},
+		{true, 7200, [5][3]int{{7, 5701, 11}, {7, 5701, 11}, {7, 5701, 11}, {7, 5701, 11}, {7, 5701, 11}}},
+		{true, 14400, [5][3]int{{15, 12425, 25}, {15, 12425, 25}, {15, 12425, 25}, {15, 12425, 25}, {15, 12425, 25}}},
+		{false, 3600, [5][3]int{{1, 88, 3}, {1, 25, 3}, {0, 0, 0}, {1, 88, 3}, {0, 0, 0}}},
+		{false, 7200, [5][3]int{{3, 311, 9}, {3, 228, 9}, {2, 171, 6}, {3, 311, 9}, {2, 200, 6}}},
+		{false, 14400, [5][3]int{{7, 757, 21}, {7, 634, 21}, {6, 513, 18}, {7, 757, 21}, {6, 600, 18}}},
+	} {
+		c := quiesceSweepConfig(t, tc.durationS)
+		c.SprintCon.NoSprint = tc.noSprint
+		res, err := RunSweep(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [5][3]int
+		i := 0
+		for r := range res.Rows {
+			for _, rr := range res.Rows[r] {
+				e := rr.Engine
+				got[i] = [3]int{e.Spans, e.TicksSkipped, e.Events}
+				i++
+			}
+		}
+		if got != tc.want {
+			t.Errorf("NoSprint=%v %.0f s: per-rack (Spans, TicksSkipped, Events) %v, want %v",
+				tc.noSprint, tc.durationS, got, tc.want)
+		}
+	}
+}

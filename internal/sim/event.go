@@ -10,27 +10,28 @@ import (
 // RunWith. It produces results bit-identical to the Runner.Step loop while
 // skipping the plant and controller work of provably quiescent spans:
 //
-//  1. After every normal tick it hashes the complete mutable controller +
-//     plant state (minus a small replayed-exactly remainder) into an
-//     engine.Digest. Once the digest has been bit-identical for more than
-//     one full controller adaptation cadence AND the tick inputs (trace
-//     demand, measured power) have been bit-identical at least as long,
-//     the run is at an exact floating-point fixed point: every skipped
-//     Tick would rewrite the same state and return the same outputs.
-//  2. It then plans a span: the distance to the nearest barrier event —
-//     run end, a trace edge, a batch-job phase boundary, a policy budget
-//     edge (overload/recovery wave, fail-safe expiry), a fault onset or
-//     clear, a checkpoint capture becoming due — merged through the
-//     deterministic engine.Queue. UPS and breaker thresholds need no
-//     barrier kinds of their own: a quiescent span requires zero UPS
-//     discharge and zero breaker thermal accumulation, so neither state
-//     can cross a threshold inside one.
-//  3. fastForward closes the span analytically: per-tick accumulators are
-//     advanced by per-tick loops over precomputed constants (never n·x,
-//     preserving bit-exact float addition order), series rows append at
-//     the configured stride, batch jobs replay through the rack's
-//     job-major kernel, and the policy replays its digest-excluded state
-//     (headroom samples, control-period clock, P_batch adaptation).
+//  1. After every normal tick it appends the complete mutable controller +
+//     plant state (minus a small replayed-exactly remainder) and the
+//     applied trace demand to an engine.State and compares it word for
+//     word with the previous tick's. Once the state has been bit-identical
+//     for more than one full controller adaptation cadence, the run is at
+//     an exact floating-point fixed point with constant inputs: every
+//     skipped Tick would rewrite the same state and return the same
+//     outputs.
+//  2. It then plans a span: the distance to the nearest barrier — run
+//     end, a trace edge, a batch-job phase boundary, a policy budget edge
+//     (overload/recovery wave, fail-safe expiry), a fault onset or clear,
+//     a checkpoint capture becoming due. The span ends at the minimum of
+//     the barrier steps. UPS and breaker thresholds need no barriers of
+//     their own: a quiescent span requires zero UPS discharge and zero
+//     breaker thermal accumulation, so neither state can cross a threshold
+//     inside one.
+//  3. fastForward closes the span analytically: each skipped tick goes
+//     through recordTick with the span-constant plant outputs (preserving
+//     bit-exact float addition order), batch jobs replay through the
+//     rack's job-major kernel, and the policy replays the state it leaves
+//     out of the comparison (headroom samples, control-period clock,
+//     P_batch adaptation).
 //
 // Anything the proof does not cover falls back to normal ticking: noisy
 // monitors, utilization jitter, ambient swing, live telemetry, and
@@ -42,20 +43,20 @@ import (
 // its excluded state; policies without it run tick by tick under RunWith.
 type QuiescentPolicy interface {
 	Policy
-	// QuiescenceDigest appends all mutable controller state (except what
-	// AdvanceQuiescent replays) to the digest, returning false when the
-	// policy is structurally ineligible for span fast-forwarding.
-	QuiescenceDigest(env *Env, d *engine.Digest) bool
+	// QuiescentState appends all mutable controller state (except what
+	// AdvanceQuiescent replays) to st, returning false when the policy is
+	// structurally ineligible for span fast-forwarding.
+	QuiescentState(env *Env, st *engine.State) bool
 	// QuiescenceCadenceTicks is the number of consecutive bit-identical
-	// digests required to certify a fixed point; it must strictly exceed
+	// states required to certify a fixed point; it must strictly exceed
 	// the controller's slowest internal period in ticks.
 	QuiescenceCadenceTicks(dt float64) int
 	// QuiescentHorizonTicks conservatively bounds the ticks until the
 	// policy's scheduled budget can next change, capped at maxTicks.
 	QuiescentHorizonTicks(now, dt float64, maxTicks int) int
-	// AdvanceQuiescent replays the digest-excluded state across n skipped
-	// ticks at times (step0+k)·dt, bit-identically to n Tick calls at a
-	// certified fixed point.
+	// AdvanceQuiescent replays the state QuiescentState leaves out across
+	// n skipped ticks at times (step0+k)·dt, bit-identically to n Tick
+	// calls at a certified fixed point.
 	AdvanceQuiescent(env *Env, step0 int, dt float64, n int)
 }
 
@@ -66,25 +67,18 @@ const minSpanTicks = 8
 // eventCore is the event core's working state on a Runner.
 type eventCore struct {
 	qp      QuiescentPolicy
-	q       engine.Queue
-	dig     engine.Digest
 	cadence int
 
-	// Fixed-point certification: the streak of consecutive ticks whose
-	// post-tick digest was bit-identical.
-	stable  int
-	lastDig uint64
-	haveDig bool
-
-	// Input-change guard: the last step whose tick inputs (trace demand,
-	// measured total power) differed from the previous tick's. The
-	// controller's state lags its inputs by up to one control period
-	// (e.g. the batch-feedback path), so a span may only open once the
-	// inputs have been constant for a full cadence too.
-	lastInputChange int
-	prevDemand      float64
-	prevMeasured    float64
-	havePrev        bool
+	// Fixed-point certification: cur is the state after the latest tick,
+	// prev the one before; the two swap after every probe, so neither
+	// allocates once grown. stable is the streak of consecutive ticks whose
+	// states were bit-identical (0: no state yet). The state includes the
+	// tick's inputs (applied demand, measured power), and the controller
+	// lags its inputs by up to one control period (e.g. the batch-feedback
+	// path), so a streak longer than the cadence also certifies that the
+	// inputs have been constant for a full cadence.
+	cur, prev engine.State
+	stable    int
 }
 
 // eventEligible reports whether the run's static configuration permits
@@ -109,56 +103,40 @@ func (r *Runner) startEventCore() {
 	if !ok || !r.eventEligible() {
 		return
 	}
-	r.ev = &eventCore{
-		qp:              qp,
-		dig:             engine.NewDigest(),
-		cadence:         qp.QuiescenceCadenceTicks(r.dt),
-		lastInputChange: r.step,
-	}
+	r.ev = &eventCore{qp: qp, cadence: qp.QuiescenceCadenceTicks(r.dt)}
 }
 
 // spanReady reports whether the next tick may open a quiescent span: the
-// digest streak and the input-constancy window both exceed the cadence,
-// and the plant is in the quiescent regime right now.
+// state streak exceeds the cadence, and the plant is in the quiescent
+// regime right now.
 func (r *Runner) spanReady() bool {
-	ev := r.ev
-	return ev.stable > ev.cadence &&
-		r.step-ev.lastInputChange > ev.cadence &&
-		!r.outage
+	return r.ev.stable > r.ev.cadence && !r.outage
 }
 
 // probeQuiescence runs after each executed tick (or fast-forwarded span):
-// it tracks input changes and extends or resets the fixed-point streak.
+// it extends or resets the fixed-point streak.
 func (r *Runner) probeQuiescence() {
 	ev := r.ev
 	if r.step == 0 {
 		return
 	}
-	now := float64(r.step-1) * r.dt
-	demand := r.env.Trace.At(now)
-	m := r.snap.MeasuredTotalW
-	if !ev.havePrev || demand != ev.prevDemand || m != ev.prevMeasured {
-		ev.lastInputChange = r.step - 1
-		ev.havePrev = true
-	}
-	ev.prevDemand, ev.prevMeasured = demand, m
-
 	if !r.plantQuiescent() {
-		ev.stable, ev.haveDig = 0, false
+		ev.stable = 0
 		return
 	}
-	ev.dig.Reset()
-	if !ev.qp.QuiescenceDigest(r.env, &ev.dig) {
-		ev.stable, ev.haveDig = 0, false
+	ev.cur.Reset()
+	if !ev.qp.QuiescentState(r.env, &ev.cur) {
+		ev.stable = 0
 		return
 	}
-	r.plantDigest(&ev.dig)
-	sum := ev.dig.Sum()
-	if ev.haveDig && sum == ev.lastDig {
+	r.plantState(&ev.cur)
+	ev.cur.F64(r.env.Trace.At(float64(r.step-1) * r.dt))
+	if ev.stable > 0 && ev.cur.Equal(&ev.prev) {
 		ev.stable++
-		return
+	} else {
+		ev.stable = 1
 	}
-	ev.lastDig, ev.haveDig, ev.stable = sum, true, 1
+	ev.cur, ev.prev = ev.prev, ev.cur
 }
 
 // plantQuiescent reports whether the plant side of the state machine is in
@@ -196,53 +174,53 @@ func (r *Runner) plantQuiescent() bool {
 	return env.Rack.TruePower() == r.snap.MeasuredTotalW
 }
 
-// plantDigest appends the engine-side mutable state to the digest: the
-// pending snapshot (minus Now, which advances every tick by construction),
-// the last conducted power, and the rack's frequency summary (covering
-// every DVFS actuation the skipped ticks would re-apply).
-func (r *Runner) plantDigest(d *engine.Digest) {
+// plantState appends the engine-side mutable state to st: the pending
+// snapshot (minus Now, which advances every tick by construction), the last
+// conducted power, and the rack's frequency summary (covering every DVFS
+// actuation the skipped ticks would re-apply).
+func (r *Runner) plantState(st *engine.State) {
 	s := &r.snap
-	d.F64(s.MeasuredTotalW)
-	d.F64(s.CBPowerW)
-	d.F64(s.UPSPowerW)
-	d.F64(s.CBThermalFraction)
-	d.Bool(s.CBNearTrip)
-	d.Bool(s.CBTripped)
-	d.F64(s.UPSSoC)
-	d.Bool(s.UPSDepleted)
-	d.Bool(s.Outage)
-	d.F64(r.lastCBW)
-	d.F64(r.env.Rack.MeanInteractiveFreqNorm())
-	d.F64(r.env.Rack.MeanBatchFreqNorm())
+	st.F64(s.MeasuredTotalW)
+	st.F64(s.CBPowerW)
+	st.F64(s.UPSPowerW)
+	st.F64(s.CBThermalFraction)
+	st.Bool(s.CBNearTrip)
+	st.Bool(s.CBTripped)
+	st.F64(s.UPSSoC)
+	st.Bool(s.UPSDepleted)
+	st.Bool(s.Outage)
+	st.F64(r.lastCBW)
+	st.F64(r.env.Rack.MeanInteractiveFreqNorm())
+	st.F64(r.env.Rack.MeanBatchFreqNorm())
 }
 
-// planSpan merges every barrier bounding a span that starts at the current
-// step and returns the span length in ticks (possibly 0). The earliest
-// pending event is the binding barrier; the span must end strictly before
-// it so the barrier tick itself executes as a normal tick.
+// planSpan returns the length in ticks (possibly 0) of a span that starts
+// at the current step: the distance to the earliest barrier. The span must
+// end strictly before it so the barrier tick itself executes as a normal
+// tick.
 func (r *Runner) planSpan() int {
 	ev := r.ev
 	step0 := r.step
 	now0 := float64(step0) * r.dt
 	remaining := r.steps - step0
-	q := &ev.q
-	q.Reset()
 
-	q.Push(int64(r.steps), engine.KindRunEnd)
-	q.Push(int64(step0+r.env.Rack.BatchStableTicks(r.dt, remaining)), engine.KindJobPhase)
-	q.Push(int64(step0+ev.qp.QuiescentHorizonTicks(now0, r.dt, remaining)), engine.KindPolicyEdge)
+	// Each barrier is a tick count from step0; the run end is the first.
+	n := remaining
+	barrier := func(k int) {
+		if k < n {
+			n = k
+		}
+	}
+	barrier(r.env.Rack.BatchStableTicks(r.dt, remaining))
+	barrier(ev.qp.QuiescentHorizonTicks(now0, r.dt, remaining))
 	if r.inj != nil {
-		q.Push(int64(step0+r.inj.StableTicks(now0, r.dt, remaining)), engine.KindFaultTransition)
+		barrier(r.inj.StableTicks(now0, r.dt, remaining))
 	}
 	if r.ckr != nil && r.ckr.store != nil {
 		// Next capture fires at the first tick whose time tNext crosses
 		// lastSaveS+everyS−ε; stop two ticks short so the float compare
 		// margin can never land a capture inside the span.
-		cn := int((r.ckr.lastSaveS+r.ckr.everyS-1e-9-now0)/r.dt) - 2
-		if cn < 0 {
-			cn = 0
-		}
-		q.Push(int64(step0+cn), engine.KindCaptureDue)
+		barrier(int((r.ckr.lastSaveS+r.ckr.everyS-1e-9-now0)/r.dt) - 2)
 	}
 
 	// Trace edge: first tick whose demand differs from the demand the
@@ -253,30 +231,16 @@ func (r *Runner) planSpan() int {
 	// earliest cheap barrier, so its cost is bounded by the span it
 	// enables (and is a slice lookup per tick, ~4 orders of magnitude
 	// cheaper than the tick it elides).
-	scanCap := remaining
-	if e, ok := q.Peek(); ok && int(e.Step)-step0 < scanCap {
-		scanCap = int(e.Step) - step0
-	}
 	d0 := r.env.Trace.At(float64(step0-1) * r.dt)
-	edge := scanCap
-	for k := 0; k < scanCap; k++ {
+	for k := 0; k < n; k++ {
 		if r.env.Trace.At(float64(step0+k)*r.dt) != d0 {
-			edge = k
+			n = k
 			break
 		}
 	}
-	q.Push(int64(step0+edge), engine.KindTraceEdge)
 
-	e, _ := q.Pop()
 	r.res.Engine.Events++
-	n := int(e.Step) - step0
-	if n < 0 {
-		n = 0
-	}
-	if n > remaining {
-		n = remaining
-	}
-	return n
+	return max(n, 0)
 }
 
 // fastForward closes a span of n ticks starting at the current step
@@ -292,7 +256,6 @@ func (r *Runner) fastForward(n int) {
 	dt := r.dt
 	step0 := r.step
 	now0 := float64(step0) * dt
-	stride := r.stride
 
 	// Span constants: the plant is frozen, so one evaluation each.
 	pTotal := env.Rack.TruePower()
@@ -300,7 +263,6 @@ func (r *Runner) fastForward(n int) {
 	upsW := 0.0
 	fi := env.Rack.MeanInteractiveFreqNorm()
 	fb := env.Rack.MeanBatchFreqNorm()
-	soc := env.UPS.SoC()
 
 	// Policy replay first (Tick precedes AdvanceBatch within a real tick;
 	// the two are independent here because completed jobs' weights are
@@ -311,60 +273,25 @@ func (r *Runner) fastForward(n int) {
 		r.inj.AdvanceConstant(pTotal, n)
 	}
 
-	// Accumulators advance by per-tick loops over precomputed per-tick
-	// increments — the increments are bit-identical to the per-tick
-	// expressions (same operands), and looped addition preserves the tick
-	// loop's exact float summation order.
-	eTot := pTotal * res.Series.DtS / 3600
-	eCB := cbW * res.Series.DtS / 3600
-	ov := cbW - env.Breaker.RatedPower()
-	eOver := 0.0
-	if ov > 0 {
-		eOver = ov * res.Series.DtS / 3600
-	}
-	s := &res.Series
+	// Each skipped tick goes through recordTick with the span-constant
+	// plant outputs: the operands are the tick loop's, and one call per
+	// tick preserves its exact float summation order.
 	for k := 0; k < n; k++ {
-		res.nTicks++
-		res.sumFreqInter += fi
-		res.sumFreqBatch += fb
-		res.EnergyTotalWh += eTot
-		res.EnergyCBWh += eCB
-		if ov > 0 {
-			res.EnergyCBOverWh += eOver
-		}
-		if (step0+k)%stride != 0 {
-			continue
-		}
-		nowK := float64(step0+k) * dt
-		s.Time = append(s.Time, nowK)
-		s.TotalW = append(s.TotalW, pTotal)
-		s.Demand = append(s.Demand, env.Trace.At(nowK))
-		s.CBW = append(s.CBW, cbW)
-		s.UPSW = append(s.UPSW, upsW)
-		s.SoC = append(s.SoC, soc)
-		pcb, pbatch := math.NaN(), math.NaN()
-		if r.reporter != nil {
-			pcb, pbatch = r.reporter.Targets(nowK)
-		}
-		s.PCbW = append(s.PCbW, pcb)
-		s.PBatchW = append(s.PBatchW, pbatch)
-		s.FreqInter = append(s.FreqInter, fi)
-		s.FreqBatch = append(s.FreqBatch, fb)
+		recordTick(res, r.reporter, float64(step0+k)*dt, pTotal, cbW, upsW, fi, fb, env, (step0+k)%r.stride == 0)
 	}
 
 	// Budget-tracking quality accumulates per tick with span-constant
-	// terms (the policy's targets are digest-certified constants).
+	// terms (the policy's targets are certified constants).
 	if r.reporter != nil {
 		pcb, _ := r.reporter.Targets(now0)
 		if !math.IsInf(pcb, 1) && !math.IsNaN(pcb) {
 			trackErr := math.Abs(cbW - pcb)
-			over := cbW > pcb*1.01
+			r.controlledTicks += n
+			if cbW > pcb*1.01 {
+				r.overTicks += n
+			}
 			for k := 0; k < n; k++ {
-				r.controlledTicks++
 				r.trackErrSum += trackErr
-				if over {
-					r.overTicks++
-				}
 			}
 		}
 	}

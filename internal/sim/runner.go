@@ -247,7 +247,7 @@ func (r *Runner) Step() error {
 	if r.outage {
 		res.OutageS += dt
 		r.lastCBW = 0
-		recordTick(res, r.reporter, now, 0, 0, 0, env, true, r.step%r.stride == 0)
+		recordTick(res, r.reporter, now, 0, 0, 0, 0, 0, env, r.step%r.stride == 0)
 		r.snap = nextSnapshot(now+dt, dt, 0, 0, 0, env, true)
 		if inj != nil {
 			r.snap.UPSSoC, r.snap.UPSDepleted = inj.FilterSoC(r.snap.UPSSoC, r.snap.UPSDepleted)
@@ -327,7 +327,12 @@ func (r *Runner) Step() error {
 	}
 
 	r.lastCBW = cbW
-	recordTick(res, r.reporter, now, pTotal, cbW, upsW, env, r.outage, r.step%r.stride == 0)
+	fi, fb := 0.0, 0.0
+	if !r.outage {
+		fi = env.Rack.MeanInteractiveFreqNorm()
+		fb = env.Rack.MeanBatchFreqNorm()
+	}
+	recordTick(res, r.reporter, now, pTotal, cbW, upsW, fi, fb, env, r.step%r.stride == 0)
 	if r.em.enabled {
 		r.em.observeTick(now, pTotal, cbW, upsW, env)
 		r.em.tickSeconds.Observe(time.Since(tickStart).Seconds())

@@ -302,8 +302,8 @@ type EngineStats struct {
 	// 0 for runs driven tick by tick through Runner.Step).
 	Spans        int
 	TicksSkipped int
-	// Events is the number of discrete events (barriers) dequeued while
-	// planning spans.
+	// Events counts planned spans: one per span plan, including plans
+	// too short to close (those ticks run normally).
 	Events int
 }
 
@@ -543,16 +543,13 @@ func nextSnapshot(now, dt, measured, cbW, upsW float64, env *Env, outage bool) S
 }
 
 // recordTick accumulates one tick into the result's summary statistics and,
-// when keep is set, appends the tick to the series. The accumulator updates
-// run in the same per-tick operation order the old series-walking finalize
-// loop used, so summaries are bit-identical at any series stride.
-func recordTick(res *Result, reporter TargetReporter, now, pTotal, cbW, upsW float64, env *Env, outage, keep bool) {
-	fi, fb := 0.0, 0.0
-	if !outage {
-		fi = env.Rack.MeanInteractiveFreqNorm()
-		fb = env.Rack.MeanBatchFreqNorm()
-	}
-
+// when keep is set, appends the tick to the series. fi and fb are the mean
+// normalized interactive and batch frequencies (0 on a dark rack). The
+// accumulator updates run in the same per-tick operation order the old
+// series-walking finalize loop used, so summaries are bit-identical at any
+// series stride. It is the only recorder: Runner.Step calls it once per
+// tick and fastForward once per skipped tick.
+func recordTick(res *Result, reporter TargetReporter, now, pTotal, cbW, upsW, fi, fb float64, env *Env, keep bool) {
 	s := &res.Series
 	res.nTicks++
 	res.sumFreqInter += fi
