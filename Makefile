@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test examples race chaos chaos-service soak fuzz bench bench-check gobench report experiments docs-check clean
+.PHONY: all build vet test examples race chaos chaos-service soak fuzz gobench report experiments docs-check clean
 
 all: build vet test
 
@@ -61,17 +61,6 @@ fuzz:
 	$(GO) test -fuzz='^FuzzQuantize$$' -fuzztime=10s -run='^$$' ./internal/cpu/
 	$(GO) test -fuzz='^FuzzEventMatchesTick$$' -fuzztime=10s -run='^$$' ./internal/core/
 
-# Full pinned-scenario benchmark: writes BENCH_<date>.json and compares
-# against the committed baseline (skipped when the baseline's -quick flag
-# differs from the run's).
-bench:
-	$(GO) run ./cmd/bench -o BENCH_$$(date +%F).json
-
-# CI regression gate: quick scenarios vs the committed quick-mode baseline;
-# fails on >20% regression (see cmd/bench for the per-metric rules).
-bench-check:
-	$(GO) run ./cmd/bench -quick -o bench_check.json
-
 # Raw go-test micro-benchmarks (per-function, -benchmem).
 gobench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
@@ -96,5 +85,5 @@ docs-check:
 # Keep figs/hierarchy.svg: it is the committed architecture diagram
 # (DESIGN.md §14), not a cmd/report artifact.
 clean:
-	rm -f REPORT.md bench_output.txt bench_check.json test_output.txt
+	rm -f REPORT.md bench_output.txt test_output.txt
 	rm -f figs/sgct*.svg figs/sprintcon*.svg

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,17 +15,20 @@ import (
 // swing) and a piecewise-constant diurnal demand trace with long plateaus.
 func quiesceScenario(t *testing.T, durationS float64) sim.Scenario {
 	t.Helper()
-	// Plateau levels sit in the regime where the capped closed loop settles
-	// to an exact fixed point (batch throttled against its frequency floor).
-	// At lighter demand the quantized batch actuator hunts between two
-	// P-states forever — genuine plant dynamics the event engine must not
-	// (and does not) fast-forward.
-	return plateauScenario(t, []float64{0.5, 0.62, 0.75, 0.55}, 1800, durationS)
+	return plateauScenario(t, quiesceLevels, 1800, durationS)
 }
+
+// quiesceLevels are the plateau levels of the quiescent diurnal scenarios.
+// They sit in the regime where the capped closed loop settles to an exact
+// fixed point (batch throttled against its frequency floor). At lighter
+// demand the quantized batch actuator hunts between two P-states forever —
+// genuine plant dynamics the event engine must not (and does not)
+// fast-forward.
+var quiesceLevels = []float64{0.5, 0.62, 0.75, 0.55}
 
 // plateauScenario is quiesceScenario over an arbitrary stepped diurnal
 // trace: the given demand levels, each held for plateauS seconds, cycling.
-func plateauScenario(t *testing.T, levels []float64, plateauS, durationS float64) sim.Scenario {
+func plateauScenario(t testing.TB, levels []float64, plateauS, durationS float64) sim.Scenario {
 	t.Helper()
 	scn := sim.DefaultScenario()
 	scn.DurationS = durationS
@@ -39,6 +43,35 @@ func plateauScenario(t *testing.T, levels []float64, plateauS, durationS float64
 	}
 	scn.Trace = tr
 	return scn
+}
+
+// fleetRack is rack i of the event-core fleet: the quiescent diurnal
+// scenario with plateauS-long plateaus and every seed offset by the rack
+// index, the way the hier sweeps offset theirs.
+func fleetRack(t testing.TB, i int, plateauS, durationS float64) sim.Scenario {
+	t.Helper()
+	scn := plateauScenario(t, quiesceLevels, plateauS, durationS)
+	g := int64(i)
+	scn.Interactive.Seed += g
+	scn.Rack.Seed += g
+	scn.Faults.Seed += g
+	return scn
+}
+
+// fleetJobs is the event-core fleet for sim.RunManyOrdered: racks racks
+// from fleetRack under cfg, recording every stride-th tick.
+func fleetJobs(t testing.TB, cfg Config, racks int, plateauS, durationS float64, stride int) []sim.Job {
+	t.Helper()
+	jobs := make([]sim.Job, racks)
+	for i := range jobs {
+		jobs[i] = sim.Job{
+			Key:      fmt.Sprintf("rack%d", i),
+			Scenario: fleetRack(t, i, plateauS, durationS),
+			Policy:   New(cfg),
+			Opts:     sim.RunOptions{SeriesStride: stride},
+		}
+	}
+	return jobs
 }
 
 // bitEqualF64s compares float slices by IEEE-754 bit pattern (NaN-safe).
@@ -119,7 +152,7 @@ func assertBitIdentical(t *testing.T, tick, event *sim.Result) {
 
 // runTicks is the tick reference oracle: the same run driven tick by tick
 // through Runner.Step, never opening a quiescent span.
-func runTicks(t *testing.T, scn sim.Scenario, p sim.Policy, opts sim.RunOptions) *sim.Result {
+func runTicks(t testing.TB, scn sim.Scenario, p sim.Policy, opts sim.RunOptions) *sim.Result {
 	t.Helper()
 	r, err := sim.NewRunner(scn, p, opts)
 	if err != nil {
@@ -147,25 +180,35 @@ func runBoth(t *testing.T, cfg Config, scn sim.Scenario, opts sim.RunOptions) (t
 
 // The headline property: a day-fraction diurnal power-capping run is
 // bit-identical to the Runner.Step oracle AND the event core actually skips
-// the bulk of the ticks.
+// the bulk of the ticks. plateau_900s is BenchmarkEventEngine's run.
 func TestEventEngineBitIdenticalNoSprintDiurnal(t *testing.T) {
-	scn := quiesceScenario(t, 4*3600)
-	cfg := DefaultConfig()
-	cfg.NoSprint = true
-	tick, event := runBoth(t, cfg, scn, sim.RunOptions{})
-	assertBitIdentical(t, tick, event)
-	if tick.Engine.Spans != 0 {
-		t.Fatalf("the Runner.Step oracle opened %d spans", tick.Engine.Spans)
+	for _, tc := range []struct {
+		name                string
+		plateauS, durationS float64
+	}{
+		{"plateau_1800s", 1800, 4 * 3600},
+		{"plateau_900s", 900, 3600},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scn := plateauScenario(t, quiesceLevels, tc.plateauS, tc.durationS)
+			cfg := DefaultConfig()
+			cfg.NoSprint = true
+			tick, event := runBoth(t, cfg, scn, sim.RunOptions{})
+			assertBitIdentical(t, tick, event)
+			if tick.Engine.Spans != 0 {
+				t.Fatalf("the Runner.Step oracle opened %d spans", tick.Engine.Spans)
+			}
+			if event.Engine.Spans == 0 {
+				t.Fatal("event engine opened no quiescent spans on a diurnal plateau trace")
+			}
+			frac := float64(event.Engine.TicksSkipped) / (scn.DurationS / scn.DtS)
+			if frac < 0.5 {
+				t.Fatalf("event engine skipped only %.1f%% of ticks (%d spans)", 100*frac, event.Engine.Spans)
+			}
+			t.Logf("spans=%d skipped=%d (%.1f%%) events=%d",
+				event.Engine.Spans, event.Engine.TicksSkipped, 100*frac, event.Engine.Events)
+		})
 	}
-	if event.Engine.Spans == 0 {
-		t.Fatal("event engine opened no quiescent spans on a diurnal plateau trace")
-	}
-	frac := float64(event.Engine.TicksSkipped) / (scn.DurationS / scn.DtS)
-	if frac < 0.5 {
-		t.Fatalf("event engine skipped only %.1f%% of ticks (%d spans)", 100*frac, event.Engine.Spans)
-	}
-	t.Logf("spans=%d skipped=%d (%.1f%%) events=%d",
-		event.Engine.Spans, event.Engine.TicksSkipped, 100*frac, event.Engine.Events)
 }
 
 // A full sprint (UPS discharging, overload schedule active) must also be
@@ -228,16 +271,31 @@ func TestEventEngineBitIdenticalWithFaults(t *testing.T) {
 	}
 }
 
-// A stride-recorded run must be bit-identical too (the bench scenario's
-// configuration).
+// A stride-recorded run must be bit-identical too. The fleet cases are the
+// first two racks of BenchmarkClusterSweep's fleet recorded at every
+// control-period boundary: the recorded P_cb/P_batch targets are the
+// controller's decisions, so bitwise equality pins decision equivalence
+// there.
 func TestEventEngineBitIdenticalWithSeriesStride(t *testing.T) {
-	scn := quiesceScenario(t, 2*3600)
 	cfg := DefaultConfig()
 	cfg.NoSprint = true
-	tick, event := runBoth(t, cfg, scn, sim.RunOptions{SeriesStride: 60})
-	assertBitIdentical(t, tick, event)
-	if event.Engine.Spans == 0 {
-		t.Fatal("strided run opened no spans")
+	ctlStride := int(cfg.ControlPeriodS / sim.DefaultScenario().DtS)
+	for _, tc := range []struct {
+		name   string
+		scn    sim.Scenario
+		stride int
+	}{
+		{"quiesce", quiesceScenario(t, 2*3600), 60},
+		{"fleet_rack0", fleetRack(t, 0, 3600, 7200), ctlStride},
+		{"fleet_rack1", fleetRack(t, 1, 3600, 7200), ctlStride},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tick, event := runBoth(t, cfg, tc.scn, sim.RunOptions{SeriesStride: tc.stride})
+			assertBitIdentical(t, tick, event)
+			if event.Engine.Spans == 0 {
+				t.Fatal("strided run opened no spans")
+			}
+		})
 	}
 }
 
@@ -303,32 +361,45 @@ func TestDropEventsBitInvisible(t *testing.T) {
 }
 
 // TestSpanPlanPinned pins where the event core opens and closes spans:
-// per-run (Spans, TicksSkipped, Events) on the quiescent diurnal scenario,
-// sprinting and capping, at three durations. Bit identity alone would not
-// notice a certificate change that merely moved span boundaries (a later
-// or earlier opening is still exact); this table does.
+// (Spans, TicksSkipped, Events) on the quiescent diurnal scenario,
+// sprinting and capping, at three durations, summed over the racks of a
+// fleet where there are several. Bit identity alone would not notice a
+// certificate change that merely moved span boundaries (a later or earlier
+// opening is still exact); this table does. The 900 s plateau rows are
+// BenchmarkEventEngine's run at 3600 s and at twice that; the 24-rack row is
+// BenchmarkClusterSweep's fleet.
 func TestSpanPlanPinned(t *testing.T) {
 	for _, tc := range []struct {
-		noSprint  bool
-		durationS float64
-		want      sim.EngineStats
+		noSprint            bool
+		plateauS, durationS float64
+		racks               int
+		want                sim.EngineStats
 	}{
-		{true, 3600, sim.EngineStats{Spans: 2, TicksSkipped: 2414, Events: 3}},
-		{true, 7200, sim.EngineStats{Spans: 4, TicksSkipped: 5884, Events: 7}},
-		{true, 14400, sim.EngineStats{Spans: 8, TicksSkipped: 12824, Events: 15}},
-		{false, 3600, sim.EngineStats{Spans: 3, TicksSkipped: 311, Events: 9}},
-		{false, 7200, sim.EngineStats{Spans: 3, TicksSkipped: 311, Events: 9}},
-		{false, 14400, sim.EngineStats{Spans: 7, TicksSkipped: 757, Events: 21}},
+		{true, 1800, 3600, 1, sim.EngineStats{Spans: 2, TicksSkipped: 2414, Events: 3}},
+		{true, 1800, 7200, 1, sim.EngineStats{Spans: 4, TicksSkipped: 5884, Events: 7}},
+		{true, 1800, 14400, 1, sim.EngineStats{Spans: 8, TicksSkipped: 12824, Events: 15}},
+		{false, 1800, 3600, 1, sim.EngineStats{Spans: 3, TicksSkipped: 311, Events: 9}},
+		{false, 1800, 7200, 1, sim.EngineStats{Spans: 3, TicksSkipped: 311, Events: 9}},
+		{false, 1800, 14400, 1, sim.EngineStats{Spans: 7, TicksSkipped: 757, Events: 21}},
+		{true, 900, 3600, 1, sim.EngineStats{Spans: 3, TicksSkipped: 2341, Events: 5}},
+		{true, 900, 7200, 1, sim.EngineStats{Spans: 7, TicksSkipped: 5701, Events: 11}},
+		{true, 3600, 7200, 24, sim.EngineStats{Spans: 48, TicksSkipped: 144528, Events: 72}},
 	} {
 		cfg := DefaultConfig()
 		cfg.NoSprint = tc.noSprint
-		res, err := sim.RunWith(quiesceScenario(t, tc.durationS), New(cfg), sim.RunOptions{})
+		results, err := sim.RunManyOrdered(fleetJobs(t, cfg, tc.racks, tc.plateauS, tc.durationS, 1), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Engine != tc.want {
-			t.Errorf("NoSprint=%v %.0f s: engine stats %+v, want %+v",
-				tc.noSprint, tc.durationS, res.Engine, tc.want)
+		var got sim.EngineStats
+		for _, r := range results {
+			got.Spans += r.Engine.Spans
+			got.TicksSkipped += r.Engine.TicksSkipped
+			got.Events += r.Engine.Events
+		}
+		if got != tc.want {
+			t.Errorf("NoSprint=%v plateau %.0f s, %.0f s, %d racks: engine stats %+v, want %+v",
+				tc.noSprint, tc.plateauS, tc.durationS, tc.racks, got, tc.want)
 		}
 	}
 }

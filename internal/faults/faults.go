@@ -49,6 +49,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Kind names a fault type. The string values are stable identifiers used in
@@ -356,14 +358,74 @@ func (p Plan) Split() (rackPlan, linkPlan Plan) {
 	return rackPlan, linkPlan
 }
 
-// Injector is the per-run fault state machine. It tracks which faults are
-// active, corrupts the measurement stream, and reports the component-failure
-// state the engine applies to the rack and UPS each tick. Not safe for
-// concurrent use; one Injector per run.
-type Injector struct {
+// Schedule is a fault plan's on/off state: which of its faults are active
+// as of the last Step. The rack Injector and the control link's transport
+// each embed one. Not safe for concurrent use.
+type Schedule struct {
 	plan   Plan
-	dt     float64
 	active []bool
+}
+
+// NewSchedule returns the schedule of p with every fault inactive.
+func NewSchedule(p Plan) Schedule {
+	return Schedule{plan: p, active: make([]bool, len(p.Faults))}
+}
+
+// Step advances the schedule to time now and returns the faults whose active
+// state changed this tick: onsets became active, clears became inactive.
+// The caller logs them and applies component state.
+func (s *Schedule) Step(now float64) (onsets, clears []Fault) {
+	for i, f := range s.plan.Faults {
+		a := f.Active(now)
+		if a == s.active[i] {
+			continue
+		}
+		s.active[i] = a
+		if a {
+			onsets = append(onsets, f)
+		} else {
+			clears = append(clears, f)
+		}
+	}
+	return onsets, clears
+}
+
+// Strongest returns the active fault of kind k (and ok), preferring the
+// largest |severity| when several overlap.
+func (s *Schedule) Strongest(k Kind) (Fault, bool) {
+	var best Fault
+	found := false
+	for i, f := range s.plan.Faults {
+		if !s.active[i] || f.Kind != k {
+			continue
+		}
+		if !found || math.Abs(f.Severity) > math.Abs(best.Severity) {
+			best = f
+		}
+		found = true
+	}
+	return best, found
+}
+
+// Hits reports whether an active fault of kind k targets the given server
+// or rack index, directly or through the every-target value -1
+// (AllServers, AllRacks).
+func (s *Schedule) Hits(k Kind, target int) bool {
+	for i, f := range s.plan.Faults {
+		if s.active[i] && f.Kind == k && (f.Server == target || f.Server == AllRacks) {
+			return true
+		}
+	}
+	return false
+}
+
+// Injector is the per-run fault state machine. Its Schedule tracks which
+// faults are active; it corrupts the measurement stream and reports the
+// component-failure state the engine applies to the rack and UPS each
+// tick. Not safe for concurrent use; one Injector per run.
+type Injector struct {
+	Schedule
+	dt float64
 
 	// Monitor corruption state.
 	lastRaw    float64 // most recent uncorrupted reading (delay source)
@@ -403,43 +465,7 @@ func NewInjector(p Plan, dt float64) *Injector {
 		}
 		p.Faults = jittered
 	}
-	return &Injector{plan: p, dt: dt, active: make([]bool, len(p.Faults))}
-}
-
-// Step advances the schedule to time now and returns the faults whose active
-// state changed this tick: onsets became active, clears became inactive.
-// The caller (the engine) logs them and applies component state.
-func (in *Injector) Step(now float64) (onsets, clears []Fault) {
-	for i, f := range in.plan.Faults {
-		a := f.Active(now)
-		if a == in.active[i] {
-			continue
-		}
-		in.active[i] = a
-		if a {
-			onsets = append(onsets, f)
-		} else {
-			clears = append(clears, f)
-		}
-	}
-	return onsets, clears
-}
-
-// anyActive returns the first active fault of the kind (and ok), preferring
-// the largest severity when several overlap.
-func (in *Injector) anyActive(k Kind) (Fault, bool) {
-	var best Fault
-	found := false
-	for i, f := range in.plan.Faults {
-		if !in.active[i] || f.Kind != k {
-			continue
-		}
-		if !found || math.Abs(f.Severity) > math.Abs(best.Severity) {
-			best = f
-		}
-		found = true
-	}
-	return best, found
+	return &Injector{Schedule: NewSchedule(p), dt: dt}
 }
 
 // AnyFaultActive reports whether any scheduled fault is currently active.
@@ -526,7 +552,7 @@ func (in *Injector) AdvanceConstant(raw float64, n int) {
 func (in *Injector) FilterMeasurement(raw float64) float64 {
 	// Delay first: the delayed stream is what downstream faults corrupt.
 	out := raw
-	if f, ok := in.anyActive(MeasurementDelay); ok {
+	if f, ok := in.Strongest(MeasurementDelay); ok {
 		steps := int(math.Round(f.Severity / in.dt))
 		if steps < 1 {
 			steps = 1
@@ -536,7 +562,7 @@ func (in *Injector) FilterMeasurement(raw float64) float64 {
 		in.pushDelay(raw)
 	}
 	// Freeze holds the last delivered value from before the onset.
-	if _, ok := in.anyActive(MonitorFreeze); ok {
+	if _, ok := in.Strongest(MonitorFreeze); ok {
 		if !in.haveFrozen {
 			in.frozen = in.lastRaw
 			in.haveFrozen = true
@@ -545,10 +571,10 @@ func (in *Injector) FilterMeasurement(raw float64) float64 {
 	} else {
 		in.haveFrozen = false
 	}
-	if f, ok := in.anyActive(MonitorBias); ok {
+	if f, ok := in.Strongest(MonitorBias); ok {
 		out *= 1 + f.Severity
 	}
-	if _, ok := in.anyActive(MonitorDropout); ok {
+	if _, ok := in.Strongest(MonitorDropout); ok {
 		out = math.NaN()
 	}
 	in.lastRaw = raw
@@ -585,7 +611,7 @@ func (in *Injector) delayed(raw float64, steps int) float64 {
 // FilterSoC corrupts the UPS state-of-charge reading and the derived
 // depleted indicator according to an active gauge-bias fault.
 func (in *Injector) FilterSoC(soc float64, depleted bool) (float64, bool) {
-	f, ok := in.anyActive(UPSGaugeBias)
+	f, ok := in.Strongest(UPSGaugeBias)
 	if !ok {
 		return soc, depleted
 	}
@@ -601,7 +627,7 @@ func (in *Injector) FilterSoC(soc float64, depleted bool) (float64, bool) {
 
 // UPSPathFailed reports whether the battery discharge path is currently open.
 func (in *Injector) UPSPathFailed() bool {
-	_, ok := in.anyActive(UPSPathFailure)
+	_, ok := in.Strongest(UPSPathFailure)
 	return ok
 }
 
@@ -651,46 +677,33 @@ func (in *Injector) ServerStates(numServers int) []ServerState {
 var ErrParse = errors.New("faults: bad fault spec")
 
 // Parse builds a fault from the CLI spec "kind:onset:duration[:severity[:server]]",
-// e.g. "monitor-freeze:30:300" or "actuator-stuck:60:400:0:3".
+// e.g. "monitor-freeze:30:300" or "actuator-stuck:60:400:0:3". Each numeric
+// field must parse whole: "30s" is not an onset and "3.7" is not a server.
 func Parse(spec string) (Fault, error) {
-	var onset, dur, sev float64
-	server := 0
-	parts := splitColon(spec)
+	parts := strings.Split(spec, ":")
 	if len(parts) < 3 || len(parts) > 5 {
 		return Fault{}, fmt.Errorf("%w: %q (want kind:onset:duration[:severity[:server]])", ErrParse, spec)
 	}
-	kind := parts[0]
-	if _, err := fmt.Sscanf(parts[1], "%g", &onset); err != nil {
+	f := Fault{Kind: Kind(parts[0])}
+	var err error
+	if f.OnsetS, err = strconv.ParseFloat(parts[1], 64); err != nil {
 		return Fault{}, fmt.Errorf("%w: onset %q", ErrParse, parts[1])
 	}
-	if _, err := fmt.Sscanf(parts[2], "%g", &dur); err != nil {
+	if f.DurationS, err = strconv.ParseFloat(parts[2], 64); err != nil {
 		return Fault{}, fmt.Errorf("%w: duration %q", ErrParse, parts[2])
 	}
 	if len(parts) > 3 {
-		if _, err := fmt.Sscanf(parts[3], "%g", &sev); err != nil {
+		if f.Severity, err = strconv.ParseFloat(parts[3], 64); err != nil {
 			return Fault{}, fmt.Errorf("%w: severity %q", ErrParse, parts[3])
 		}
 	}
 	if len(parts) > 4 {
-		if _, err := fmt.Sscanf(parts[4], "%d", &server); err != nil {
+		if f.Server, err = strconv.Atoi(parts[4]); err != nil {
 			return Fault{}, fmt.Errorf("%w: server %q", ErrParse, parts[4])
 		}
 	}
-	f := Fault{Kind: Kind(kind), OnsetS: onset, DurationS: dur, Severity: sev, Server: server}
 	if err := f.Validate(); err != nil {
 		return Fault{}, err
 	}
 	return f, nil
-}
-
-func splitColon(s string) []string {
-	var parts []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == ':' {
-			parts = append(parts, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(parts, s[start:])
 }

@@ -223,7 +223,9 @@ func TestParseSpecs(t *testing.T) {
 	if f.Severity != -0.4 {
 		t.Fatalf("parsed severity %g", f.Severity)
 	}
-	for _, bad := range []string{"", "monitor-freeze", "monitor-freeze:x:3", "nope:1:2", "monitor-freeze:1:2:3:4:5:6"} {
+	for _, bad := range []string{"", "monitor-freeze", "monitor-freeze:x:3", "nope:1:2", "monitor-freeze:1:2:3:4:5:6",
+		// Trailing garbage in a numeric field fails the whole spec.
+		"monitor-freeze:30s:300", "actuator-stuck:60:400:0:3.7", "actuator-stuck:60:400:0:3x"} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) should fail", bad)
 		}

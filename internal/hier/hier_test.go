@@ -212,39 +212,58 @@ func TestRunLinkedConservationPerPeriod(t *testing.T) {
 	}
 }
 
+// clusterLinkConfig is BenchmarkClusterLink's group: one row of two racks
+// over 300 s, auto-provisioned at its minimum packing.
+func clusterLinkConfig() Config {
+	c := DefaultConfig()
+	c.Rows = []RowConfig{{Racks: 2}}
+	c.Scenario.DurationS = 300
+	return c
+}
+
+// clusterHierConfig is BenchmarkClusterHier's building: two rows of four
+// racks over 300 s.
+func clusterHierConfig() Config {
+	c := DefaultConfig()
+	c.Rows = []RowConfig{{Racks: 4}, {Racks: 4}}
+	c.Scenario.DurationS = 300
+	return c
+}
+
 // TestRunLinkedParallelMatchesSerial: rows only share read-only
 // configuration and racks only exchange state through the link on their
 // row's coordinating goroutine, so the concurrent row and rack fan-out
 // must be bit-identical to the serial path in every rack's series, every
 // row's aggregate and link accounting, and the building aggregate.
-// bench_quick and default are the benchmark's cluster_hier configs (quick
-// and full mode; the 4×16-rack full one is skipped in -short mode).
+// bench_quick is BenchmarkClusterHier's building, whose clean network must
+// also keep every lease renewed and every level's shadow breaker closed;
+// default is the 4×16-rack building, skipped in -short mode.
 func TestRunLinkedParallelMatchesSerial(t *testing.T) {
-	quick := DefaultConfig()
-	quick.Rows = []RowConfig{{Racks: 4}, {Racks: 4}}
-	quick.Scenario.DurationS = 300
-
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		clean bool
 	}{
-		{"mixed", testConfig()},
-		{"bench_quick", quick},
-		{"default", DefaultConfig()},
+		{"mixed", testConfig(), false},
+		{"bench_quick", clusterHierConfig(), true},
+		{"default", DefaultConfig(), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "default" && testing.Short() {
 				t.Skip("4×16-rack linked run skipped in -short mode")
 			}
-			checkParallelMatchesSerial(t, tc.cfg)
+			res := checkParallelMatchesSerial(t, tc.cfg)
+			if tc.clean {
+				assertClean(t, res)
+			}
 		})
 	}
 }
 
 // TestRunLinkedOneRowParallelMatchesSerial is the serial-vs-parallel
 // check on one-row buildings, where only the rack fan-out is concurrent —
-// including under active link faults. bench_quick and default are the
-// benchmark's cluster_link configs.
+// including under active link faults. bench_quick is BenchmarkClusterLink's
+// group, which must also run clean; default is the paper's four-rack row.
 func TestRunLinkedOneRowParallelMatchesSerial(t *testing.T) {
 	faulted := threeRackRow()
 	faulted.Scenario.Faults.Faults = []faults.Fault{
@@ -252,26 +271,83 @@ func TestRunLinkedOneRowParallelMatchesSerial(t *testing.T) {
 		{Kind: faults.LinkDelay, OnsetS: 50, DurationS: 200, Severity: 3},
 		partitionAt(0, 150, 120),
 	}
-	quick := DefaultConfig()
-	quick.Rows = []RowConfig{{Racks: 2}}
-	quick.Scenario.DurationS = 300
 
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		clean bool
 	}{
-		{"faulted", faulted},
-		{"bench_quick", quick},
-		{"default", rowConfig()},
+		{"faulted", faulted, false},
+		{"bench_quick", clusterLinkConfig(), true},
+		{"default", rowConfig(), false},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkParallelMatchesSerial(t, tc.cfg) })
+		t.Run(tc.name, func(t *testing.T) {
+			res := checkParallelMatchesSerial(t, tc.cfg)
+			if tc.clean {
+				assertClean(t, res)
+			}
+		})
 	}
 }
 
-// checkParallelMatchesSerial runs cfg serially and in parallel and fails
-// on the first difference in any rack series, link counter, row or
-// building aggregate, or summary statistic.
-func checkParallelMatchesSerial(t *testing.T, cfg Config) {
+// assertClean fails unless a fault-free linked run renewed every lease on
+// schedule (zero degraded seconds) and no row's or the building's shadow
+// breaker tripped.
+func assertClean(t *testing.T, res *Result) {
+	t.Helper()
+	if d := res.DegradedS(); d != 0 {
+		t.Errorf("%g degraded seconds on a clean network, want 0", d)
+	}
+	for r, row := range res.Rows {
+		if row.FeederTrips != 0 {
+			t.Errorf("row %d: %d feeder trips on a clean network, want 0", r, row.FeederTrips)
+		}
+	}
+	if res.BuildingTrips != 0 {
+		t.Errorf("%d building trips on a clean network, want 0", res.BuildingTrips)
+	}
+}
+
+// BenchmarkClusterLink times what the control link costs on a clean
+// network: clusterLinkConfig's row as a static sweep and as a linked run
+// (transport, leases, heartbeats and coordinator in the loop every tick).
+func BenchmarkClusterLink(b *testing.B) {
+	c := clusterLinkConfig()
+	b.Run("static", func(b *testing.B) { benchSweep(b, c) })
+	b.Run("linked", func(b *testing.B) { benchLinked(b, c) })
+}
+
+// BenchmarkClusterHier times clusterHierConfig's building linked, and as a
+// static sweep run serially and sharded across rows.
+func BenchmarkClusterHier(b *testing.B) {
+	c := clusterHierConfig()
+	b.Run("linked", func(b *testing.B) { benchLinked(b, c) })
+	serial := c
+	serial.Serial = true
+	b.Run("sweep-serial", func(b *testing.B) { benchSweep(b, serial) })
+	b.Run("sweep", func(b *testing.B) { benchSweep(b, c) })
+}
+
+func benchLinked(b *testing.B, c Config) {
+	for i := 0; i < b.N; i++ {
+		if _, err := RunLinked(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchSweep(b *testing.B, c Config) {
+	for i := 0; i < b.N; i++ {
+		if _, err := RunSweep(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// checkParallelMatchesSerial runs cfg serially and in parallel, fails on
+// the first difference in any rack series, link counter, row or building
+// aggregate, or summary statistic, and returns the serial result.
+func checkParallelMatchesSerial(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	c := cfg
 	c.Serial = true
@@ -325,6 +401,7 @@ func checkParallelMatchesSerial(t *testing.T, cfg Config) {
 	if serial.DegradedS() != parallel.DegradedS() || serial.CBTrips != parallel.CBTrips {
 		t.Fatal("summary stats differ between serial and parallel row execution")
 	}
+	return serial
 }
 
 // TestPartitionDegradesOneRow fails one row's network for 300 s: that row

@@ -47,27 +47,44 @@ func identical(t *testing.T, serial, parallel *SweepResult) {
 }
 
 // TestSweepBitIdentity: the sharded parallel sweep must reproduce the
-// serial run bit for bit on a small mixed topology.
+// serial run bit for bit, on a small mixed topology and on
+// BenchmarkClusterHier's building, and report each row done in order.
 func TestSweepBitIdentity(t *testing.T) {
-	c := DefaultConfig()
-	c.Rows = []RowConfig{{Racks: 3}, {Racks: 5}, {Racks: 4}}
-	c.Scenario.DurationS = 300
+	mixed := DefaultConfig()
+	mixed.Rows = []RowConfig{{Racks: 3}, {Racks: 5}, {Racks: 4}}
+	mixed.Scenario.DurationS = 300
 
-	c.Serial = true
-	serial, err := RunSweep(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Serial = false
-	var done []int
-	c.OnRowDone = func(row int) { done = append(done, row) }
-	parallel, err := RunSweep(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, serial, parallel)
-	if len(done) != 3 || done[0] != 0 || done[1] != 1 || done[2] != 2 {
-		t.Fatalf("OnRowDone order = %v, want [0 1 2]", done)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mixed", mixed},
+		{"bench_quick", clusterHierConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.cfg
+			c.Serial = true
+			serial, err := RunSweep(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Serial = false
+			var done []int
+			c.OnRowDone = func(row int) { done = append(done, row) }
+			parallel, err := RunSweep(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			identical(t, serial, parallel)
+			if len(done) != len(c.Rows) {
+				t.Fatalf("OnRowDone order = %v, want one call per row in order", done)
+			}
+			for i, row := range done {
+				if row != i {
+					t.Fatalf("OnRowDone order = %v, want one call per row in order", done)
+				}
+			}
+		})
 	}
 }
 

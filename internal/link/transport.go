@@ -19,8 +19,7 @@ import (
 // Not safe for concurrent use: the cluster loop drives it in sequential
 // per-tick phases (fault step → deliveries → rack ticks → sends).
 type Transport struct {
-	plan     faults.Plan
-	active   []bool
+	faults.Schedule
 	numRacks int
 	dt       float64
 	rng      *rand.Rand
@@ -76,8 +75,7 @@ func NewTransport(plan faults.Plan, numRacks int, seed int64, dt float64) *Trans
 		panic(fmt.Sprintf("link: NewTransport with dt %g", dt))
 	}
 	return &Transport{
-		plan:     plan,
-		active:   make([]bool, len(plan.Faults)),
+		Schedule: faults.NewSchedule(plan),
 		numRacks: numRacks,
 		dt:       dt,
 		rng:      rand.New(rand.NewSource(seed)),
@@ -88,55 +86,19 @@ func NewTransport(plan faults.Plan, numRacks int, seed int64, dt float64) *Trans
 // active state changed this tick, for the caller's event log.
 func (t *Transport) Step(now float64) (onsets, clears []faults.Fault) {
 	t.now = now
-	for i, f := range t.plan.Faults {
-		a := f.Active(now)
-		if a == t.active[i] {
-			continue
-		}
-		t.active[i] = a
-		if a {
-			onsets = append(onsets, f)
-		} else {
-			clears = append(clears, f)
-		}
-	}
-	return onsets, clears
-}
-
-// anyActive returns the largest-severity active fault of the kind.
-func (t *Transport) anyActive(k faults.Kind) (faults.Fault, bool) {
-	var best faults.Fault
-	found := false
-	for i, f := range t.plan.Faults {
-		if !t.active[i] || f.Kind != k {
-			continue
-		}
-		if !found || math.Abs(f.Severity) > math.Abs(best.Severity) {
-			best = f
-		}
-		found = true
-	}
-	return best, found
+	return t.Schedule.Step(now)
 }
 
 // CoordinatorDown reports whether a coordinator-crash fault is active.
 func (t *Transport) CoordinatorDown() bool {
-	_, ok := t.anyActive(faults.CoordinatorCrash)
+	_, ok := t.Strongest(faults.CoordinatorCrash)
 	return ok
 }
 
 // Partitioned reports whether the given rack is currently cut off from the
 // coordinator (both directions).
 func (t *Transport) Partitioned(rack int) bool {
-	for i, f := range t.plan.Faults {
-		if !t.active[i] || f.Kind != faults.LinkPartition {
-			continue
-		}
-		if f.Server == faults.AllRacks || f.Server == rack {
-			return true
-		}
-	}
-	return false
+	return t.Hits(faults.LinkPartition, rack)
 }
 
 // Stats returns the traffic counters.
@@ -148,16 +110,16 @@ func (t *Transport) Stats() TransportStats { return t.stats }
 // the corresponding fault is active, keeping fault-free traffic free of RNG
 // consumption.
 func (t *Transport) transit(now float64) (deliverAt float64, dup, lost bool) {
-	if f, ok := t.anyActive(faults.LinkLoss); ok {
+	if f, ok := t.Strongest(faults.LinkLoss); ok {
 		if t.rng.Float64() < f.Severity {
 			return 0, false, true
 		}
 	}
 	deliverAt = now + t.dt
-	if f, ok := t.anyActive(faults.LinkDelay); ok {
+	if f, ok := t.Strongest(faults.LinkDelay); ok {
 		deliverAt += t.rng.Float64() * f.Severity
 	}
-	if f, ok := t.anyActive(faults.LinkDup); ok {
+	if f, ok := t.Strongest(faults.LinkDup); ok {
 		dup = t.rng.Float64() < f.Severity
 	}
 	return deliverAt, dup, false

@@ -16,13 +16,6 @@ type Vector []float64
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
-// Clone returns a copy of x.
-func (x Vector) Clone() Vector {
-	y := make(Vector, len(x))
-	copy(y, x)
-	return y
-}
-
 // Dot returns the inner product of x and y. It panics if lengths differ.
 func (x Vector) Dot(y Vector) float64 {
 	if len(x) != len(y) {

@@ -79,15 +79,6 @@ func TestVectorClamp(t *testing.T) {
 	}
 }
 
-func TestVectorCloneIndependence(t *testing.T) {
-	x := Vector{1, 2}
-	y := x.Clone()
-	y[0] = 99
-	if x[0] != 1 {
-		t.Fatal("Clone must not alias")
-	}
-}
-
 // Property: Cauchy–Schwarz |x·y| ≤ ‖x‖‖y‖ for arbitrary vectors.
 func TestVectorCauchySchwarzProperty(t *testing.T) {
 	f := func(a, b [8]float64) bool {

@@ -47,7 +47,7 @@ func constrainedK(n int) mathx.Vector {
 // MPC re-solve one control period later (same H, slightly different gap).
 func perturb(p Problem, eps float64) Problem {
 	q := p
-	q.G = p.G.Clone()
+	q.G = append(mathx.Vector(nil), p.G...)
 	for i := range q.G {
 		q.G[i] *= 1 + eps
 	}
@@ -72,7 +72,7 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmPoint := base.X.Clone()
+	warmPoint := append(mathx.Vector(nil), base.X...)
 	warm, err := Solve(next, Options{Warm: warmPoint, MaxSweeps: 10000})
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +94,49 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 	if r := next.KKTResidual(warm.X); r > tol*10 {
 		t.Fatalf("warm solution KKT residual %g exceeds %g", r, tol*10)
 	}
-	if warm.Sweeps >= cold.Sweeps {
-		t.Fatalf("warm start must use strictly fewer sweeps: warm %d vs cold %d", warm.Sweeps, cold.Sweeps)
+	// Sweep counts are deterministic: pin them exactly, so a change that
+	// costs the warm start its advantage shows here.
+	if cold.Sweeps != 52 || warm.Sweeps != 1 {
+		t.Fatalf("sweeps: cold %d, warm %d; want 52 and 1", cold.Sweeps, warm.Sweeps)
 	}
 	// The warm input must not have been written.
 	for i := range warmPoint {
 		if warmPoint[i] != base.X[i] {
 			t.Fatal("Options.Warm was mutated")
 		}
+	}
+}
+
+// BenchmarkSolveWarmVsCold times TestWarmVsColdEquivalence's re-solve of
+// the perturbed 64-variable problem: cold (no warm point, no workspace) and
+// warm (from the previous solution, in a workspace). sweeps/op reports the
+// solver's effort.
+func BenchmarkSolveWarmVsCold(b *testing.B) {
+	p := constrainedProblem(64)
+	base, err := Solve(p, Options{MaxSweeps: 10000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := perturb(p, 0.01)
+	ws := NewWorkspace(64)
+	for _, bc := range []struct {
+		name string
+		opts Options
+	}{
+		{"cold", Options{MaxSweeps: 10000}},
+		{"warm", Options{MaxSweeps: 10000, Warm: base.X, Ws: ws}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sweeps int
+			for i := 0; i < b.N; i++ {
+				res, err := Solve(next, bc.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sweeps = res.Sweeps
+			}
+			b.ReportMetric(float64(sweeps), "sweeps/op")
+		})
 	}
 }
 
@@ -173,11 +208,11 @@ func TestSolveWorkspaceZeroAlloc(t *testing.T) {
 // scaled KKT tolerance.
 func solveLegacy(p Problem, maxSweeps int, tol float64) Result {
 	if ws := NewWorkspace(len(p.G)); unconstrainedInBox(p, ws) {
-		x := ws.x.Clone()
+		x := append(mathx.Vector(nil), ws.x...)
 		x.Clamp(p.Lo, p.Hi)
 		return Result{X: x, Objective: p.Objective(x), Converged: true}
 	}
-	x := p.Lo.Clone()
+	x := append(mathx.Vector(nil), p.Lo...)
 	for i := range x {
 		x[i] = math.Min(math.Max(0, p.Lo[i]), p.Hi[i])
 	}

@@ -193,7 +193,9 @@ func TestEqualOffDiagFallbackBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	shape := newMPCShape(rng, n, 0, 0)
 	p := shape.problem(rng, farOutside)
-	lo, hi, g := p.Lo.Clone(), p.Hi.Clone(), p.G.Clone()
+	lo := append(mathx.Vector(nil), p.Lo...)
+	hi := append(mathx.Vector(nil), p.Hi...)
+	g := append(mathx.Vector(nil), p.G...)
 	lo[3], hi[3], g[3] = 0, 0, g[3]-1e4
 	p.Lo, p.Hi, p.G = lo, hi, g
 	want, err := Solve(dense(p, shape.h), Options{MaxSweeps: 50})

@@ -74,6 +74,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		"checkpoint.NewMemStore":   "in-memory Store fake the core, hier and checkpoint crash-restore tests share",
 		"checkpoint.MemStore.Drop": "test-support method of the MemStore fake above; it goes when the fake does",
 		"faults.KindsForScope":     "fault catalogue by scope that the core and hier chaos storms draw from",
+		"workload.SteppedDiurnal":  "stepped diurnal trace the core, hier and workload tests share for quiescent event-engine runs",
 	}
 	decls := map[string][]string{} // identifier → qualified exported declarations under internal/
 	used := map[string]bool{}      // identifiers that appear other than as a function's own name
