@@ -20,12 +20,14 @@ type streamLog struct {
 	dropped int64
 	max     int // 0 = unbounded
 	closed  bool
-	wake    chan struct{} // closed and replaced on every append/close
+	// wake is made by next for its followers and closed (then dropped) on
+	// the next append or the close; with no follower it stays nil.
+	wake chan struct{}
 }
 
 // newStreamLog returns a log retaining at most max lines (0 = unbounded).
 func newStreamLog(max int) *streamLog {
-	return &streamLog{max: max, wake: make(chan struct{})}
+	return &streamLog{max: max}
 }
 
 // Write implements io.Writer for telemetry.NewDecisionSink.
@@ -42,8 +44,7 @@ func (s *streamLog) Write(p []byte) (int, error) {
 		s.dropped += int64(k)
 		s.lines = append([][]byte(nil), s.lines[k:]...)
 	}
-	close(s.wake)
-	s.wake = make(chan struct{})
+	s.wakeFollowers()
 	s.mu.Unlock()
 	return len(p), nil
 }
@@ -53,10 +54,18 @@ func (s *streamLog) Close() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
-		close(s.wake)
-		s.wake = make(chan struct{})
+		s.wakeFollowers()
 	}
 	s.mu.Unlock()
+}
+
+// wakeFollowers wakes every follower waiting on the channel next handed
+// out. Callers hold mu.
+func (s *streamLog) wakeFollowers() {
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
+	}
 }
 
 // Dropped returns how many lines the retention bound has discarded.
@@ -75,6 +84,9 @@ func (s *streamLog) next(idx int) ([][]byte, int, bool, <-chan struct{}) {
 	defer s.mu.Unlock()
 	if idx < s.first {
 		idx = s.first
+	}
+	if s.wake == nil {
+		s.wake = make(chan struct{})
 	}
 	return s.lines[idx-s.first:], s.first + len(s.lines), s.closed, s.wake
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func writeLine(st *streamLog, i int) {
@@ -120,5 +121,62 @@ func TestStreamLogConcurrent(t *testing.T) {
 	lines, _, closed, _ := st.next(0)
 	if !closed || len(lines) == 0 {
 		t.Fatalf("late reader: %d lines closed=%v", len(lines), closed)
+	}
+}
+
+// TestStreamLogWakesFollower: appends with no follower make no wake
+// channel, a handed-out channel closes on the next append, and a follower
+// that waits between every append wakes for each one and for the close —
+// the writer waits for each line to be seen, so a lost wakeup hangs the
+// follower and fails the test instead of being absorbed by a later append.
+func TestStreamLogWakesFollower(t *testing.T) {
+	st := newStreamLog(0)
+	writeLine(st, 0)
+	if st.wake != nil {
+		t.Fatal("append made a wake channel with no follower holding one")
+	}
+	_, idx, _, wake := st.next(0)
+	writeLine(st, 1)
+	select {
+	case <-wake:
+	default:
+		t.Fatal("append did not close the handed-out wake channel")
+	}
+	_, idx, _, _ = st.next(idx)
+
+	const total = 200
+	seen := make(chan int)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			lines, n, closed, wake := st.next(idx)
+			if len(lines) > 0 {
+				idx = n
+				seen <- n
+			}
+			if closed {
+				return
+			}
+			<-wake
+		}
+	}()
+	timeout := time.After(10 * time.Second)
+	for i := 2; i < total; i++ {
+		writeLine(st, i)
+		select {
+		case n := <-seen:
+			if n != i+1 {
+				t.Fatalf("follower at %d after line %d", n, i)
+			}
+		case <-timeout:
+			t.Fatalf("follower never woke for line %d", i)
+		}
+	}
+	st.Close()
+	select {
+	case <-done:
+	case <-timeout:
+		t.Fatal("follower never woke for Close")
 	}
 }

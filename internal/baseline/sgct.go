@@ -18,10 +18,11 @@
 package baseline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sprintcon/internal/cpu"
 	"sprintcon/internal/rack"
@@ -85,6 +86,13 @@ type Policy struct {
 	// long accumulates priority, so low-utilization cores are not
 	// starved forever (which would break their batch deadlines).
 	lastSprinted map[coreKey]float64
+	// cores is prioritizedCores' reused result buffer.
+	cores []coreRef
+	// rec and its sections are the decision-trace record, refilled every
+	// traced tick (the sink does not retain it).
+	rec      telemetry.Decision
+	recAlloc telemetry.AllocDecision
+	recUPS   telemetry.UPSDecision
 }
 
 // coreKey identifies a core across ticks.
@@ -216,19 +224,22 @@ func (p *Policy) Tick(env *sim.Env, snap sim.Snapshot) float64 {
 	p.thetaGauge.Set(theta)
 	p.sprintCores.Set(float64(len(cores)))
 	if env.Decisions != nil {
-		env.Decisions.Emit(&telemetry.Decision{
+		p.recAlloc = telemetry.AllocDecision{
+			PCbW:    telemetry.F(p.curPCb),
+			PBatchW: telemetry.F(math.NaN()),
+			Updated: true, // open-loop schedule recomputed every tick
+		}
+		p.recUPS = telemetry.UPSDecision{RequestW: upsReqW, SoC: snap.UPSSoC}
+		p.rec = telemetry.Decision{
 			T:      now,
 			Policy: p.Name(),
 			// The sprinting game has no degradation ladder; the overload/
 			// recovery phase plays the role of a mode in the trace.
-			Mode: p.phaseName(now),
-			Alloc: &telemetry.AllocDecision{
-				PCbW:    telemetry.F(p.curPCb),
-				PBatchW: telemetry.F(math.NaN()),
-				Updated: true, // open-loop schedule recomputed every tick
-			},
-			UPS: &telemetry.UPSDecision{RequestW: upsReqW, SoC: snap.UPSSoC},
-		})
+			Mode:  p.phaseName(now),
+			Alloc: &p.recAlloc,
+			UPS:   &p.recUPS,
+		}
+		env.Decisions.Emit(&p.rec)
 	}
 	return upsReqW
 }
@@ -252,7 +263,7 @@ type coreRef struct {
 // descending utilization (the demand metric of Section VI-B) plus an aging
 // boost, with SGCT-V2 placing interactive cores ahead of batch cores.
 func (p *Policy) prioritizedCores(env *sim.Env, now float64) []coreRef {
-	var cores []coreRef
+	cores := p.cores[:0]
 	fmax := p.fmax
 	for _, s := range env.Rack.Servers() {
 		for c := 0; c < s.CPU().NumCores(); c++ {
@@ -284,12 +295,16 @@ func (p *Policy) prioritizedCores(env *sim.Env, now float64) []coreRef {
 			})
 		}
 	}
-	sort.SliceStable(cores, func(i, j int) bool {
-		if p.variant == SGCTV2 && cores[i].interactive != cores[j].interactive {
-			return cores[i].interactive // interactive first
+	slices.SortStableFunc(cores, func(a, b coreRef) int {
+		if p.variant == SGCTV2 && a.interactive != b.interactive {
+			if a.interactive {
+				return -1 // interactive first
+			}
+			return 1
 		}
-		return cores[i].priority > cores[j].priority
+		return cmp.Compare(b.priority, a.priority)
 	})
+	p.cores = cores
 	return cores
 }
 

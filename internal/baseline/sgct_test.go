@@ -1,10 +1,12 @@
 package baseline
 
 import (
+	"io"
 	"math"
 	"testing"
 
 	"sprintcon/internal/sim"
+	"sprintcon/internal/telemetry"
 )
 
 func run(t *testing.T, v Variant, scn sim.Scenario) *sim.Result {
@@ -198,5 +200,46 @@ func TestBaselineDeterministic(t *testing.T) {
 	b := run(t, SGCTV2, sim.DefaultScenario())
 	if a.UPSDoD != b.UPSDoD || a.AvgFreqBatch != b.AvgFreqBatch {
 		t.Fatal("baseline not deterministic")
+	}
+}
+
+// TestTracedTickZeroAlloc: the baselines' control period is the tick, so a
+// traced run emits a record every tick; the policy refills one owned
+// record and reuses its core-ranking buffer, and the sink encodes into a
+// reused buffer, so a traced tick allocates nothing.
+func TestTracedTickZeroAlloc(t *testing.T) {
+	for _, v := range []Variant{SGCT, SGCTV1, SGCTV2} {
+		t.Run(v.String(), func(t *testing.T) {
+			scn := sim.DefaultScenario()
+			env, err := sim.BuildEnv(scn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := telemetry.NewDecisionSink(io.Discard)
+			env.Decisions = sink
+			p := New(v)
+			if err := p.Start(env, scn); err != nil {
+				t.Fatal(err)
+			}
+			snap := sim.Snapshot{Dt: scn.DtS, UPSSoC: env.UPS.SoC()}
+			now := 0.0
+			tick := func() {
+				snap.Now = now
+				snap.MeasuredTotalW = env.Rack.MeasuredPower()
+				snap.CBPowerW = env.Rack.TruePower()
+				p.Tick(env, snap)
+				env.Rack.AdvanceBatch(scn.DtS, now)
+				now += scn.DtS
+			}
+			for i := 0; i < 60; i++ {
+				tick()
+			}
+			if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
+				t.Fatalf("traced %s tick allocates %.2f times, want 0", v, allocs)
+			}
+			if sink.Err() != nil || sink.Count() != 261 {
+				t.Fatalf("sink wrote %d records (err %v), want one per tick (261)", sink.Count(), sink.Err())
+			}
+		})
 	}
 }

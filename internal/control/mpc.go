@@ -158,15 +158,15 @@ func (m *MPC) LastSolve() SolveStats { return m.last }
 // watts over the prediction horizon: the exponential approach from the
 // feedback power toward the target with time constant τ_r. The decision
 // trace records it so an operator can see what the controller was steering
-// toward, not just where it ended up. It allocates; the hot path calls it
-// only when a decision trace is attached.
-func (m *MPC) ReferenceTrajectory(pfbW, pTargetW float64) []float64 {
-	out := make([]float64, predictionHorizon)
+// toward, not just where it ended up. It appends the trajectory to dst and
+// returns the extended slice; the hot path calls it only when a decision
+// trace is attached.
+func (m *MPC) ReferenceTrajectory(dst []float64, pfbW, pTargetW float64) []float64 {
 	gap := pTargetW - pfbW
 	for h := 1; h <= predictionHorizon; h++ {
-		out[h-1] = pfbW + gap*(1-math.Exp(-float64(h)*m.cfg.PeriodS/m.cfg.RefTimeConstS))
+		dst = append(dst, pfbW+gap*(1-math.Exp(-float64(h)*m.cfg.PeriodS/m.cfg.RefTimeConstS)))
 	}
-	return out
+	return dst
 }
 
 // NewMPC returns a controller or an error for invalid configuration. All

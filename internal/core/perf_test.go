@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"testing"
 
 	"sprintcon/internal/obs"
@@ -9,11 +10,12 @@ import (
 )
 
 // steadyTicker starts SprintCon on the default rack with the given
-// observability plane (nil detaches it) and returns a closure that advances
-// the policy and plant by one tick, after a warm-up that lets the
-// controllers fill their caches, the allocator run a few P_batch updates
-// (30 s cadence) and every append-backed buffer reach its steady capacity.
-func steadyTicker(t testing.TB, plane *obs.Plane) func() {
+// observability plane and decision sink (nil detaches either) and returns
+// a closure that advances the policy and plant by one tick, after a
+// warm-up that lets the controllers fill their caches, the allocator run a
+// few P_batch updates (30 s cadence) and every append-backed buffer reach
+// its steady capacity.
+func steadyTicker(t testing.TB, plane *obs.Plane, sink *telemetry.DecisionSink) func() {
 	t.Helper()
 	scn := sim.DefaultScenario()
 	env, err := sim.BuildEnv(scn)
@@ -21,6 +23,7 @@ func steadyTicker(t testing.TB, plane *obs.Plane) func() {
 		t.Fatal(err)
 	}
 	env.Obs = plane
+	env.Decisions = sink
 	s := New(DefaultConfig())
 	if err := s.Start(env, scn); err != nil {
 		t.Fatal(err)
@@ -47,9 +50,26 @@ func steadyTicker(t testing.TB, plane *obs.Plane) func() {
 // workspace, and the per-period rack slices are reused. The engine's
 // recordTick appends are outside the policy and preallocated separately.
 func TestTickPathZeroAlloc(t *testing.T) {
-	allocs := testing.AllocsPerRun(600, steadyTicker(t, nil))
+	allocs := testing.AllocsPerRun(600, steadyTicker(t, nil, nil))
 	if allocs != 0 {
 		t.Fatalf("steady-state tick allocates %.2f times per run, want 0", allocs)
+	}
+}
+
+// TestTracedControlPeriodZeroAlloc: with a decision sink attached the
+// policy refills one owned record every control period, and the sink
+// encodes it into a reused buffer, so tracing adds no allocation to the
+// tick path either.
+func TestTracedControlPeriodZeroAlloc(t *testing.T) {
+	sink := telemetry.NewDecisionSink(io.Discard)
+	tick := steadyTicker(t, nil, sink)
+	before := sink.Count()
+	allocs := testing.AllocsPerRun(600, tick)
+	if allocs != 0 {
+		t.Fatalf("traced steady-state tick allocates %.2f times per run, want 0", allocs)
+	}
+	if sink.Err() != nil || sink.Count()-before < 100 {
+		t.Fatalf("sink wrote %d records over 601 ticks (err %v), want one per control period", sink.Count()-before, sink.Err())
 	}
 }
 
@@ -66,7 +86,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		{"on", func() *obs.Plane { return obs.NewPlane(0, obs.DefaultDetectorConfig()) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			tick := steadyTicker(b, bc.plane())
+			tick := steadyTicker(b, bc.plane(), nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -44,7 +44,7 @@ import (
 // live telemetry, or any incomplete batch job — return false without
 // touching st.
 func (s *SprintCon) QuiescentState(env *sim.Env, st *engine.State) bool {
-	if s.ext.Active || s.rls != nil || s.pending != nil || s.tm.enabled {
+	if s.ext.Active || s.rls != nil || s.pending || s.tm.enabled {
 		return false
 	}
 	if !env.Rack.AllBatchJobsCompleted() {

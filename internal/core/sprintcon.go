@@ -25,6 +25,7 @@ import (
 	"sprintcon/internal/alloc"
 	"sprintcon/internal/control"
 	"sprintcon/internal/sim"
+	"sprintcon/internal/telemetry"
 )
 
 // Mode is the supervisor state (paper Section IV-C).
@@ -178,11 +179,13 @@ type SprintCon struct {
 	hd *hardenState
 
 	// tm holds the registered telemetry instruments (zero value when the
-	// run is un-instrumented) and pending the decision-trace inputs of
-	// the current control period, emitted at the end of Tick once the
-	// UPS request is known.
+	// run is un-instrumented). pending reports that rec holds the current
+	// control period's decision record, emitted at the end of Tick once
+	// the UPS request is known. rec is scratch, refilled every period and
+	// never part of the controller state.
 	tm      coreMetrics
-	pending *decisionInputs
+	pending bool
+	rec     decisionRecord
 
 	// ob is the observability-plane hook (obs.go); zero value when the
 	// run is unobserved.
@@ -314,7 +317,8 @@ func (s *SprintCon) initCommon(env *sim.Env, scn sim.Scenario) error {
 	s.failSafeUntil = math.Inf(-1)
 	s.inv = invariantState{}
 	s.tm = newCoreMetrics(env.Metrics)
-	s.pending = nil
+	s.pending = false
+	s.rec.d.Policy = s.Name()
 	s.ob = obsHook{plane: env.Obs, capacityWh: scn.UPS.CapacityWh}
 
 	params := scn.Rack.ServerParams
@@ -462,11 +466,11 @@ func (s *SprintCon) Tick(env *sim.Env, snap sim.Snapshot) float64 {
 		s.tm.modeNum.Set(float64(s.mode))
 		s.tm.upsReqW.Set(req)
 	}
-	if s.pending != nil {
+	if s.pending {
 		// The control period's decision record becomes complete only
 		// here, where the UPS request is known.
-		env.Decisions.Emit(s.buildDecision(s.pending, req, snap.UPSSoC))
-		s.pending = nil
+		env.Decisions.Emit(s.completeDecision(req, snap.UPSSoC))
+		s.pending = false
 	}
 	s.observePlane(env, snap, pcb)
 	return req
@@ -656,29 +660,35 @@ func (s *SprintCon) serverPowerControl(env *sim.Env, snap sim.Snapshot, pcb, pIn
 		}
 	}
 	if env.Decisions != nil {
-		in := &decisionInputs{
-			now:            now,
-			pfbW:           pfb,
-			targetW:        target,
-			deadlineFloorW: pDeadline,
-			urgency:        urgency,
-			headroomUtil:   headroomUtil(pcb, target, s.idleEstW, pInterEst),
-			updated:        updated,
-			rweights:       rweights,
-			freqs:          next,
-			qp:             s.cfg.Controller != ControllerPI,
+		// The period's half of the decision record; completeDecision
+		// adds the rest at the end of Tick. The slices are copied: the
+		// trace must not alias live controller state.
+		r := &s.rec
+		r.d.T = now
+		r.alloc = telemetry.AllocDecision{
+			PBatchW:         telemetry.F(target),
+			DeadlineFloorW:  pDeadline,
+			HeadroomUtil:    headroomUtil(pcb, target, s.idleEstW, pInterEst),
+			DeadlineUrgency: urgency,
+			Updated:         updated,
 		}
+		m := &r.mpc
+		m.PfbW, m.TargetW = pfb, target
+		m.RWeights = append(m.RWeights[:0], rweights...)
+		m.FreqsGHz = append(m.FreqsGHz[:0], next...)
+		m.RefTrajW = m.RefTrajW[:0]
+		m.QPSweeps, m.QPConverged, m.LockedCores = 0, false, 0
 		for _, l := range locked {
 			if l {
-				in.lockedCount++
+				m.LockedCores++
 			}
 		}
-		if in.qp {
+		if s.cfg.Controller != ControllerPI {
 			stats := s.mpc.LastSolve()
-			in.qpSweeps, in.qpConverged = stats.Sweeps, stats.Converged
-			in.refTraj = s.mpc.ReferenceTrajectory(pfb, target)
+			m.QPSweeps, m.QPConverged = stats.Sweeps, stats.Converged
+			m.RefTrajW = s.mpc.ReferenceTrajectory(m.RefTrajW, pfb, target)
 		}
-		s.pending = in
+		s.pending = true
 	}
 	s.checkControlInvariants(env, next, urgency)
 	// The controllers reuse their output buffer across periods, so copy

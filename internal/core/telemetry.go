@@ -73,72 +73,47 @@ func newCoreMetrics(r *telemetry.Registry) coreMetrics {
 	}
 }
 
-// decisionInputs carries everything serverPowerControl saw and chose this
-// control period into the trace record built at the end of Tick (the UPS
-// request is only known there).
-type decisionInputs struct {
-	now            float64
-	pfbW           float64
-	targetW        float64
-	deadlineFloorW float64
-	urgency        float64 // max per-job required frequency / fmax
-	headroomUtil   float64
-	updated        bool
-	refTraj        []float64
-	rweights       []float64
-	freqs          []float64
-	lockedCount    int
-	qp             bool // MPC ran (false for the PI ablation)
-	qpSweeps       int
-	qpConverged    bool
+// decisionRecord is the policy-owned decision-trace record and its
+// sections, refilled every control period so tracing allocates nothing:
+// serverPowerControl writes what the period saw and chose, completeDecision
+// the rest once the UPS request is known. The sink does not retain it.
+type decisionRecord struct {
+	d     telemetry.Decision
+	alloc telemetry.AllocDecision
+	mpc   telemetry.MPCDecision
+	guard telemetry.GuardVerdict
+	ups   telemetry.UPSDecision
 }
 
-// buildDecision assembles the per-control-period trace record. It copies
-// every slice: the trace must not alias live controller state.
-func (s *SprintCon) buildDecision(in *decisionInputs, upsReqW, socNow float64) *telemetry.Decision {
-	d := &telemetry.Decision{
-		T:      in.now,
-		Policy: s.Name(),
-		Mode:   s.mode.String(),
-		Alloc: &telemetry.AllocDecision{
-			PCbW:            telemetry.F(s.curPCb),
-			PBatchW:         telemetry.F(in.targetW),
-			ReserveW:        s.allocator.InteractiveReserveW(),
-			ShiftW:          s.allocator.DeadlineShiftW(),
-			DeadlineFloorW:  in.deadlineFloorW,
-			HeadroomUtil:    in.headroomUtil,
-			DeadlineUrgency: in.urgency,
-			Updated:         in.updated,
-		},
-		MPC: &telemetry.MPCDecision{
-			PfbW:        in.pfbW,
-			TargetW:     in.targetW,
-			RefTrajW:    append([]float64(nil), in.refTraj...),
-			RWeights:    append([]float64(nil), in.rweights...),
-			FreqsGHz:    append([]float64(nil), in.freqs...),
-			QPSweeps:    in.qpSweeps,
-			QPConverged: in.qpConverged,
-			LockedCores: in.lockedCount,
-			KWPerGHz:    s.kModel,
-		},
-		UPS: &telemetry.UPSDecision{RequestW: upsReqW, SoC: socNow},
-	}
-	for _, f := range in.freqs {
+// completeDecision finishes the pending record with the values read at
+// the end of Tick, where the UPS request is known.
+func (s *SprintCon) completeDecision(upsReqW, socNow float64) *telemetry.Decision {
+	r := &s.rec
+	r.d.Mode = s.mode.String()
+	r.alloc.PCbW = telemetry.F(s.curPCb)
+	r.alloc.ReserveW = s.allocator.InteractiveReserveW()
+	r.alloc.ShiftW = s.allocator.DeadlineShiftW()
+	r.mpc.ClampedLo, r.mpc.ClampedHi = 0, 0
+	for _, f := range r.mpc.FreqsGHz {
 		if f <= s.fmin+1e-9 {
-			d.MPC.ClampedLo++
+			r.mpc.ClampedLo++
 		} else if f >= s.fmax-1e-9 {
-			d.MPC.ClampedHi++
+			r.mpc.ClampedHi++
 		}
 	}
+	r.mpc.KWPerGHz = s.kModel
+	r.ups = telemetry.UPSDecision{RequestW: upsReqW, SoC: socNow}
+	r.d.Alloc, r.d.MPC, r.d.UPS, r.d.Guard = &r.alloc, &r.mpc, &r.ups, nil
 	if s.hd.enabled() {
-		d.Guard = &telemetry.GuardVerdict{
+		r.guard = telemetry.GuardVerdict{
 			Confidence:    s.hd.guard.Confidence(),
 			Degraded:      s.hd.degraded,
 			RejectedTotal: s.tm.guardRejected.Value(),
 			UPSFailed:     s.hd.upsFailed,
 		}
+		r.d.Guard = &r.guard
 	}
-	return d
+	return &r.d
 }
 
 // headroomUtil is the allocator's factor-2 input as recorded in the trace:

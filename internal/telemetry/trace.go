@@ -17,16 +17,7 @@ type F float64
 
 // MarshalJSON implements json.Marshaler.
 func (f F) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsNaN(v):
-		return []byte("null"), nil
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	}
-	return json.Marshal(v)
+	return appendF(nil, float64(f)), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -54,7 +45,7 @@ func (f *F) UnmarshalJSON(b []byte) error {
 // period's actuation depended on, captured at the moment of the decision.
 // Policies emit one record per control period (the SGCT baselines, whose
 // control period is the simulation tick, emit one per tick); the sink
-// renders each as one JSON line.
+// renders each as one JSON line, the bytes encoding/json would write.
 //
 // Every field is deterministic for a seeded scenario: wall-clock timings
 // are deliberately absent (they live in registry histograms), so two
@@ -156,18 +147,20 @@ type UPSDecision struct {
 
 // DecisionSink serializes decisions as JSONL to an io.Writer. All methods
 // are safe on a nil receiver, so policies emit unconditionally. The sink
-// is safe for concurrent use; the first write error is retained and
-// subsequent emissions are dropped.
+// is safe for concurrent use; the first error (a write error, or a NaN or
+// infinity in a plain float64 field, which JSON cannot carry) is retained
+// and subsequent emissions are dropped.
 type DecisionSink struct {
 	mu  sync.Mutex
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte // one record's bytes, reused across emissions
 	n   int64
 	err error
 }
 
 // NewDecisionSink returns a sink writing one JSON line per decision to w.
 func NewDecisionSink(w io.Writer) *DecisionSink {
-	return &DecisionSink{enc: json.NewEncoder(w)}
+	return &DecisionSink{w: w}
 }
 
 // DecisionSchemaVersion is the current decision-record schema. Version 2
@@ -175,9 +168,11 @@ func NewDecisionSink(w io.Writer) *DecisionSink {
 // Schema 0.
 const DecisionSchemaVersion = 2
 
-// Emit writes one decision (no-op on a nil sink or after a write error).
-// The record's Schema field is stamped with DecisionSchemaVersion, so every
-// policy's trace carries the version without each call site knowing it.
+// Emit writes one decision as one Write call (no-op on a nil sink or
+// after an error). The record's Schema field is stamped with
+// DecisionSchemaVersion, so every policy's trace carries the version
+// without each call site knowing it. Emit does not retain d: a policy may
+// refill the same record every control period.
 func (s *DecisionSink) Emit(d *Decision) {
 	if s == nil || d == nil {
 		return
@@ -188,7 +183,12 @@ func (s *DecisionSink) Emit(d *Decision) {
 	if s.err != nil {
 		return
 	}
-	if err := s.enc.Encode(d); err != nil {
+	b, err := appendDecision(s.buf[:0], d)
+	s.buf = b
+	if err == nil {
+		_, err = s.w.Write(b)
+	}
+	if err != nil {
 		s.err = err
 		return
 	}
