@@ -50,9 +50,10 @@ soak:
 
 # Fuzz smoke: every fuzz target (checkpoint decoder, scenario loader,
 # interactive-trace CSV parser, batch-job advance, P-state quantizer,
-# generated tick ≡ event scenarios, decision encoder ≡ encoding/json), ten
-# seconds each (CI runs the same budget; leave the fuzzers running longer
-# locally with go test -fuzz=... -fuzztime=10m).
+# generated tick ≡ event scenarios, decision encoder ≡ encoding/json,
+# decision log keep-then-render ≡ encoder), ten seconds each (CI runs the
+# same budget; leave the fuzzers running longer locally with
+# go test -fuzz=... -fuzztime=10m).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/checkpoint/
 	$(GO) test -fuzz='^FuzzScenarioJSON$$' -fuzztime=10s -run='^$$' ./internal/sim/
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzQuantize$$' -fuzztime=10s -run='^$$' ./internal/cpu/
 	$(GO) test -fuzz='^FuzzEventMatchesTick$$' -fuzztime=10s -run='^$$' ./internal/core/
 	$(GO) test -fuzz='^FuzzAppendDecision$$' -fuzztime=10s -run='^$$' ./internal/telemetry/
+	$(GO) test -fuzz='^FuzzDecisionLog$$' -fuzztime=10s -run='^$$' ./internal/telemetry/
 
 # Raw go-test micro-benchmarks (per-function, -benchmem).
 gobench:

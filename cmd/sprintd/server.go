@@ -182,7 +182,7 @@ type run struct {
 	stepsTotal int
 	rowStep    []int
 	rowAggW    []float64
-	streams    map[[2]int]*streamLog
+	streams    map[[2]int]*telemetry.DecisionLog
 	evicted    bool // decision streams dropped (retention cap or restart)
 	recovered  map[string]any
 	linked     *hier.Result
@@ -261,7 +261,7 @@ func (r *run) closeStreams() {
 
 // stream returns the rack's decision stream, or false if the run never had
 // one (sweep) / no longer has one (evicted, restarted).
-func (r *run) stream(row, rack int) (*streamLog, bool, bool) {
+func (r *run) stream(row, rack int) (*telemetry.DecisionLog, bool, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.streams[[2]int{row, rack}]
@@ -299,7 +299,7 @@ type serverConfig struct {
 	// with decision streams, the oldest runs' stream buffers are evicted
 	// (their records and summaries stay queryable).
 	Retain int
-	// StreamMaxLines bounds each rack's decision stream buffer;
+	// StreamMaxLines bounds each rack's decision stream, in records;
 	// StreamWriteTimeout is the per-write deadline for stream clients —
 	// a client that cannot accept a write for this long is disconnected.
 	StreamMaxLines     int
@@ -408,20 +408,20 @@ func (s *server) buildRun(spec RunSpec, mode string) (*run, error) {
 		r.mu.Unlock()
 	}
 	if mode == "linked" {
-		streams := map[[2]int]*streamLog{}
+		streams := map[[2]int]*telemetry.DecisionLog{}
 		for row, rc := range cfg.Rows {
 			r.obs = append(r.obs, obs.NewCluster(rc.Racks, obs.DefaultDetectorConfig()))
 			for _, p := range r.obs[row].Racks {
 				p.Bind(r.metrics, fmt.Sprintf("obs_row%d_rack%d_", row, p.Rack()))
 			}
 			for rack := 0; rack < rc.Racks; rack++ {
-				streams[[2]int{row, rack}] = newStreamLog(s.cfg.StreamMaxLines)
+				streams[[2]int{row, rack}] = telemetry.NewDecisionLog(s.cfg.StreamMaxLines)
 			}
 		}
 		r.streams = streams
 		r.cfg.Obs = r.obs
 		r.cfg.RackOptions = func(row, rack int) sim.RunOptions {
-			return sim.RunOptions{Decisions: telemetry.NewDecisionSink(streams[[2]int{row, rack}])}
+			return sim.RunOptions{Decisions: telemetry.NewDecisionLogSink(streams[[2]int{row, rack}])}
 		}
 	} else {
 		r.cfg.OnRowDone = func(row int) {
@@ -926,7 +926,8 @@ func queryInt(req *http.Request, key string, def int) (int, error) {
 // handleDecisions streams one rack's per-control-period decision trace
 // (the telemetry JSONL schema) over chunked HTTP: everything recorded so
 // far, then — unless ?follow=0 — each new record as the simulation emits
-// it, until the run completes or the client disconnects. Every write
+// it, until the run completes or the client disconnects. Records are
+// rendered as they are served (writeDecisions). Every write
 // carries a deadline: a client that stalls longer than the configured
 // stream write timeout is disconnected rather than allowed to pin server
 // memory.
@@ -963,15 +964,14 @@ func (s *server) handleDecisions(w http.ResponseWriter, req *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	idx := 0
+	var buf []byte
 	for {
-		lines, n, closed, wake := st.next(idx)
+		recs, n, closed, wake := st.Next(idx)
 		idx = n
-		if len(lines) > 0 {
+		if len(recs) > 0 {
 			_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
-			for _, l := range lines {
-				if _, err := w.Write(l); err != nil {
-					return
-				}
+			if buf, err = writeDecisions(w, buf, recs); err != nil {
+				return
 			}
 			if flusher != nil {
 				flusher.Flush()

@@ -1,182 +1,144 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"sync"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
-	"time"
+
+	"sprintcon/internal/hier"
+	"sprintcon/internal/obs"
+	"sprintcon/internal/sim"
+	"sprintcon/internal/telemetry"
 )
 
-func writeLine(st *streamLog, i int) {
-	_, _ = st.Write([]byte(fmt.Sprintf("line %d\n", i)))
+// keptBatch keeps n realistic 64-core records in a log and returns them
+// as a reader's batch.
+func keptBatch(t testing.TB, n int) telemetry.DecisionBatch {
+	t.Helper()
+	l := telemetry.NewDecisionLog(0)
+	kept := telemetry.NewDecisionLogSink(l)
+	d := &telemetry.Decision{Policy: "SprintCon", Mode: "normal",
+		Alloc: &telemetry.AllocDecision{PCbW: 3200, PBatchW: 1291.584, ReserveW: 2148.87},
+		MPC: &telemetry.MPCDecision{PfbW: 1319.88, TargetW: 1291.584, RefTrajW: make([]float64, 4),
+			RWeights: make([]float64, 64), FreqsGHz: make([]float64, 64), KWPerGHz: 9.6525},
+		Guard: &telemetry.GuardVerdict{Confidence: 1},
+		UPS:   &telemetry.UPSDecision{RequestW: 238.25, SoC: 0.94}}
+	for i := 0; i < n; i++ {
+		d.T = float64(2 * i)
+		for j := range d.MPC.RWeights {
+			d.MPC.RWeights[j] = 1 / float64(i+j+3)
+			d.MPC.FreqsGHz[j] = 0.4 + 0.4*float64((i+j)%5)
+		}
+		for j := range d.MPC.RefTrajW {
+			d.MPC.RefTrajW[j] = 1291.584 + 1/float64(i+j+1)
+		}
+		kept.Emit(d)
+	}
+	if kept.Err() != nil {
+		t.Fatal(kept.Err())
+	}
+	recs, _, _, _ := l.Next(0)
+	return recs
 }
 
-// TestStreamLogReplayThenFollow: the single-threaded contract — replay
-// everything recorded so far, then deltas, then the close.
-func TestStreamLogReplayThenFollow(t *testing.T) {
-	st := newStreamLog(0)
-	for i := 0; i < 3; i++ {
-		writeLine(st, i)
+// TestWriteDecisionsZeroAlloc: once the handler's buffer has grown,
+// rendering a served batch allocates nothing, for any number of records.
+func TestWriteDecisionsZeroAlloc(t *testing.T) {
+	recs := keptBatch(t, 200)
+	buf, err := writeDecisions(io.Discard, nil, recs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lines, idx, closed, _ := st.next(0)
-	if len(lines) != 3 || idx != 3 || closed {
-		t.Fatalf("replay: %d lines idx %d closed %v, want 3/3/false", len(lines), idx, closed)
-	}
-	writeLine(st, 3)
-	lines, idx, _, _ = st.next(idx)
-	if len(lines) != 1 || string(lines[0]) != "line 3\n" {
-		t.Fatalf("delta = %q", lines)
-	}
-	st.Close()
-	st.Close() // idempotent
-	if _, _, closed, _ = st.next(idx); !closed {
-		t.Fatal("not closed after Close")
-	}
-	if st.Dropped() != 0 {
-		t.Fatalf("unbounded log dropped %d", st.Dropped())
+	allocs := testing.AllocsPerRun(20, func() {
+		buf, err = writeDecisions(io.Discard, buf, recs)
+	})
+	if err != nil || allocs != 0 {
+		t.Fatalf("rendering %d records allocates %.1f times per batch (err %v), want 0", len(recs), allocs, err)
 	}
 }
 
-// TestStreamLogBounded: beyond the retention bound the oldest lines drop,
-// a lagging reader skips forward past the horizon, and the drop count is
-// exact.
-func TestStreamLogBounded(t *testing.T) {
-	const max, total = 10, 100
-	st := newStreamLog(max)
-	for i := 0; i < total; i++ {
-		writeLine(st, i)
+// getBytes reads a whole response body.
+func getBytes(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lines, idx, _, _ := st.next(0)
-	if idx != total {
-		t.Fatalf("idx = %d, want %d (global indices keep counting)", idx, total)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
 	}
-	// Hysteresis keeps at most max+max/4 lines between compactions.
-	if len(lines) > max+max/4 || len(lines) < max {
-		t.Fatalf("retained %d lines, want within [%d, %d]", len(lines), max, max+max/4)
+	return b
+}
+
+// TestServedDecisionsMatchEncoder: every rack's stream, followed live and
+// replayed after the run, serves exactly the bytes the encoding sink
+// writes for the same spec run in process (a replay spans several
+// render-buffer flushes); under a retention bound that drops records,
+// the replay serves a whole-line tail of them.
+func TestServedDecisionsMatchEncoder(t *testing.T) {
+	const spec = `{"rows": 2, "racks_per_row": 2, "duration_s": 240}`
+	var rs RunSpec
+	if err := json.Unmarshal([]byte(spec), &rs); err != nil {
+		t.Fatal(err)
 	}
-	if got := st.Dropped(); got != int64(total-len(lines)) {
-		t.Fatalf("Dropped = %d, want %d", got, total-len(lines))
+	ref, err := rs.config()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The retained suffix is contiguous and ends at the newest line.
-	for i, l := range lines {
-		if want := fmt.Sprintf("line %d\n", total-len(lines)+i); string(l) != want {
-			t.Fatalf("retained[%d] = %q, want %q", i, l, want)
+	want := map[[2]int][]byte{}
+	bufs := map[[2]int]*bytes.Buffer{}
+	for row, rc := range ref.Rows {
+		ref.Obs = append(ref.Obs, obs.NewCluster(rc.Racks, obs.DefaultDetectorConfig()))
+		for rack := 0; rack < rc.Racks; rack++ {
+			bufs[[2]int{row, rack}] = &bytes.Buffer{}
 		}
 	}
-	// A reader behind the horizon resumes at the oldest retained line.
-	lines, _, _, _ = st.next(5)
-	if string(lines[0]) != fmt.Sprintf("line %d\n", total-len(lines)) {
-		t.Fatalf("lagging reader resumed at %q", lines[0])
+	ref.RackOptions = func(row, rack int) sim.RunOptions {
+		return sim.RunOptions{Decisions: telemetry.NewDecisionSink(bufs[[2]int{row, rack}])}
 	}
-}
+	if _, err := hier.RunLinked(ref); err != nil {
+		t.Fatal(err)
+	}
+	for key, b := range bufs {
+		want[key] = b.Bytes()
+	}
 
-// TestStreamLogConcurrent is the -race workout: one writer racing several
-// follow readers, a late reader joining after Close, and reads racing the
-// Close itself. Every reader must terminate and observe only genuine
-// lines.
-func TestStreamLogConcurrent(t *testing.T) {
-	const total, readers = 500, 4
-	st := newStreamLog(64)
-	var wg sync.WaitGroup
-	counts := make([]int, readers)
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			idx := 0
-			for {
-				lines, n, closed, wake := st.next(idx)
-				idx = n
-				for _, l := range lines {
-					var i int
-					if _, err := fmt.Sscanf(string(l), "line %d", &i); err != nil {
-						t.Errorf("reader %d: torn line %q", r, l)
-						return
-					}
-					counts[r]++
+	for _, max := range []int{defaultServerConfig().StreamMaxLines, 40} {
+		cfg := defaultServerConfig()
+		cfg.StreamMaxLines = max
+		s, err := newServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.handler())
+		id := postRun(t, ts, spec)
+		live := getBytes(t, ts.URL+"/api/v1/runs/"+id+"/decisions?row=1&rack=1")
+		waitDone(t, ts, id)
+		if w := want[[2]int{1, 1}]; max > bytes.Count(w, []byte("\n")) && !bytes.Equal(live, w) {
+			t.Fatalf("followed stream: %d bytes, encoder wrote %d", len(live), len(w))
+		}
+		for key, w := range want {
+			got := getBytes(t, fmt.Sprintf("%s/api/v1/runs/%s/decisions?row=%d&rack=%d&follow=0", ts.URL, id, key[0], key[1]))
+			lines := bytes.Count(w, []byte("\n"))
+			if lines <= max {
+				if !bytes.Equal(got, w) {
+					t.Fatalf("max %d: rack %v replay %d bytes, encoder wrote %d", max, key, len(got), len(w))
 				}
-				if closed {
-					return
-				}
-				<-wake
+				continue
 			}
-		}(r)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < total; i++ {
-			writeLine(st, i)
-			_ = st.Dropped() // reads racing writes
-		}
-		st.Close()
-	}()
-	wg.Wait()
-	for r, n := range counts {
-		if n == 0 || n > total {
-			t.Errorf("reader %d saw %d lines, want within (0, %d]", r, n, total)
-		}
-	}
-	// A reader that joins after Close drains the retained tail and exits.
-	lines, _, closed, _ := st.next(0)
-	if !closed || len(lines) == 0 {
-		t.Fatalf("late reader: %d lines closed=%v", len(lines), closed)
-	}
-}
-
-// TestStreamLogWakesFollower: appends with no follower make no wake
-// channel, a handed-out channel closes on the next append, and a follower
-// that waits between every append wakes for each one and for the close —
-// the writer waits for each line to be seen, so a lost wakeup hangs the
-// follower and fails the test instead of being absorbed by a later append.
-func TestStreamLogWakesFollower(t *testing.T) {
-	st := newStreamLog(0)
-	writeLine(st, 0)
-	if st.wake != nil {
-		t.Fatal("append made a wake channel with no follower holding one")
-	}
-	_, idx, _, wake := st.next(0)
-	writeLine(st, 1)
-	select {
-	case <-wake:
-	default:
-		t.Fatal("append did not close the handed-out wake channel")
-	}
-	_, idx, _, _ = st.next(idx)
-
-	const total = 200
-	seen := make(chan int)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			lines, n, closed, wake := st.next(idx)
-			if len(lines) > 0 {
-				idx = n
-				seen <- n
+			if n := bytes.Count(got, []byte("\n")); n < max || n >= lines {
+				t.Fatalf("max %d: rack %v replayed %d of %d records; want the bound to drop some", max, key, n, lines)
 			}
-			if closed {
-				return
+			if !bytes.HasSuffix(w, got) || w[len(w)-len(got)-1] != '\n' {
+				t.Fatalf("max %d: rack %v replay (%d bytes) is not a whole-line tail of the encoder's %d bytes", max, key, len(got), len(w))
 			}
-			<-wake
 		}
-	}()
-	timeout := time.After(10 * time.Second)
-	for i := 2; i < total; i++ {
-		writeLine(st, i)
-		select {
-		case n := <-seen:
-			if n != i+1 {
-				t.Fatalf("follower at %d after line %d", n, i)
-			}
-		case <-timeout:
-			t.Fatalf("follower never woke for line %d", i)
-		}
-	}
-	st.Close()
-	select {
-	case <-done:
-	case <-timeout:
-		t.Fatal("follower never woke for Close")
+		ts.Close()
 	}
 }

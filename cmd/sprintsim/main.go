@@ -38,7 +38,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -235,7 +234,7 @@ func main() {
 			EveryS: *ckptEvery,
 		}
 	}
-	var replayBuf *bytes.Buffer
+	var replayLog *telemetry.DecisionLog
 	var recorded []telemetry.Decision
 	if *replay != "" {
 		f, err := os.Open(*replay)
@@ -247,8 +246,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		replayBuf = &bytes.Buffer{}
-		opts.Decisions = telemetry.NewDecisionSink(replayBuf)
+		replayLog = telemetry.NewDecisionLog(0)
+		opts.Decisions = telemetry.NewDecisionLogSink(replayLog)
 	}
 	var traceFile *os.File
 	if *traceJSONL != "" {
@@ -306,8 +305,8 @@ func main() {
 		fmt.Printf("decision trace (%d records) written to %s\n", opts.Decisions.Count(), *traceJSONL)
 	}
 
-	if replayBuf != nil {
-		if err := diffReplay(recorded, replayBuf); err != nil {
+	if replayLog != nil {
+		if err := diffReplay(recorded, replayLog); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -373,16 +372,13 @@ func main() {
 // emitted one control period later in the original run but is not part of
 // the restored state, so up to one recorded boundary record has no replay
 // counterpart and is skipped (and reported). From there, every record must
-// match byte for byte as canonical JSON.
-func diffReplay(recorded []telemetry.Decision, buf *bytes.Buffer) error {
-	replayed, err := telemetry.ReadDecisions(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("replay trace: %w", err)
-	}
+// match byte for byte as rendered JSON.
+func diffReplay(recorded []telemetry.Decision, kept *telemetry.DecisionLog) error {
+	replayed, _, _, _ := kept.Next(0)
 	if len(replayed) == 0 {
 		return fmt.Errorf("replay produced no decisions; the snapshot may be from the end of the run")
 	}
-	start := replayed[0].T
+	start := replayed.Decision(0).T
 	var tail []telemetry.Decision
 	for _, d := range recorded {
 		if d.T >= start-1e-9 {
@@ -393,17 +389,19 @@ func diffReplay(recorded []telemetry.Decision, buf *bytes.Buffer) error {
 	if len(replayed) < n {
 		n = len(replayed)
 	}
+	var a, b []byte
 	for i := 0; i < n; i++ {
-		a, err := json.Marshal(tail[i])
-		if err != nil {
+		var err error
+		if a, err = telemetry.AppendDecision(a[:0], &tail[i]); err != nil {
 			return err
 		}
-		b, err := json.Marshal(replayed[i])
-		if err != nil {
+		d := replayed.Decision(i)
+		if b, err = telemetry.AppendDecision(b[:0], &d); err != nil {
 			return err
 		}
 		if !bytes.Equal(a, b) {
-			return fmt.Errorf("replay diverged at decision %d (t=%.0f s):\n recorded: %s\n replayed: %s", i, tail[i].T, a, b)
+			return fmt.Errorf("replay diverged at decision %d (t=%.0f s):\n recorded: %s\n replayed: %s",
+				i, tail[i].T, bytes.TrimSuffix(a, []byte("\n")), bytes.TrimSuffix(b, []byte("\n")))
 		}
 	}
 	if len(tail) != len(replayed) {

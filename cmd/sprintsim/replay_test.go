@@ -50,23 +50,23 @@ func TestDiffReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var replayBuf bytes.Buffer
+	replayed := telemetry.NewDecisionLog(0)
 	if _, err := sim.RunWith(scn, core.New(core.DefaultConfig()), sim.RunOptions{
 		Metrics:   telemetry.NewRegistry(),
-		Decisions: telemetry.NewDecisionSink(&replayBuf),
+		Decisions: telemetry.NewDecisionLogSink(replayed),
 		Resume:    store.sp,
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := diffReplay(recorded, &replayBuf); err != nil {
+	if err := diffReplay(recorded, replayed); err != nil {
 		t.Fatalf("faithful replay reported divergence: %v", err)
 	}
 
 	// A tampered recorded trace must be flagged.
 	tampered := append([]telemetry.Decision(nil), recorded...)
 	tampered[len(tampered)-1].Mode = "impossible"
-	if err := diffReplay(tampered, &replayBuf); err == nil {
+	if err := diffReplay(tampered, replayed); err == nil {
 		t.Fatal("diffReplay accepted a tampered trace")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"unicode/utf8"
 )
 
-// appendDecision appends d as one JSON line, byte for byte what
+// AppendDecision appends d as one JSON line, byte for byte what
 // json.Encoder (HTML escaping on) writes for it: the struct's field order
 // and omitempty rules, encoding/json's float and string formats, F's
 // null/"+Inf"/"-Inf" and the trailing newline. Like encoding/json it
@@ -18,7 +18,7 @@ import (
 // copied from the neighbour's bytes instead of formatted again: exact by
 // construction, and frequent in real traces (cores pinned at a P-state
 // bound, jobs sharing an urgency weight).
-func appendDecision(b []byte, d *Decision) ([]byte, error) {
+func AppendDecision(b []byte, d *Decision) ([]byte, error) {
 	e := recordEncoder{b: b}
 	e.b = append(e.b, `{"schema_version":`...)
 	e.b = strconv.AppendInt(e.b, int64(d.Schema), 10)
@@ -72,7 +72,7 @@ func appendDecision(b []byte, d *Decision) ([]byte, error) {
 	return e.b, e.err
 }
 
-// recordEncoder is appendDecision's buffer plus the first encoding error.
+// recordEncoder is AppendDecision's buffer plus the first encoding error.
 // Each method appends a literal key prefix, then the value.
 type recordEncoder struct {
 	b   []byte

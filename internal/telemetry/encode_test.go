@@ -40,23 +40,35 @@ func jsonLine(d *Decision) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// checkAgainstJSON fails unless appendDecision writes json.Encoder's bytes
-// for d, or both refuse d with the same error.
+// checkAgainstJSON fails unless AppendDecision writes json.Encoder's bytes
+// for d, or both refuse d with the same error; and unless a DecisionLog
+// keeps d and renders those bytes, or refuses d with that error.
 func checkAgainstJSON(t testing.TB, d *Decision) {
 	t.Helper()
 	want, wantErr := jsonLine(d)
-	got, err := appendDecision(nil, d)
+	got, err := AppendDecision(nil, d)
 	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("appendDecision err = %v, encoding/json err = %v\nrecord %+v", err, wantErr, d)
+		t.Fatalf("AppendDecision err = %v, encoding/json err = %v\nrecord %+v", err, wantErr, d)
 	}
+	l := NewDecisionLog(0)
+	keepErr := l.keep(d)
 	if err != nil {
 		if err.Error() != wantErr.Error() {
-			t.Fatalf("appendDecision err %q, encoding/json err %q", err, wantErr)
+			t.Fatalf("AppendDecision err %q, encoding/json err %q", err, wantErr)
+		}
+		if keepErr == nil || keepErr.Error() != wantErr.Error() {
+			t.Fatalf("DecisionLog.keep err %v, encoding/json err %q", keepErr, wantErr)
 		}
 		return
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("appendDecision mismatch\n got %s\nwant %s", got, want)
+		t.Fatalf("AppendDecision mismatch\n got %s\nwant %s", got, want)
+	}
+	if keepErr != nil {
+		t.Fatalf("DecisionLog.keep refused a record encoding/json encodes: %v", keepErr)
+	}
+	if kept := renderLog(t, l); !bytes.Equal(kept, want) {
+		t.Fatalf("kept record renders differently\n got %s\nwant %s", kept, want)
 	}
 }
 
@@ -151,9 +163,9 @@ func leafFields(v reflect.Value, path string, out map[string]reflect.Value) {
 }
 
 // TestAppendDecisionGenerated runs every edge value through every field
-// of every section and compares the bytes (or the refusal) with
-// encoding/json; sections go nil or present and slices nil, empty or
-// repeated.
+// of every section and compares the bytes (or the refusal), encoded
+// directly and kept in a DecisionLog, with encoding/json; sections go nil
+// or present and slices nil, empty or repeated.
 func TestAppendDecisionGenerated(t *testing.T) {
 	base := fullDecision()
 	var cases int
@@ -302,7 +314,7 @@ func (r *fuzzReader) decision() *Decision {
 }
 
 // FuzzAppendDecision: for any record — arbitrary floats in every field,
-// arbitrary strings, nil or empty sections and slices — appendDecision
+// arbitrary strings, nil or empty sections and slices — AppendDecision
 // writes json.Encoder's bytes, and refuses exactly the records
 // encoding/json refuses, with the same error.
 func FuzzAppendDecision(f *testing.F) {
@@ -315,10 +327,8 @@ func FuzzAppendDecision(f *testing.F) {
 	})
 }
 
-// TestEmitZeroAlloc: once its buffer has grown, the sink encodes and
-// writes a full record without allocating.
-func TestEmitZeroAlloc(t *testing.T) {
-	s := NewDecisionSink(io.Discard)
+// emitRecord is a realistic 64-core record.
+func emitRecord() *Decision {
 	d := fullDecision()
 	d.MPC.RWeights = make([]float64, 64)
 	d.MPC.FreqsGHz = make([]float64, 64)
@@ -326,35 +336,79 @@ func TestEmitZeroAlloc(t *testing.T) {
 		d.MPC.RWeights[i] = 1 / float64(i+3)
 		d.MPC.FreqsGHz[i] = 0.4 + 0.4*float64(i%5)
 	}
-	s.Emit(d)
-	if allocs := testing.AllocsPerRun(100, func() { s.Emit(d) }); allocs != 0 {
-		t.Fatalf("Emit allocates %.1f times per record, want 0", allocs)
+	return d
+}
+
+// TestEmitZeroAlloc: once its buffer has grown, the encoding sink encodes
+// and writes a full record without allocating; the retaining sink keeps
+// one without allocating either, apart from one float slab per about 30
+// records and one compaction per max/4 records, so a steady-state bounded
+// log averages well under one allocation per record.
+func TestEmitZeroAlloc(t *testing.T) {
+	const runs = 4096
+	d := emitRecord()
+	enc := NewDecisionSink(io.Discard)
+	enc.Emit(d)
+	if allocs := testing.AllocsPerRun(runs, func() { enc.Emit(d) }); allocs != 0 {
+		t.Fatalf("encoding Emit allocates %.1f times per record, want 0", allocs)
 	}
-	if s.Err() != nil {
-		t.Fatal(s.Err())
+
+	const max = 1024
+	l := NewDecisionLog(max)
+	kept := NewDecisionLogSink(l)
+	for i := 0; i < 2*max; i++ { // past the first compactions: steady state
+		kept.Emit(d)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { kept.Emit(d) }); allocs != 0 {
+		t.Fatalf("retaining Emit allocates %.1f times per record, want 0", allocs)
+	}
+	// The amortized cost, counted over one batch: one allocation per
+	// float slab and one per max/4 records for the compaction's copy; 16
+	// more absorb the race runtime's own allocations. One allocation per
+	// record would add 4096.
+	total := testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			kept.Emit(d)
+		}
+	})
+	perFloatSlab := slabFloats / (len(d.MPC.RefTrajW) + len(d.MPC.RWeights) + len(d.MPC.FreqsGHz))
+	if bound := float64(runs/perFloatSlab + 1 + runs/(max/4) + 16); total > bound {
+		t.Fatalf("retaining sink: %.0f allocations over %d records, want ≤ %.0f (float slabs and compactions only)", total, runs, bound)
+	}
+	if enc.Err() != nil || kept.Err() != nil {
+		t.Fatal(enc.Err(), kept.Err())
+	}
+	if _, _, _, _ = l.Next(0); l.Dropped() == 0 {
+		t.Fatal("the bounded log never dropped: not a steady state")
 	}
 }
 
 // TestDecisionSinkDropsNonFinite: a NaN in a plain float64 field is an
-// error, as encoding/json makes it: the record and every later one are
-// dropped and the error is retained.
+// error, as encoding/json makes it, for the encoding and the retaining
+// sink alike: the record and every later one are dropped and the error is
+// retained.
 func TestDecisionSinkDropsNonFinite(t *testing.T) {
 	var b strings.Builder
-	s := NewDecisionSink(&b)
-	s.Emit(&Decision{T: 1, Policy: "p"})
-	s.Emit(&Decision{T: 2, Policy: "p", UPS: &UPSDecision{RequestW: math.NaN()}})
-	s.Emit(&Decision{T: 3, Policy: "p"})
-	if s.Count() != 1 || strings.Count(b.String(), "\n") != 1 {
-		t.Fatalf("count %d, output %q: want only the first record", s.Count(), b.String())
+	l := NewDecisionLog(0)
+	for _, s := range []*DecisionSink{NewDecisionSink(&b), NewDecisionLogSink(l)} {
+		s.Emit(&Decision{T: 1, Policy: "p"})
+		s.Emit(&Decision{T: 2, Policy: "p", UPS: &UPSDecision{RequestW: math.NaN()}})
+		s.Emit(&Decision{T: 3, Policy: "p"})
+		if s.Err() == nil || s.Err().Error() != "json: unsupported value: NaN" {
+			t.Fatalf("err = %v, want encoding/json's unsupported-value error", s.Err())
+		}
+		if s.Count() != 1 {
+			t.Fatalf("count %d: want only the first record", s.Count())
+		}
 	}
-	if s.Err() == nil || s.Err().Error() != "json: unsupported value: NaN" {
-		t.Fatalf("err = %v, want encoding/json's unsupported-value error", s.Err())
+	if recs, _, _, _ := l.Next(0); strings.Count(b.String(), "\n") != 1 || len(recs) != 1 {
+		t.Fatalf("output %q, %d kept: want only the first record", b.String(), len(recs))
 	}
 }
 
-// BenchmarkEmit times one realistic 64-core record into io.Discard.
+// BenchmarkEmit times one realistic 64-core record into io.Discard
+// (encode) and into a bounded DecisionLog (keep).
 func BenchmarkEmit(b *testing.B) {
-	s := NewDecisionSink(io.Discard)
 	d := fullDecision()
 	d.MPC.RWeights = make([]float64, 64)
 	d.MPC.FreqsGHz = make([]float64, 64)
@@ -362,8 +416,18 @@ func BenchmarkEmit(b *testing.B) {
 		d.MPC.RWeights[i] = 1 / float64(i+3)
 		d.MPC.FreqsGHz[i] = 0.4 + 0.4*float64(i/16)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Emit(d)
+	for _, bc := range []struct {
+		name string
+		sink *DecisionSink
+	}{
+		{"encode", NewDecisionSink(io.Discard)},
+		{"keep", NewDecisionLogSink(NewDecisionLog(1 << 12))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.sink.Emit(d)
+			}
+		})
 	}
 }

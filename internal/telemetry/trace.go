@@ -44,8 +44,8 @@ func (f *F) UnmarshalJSON(b []byte) error {
 // Decision is one structured decision-trace record: everything a control
 // period's actuation depended on, captured at the moment of the decision.
 // Policies emit one record per control period (the SGCT baselines, whose
-// control period is the simulation tick, emit one per tick); the sink
-// renders each as one JSON line, the bytes encoding/json would write.
+// control period is the simulation tick, emit one per tick); each renders
+// as one JSON line (AppendDecision), the bytes encoding/json would write.
 //
 // Every field is deterministic for a seeded scenario: wall-clock timings
 // are deliberately absent (they live in registry histograms), so two
@@ -145,15 +145,18 @@ type UPSDecision struct {
 	SoC float64 `json:"soc"`
 }
 
-// DecisionSink serializes decisions as JSONL to an io.Writer. All methods
-// are safe on a nil receiver, so policies emit unconditionally. The sink
-// is safe for concurrent use; the first error (a write error, or a NaN or
+// DecisionSink takes one decision per control period: NewDecisionSink's
+// sink writes each as a JSON line to an io.Writer, NewDecisionLogSink's
+// keeps each in a DecisionLog for rendering when read. All methods are
+// safe on a nil receiver, so policies emit unconditionally. The sink is
+// safe for concurrent use; the first error (a write error, or a NaN or
 // infinity in a plain float64 field, which JSON cannot carry) is retained
 // and subsequent emissions are dropped.
 type DecisionSink struct {
 	mu  sync.Mutex
 	w   io.Writer
-	buf []byte // one record's bytes, reused across emissions
+	log *DecisionLog // set instead of w by NewDecisionLogSink
+	buf []byte       // one record's bytes, reused across emissions
 	n   int64
 	err error
 }
@@ -168,11 +171,11 @@ func NewDecisionSink(w io.Writer) *DecisionSink {
 // Schema 0.
 const DecisionSchemaVersion = 2
 
-// Emit writes one decision as one Write call (no-op on a nil sink or
-// after an error). The record's Schema field is stamped with
-// DecisionSchemaVersion, so every policy's trace carries the version
-// without each call site knowing it. Emit does not retain d: a policy may
-// refill the same record every control period.
+// Emit writes one decision as one Write call, or keeps it in the sink's
+// log (no-op on a nil sink or after an error). The record's Schema field
+// is stamped with DecisionSchemaVersion, so every policy's trace carries
+// the version without each call site knowing it. Emit does not retain d:
+// a policy may refill the same record every control period.
 func (s *DecisionSink) Emit(d *Decision) {
 	if s == nil || d == nil {
 		return
@@ -183,10 +186,14 @@ func (s *DecisionSink) Emit(d *Decision) {
 	if s.err != nil {
 		return
 	}
-	b, err := appendDecision(s.buf[:0], d)
-	s.buf = b
-	if err == nil {
-		_, err = s.w.Write(b)
+	var err error
+	if s.log != nil {
+		err = s.log.keep(d)
+	} else {
+		s.buf, err = AppendDecision(s.buf[:0], d)
+		if err == nil {
+			_, err = s.w.Write(s.buf)
+		}
 	}
 	if err != nil {
 		s.err = err
@@ -195,7 +202,7 @@ func (s *DecisionSink) Emit(d *Decision) {
 	s.n++
 }
 
-// Count returns the number of decisions written (0 on nil).
+// Count returns the number of decisions written or kept (0 on nil).
 func (s *DecisionSink) Count() int64 {
 	if s == nil {
 		return 0
@@ -205,7 +212,8 @@ func (s *DecisionSink) Count() int64 {
 	return s.n
 }
 
-// Err returns the first write error, if any (nil on a nil sink).
+// Err returns the first write or encoding error, if any (nil on a nil
+// sink).
 func (s *DecisionSink) Err() error {
 	if s == nil {
 		return nil
