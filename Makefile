@@ -51,7 +51,8 @@ soak:
 # Fuzz smoke: every fuzz target (checkpoint decoder, scenario loader,
 # interactive-trace CSV parser, batch-job advance, P-state quantizer,
 # generated tick ≡ event scenarios, decision encoder ≡ encoding/json,
-# decision log keep-then-render ≡ encoder), ten seconds each (CI runs the
+# decision log keep-then-render ≡ encoder, equal-off-diagonal QP kernels ≡
+# dense kernels), ten seconds each (CI runs the
 # same budget; leave the fuzzers running longer locally with
 # go test -fuzz=... -fuzztime=10m).
 fuzz:
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzEventMatchesTick$$' -fuzztime=10s -run='^$$' ./internal/core/
 	$(GO) test -fuzz='^FuzzAppendDecision$$' -fuzztime=10s -run='^$$' ./internal/telemetry/
 	$(GO) test -fuzz='^FuzzDecisionLog$$' -fuzztime=10s -run='^$$' ./internal/telemetry/
+	$(GO) test -fuzz='^FuzzEqualOffDiagKernels$$' -fuzztime=10s -run='^$$' ./internal/mathx/
 
 # Raw go-test micro-benchmarks (per-function, -benchmem).
 gobench:

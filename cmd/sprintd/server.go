@@ -334,6 +334,7 @@ type server struct {
 	mPanics   *telemetry.Counter
 	mEvicted  *telemetry.Counter
 	mRejected *telemetry.Counter
+	mSkipped  *telemetry.Counter
 	gRunning  *telemetry.Gauge
 	gQueued   *telemetry.Gauge
 
@@ -354,6 +355,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.mPanics = s.smetrics.Counter("sprintd_panics_recovered_total", "panics recovered by the run supervisor")
 	s.mEvicted = s.smetrics.Counter("sprintd_runs_evicted_total", "completed runs whose decision streams were evicted by the retention cap")
 	s.mRejected = s.smetrics.Counter("sprintd_runs_rejected_total", "submissions rejected because the run queue was full")
+	s.mSkipped = s.smetrics.Counter("sprintd_decision_records_skipped_total", "decision records /decisions readers missed because the stream's retention bound had dropped them")
 	s.gRunning = s.smetrics.Gauge("sprintd_runs_running", "runs currently executing")
 	s.gQueued = s.smetrics.Gauge("sprintd_runs_queued", "runs admitted and waiting for a slot")
 	if cfg.StateDir != "" {
@@ -967,6 +969,11 @@ func (s *server) handleDecisions(w http.ResponseWriter, req *http.Request) {
 	var buf []byte
 	for {
 		recs, n, closed, wake := st.Next(idx)
+		// Next skips forward past records the retention bound dropped;
+		// the gap before its first record is what this reader missed.
+		if skipped := n - len(recs) - idx; skipped > 0 {
+			s.mSkipped.Add(float64(skipped))
+		}
 		idx = n
 		if len(recs) > 0 {
 			_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))

@@ -80,7 +80,9 @@ func getBytes(t *testing.T, url string) []byte {
 // replayed after the run, serves exactly the bytes the encoding sink
 // writes for the same spec run in process (a replay spans several
 // render-buffer flushes); under a retention bound that drops records,
-// the replay serves a whole-line tail of them.
+// the replay serves a whole-line tail of them, and
+// sprintd_decision_records_skipped_total counts every record produced but
+// not served.
 func TestServedDecisionsMatchEncoder(t *testing.T) {
 	const spec = `{"rows": 2, "racks_per_row": 2, "duration_s": 240}`
 	var rs RunSpec
@@ -120,12 +122,16 @@ func TestServedDecisionsMatchEncoder(t *testing.T) {
 		id := postRun(t, ts, spec)
 		live := getBytes(t, ts.URL+"/api/v1/runs/"+id+"/decisions?row=1&rack=1")
 		waitDone(t, ts, id)
+		produced := bytes.Count(want[[2]int{1, 1}], []byte("\n"))
+		served := bytes.Count(live, []byte("\n"))
 		if w := want[[2]int{1, 1}]; max > bytes.Count(w, []byte("\n")) && !bytes.Equal(live, w) {
 			t.Fatalf("followed stream: %d bytes, encoder wrote %d", len(live), len(w))
 		}
 		for key, w := range want {
 			got := getBytes(t, fmt.Sprintf("%s/api/v1/runs/%s/decisions?row=%d&rack=%d&follow=0", ts.URL, id, key[0], key[1]))
 			lines := bytes.Count(w, []byte("\n"))
+			produced += lines
+			served += bytes.Count(got, []byte("\n"))
 			if lines <= max {
 				if !bytes.Equal(got, w) {
 					t.Fatalf("max %d: rack %v replay %d bytes, encoder wrote %d", max, key, len(got), len(w))
@@ -138,6 +144,12 @@ func TestServedDecisionsMatchEncoder(t *testing.T) {
 			if !bytes.HasSuffix(w, got) || w[len(w)-len(got)-1] != '\n' {
 				t.Fatalf("max %d: rack %v replay (%d bytes) is not a whole-line tail of the encoder's %d bytes", max, key, len(got), len(w))
 			}
+		}
+		if got := s.mSkipped.Value(); got != float64(produced-served) {
+			t.Fatalf("max %d: %v records counted skipped; %d produced, %d served", max, got, produced, served)
+		}
+		if max == 40 && produced == served {
+			t.Fatal("max 40: the bound dropped nothing; the skip count went untested")
 		}
 		ts.Close()
 	}

@@ -188,6 +188,12 @@ func (c *CPU) Core(i int) Core {
 	return Core{Freq: c.freqs[i], Util: c.utils[i], Class: c.classes[i]}
 }
 
+// Freq returns core i's frequency in GHz.
+func (c *CPU) Freq(i int) float64 { return c.freqs[i] }
+
+// Util returns core i's utilization.
+func (c *CPU) Util(i int) float64 { return c.utils[i] }
+
 // Freqs returns the per-core frequency slice. It is live state shared with
 // the CPU — read-only for callers; use SetFreq to mutate.
 func (c *CPU) Freqs() []float64 { return c.freqs }
@@ -197,15 +203,33 @@ func (c *CPU) Utils() []float64 { return c.utils }
 
 // SetFreq requests frequency f on core i; the applied (quantized) frequency
 // is returned. This is the paper's "server modulator" writing a frequency.
+// A core only ever holds a P-state, and Quantize maps a P-state to itself,
+// so a request for the bits the core already has returns at once.
 func (c *CPU) SetFreq(i int, f float64) float64 {
+	if math.Float64bits(f) == math.Float64bits(c.freqs[i]) {
+		return f
+	}
 	q := c.table.Quantize(f)
 	c.freqs[i] = q
 	return q
 }
 
-// SetUtil records core i's measured utilization, clamped to [0, 1].
+// SetUtil records core i's measured utilization, clamped to [0, 1]: values
+// above 1 (+Inf included) become 1, values at or below 0 (−0 and −Inf
+// included) become +0, and any NaN becomes math.NaN(). That is
+// math.Min(1, math.Max(0, u)) bit for bit as amd64 computes it, in
+// comparisons the compiler inlines. (The builtin min and max, and math.Max
+// on arm64, would pass a NaN's payload through instead.)
 func (c *CPU) SetUtil(i int, u float64) {
-	c.utils[i] = math.Min(1, math.Max(0, u))
+	switch {
+	case u >= 1:
+		u = 1
+	case u <= 0:
+		u = 0
+	case math.IsNaN(u):
+		u = math.NaN()
+	}
+	c.utils[i] = u
 }
 
 // SetClass assigns the workload class of core i.

@@ -116,6 +116,11 @@ func CholeskySolve(l, b []float64, n int) {
 // bit-identical to CholeskyFactor, CholeskySolve and Matrix.MulVecInto. Each
 // product stays inside the same s -= a*b or s += a*b expression the dense
 // kernel uses, so targets that fuse multiply-adds fuse both alike.
+//
+// Every row's sum is a serial chain of dependent adds. The kernels advance
+// four rows per sweep, each in its own accumulator: the chains are
+// independent, so the CPU overlaps them, and no row's operations change.
+// Rows left over when n is not a multiple of four run one at a time.
 
 // EqualOffDiagFactor computes the Cholesky factor of the matrix with
 // off-diagonal c and diagonal c + d[i], n = len(d). Below the diagonal,
@@ -126,13 +131,64 @@ func CholeskySolve(l, b []float64, n int) {
 // dense kernel forms for those entries. It returns -1 on success or the
 // index of the first pivot that is not positive, and spreads a NaN pivot to
 // the last one, as CholeskyFactor does. It runs in O(n²).
+//
+// Pivots j..j+3 share the terms l[0..j−1], summed side by side; pivot j+r
+// then subtracts l[j]², …, l[j+r−1]² once those columns exist. d[j..j+3]
+// are read before diag[j] is written, so diag may alias d.
 func EqualOffDiagFactor(c float64, d, l, diag []float64) int {
 	n := len(d)
 	if len(l) != n || len(diag) != n {
 		panic("mathx: EqualOffDiagFactor dimension mismatch")
 	}
 	t := c
-	for j := 0; j < n; j++ {
+	j := 0
+	for ; j+3 < n; j += 4 {
+		s0, s1, s2, s3 := c+d[j], c+d[j+1], c+d[j+2], c+d[j+3]
+		for _, v := range l[:j] {
+			s0 -= v * v
+			s1 -= v * v
+			s2 -= v * v
+			s3 -= v * v
+		}
+		if s0 <= 0 {
+			return j
+		}
+		s0 = math.Sqrt(s0)
+		diag[j] = s0
+		l0 := t / s0
+		l[j] = l0
+		t -= l0 * l0
+		s1 -= l0 * l0
+		if s1 <= 0 {
+			return j + 1
+		}
+		s1 = math.Sqrt(s1)
+		diag[j+1] = s1
+		l1 := t / s1
+		l[j+1] = l1
+		t -= l1 * l1
+		s2 -= l0 * l0
+		s2 -= l1 * l1
+		if s2 <= 0 {
+			return j + 2
+		}
+		s2 = math.Sqrt(s2)
+		diag[j+2] = s2
+		l2 := t / s2
+		l[j+2] = l2
+		t -= l2 * l2
+		s3 -= l0 * l0
+		s3 -= l1 * l1
+		s3 -= l2 * l2
+		if s3 <= 0 {
+			return j + 3
+		}
+		s3 = math.Sqrt(s3)
+		diag[j+3] = s3
+		l[j+3] = t / s3
+		t -= l[j+3] * l[j+3]
+	}
+	for ; j < n; j++ {
 		s := c + d[j]
 		for _, v := range l[:j] {
 			s -= v * v
@@ -152,12 +208,39 @@ func EqualOffDiagFactor(c float64, d, l, diag []float64) int {
 // the factor (l, diag) as EqualOffDiagFactor leaves it: forward then back
 // substitution, each sum subtracted in ascending index order, bit-identical
 // to CholeskySolve on the dense factor. It only reads l and diag.
+//
+// The forward pass solves four rows per sweep: rows i..i+3 subtract the
+// solved prefix b[0..i−1] side by side, then row i+r subtracts the
+// b[i..i+r−1] solved within the block. The back pass stays serial: the
+// first term of row i−1 is the b[i] that row i has just solved.
 func EqualOffDiagSolve(l, diag, b []float64) {
 	n := len(b)
 	if len(l) != n || len(diag) != n {
 		panic("mathx: EqualOffDiagSolve dimension mismatch")
 	}
-	for i := 0; i < n; i++ {
+	i := 0
+	for ; i+3 < n; i += 4 {
+		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
+		for k, v := range b[:i] {
+			lk := l[k]
+			s0 -= lk * v
+			s1 -= lk * v
+			s2 -= lk * v
+			s3 -= lk * v
+		}
+		li, li1, li2 := l[i], l[i+1], l[i+2]
+		x0 := s0 / diag[i]
+		s1 -= li * x0
+		x1 := s1 / diag[i+1]
+		s2 -= li * x0
+		s2 -= li1 * x1
+		x2 := s2 / diag[i+2]
+		s3 -= li * x0
+		s3 -= li1 * x1
+		s3 -= li2 * x2
+		b[i], b[i+1], b[i+2], b[i+3] = x0, x1, x2, s3/diag[i+3]
+	}
+	for ; i < n; i++ {
 		s := b[i]
 		for k, v := range b[:i] {
 			s -= l[k] * v
@@ -179,13 +262,47 @@ func EqualOffDiagSolve(l, diag, b []float64) {
 // (c + d[i])·x[i], then c·x[j] for every j > i: the terms and order of
 // Matrix.MulVecInto's row sum. dst must not alias x. It runs in O(n²)
 // without reading a matrix.
+//
+// Rows i..i+3 start from their own prefixes, add their diagonal term and
+// the c·x[j] with j < i+4 that follow it, then add the common tail
+// c·x[i+4..n−1] side by side.
 func EqualOffDiagMulVec(dst []float64, c float64, d, x []float64) {
 	n := len(x)
 	if len(d) != n || len(dst) != n {
 		panic("mathx: EqualOffDiagMulVec dimension mismatch")
 	}
 	var p float64
-	for i, xi := range x {
+	i := 0
+	for ; i+3 < n; i += 4 {
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		s0 := p
+		p += c * x0
+		s1 := p
+		p += c * x1
+		s2 := p
+		p += c * x2
+		s3 := p
+		p += c * x3
+		s0 += (c + d[i]) * x0
+		s0 += c * x1
+		s0 += c * x2
+		s0 += c * x3
+		s1 += (c + d[i+1]) * x1
+		s1 += c * x2
+		s1 += c * x3
+		s2 += (c + d[i+2]) * x2
+		s2 += c * x3
+		s3 += (c + d[i+3]) * x3
+		for _, v := range x[i+4:] {
+			s0 += c * v
+			s1 += c * v
+			s2 += c * v
+			s3 += c * v
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < n; i++ {
+		xi := x[i]
 		s := p
 		s += (c + d[i]) * xi
 		for _, v := range x[i+1:] {

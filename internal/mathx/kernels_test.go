@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -283,5 +284,253 @@ func TestEqualOffDiagFactorRejectsLikeDense(t *testing.T) {
 		if last := diag[m-1]; !math.IsNaN(last) || !math.IsNaN(dense.At(m-1, m-1)) {
 			t.Fatalf("m=%d: NaN did not reach the last pivot: %v, dense %v", m, last, dense.At(m-1, m-1))
 		}
+	}
+}
+
+// The EqualOffDiag kernels as they were before they ran four rows per
+// sweep: one row at a time, each sum a single serial chain. The four-row
+// kernels must reproduce them bit for bit.
+
+func equalOffDiagFactorRef(c float64, d, l, diag []float64) int {
+	t := c
+	for j := range d {
+		s := c + d[j]
+		for _, v := range l[:j] {
+			s -= v * v
+		}
+		if s <= 0 {
+			return j
+		}
+		s = math.Sqrt(s)
+		diag[j] = s
+		l[j] = t / s
+		t -= l[j] * l[j]
+	}
+	return -1
+}
+
+func equalOffDiagSolveRef(l, diag, b []float64) {
+	n := len(b)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k, v := range b[:i] {
+			s -= l[k] * v
+		}
+		b[i] = s / diag[i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		li := l[i]
+		for _, v := range b[i+1:] {
+			s -= li * v
+		}
+		b[i] = s / diag[i]
+	}
+}
+
+func equalOffDiagMulVecRef(dst []float64, c float64, d, x []float64) {
+	var p float64
+	for i, xi := range x {
+		s := p
+		s += (c + d[i]) * xi
+		for _, v := range x[i+1:] {
+			s += c * v
+		}
+		dst[i] = s
+		p += c * xi
+	}
+}
+
+// sameFloat reports whether x and y agree bit for bit or are both NaN.
+// Which payload a NaN carries out of an operation with two NaN operands
+// depends on which operand the compiler keeps in the destination register,
+// which is not part of any kernel's contract.
+func sameFloat(x, y float64) bool { return sameBits(x, y) || (x != x && y != y) }
+
+// decodeEqualOffDiag reads d and x, m values each, as raw float64 bits from
+// raw, shortening m to what raw holds.
+func decodeEqualOffDiag(raw []byte, m int) (d, x Vector) {
+	if m > len(raw)/16 {
+		m = len(raw) / 16
+	}
+	d, x = NewVector(m), NewVector(m)
+	for i := 0; i < m; i++ {
+		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
+		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
+	}
+	return d, x
+}
+
+// encodeEqualOffDiag is decodeEqualOffDiag's inverse, for seeding.
+func encodeEqualOffDiag(d, x Vector) []byte {
+	raw := make([]byte, 0, 16*len(d))
+	for i := range d {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(d[i]))
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(x[i]))
+	}
+	return raw
+}
+
+// checkEqualOffDiagKernels runs the three kernels on (c, d, x) and compares
+// every output with the dense kernels on the assembled matrix and with the
+// one-row-at-a-time reference copies. With inPlace set the factor writes
+// its diagonal over a copy of d.
+func checkEqualOffDiagKernels(t *testing.T, c float64, d, x Vector, inPlace bool) {
+	t.Helper()
+	m := len(d)
+	a := NewMatrix(m, m)
+	for i := range a.data {
+		a.data[i] = c
+	}
+	for i := 0; i < m; i++ {
+		a.Set(i, i, c+d[i])
+	}
+	dense, wantPiv := factor(a)
+	refL, refDiag := NewVector(m), NewVector(m)
+	if piv := equalOffDiagFactorRef(c, d, refL, refDiag); piv != wantPiv {
+		t.Fatalf("m=%d: reference factor stopped at pivot %d, dense at %d", m, piv, wantPiv)
+	}
+	l, diag := NewVector(m), NewVector(m)
+	if inPlace {
+		diag = append(Vector(nil), d...)
+		if piv := EqualOffDiagFactor(c, diag, l, diag); piv != wantPiv {
+			t.Fatalf("m=%d: in-place factor stopped at pivot %d, dense at %d", m, piv, wantPiv)
+		}
+	} else if piv := EqualOffDiagFactor(c, d, l, diag); piv != wantPiv {
+		t.Fatalf("m=%d: factor stopped at pivot %d, dense at %d", m, piv, wantPiv)
+	}
+	done := m // columns the factor completed
+	if wantPiv >= 0 {
+		done = wantPiv
+	}
+	for j := 0; j < done; j++ {
+		if !sameFloat(diag[j], dense.At(j, j)) || !sameFloat(diag[j], refDiag[j]) {
+			t.Fatalf("m=%d: diag[%d] = %v, dense %v, reference %v", m, j, diag[j], dense.At(j, j), refDiag[j])
+		}
+		if !sameFloat(l[j], refL[j]) {
+			t.Fatalf("m=%d: l[%d] = %v, reference %v", m, j, l[j], refL[j])
+		}
+		for i := j + 1; i < m; i++ {
+			if !sameFloat(l[j], dense.At(i, j)) {
+				t.Fatalf("m=%d: L[%d][%d] = %v, dense %v", m, i, j, l[j], dense.At(i, j))
+			}
+		}
+	}
+
+	if wantPiv < 0 {
+		want := append(Vector(nil), x...)
+		CholeskySolve(dense.data, want, m)
+		ref := append(Vector(nil), x...)
+		equalOffDiagSolveRef(l, diag, ref)
+		got := append(Vector(nil), x...)
+		EqualOffDiagSolve(l, diag, got)
+		for i := range got {
+			if !sameFloat(got[i], want[i]) || !sameFloat(got[i], ref[i]) {
+				t.Fatalf("m=%d: solve x[%d] = %v, dense %v, reference %v", m, i, got[i], want[i], ref[i])
+			}
+		}
+	}
+
+	wantHx := a.MulVec(x)
+	refHx, gotHx := NewVector(m), NewVector(m)
+	equalOffDiagMulVecRef(refHx, c, d, x)
+	EqualOffDiagMulVec(gotHx, c, d, x)
+	for i := range gotHx {
+		if !sameFloat(gotHx[i], wantHx[i]) || !sameFloat(gotHx[i], refHx[i]) {
+			t.Fatalf("m=%d: (H·x)[%d] = %v, dense %v, reference %v", m, i, gotHx[i], wantHx[i], refHx[i])
+		}
+	}
+}
+
+// The four-row kernels must agree with the dense kernels and with their
+// one-row reference copies on every size up to 70 (every block count and
+// remainder), including a non-positive and a NaN pivot in each position of
+// a block.
+func TestEqualOffDiagKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for m := 1; m <= 70; m++ {
+		c, d, _ := equalOffDiag(rng, m)
+		x := NewVector(m)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		checkEqualOffDiagKernels(t, c, d, x, false)
+		checkEqualOffDiagKernels(t, c, d, x, true)
+		for _, bad := range []int{rng.Intn(m), m - 1} {
+			neg := append(Vector(nil), d...)
+			neg[bad] = -c * (1 + rng.Float64())
+			checkEqualOffDiagKernels(t, c, neg, x, false)
+			nan := append(Vector(nil), d...)
+			nan[bad] = math.NaN()
+			checkEqualOffDiagKernels(t, c, nan, x, true)
+		}
+	}
+}
+
+// FuzzEqualOffDiagKernels decodes (c, d, x) with n ≤ 70 from the fuzzer's
+// input (d and x as raw float64 bits, so every sign, NaN and infinity can
+// occur) and checks the three kernels against the dense kernels and the
+// reference copies, with the factor's diagonal written over d when inPlace
+// is set.
+func FuzzEqualOffDiagKernels(f *testing.F) {
+	rng := rand.New(rand.NewSource(70))
+	for _, m := range []int{1, 3, 4, 7, 16, 33, 64, 70} {
+		c, d, _ := equalOffDiag(rng, m)
+		x := NewVector(m)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		f.Add(uint8(m), c, encodeEqualOffDiag(d, x), m%2 == 0)
+		bad := append(Vector(nil), d...)
+		bad[m/2] = -2 * c
+		f.Add(uint8(m), c, encodeEqualOffDiag(bad, x), false)
+		bad[m/2] = math.NaN()
+		f.Add(uint8(m), c, encodeEqualOffDiag(bad, x), true)
+	}
+	f.Fuzz(func(t *testing.T, n uint8, c float64, raw []byte, inPlace bool) {
+		d, x := decodeEqualOffDiag(raw, int(n)%71)
+		checkEqualOffDiagKernels(t, c, d, x, inPlace)
+	})
+}
+
+// benchEqualOffDiag returns an MPC-shaped n = 64 problem for the kernel
+// benchmarks, the size of a 16-server rack's batch cores.
+func benchEqualOffDiag(b *testing.B) (c float64, d, x Vector) {
+	c, d, _ = equalOffDiag(rand.New(rand.NewSource(64)), 64)
+	x = NewVector(64)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	b.ReportAllocs()
+	return c, d, x
+}
+
+func BenchmarkEqualOffDiagFactor(b *testing.B) {
+	c, d, _ := benchEqualOffDiag(b)
+	l, diag := NewVector(len(d)), NewVector(len(d))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EqualOffDiagFactor(c, d, l, diag)
+	}
+}
+
+func BenchmarkEqualOffDiagSolve(b *testing.B) {
+	c, d, x := benchEqualOffDiag(b)
+	l, diag := NewVector(len(d)), NewVector(len(d))
+	EqualOffDiagFactor(c, d, l, diag)
+	y := NewVector(len(x))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(y, x)
+		EqualOffDiagSolve(l, diag, y)
+	}
+}
+
+func BenchmarkEqualOffDiagMulVec(b *testing.B) {
+	c, d, x := benchEqualOffDiag(b)
+	dst := NewVector(len(x))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EqualOffDiagMulVec(dst, c, d, x)
 	}
 }

@@ -101,10 +101,8 @@ type Rack struct {
 	servers []*server.Server
 	batch   []CoreRef
 	inter   []CoreRef
-	jobs    map[CoreRef]*workload.BatchJob
-	// jobSeq mirrors jobs in batch-core order (nil for unbound cores) so
-	// the per-tick AdvanceBatch/RWeightsInto sweeps walk a contiguous
-	// slice instead of hashing a CoreRef per core.
+	// jobSeq holds the bound jobs in batch-core order (nil for unbound
+	// cores), so the per-tick sweeps walk a contiguous slice.
 	jobSeq []*workload.BatchJob
 	env    server.Environment
 	rng    *rand.Rand
@@ -123,10 +121,9 @@ func New(cfg Config) (*Rack, error) {
 		return nil, err
 	}
 	r := &Rack{
-		cfg:  cfg,
-		jobs: make(map[CoreRef]*workload.BatchJob),
-		env:  server.Environment{AmbientC: 25},
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		cfg: cfg,
+		env: server.Environment{AmbientC: 25},
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for i := 0; i < cfg.NumServers; i++ {
 		s, err := server.New(i, cfg.ServerParams)
@@ -187,24 +184,35 @@ func (r *Rack) SetAmbient(c float64) { r.env.AmbientC = c }
 
 // BindJob attaches a batch job to a batch core.
 func (r *Rack) BindJob(ref CoreRef, j *workload.BatchJob) error {
-	if ref.Server < 0 || ref.Server >= len(r.servers) {
-		return fmt.Errorf("rack: bad server index %d", ref.Server)
-	}
-	if r.servers[ref.Server].CPU().Core(ref.Core).Class != cpu.Batch {
+	i := r.batchIndex(ref)
+	if i < 0 {
 		return fmt.Errorf("rack: core %v is not a batch core", ref)
 	}
-	r.jobs[ref] = j
+	r.jobSeq[i] = j
+	return nil
+}
+
+// batchIndex returns ref's position in BatchCores(), or -1.
+func (r *Rack) batchIndex(ref CoreRef) int {
 	for i, b := range r.batch {
 		if b == ref {
-			r.jobSeq[i] = j
-			break
+			return i
 		}
+	}
+	return -1
+}
+
+// Job returns the job bound to a core (nil if none).
+func (r *Rack) Job(ref CoreRef) *workload.BatchJob {
+	if i := r.batchIndex(ref); i >= 0 {
+		return r.jobSeq[i]
 	}
 	return nil
 }
 
-// Job returns the job bound to a core (nil if none).
-func (r *Rack) Job(ref CoreRef) *workload.BatchJob { return r.jobs[ref] }
+// BatchJobs returns the bound jobs in BatchCores() order, nil for a core
+// with no job (shared state, not a copy).
+func (r *Rack) BatchJobs() []*workload.BatchJob { return r.jobSeq }
 
 // ApplyInteractiveDemand sets the utilization of every interactive core
 // from the demand fraction plus per-core jitter. Demand is expressed
@@ -227,7 +235,7 @@ func (r *Rack) ApplyInteractiveDemand(demand float64) {
 			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		f := r.servers[ref.Server].CPU().Freq(ref.Core)
 		if f > 0 {
 			u *= fmax / f
 		}
@@ -246,7 +254,7 @@ func (r *Rack) SetCoreFreq(ref CoreRef, f float64) float64 {
 		return 0
 	}
 	st := r.faults[ref.Server]
-	cur := r.servers[ref.Server].CPU().Core(ref.Core).Freq
+	cur := r.servers[ref.Server].CPU().Freq(ref.Core)
 	if st.Offline || st.Stuck {
 		return cur
 	}
@@ -286,7 +294,7 @@ func (r *Rack) SetBatchFreqsInto(freqs, applied []float64) ([]float64, error) {
 func (r *Rack) BatchFreqs() []float64 {
 	out := make([]float64, len(r.batch))
 	for i, ref := range r.batch {
-		out[i] = r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		out[i] = r.servers[ref.Server].CPU().Freq(ref.Core)
 	}
 	return out
 }
@@ -303,7 +311,7 @@ func (r *Rack) AdvanceBatch(dt, now float64) {
 			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		f := r.servers[ref.Server].CPU().Freq(ref.Core)
 		j.Advance(f, fmax, dt, now)
 		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
 	}
@@ -323,7 +331,7 @@ func (r *Rack) AdvanceBatchTicks(dt, now0 float64, n int) {
 			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		f := r.servers[ref.Server].CPU().Freq(ref.Core)
 		j.AdvanceTicks(f, fmax, dt, now0, n)
 		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
 	}
@@ -342,7 +350,7 @@ func (r *Rack) BatchStableTicks(dt float64, maxTicks int) int {
 		if j == nil || r.faults[ref.Server].Offline {
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		f := r.servers[ref.Server].CPU().Freq(ref.Core)
 		if n := j.StableTicks(f, fmax, dt); n < min {
 			min = n
 		}
@@ -419,7 +427,7 @@ func (r *Rack) EstimateInteractivePower() float64 {
 			// Eq. (6)'s subtraction stays consistent with the monitor.
 			continue
 		}
-		u := r.servers[ref.Server].CPU().Core(ref.Core).Util
+		u := r.servers[ref.Server].CPU().Util(ref.Core)
 		p += co.KWPerGHz*u + co.CIdleShareW
 	}
 	return p
@@ -470,7 +478,7 @@ func (r *Rack) MeanBatchFreqNorm() float64 {
 		if r.faults[ref.Server].Offline {
 			continue // a dark core executes at frequency 0
 		}
-		sum += r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		sum += r.servers[ref.Server].CPU().Freq(ref.Core)
 	}
 	return sum / float64(len(r.batch)) / r.cfg.ServerParams.PStates.Max()
 }
@@ -486,7 +494,7 @@ func (r *Rack) MeanInteractiveFreqNorm() float64 {
 		if r.faults[ref.Server].Offline {
 			continue
 		}
-		sum += r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		sum += r.servers[ref.Server].CPU().Freq(ref.Core)
 	}
 	return sum / float64(len(r.inter)) / r.cfg.ServerParams.PStates.Max()
 }

@@ -140,6 +140,37 @@ func TestBindJobRejectsNonBatchCore(t *testing.T) {
 	if err := r.BindJob(CoreRef{Server: 99, Core: 0}, j); err == nil {
 		t.Fatal("binding to a bad server should fail")
 	}
+	if err := r.BindJob(CoreRef{Server: 0, Core: 99}, j); err == nil {
+		t.Fatal("binding to a bad core should fail")
+	}
+}
+
+// BatchJobs lists the bound jobs in BatchCores order, the order Job finds
+// them by reference.
+func TestBatchJobsFollowBatchCores(t *testing.T) {
+	r := mustNew(t)
+	specs := workload.SpecCPU2006()
+	for i, ref := range r.BatchCores() {
+		if i%3 == 0 {
+			continue // leave some cores unbound
+		}
+		j, _ := workload.NewBatchJob(specs[i%len(specs)], 0, 900)
+		if err := r.BindJob(ref, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs := r.BatchJobs()
+	if len(jobs) != len(r.BatchCores()) {
+		t.Fatalf("%d jobs for %d batch cores", len(jobs), len(r.BatchCores()))
+	}
+	for i, ref := range r.BatchCores() {
+		if jobs[i] != r.Job(ref) || (jobs[i] == nil) != (i%3 == 0) {
+			t.Fatalf("core %v: BatchJobs()[%d] = %p, Job = %p", ref, i, jobs[i], r.Job(ref))
+		}
+	}
+	if r.Job(CoreRef{Server: 0, Core: 0}) != nil {
+		t.Fatal("an interactive core has a job")
+	}
 }
 
 func TestApplyInteractiveDemand(t *testing.T) {

@@ -48,8 +48,8 @@ func (r *Rack) ExportState() State {
 		}
 		st.Cores[si] = cores
 	}
-	for i, ref := range r.batch {
-		if j := r.jobs[ref]; j != nil {
+	for i, j := range r.jobSeq {
+		if j != nil {
 			st.JobBound[i] = true
 			st.Jobs[i] = j.ExportState()
 		}
@@ -92,7 +92,7 @@ func (r *Rack) RestoreState(st State) error {
 			len(st.JobBound), len(st.Jobs), len(r.batch))
 	}
 	for i, ref := range r.batch {
-		if st.JobBound[i] != (r.jobs[ref] != nil) {
+		if st.JobBound[i] != (r.jobSeq[i] != nil) {
 			return fmt.Errorf("rack: snapshot job binding for %v disagrees with the scenario", ref)
 		}
 	}
@@ -110,11 +110,11 @@ func (r *Rack) RestoreState(st State) error {
 		r.rng.NormFloat64()
 	}
 	r.normDraws = st.NormDraws
-	for i, ref := range r.batch {
+	for i, j := range r.jobSeq {
 		if !st.JobBound[i] {
 			continue
 		}
-		if err := r.jobs[ref].RestoreState(st.Jobs[i]); err != nil {
+		if err := j.RestoreState(st.Jobs[i]); err != nil {
 			return err
 		}
 	}

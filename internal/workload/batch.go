@@ -142,6 +142,23 @@ type BatchJob struct {
 	doneAt    float64 // first completion time, NaN until complete
 	completed int     // completions (paper: jobs re-execute immediately)
 	execSecs  float64 // wall seconds spent executing
+
+	seg segment // where the last Advance call ended; derived, never saved
+}
+
+// segment is the phase segment the last Advance call ended inside, with the
+// rate it ran at. Work position only grows within one execution, so while
+// the position stays below the segment's end by phaseIndexAt's own margin,
+// phaseIndexAt would return the segment's phase again; while f and fmax
+// keep their bits, phaseRate would return the same rate. A wrap and
+// RestoreState invalidate it (ScaleWork cannot follow an Advance that sets
+// it).
+type segment struct {
+	ok      bool
+	f, fmax uint64 // bits of the f and fmax the rate was computed for
+	rate    float64
+	end     float64 // phaseEndWork of the segment's phase
+	util    float64 // that phase's Util
 }
 
 // NewBatchJob starts a job at simulation time start with the given absolute
@@ -181,26 +198,50 @@ func (j *BatchJob) ScaleWork(factor float64) {
 // fmax) starting at simulation time now, walking phase boundaries at their
 // own rates. On completion it records the completion time and immediately
 // restarts (continuous re-execution, as in the paper's trace methodology).
+//
+// A tick that stays inside the segment the previous call ended in, at the
+// same f and fmax, takes AdvanceTicks's two-flop within-segment branch on
+// the remembered phase, rate and end; its tests are the ones the segment
+// walk would make, so the result is the same to the bit.
 func (j *BatchJob) Advance(f, fmax, dt, now float64) {
 	if dt < 0 {
 		panic("workload: negative dt")
 	}
 	j.execSecs += dt
+	if sg := &j.seg; sg.ok && dt > 1e-12 &&
+		math.Float64bits(f) == sg.f && math.Float64bits(fmax) == sg.fmax {
+		pos := j.totalWork - j.remaining
+		if pos < sg.end-1e-12 {
+			segWork := sg.end - pos
+			if segWork > j.remaining {
+				segWork = j.remaining
+			}
+			if segWork/sg.rate > dt {
+				j.remaining -= sg.rate * dt
+				return
+			}
+		}
+	}
+	j.seg.ok = false
 	timeLeft := dt
 	for timeLeft > 1e-12 {
 		pos := j.totalWork - j.remaining
 		idx := j.Spec.phaseIndexAt(pos, j.totalWork)
-		rate := phaseRate(j.Spec.phases()[idx], f, fmax)
+		ph := j.Spec.phases()[idx]
+		rate := phaseRate(ph, f, fmax)
 		if rate <= 0 {
 			return
 		}
-		segWork := j.Spec.phaseEndWork(idx, j.totalWork) - pos
+		end := j.Spec.phaseEndWork(idx, j.totalWork)
+		segWork := end - pos
 		if segWork > j.remaining {
 			segWork = j.remaining
 		}
 		segTime := segWork / rate
 		if segTime > timeLeft {
 			j.remaining -= rate * timeLeft
+			j.seg = segment{ok: true, f: math.Float64bits(f), fmax: math.Float64bits(fmax),
+				rate: rate, end: end, util: ph.Util}
 			return
 		}
 		timeLeft -= segTime

@@ -35,10 +35,14 @@ func FuzzTraceFromCSV(f *testing.F) {
 
 // FuzzBatchAdvance checks work-accounting invariants under arbitrary
 // execution schedules: progress stays in [0, 1), work done never shrinks,
-// completions are consistent.
+// completions are consistent, and Advance and CurrentUtil match the
+// reference copies bit for bit (on a single-phase job and on gcc's three
+// phases).
 func FuzzBatchAdvance(f *testing.F) {
 	f.Add(1.0, 10.0, 0.3)
 	f.Add(0.4, 1.0, 0.9)
+	f.Add(2.0, 1e-12, 0.5)
+	f.Add(1.3, 2.5e-12, 0.1)
 	f.Fuzz(func(t *testing.T, freq, dt, beta float64) {
 		if freq < 0.1 || freq > 2.0 || dt < 0 || dt > 1e4 || beta < 0 || beta >= 1 {
 			return
@@ -48,6 +52,8 @@ func FuzzBatchAdvance(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		single := newAdvancePair(t, spec, 1)
+		gcc := newAdvancePair(t, SpecCPU2006()[2], 50/260.0)
 		var prevWork float64
 		for i := 0; i < 10; i++ {
 			j.Advance(freq, 2.0, dt, float64(i)*dt)
@@ -59,6 +65,14 @@ func FuzzBatchAdvance(f *testing.F) {
 				t.Fatalf("work done shrank: %v -> %v", prevWork, w)
 			}
 			prevWork = w
+			// Alternate freq with a second frequency so the remembered
+			// rate goes stale every other tick.
+			g := freq
+			if i%3 == 2 {
+				g = 2.1 - freq
+			}
+			single.advance(g, dt)
+			gcc.advance(g, dt)
 		}
 	})
 }

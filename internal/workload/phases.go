@@ -102,8 +102,15 @@ func (j *BatchJob) CurrentPhase() Phase {
 }
 
 // CurrentUtil returns the utilization of the current phase — what the
-// core's performance counters would report this period.
-func (j *BatchJob) CurrentUtil() float64 { return j.CurrentPhase().Util }
+// core's performance counters would report this period. While the position
+// is inside the segment the last Advance ended in, by phaseIndexAt's own
+// test, that segment's phase is the current one.
+func (j *BatchJob) CurrentUtil() float64 {
+	if j.seg.ok && j.totalWork-j.remaining < j.seg.end-1e-12 {
+		return j.seg.util
+	}
+	return j.CurrentPhase().Util
+}
 
 // RequiredFreq returns the constant frequency that completes the job's
 // remaining (phase-aware) work exactly at its deadline, clamped to

@@ -72,5 +72,6 @@ func (j *BatchJob) RestoreState(st JobState) error {
 	j.doneAt = st.DoneAt
 	j.completed = st.Completed
 	j.execSecs = st.ExecSecs
+	j.seg = segment{}
 	return nil
 }
