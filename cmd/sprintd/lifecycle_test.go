@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -177,7 +178,7 @@ func TestCancelRunningWithinControlPeriod(t *testing.T) {
 // TestPanicIsolationKeepsServing: an injected panic fails only its run —
 // with the stack in the error — while the service stays live, counts the
 // recovery, and executes the next run normally. Both isolation layers are
-// exercised: the linked path panics on a row goroutine deep in the
+// exercised: the linked path panics on a row worker deep in the
 // fan-out, the sweep path on the supervisor goroutine itself.
 func TestPanicIsolationKeepsServing(t *testing.T) {
 	_, ts := newTestService(t, defaultServerConfig())
@@ -211,6 +212,49 @@ func TestPanicIsolationKeepsServing(t *testing.T) {
 		t.Fatalf("post-panic submit: %d", code)
 	}
 	waitState(t, ts, doc["id"].(string), "done")
+}
+
+// TestFirstDecisionHistogram: sprintd_first_decision_seconds observes
+// every completed linked run exactly once, at its first lock-step tick,
+// and no sweep, which streams no decisions.
+func TestFirstDecisionHistogram(t *testing.T) {
+	_, ts := newTestService(t, defaultServerConfig())
+	specs := []string{
+		`{"rows": 1, "racks_per_row": 2, "duration_s": 120}`,
+		`{"rows": 3, "racks_per_row": 2, "duration_s": 120}`,
+		`{"mode": "sweep", "rows": 1, "racks_per_row": 2, "duration_s": 120}`,
+	}
+	for _, spec := range specs {
+		code, doc, _ := submit(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: %d", spec, code)
+		}
+		waitState(t, ts, doc["id"].(string), "done")
+	}
+	body := getBody(t, ts.URL+"/metrics")
+	if n := promValue(t, body, "sprintd_first_decision_seconds_count"); n != 2 {
+		t.Errorf("first-decision count %g, want 2 (one per completed linked run)", n)
+	}
+	if sum := promValue(t, body, "sprintd_first_decision_seconds_sum"); !(sum > 0) {
+		t.Errorf("first-decision sum %g, want > 0", sum)
+	}
+}
+
+// promValue returns the value of the unlabelled series name in a
+// Prometheus text exposition.
+func promValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metrics lack %s:\n%s", name, grepLines(body, "sprintd_"))
+	return 0
 }
 
 // TestRetentionEvictsOldestStreams: beyond the retention cap the oldest

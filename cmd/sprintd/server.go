@@ -48,8 +48,9 @@ type RunSpec struct {
 	// drives the per-row transports' fault randomness.
 	Seed     int64 `json:"seed,omitempty"`
 	LinkSeed int64 `json:"link_seed,omitempty"`
-	// Serial disables row- and rack-level parallelism (results are
-	// bit-identical either way).
+	// Serial runs the simulation on one worker, with rows interleaved tick
+	// by tick and racks stepped in order (results are bit-identical
+	// either way).
 	Serial bool `json:"serial,omitempty"`
 	// Scenario is a full per-rack scenario document (the sim scenario
 	// JSON schema, as written by sprintsim -scenario-out); when absent
@@ -180,6 +181,7 @@ type run struct {
 	Started    time.Time `json:"started"`
 	finished   time.Time
 	stepsTotal int
+	decided    bool // a lock-step tick has completed (first decisions recorded)
 	rowStep    []int
 	rowAggW    []float64
 	streams    map[[2]int]*telemetry.DecisionLog
@@ -337,6 +339,7 @@ type server struct {
 	mSkipped  *telemetry.Counter
 	gRunning  *telemetry.Gauge
 	gQueued   *telemetry.Gauge
+	hFirst    *telemetry.Histogram
 
 	wg sync.WaitGroup // one per supervised run
 
@@ -358,6 +361,9 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.mSkipped = s.smetrics.Counter("sprintd_decision_records_skipped_total", "decision records /decisions readers missed because the stream's retention bound had dropped them")
 	s.gRunning = s.smetrics.Gauge("sprintd_runs_running", "runs currently executing")
 	s.gQueued = s.smetrics.Gauge("sprintd_runs_queued", "runs admitted and waiting for a slot")
+	s.hFirst = s.smetrics.Histogram("sprintd_first_decision_seconds",
+		"time from a linked run's submission to its first completed lock-step tick",
+		[]float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10})
 	if cfg.StateDir != "" {
 		jn, err := newJournal(cfg.StateDir)
 		if err != nil {
@@ -405,6 +411,10 @@ func (s *server) buildRun(spec RunSpec, mode string) (*run, error) {
 			panic(fmt.Sprintf("chaos: injected panic at step %d (chaos_panic_at_step)", panicAt))
 		}
 		r.mu.Lock()
+		if !r.decided {
+			r.decided = true
+			s.hFirst.Observe(time.Since(r.Submitted).Seconds())
+		}
 		r.rowStep[row] = step + 1
 		r.rowAggW[row] = aggW
 		r.mu.Unlock()

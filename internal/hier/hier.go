@@ -52,8 +52,9 @@ type Config struct {
 	// lease expiry and keeps sprinting on the last grant it ever heard —
 	// the unsafe strawman experiment E19 measures against.
 	NaiveTrustLastGrant bool
-	// Serial runs rows, and the racks within them, one at a time.
-	// Results are bit-identical either way.
+	// Serial runs RunLinked on one worker, which interleaves the rows tick
+	// by tick and steps each row's racks in order, and RunSweep's racks one
+	// at a time. Results are bit-identical either way.
 	Serial bool
 	// Metrics, when non-nil, receives RunLinked's instruments after a run
 	// completes: the hierarchy instruments (per-level budgets, exceedance
@@ -74,8 +75,9 @@ type Config struct {
 	RackOptions func(row, rack int) sim.RunOptions
 	// OnRowTick, when non-nil, is called after every lock-step tick of
 	// every row with that row's id, step index, simulated time and feeder
-	// aggregate draw. Rows run concurrently, so the callback must be safe
-	// for concurrent use. It must return quickly: the row waits on it.
+	// aggregate draw. Rows run on up to GOMAXPROCS workers, so the callback
+	// must be safe for concurrent use. It must return quickly: the row's
+	// worker, and every other row it owns, waits on it.
 	OnRowTick func(row, step int, nowS, aggregateW float64)
 	// OnRowDone, when non-nil, is called after each row's sweep shard
 	// completes (RunSweep only; shards finish in row order).
@@ -90,10 +92,10 @@ type Config struct {
 	// captures coherent per-row snapshots during RunLinked: every rack of
 	// a row exported at the same tick boundary, every CheckpointEveryS
 	// simulated seconds (at least one tick), plus a final set when the
-	// run cancels. The sink runs on the row's goroutine and the row waits
-	// on it, so it must return quickly. Rows run
-	// concurrently, so OnRowCheckpoint must be safe for concurrent use
-	// across different row ids.
+	// run cancels. The sink runs on the row's worker, which waits on it
+	// with every row it owns, so it must return quickly. Rows run on up to
+	// GOMAXPROCS workers, so OnRowCheckpoint must be safe for concurrent
+	// use across different row ids.
 	CheckpointEveryS float64
 	OnRowCheckpoint  func(row int, snaps []*checkpoint.Snapshot)
 	// Resume, when non-nil, resumes a linked run from journaled row

@@ -3,7 +3,9 @@ package hier
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -212,6 +214,53 @@ func TestRunLinkedConservationPerPeriod(t *testing.T) {
 	}
 }
 
+// TestRunLinkedRowsInterleave pins the worker schedule: with one worker —
+// Config.Serial, or GOMAXPROCS 1 — every row completes step s before any
+// row starts step s+1, in row order, so each row's first decision lands
+// within the first round instead of after the rows ahead of it have run
+// to their end.
+func TestRunLinkedRowsInterleave(t *testing.T) {
+	c := DefaultConfig()
+	c.Rows = []RowConfig{{Racks: 2}, {Racks: 2}, {Racks: 2}, {Racks: 2}}
+	c.Scenario.DurationS = 20
+	steps := int(c.Scenario.DurationS / c.Scenario.DtS)
+	for _, tc := range []struct {
+		name   string
+		serial bool
+		procs  int
+	}{
+		{"serial", true, 0},
+		{"gomaxprocs1", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
+			cfg := c
+			cfg.Serial = tc.serial
+			var mu sync.Mutex
+			var seen [][2]int // (row, step) in call order
+			cfg.OnRowTick = func(row, step int, _, _ float64) {
+				mu.Lock()
+				seen = append(seen, [2]int{row, step})
+				mu.Unlock()
+			}
+			if _, err := RunLinked(cfg); err != nil {
+				t.Fatal(err)
+			}
+			rows := len(cfg.Rows)
+			if len(seen) != rows*steps {
+				t.Fatalf("%d row ticks, want %d", len(seen), rows*steps)
+			}
+			for i, got := range seen {
+				if want := [2]int{i % rows, i / rows}; got != want {
+					t.Fatalf("row tick %d is (row, step) %v, want %v: rows do not interleave tick by tick", i, got, want)
+				}
+			}
+		})
+	}
+}
+
 // clusterLinkConfig is BenchmarkClusterLink's group: one row of two racks
 // over 300 s, auto-provisioned at its minimum packing.
 func clusterLinkConfig() Config {
@@ -237,14 +286,19 @@ func clusterHierConfig() Config {
 // row's aggregate and link accounting, and the building aggregate.
 // bench_quick is BenchmarkClusterHier's building, whose clean network must
 // also keep every lease renewed and every level's shadow breaker closed;
-// default is the 4×16-rack building, skipped in -short mode.
+// three_rows does not divide evenly over two or four workers; default is
+// the 4×16-rack building, skipped in -short mode.
 func TestRunLinkedParallelMatchesSerial(t *testing.T) {
+	threeRows := DefaultConfig()
+	threeRows.Rows = []RowConfig{{Racks: 4}, {Racks: 5}, {Racks: 4}}
+	threeRows.Scenario.DurationS = 300
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
 		clean bool
 	}{
 		{"mixed", testConfig(), false},
+		{"three_rows", threeRows, false},
 		{"bench_quick", clusterHierConfig(), true},
 		{"default", DefaultConfig(), false},
 	} {

@@ -17,9 +17,54 @@ import (
 // covers the remaining window. For a building, Result.ResumeStep is the
 // latest row start and the building series has exactly steps−ResumeStep
 // samples; for one row the capture lands exactly one tick after the stop.
+// Under one worker the rows stop one tick apart and resume from different
+// steps, on one worker exactly as on many.
 func TestRunLinkedCancelAndResume(t *testing.T) {
 	t.Run("building", testCancelAndResumeBuilding)
 	t.Run("one_row", testCancelAndResumeOneRow)
+	t.Run("staggered_one_worker", testCancelAndResumeStaggered)
+}
+
+// testCancelAndResumeStaggered: with Serial, row 0's tick at step 199
+// closes Stop before row 1 has stepped 199, so row 0's final capture
+// lands at step 200 and row 1's at 199. The resumed building must be
+// bit-identical on one worker and on GOMAXPROCS workers.
+func testCancelAndResumeStaggered(t *testing.T) {
+	c := testConfig()
+	c.Serial = true
+	stop := make(chan struct{})
+	c.Stop = stop
+	cap := &captureSink{}
+	c.CheckpointEveryS, c.OnRowCheckpoint = 1e6, cap.sink // only the cancel capture fires
+	c.OnRowTick = func(row, step int, _, _ float64) {
+		if row == 0 && step == 199 {
+			close(stop)
+		}
+	}
+	if _, err := RunLinked(c); !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("err = %v, want sim.ErrCanceled", err)
+	}
+	var resume [][]*checkpoint.Snapshot
+	for row, want := range []int64{200, 199} {
+		sets := cap.row(row)
+		if len(sets) != 1 {
+			t.Fatalf("row %d captured %d sets on cancel, want exactly the final capture", row, len(sets))
+		}
+		if got := sets[0][0].Step; got != want {
+			t.Fatalf("row %d cancel capture at step %d, want %d", row, got, want)
+		}
+		resume = append(resume, sets[0])
+	}
+
+	rc := testConfig()
+	rc.Resume = resume
+	res := checkParallelMatchesSerial(t, rc)
+	if res.Rows[0].StartStep != 200 || res.Rows[1].StartStep != 199 {
+		t.Errorf("StartSteps = %d, %d, want 200, 199", res.Rows[0].StartStep, res.Rows[1].StartStep)
+	}
+	if res.ResumeStep != 200 {
+		t.Errorf("ResumeStep = %d, want 200 (latest row start)", res.ResumeStep)
+	}
 }
 
 func testCancelAndResumeBuilding(t *testing.T) {

@@ -3,8 +3,8 @@ package hier
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sprintcon/internal/breaker"
 	"sprintcon/internal/checkpoint"
@@ -235,15 +235,58 @@ func (c Config) validateRow(a Allocation, row int) error {
 	return c.rowCoordConfig(a, row).Validate()
 }
 
-// runRow simulates row r in lock-step with the control link in the loop:
-// every tick the transport's fault schedule advances, due grants reach the
-// rack clients, all racks execute one physics tick (concurrently unless
-// Config.Serial — results are bit-identical either way, since racks only
-// exchange state through the link on the coordinating goroutine),
-// heartbeats travel back, and the coordinator issues fresh leases. The row
-// draw is scored against a shadow breaker rated at the row budget. The
-// configuration must already be validated.
-func runRow(c Config, a Allocation, row int) (*RowResult, error) {
+// rowLoop is row r's lock-step loop with the control link in it, split
+// into phases so that one worker goroutine can interleave several rows
+// tick by tick: newRowLoop builds the row, advance executes its next tick,
+// and result assembles its RowResult. Every tick the transport's fault
+// schedule advances, due grants reach the rack clients, all racks execute
+// one physics tick, heartbeats travel back, and the coordinator issues
+// fresh leases. The row draw is scored against a shadow breaker rated at
+// the row budget. Each phase recovers its own panics, so a failing row
+// stops only itself.
+type rowLoop struct {
+	c  Config
+	id int
+	ra RowAllocation
+	dt float64
+	// rackWorkers is the number of goroutines a tick's racks fan out over
+	// (1 steps them in order on the worker's goroutine). Racks only
+	// exchange state through the link on the worker's goroutine, so the
+	// result is bit-identical either way.
+	rackWorkers int
+
+	coord    *link.Coordinator
+	tr       *link.Transport
+	runners  []*sim.Runner
+	clients  []*link.Client
+	inners   []*core.SprintCon
+	stepErrs []error
+
+	start, next, steps int // first, next and end step
+	aggregate          []float64
+	coordDown          bool
+
+	// Coherent row snapshots: every rack exported at the same tick
+	// boundary, handed to the sink as one set.
+	checkpointing bool
+	lastCkS       float64
+}
+
+// stopped reports whether the stop channel has closed (never for nil).
+func stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// newRowLoop builds row r: its coordinator, lossy transport, and one
+// lease client and runner per rack, positioned at the row's resume step.
+// The configuration must already be validated.
+func newRowLoop(c Config, a Allocation, row, rackWorkers int) (l *rowLoop, err error) {
+	defer sim.RecoverPanic(&err)
 	ra := a.Rows[row]
 	ccfg := c.rowCoordConfig(a, row)
 	coord, err := link.NewCoordinator(ccfg)
@@ -259,40 +302,40 @@ func runRow(c Config, a Allocation, row int) (*RowResult, error) {
 	_, linkPlan := rowScenario(c, ra, row).Faults.Split()
 
 	dt := c.Scenario.DtS
-	tr := link.NewTransport(linkPlan, ra.Racks, c.Seed+int64(row), dt)
+	l = &rowLoop{
+		c: c, id: row, ra: ra, dt: dt, rackWorkers: rackWorkers,
+		coord:    coord,
+		tr:       link.NewTransport(linkPlan, ra.Racks, c.Seed+int64(row), dt),
+		runners:  make([]*sim.Runner, ra.Racks),
+		clients:  make([]*link.Client, ra.Racks),
+		inners:   make([]*core.SprintCon, ra.Racks),
+		stepErrs: make([]error, ra.Racks),
+	}
 	boot := coord.Bootstrap()
 	resume := c.rowResume(row)
-
-	runners := make([]*sim.Runner, ra.Racks)
-	clients := make([]*link.Client, ra.Racks)
-	inners := make([]*core.SprintCon, ra.Racks)
-	for i := range runners {
+	for i := range l.runners {
 		// Runner construction is the expensive pre-run phase (per-tick
 		// series preallocation, trace generation — seconds per rack at
 		// day-long horizons), so honor cancellation between racks: a run
 		// stopped during setup returns within one rack's build, not after
 		// all of them.
-		if c.Stop != nil {
-			select {
-			case <-c.Stop:
-				return nil, sim.ErrCanceled
-			default:
-			}
+		if stopped(c.Stop) {
+			return nil, sim.ErrCanceled
 		}
 		// Rack i starts in its bootstrap slot; the link re-imposes the
 		// offset every tick, so the initial phase only matters before the
 		// first Tick.
 		scn, inner := rackJob(c, a, row, i, boot[i].PhaseOffsetS)
-		inners[i] = inner
+		l.inners[i] = inner
 		b := boot[i]
-		clients[i] = link.NewClient(ccfg.Link, i, &b)
-		lp := &linkedPolicy{inner: inner, client: clients[i], ratedW: scn.Breaker.RatedPower, cycleS: ccfg.Link.CycleS}
+		l.clients[i] = link.NewClient(ccfg.Link, i, &b)
+		lp := &linkedPolicy{inner: inner, client: l.clients[i], ratedW: scn.Breaker.RatedPower, cycleS: ccfg.Link.CycleS}
 		var opts sim.RunOptions
 		if c.RackOptions != nil {
 			opts = c.RackOptions(row, i)
 		}
 		if oc != nil {
-			clients[i].Attach(oc.Racks[i])
+			l.clients[i].Attach(oc.Racks[i])
 			opts.Obs = oc.Racks[i]
 		}
 		if resume != nil {
@@ -302,182 +345,194 @@ func runRow(c Config, a Allocation, row int) (*RowResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rack %d: %w", i, err)
 		}
-		runners[i] = r
+		l.runners[i] = r
 	}
 
-	steps := runners[0].StepsTotal()
-	start := runners[0].StepIndex()
-	if start > 0 {
+	l.steps = l.runners[0].StepsTotal()
+	l.start = l.runners[0].StepIndex()
+	l.next = l.start
+	if l.start > 0 {
 		// A resumed run: the coordinator is a fresh process over restored
 		// racks. Bring it up through its crash-restart path so its lease
 		// bookkeeping matches reality (no beats seen yet, a full TTL of
 		// conservatism for grants the racks may still hold).
-		coord.Restart(float64(start) * dt)
+		coord.Restart(float64(l.start) * dt)
 	}
-	aggregate := make([]float64, steps-start)
-	workers := runtime.GOMAXPROCS(0)
-	stepErrs := make([]error, ra.Racks)
-	// stepRack advances rack i one tick with panic isolation on both the
-	// serial and the parallel path.
-	stepRack := func(i int) {
-		defer sim.RecoverPanic(&stepErrs[i])
-		stepErrs[i] = runners[i].Step()
-	}
-	coordDown := false
-	canceled := false
+	l.aggregate = make([]float64, l.steps-l.start)
+	l.checkpointing = c.CheckpointEveryS > 0 && c.OnRowCheckpoint != nil
+	l.lastCkS = float64(l.start) * dt
+	return l, nil
+}
 
-	// Coherent row snapshots: every rack exported at the same tick
-	// boundary, handed to the sink as one set.
-	checkpointing := c.CheckpointEveryS > 0 && c.OnRowCheckpoint != nil
-	lastCkS := float64(start) * dt
-	captureRow := func(tNext float64) error {
-		snaps := make([]*checkpoint.Snapshot, len(runners))
-		for i, r := range runners {
-			sp, err := r.ExportSnapshot()
-			if err != nil {
-				return fmt.Errorf("rack %d checkpoint: %w", i, err)
-			}
-			snaps[i] = sp
+// capture hands the sink one coherent snapshot set of the row at the tick
+// boundary it stands on, stamped as taken at tNext.
+func (l *rowLoop) capture(tNext float64) error {
+	snaps := make([]*checkpoint.Snapshot, len(l.runners))
+	for i, r := range l.runners {
+		sp, err := r.ExportSnapshot()
+		if err != nil {
+			return fmt.Errorf("rack %d checkpoint: %w", i, err)
 		}
-		c.OnRowCheckpoint(row, snaps)
-		lastCkS = tNext
-		return nil
+		snaps[i] = sp
 	}
+	l.c.OnRowCheckpoint(l.id, snaps)
+	l.lastCkS = tNext
+	return nil
+}
 
-	for step := start; step < steps; step++ {
-		if c.Stop != nil {
-			select {
-			case <-c.Stop:
-				canceled = true
-			default:
-			}
-			if canceled {
+// stepRack advances rack i one tick with panic isolation.
+func (l *rowLoop) stepRack(i int) {
+	defer sim.RecoverPanic(&l.stepErrs[i])
+	l.stepErrs[i] = l.runners[i].Step()
+}
+
+// stepRacks executes one physics tick per rack. Racks are independent
+// given their delivered grants, so they may run on several goroutines
+// without affecting the result.
+func (l *rowLoop) stepRacks() {
+	n := len(l.runners)
+	k := min(l.rackWorkers, n)
+	if k <= 1 {
+		for i := range l.runners {
+			if l.stepRack(i); l.stepErrs[i] != nil {
 				break
 			}
 		}
-		now := float64(step) * dt
-
-		// 1. Network fault schedule, and the coordinator's crash/restart
-		// edge: process restart (soft-state wipe) when the downtime ends.
-		tr.Step(now)
-		down := tr.CoordinatorDown()
-		if coordDown && !down {
-			coord.Restart(now)
-		}
-		coordDown = down
-
-		// 2. Due grants reach the rack clients, in rack order.
-		for i, cl := range clients {
-			for _, l := range tr.DeliverGrants(i, now) {
-				cl.Offer(now, l)
-			}
-		}
-
-		// 3. One physics tick per rack. Racks are independent given their
-		// delivered grants, so the sweep parallelizes without affecting
-		// the result.
-		if c.Serial || workers <= 1 {
-			for i := range runners {
-				if stepRack(i); stepErrs[i] != nil {
-					break
-				}
-			}
-		} else {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, workers)
-			for i := range runners {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					stepRack(i)
-				}(i)
-			}
-			wg.Wait()
-		}
-		for i, e := range stepErrs {
-			if e != nil {
-				return nil, fmt.Errorf("rack %d: %w", i, e)
-			}
-		}
-
-		// 4. Heartbeats out (a dead controller process sends none, and
-		// neither does a dark rack — a rack in a power outage must look
-		// unreachable so the coordinator's timeout path reclaims its slot),
-		// then due beats into the coordinator, then fresh grants onto the
-		// wire.
-		for i, cl := range clients {
-			if runners[i].ControllerDead() || runners[i].Dark() {
-				continue
-			}
-			if hb, ok := cl.MaybeBeat(now); ok {
-				tr.SendBeat(now, hb)
-			}
-		}
-		for _, hb := range tr.DeliverBeats(now) {
-			coord.Observe(hb, now)
-		}
-		if !down {
-			for _, l := range coord.Step(now) {
-				tr.SendGrant(now, l)
-			}
-		}
-
-		// 5. Feeder accounting from the tick's conducted powers.
-		var agg float64
-		for _, r := range runners {
-			agg += r.LastCBPowerW()
-		}
-		aggregate[step-start] = agg
-		if c.OnRowTick != nil {
-			c.OnRowTick(row, step, now, agg)
-		}
-
-		// 6. Cadenced coherent checkpoint at the tick boundary just
-		// crossed (the exported step is step+1, the next to execute).
-		if checkpointing {
-			tNext := float64(step+1) * dt
-			if tNext >= lastCkS+c.CheckpointEveryS-1e-9 {
-				if err := captureRow(tNext); err != nil {
-					return nil, err
-				}
-			}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			l.stepRack(i)
 		}
 	}
+	wg.Add(k)
+	for range k - 1 {
+		go work()
+	}
+	work()
+	wg.Wait()
+}
 
-	if canceled {
+// advance executes the row's next lock-step tick and reports whether the
+// row has now run to its end. A closed Stop ends the row with
+// sim.ErrCanceled instead, after capturing a final checkpoint at the
+// boundary it stopped on.
+func (l *rowLoop) advance() (done bool, err error) {
+	defer sim.RecoverPanic(&err)
+	if l.next >= l.steps {
+		return true, nil
+	}
+	if stopped(l.c.Stop) {
 		// A drain wants the freshest possible resume point: capture the
 		// boundary the run stopped at, then report the cancellation.
-		if checkpointing {
-			if err := captureRow(math.NaN()); err != nil {
-				return nil, err
+		if l.checkpointing {
+			if err := l.capture(math.NaN()); err != nil {
+				return false, err
 			}
 		}
-		return nil, sim.ErrCanceled
+		return false, sim.ErrCanceled
+	}
+	step := l.next
+	now := float64(step) * l.dt
+
+	// 1. Network fault schedule, and the coordinator's crash/restart
+	// edge: process restart (soft-state wipe) when the downtime ends.
+	l.tr.Step(now)
+	down := l.tr.CoordinatorDown()
+	if l.coordDown && !down {
+		l.coord.Restart(now)
+	}
+	l.coordDown = down
+
+	// 2. Due grants reach the rack clients, in rack order.
+	for i, cl := range l.clients {
+		for _, g := range l.tr.DeliverGrants(i, now) {
+			cl.Offer(now, g)
+		}
 	}
 
-	out := &RowResult{
-		Racks:      make([]*sim.Result, ra.Racks),
-		StartStep:  start,
-		AggregateW: aggregate,
-		Transport:  tr.Stats(),
-		Coord:      coord.Stats(),
-		Clients:    make([]link.ClientStats, ra.Racks),
-		Invariants: make([]core.InvariantReport, ra.Racks),
+	// 3. One physics tick per rack.
+	l.stepRacks()
+	for i, e := range l.stepErrs {
+		if e != nil {
+			return false, fmt.Errorf("rack %d: %w", i, e)
+		}
 	}
-	for i, r := range runners {
+
+	// 4. Heartbeats out (a dead controller process sends none, and
+	// neither does a dark rack — a rack in a power outage must look
+	// unreachable so the coordinator's timeout path reclaims its slot),
+	// then due beats into the coordinator, then fresh grants onto the
+	// wire.
+	for i, cl := range l.clients {
+		if l.runners[i].ControllerDead() || l.runners[i].Dark() {
+			continue
+		}
+		if hb, ok := cl.MaybeBeat(now); ok {
+			l.tr.SendBeat(now, hb)
+		}
+	}
+	for _, hb := range l.tr.DeliverBeats(now) {
+		l.coord.Observe(hb, now)
+	}
+	if !down {
+		for _, g := range l.coord.Step(now) {
+			l.tr.SendGrant(now, g)
+		}
+	}
+
+	// 5. Feeder accounting from the tick's conducted powers.
+	var agg float64
+	for _, r := range l.runners {
+		agg += r.LastCBPowerW()
+	}
+	l.aggregate[step-l.start] = agg
+	if l.c.OnRowTick != nil {
+		l.c.OnRowTick(l.id, step, now, agg)
+	}
+
+	// 6. Cadenced coherent checkpoint at the tick boundary just
+	// crossed (the exported step is step+1, the next to execute).
+	if l.checkpointing {
+		tNext := float64(step+1) * l.dt
+		if tNext >= l.lastCkS+l.c.CheckpointEveryS-1e-9 {
+			if err := l.capture(tNext); err != nil {
+				return false, err
+			}
+		}
+	}
+	l.next++
+	return l.next >= l.steps, nil
+}
+
+// result finishes every rack and assembles the row's result: per-rack
+// results, safety rollups, link accounting and the feeder record.
+func (l *rowLoop) result() (out *RowResult, err error) {
+	defer sim.RecoverPanic(&err)
+	out = &RowResult{
+		Racks:      make([]*sim.Result, l.ra.Racks),
+		StartStep:  l.start,
+		AggregateW: l.aggregate,
+		Transport:  l.tr.Stats(),
+		Coord:      l.coord.Stats(),
+		Clients:    make([]link.ClientStats, l.ra.Racks),
+		Invariants: make([]core.InvariantReport, l.ra.Racks),
+	}
+	for i, r := range l.runners {
 		res := r.Finish()
 		out.Racks[i] = res
 		out.CBTrips += res.CBTrips
 		out.OutageS += res.OutageS
 		out.DeadlineMisses += res.DeadlineMisses
-		out.Clients[i] = clients[i].Stats()
-		out.Invariants[i] = inners[i].InvariantViolations()
+		out.Clients[i] = l.clients[i].Stats()
+		out.Invariants[i] = l.inners[i].InvariantViolations()
 	}
-	out.PeakW, out.MeanW, out.FeederExceedFrac, out.FeederTrips = scoreFeeder(ra.BudgetW, aggregate, dt)
-	endS := float64(steps) * dt
-	for _, cl := range clients {
+	out.PeakW, out.MeanW, out.FeederExceedFrac, out.FeederTrips = scoreFeeder(l.ra.BudgetW, l.aggregate, l.dt)
+	endS := float64(l.steps) * l.dt
+	for _, cl := range l.clients {
 		if age := cl.LeaseAgeS(endS); !math.IsNaN(age) && age > out.leaseAgeS {
 			out.leaseAgeS = age
 		}

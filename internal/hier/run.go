@@ -2,6 +2,7 @@ package hier
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"sprintcon/internal/core"
@@ -99,10 +100,13 @@ func rackJob(c Config, a Allocation, row, j int, offsetS float64) (sim.Scenario,
 // RunLinked executes the building: Validate resolves the waterfall, then
 // every row runs its own lock-step linked loop — a row coordinator, a
 // lossy transport, and lease-based clients per rack — against its granted
-// budget, concurrently unless Config.Serial (rows only share the read-only
-// configuration, so results are bit-identical either way). The building
-// draw, the sum of the row aggregates, is scored against a shadow breaker
-// at the building budget.
+// budget. Rows run on W = min(rows, GOMAXPROCS) workers (one under
+// Config.Serial); worker w owns rows w, w+W, … and advances each of them
+// by one tick, in row order, before it starts the next tick, so the run
+// never has more simulation goroutines than Ps. Rows only share the
+// read-only configuration, so results are bit-identical for every W. The
+// building draw, the sum of the row aggregates, is scored against a
+// shadow breaker at the building budget.
 func RunLinked(c Config) (*Result, error) {
 	a, err := c.resolve()
 	if err != nil {
@@ -110,27 +114,25 @@ func RunLinked(c Config) (*Result, error) {
 	}
 	out := &Result{Alloc: a, Rows: make([]*RowResult, len(a.Rows))}
 	errs := make([]error, len(a.Rows))
-	runRowAt := func(i int) {
-		// A panic in a row (policy, link callback, checkpoint sink) fails
-		// the run with a *sim.PanicError instead of killing the process.
-		defer sim.RecoverPanic(&errs[i])
-		out.Rows[i], errs[i] = runRow(c, a, i)
+	// Racks within a row fan out only over the Ps the row workers leave
+	// idle, so a building with rows ≥ GOMAXPROCS spawns no per-tick
+	// goroutines.
+	workers, rackWorkers := 1, 1
+	if !c.Serial {
+		procs := runtime.GOMAXPROCS(0)
+		workers = min(len(a.Rows), procs)
+		rackWorkers = procs / workers
 	}
-	if c.Serial {
-		for i := range a.Rows {
-			runRowAt(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range a.Rows {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runRowAt(i)
-			}(i)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runRows(c, a, w, workers, rackWorkers, out.Rows, errs)
+		}()
 	}
+	runRows(c, a, 0, workers, rackWorkers, out.Rows, errs)
+	wg.Wait()
 	for i, e := range errs {
 		if e != nil {
 			return nil, fmt.Errorf("hier: row %d: %w", i, e)
@@ -170,6 +172,49 @@ func RunLinked(c Config) (*Result, error) {
 		registerLinkMetrics(c.Metrics, out.Rows)
 	}
 	return out, nil
+}
+
+// runRows is one RunLinked worker over rows first, first+stride, …: it
+// advances every live row by one lock-step tick, in row order, before it
+// starts the next tick, until each row has finished or failed. The first
+// round builds each row just before its first tick, so the worker's first
+// row serves its first decision without waiting on the others' setup. A
+// row that fails — an error or a panic in any phase, including a policy,
+// link callback or checkpoint sink — stops only itself: its error lands
+// in errs[row] and the worker's other rows run on.
+func runRows(c Config, a Allocation, first, stride, rackWorkers int, out []*RowResult, errs []error) {
+	// tick advances l one step and reports whether it is still running;
+	// a finished row leaves its result in out, a failed one its error.
+	tick := func(l *rowLoop) bool {
+		done, err := l.advance()
+		if done && err == nil {
+			out[l.id], err = l.result()
+		}
+		if err != nil {
+			errs[l.id] = err
+			return false
+		}
+		return !done
+	}
+	var live []*rowLoop
+	for i := first; i < len(a.Rows); i += stride {
+		l, err := newRowLoop(c, a, i, rackWorkers)
+		if err != nil {
+			errs[i] = err
+		} else if tick(l) {
+			live = append(live, l)
+		}
+	}
+	for len(live) > 0 {
+		n := 0
+		for _, l := range live {
+			if tick(l) {
+				live[n] = l
+				n++
+			}
+		}
+		live = live[:n]
+	}
 }
 
 // registerHierMetrics publishes the run's per-level safety record on the
