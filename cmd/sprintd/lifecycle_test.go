@@ -240,6 +240,53 @@ func TestFirstDecisionHistogram(t *testing.T) {
 	}
 }
 
+// TestFirstDecisionSkipsRecoveredRuns: a run recovered from the journal
+// is not observed again, since its submission time would count the
+// restart's downtime; the process that first ran it observed it once.
+func TestFirstDecisionSkipsRecoveredRuns(t *testing.T) {
+	cfg := defaultServerConfig()
+	cfg.StateDir = t.TempDir()
+	s1, ts1 := newTestService(t, cfg)
+	code, doc, _ := submit(t, ts1, longSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	id := doc["id"].(string)
+	waitProgress(t, ts1, id)
+	s1.drain(0)
+	waitState(t, ts1, id, "interrupted")
+	if n := promValue(t, getBody(t, ts1.URL+"/metrics"), "sprintd_first_decision_seconds_count"); n != 1 {
+		t.Fatalf("first-decision count before the restart %g, want 1", n)
+	}
+
+	s2, ts2 := newTestService(t, cfg)
+	t.Cleanup(func() { s2.drain(0) })
+	waitProgress(t, ts2, id)
+	if n := promValue(t, getBody(t, ts2.URL+"/metrics"), "sprintd_first_decision_seconds_count"); n != 0 {
+		t.Errorf("first-decision count after the restart %g, want 0 (recovered runs are not observed)", n)
+	}
+}
+
+// waitProgress waits until run id's row 0 has completed a lock-step tick
+// in the service behind ts.
+func waitProgress(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var status map[string]any
+		getJSON(t, ts.URL+"/api/v1/runs/"+id+"/status", &status)
+		if rows, ok := status["rows"].([]any); ok && len(rows) > 0 {
+			if step := rows[0].(map[string]any)["step"].(float64); step > 0 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run %s never progressed", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // promValue returns the value of the unlabelled series name in a
 // Prometheus text exposition.
 func promValue(t *testing.T, body, name string) float64 {

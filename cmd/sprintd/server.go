@@ -48,9 +48,9 @@ type RunSpec struct {
 	// drives the per-row transports' fault randomness.
 	Seed     int64 `json:"seed,omitempty"`
 	LinkSeed int64 `json:"link_seed,omitempty"`
-	// Serial runs the simulation on one worker, with rows interleaved tick
-	// by tick and racks stepped in order (results are bit-identical
-	// either way).
+	// Serial runs the simulation on one worker, with rows interleaved
+	// round by round and racks stepped in order (results are
+	// bit-identical either way).
 	Serial bool `json:"serial,omitempty"`
 	// Scenario is a full per-rack scenario document (the sim scenario
 	// JSON schema, as written by sprintsim -scenario-out); when absent
@@ -181,7 +181,10 @@ type run struct {
 	Started    time.Time `json:"started"`
 	finished   time.Time
 	stepsTotal int
-	decided    bool // a lock-step tick has completed (first decisions recorded)
+	// firstTimed: sprintd_first_decision_seconds has observed this run,
+	// or must not (a run recovered from the journal, whose submission
+	// time would count the restart's downtime).
+	firstTimed bool
 	rowStep    []int
 	rowAggW    []float64
 	streams    map[[2]int]*telemetry.DecisionLog
@@ -411,8 +414,8 @@ func (s *server) buildRun(spec RunSpec, mode string) (*run, error) {
 			panic(fmt.Sprintf("chaos: injected panic at step %d (chaos_panic_at_step)", panicAt))
 		}
 		r.mu.Lock()
-		if !r.decided {
-			r.decided = true
+		if !r.firstTimed {
+			r.firstTimed = true
 			s.hFirst.Observe(time.Since(r.Submitted).Seconds())
 		}
 		r.rowStep[row] = step + 1
@@ -514,6 +517,7 @@ func (s *server) recover() error {
 		}
 		r.ID = rec.ID
 		r.Submitted = rec.Submitted
+		r.firstTimed = true
 		if r.Mode == "linked" {
 			r.resume = s.jn.loadResume(rec.ID, len(r.cfg.Rows))
 		}

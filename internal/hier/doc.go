@@ -28,11 +28,11 @@
 // own lock-step loop — a row coordinator packing the row's granted slot
 // capacity, a lossy transport (package link), and lease-based clients per
 // rack — with the row's granted budget as its feeder budget. The rows run
-// on min(rows, GOMAXPROCS) workers, each advancing its rows one tick at a
-// time in row order, so a run never has more simulation goroutines than
-// Ps and every row serves its first decision within the first round.
-// Partitions
-// therefore degrade one subtree: a row whose network fails falls back to
+// on min(rows, GOMAXPROCS) workers that share one queue of rows, each
+// advancing the row it takes by one round (one tick the first time, a
+// fixed number of ticks after that), so a run never has more simulation
+// goroutines than Ps and every row serves its first decision within the
+// first round. Partitions therefore degrade one subtree: a row whose network fails falls back to
 // rated-power autonomy (the degraded ladder of DESIGN.md §12) while the
 // other rows keep sprinting on their leases, and the building aggregate
 // stays inside its breaker. Every level is scored by a shadow breaker

@@ -52,9 +52,9 @@ type Config struct {
 	// lease expiry and keeps sprinting on the last grant it ever heard —
 	// the unsafe strawman experiment E19 measures against.
 	NaiveTrustLastGrant bool
-	// Serial runs RunLinked on one worker, which interleaves the rows tick
-	// by tick and steps each row's racks in order, and RunSweep's racks one
-	// at a time. Results are bit-identical either way.
+	// Serial runs RunLinked on one worker, which interleaves the rows
+	// round by round and steps each row's racks in order, and RunSweep's
+	// racks one at a time. Results are bit-identical either way.
 	Serial bool
 	// Metrics, when non-nil, receives RunLinked's instruments after a run
 	// completes: the hierarchy instruments (per-level budgets, exceedance
@@ -77,7 +77,7 @@ type Config struct {
 	// every row with that row's id, step index, simulated time and feeder
 	// aggregate draw. Rows run on up to GOMAXPROCS workers, so the callback
 	// must be safe for concurrent use. It must return quickly: the row's
-	// worker, and every other row it owns, waits on it.
+	// worker, and every row queued behind it, waits on it.
 	OnRowTick func(row, step int, nowS, aggregateW float64)
 	// OnRowDone, when non-nil, is called after each row's sweep shard
 	// completes (RunSweep only; shards finish in row order).
@@ -93,9 +93,9 @@ type Config struct {
 	// a row exported at the same tick boundary, every CheckpointEveryS
 	// simulated seconds (at least one tick), plus a final set when the
 	// run cancels. The sink runs on the row's worker, which waits on it
-	// with every row it owns, so it must return quickly. Rows run on up to
-	// GOMAXPROCS workers, so OnRowCheckpoint must be safe for concurrent
-	// use across different row ids.
+	// with every row queued behind it, so it must return quickly. Rows
+	// run on up to GOMAXPROCS workers, so OnRowCheckpoint must be safe for
+	// concurrent use across different row ids.
 	CheckpointEveryS float64
 	OnRowCheckpoint  func(row int, snaps []*checkpoint.Snapshot)
 	// Resume, when non-nil, resumes a linked run from journaled row

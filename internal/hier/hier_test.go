@@ -215,15 +215,27 @@ func TestRunLinkedConservationPerPeriod(t *testing.T) {
 }
 
 // TestRunLinkedRowsInterleave pins the worker schedule: with one worker —
-// Config.Serial, or GOMAXPROCS 1 — every row completes step s before any
-// row starts step s+1, in row order, so each row's first decision lands
-// within the first round instead of after the rows ahead of it have run
-// to their end.
+// Config.Serial, or GOMAXPROCS 1 — every row ticks step 0 in the first
+// round, in row order, so each row's first decision lands before any row
+// runs a full round, instead of after the rows ahead of it have run to
+// their end. Later rounds advance each row roundTicks ticks in row order;
+// the run ends in a partial round.
 func TestRunLinkedRowsInterleave(t *testing.T) {
 	c := DefaultConfig()
 	c.Rows = []RowConfig{{Racks: 2}, {Racks: 2}, {Racks: 2}, {Racks: 2}}
-	c.Scenario.DurationS = 20
-	steps := int(c.Scenario.DurationS / c.Scenario.DtS)
+	steps := 2*roundTicks + 6
+	c.Scenario.DurationS = float64(steps) * c.Scenario.DtS
+	var want [][2]int // (row, step) in schedule order
+	for row := range c.Rows {
+		want = append(want, [2]int{row, 0})
+	}
+	for first := 1; first < steps; first += roundTicks {
+		for row := range c.Rows {
+			for step := first; step < min(first+roundTicks, steps); step++ {
+				want = append(want, [2]int{row, step})
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		serial bool
@@ -248,13 +260,12 @@ func TestRunLinkedRowsInterleave(t *testing.T) {
 			if _, err := RunLinked(cfg); err != nil {
 				t.Fatal(err)
 			}
-			rows := len(cfg.Rows)
-			if len(seen) != rows*steps {
-				t.Fatalf("%d row ticks, want %d", len(seen), rows*steps)
+			if len(seen) != len(want) {
+				t.Fatalf("%d row ticks, want %d", len(seen), len(want))
 			}
 			for i, got := range seen {
-				if want := [2]int{i % rows, i / rows}; got != want {
-					t.Fatalf("row tick %d is (row, step) %v, want %v: rows do not interleave tick by tick", i, got, want)
+				if got != want[i] {
+					t.Fatalf("row tick %d is (row, step) %v, want %v", i, got, want[i])
 				}
 			}
 		})

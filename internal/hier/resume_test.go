@@ -17,18 +17,19 @@ import (
 // covers the remaining window. For a building, Result.ResumeStep is the
 // latest row start and the building series has exactly steps−ResumeStep
 // samples; for one row the capture lands exactly one tick after the stop.
-// Under one worker the rows stop one tick apart and resume from different
-// steps, on one worker exactly as on many.
+// Under one worker the rows stop in different rounds and resume from
+// different steps, on one worker exactly as on many.
 func TestRunLinkedCancelAndResume(t *testing.T) {
 	t.Run("building", testCancelAndResumeBuilding)
 	t.Run("one_row", testCancelAndResumeOneRow)
 	t.Run("staggered_one_worker", testCancelAndResumeStaggered)
 }
 
-// testCancelAndResumeStaggered: with Serial, row 0's tick at step 199
-// closes Stop before row 1 has stepped 199, so row 0's final capture
-// lands at step 200 and row 1's at 199. The resumed building must be
-// bit-identical on one worker and on GOMAXPROCS workers.
+// testCancelAndResumeStaggered: with Serial, row 0's tick at a step inside
+// its third round closes Stop before row 1 has started that round, so row
+// 0's final capture lands one step later and row 1's at the round's first
+// step. The resumed building must be bit-identical on one worker and on
+// GOMAXPROCS workers.
 func testCancelAndResumeStaggered(t *testing.T) {
 	c := testConfig()
 	c.Serial = true
@@ -36,8 +37,11 @@ func testCancelAndResumeStaggered(t *testing.T) {
 	c.Stop = stop
 	cap := &captureSink{}
 	c.CheckpointEveryS, c.OnRowCheckpoint = 1e6, cap.sink // only the cancel capture fires
+	// Row 0's third round covers steps roundStart … 2·roundTicks.
+	roundStart := 1 + roundTicks
+	stopAt := roundStart + 5
 	c.OnRowTick = func(row, step int, _, _ float64) {
-		if row == 0 && step == 199 {
+		if row == 0 && step == stopAt {
 			close(stop)
 		}
 	}
@@ -45,7 +49,7 @@ func testCancelAndResumeStaggered(t *testing.T) {
 		t.Fatalf("err = %v, want sim.ErrCanceled", err)
 	}
 	var resume [][]*checkpoint.Snapshot
-	for row, want := range []int64{200, 199} {
+	for row, want := range []int64{int64(stopAt) + 1, int64(roundStart)} {
 		sets := cap.row(row)
 		if len(sets) != 1 {
 			t.Fatalf("row %d captured %d sets on cancel, want exactly the final capture", row, len(sets))
@@ -59,11 +63,11 @@ func testCancelAndResumeStaggered(t *testing.T) {
 	rc := testConfig()
 	rc.Resume = resume
 	res := checkParallelMatchesSerial(t, rc)
-	if res.Rows[0].StartStep != 200 || res.Rows[1].StartStep != 199 {
-		t.Errorf("StartSteps = %d, %d, want 200, 199", res.Rows[0].StartStep, res.Rows[1].StartStep)
+	if res.Rows[0].StartStep != stopAt+1 || res.Rows[1].StartStep != roundStart {
+		t.Errorf("StartSteps = %d, %d, want %d, %d", res.Rows[0].StartStep, res.Rows[1].StartStep, stopAt+1, roundStart)
 	}
-	if res.ResumeStep != 200 {
-		t.Errorf("ResumeStep = %d, want 200 (latest row start)", res.ResumeStep)
+	if res.ResumeStep != stopAt+1 {
+		t.Errorf("ResumeStep = %d, want %d (latest row start)", res.ResumeStep, stopAt+1)
 	}
 }
 

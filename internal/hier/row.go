@@ -237,23 +237,18 @@ func (c Config) validateRow(a Allocation, row int) error {
 
 // rowLoop is row r's lock-step loop with the control link in it, split
 // into phases so that one worker goroutine can interleave several rows
-// tick by tick: newRowLoop builds the row, advance executes its next tick,
-// and result assembles its RowResult. Every tick the transport's fault
-// schedule advances, due grants reach the rack clients, all racks execute
-// one physics tick, heartbeats travel back, and the coordinator issues
-// fresh leases. The row draw is scored against a shadow breaker rated at
-// the row budget. Each phase recovers its own panics, so a failing row
-// stops only itself.
+// round by round: newRowLoop builds the row, advance executes its next
+// tick, and result assembles its RowResult. Every tick the transport's
+// fault schedule advances, due grants reach the rack clients, all racks
+// execute one physics tick, heartbeats travel back, and the coordinator
+// issues fresh leases. The row draw is scored against a shadow breaker
+// rated at the row budget. Each phase recovers its own panics, so a
+// failing row stops only itself.
 type rowLoop struct {
 	c  Config
 	id int
 	ra RowAllocation
 	dt float64
-	// rackWorkers is the number of goroutines a tick's racks fan out over
-	// (1 steps them in order on the worker's goroutine). Racks only
-	// exchange state through the link on the worker's goroutine, so the
-	// result is bit-identical either way.
-	rackWorkers int
 
 	coord    *link.Coordinator
 	tr       *link.Transport
@@ -285,7 +280,7 @@ func stopped(stop <-chan struct{}) bool {
 // newRowLoop builds row r: its coordinator, lossy transport, and one
 // lease client and runner per rack, positioned at the row's resume step.
 // The configuration must already be validated.
-func newRowLoop(c Config, a Allocation, row, rackWorkers int) (l *rowLoop, err error) {
+func newRowLoop(c Config, a Allocation, row int) (l *rowLoop, err error) {
 	defer sim.RecoverPanic(&err)
 	ra := a.Rows[row]
 	ccfg := c.rowCoordConfig(a, row)
@@ -303,7 +298,7 @@ func newRowLoop(c Config, a Allocation, row, rackWorkers int) (l *rowLoop, err e
 
 	dt := c.Scenario.DtS
 	l = &rowLoop{
-		c: c, id: row, ra: ra, dt: dt, rackWorkers: rackWorkers,
+		c: c, id: row, ra: ra, dt: dt,
 		coord:    coord,
 		tr:       link.NewTransport(linkPlan, ra.Racks, c.Seed+int64(row), dt),
 		runners:  make([]*sim.Runner, ra.Racks),
@@ -386,12 +381,14 @@ func (l *rowLoop) stepRack(i int) {
 	l.stepErrs[i] = l.runners[i].Step()
 }
 
-// stepRacks executes one physics tick per rack. Racks are independent
-// given their delivered grants, so they may run on several goroutines
-// without affecting the result.
-func (l *rowLoop) stepRacks() {
+// stepRacks executes one physics tick per rack over up to workers
+// goroutines (1 steps them in order on the calling goroutine). Racks are
+// independent given their delivered grants and only exchange state
+// through the link on the calling goroutine, so the result is
+// bit-identical for every count.
+func (l *rowLoop) stepRacks(workers int) {
 	n := len(l.runners)
-	k := min(l.rackWorkers, n)
+	k := min(workers, n)
 	if k <= 1 {
 		for i := range l.runners {
 			if l.stepRack(i); l.stepErrs[i] != nil {
@@ -416,11 +413,12 @@ func (l *rowLoop) stepRacks() {
 	wg.Wait()
 }
 
-// advance executes the row's next lock-step tick and reports whether the
-// row has now run to its end. A closed Stop ends the row with
+// advance executes the row's next lock-step tick, its racks fanned out
+// over rackWorkers goroutines, and reports whether the row has now run to
+// its end. A closed Stop ends the row with
 // sim.ErrCanceled instead, after capturing a final checkpoint at the
 // boundary it stopped on.
-func (l *rowLoop) advance() (done bool, err error) {
+func (l *rowLoop) advance(rackWorkers int) (done bool, err error) {
 	defer sim.RecoverPanic(&err)
 	if l.next >= l.steps {
 		return true, nil
@@ -455,7 +453,7 @@ func (l *rowLoop) advance() (done bool, err error) {
 	}
 
 	// 3. One physics tick per rack.
-	l.stepRacks()
+	l.stepRacks(rackWorkers)
 	for i, e := range l.stepErrs {
 		if e != nil {
 			return false, fmt.Errorf("rack %d: %w", i, e)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sprintcon/internal/core"
 	"sprintcon/internal/sim"
@@ -97,16 +98,31 @@ func rackJob(c Config, a Allocation, row, j int, offsetS float64) (sim.Scenario,
 	return scn, core.New(pcfg)
 }
 
+// roundTicks is how many lock-step ticks a worker advances a row before
+// it hands the row back and takes the next one. Between Go's preemption
+// slices the goroutines waiting on the rows run, and each of sprintd's
+// stream followers writes what its row produced since it last ran, so
+// the fewer rows a slice touches, the fewer writes. A round of a 16-rack
+// row spans several slices, so most slices touch one row; with every
+// stream followed, one-tick rounds cost sprintd three times the write
+// syscalls. The wait a long round imposes on the rows queued behind
+// delays no first decision, since a row's first round is one tick.
+const roundTicks = 256
+
 // RunLinked executes the building: Validate resolves the waterfall, then
 // every row runs its own lock-step linked loop — a row coordinator, a
 // lossy transport, and lease-based clients per rack — against its granted
 // budget. Rows run on W = min(rows, GOMAXPROCS) workers (one under
-// Config.Serial); worker w owns rows w, w+W, … and advances each of them
-// by one tick, in row order, before it starts the next tick, so the run
-// never has more simulation goroutines than Ps. Rows only share the
-// read-only configuration, so results are bit-identical for every W. The
-// building draw, the sum of the row aggregates, is scored against a
-// shadow breaker at the building budget.
+// Config.Serial), so the run never has more simulation goroutines than
+// Ps. The workers share one queue of rows in row order: a worker takes
+// the row at its head, advances it one round, and puts it back at the
+// tail, so rows share the workers evenly whatever their number. A row's
+// first round is one tick and builds the row just before it, so every
+// row serves its first decision before any row runs a full round; later
+// rounds are roundTicks ticks. Rows only share the read-only
+// configuration, so results are bit-identical for every W. The building
+// draw, the sum of the row aggregates, is scored against a shadow
+// breaker at the building budget.
 func RunLinked(c Config) (*Result, error) {
 	a, err := c.resolve()
 	if err != nil {
@@ -114,24 +130,30 @@ func RunLinked(c Config) (*Result, error) {
 	}
 	out := &Result{Alloc: a, Rows: make([]*RowResult, len(a.Rows))}
 	errs := make([]error, len(a.Rows))
-	// Racks within a row fan out only over the Ps the row workers leave
-	// idle, so a building with rows ≥ GOMAXPROCS spawns no per-tick
-	// goroutines.
-	workers, rackWorkers := 1, 1
+	workers, procs := 1, 1
 	if !c.Serial {
-		procs := runtime.GOMAXPROCS(0)
+		procs = runtime.GOMAXPROCS(0)
 		workers = min(len(a.Rows), procs)
-		rackWorkers = procs / workers
 	}
+	// Racks within a row fan out only over the Ps the row workers leave
+	// idle, the leftover ones going to the first workers, so a building
+	// with rows ≥ GOMAXPROCS spawns no per-tick goroutines.
+	rackWorkers := func(w int) int {
+		if w < procs%workers {
+			return procs/workers + 1
+		}
+		return procs / workers
+	}
+	q := newRowQueue(len(a.Rows))
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runRows(c, a, w, workers, rackWorkers, out.Rows, errs)
+			q.work(c, a, rackWorkers(w), out.Rows, errs)
 		}()
 	}
-	runRows(c, a, 0, workers, rackWorkers, out.Rows, errs)
+	q.work(c, a, rackWorkers(0), out.Rows, errs)
 	wg.Wait()
 	for i, e := range errs {
 		if e != nil {
@@ -174,47 +196,66 @@ func RunLinked(c Config) (*Result, error) {
 	return out, nil
 }
 
-// runRows is one RunLinked worker over rows first, first+stride, …: it
-// advances every live row by one lock-step tick, in row order, before it
-// starts the next tick, until each row has finished or failed. The first
-// round builds each row just before its first tick, so the worker's first
-// row serves its first decision without waiting on the others' setup. A
-// row that fails — an error or a panic in any phase, including a policy,
-// link callback or checkpoint sink — stops only itself: its error lands
-// in errs[row] and the worker's other rows run on.
-func runRows(c Config, a Allocation, first, stride, rackWorkers int, out []*RowResult, errs []error) {
-	// tick advances l one step and reports whether it is still running;
-	// a finished row leaves its result in out, a failed one its error.
-	tick := func(l *rowLoop) bool {
-		done, err := l.advance()
-		if done && err == nil {
-			out[l.id], err = l.result()
-		}
-		if err != nil {
-			errs[l.id] = err
-			return false
-		}
-		return !done
+// rowQueue hands a building's rows to RunLinked's workers round by round.
+// A row is in the queue only while no worker holds it, and only the
+// worker holding a row touches its loop.
+type rowQueue struct {
+	rows  chan int   // rows waiting for a worker; holds every row, so a send never blocks
+	loops []*rowLoop // built rows, nil until a row's first round
+	live  atomic.Int64
+}
+
+// newRowQueue queues rows 0…n−1 in row order.
+func newRowQueue(n int) *rowQueue {
+	q := &rowQueue{rows: make(chan int, n), loops: make([]*rowLoop, n)}
+	for i := range n {
+		q.rows <- i
 	}
-	var live []*rowLoop
-	for i := first; i < len(a.Rows); i += stride {
-		l, err := newRowLoop(c, a, i, rackWorkers)
+	q.live.Store(int64(n))
+	return q
+}
+
+// work is one RunLinked worker: it takes rows off the queue, runs each
+// one round, and puts back every row that is still running, until the
+// last row has finished or failed. A row that fails — an error or a
+// panic in any phase, including a policy, link callback or checkpoint
+// sink — stops only itself: its error lands in errs[row] and the other
+// rows run on.
+func (q *rowQueue) work(c Config, a Allocation, rackWorkers int, out []*RowResult, errs []error) {
+	for i := range q.rows {
+		running, err := q.round(c, a, i, rackWorkers, out)
 		if err != nil {
 			errs[i] = err
-		} else if tick(l) {
-			live = append(live, l)
+		}
+		if running {
+			q.rows <- i
+		} else if q.live.Add(-1) == 0 {
+			close(q.rows)
 		}
 	}
-	for len(live) > 0 {
-		n := 0
-		for _, l := range live {
-			if tick(l) {
-				live[n] = l
-				n++
-			}
+}
+
+// round runs row i's next round and reports whether the row is still
+// running; a finished row leaves its result in out.
+func (q *rowQueue) round(c Config, a Allocation, i, rackWorkers int, out []*RowResult) (running bool, err error) {
+	l, ticks := q.loops[i], roundTicks
+	if l == nil {
+		if l, err = newRowLoop(c, a, i); err != nil {
+			return false, err
 		}
-		live = live[:n]
+		q.loops[i], ticks = l, 1
 	}
+	for range ticks {
+		done, err := l.advance(rackWorkers)
+		if err != nil {
+			return false, err
+		}
+		if done {
+			out[i], err = l.result()
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // registerHierMetrics publishes the run's per-level safety record on the
