@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,5 +93,40 @@ func TestStaticClusterInputs(t *testing.T) {
 				t.Fatalf("output lacks %q:\n%s", tc.wantOut, buf.String())
 			}
 		})
+	}
+}
+
+// TestPartitionSpanTraceGolden pins the JSONL span trace of
+//
+//	sprintsim -racks 4 -link -fault link-partition:10:690:1:0 -trace-spans f
+//
+// (the trace CI's obs-coverage job uploads) byte for byte, by its line and
+// byte counts and SHA-256, as TestSweepGolden pins the sweep's bits. The
+// digest was recorded before the tracer stored spans compactly: the
+// compact span log must render the spans the slice of records rendered.
+func TestPartitionSpanTraceGolden(t *testing.T) {
+	const (
+		wantLines = 4251
+		wantBytes = 519649
+		wantSHA   = "42a8a58a1fbf24c3294f12968fddddf4714b8312d023ce78a652bed58bcd73e6"
+	)
+	f, err := faults.Parse("link-partition:10:690:1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn := flagScenario(900, 720, 1)
+	scn.Faults.Faults = []faults.Fault{f}
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := runCluster(io.Discard, scn, clusterOpts{racks: 4, link: true, traceSpans: path}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(got)
+	if lines := bytes.Count(got, []byte("\n")); lines != wantLines || len(got) != wantBytes || hex.EncodeToString(sum[:]) != wantSHA {
+		t.Fatalf("span trace: %d lines, %d bytes, sha256 %x; want %d lines, %d bytes, sha256 %s",
+			lines, len(got), sum, wantLines, wantBytes, wantSHA)
 	}
 }
