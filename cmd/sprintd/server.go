@@ -435,8 +435,16 @@ func (s *server) buildRun(spec RunSpec, mode string) (*run, error) {
 		}
 		r.streams = streams
 		r.cfg.Obs = r.obs
+		// Nothing the service serves reads a linked rack's per-tick
+		// series (the summary comes from accumulators and the row
+		// feeder's own aggregate), so a stride longer than the run keeps
+		// only tick 0 instead of ten float64 channels per rack-tick.
+		noSeries := r.stepsTotal + 1
 		r.cfg.RackOptions = func(row, rack int) sim.RunOptions {
-			return sim.RunOptions{Decisions: telemetry.NewDecisionLogSink(streams[[2]int{row, rack}])}
+			return sim.RunOptions{
+				Decisions:    telemetry.NewDecisionLogSink(streams[[2]int{row, rack}]),
+				SeriesStride: noSeries,
+			}
 		}
 	} else {
 		r.cfg.OnRowDone = func(row int) {

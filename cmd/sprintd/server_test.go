@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"sprintcon/internal/hier"
 	"sprintcon/internal/telemetry"
 )
 
@@ -253,5 +255,55 @@ func TestSweepMode(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/api/v1/runs/"+id+"/spans", nil); code != http.StatusNotFound {
 		t.Errorf("sweep spans: status %d, want 404", code)
+	}
+}
+
+// TestLinkedRunKeepsNoSeries: a finished linked run's racks hold at most
+// one series sample (nothing the service serves reads them), and its
+// summary is the one an in-process run that kept every rack's full series
+// gives.
+func TestLinkedRunKeepsNoSeries(t *testing.T) {
+	const spec = `{"rows": 2, "racks_per_row": 2, "duration_s": 240}`
+	var rs RunSpec
+	if err := json.Unmarshal([]byte(spec), &rs); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := rs.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := hier.RunLinked(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(full.Rows[0].Racks[0].Series.CBW); n < 240 {
+		t.Fatalf("reference run kept %d series samples, want the full series", n)
+	}
+	b, err := json.Marshal((&run{linked: full}).summary()["result"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want any
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestService(t, defaultServerConfig())
+	id := postRun(t, ts, spec)
+	doc := waitDone(t, ts, id)
+	if !reflect.DeepEqual(doc["result"], want) {
+		t.Fatalf("served result differs from the full-series run:\n got  %v\n want %v", doc["result"], want)
+	}
+	s.mu.Lock()
+	r := s.runs[id]
+	s.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, row := range r.linked.Rows {
+		for j, res := range row.Racks {
+			if n := len(res.Series.CBW); n > 1 || len(res.Series.Time) > 1 || cap(res.Series.CBW) > 2 {
+				t.Fatalf("row %d rack %d kept %d series samples (cap %d), want at most one", i, j, n, cap(res.Series.CBW))
+			}
+		}
 	}
 }

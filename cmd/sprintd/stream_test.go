@@ -23,18 +23,18 @@ func keptBatch(t testing.TB, n int) telemetry.DecisionBatch {
 	kept := telemetry.NewDecisionLogSink(l)
 	d := &telemetry.Decision{Policy: "SprintCon", Mode: "normal",
 		Alloc: &telemetry.AllocDecision{PCbW: 3200, PBatchW: 1291.584, ReserveW: 2148.87},
-		MPC: &telemetry.MPCDecision{PfbW: 1319.88, TargetW: 1291.584, RefTrajW: make([]float64, 4),
-			RWeights: make([]float64, 64), FreqsGHz: make([]float64, 64), KWPerGHz: 9.6525},
+		MPC: &telemetry.MPCDecision{PfbW: 1319.88, TargetW: 1291.584, RefTrajW: make([]telemetry.F, 4),
+			RWeights: make([]float64, 64), FreqsGHz: make([]telemetry.F, 64), KWPerGHz: 9.6525},
 		Guard: &telemetry.GuardVerdict{Confidence: 1},
 		UPS:   &telemetry.UPSDecision{RequestW: 238.25, SoC: 0.94}}
 	for i := 0; i < n; i++ {
 		d.T = float64(2 * i)
 		for j := range d.MPC.RWeights {
 			d.MPC.RWeights[j] = 1 / float64(i+j+3)
-			d.MPC.FreqsGHz[j] = 0.4 + 0.4*float64((i+j)%5)
+			d.MPC.FreqsGHz[j] = telemetry.F(0.4 + 0.4*float64((i+j)%5))
 		}
 		for j := range d.MPC.RefTrajW {
-			d.MPC.RefTrajW[j] = 1291.584 + 1/float64(i+j+1)
+			d.MPC.RefTrajW[j] = telemetry.F(1291.584 + 1/float64(i+j+1))
 		}
 		kept.Emit(d)
 	}

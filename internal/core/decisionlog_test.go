@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -138,18 +139,49 @@ func TestDecisionLogMatchesEncoderGenerated(t *testing.T) {
 	}
 }
 
-// TestDecisionLogStopsWhereEncoderStops: unhardened SprintCon under a
-// monitor dropout feeds a NaN into the Eq. (6) feedback (mpc.pfb_w, a
-// plain float); the retaining log must refuse the same record as the
-// encoder, with the same error, and keep every record before it.
-func TestDecisionLogStopsWhereEncoderStops(t *testing.T) {
+// TestDecisionLogWritesNaNFeedback: unhardened SprintCon under a monitor
+// dropout feeds a NaN into the Eq. (6) feedback, which reaches mpc.pfb_w,
+// ref_traj_w and freqs_ghz. Those are F fields, so the encoder writes the
+// NaNs as null and keeps going (every control period has its record), the
+// retaining log renders the same bytes, and ReadDecisions reads the nulls
+// back as NaN.
+func TestDecisionLogWritesNaNFeedback(t *testing.T) {
 	scn := sim.DefaultScenario()
 	scn.Faults = faults.Plan{Faults: []faults.Fault{{Kind: faults.MonitorDropout, OnsetS: 100, DurationS: 60}}}
 	unhardened := tracePolicies[len(tracePolicies)-1].make
 	for _, max := range []int{0, 8} {
-		_, err := checkLogMatchesEncoder(t, scn, unhardened, max)
-		if err == nil || err.Error() != "json: unsupported value: NaN" {
-			t.Fatalf("max %d: sink error %v, want encoding/json's NaN refusal", max, err)
+		if _, err := checkLogMatchesEncoder(t, scn, unhardened, max); err != nil {
+			t.Fatalf("max %d: sink error %v", max, err)
 		}
+	}
+	var buf bytes.Buffer
+	enc := telemetry.NewDecisionSink(&buf)
+	if _, err := sim.RunWith(scn, unhardened(), sim.RunOptions{Decisions: enc}); err != nil || enc.Err() != nil {
+		t.Fatal(err, enc.Err())
+	}
+	recs, err := telemetry.ReadDecisions(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pfb, ref, freqs int
+	for _, d := range recs {
+		if d.MPC == nil {
+			continue
+		}
+		if math.IsNaN(float64(d.MPC.PfbW)) {
+			pfb++
+		}
+		if len(d.MPC.RefTrajW) > 0 && math.IsNaN(float64(d.MPC.RefTrajW[0])) {
+			ref++
+		}
+		if len(d.MPC.FreqsGHz) > 0 && math.IsNaN(float64(d.MPC.FreqsGHz[0])) {
+			freqs++
+		}
+	}
+	if periods := int(scn.DurationS / DefaultConfig().ControlPeriodS); len(recs) != periods || int64(len(recs)) != enc.Count() {
+		t.Fatalf("read %d records, sink wrote %d; want one per control period (%d)", len(recs), enc.Count(), periods)
+	}
+	if pfb == 0 || ref == 0 || freqs == 0 {
+		t.Fatalf("NaN read back in pfb_w %d, ref_traj_w %d, freqs_ghz %d records; the dropout should reach all three", pfb, ref, freqs)
 	}
 }

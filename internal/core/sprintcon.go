@@ -673,9 +673,9 @@ func (s *SprintCon) serverPowerControl(env *sim.Env, snap sim.Snapshot, pcb, pIn
 			Updated:         updated,
 		}
 		m := &r.mpc
-		m.PfbW, m.TargetW = pfb, target
+		m.PfbW, m.TargetW = telemetry.F(pfb), target
 		m.RWeights = append(m.RWeights[:0], rweights...)
-		m.FreqsGHz = append(m.FreqsGHz[:0], next...)
+		m.FreqsGHz = telemetry.AppendFs(m.FreqsGHz[:0], next)
 		m.RefTrajW = m.RefTrajW[:0]
 		m.QPSweeps, m.QPConverged, m.LockedCores = 0, false, 0
 		for _, l := range locked {
@@ -686,7 +686,8 @@ func (s *SprintCon) serverPowerControl(env *sim.Env, snap sim.Snapshot, pcb, pIn
 		if s.cfg.Controller != ControllerPI {
 			stats := s.mpc.LastSolve()
 			m.QPSweeps, m.QPConverged = stats.Sweeps, stats.Converged
-			m.RefTrajW = s.mpc.ReferenceTrajectory(m.RefTrajW, pfb, target)
+			r.refTraj = s.mpc.ReferenceTrajectory(r.refTraj[:0], pfb, target)
+			m.RefTrajW = telemetry.AppendFs(m.RefTrajW, r.refTraj)
 		}
 		s.pending = true
 	}

@@ -83,6 +83,9 @@ type decisionRecord struct {
 	mpc   telemetry.MPCDecision
 	guard telemetry.GuardVerdict
 	ups   telemetry.UPSDecision
+	// refTraj is the reference trajectory's scratch, copied into
+	// mpc.RefTrajW.
+	refTraj []float64
 }
 
 // completeDecision finishes the pending record with the values read at
@@ -95,9 +98,9 @@ func (s *SprintCon) completeDecision(upsReqW, socNow float64) *telemetry.Decisio
 	r.alloc.ShiftW = s.allocator.DeadlineShiftW()
 	r.mpc.ClampedLo, r.mpc.ClampedHi = 0, 0
 	for _, f := range r.mpc.FreqsGHz {
-		if f <= s.fmin+1e-9 {
+		if float64(f) <= s.fmin+1e-9 {
 			r.mpc.ClampedLo++
-		} else if f >= s.fmax-1e-9 {
+		} else if float64(f) >= s.fmax-1e-9 {
 			r.mpc.ClampedHi++
 		}
 	}

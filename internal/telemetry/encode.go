@@ -43,11 +43,12 @@ func AppendDecision(b []byte, d *Decision) ([]byte, error) {
 		e.b = append(e.b, '}')
 	}
 	if m := d.MPC; m != nil {
-		e.float(`,"mpc":{"pfb_w":`, m.PfbW)
+		e.b = append(e.b, `,"mpc":{"pfb_w":`...)
+		e.b = appendF(e.b, float64(m.PfbW))
 		e.float(`,"target_w":`, m.TargetW)
-		e.floats(`,"ref_traj_w":[`, m.RefTrajW)
-		e.floats(`,"r_weights":[`, m.RWeights)
-		e.floats(`,"freqs_ghz":[`, m.FreqsGHz)
+		floats(&e, `,"ref_traj_w":[`, m.RefTrajW)
+		floats(&e, `,"r_weights":[`, m.RWeights)
+		floats(&e, `,"freqs_ghz":[`, m.FreqsGHz)
 		e.int(`,"clamped_lo":`, m.ClampedLo)
 		e.int(`,"clamped_hi":`, m.ClampedHi)
 		e.int(`,"qp_sweeps":`, m.QPSweeps)
@@ -91,26 +92,42 @@ func (e *recordEncoder) float(key string, v float64) {
 }
 
 // floats writes a non-empty slice (the key opens the array); omitempty
-// drops an empty one entirely.
-func (e *recordEncoder) floats(key string, vs []float64) {
+// drops an empty one entirely. Elements are written as e.float writes a
+// float64 and as F marshals itself for an F.
+func floats[T float64 | F](e *recordEncoder, key string, vs []T) {
 	if len(vs) == 0 {
 		return
 	}
+	var nullable bool
+	switch any(vs).(type) {
+	case []F:
+		nullable = true
+	}
 	e.b = append(e.b, key...)
 	prev := len(e.b) // where the previous element's bytes start
-	e.float("", vs[0])
+	e.elem(float64(vs[0]), nullable)
 	for i := 1; i < len(vs); i++ {
 		end := len(e.b)
 		e.b = append(e.b, ',')
 		at := len(e.b)
-		if math.Float64bits(vs[i]) == math.Float64bits(vs[i-1]) {
+		if math.Float64bits(float64(vs[i])) == math.Float64bits(float64(vs[i-1])) {
 			e.b = append(e.b, e.b[prev:end]...)
 		} else {
-			e.float("", vs[i])
+			e.elem(float64(vs[i]), nullable)
 		}
 		prev = at
 	}
 	e.b = append(e.b, ']')
+}
+
+// elem writes one array element: as F marshals v if nullable, else as a
+// plain float64.
+func (e *recordEncoder) elem(v float64, nullable bool) {
+	if nullable {
+		e.b = appendF(e.b, v)
+		return
+	}
+	e.float("", v)
 }
 
 func (e *recordEncoder) int(key string, v int) {

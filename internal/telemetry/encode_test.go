@@ -70,7 +70,30 @@ func checkAgainstJSON(t testing.TB, d *Decision) {
 	if kept := renderLog(t, l); !bytes.Equal(kept, want) {
 		t.Fatalf("kept record renders differently\n got %s\nwant %s", kept, want)
 	}
+	// Read back, every number — null, "+Inf" and "-Inf" included —
+	// encodes as it was written. (Strings need not: invalid UTF-8 comes
+	// back as the replacement character it was written as.)
+	read, err := ReadDecisions(bytes.NewReader(got))
+	if err != nil || len(read) != 1 {
+		t.Fatalf("ReadDecisions: %d records, %v", len(read), err)
+	}
+	numbers := func(d *Decision) []byte {
+		b, err := AppendDecision(nil, &Decision{Schema: d.Schema, T: d.T, Alloc: d.Alloc, MPC: d.MPC, Guard: d.Guard, UPS: d.UPS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if again, want := numbers(&read[0]), numbers(d); !bytes.Equal(again, want) {
+		t.Fatalf("read back and encoded again\n got %s\nwant %s", again, want)
+	}
 }
+
+// nanFeedbackSeed is a fuzz input decoding to an MPC-only record whose
+// pfb_w, ref_traj_w and freqs_ghz are NaN (selector 32 is edgeFloats'
+// NaN) and whose other floats are finite: the record an unhardened
+// controller writes while its power reading is lost.
+var nanFeedbackSeed = []byte{0x02, 2, 2, 0, 0, 32, 7, 4, 32, 0, 0, 0, 2, 2, 1, 5, 3, 32, 0, 0, 0, 0, 0, 0, 0, 7}
 
 // TestFMarshalJSONEdges holds F's JSON form to encoding/json's float64
 // form at every edge, and to null/"+Inf"/"-Inf" where encoding/json
@@ -113,9 +136,9 @@ func fullDecision() *Decision {
 		Mode:   "normal",
 		Alloc:  &AllocDecision{PCbW: 3200, PBatchW: 1291.584, ReserveW: 2148.871356037116, ShiftW: 144.489175317219, DeadlineFloorW: 1328.4303243643162, HeadroomUtil: 1.0916703488155015, DeadlineUrgency: 0.3578292745629579, Updated: true},
 		MPC: &MPCDecision{PfbW: 1319.8799737906047, TargetW: 1291.584,
-			RefTrajW:  []float64{1295.4134436274073, 1292.102258837954, 1291.6541387066245, 1291.5934922417268},
+			RefTrajW:  []F{1295.4134436274073, 1292.102258837954, 1291.6541387066245, 1291.5934922417268},
 			RWeights:  []float64{0.4941935385767035, 0.4941935385767035, 0.43654295908388663, 1, 1, 1},
-			FreqsGHz:  []float64{0.4, 0.4, 0.4, 2.4, 2.4, 1.6},
+			FreqsGHz:  []F{0.4, 0.4, 0.4, 2.4, 2.4, 1.6},
 			ClampedLo: 3, ClampedHi: 2, QPSweeps: 7, QPConverged: true, LockedCores: 1, KWPerGHz: 9.652499999999998},
 		Guard: &GuardVerdict{Confidence: 1, Degraded: true, RejectedTotal: 3, UPSFailed: true},
 		UPS:   &UPSDecision{RequestW: 238.24749166626583, SoC: 0.9396909716063649},
@@ -131,9 +154,9 @@ func cloneDecision(d *Decision) *Decision {
 	}
 	if d.MPC != nil {
 		m := *d.MPC
-		m.RefTrajW = append([]float64(nil), m.RefTrajW...)
+		m.RefTrajW = append([]F(nil), m.RefTrajW...)
 		m.RWeights = append([]float64(nil), m.RWeights...)
-		m.FreqsGHz = append([]float64(nil), m.FreqsGHz...)
+		m.FreqsGHz = append([]F(nil), m.FreqsGHz...)
 		c.MPC = &m
 	}
 	if d.Guard != nil {
@@ -179,10 +202,9 @@ func TestAppendDecisionGenerated(t *testing.T) {
 				values = append(values, v)
 			}
 		case []float64:
-			values = append(values, []float64(nil), []float64{})
-			for _, v := range edgeFloats {
-				values = append(values, []float64{v}, []float64{v, v, v}, []float64{1, v, v, 2, v}, []float64{v, -v, -v})
-			}
+			values = sliceCases[float64]()
+		case []F:
+			values = sliceCases[F]()
 		case string:
 			for _, s := range edgeStrings {
 				values = append(values, s)
@@ -228,6 +250,17 @@ func TestAppendDecisionGenerated(t *testing.T) {
 	if cases < 1000 {
 		t.Fatalf("only %d generated cases", cases)
 	}
+}
+
+// sliceCases are the float-slice values TestAppendDecisionGenerated tries:
+// nil, empty, and each edge value alone, repeated and among others.
+func sliceCases[T float64 | F]() []any {
+	values := []any{[]T(nil), []T{}}
+	for _, f := range edgeFloats {
+		v := T(f)
+		values = append(values, []T{v}, []T{v, v, v}, []T{1, v, v, 2, v}, []T{v, -v, -v})
+	}
+	return values
 }
 
 // fuzzReader turns fuzz bytes into record fields; past the end it reads
@@ -287,6 +320,15 @@ func (r *fuzzReader) floats() []float64 {
 	return out
 }
 
+// fs is floats as F values.
+func (r *fuzzReader) fs() []F {
+	vs := r.floats()
+	if vs == nil {
+		return nil
+	}
+	return AppendFs([]F{}, vs)
+}
+
 func (r *fuzzReader) decision() *Decision {
 	present := r.byte()
 	d := &Decision{
@@ -300,7 +342,7 @@ func (r *fuzzReader) decision() *Decision {
 			DeadlineFloorW: r.float(), HeadroomUtil: r.float(), DeadlineUrgency: r.float(), Updated: r.byte()%2 == 1}
 	}
 	if present&2 != 0 {
-		d.MPC = &MPCDecision{PfbW: r.float(), TargetW: r.float(), RefTrajW: r.floats(), RWeights: r.floats(), FreqsGHz: r.floats(),
+		d.MPC = &MPCDecision{PfbW: F(r.float()), TargetW: r.float(), RefTrajW: r.fs(), RWeights: r.floats(), FreqsGHz: r.fs(),
 			ClampedLo: int(int8(r.byte())), ClampedHi: int(r.byte()), QPSweeps: int(r.byte()) << 8, QPConverged: r.byte()%2 == 1,
 			LockedCores: int(r.byte()), KWPerGHz: r.float()}
 	}
@@ -316,12 +358,17 @@ func (r *fuzzReader) decision() *Decision {
 // FuzzAppendDecision: for any record — arbitrary floats in every field,
 // arbitrary strings, nil or empty sections and slices — AppendDecision
 // writes json.Encoder's bytes, and refuses exactly the records
-// encoding/json refuses, with the same error.
+// encoding/json refuses, with the same error: those with a NaN or an
+// infinity in a plain float64 field. A NaN in an F field (the alloc
+// budgets, mpc.pfb_w, ref_traj_w, freqs_ghz) is written as null and an
+// infinity as "+Inf"/"-Inf", and ReadDecisions reads the line back to a
+// record that encodes to the same bytes.
 func FuzzAppendDecision(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0f, 2, 1, 9, 'S', 'p', 'r', 'i', 'n', 't', 'C', 'o', 'n', 6, 'n', 'o', 'r', 'm', 'a', 'l'})
 	f.Add(bytes.Repeat([]byte{0xff, 0x40, 0x09, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 0x05}, 40))
 	f.Add([]byte(strings.Repeat("\x0f\x03<\xe2\x80\xa8&\xff", 30)))
+	f.Add(nanFeedbackSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstJSON(t, (&fuzzReader{b: data}).decision())
 	})
@@ -331,10 +378,10 @@ func FuzzAppendDecision(f *testing.F) {
 func emitRecord() *Decision {
 	d := fullDecision()
 	d.MPC.RWeights = make([]float64, 64)
-	d.MPC.FreqsGHz = make([]float64, 64)
+	d.MPC.FreqsGHz = make([]F, 64)
 	for i := range d.MPC.RWeights {
 		d.MPC.RWeights[i] = 1 / float64(i+3)
-		d.MPC.FreqsGHz[i] = 0.4 + 0.4*float64(i%5)
+		d.MPC.FreqsGHz[i] = F(0.4 + 0.4*float64(i%5))
 	}
 	return d
 }
@@ -371,8 +418,10 @@ func TestEmitZeroAlloc(t *testing.T) {
 			kept.Emit(d)
 		}
 	})
-	perFloatSlab := slabFloats / (len(d.MPC.RefTrajW) + len(d.MPC.RWeights) + len(d.MPC.FreqsGHz))
-	if bound := float64(runs/perFloatSlab + 1 + runs/(max/4) + 16); total > bound {
+	// A float64 slab holds slabFloats r_weights elements, an F slab as
+	// many ref_traj_w and freqs_ghz elements.
+	slabs := (runs*len(d.MPC.RWeights)+runs*(len(d.MPC.RefTrajW)+len(d.MPC.FreqsGHz)))/slabFloats + 2
+	if bound := float64(slabs + runs/(max/4) + 16); total > bound {
 		t.Fatalf("retaining sink: %.0f allocations over %d records, want ≤ %.0f (float slabs and compactions only)", total, runs, bound)
 	}
 	if enc.Err() != nil || kept.Err() != nil {
@@ -411,10 +460,10 @@ func TestDecisionSinkDropsNonFinite(t *testing.T) {
 func BenchmarkEmit(b *testing.B) {
 	d := fullDecision()
 	d.MPC.RWeights = make([]float64, 64)
-	d.MPC.FreqsGHz = make([]float64, 64)
+	d.MPC.FreqsGHz = make([]F, 64)
 	for i := range d.MPC.RWeights {
 		d.MPC.RWeights[i] = 1 / float64(i+3)
-		d.MPC.FreqsGHz[i] = 0.4 + 0.4*float64(i/16)
+		d.MPC.FreqsGHz[i] = F(0.4 + 0.4*float64(i/16))
 	}
 	for _, bc := range []struct {
 		name string

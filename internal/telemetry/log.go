@@ -11,11 +11,11 @@ import "sync"
 //
 // A kept record is flat: its scalars and sections inline (floats as
 // 8-byte words), Policy and Mode by string header, and its ref_traj_w,
-// r_weights and freqs_ghz elements in a float slab the log shares across
-// records. Slabs start small and double up to slabFloats elements, so
-// memory is allocated once per many records, not per record, and a short
-// stream (or the first control period of many streams) does not pay for
-// a full slab. A published record is never written again, so readers
+// r_weights and freqs_ghz elements in float slabs the log shares across
+// records (one for the F slices, one for the float64 ones). Slabs start
+// small and double up to slabFloats elements, so memory is allocated once
+// per many records, not per record, and a short stream (or the first
+// control period of many streams) does not pay for a full slab. A published record is never written again, so readers
 // render outside the lock.
 //
 // The log is bounded: beyond max records the oldest are dropped (the
@@ -31,13 +31,15 @@ type DecisionLog struct {
 	// wake is made by Next for its followers and closed (then dropped) on
 	// the next append or the close; with no follower it stays nil.
 	wake chan struct{}
-	// floats is the slab the next records' float slices are copied into.
+	// floats and fs are the slabs the next records' float64 and F slices
+	// are copied into.
 	floats []float64
+	fs     []F
 }
 
-// slabFloats is the full float slab length: about 32 records of a 64-core
-// rack's three float slices.
-const slabFloats = 4096
+// slabFloats is the full length of one float slab: about 30 records of a
+// 64-core rack's r_weights, or of its ref_traj_w and freqs_ghz.
+const slabFloats = 2048
 
 // keptDecision is one kept record: a Decision with its sections inline
 // (has says which are present) and its MPC slices in the float slab.
@@ -113,9 +115,9 @@ func (l *DecisionLog) keep(d *Decision) error {
 	if m := d.MPC; m != nil {
 		k.has |= hasMPC
 		k.mpc = *m
-		k.mpc.RefTrajW = l.keepFloats(m.RefTrajW)
-		k.mpc.RWeights = l.keepFloats(m.RWeights)
-		k.mpc.FreqsGHz = l.keepFloats(m.FreqsGHz)
+		k.mpc.RefTrajW = keepFloats(&l.fs, m.RefTrajW)
+		k.mpc.RWeights = keepFloats(&l.floats, m.RWeights)
+		k.mpc.FreqsGHz = keepFloats(&l.fs, m.FreqsGHz)
 	}
 	if d.Guard != nil {
 		k.has |= hasGuard
@@ -140,23 +142,24 @@ func (l *DecisionLog) keep(d *Decision) error {
 	return nil
 }
 
-// keepFloats copies vs into the float slab, starting a new slab, twice as
-// long as the last up to slabFloats, when vs does not fit. An empty slice
-// keeps nothing: omitempty renders nil and empty alike.
-func (l *DecisionLog) keepFloats(vs []float64) []float64 {
+// keepFloats copies vs into the slab, starting a new slab, twice as long
+// as the last up to slabFloats, when vs does not fit. An empty slice keeps
+// nothing: omitempty renders nil and empty alike.
+func keepFloats[T float64 | F](slab *[]T, vs []T) []T {
 	if len(vs) == 0 {
 		return nil
 	}
-	if cap(l.floats)-len(l.floats) < len(vs) {
-		l.floats = make([]float64, 0, max(min(2*cap(l.floats), slabFloats), 256, len(vs)))
+	if cap(*slab)-len(*slab) < len(vs) {
+		*slab = make([]T, 0, max(min(2*cap(*slab), slabFloats), 256, len(vs)))
 	}
-	n := len(l.floats)
-	l.floats = append(l.floats, vs...)
-	return l.floats[n:len(l.floats):len(l.floats)]
+	n := len(*slab)
+	*slab = append(*slab, vs...)
+	return (*slab)[n:len(*slab):len(*slab)]
 }
 
 // encodable reports whether every plain float64 of d — the fields
-// AppendDecision refuses NaN and infinities in — is finite.
+// AppendDecision refuses NaN and infinities in; F fields take any value —
+// is finite.
 func encodable(d *Decision) bool {
 	ok := finite(d.T)
 	if a := d.Alloc; a != nil {
@@ -164,8 +167,7 @@ func encodable(d *Decision) bool {
 			finite(a.HeadroomUtil) && finite(a.DeadlineUrgency)
 	}
 	if m := d.MPC; m != nil {
-		ok = ok && finite(m.PfbW) && finite(m.TargetW) && finite(m.KWPerGHz) &&
-			allFinite(m.RefTrajW) && allFinite(m.RWeights) && allFinite(m.FreqsGHz)
+		ok = ok && finite(m.TargetW) && finite(m.KWPerGHz) && allFinite(m.RWeights)
 	}
 	if g := d.Guard; g != nil {
 		ok = ok && finite(g.Confidence) && finite(g.RejectedTotal)

@@ -20,7 +20,7 @@ func (l *DecisionLog) Dropped() int64 {
 // vector both carry i, so a torn record renders inconsistently.
 func lineRecord(i int) *Decision {
 	return &Decision{T: float64(i), Policy: fmt.Sprintf("line %d", i),
-		MPC: &MPCDecision{FreqsGHz: []float64{float64(i), float64(i)}}}
+		MPC: &MPCDecision{FreqsGHz: []F{F(i), F(i)}}}
 }
 
 func keepLine(t testing.TB, l *DecisionLog, i int) {
@@ -266,7 +266,7 @@ func TestDecisionLogKeepsCopies(t *testing.T) {
 		s.Emit(d)
 		enc.Emit(d)
 	}
-	d.MPC.RefTrajW = make([]float64, 2*slabFloats) // larger than a slab
+	d.MPC.RefTrajW = make([]F, 2*slabFloats) // larger than a slab
 	d.Guard = nil
 	s.Emit(d)
 	enc.Emit(d)
@@ -279,14 +279,17 @@ func TestDecisionLogKeepsCopies(t *testing.T) {
 }
 
 // FuzzDecisionLog: for any run of the records FuzzAppendDecision
-// generates, kept in one log (so they share its float slabs), rendering
-// the log is the encoder's bytes for the run, and the log refuses exactly
-// the record the encoder refuses, with the same error.
+// generates, kept in one log (so they share its float64 and F slabs),
+// rendering the log is the encoder's bytes for the run, and the log
+// refuses exactly the record the encoder refuses, with the same error: a
+// NaN or infinity in a plain float64 field, never one in an F field such
+// as mpc.pfb_w, ref_traj_w or freqs_ghz.
 func FuzzDecisionLog(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0f, 2, 1, 9, 'S', 'p', 'r', 'i', 'n', 't', 'C', 'o', 'n', 6, 'n', 'o', 'r', 'm', 'a', 'l'})
 	f.Add(bytes.Repeat([]byte{0xff, 0x40, 0x09, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 0x05}, 40))
 	f.Add([]byte(strings.Repeat("\x0f\x03<\xe2\x80\xa8&\xff", 30)))
+	f.Add(bytes.Repeat(nanFeedbackSeed, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{b: data}
 		l := NewDecisionLog(0)

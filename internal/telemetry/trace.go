@@ -41,6 +41,14 @@ func (f *F) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// AppendFs appends vs to dst as F values.
+func AppendFs(dst []F, vs []float64) []F {
+	for _, v := range vs {
+		dst = append(dst, F(v))
+	}
+	return dst
+}
+
 // Decision is one structured decision-trace record: everything a control
 // period's actuation depended on, captured at the moment of the decision.
 // Policies emit one record per control period (the SGCT baselines, whose
@@ -100,16 +108,20 @@ type AllocDecision struct {
 // MPCDecision captures one server-power-controller solve.
 type MPCDecision struct {
 	// PfbW is the Eq. (6) batch power feedback; TargetW the budget the
-	// controller tracked.
-	PfbW    float64 `json:"pfb_w"`
+	// controller tracked. PfbW, RefTrajW and FreqsGHz are F: an
+	// unhardened controller fed a lost power reading computes a NaN
+	// feedback, which flows into the reference trajectory and the
+	// commanded frequencies, and the record must still be written (as
+	// null) rather than end the trace.
+	PfbW    F       `json:"pfb_w"`
 	TargetW float64 `json:"target_w"`
 	// RefTrajW is the Eq. (7) reference trajectory over the prediction
 	// horizon (absolute watts).
-	RefTrajW []float64 `json:"ref_traj_w,omitempty"`
+	RefTrajW []F `json:"ref_traj_w,omitempty"`
 	// RWeights are the per-core urgency weights R_{i,j} fed to the cost.
 	RWeights []float64 `json:"r_weights,omitempty"`
 	// FreqsGHz are the commanded per-core frequencies after the solve.
-	FreqsGHz []float64 `json:"freqs_ghz,omitempty"`
+	FreqsGHz []F `json:"freqs_ghz,omitempty"`
 	// ClampedLo/ClampedHi count cores commanded at the frequency floor and
 	// ceiling (active box constraints).
 	ClampedLo int `json:"clamped_lo"`

@@ -16,7 +16,7 @@ func TestDecisionSinkJSONL(t *testing.T) {
 		Policy: "SprintCon",
 		Mode:   "normal",
 		Alloc:  &AllocDecision{PCbW: 4000, PBatchW: 2600, ReserveW: 700, DeadlineFloorW: 1900, HeadroomUtil: 0.8, DeadlineUrgency: 0.6, Updated: true},
-		MPC:    &MPCDecision{PfbW: 2500, TargetW: 2600, RefTrajW: []float64{2586, 2597}, RWeights: []float64{1, 0.5}, FreqsGHz: []float64{2, 1.6}, ClampedHi: 1, QPSweeps: 3, QPConverged: true, KWPerGHz: 10},
+		MPC:    &MPCDecision{PfbW: 2500, TargetW: 2600, RefTrajW: []F{2586, 2597}, RWeights: []float64{1, 0.5}, FreqsGHz: []F{2, 1.6}, ClampedHi: 1, QPSweeps: 3, QPConverged: true, KWPerGHz: 10},
 		Guard:  &GuardVerdict{Confidence: 1},
 		UPS:    &UPSDecision{RequestW: 850, SoC: 0.9},
 	})
