@@ -52,9 +52,9 @@ soak:
 # interactive-trace CSV parser, batch-job advance, P-state quantizer,
 # generated tick ≡ event scenarios, decision encoder ≡ encoding/json,
 # decision log keep-then-render ≡ encoder, equal-off-diagonal QP kernels ≡
-# dense kernels), ten seconds each (CI runs the
-# same budget; leave the fuzzers running longer locally with
-# go test -fuzz=... -fuzztime=10m).
+# dense kernels, compact span tracer ≡ slice-backed reference), ten seconds
+# each (CI runs the same budget; leave the fuzzers running longer locally
+# with go test -fuzz=... -fuzztime=10m).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/checkpoint/
 	$(GO) test -fuzz='^FuzzScenarioJSON$$' -fuzztime=10s -run='^$$' ./internal/sim/
@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzAppendDecision$$' -fuzztime=10s -run='^$$' ./internal/telemetry/
 	$(GO) test -fuzz='^FuzzDecisionLog$$' -fuzztime=10s -run='^$$' ./internal/telemetry/
 	$(GO) test -fuzz='^FuzzEqualOffDiagKernels$$' -fuzztime=10s -run='^$$' ./internal/mathx/
+	$(GO) test -fuzz='^FuzzTracer$$' -fuzztime=10s -run='^$$' ./internal/obs/
 
 # Raw go-test micro-benchmarks (per-function, -benchmem).
 gobench:

@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sprintcon/internal/telemetry"
 )
 
 // newTestService starts a service with the given configuration and returns
@@ -310,9 +314,24 @@ func promValue(t *testing.T, body, name string) float64 {
 func TestRetentionEvictsOldestStreams(t *testing.T) {
 	cfg := defaultServerConfig()
 	cfg.Retain = 1
-	_, ts := newTestService(t, cfg)
+	s, ts := newTestService(t, cfg)
 
+	// A finalizer on each of the first run's decision logs counts the
+	// logs the collector frees once eviction drops them.
+	var freed atomic.Int32
+	watch := func(id string) int32 {
+		s.mu.Lock()
+		r := s.runs[id]
+		s.mu.Unlock()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, l := range r.streams {
+			runtime.SetFinalizer(l, func(*telemetry.DecisionLog) { freed.Add(1) })
+		}
+		return int32(len(r.streams))
+	}
 	var ids []string
+	var watched int32
 	for i := 0; i < 2; i++ {
 		code, doc, _ := submit(t, ts, `{"rows": 1, "racks_per_row": 2, "duration_s": 240}`)
 		if code != http.StatusAccepted {
@@ -321,6 +340,16 @@ func TestRetentionEvictsOldestStreams(t *testing.T) {
 		id := doc["id"].(string)
 		waitState(t, ts, id, "done")
 		ids = append(ids, id)
+		if i == 0 {
+			watched = watch(id)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); freed.Load() < watched && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := freed.Load(); watched == 0 || n != watched {
+		t.Fatalf("%d of the evicted run's %d decision logs freed; eviction must release its records", n, watched)
 	}
 
 	resp, err := http.Get(ts.URL + "/api/v1/runs/" + ids[0] + "/decisions?follow=0")

@@ -438,13 +438,13 @@ func (s *server) buildRun(spec RunSpec, mode string) (*run, error) {
 		// Nothing the service serves reads a linked rack's per-tick
 		// series (the summary comes from accumulators and the row
 		// feeder's own aggregate), so a stride longer than the run keeps
-		// only tick 0 instead of ten float64 channels per rack-tick.
+		// only tick 0 instead of ten float64 channels per rack-tick. The
+		// stream is looked up through r, not captured, so that eviction
+		// (which drops r.streams) frees the records.
 		noSeries := r.stepsTotal + 1
 		r.cfg.RackOptions = func(row, rack int) sim.RunOptions {
-			return sim.RunOptions{
-				Decisions:    telemetry.NewDecisionLogSink(streams[[2]int{row, rack}]),
-				SeriesStride: noSeries,
-			}
+			st, _, _ := r.stream(row, rack)
+			return sim.RunOptions{Decisions: telemetry.NewDecisionLogSink(st), SeriesStride: noSeries}
 		}
 	} else {
 		r.cfg.OnRowDone = func(row int) {

@@ -44,7 +44,7 @@ type Tracer struct {
 // spanRec is one stored span. val is the Attr of an instant event and the
 // EndS of a span opened by Begin (whose Attr is always 0); tag is the
 // (kind, detail) table index shifted left one bit, with tagInstant in the
-// low bit.
+// low bit, so a tracer holds at most 2^31 distinct pairs.
 type spanRec struct {
 	parent uint64
 	start  float64
@@ -75,7 +75,7 @@ const CoordinatorSource = -1
 // NewTracer returns an enabled tracer for the given source (a rack index,
 // or CoordinatorSource).
 func NewTracer(source int) *Tracer {
-	return &Tracer{source: source}
+	return &Tracer{source: source, tagIdx: make(map[spanTag]uint32)}
 }
 
 // ns is the tracer's ID namespace.
@@ -89,9 +89,6 @@ func (t *Tracer) add(r spanRec, kind, detail string) uint64 {
 	tag := spanTag{kind, detail}
 	idx, ok := t.tagIdx[tag]
 	if !ok {
-		if t.tagIdx == nil {
-			t.tagIdx = make(map[spanTag]uint32)
-		}
 		idx = uint32(len(t.tags))
 		t.tags = append(t.tags, tag)
 		t.tagIdx[tag] = idx

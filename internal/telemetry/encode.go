@@ -98,11 +98,7 @@ func floats[T float64 | F](e *recordEncoder, key string, vs []T) {
 	if len(vs) == 0 {
 		return
 	}
-	var nullable bool
-	switch any(vs).(type) {
-	case []F:
-		nullable = true
-	}
+	_, nullable := any(vs).([]F)
 	e.b = append(e.b, key...)
 	prev := len(e.b) // where the previous element's bytes start
 	e.elem(float64(vs[0]), nullable)

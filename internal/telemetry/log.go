@@ -15,8 +15,9 @@ import "sync"
 // records (one for the F slices, one for the float64 ones). Slabs start
 // small and double up to slabFloats elements, so memory is allocated once
 // per many records, not per record, and a short stream (or the first
-// control period of many streams) does not pay for a full slab. A published record is never written again, so readers
-// render outside the lock.
+// control period of many streams) does not pay for a full slab. A
+// published record is never written again, so readers render outside the
+// lock.
 //
 // The log is bounded: beyond max records the oldest are dropped (the
 // writer — the simulation — must never block or grow without bound
