@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -75,7 +76,9 @@ func TestChaosServiceStorm(t *testing.T) {
 			}(round, i, spec)
 		}
 	}
-	// A liveness prober runs throughout the storm.
+	// A liveness prober runs throughout the storm. It also reads what
+	// eviction drops (spans, per-run and service metrics, cluster health)
+	// while the retention cap evicts finished runs: any answer but a 5xx.
 	probeStop := make(chan struct{})
 	var probeWG sync.WaitGroup
 	probeWG.Add(1)
@@ -96,6 +99,25 @@ func TestChaosServiceStorm(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("healthz during storm: %d", resp.StatusCode)
 				return
+			}
+			paths := []string{"/metrics", "/status/cluster"}
+			mu.Lock()
+			for _, id := range accepted {
+				paths = append(paths, "/api/v1/runs/"+id+"/spans", "/api/v1/runs/"+id+"/metrics")
+			}
+			mu.Unlock()
+			for _, path := range paths {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Errorf("%s during storm: %v", path, err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode >= 500 {
+					t.Errorf("%s during storm: %d", path, resp.StatusCode)
+					return
+				}
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sprintcon/internal/obs"
 	"sprintcon/internal/telemetry"
 )
 
@@ -309,15 +310,16 @@ func promValue(t *testing.T, body, name string) float64 {
 }
 
 // TestRetentionEvictsOldestStreams: beyond the retention cap the oldest
-// completed runs lose their decision-stream buffers — 404 with an eviction
-// cause — while their summaries stay queryable.
+// completed runs lose their decision-stream buffers, observability planes
+// and per-run registry — /decisions, /spans and /metrics answer 404 with an
+// eviction cause — while their summaries stay queryable.
 func TestRetentionEvictsOldestStreams(t *testing.T) {
 	cfg := defaultServerConfig()
 	cfg.Retain = 1
 	s, ts := newTestService(t, cfg)
 
-	// A finalizer on each of the first run's decision logs counts the
-	// logs the collector frees once eviction drops them.
+	// A finalizer on each of the first run's decision logs and obs planes
+	// counts what the collector frees once eviction drops them.
 	var freed atomic.Int32
 	watch := func(id string) int32 {
 		s.mu.Lock()
@@ -328,7 +330,10 @@ func TestRetentionEvictsOldestStreams(t *testing.T) {
 		for _, l := range r.streams {
 			runtime.SetFinalizer(l, func(*telemetry.DecisionLog) { freed.Add(1) })
 		}
-		return int32(len(r.streams))
+		for _, oc := range r.obs {
+			runtime.SetFinalizer(oc, func(*obs.Cluster) { freed.Add(1) })
+		}
+		return int32(len(r.streams) + len(r.obs))
 	}
 	var ids []string
 	var watched int32
@@ -349,18 +354,20 @@ func TestRetentionEvictsOldestStreams(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n := freed.Load(); watched == 0 || n != watched {
-		t.Fatalf("%d of the evicted run's %d decision logs freed; eviction must release its records", n, watched)
+		t.Fatalf("%d of the evicted run's %d decision logs and obs planes freed; eviction must release them", n, watched)
 	}
 
-	resp, err := http.Get(ts.URL + "/api/v1/runs/" + ids[0] + "/decisions?follow=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(buf.String(), "evicted") {
-		t.Fatalf("evicted run decisions: %d %s", resp.StatusCode, buf.String())
+	for _, path := range []string{"/decisions?follow=0", "/spans", "/metrics"} {
+		resp, err := http.Get(ts.URL + "/api/v1/runs/" + ids[0] + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || !strings.Contains(buf.String(), "evicted") {
+			t.Fatalf("evicted run %s: %d %s", path, resp.StatusCode, buf.String())
+		}
 	}
 	if code := getJSON(t, ts.URL+"/api/v1/runs/"+ids[1]+"/decisions?follow=0", nil); code != http.StatusOK {
 		t.Fatalf("retained run decisions: %d", code)

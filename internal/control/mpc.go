@@ -113,11 +113,14 @@ func (c MPCConfig) Validate() error {
 type MPC struct {
 	cfg  MPCConfig
 	last SolveStats
+	// approach[h−1] is the Eq. (7) reference trajectory's share of the
+	// gap closed after h periods, 1 − e^{−h·T/τ_r}.
+	approach [predictionHorizon]float64
 
 	// Preallocated per-solve state (the zero-alloc tick contract,
 	// DESIGN.md §10). Sized n for the constant-move formulation and
 	// n·controlHorizon for FullHorizon. The Hessian lives in offDiag, its
-	// exact equal-off-diagonal form (qp.Problem.EqualOffDiag), when the
+	// O(n) form diag(D) + C·11ᵀ (qp.Problem.EqualOffDiag), when the
 	// formulation is constant-move and every KWPerGHz entry has the same
 	// bits; otherwise in the dense h. NewMPC chooses once, so KWPerGHz
 	// must not change after it.
@@ -163,8 +166,8 @@ func (m *MPC) LastSolve() SolveStats { return m.last }
 // trace is attached.
 func (m *MPC) ReferenceTrajectory(dst []float64, pfbW, pTargetW float64) []float64 {
 	gap := pTargetW - pfbW
-	for h := 1; h <= predictionHorizon; h++ {
-		dst = append(dst, pfbW+gap*(1-math.Exp(-float64(h)*m.cfg.PeriodS/m.cfg.RefTimeConstS)))
+	for _, a := range m.approach {
+		dst = append(dst, pfbW+gap*a)
 	}
 	return dst
 }
@@ -190,6 +193,9 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 		ws:       qp.NewWorkspace(nv),
 		warmX:    mathx.NewVector(nv),
 		warmMask: make([]bool, n),
+	}
+	for h := range m.approach {
+		m.approach[h] = 1 - math.Exp(-float64(h+1)*cfg.PeriodS/cfg.RefTimeConstS)
 	}
 	dense := cfg.FullHorizon
 	for _, k := range cfg.KWPerGHz {
@@ -246,9 +252,9 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	// g = −Σ_{h=1..Lp} Q·h·e_h·k + Σ_{m=1..Lc} m·diag(R·RScale)·d
 	// where e_h = p_r(t+h) − p_fb = (P_batch − p_fb)(1 − exp(−h·T/τ_r))
 	// (Eq. 7) and d = F − F_max (how far below peak each core sits).
-	// When every core shares one slope k, every off-diagonal entry of H is
-	// the same float64 (Q·Σh²·k)·k, so offDiag states H exactly and no
-	// dense H is built.
+	// When every core shares one slope k, H = diag(D) + C·11ᵀ with
+	// C = (Q·Σh²·k)·k and D the control penalty, so offDiag states it and
+	// no dense H is built.
 	g := m.g
 	for i := range g {
 		g[i] = 0
@@ -258,7 +264,7 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	for step := 1; step <= predictionHorizon; step++ {
 		hf := float64(step)
 		sumH2 += hf * hf
-		eh := gap * (1 - math.Exp(-hf*m.cfg.PeriodS/m.cfg.RefTimeConstS))
+		eh := gap * m.approach[step-1]
 		g.AXPY(-qWeight*hf*eh, k)
 	}
 	alpha := qWeight * sumH2
@@ -340,7 +346,7 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 		if blk > lc {
 			blk = lc
 		}
-		e := gap * (1 - math.Exp(-float64(hp)*m.cfg.PeriodS/m.cfg.RefTimeConstS))
+		e := gap * m.approach[hp-1]
 		blockQ[blk] += qWeight
 		blockE[blk] += qWeight * e
 	}

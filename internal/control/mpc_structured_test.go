@@ -78,8 +78,12 @@ func (m *denseMPC) step(pfbW, pTargetW float64, freqs, rweights []float64, locke
 
 // Over generated control sequences — feedback and target powers, current
 // frequencies, floored and unfloored R weights, and locked masks that come
-// and go — the equal-off-diagonal StepLocked returns the same frequency
-// bits and solve stats as the dense reference, period after period.
+// and go — the equal-off-diagonal StepLocked agrees with the dense
+// reference period after period: both converge, both warm-start alike, and
+// every frequency is within the qp oracle's bound
+// δ = 16·n·κ̂·ε·(1 + ‖Δf‖∞), κ̂ = (max D + C·n)/min D, of the reference
+// (clamping to [FMin, FMax] moves neither answer further apart). Each
+// period starts both from the same frequencies.
 func TestMPCEqualOffDiagMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{1, 2, 7, 16, 64} {
@@ -122,18 +126,56 @@ func TestMPCEqualOffDiagMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			minD, maxD := math.Inf(1), 0.0
+			for _, d := range m.offDiag.D {
+				minD, maxD = math.Min(minD, d), math.Max(maxD, d)
+			}
+			var move float64
+			for i := range want {
+				move = math.Max(move, math.Abs(want[i]-freqs[i]))
+			}
+			delta := 16 * float64(n) * (maxD + m.offDiag.C*float64(n)) / minD * 0x1p-53 * (1 + move)
 			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d step %d: core %d at %v GHz, dense reference %v", n, step, i, got[i], want[i])
+				if d := math.Abs(got[i] - want[i]); !(d <= delta) {
+					t.Fatalf("n=%d step %d: core %d at %v GHz, dense reference %v (|Δ| %g > δ %g)", n, step, i, got[i], want[i], d, delta)
 				}
 			}
 			st := m.LastSolve()
-			if st.Sweeps != wantStats.Sweeps || st.Converged != wantStats.Converged || st.Warm != wantStats.Warm ||
-				math.Float64bits(st.Objective) != math.Float64bits(wantStats.Objective) {
+			if !st.Converged || !wantStats.Converged || st.Warm != wantStats.Warm {
 				t.Fatalf("n=%d step %d: stats %+v, dense reference %+v", n, step, st, wantStats)
 			}
 			copy(freqs, got)
 		}
+	}
+}
+
+// A 16-core rack with one core locked (a stuck actuator) converges in a
+// few active-set iterations on every period, cold and warm: the locked
+// core's gradient is no KKT violation, so the solve never falls back to
+// coordinate descent.
+func TestStepLockedCoreConverges(t *testing.T) {
+	const n = 16
+	m, err := NewMPC(DefaultMPCConfig(uniformK(n, 18.75)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freqs, rw, locked := make([]float64, n), ones(n), make([]bool, n)
+	for i := range freqs {
+		freqs[i] = 1.2
+	}
+	locked[3] = true
+	for period := 0; period < 3; period++ {
+		next, err := m.StepLocked(600, 900, freqs, rw, locked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := m.LastSolve(); !st.Converged || st.Sweeps >= 10 || st.Warm != (period > 0) {
+			t.Fatalf("period %d: %+v, want converged, warm after the first, under 10 sweeps", period, st)
+		}
+		if next[3] != freqs[3] {
+			t.Fatalf("period %d: locked core moved from %v to %v GHz", period, freqs[3], next[3])
+		}
+		copy(freqs, next)
 	}
 }
 

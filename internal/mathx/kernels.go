@@ -108,207 +108,90 @@ func CholeskySolve(l, b []float64, n int) {
 	}
 }
 
-// The EqualOffDiag kernels work on an n×n symmetric matrix whose every
-// off-diagonal entry is the same float64 c and whose diagonal entries are
-// c + d[i], rounded once. Each kernel gives every entry of its output the
-// same float64 operations, on the same operand values and in the same order,
-// as the dense kernel on the assembled matrix, so the results are
-// bit-identical to CholeskyFactor, CholeskySolve and Matrix.MulVecInto. Each
-// product stays inside the same s -= a*b or s += a*b expression the dense
-// kernel uses, so targets that fuse multiply-adds fuse both alike.
-//
-// Every row's sum is a serial chain of dependent adds. The kernels advance
-// four rows per sweep, each in its own accumulator: the chains are
-// independent, so the CPU overlaps them, and no row's operations change.
-// Rows left over when n is not a multiple of four run one at a time.
+// The EqualOffDiag kernels work on the n×n symmetric matrix
+// H = diag(d) + c·11ᵀ: every off-diagonal entry is c and diagonal entry i is
+// d[i] + c. Sherman–Morrison gives H⁻¹ = D⁻¹ − γ·D⁻¹11ᵀD⁻¹ with
+// γ = c/(1 + c·Σ1/d[i]), so the factor, the solve and the product each run
+// in O(n). They agree with the dense kernels on the assembled matrix to
+// rounding, not bit for bit. Every product that feeds an add, in the same
+// statement or a later one, is wrapped in an explicit float64 conversion,
+// which rounds it, so no target fuses the pair into a multiply-add.
 
-// EqualOffDiagFactor computes the Cholesky factor of the matrix with
-// off-diagonal c and diagonal c + d[i], n = len(d). Below the diagonal,
-// column j of the factor holds one value for every row, written to l[j];
-// the diagonal is written to diag, which may alias d. Column j's entries are
-// l[j] = t_j / diag[j], with t_0 = c and t_{j+1} = t_j − l[j]·l[j], and
-// diag[j] = √(c + d[j] − l[0]·l[0] − … − l[j−1]·l[j−1]): the sums the
-// dense kernel forms for those entries. It returns -1 on success or the
-// index of the first pivot that is not positive, and spreads a NaN pivot to
-// the last one, as CholeskyFactor does. It runs in O(n²).
-//
-// Pivots j..j+3 share the terms l[0..j−1], summed side by side; pivot j+r
-// then subtracts l[j]², …, l[j+r−1]² once those columns exist. d[j..j+3]
-// are read before diag[j] is written, so diag may alias d.
-func EqualOffDiagFactor(c float64, d, l, diag []float64) int {
-	n := len(d)
-	if len(l) != n || len(diag) != n {
+// maxEqualOffDiagDen bounds the Sherman–Morrison denominator the factor
+// accepts. The solve's rounding grows with den, and beyond about 1/ε its
+// refinement step cannot bring the residual back: for a 1×1 matrix with
+// c/d = 10⁴⁴ no digit of the solution is right. 2⁴⁰ keeps ε·den below
+// 2⁻¹³; the constant-move MPC reaches about 3·10¹⁰ < 2³⁵ (130 cores at
+// 40 W/GHz, every R weight at its 1e-6 floor).
+const maxEqualOffDiagDen = 0x1p40
+
+// EqualOffDiagFactor factors H = diag(d) + c·11ᵀ, n = len(d), for
+// EqualOffDiagSolve: it writes w[i] = 1/d[i] (w may alias d) and returns
+// the Sherman–Morrison denominator den = 1 + c·Σw[i] and true. It accepts
+// exactly every d[i] > 0 with 0 < den ≤ 2⁴⁰: a positive den is when the
+// formula describes a positive definite H, and the cap is where the solve
+// stays accurate. Anything else, a NaN anywhere included, returns false,
+// as a non-positive pivot makes CholeskyFactor fail, and leaves w partly
+// written.
+func EqualOffDiagFactor(c float64, d, w []float64) (den float64, ok bool) {
+	if len(w) != len(d) {
 		panic("mathx: EqualOffDiagFactor dimension mismatch")
 	}
-	t := c
-	j := 0
-	for ; j+3 < n; j += 4 {
-		s0, s1, s2, s3 := c+d[j], c+d[j+1], c+d[j+2], c+d[j+3]
-		for _, v := range l[:j] {
-			s0 -= v * v
-			s1 -= v * v
-			s2 -= v * v
-			s3 -= v * v
+	var sumW float64
+	for i, v := range d {
+		if !(v > 0) {
+			return 0, false
 		}
-		if s0 <= 0 {
-			return j
-		}
-		s0 = math.Sqrt(s0)
-		diag[j] = s0
-		l0 := t / s0
-		l[j] = l0
-		t -= l0 * l0
-		s1 -= l0 * l0
-		if s1 <= 0 {
-			return j + 1
-		}
-		s1 = math.Sqrt(s1)
-		diag[j+1] = s1
-		l1 := t / s1
-		l[j+1] = l1
-		t -= l1 * l1
-		s2 -= l0 * l0
-		s2 -= l1 * l1
-		if s2 <= 0 {
-			return j + 2
-		}
-		s2 = math.Sqrt(s2)
-		diag[j+2] = s2
-		l2 := t / s2
-		l[j+2] = l2
-		t -= l2 * l2
-		s3 -= l0 * l0
-		s3 -= l1 * l1
-		s3 -= l2 * l2
-		if s3 <= 0 {
-			return j + 3
-		}
-		s3 = math.Sqrt(s3)
-		diag[j+3] = s3
-		l[j+3] = t / s3
-		t -= l[j+3] * l[j+3]
+		w[i] = 1 / v
+		sumW += w[i]
 	}
-	for ; j < n; j++ {
-		s := c + d[j]
-		for _, v := range l[:j] {
-			s -= v * v
-		}
-		if s <= 0 {
-			return j
-		}
-		s = math.Sqrt(s)
-		diag[j] = s
-		l[j] = t / s
-		t -= l[j] * l[j]
-	}
-	return -1
+	den = 1 + float64(c*sumW)
+	return den, den > 0 && den <= maxEqualOffDiagDen
 }
 
-// EqualOffDiagSolve overwrites b with the solution x of (L·Lᵀ)·x = b, given
-// the factor (l, diag) as EqualOffDiagFactor leaves it: forward then back
-// substitution, each sum subtracted in ascending index order, bit-identical
-// to CholeskySolve on the dense factor. It only reads l and diag.
+// EqualOffDiagSolve overwrites b with the solution y of H·y = b, given the
+// reciprocals w and the den EqualOffDiagFactor produced for (c, d):
+// y[i] = (b[i] − s)·w[i] with s = γ·Σ b[j]·w[j] and γ = c/den.
 //
-// The forward pass solves four rows per sweep: rows i..i+3 subtract the
-// solved prefix b[0..i−1] side by side, then row i+r subtracts the
-// b[i..i+r−1] solved within the block. The back pass stays serial: the
-// first term of row i−1 is the b[i] that row i has just solved.
-func EqualOffDiagSolve(l, diag, b []float64) {
-	n := len(b)
-	if len(l) != n || len(diag) != n {
+// The exact s equals c·Σy. The computed one carries the rounding of a sum
+// that may cancel, and H·y amplifies that error by den, so the solve then
+// takes one step of refinement on s alone: with e = c·Σy − s it shifts s
+// by e/den, y[i] by −(e/den)·w[i]. That leaves H·y − b at the size the
+// rounding of c·Σy and d[i]·y[i] allows, as a backward-stable dense solve
+// does. It only reads w.
+func EqualOffDiagSolve(c, den float64, w, b []float64) {
+	if len(w) != len(b) {
 		panic("mathx: EqualOffDiagSolve dimension mismatch")
 	}
-	i := 0
-	for ; i+3 < n; i += 4 {
-		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
-		for k, v := range b[:i] {
-			lk := l[k]
-			s0 -= lk * v
-			s1 -= lk * v
-			s2 -= lk * v
-			s3 -= lk * v
-		}
-		li, li1, li2 := l[i], l[i+1], l[i+2]
-		x0 := s0 / diag[i]
-		s1 -= li * x0
-		x1 := s1 / diag[i+1]
-		s2 -= li * x0
-		s2 -= li1 * x1
-		x2 := s2 / diag[i+2]
-		s3 -= li * x0
-		s3 -= li1 * x1
-		s3 -= li2 * x2
-		b[i], b[i+1], b[i+2], b[i+3] = x0, x1, x2, s3/diag[i+3]
+	var sum float64
+	for i, v := range b {
+		sum += float64(v * w[i])
 	}
-	for ; i < n; i++ {
-		s := b[i]
-		for k, v := range b[:i] {
-			s -= l[k] * v
-		}
-		b[i] = s / diag[i]
+	s := float64(c / den * sum)
+	var sumY float64
+	for i, v := range b {
+		y := float64((v - s) * w[i])
+		b[i] = y
+		sumY += y
 	}
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		li := l[i]
-		for _, v := range b[i+1:] {
-			s -= li * v
-		}
-		b[i] = s / diag[i]
+	shift := (float64(c*sumY) - s) / den
+	for i := range b {
+		b[i] -= float64(shift * w[i])
 	}
 }
 
-// EqualOffDiagMulVec computes dst = H·x for H with off-diagonal c and
-// diagonal c + d[i]. Row i's sum is the shared prefix Σ_{j<i} c·x[j], then
-// (c + d[i])·x[i], then c·x[j] for every j > i: the terms and order of
-// Matrix.MulVecInto's row sum. dst must not alias x. It runs in O(n²)
-// without reading a matrix.
-//
-// Rows i..i+3 start from their own prefixes, add their diagonal term and
-// the c·x[j] with j < i+4 that follow it, then add the common tail
-// c·x[i+4..n−1] side by side.
+// EqualOffDiagMulVec computes dst = H·x for H = diag(d) + c·11ᵀ:
+// dst[i] = c·Σx + d[i]·x[i]. dst may alias x.
 func EqualOffDiagMulVec(dst []float64, c float64, d, x []float64) {
-	n := len(x)
-	if len(d) != n || len(dst) != n {
+	if len(d) != len(x) || len(dst) != len(x) {
 		panic("mathx: EqualOffDiagMulVec dimension mismatch")
 	}
-	var p float64
-	i := 0
-	for ; i+3 < n; i += 4 {
-		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		s0 := p
-		p += c * x0
-		s1 := p
-		p += c * x1
-		s2 := p
-		p += c * x2
-		s3 := p
-		p += c * x3
-		s0 += (c + d[i]) * x0
-		s0 += c * x1
-		s0 += c * x2
-		s0 += c * x3
-		s1 += (c + d[i+1]) * x1
-		s1 += c * x2
-		s1 += c * x3
-		s2 += (c + d[i+2]) * x2
-		s2 += c * x3
-		s3 += (c + d[i+3]) * x3
-		for _, v := range x[i+4:] {
-			s0 += c * v
-			s1 += c * v
-			s2 += c * v
-			s3 += c * v
-		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	var sum float64
+	for _, v := range x {
+		sum += v
 	}
-	for ; i < n; i++ {
-		xi := x[i]
-		s := p
-		s += (c + d[i]) * xi
-		for _, v := range x[i+1:] {
-			s += c * v
-		}
-		dst[i] = s
-		p += c * xi
+	cs := float64(c * sum)
+	for i, v := range x {
+		dst[i] = cs + float64(d[i]*v)
 	}
 }

@@ -19,16 +19,13 @@
 //
 //   - Problem.H, a dense matrix, factored and solved by the mathx kernels
 //     CholeskyFactor and CholeskySolve;
-//   - Problem.EqualOffDiag, the exact description of a matrix whose
-//     off-diagonal entries all hold one value — the constant-move MPC
-//     Hessian when every core shares one model slope. Its kernels
-//     (mathx.EqualOffDiagFactor, EqualOffDiagSolve, EqualOffDiagMulVec) run
-//     in O(n²) without an n×n buffer and are bit-identical to the dense
-//     kernels on the assembled matrix, so both forms give the same result
-//     bits. This form also lets the solver compute the unconstrained
-//     minimizer in O(n) and skip the shortcut when that estimate is outside
-//     the box by more than a rounding-error bound, i.e. when the shortcut
-//     would have been thrown away (certifiesOutside).
+//   - Problem.EqualOffDiag, H = diag(D) + C·11ᵀ — the constant-move MPC
+//     Hessian when every core shares one model slope. Its Sherman–Morrison
+//     kernels (mathx.EqualOffDiagFactor, EqualOffDiagSolve,
+//     EqualOffDiagMulVec) run in O(n) without an n×n buffer, and so does
+//     every factorization of a free block, which has the same form. They
+//     agree with the dense kernels on the assembled matrix to rounding, not
+//     bit for bit.
 //
 // Two options serve the per-control-period hot path:
 //
@@ -61,9 +58,8 @@ type Problem struct {
 	Hi           mathx.Vector // element-wise upper bounds (decision-variable units, e.g. GHz)
 }
 
-// EqualOffDiag describes exactly the cost matrix H with H_ij = C for i ≠ j
-// and H_ii = C + D[i], rounded once: the bits a dense assembly stores when
-// it adds C to a zeroed matrix and then D[i] to the diagonal.
+// EqualOffDiag describes the cost matrix H = diag(D) + C·11ᵀ: H_ij = C for
+// i ≠ j and H_ii = C + D[i].
 type EqualOffDiag struct {
 	C float64
 	D mathx.Vector
@@ -114,12 +110,14 @@ type Workspace struct {
 	// H_FF·d = −g_F, with subB as the right-hand side / solution. A dense
 	// H's m×m block is factored in subH (row-major, packed into the first
 	// m² entries), which is allocated by the first dense factorization; an
-	// EqualOffDiag H's factor is the pair (subL, subD).
-	free       []int
-	pinned     []bool
-	subH       []float64
-	subL, subD []float64
-	subB       []float64
+	// EqualOffDiag H's factor is the reciprocals of the block's D, in
+	// subW, and the Sherman–Morrison denominator subDen.
+	free   []int
+	pinned []bool
+	subH   []float64
+	subW   []float64
+	subDen float64
+	subB   []float64
 }
 
 // NewWorkspace returns a workspace for n-variable problems.
@@ -139,8 +137,7 @@ func (w *Workspace) ensure(n int) {
 		w.free = make([]int, 0, n)
 		w.pinned = make([]bool, n)
 		w.subH = nil
-		w.subL = make([]float64, n)
-		w.subD = make([]float64, n)
+		w.subW = make([]float64, n)
 		w.subB = make([]float64, n)
 	}
 }
@@ -211,19 +208,19 @@ func (p Problem) gradientInto(dst, x mathx.Vector) mathx.Vector {
 	return dst
 }
 
-// factor Cholesky-factors H's principal block on the ascending index set
-// idx into ws, for solveFactored. It reports false when a pivot is not
-// positive; a NaN in the block does not stop it but spreads to the
-// returned last pivot instead.
-func (p Problem) factor(ws *Workspace, idx []int) (last float64, ok bool) {
+// factor factors H's principal block on the ascending index set idx into
+// ws, for solveFactored. It reports false when the block is not
+// numerically positive definite or holds a NaN.
+func (p Problem) factor(ws *Workspace, idx []int) bool {
 	m := len(idx)
 	if e := p.EqualOffDiag; e != nil {
-		d := ws.subD[:m]
+		w := ws.subW[:m]
 		for a, i := range idx {
-			d[a] = e.D[i]
+			w[a] = e.D[i]
 		}
-		ok = mathx.EqualOffDiagFactor(e.C, d, ws.subL[:m], d) < 0
-		return d[m-1], ok
+		var ok bool
+		ws.subDen, ok = mathx.EqualOffDiagFactor(e.C, w, w)
+		return ok
 	}
 	if n := len(ws.x); len(ws.subH) < n*n {
 		ws.subH = make([]float64, n*n)
@@ -235,8 +232,9 @@ func (p Problem) factor(ws *Workspace, idx []int) (last float64, ok bool) {
 			sub[a*m+b] = row[j]
 		}
 	}
-	ok = mathx.CholeskyFactor(sub, m) < 0
-	return sub[m*m-1], ok
+	// A NaN pivot spreads to the last one, so testing that one rejects
+	// NaN anywhere in the block.
+	return mathx.CholeskyFactor(sub, m) < 0 && !math.IsNaN(sub[m*m-1])
 }
 
 // solveFactored overwrites b with the solution of H_FF·x = b, given the
@@ -244,18 +242,21 @@ func (p Problem) factor(ws *Workspace, idx []int) (last float64, ok bool) {
 func (p Problem) solveFactored(ws *Workspace, b []float64) {
 	m := len(b)
 	if p.EqualOffDiag != nil {
-		mathx.EqualOffDiagSolve(ws.subL[:m], ws.subD[:m], b)
+		mathx.EqualOffDiagSolve(p.EqualOffDiag.C, ws.subDen, ws.subW[:m], b)
 		return
 	}
 	mathx.CholeskySolve(ws.subH[:m*m], b, m)
 }
 
-// residualAt evaluates the KKT residual at x given grad = Hx + g.
+// residualAt evaluates the KKT residual at x given grad = Hx + g. A fixed
+// coordinate (lo = hi, a locked core) is optimal whatever its gradient.
 func (p Problem) residualAt(x, grad mathx.Vector) float64 {
 	var r float64
 	for i, gi := range grad {
 		var v float64
 		switch {
+		case p.Lo[i] >= p.Hi[i]:
+			continue
 		case x[i] <= p.Lo[i]:
 			v = math.Max(0, -gi) // must be ≥ 0 to be optimal
 		case x[i] >= p.Hi[i]:
@@ -311,11 +312,8 @@ func solveFast(p Problem, opt Options, maxSweeps int, tol float64) (Result, erro
 	// The unconstrained Cholesky shortcut is the best opening move even
 	// with a warm point: when the box is inactive it is exact in one
 	// factorization, while coordinate descent on the rank-one-coupled MPC
-	// Hessian can need hundreds of O(n²) sweeps. When the equal-off-diagonal
-	// form certifies that it would land outside the box, it is skipped: it
-	// would have been thrown away, so the result is the same bits either
-	// way.
-	if !certifiesOutside(p, ws.scratch) && unconstrainedInBox(p, ws) {
+	// Hessian can need hundreds of O(n²) sweeps.
+	if unconstrainedInBox(p, ws) {
 		x.Clamp(p.Lo, p.Hi)
 		return Result{X: x, Objective: p.objectiveWith(x, ws.scratch), Converged: true}, nil
 	}
@@ -379,7 +377,7 @@ func unconstrainedInBox(p Problem, ws *Workspace) bool {
 	for i := range all {
 		all[i] = i
 	}
-	if _, ok := p.factor(ws, all); !ok {
+	if !p.factor(ws, all) {
 		return false
 	}
 	x := ws.x
@@ -394,65 +392,6 @@ func unconstrainedInBox(p Problem, ws *Workspace) bool {
 	}
 	return true
 }
-
-// certSafety is the safety factor of certifiesOutside's error bound.
-const certSafety = 16
-
-// certifiesOutside reports whether p's equal-off-diagonal form proves that
-// the unconstrained shortcut would reject its own solution, so it can be
-// skipped. H is diag(D) + C·11ᵀ, so it writes the Sherman–Morrison
-// minimizer
-//
-//	x̃ = −D⁻¹g + s·D⁻¹1,   s = C·1ᵀD⁻¹g / (1 + C·1ᵀD⁻¹1),
-//
-// into xt in O(n) and fires only if some x̃ᵢ lies outside the box by more
-// than boxSlack + δ, with
-//
-//	δ = certSafety · n · κ̂ · ε · (1 + ‖x̃‖∞),   κ̂ = (max D + C·n) / min D.
-//
-// κ̂ bounds the 2-norm condition number of H from above (H ⪰ diag(D) and
-// ‖H‖₂ ≤ max D + C·n), and n·κ·ε·‖x‖ is the first-order size of each error
-// between x̃ and the shortcut's x̂: the Cholesky solve's forward error, the
-// Sherman–Morrison evaluation's, and the rounding of the diagonal entries
-// C + D[i]. The safety factor covers their constants. Whenever
-// |x̂ᵢ − x̃ᵢ| ≤ δ, a fired certificate means x̂ᵢ is outside by more than
-// boxSlack too: the shortcut would have been thrown away, and skipping it
-// changes no result bit. For a dense H, with D ≯ 0 or C < 0, or with
-// non-finite values, it does not fire.
-func certifiesOutside(p Problem, xt mathx.Vector) bool {
-	e := p.EqualOffDiag
-	if e == nil || !(e.C >= 0) {
-		return false
-	}
-	minD, maxD := math.Inf(1), 0.0
-	var sumDg, sumD float64
-	for i, d := range e.D {
-		if !(d > 0) {
-			return false
-		}
-		minD, maxD = math.Min(minD, d), math.Max(maxD, d)
-		sumDg += p.G[i] / d
-		sumD += 1 / d
-	}
-	s := e.C * sumDg / (1 + e.C*sumD)
-	var norm float64
-	for i, d := range e.D {
-		xt[i] = (s - p.G[i]) / d
-		norm = math.Max(norm, math.Abs(xt[i]))
-	}
-	n := float64(len(xt))
-	kappa := (maxD + e.C*n) / minD
-	delta := certSafety * n * kappa * epsilon * (1 + norm)
-	for i, v := range xt {
-		if v < p.Lo[i]-boxSlack-delta || v > p.Hi[i]+boxSlack+delta {
-			return true
-		}
-	}
-	return false
-}
-
-// epsilon is the float64 unit roundoff, 2⁻⁵³.
-const epsilon = 0x1p-53
 
 // activeSetIterCap bounds primal active-set iterations for an n-variable
 // problem. In the non-degenerate case the solver needs at most one
@@ -501,9 +440,7 @@ func solveActiveSet(p Problem, ws *Workspace, x mathx.Vector, tol float64) (Resu
 		m := len(free)
 		blocked := false
 		if m > 0 {
-			// A NaN pivot spreads to the last one, so testing that one
-			// rejects NaN anywhere in the block.
-			if last, ok := p.factor(ws, free); !ok || math.IsNaN(last) {
+			if !p.factor(ws, free) {
 				return Result{}, iter, false // not SPD on the free block: fall back
 			}
 			subB := ws.subB[:m]

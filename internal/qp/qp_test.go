@@ -266,8 +266,10 @@ func TestSolveEmptyProblem(t *testing.T) {
 	}
 }
 
+// A degenerate box lo = hi pins the solution exactly, and the solve is
+// optimal at once: a fixed coordinate's gradient, of either sign, is no
+// KKT violation.
 func TestSolveEqualBounds(t *testing.T) {
-	// Degenerate box lo==hi pins the solution exactly.
 	p := Problem{
 		H:  identity(3),
 		G:  mathx.Vector{5, -5, 0},
@@ -282,6 +284,9 @@ func TestSolveEqualBounds(t *testing.T) {
 		if r.X[i] != 0.3 {
 			t.Fatalf("X = %v, want all 0.3", r.X)
 		}
+	}
+	if !r.Converged || r.Sweeps != 0 {
+		t.Fatalf("converged=%v after %d sweeps, want converged after 0", r.Converged, r.Sweeps)
 	}
 }
 

@@ -9,44 +9,21 @@ import (
 	"sprintcon/internal/mathx"
 )
 
-// bitsEqual reports exact bit equality of two vectors.
-func bitsEqual(a, b mathx.Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameResult reports whether two results agree bit for bit.
-func sameResult(a, b Result) bool {
-	return bitsEqual(a.X, b.X) && math.Float64bits(a.Objective) == math.Float64bits(b.Objective) &&
-		a.Sweeps == b.Sweeps && a.Converged == b.Converged
-}
+// epsilon is the float64 unit roundoff, 2⁻⁵³.
+const epsilon = 0x1p-53
 
 // placement says where an MPC-shaped problem's unconstrained minimizer
 // sits relative to its box.
 type placement int
 
 const (
-	inside      placement = iota // every coordinate well inside
-	justInside                   // one coordinate 1e-9 inside a bound
-	justOutside                  // one coordinate 1e-9 outside a bound
-	farOutside                   // several coordinates 0.05–1 outside
-	numPlacements
+	inside     placement = iota // every coordinate well inside
+	farOutside                  // several coordinates 0.05–1 outside
 )
 
-func (p placement) String() string {
-	return [...]string{"inside", "just-inside", "just-outside", "far-outside"}[p]
-}
-
 // mpcShape is the fixed part of one rack's constant-move MPC QP: H in its
-// equal-off-diagonal form and as the dense matrix the same bits assemble
-// to, the box, and the indices of the cores that are not locked.
+// equal-off-diagonal form and as the assembled dense matrix, the box, and
+// the indices of the cores that are not locked.
 type mpcShape struct {
 	eod    *EqualOffDiag
 	h      *mathx.Matrix
@@ -94,13 +71,7 @@ func (s mpcShape) problem(rng *rand.Rand, where placement) Problem {
 	for _, i := range s.free {
 		xs[i] = s.lo[i] + (s.hi[i]-s.lo[i])*(0.05+0.9*rng.Float64())
 	}
-	j := s.free[rng.Intn(len(s.free))]
-	switch where {
-	case justInside:
-		xs[j] = s.hi[j] - 1e-9
-	case justOutside:
-		xs[j] = s.lo[j] - 1e-9
-	case farOutside:
+	if where == farOutside {
 		for c, m := 0, 1+rng.Intn(4); c < m; c++ {
 			j := s.free[rng.Intn(len(s.free))]
 			xs[j] = s.hi[j] + 0.05 + rng.Float64()
@@ -119,99 +90,139 @@ func dense(p Problem, h *mathx.Matrix) Problem {
 	return p
 }
 
-// The equal-off-diagonal form and its assembled dense twin agree bit for
-// bit in every result field, cold and warm, on generated MPC-shaped
-// problems: floored R weights, locked cores, and minimizers inside, just
-// inside, just outside and far outside the box. Whenever the certificate
-// fires, the shortcut really lands outside the box. It must fire on every
-// clearly infeasible problem (or the skip would never happen) and never on
-// a feasible one. Locked cores send some solves through the
-// coordinate-descent fallback (ROADMAP item 6), which must be covered too.
-func TestEqualOffDiagBitIdenticalAndCertificateSound(t *testing.T) {
-	const n, trials = 64, 40
-	rng := rand.New(rand.NewSource(14))
-	fallbacks := 0
-	for where := placement(0); where < numPlacements; where++ {
-		fired := 0
-		for trial := 0; trial < trials; trial++ {
-			shape := newMPCShape(rng, n, 0.2, 0.1)
-			p := shape.problem(rng, where)
-			twin := dense(p, shape.h)
-			warm := mathx.NewVector(n)
-			for i := range warm {
-				warm[i] = p.Lo[i] + (p.Hi[i]-p.Lo[i])*rng.Float64()
-			}
-			for _, w := range []mathx.Vector{nil, warm} {
-				want, err := Solve(twin, Options{Ws: NewWorkspace(n), Warm: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Solve(p, Options{Ws: NewWorkspace(n), Warm: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Converged is compared, not required: KKTResidual
-				// counts a negative gradient at a locked core (lo = hi)
-				// as a violation, so such a solve may end unconverged.
-				if !sameResult(got, want) {
-					t.Fatalf("%v trial %d warm=%v: equal-off-diagonal %+v, dense %+v", where, trial, w != nil, got, want)
-				}
-				// More iterations than the active-set cap allows means
-				// the fallback ran.
-				if got.Sweeps > activeSetIterCap(n) {
-					fallbacks++
-				}
-			}
-			if certifiesOutside(p, mathx.NewVector(n)) {
-				fired++
-				if unconstrainedInBox(p, NewWorkspace(n)) || unconstrainedInBox(twin, NewWorkspace(n)) {
-					t.Fatalf("%v trial %d: certificate fired but the shortcut lands in the box", where, trial)
-				}
-			}
-			if certifiesOutside(twin, mathx.NewVector(n)) {
-				t.Fatalf("%v trial %d: certificate fired on a dense H", where, trial)
-			}
-		}
-		switch {
-		case where == farOutside && fired != trials:
-			t.Errorf("%v: certificate fired on %d of %d problems, want all", where, fired, trials)
-		case where <= justInside && fired != 0:
-			t.Errorf("%v: certificate fired on %d feasible problems", where, fired)
+// oracleProblem draws one rack's constant-move MPC QP over n cores the way
+// control.MPC builds it, in the equal-off-diagonal form, together with the
+// dense twin of its Hessian: one slope k ∈ [1, 40] W/GHz, C = (α·k)·k with
+// α = Q·Σh² = 30, D = Σm²·RScale·r = 200·r with r log-uniform over
+// [1e-6, 10], current frequencies f ∈ [0.4, 2.0] GHz giving the box
+// [0.4 − f, 2.0 − f], a lockedFrac share of the cores locked (lo = hi = 0),
+// and g from an Eq. (7) gap whose size spans four decades of the rack's
+// peak batch power. With inside set, g = −H·x* instead, for an x* drawn
+// inside the box, so the unconstrained shortcut solves the problem.
+func oracleProblem(rng *rand.Rand, n int, lockedFrac float64, inside bool) (Problem, *mathx.Matrix) {
+	const alpha = 30
+	k := 1 + 39*rng.Float64()
+	e := &EqualOffDiag{C: (alpha * k) * k, D: mathx.NewVector(n)}
+	h := mathx.NewMatrix(n, n)
+	h.OuterAdd(alpha, constant(n, k), constant(n, k))
+	g, lo, hi := mathx.NewVector(n), mathx.NewVector(n), mathx.NewVector(n)
+	gap := float64(n) * k * 2 * (rng.Float64() - 0.5) * math.Pow(10, -3+3*rng.Float64())
+	var track float64 // Σ_h Q·h·e_h
+	for step := 1.0; step <= 4; step++ {
+		track += step * gap * (1 - math.Exp(-2*step))
+	}
+	for i := 0; i < n; i++ {
+		r := 40 * math.Pow(10, -6+7*rng.Float64())
+		e.D[i] = 5 * r
+		h.Inc(i, i, e.D[i])
+		f := 0.4 + 1.6*rng.Float64()
+		g[i] = -track*k + 3*r*(f-2)
+		if rng.Float64() >= lockedFrac {
+			lo[i], hi[i] = 0.4-f, 2-f
 		}
 	}
-	if fallbacks == 0 {
-		t.Error("no solve reached the coordinate-descent fallback")
+	if inside {
+		xs := mathx.NewVector(n)
+		for i := range xs {
+			xs[i] = lo[i] + (hi[i]-lo[i])*(0.05+0.9*rng.Float64())
+		}
+		h.MulVecInto(g, xs)
+		for i := range g {
+			g[i] = -g[i]
+		}
 	}
+	return Problem{EqualOffDiag: e, G: g, Lo: lo, Hi: hi}, h
 }
 
-// A locked core (lo = hi) whose gradient is negative stops the active-set
-// solver at its residual floor, so the solve runs the coordinate-descent
-// fallback and ends unconverged (ROADMAP item 6); both forms must still
-// agree bit for bit.
-func TestEqualOffDiagFallbackBitIdentical(t *testing.T) {
-	const n = 16
-	rng := rand.New(rand.NewSource(21))
-	shape := newMPCShape(rng, n, 0, 0)
-	p := shape.problem(rng, farOutside)
-	lo := append(mathx.Vector(nil), p.Lo...)
-	hi := append(mathx.Vector(nil), p.Hi...)
-	g := append(mathx.Vector(nil), p.G...)
-	lo[3], hi[3], g[3] = 0, 0, g[3]-1e4
-	p.Lo, p.Hi, p.G = lo, hi, g
-	want, err := Solve(dense(p, shape.h), Options{MaxSweeps: 50})
-	if err != nil {
-		t.Fatal(err)
+// The tolerance oracle. Over generated MPC-shaped problems (oracleProblem,
+// n = 1…130, box-constrained and solved by the shortcut), cold and warm, the O(n) equal-off-diagonal form must
+// converge and agree with its dense twin: |Δx|∞ ≤ δ = 16·n·κ̂·ε·(1 + ‖x‖∞)
+// with κ̂ = (max D + C·n)/min D, an upper bound on H's 2-norm condition
+// number, so n·κ̂·ε·‖x‖ is the first-order size of each path's rounding
+// error; the objectives, both evaluated with the dense H, within the gap
+// that δ allows; and the KKT residual of its minimizer, with the dense
+// gradient, within the solver's tolerance. A warm solve must land within δ
+// of the cold one.
+func TestEqualOffDiagMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var worst float64 // largest |Δx|∞/δ seen, for the log
+	inBox, boxed := 0, 0
+	for n := 1; n <= 130; n++ {
+		for trial := 0; trial < 6; trial++ {
+			p, h := oracleProblem(rng, n, []float64{0, 0.05, 0.2, 0.5, 0, 0.2}[trial], trial >= 4)
+			twin := dense(p, h)
+			minD, maxD := math.Inf(1), 0.0
+			for _, d := range p.EqualOffDiag.D {
+				minD, maxD = math.Min(minD, d), math.Max(maxD, d)
+			}
+			hNorm := maxD + p.EqualOffDiag.C*float64(n)
+			tol := defaultTol * (1 + p.G.NormInf())
+			var cold mathx.Vector
+			for _, warm := range []bool{false, true} {
+				opt := Options{}
+				if warm {
+					opt.Warm = mathx.NewVector(n)
+					for i := range opt.Warm {
+						opt.Warm[i] = p.Lo[i] + (p.Hi[i]-p.Lo[i])*rng.Float64()
+					}
+				}
+				want, err := Solve(twin, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Solve(p, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Converged || !want.Converged {
+					t.Fatalf("n=%d trial %d warm=%v: converged %v, dense %v", n, trial, warm, got.Converged, want.Converged)
+				}
+				if got.Sweeps == 0 {
+					inBox++
+				} else {
+					boxed++
+				}
+				delta := 16 * float64(n) * (hNorm / minD) * epsilon * (1 + want.X.NormInf())
+				var dx float64
+				for i := range got.X {
+					dx = math.Max(dx, math.Abs(got.X[i]-want.X[i]))
+				}
+				if !(dx <= delta) {
+					t.Fatalf("n=%d trial %d warm=%v: |Δx|∞ = %g > δ = %g", n, trial, warm, dx, delta)
+				}
+				worst = math.Max(worst, dx/delta)
+				if cold == nil {
+					cold = append(mathx.Vector(nil), got.X...)
+				} else {
+					for i := range cold {
+						if d := math.Abs(got.X[i] - cold[i]); !(d <= delta) {
+							t.Fatalf("n=%d trial %d: warm x[%d] %g from cold > δ = %g", n, trial, i, d, delta)
+						}
+					}
+				}
+				// f(x) − f(x̂) = ∇f(x̂)·Δx + ½·ΔxᵀHΔx; the gradient is
+				// at most tol on free coordinates and Δx vanishes on
+				// shared bounds, and evaluating f rounds by n·ε times
+				// its absolute terms.
+				fGot, fWant := twin.Objective(got.X), twin.Objective(want.X)
+				var abs float64
+				for i, xi := range want.X {
+					abs += math.Abs(p.G[i]*xi) + 0.5*hNorm*math.Abs(xi)*want.X.NormInf()
+				}
+				objTol := float64(n)*delta*(tol+hNorm*delta) + 4*float64(n)*epsilon*abs
+				if gap := math.Abs(fGot - fWant); !(gap <= objTol) {
+					t.Fatalf("n=%d trial %d warm=%v: objective %g, dense %g, gap %g > %g", n, trial, warm, fGot, fWant, gap, objTol)
+				}
+				if r := twin.KKTResidual(got.X); !(r <= tol) {
+					t.Fatalf("n=%d trial %d warm=%v: KKT residual %g > tol %g", n, trial, warm, r, tol)
+				}
+			}
+		}
 	}
-	got, err := Solve(p, Options{MaxSweeps: 50})
-	if err != nil {
-		t.Fatal(err)
+	if inBox == 0 || boxed == 0 {
+		t.Fatalf("oracle covered %d shortcut and %d box-constrained solves; want both", inBox, boxed)
 	}
-	if got.Converged {
-		t.Fatalf("solve converged, so the fallback did not run: %+v", got)
-	}
-	if !sameResult(got, want) {
-		t.Fatalf("equal-off-diagonal %+v, dense %+v", got, want)
-	}
+	t.Logf("worst |Δx|∞/δ = %.3g over %d shortcut and %d box-constrained solves", worst, inBox, boxed)
 }
 
 // An MPC-shaped problem whose equal-off-diagonal D (the successor of the

@@ -1,0 +1,108 @@
+package server
+
+import (
+	"math"
+	"math/big"
+	"math/rand"
+	"testing"
+
+	"sprintcon/internal/cpu"
+)
+
+// fanWRef is the fan model written out: FanW·loadFrac^1.5·tempFactor.
+func fanWRef(p Params, dynW float64, env Environment) float64 {
+	if p.FanW == 0 {
+		return 0
+	}
+	loadFrac := dynW / (p.MaxW - p.IdleW)
+	tempFactor := math.Max(0, 1+0.04*(env.AmbientC-25))
+	return p.FanW * (loadFrac * math.Sqrt(loadFrac)) * tempFactor
+}
+
+// powerRef is Power summed per core through coreDynamicW, plus fanWRef.
+func powerRef(s *Server, env Environment) float64 {
+	var dyn float64
+	for i := 0; i < s.cpu.NumCores(); i++ {
+		c := s.cpu.Core(i)
+		dyn += s.p.coreDynamicW(c.Freq, c.Util)
+	}
+	return s.p.IdleW + dyn + fanWRef(s.p, dyn, env)
+}
+
+// x·√x, the fan term's load factor, is x^1.5 to within two units in the
+// last place of a 256-bit reference (√ and the product each round once),
+// from the extremes of the float64 range to zero and negative zero and on
+// the loads a rack sees. (math.Pow(x, 1.5), its earlier form, is off by up
+// to 4 units on those loads.)
+func TestFanLoadFactorAccurate(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	xs := []float64{0, math.Copysign(0, -1), 1, 0.25, 4, math.SmallestNonzeroFloat64, 0x1p-1000, 0x1p600, math.MaxFloat64}
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, math.Ldexp(1+rng.Float64(), rng.Intn(2046)-1074))
+	}
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, 1.2*rng.Float64())
+	}
+	for _, x := range xs {
+		b := new(big.Float).SetPrec(256).SetFloat64(x)
+		b.Mul(b, new(big.Float).SetPrec(256).Sqrt(b))
+		want, _ := b.Float64()
+		got := x * math.Sqrt(x)
+		if ulp := math.Nextafter(want, math.Inf(1)) - want; got != want && !(math.Abs(got-want) <= 2*ulp) {
+			t.Fatalf("x = %v: x·√x = %v, 256-bit x^1.5 = %v", x, got, want)
+		}
+	}
+}
+
+// Power and PowerOfClass must match the model written out per core, bit for
+// bit, over generated core states and ambients: plateaus that repeat a
+// state, ambients below freezing, at −0 and above the set point, and a
+// server with the fan disturbance off.
+func TestPowerMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, fanW := range []float64{6, 0} {
+		p := DefaultParams()
+		p.FanW = fanW
+		s, err := New(0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < p.Cores; i++ {
+			s.CPU().SetClass(i, cpu.Class(i%3))
+		}
+		e := Environment{AmbientC: 25}
+		for step := 0; step < 5000; step++ {
+			switch r := rng.Float64(); {
+			case r < 0.5: // plateau: nothing changes
+			case r < 0.8:
+				i := rng.Intn(p.Cores)
+				s.CPU().SetFreq(i, 0.4+1.6*rng.Float64())
+				s.CPU().SetUtil(i, 1.2*rng.Float64())
+			case r < 0.9:
+				e.AmbientC = []float64{25, 30, math.Copysign(0, -1), 0, -5, 40}[rng.Intn(6)]
+			default:
+				e.AmbientC = 15 + 25*rng.Float64()
+			}
+			if got, want := s.Power(e), powerRef(s, e); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("FanW=%v step %d: Power = %v, model %v", fanW, step, got, want)
+			}
+			cl := s.CPU().Core(rng.Intn(p.Cores)).Class
+			var dynClass, dynTotal, nClass float64
+			for i := 0; i < p.Cores; i++ {
+				c := s.CPU().Core(i)
+				d := p.coreDynamicW(c.Freq, c.Util)
+				dynTotal += d
+				if c.Class == cl {
+					dynClass, nClass = dynClass+d, nClass+1
+				}
+			}
+			want := p.IdleW*nClass/float64(p.Cores) + dynClass
+			if dynTotal > 0 {
+				want += fanWRef(p, dynTotal, e) * dynClass / dynTotal
+			}
+			if got := s.PowerOfClass(cl, e); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("FanW=%v step %d: PowerOfClass = %v, model %v", fanW, step, got, want)
+			}
+		}
+	}
+}

@@ -96,17 +96,6 @@ type Server struct {
 	id  int
 	p   Params
 	cpu *cpu.CPU
-	fan fanMemo
-}
-
-// fanMemo holds fanW's last inputs, by their bits, and its result. fanW is
-// a pure function of them, and a plateau repeats the same dynamic power
-// tick after tick, so a hit returns exactly what the math.Pow would. It is
-// a derived value, not server state: no snapshot carries it.
-type fanMemo struct {
-	ok        bool
-	dyn, ambC uint64
-	w         float64
 }
 
 // New returns a server with all cores idle at the lowest P-state.
@@ -128,23 +117,20 @@ func (s *Server) ID() int { return s.id }
 func (s *Server) CPU() *cpu.CPU { return s.cpu }
 
 // fanW is the unmodeled disturbance: grows super-linearly with the dynamic
-// load and with ambient temperature above the 25 °C set point.
+// load, as loadFrac^1.5, and with ambient temperature above the 25 °C set
+// point. loadFrac^1.5 is computed as loadFrac·√loadFrac, from exactly
+// rounded operations only, and the conversions keep the products out of
+// fused multiply-adds, so every host computes the same bits.
 func (s *Server) fanW(dynW float64, env Environment) float64 {
 	if s.p.FanW == 0 {
 		return 0
 	}
-	dyn, ambC := math.Float64bits(dynW), math.Float64bits(env.AmbientC)
-	if s.fan.ok && s.fan.dyn == dyn && s.fan.ambC == ambC {
-		return s.fan.w
-	}
 	loadFrac := dynW / (s.p.MaxW - s.p.IdleW)
-	tempFactor := 1 + 0.04*(env.AmbientC-25)
+	tempFactor := 1 + float64(0.04*(env.AmbientC-25))
 	if tempFactor < 0 {
 		tempFactor = 0
 	}
-	w := s.p.FanW * math.Pow(loadFrac, 1.5) * tempFactor
-	s.fan = fanMemo{ok: true, dyn: dyn, ambC: ambC, w: w}
-	return w
+	return float64(s.p.FanW * (loadFrac * math.Sqrt(loadFrac)) * tempFactor)
 }
 
 // Power returns the measured server power (measurement model + fan). The
