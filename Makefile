@@ -48,7 +48,8 @@ chaos-service:
 soak:
 	SOAK_RUNS=40 $(GO) test -run TestSoak -v ./internal/core/ ./internal/hier/
 
-# Fuzz smoke: every fuzz target (checkpoint decoder, scenario loader,
+# Fuzz smoke: every fuzz target (checkpoint decoder, one snapshot or a
+# row's set, scenario loader,
 # interactive-trace CSV parser, batch-job advance, P-state quantizer,
 # generated tick ≡ event scenarios, decision encoder ≡ encoding/json,
 # decision log keep-then-render ≡ encoder, equal-off-diagonal QP kernels ≡

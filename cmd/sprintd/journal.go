@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -65,26 +65,22 @@ func (j *journal) saveRecord(rec journalRecord) error {
 	return nil
 }
 
-// rowCkptMagic frames a coherent row-snapshot file: the magic, a big-endian
-// rack count, then one length-prefixed checkpoint.Encode blob per rack.
-// The whole set lands in one file so the per-rack snapshots can never be
-// torn apart by a crash — the checkpoint encoding itself is versioned and
-// checksummed, so any partial rename-loser is rejected on load.
-const rowCkptMagic = "SPRDROW1"
+// rowCkptMagic frames a coherent row-snapshot file: the magic, then one
+// checkpoint.EncodeSet frame holding the row's racks in order. The whole
+// set lands in one file so the per-rack snapshots can never be torn apart
+// by a crash — the frame itself is versioned and checksummed, so any
+// partial rename-loser is rejected on load. A file from an older binary
+// (SPRDROW1: one frame per rack) fails to load, and the run resumes from
+// step 0.
+const rowCkptMagic = "SPRDROW2"
 
 // saveRowCheckpoint persists one row's coherent snapshot set.
 func (j *journal) saveRowCheckpoint(id string, row int, snaps []*checkpoint.Snapshot) error {
-	var buf []byte
-	buf = append(buf, rowCkptMagic...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(snaps)))
-	for _, sp := range snaps {
-		b, err := checkpoint.Encode(sp)
-		if err != nil {
-			return fmt.Errorf("journal: row checkpoint: %w", err)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-		buf = append(buf, b...)
+	frame, err := checkpoint.EncodeSet(snaps)
+	if err != nil {
+		return fmt.Errorf("journal: row checkpoint: %w", err)
 	}
+	buf := append([]byte(rowCkptMagic), frame...)
 	path := filepath.Join(j.runDir(id), fmt.Sprintf("row%d.ckpt", row))
 	if err := checkpoint.WriteFileAtomic(path, buf); err != nil {
 		return fmt.Errorf("journal: %s row %d: %w", id, row, err)
@@ -101,34 +97,12 @@ func (j *journal) loadRowCheckpoint(id string, row int) ([]*checkpoint.Snapshot,
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if len(b) < len(rowCkptMagic)+4 || string(b[:len(rowCkptMagic)]) != rowCkptMagic {
+	if !bytes.HasPrefix(b, []byte(rowCkptMagic)) {
 		return nil, fmt.Errorf("journal: %s row %d: not a row checkpoint file", id, row)
 	}
-	b = b[len(rowCkptMagic):]
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	// Every frame carries at least its 4-byte length, so a count the
-	// remaining bytes cannot hold is corrupt; reject it before sizing
-	// anything from it.
-	if n > len(b)/4 {
-		return nil, fmt.Errorf("journal: %s row %d: rack count %d exceeds the file", id, row, n)
-	}
-	snaps := make([]*checkpoint.Snapshot, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("journal: %s row %d: truncated frame %d", id, row, i)
-		}
-		l := int(binary.BigEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < l {
-			return nil, fmt.Errorf("journal: %s row %d: truncated snapshot %d", id, row, i)
-		}
-		sp, err := checkpoint.Decode(b[:l])
-		if err != nil {
-			return nil, fmt.Errorf("journal: %s row %d rack %d: %w", id, row, i, err)
-		}
-		snaps = append(snaps, sp)
-		b = b[l:]
+	snaps, err := checkpoint.DecodeSet(b[len(rowCkptMagic):])
+	if err != nil {
+		return nil, fmt.Errorf("journal: %s row %d: %w", id, row, err)
 	}
 	return snaps, nil
 }

@@ -2,16 +2,25 @@ package main
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
+
+	"sprintcon/internal/checkpoint"
+	"sprintcon/internal/hier"
 )
 
-// A row checkpoint whose header claims far more racks than its bytes can
-// frame must be rejected before anything is sized from the claim: the file
-// is read on restart, and a corrupt count must not become a huge
-// allocation.
+var updateFixture = flag.Bool("update", false, "rewrite testdata/row0.SPRDROW2.ckpt from the current binary")
+
+// A row checkpoint whose frame claims far more payload than the file holds
+// must be rejected before anything is sized from the claim: the file is
+// read on restart, and a corrupt length must not become a huge allocation.
 func TestLoadRowCheckpointRejectsOversizedCount(t *testing.T) {
 	j, err := newJournal(t.TempDir())
 	if err != nil {
@@ -21,7 +30,10 @@ func TestLoadRowCheckpointRejectsOversizedCount(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	b := binary.BigEndian.AppendUint32([]byte(rowCkptMagic), 1<<22)
+	b := append([]byte(rowCkptMagic), "SPCK"...)
+	b = binary.BigEndian.AppendUint32(b, checkpoint.Version)
+	b = binary.BigEndian.AppendUint32(b, 64<<20) // the largest payload a frame may claim
+	b = binary.BigEndian.AppendUint32(b, 0)
 	if err := os.WriteFile(filepath.Join(dir, "row0.ckpt"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +43,180 @@ func TestLoadRowCheckpointRejectsOversizedCount(t *testing.T) {
 	snaps, err := j.loadRowCheckpoint("7", 0)
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatalf("loaded %d snapshots from a frameless file claiming 2^22 racks", len(snaps))
+		t.Fatalf("loaded %d snapshots from a payload-less file claiming 64 MiB", len(snaps))
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
 		t.Fatalf("rejecting the file allocated %d bytes, want < 1 MB", d)
+	}
+}
+
+// fixtureSpec is the run the committed row checkpoint was captured from:
+// one row of two racks, captured at t = 120 s of 240 s.
+const (
+	fixtureSpec  = `{"rows": 1, "racks_per_row": 2, "duration_s": 240}`
+	fixtureStepS = 120
+	fixturePath  = "testdata/row0.SPRDROW2.ckpt"
+)
+
+// fixtureConfig returns the building fixtureSpec describes.
+func fixtureConfig(t *testing.T) (RunSpec, hier.Config) {
+	t.Helper()
+	var rs RunSpec
+	if err := json.Unmarshal([]byte(fixtureSpec), &rs); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := rs.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, cfg
+}
+
+// journalWithFixture returns a journal holding run id with the committed
+// fixture as its row 0 checkpoint, rewriting the fixture first under
+// -update.
+func journalWithFixture(t *testing.T, id string) *journal {
+	t.Helper()
+	j, err := newJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(j.runDir(id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if *updateFixture {
+		_, cfg := fixtureConfig(t)
+		cfg.CheckpointEveryS = fixtureStepS
+		cfg.OnRowCheckpoint = func(row int, snaps []*checkpoint.Snapshot) {
+			if err := j.saveRowCheckpoint(id, row, snaps); err != nil {
+				t.Error(err)
+			}
+		}
+		if _, err := hier.RunLinked(cfg); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(j.runDir(id), "row0.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fixturePath, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := os.ReadFile(fixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(j.runDir(id), "row0.ckpt"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestRowCheckpointFixtureResumes: the committed SPRDROW2 row checkpoint
+// (checkpoint.Version 1) loads, and the run resumed from it is
+// bit-identical to an uninterrupted run over the rest of the window: the
+// row draw and every rack's power, charge and batch frequency. (The link
+// counters are not: a resumed row's coordinator is a fresh process and
+// comes up through its crash-restart path.) A
+// change to the snapshot schema or the row format fails here until
+// Version or the magic is bumped and the fixture rewritten on purpose
+// (go test ./cmd/sprintd -run Fixture -update).
+func TestRowCheckpointFixtureResumes(t *testing.T) {
+	j := journalWithFixture(t, "r1")
+	snaps, err := j.loadRowCheckpoint("r1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 2 || snaps[0].Step != fixtureStepS || snaps[1].Step != fixtureStepS {
+		t.Fatalf("fixture holds %d snapshots at step %d, want 2 at step %d", len(snaps), snaps[0].Step, fixtureStepS)
+	}
+	_, cfg := fixtureConfig(t)
+	full, err := hier.RunLinked(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = [][]*checkpoint.Snapshot{snaps}
+	res, err := hier.RunLinked(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := full.Rows[0], res.Rows[0]
+	if got.StartStep != fixtureStepS {
+		t.Fatalf("resumed at step %d, want %d", got.StartStep, fixtureStepS)
+	}
+	same := func(name string, want, got []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d samples, want %d", name, len(got), len(want))
+		}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s at step %d: %v, uninterrupted %v", name, fixtureStepS+k, got[k], want[k])
+			}
+		}
+	}
+	same("row draw", want.AggregateW[fixtureStepS:], got.AggregateW)
+	for i, r := range got.Racks {
+		w := want.Racks[i].Series
+		same("rack total power", w.TotalW[fixtureStepS:], r.Series.TotalW)
+		same("rack UPS SoC", w.SoC[fixtureStepS:], r.Series.SoC)
+		same("rack batch frequency", w.FreqBatch[fixtureStepS:], r.Series.FreqBatch)
+	}
+}
+
+// TestRowCheckpointV1ResumesFromStart: a row checkpoint an older binary
+// wrote (SPRDROW1: a rack count, then one length-prefixed checkpoint frame
+// per rack) does not load, so the interrupted run it belongs to resumes
+// from step 0 and finishes with the uninterrupted run's summary.
+func TestRowCheckpointV1ResumesFromStart(t *testing.T) {
+	j := journalWithFixture(t, "r1")
+	snaps, err := j.loadRowCheckpoint("r1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := binary.BigEndian.AppendUint32([]byte("SPRDROW1"), uint32(len(snaps)))
+	for _, sp := range snaps {
+		b, err := checkpoint.Encode(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 = binary.BigEndian.AppendUint32(v1, uint32(len(b)))
+		v1 = append(v1, b...)
+	}
+	if err := os.WriteFile(filepath.Join(j.runDir("r1"), "row0.ckpt"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.loadRowCheckpoint("r1", 0); err == nil {
+		t.Fatal("a SPRDROW1 file loaded")
+	}
+	if r := j.loadResume("r1", 1); r != nil {
+		t.Fatalf("resume set from a SPRDROW1 file: %v", r)
+	}
+
+	rs, cfg := fixtureConfig(t)
+	full, err := hier.RunLinked(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal((&run{linked: full}).summary()["result"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want any
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	now := time.Now()
+	if err := j.saveRecord(journalRecord{ID: "r1", Mode: "linked", State: "running", Submitted: now, Started: now, Spec: rs}); err != nil {
+		t.Fatal(err)
+	}
+	scfg := defaultServerConfig()
+	scfg.StateDir = j.dir
+	_, ts := newTestService(t, scfg)
+	doc := waitDone(t, ts, "r1")
+	if !reflect.DeepEqual(doc["result"], want) {
+		t.Fatalf("run recovered over a SPRDROW1 checkpoint finished with\n %v\nwant the uninterrupted\n %v", doc["result"], want)
 	}
 }

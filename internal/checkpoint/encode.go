@@ -6,9 +6,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
-// Wire format: a fixed 16-byte header followed by a gob-encoded Snapshot.
+// Wire format: a fixed 16-byte header followed by a gob stream holding the
+// snapshots in order (one for Encode, k for EncodeSet).
 //
 //	bytes 0..3   magic "SPCK"
 //	bytes 4..7   format version, big-endian uint32
@@ -18,7 +20,9 @@ import (
 // gob rather than JSON because controller state legitimately contains
 // non-finite floats (an uncontrolled CB budget is +Inf, the pre-first-tick
 // control timestamp −Inf) and because gob round-trips float64 bit-exactly —
-// a requirement for bit-identical crash/restore continuation.
+// a requirement for bit-identical crash/restore continuation. One stream
+// per frame sends gob's type descriptors once, however many snapshots the
+// frame holds, and makes a one-snapshot set exactly Encode's bytes.
 const (
 	magic      = "SPCK"
 	headerLen  = 16
@@ -27,15 +31,23 @@ const (
 
 // Encode serializes a snapshot into the framed wire format.
 func Encode(s *Snapshot) ([]byte, error) {
-	if s == nil {
-		return nil, fmt.Errorf("checkpoint: encode nil snapshot")
-	}
+	return EncodeSet([]*Snapshot{s})
+}
+
+// EncodeSet serializes snapshots, in order, into one frame.
+func EncodeSet(ss []*Snapshot) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(magic)
 	var hdr [12]byte
 	buf.Write(hdr[:]) // reserved for version/length/CRC, patched below
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode: %w", err)
+	enc := gob.NewEncoder(&buf)
+	for _, s := range ss {
+		if s == nil {
+			return nil, fmt.Errorf("checkpoint: encode nil snapshot")
+		}
+		if err := enc.Encode(s); err != nil {
+			return nil, fmt.Errorf("checkpoint: encode: %w", err)
+		}
 	}
 	out := buf.Bytes()
 	payload := out[headerLen:]
@@ -48,17 +60,30 @@ func Encode(s *Snapshot) ([]byte, error) {
 	return out, nil
 }
 
-// Decode parses and validates a framed snapshot. Any corruption — bad
-// magic, version skew, truncation, checksum mismatch, malformed gob,
-// out-of-range fields — returns an error; Decode never panics, whatever the
-// input (the fuzz target holds it to that).
-func Decode(b []byte) (s *Snapshot, err error) {
+// Decode parses and validates a framed snapshot: a frame holding exactly
+// one. Any corruption — bad magic, version skew, truncation, checksum
+// mismatch, malformed gob, out-of-range fields — returns an error; Decode
+// never panics, whatever the input (the fuzz target holds it to that).
+func Decode(b []byte) (*Snapshot, error) {
+	ss, err := DecodeSet(b)
+	if err != nil {
+		return nil, err
+	}
+	if len(ss) != 1 {
+		return nil, fmt.Errorf("checkpoint: frame holds %d snapshots, want 1", len(ss))
+	}
+	return ss[0], nil
+}
+
+// DecodeSet parses and validates a frame of any number of snapshots, with
+// Decode's guarantees.
+func DecodeSet(b []byte) (ss []*Snapshot, err error) {
 	// gob's decoder is defensive, but a decoder panic on hostile input
 	// must surface as an error: the caller's response to a corrupt
 	// checkpoint is the fail-safe path, not a crash loop.
 	defer func() {
 		if r := recover(); r != nil {
-			s, err = nil, fmt.Errorf("checkpoint: decode panic: %v", r)
+			ss, err = nil, fmt.Errorf("checkpoint: decode panic: %v", r)
 		}
 	}()
 
@@ -82,12 +107,17 @@ func Decode(b []byte) (s *Snapshot, err error) {
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(b[12:16]); got != want {
 		return nil, fmt.Errorf("checkpoint: checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", err)
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	for {
+		snap := new(Snapshot)
+		if err := dec.Decode(snap); err == io.EOF {
+			return ss, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("checkpoint: decode: %w", err)
+		}
+		if err := snap.Validate(); err != nil {
+			return nil, err
+		}
+		ss = append(ss, snap)
 	}
-	if err := snap.Validate(); err != nil {
-		return nil, err
-	}
-	return &snap, nil
 }

@@ -1,6 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
@@ -66,6 +70,74 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	// round-trips NaN too, but DeepEqual would report it unequal).
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestEncodeIsOneSnapshotSet: Encode's bytes are the one-snapshot frame
+// written before sets existed (a header over one gob stream carrying one
+// snapshot), and EncodeSet of that one snapshot is the same bytes, so
+// checkpoint files and Version are unchanged by the set form.
+func TestEncodeIsOneSnapshotSet(t *testing.T) {
+	s := sampleSnapshot()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte(magic)
+	want = binary.BigEndian.AppendUint32(want, Version)
+	want = binary.BigEndian.AppendUint32(want, uint32(payload.Len()))
+	want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(payload.Bytes()))
+	want = append(want, payload.Bytes()...)
+	one, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := EncodeSet([]*Snapshot{s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(one, want) || !bytes.Equal(set, want) {
+		t.Fatalf("Encode (%d B) or EncodeSet of one (%d B) differs from the one-snapshot frame (%d B)", len(one), len(set), len(want))
+	}
+}
+
+// TestEncodeSetRoundTrip: a set of k snapshots decodes back to the same k,
+// in order, for k = 0…5; the set is smaller than k separate frames
+// because gob's type descriptors travel once; Decode refuses any frame
+// that does not hold exactly one snapshot; and a nil member fails the
+// encode.
+func TestEncodeSetRoundTrip(t *testing.T) {
+	one, err := Encode(sampleSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= 5; k++ {
+		want := make([]*Snapshot, k)
+		for i := range want {
+			want[i] = sampleSnapshot()
+			want[i].Controller.CmdFreqsGHz = append(want[i].Controller.CmdFreqsGHz, float64(i))
+			want[i].Plant.Engine.EventSeq = i
+		}
+		b, err := EncodeSet(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeSet(b)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if len(got) != k || (k > 0 && !reflect.DeepEqual(want, got)) {
+			t.Fatalf("k=%d: round trip diverged:\nwant %+v\ngot  %+v", k, want, got)
+		}
+		if k > 1 && len(b) >= k*len(one) {
+			t.Errorf("k=%d: set is %d B, %d separate frames would be %d B", k, len(b), k, k*len(one))
+		}
+		if _, err := Decode(b); (err == nil) != (k == 1) {
+			t.Errorf("k=%d: Decode error %v, want one only for k != 1", k, err)
+		}
+	}
+	if _, err := EncodeSet([]*Snapshot{sampleSnapshot(), nil}); err == nil {
+		t.Fatal("EncodeSet accepted a nil snapshot")
 	}
 }
 

@@ -5,12 +5,14 @@ import (
 	"testing"
 )
 
-// FuzzDecode holds Decode to its contract: whatever the bytes — torn
-// writes, bit rot, hostile gob streams — it returns an error rather than
-// panicking, and anything it does accept passes validation and re-encodes
-// to an equivalent snapshot (so a restore can never act on out-of-range
-// state). The corpus seeds the interesting shapes: a full valid frame, a
-// controller-less frame, and corrupted variants of both.
+// FuzzDecode holds Decode and DecodeSet to their contract: whatever the
+// bytes — torn writes, bit rot, hostile gob streams — they return an error
+// rather than panicking; Decode accepts exactly the frames DecodeSet
+// accepts with one snapshot, and returns that snapshot; and every set
+// DecodeSet accepts passes validation and re-encodes to an equivalent set
+// (so a restore can never act on out-of-range state). The corpus seeds the
+// interesting shapes: a full valid frame, a controller-less frame, sets of
+// zero, two and three snapshots, and corrupted variants.
 func FuzzDecode(f *testing.F) {
 	full, err := Encode(sampleSnapshot())
 	if err != nil {
@@ -31,25 +33,46 @@ func FuzzDecode(f *testing.F) {
 	corrupt[len(corrupt)/2] ^= 0xFF
 	f.Add(corrupt)
 	f.Add(full[:headerLen])
+	for _, set := range [][]*Snapshot{{}, {sampleSnapshot(), plantOnly}, {plantOnly, sampleSnapshot(), sampleSnapshot()}} {
+		b, err := EncodeSet(set)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := Decode(b)
+		ss, err := DecodeSet(b)
+		one, oneErr := Decode(b)
+		if (oneErr == nil) != (err == nil && len(ss) == 1) {
+			t.Fatalf("Decode error %v, DecodeSet error %v with %d snapshots", oneErr, err, len(ss))
+		}
 		if err != nil {
 			return
 		}
-		if verr := s.Validate(); verr != nil {
-			t.Fatalf("Decode accepted a snapshot Validate rejects: %v", verr)
+		if one != nil && !reflect.DeepEqual(stripNaN(one), stripNaN(ss[0])) {
+			t.Fatalf("Decode and DecodeSet disagree:\n%+v\n%+v", one, ss[0])
 		}
-		b2, err := Encode(s)
+		for _, s := range ss {
+			if verr := s.Validate(); verr != nil {
+				t.Fatalf("DecodeSet accepted a snapshot Validate rejects: %v", verr)
+			}
+		}
+		b2, err := EncodeSet(ss)
 		if err != nil {
-			t.Fatalf("accepted snapshot does not re-encode: %v", err)
+			t.Fatalf("accepted set does not re-encode: %v", err)
 		}
-		s2, err := Decode(b2)
+		ss2, err := DecodeSet(b2)
 		if err != nil {
-			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+			t.Fatalf("re-encoded set does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(stripNaN(s), stripNaN(s2)) {
-			t.Fatalf("decode/encode/decode diverged:\n%+v\n%+v", s, s2)
+		if len(ss2) != len(ss) {
+			t.Fatalf("re-encoded set holds %d snapshots, want %d", len(ss2), len(ss))
+		}
+		for i := range ss {
+			if !reflect.DeepEqual(stripNaN(ss[i]), stripNaN(ss2[i])) {
+				t.Fatalf("snapshot %d: decode/encode/decode diverged:\n%+v\n%+v", i, ss[i], ss2[i])
+			}
 		}
 	})
 }

@@ -144,6 +144,7 @@ func (s *SprintCon) RestoreCheckpoint(env *sim.Env, scn sim.Scenario, st *checkp
 		copy(s.hd.lastApplied, h.LastApplied)
 		copy(s.hd.stuckCount, h.StuckCount)
 		copy(s.hd.locked, h.Locked)
+		s.hd.recountLocked(env.Rack.BatchCores())
 		copy(s.hd.probeLeft, h.ProbeLeft)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"sprintcon/internal/control"
+	"sprintcon/internal/rack"
 	"sprintcon/internal/sim"
 )
 
@@ -68,6 +69,7 @@ type hardenState struct {
 	lastApplied []float64 // per batch core, last frequency the rack applied
 	stuckCount  []int
 	locked      []bool
+	lockedOn    []int // per server, how many of its batch cores are locked
 	probeLeft   []int
 	maskBuf     []bool // reused lockedMask output (zero-alloc tick contract)
 }
@@ -89,7 +91,18 @@ func (s *SprintCon) startHardening(env *sim.Env) {
 		lastApplied: append([]float64(nil), env.Rack.BatchFreqs()...),
 		stuckCount:  make([]int, n),
 		locked:      make([]bool, n),
+		lockedOn:    make([]int, s.scn.Rack.NumServers),
 		probeLeft:   make([]int, n),
+	}
+}
+
+// recountLocked rebuilds the per-server locked counts from locked.
+func (h *hardenState) recountLocked(batch []rack.CoreRef) {
+	clear(h.lockedOn)
+	for i, ref := range batch {
+		if h.locked[i] {
+			h.lockedOn[ref.Server]++
+		}
 	}
 }
 
@@ -158,8 +171,7 @@ func (s *SprintCon) watchUPS(env *sim.Env, snap sim.Snapshot) {
 // lockedMask returns the per-batch-core exclusion mask for this control
 // period: cores locked by stuck detection plus cores on servers that are
 // known-offline right now (heartbeat loss is instantly visible, unlike a
-// silently stuck actuator). It also injects probe moves for locked cores
-// into next, so actuator recovery is eventually observed.
+// silently stuck actuator).
 func (s *SprintCon) lockedMask(env *sim.Env) []bool {
 	if len(s.hd.maskBuf) != len(s.hd.locked) {
 		s.hd.maskBuf = make([]bool, len(s.hd.locked))
@@ -169,6 +181,19 @@ func (s *SprintCon) lockedMask(env *sim.Env) []bool {
 		mask[i] = s.hd.locked[i] || env.Rack.ServerOffline(ref.Server)
 	}
 	return mask
+}
+
+// lockedCores counts the cores lockedMask excludes, in O(servers): every
+// batch core of an offline server, and the locked ones of the rest.
+func (s *SprintCon) lockedCores(env *sim.Env) int {
+	var n int
+	for srv, k := range s.hd.lockedOn {
+		if env.Rack.ServerOffline(srv) {
+			k = s.scn.Rack.BatchCoresPerServer
+		}
+		n += k
+	}
+	return n
 }
 
 // observeActuation runs stuck/recovery detection over one control period's
@@ -190,6 +215,7 @@ func (s *SprintCon) observeActuation(env *sim.Env, next, applied []float64) {
 			s.hd.stuckCount[i]++
 			if !s.hd.locked[i] && s.hd.stuckCount[i] >= stuckDetectPeriods {
 				s.hd.locked[i] = true
+				s.hd.lockedOn[ref.Server]++
 				s.hd.probeLeft[i] = stuckProbePeriods
 				if env.Events != nil {
 					env.Events.Logf("watchdog", "batch core %s unresponsive for %d periods (commanded %.2f GHz, stayed %.2f GHz): excluded from MPC move set", ref, s.hd.stuckCount[i], next[i], applied[i])
@@ -199,6 +225,7 @@ func (s *SprintCon) observeActuation(env *sim.Env, next, applied []float64) {
 			s.hd.stuckCount[i] = 0
 			if s.hd.locked[i] {
 				s.hd.locked[i] = false
+				s.hd.lockedOn[ref.Server]--
 				if env.Events != nil {
 					env.Events.Logf("watchdog", "batch core %s actuator recovered: rejoining MPC move set", ref)
 				}

@@ -65,11 +65,7 @@ func (s *SprintCon) observePlane(env *sim.Env, snap sim.Snapshot, pcb float64) {
 	if s.hd.enabled() {
 		sig.Confidence = s.hd.guard.Confidence()
 		sig.UPSFailed = s.hd.upsFailed
-		for _, l := range s.lockedMask(env) {
-			if l {
-				sig.LockedCores++
-			}
-		}
+		sig.LockedCores = s.lockedCores(env)
 	}
 	p.ObserveTick(snap.Now, sig)
 	if s.ob.ranControl {

@@ -140,11 +140,5 @@ func (s *SprintCon) observeActuationMetrics(env *sim.Env) {
 	if !s.tm.enabled || !s.hd.enabled() {
 		return
 	}
-	var locked int
-	for i, ref := range env.Rack.BatchCores() {
-		if s.hd.locked[i] || env.Rack.ServerOffline(ref.Server) {
-			locked++
-		}
-	}
-	s.tm.lockedCores.Set(float64(locked))
+	s.tm.lockedCores.Set(float64(s.lockedCores(env)))
 }

@@ -493,8 +493,9 @@ func (l *rowLoop) advance(rackWorkers int) (done bool, err error) {
 	}
 
 	// 6. Cadenced coherent checkpoint at the tick boundary just
-	// crossed (the exported step is step+1, the next to execute).
-	if l.checkpointing {
+	// crossed (the exported step is step+1, the next to execute). The
+	// run's end boundary is not captured: a finished run never resumes.
+	if l.checkpointing && step+1 < l.steps {
 		tNext := float64(step+1) * l.dt
 		if tNext >= l.lastCkS+l.c.CheckpointEveryS-1e-9 {
 			if err := l.capture(tNext); err != nil {

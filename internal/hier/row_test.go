@@ -3,6 +3,7 @@ package hier
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -713,8 +714,8 @@ func TestLinkedCheckpointCaptureCoherent(t *testing.T) {
 	cfg.CheckpointEveryS, cfg.OnRowCheckpoint = 120, cap.sink
 	linkedRow(t, cfg)
 	sets := cap.row(0)
-	if len(sets) != 5 { // 120, 240, 360, 480, 600
-		t.Fatalf("captured %d sets, want 5", len(sets))
+	if len(sets) != 4 { // 120, 240, 360, 480; never the run end at 600
+		t.Fatalf("captured %d sets, want 4", len(sets))
 	}
 	for i, set := range sets {
 		if len(set) != cfg.Rows[0].Racks {
@@ -730,6 +731,34 @@ func TestLinkedCheckpointCaptureCoherent(t *testing.T) {
 		}
 		if want := int64(120 * (i + 1)); set[0].Step != want {
 			t.Errorf("set %d at step %d, want %d", i, set[0].Step, want)
+		}
+	}
+}
+
+// TestLinkedCheckpointCaptureCount: a row captures on every cadence
+// boundary before its run's end and never at the end itself, which a
+// finished run has no use for.
+func TestLinkedCheckpointCaptureCount(t *testing.T) {
+	for _, tc := range []struct {
+		everyS float64
+		want   []int64
+	}{
+		{250, []int64{250, 500}},
+		{299, []int64{299, 598}},
+		{300, []int64{300}},
+		{600, nil},
+	} {
+		cfg := rowConfig()
+		cfg.Scenario.DurationS = 600
+		cap := &captureSink{}
+		cfg.CheckpointEveryS, cfg.OnRowCheckpoint = tc.everyS, cap.sink
+		linkedRow(t, cfg)
+		var got []int64
+		for _, set := range cap.row(0) {
+			got = append(got, set[0].Step)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("every %g s: captured at steps %v, want %v", tc.everyS, got, tc.want)
 		}
 	}
 }

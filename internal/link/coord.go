@@ -100,6 +100,9 @@ type Coordinator struct {
 	racks []rackState
 	stats CoordStats
 	plane *obs.Plane
+
+	offset []float64 // per-rack packed slot offset, rebuilt every Step
+	out    []Lease   // Step's result, reused by the next Step
 }
 
 // Attach wires the coordinator's observability plane (nil detaches): grant
@@ -113,7 +116,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, racks: make([]rackState, cfg.NumRacks)}
+	c := &Coordinator{cfg: cfg, racks: make([]rackState, cfg.NumRacks), offset: make([]float64, cfg.NumRacks)}
 	for i := range c.racks {
 		c.racks[i] = rackState{
 			nextVersion:   2, // version 1 is the bootstrap lease
@@ -194,13 +197,16 @@ func (c *Coordinator) Restart(now float64) {
 
 // Step advances the coordinator to time now and returns the leases to put
 // on the wire, in rack-ID order. The caller sends them through the
-// Transport.
+// Transport before the next Step, which reuses the slice.
 func (c *Coordinator) Step(now float64) []Lease {
-	// Pass 1: reachability and presumed-degraded transitions, then the live
-	// set. A slot is reclaimed only after the newest sprint grant the rack
-	// could be holding has expired — before that the rack may legitimately
-	// still be sprinting, and doubling up its slot would overrun the feeder.
-	live := make([]int, 0, len(c.racks))
+	// Pass 1: reachability and presumed-degraded transitions, packing the
+	// live racks K at a time into slots, in ID order, as they are found. A
+	// slot is reclaimed only after the newest sprint grant the rack could
+	// be holding has expired — before that the rack may legitimately still
+	// be sprinting, and doubling up its slot would overrun the feeder. A
+	// single membership change moves at most the racks after the gap, and
+	// in the common one-rack-lost case exactly one rack shifts slots.
+	live := 0
 	for i := range c.racks {
 		r := &c.racks[i]
 		// Silent-rack detection: the heartbeat age is the coordinator's
@@ -221,24 +227,17 @@ func (c *Coordinator) Step(now float64) []Lease {
 		}
 		r.presumedDown = down
 		if !down {
-			live = append(live, i)
+			c.offset[i] = c.cfg.slotOffset(live / c.cfg.SlotCapacity)
+			live++
 		}
 	}
 
-	// Pass 2: pack live racks K at a time into slots, in ID order. A single
-	// membership change moves at most the racks after the gap, and in the
-	// common one-rack-lost case exactly one rack shifts slots.
-	offset := make(map[int]float64, len(live))
-	for idx, rack := range live {
-		offset[rack] = c.cfg.slotOffset(idx / c.cfg.SlotCapacity)
-	}
-
-	// Pass 3: issue grants.
-	var out []Lease
+	// Pass 2: issue grants.
+	out := c.out[:0]
 	for i := range c.racks {
 		r := &c.racks[i]
 		if c.reachable(i, now) {
-			want := offset[i] // reachable ⇒ never presumed down ⇒ always packed
+			want := c.offset[i] // reachable ⇒ never presumed down ⇒ always packed
 			moved := r.everSent && (want != r.sentOffset || !r.sentOverload)
 			if now < r.nextSendS-1e-9 && !moved {
 				continue
@@ -295,5 +294,6 @@ func (c *Coordinator) Step(now float64) []Lease {
 		c.stats.Probes++
 		out = append(out, l)
 	}
+	c.out = out
 	return out
 }

@@ -2,6 +2,8 @@ package link
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"sprintcon/internal/faults"
@@ -623,5 +625,92 @@ func TestNumSlotsToleratesFloatRatio(t *testing.T) {
 	}
 	if err := cc.Validate(); err != nil {
 		t.Fatalf("3 racks × 1 per slot fit 3 slots, but Validate rejected: %v", err)
+	}
+}
+
+// TestDeliveryOrderMatchesReferenceSort: DeliverGrants and DeliverBeats
+// hand over due messages in the order a reference sort.Slice on
+// (deliverAt, seq) gives, on generated queues whose delivery times tie
+// often and whose sequence numbers arrive shuffled, and keep every
+// message not yet due queued in its original order.
+func TestDeliveryOrderMatchesReferenceSort(t *testing.T) {
+	const racks = 3
+	rng := rand.New(rand.NewSource(7))
+	reference := func(q []pendingMsg, now float64, keep func(pendingMsg) bool) (due []uint64, rest int) {
+		var ms []pendingMsg
+		for _, m := range q {
+			switch {
+			case m.deliverAtS > now+1e-9:
+				rest++
+			case keep(m):
+				ms = append(ms, m)
+			}
+		}
+		sort.Slice(ms, func(i, j int) bool {
+			if ms[i].deliverAtS != ms[j].deliverAtS {
+				return ms[i].deliverAtS < ms[j].deliverAtS
+			}
+			return ms[i].seq < ms[j].seq
+		})
+		for _, m := range ms {
+			due = append(due, m.seq)
+		}
+		return due, rest
+	}
+	for trial := 0; trial < 300; trial++ {
+		tr := NewTransport(faults.Plan{}, racks, 1, 1)
+		tr.Step(0)
+		n := rng.Intn(48)
+		perm := rng.Perm(n)
+		var grants, beats []pendingMsg
+		for i := 0; i < n; i++ {
+			// Four distinct arrival times, one of them fractional as a
+			// delay fault makes them, so most messages tie with others.
+			at := float64(rng.Intn(4)) + 0.5*float64(rng.Intn(2))
+			seq := uint64(perm[i] + 1)
+			grants = append(grants, pendingMsg{deliverAtS: at, seq: seq, isGrant: true,
+				grant: Lease{RackID: rng.Intn(racks), Version: seq}})
+			beats = append(beats, pendingMsg{deliverAtS: at, seq: seq,
+				beat: Heartbeat{RackID: rng.Intn(racks), LeaseVersion: seq}})
+		}
+		tr.grants = append([]pendingMsg(nil), grants...)
+		tr.beats = append([]pendingMsg(nil), beats...)
+		now := float64(rng.Intn(4))
+
+		pending := len(grants)
+		for rack := 0; rack < racks; rack++ {
+			want, _ := reference(grants, now, func(m pendingMsg) bool { return m.grant.RackID == rack })
+			got := tr.DeliverGrants(rack, now)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d rack %d: %d grants delivered, want %d", trial, rack, len(got), len(want))
+			}
+			for i, l := range got {
+				if l.Version != want[i] {
+					t.Fatalf("trial %d rack %d: grant %d has seq %d, want %d", trial, rack, i, l.Version, want[i])
+				}
+			}
+			pending -= len(got)
+		}
+		if len(tr.grants) != pending {
+			t.Fatalf("trial %d: %d grants still queued, want %d", trial, len(tr.grants), pending)
+		}
+		want, rest := reference(beats, now, func(pendingMsg) bool { return true })
+		got := tr.DeliverBeats(now)
+		if len(got) != len(want) || len(tr.beats) != rest {
+			t.Fatalf("trial %d: %d beats delivered and %d queued, want %d and %d", trial, len(got), len(tr.beats), len(want), rest)
+		}
+		for i, hb := range got {
+			if hb.LeaseVersion != want[i] {
+				t.Fatalf("trial %d: beat %d has seq %d, want %d", trial, i, hb.LeaseVersion, want[i])
+			}
+		}
+		for i, j := 0, 0; i < len(beats); i++ {
+			if beats[i].deliverAtS > now+1e-9 {
+				if tr.beats[j].seq != beats[i].seq {
+					t.Fatalf("trial %d: queued beat %d has seq %d, want %d", trial, j, tr.beats[j].seq, beats[i].seq)
+				}
+				j++
+			}
+		}
 	}
 }

@@ -1,10 +1,11 @@
 package link
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"sprintcon/internal/faults"
 )
@@ -29,6 +30,8 @@ type Transport struct {
 	grants []pendingMsg // coordinator → racks, in flight
 	beats  []pendingMsg // racks → coordinator, in flight
 
+	// Delivery results, reused by the next call of the same kind.
+	dueBuf   []pendingMsg
 	grantBuf []Lease
 	beatBuf  []Heartbeat
 
@@ -169,40 +172,24 @@ func (t *Transport) SendBeat(now float64, hb Heartbeat) {
 	}
 }
 
-// drain moves every message due at or before now out of queue, ordered by
-// (deliverAt, seq) so reordered deliveries are still deterministic. A
-// partition at delivery time drops the message — the link was down when the
-// bits would have arrived.
-func drain(queue []pendingMsg, now float64) (due, rest []pendingMsg) {
-	rest = queue[:0]
-	for _, m := range queue {
-		if m.deliverAtS <= now+1e-9 {
-			due = append(due, m)
-		} else {
-			rest = append(rest, m)
-		}
+// byArrival orders messages by (deliverAt, seq); seq is unique, so the
+// order is total and reordered deliveries are still deterministic.
+func byArrival(a, b pendingMsg) int {
+	if c := cmp.Compare(a.deliverAtS, b.deliverAtS); c != 0 {
+		return c
 	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].deliverAtS != due[j].deliverAtS {
-			return due[i].deliverAtS < due[j].deliverAtS
-		}
-		return due[i].seq < due[j].seq
-	})
-	return due, rest
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // DeliverGrants returns the leases arriving at rack `rack` by time now, in
-// arrival order. Grants whose destination is partitioned at delivery time
-// are dropped.
+// arrival order, in a slice the next DeliverGrants reuses. Grants whose
+// destination is partitioned at delivery time are dropped — the link was
+// down when the bits would have arrived.
 func (t *Transport) DeliverGrants(rack int, now float64) []Lease {
-	var out []pendingMsg
+	due := t.dueBuf[:0]
 	kept := t.grants[:0]
 	for _, m := range t.grants {
-		if m.grant.RackID != rack {
-			kept = append(kept, m)
-			continue
-		}
-		if m.deliverAtS > now+1e-9 {
+		if m.grant.RackID != rack || m.deliverAtS > now+1e-9 {
 			kept = append(kept, m)
 			continue
 		}
@@ -210,29 +197,34 @@ func (t *Transport) DeliverGrants(rack int, now float64) []Lease {
 			t.stats.GrantsPartition++
 			continue
 		}
-		out = append(out, m)
+		due = append(due, m)
 	}
 	t.grants = kept
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].deliverAtS != out[j].deliverAtS {
-			return out[i].deliverAtS < out[j].deliverAtS
-		}
-		return out[i].seq < out[j].seq
-	})
+	slices.SortFunc(due, byArrival)
 	res := t.grantBuf[:0]
-	for _, m := range out {
+	for _, m := range due {
 		res = append(res, m.grant)
 	}
-	t.grantBuf = res
+	t.dueBuf, t.grantBuf = due, res
 	return res
 }
 
 // DeliverBeats returns the heartbeats arriving at the coordinator by time
-// now, in arrival order. Beats from a rack partitioned at delivery time, or
-// arriving while the coordinator is down, are dropped.
+// now, in arrival order, in a slice the next DeliverBeats reuses. Beats
+// from a rack partitioned at delivery time, or arriving while the
+// coordinator is down, are dropped.
 func (t *Transport) DeliverBeats(now float64) []Heartbeat {
-	var due []pendingMsg
-	due, t.beats = drain(t.beats, now)
+	due := t.dueBuf[:0]
+	kept := t.beats[:0]
+	for _, m := range t.beats {
+		if m.deliverAtS > now+1e-9 {
+			kept = append(kept, m)
+		} else {
+			due = append(due, m)
+		}
+	}
+	t.beats = kept
+	slices.SortFunc(due, byArrival)
 	out := t.beatBuf[:0]
 	for _, m := range due {
 		if t.Partitioned(m.beat.RackID) || t.CoordinatorDown() {
@@ -241,6 +233,6 @@ func (t *Transport) DeliverBeats(now float64) []Heartbeat {
 		}
 		out = append(out, m.beat)
 	}
-	t.beatBuf = out
+	t.dueBuf, t.beatBuf = due, out
 	return out
 }

@@ -114,18 +114,17 @@ func (r *Runner) spanReady() bool {
 }
 
 // probeQuiescence runs after each executed tick (or fast-forwarded span):
-// it extends or resets the fixed-point streak.
+// it extends or resets the fixed-point streak. The policy is asked before
+// the plant's true power is computed: it refuses cheaply (at the first
+// incomplete batch job, say) on most ticks that are not quiescent.
 func (r *Runner) probeQuiescence() {
 	ev := r.ev
 	if r.step == 0 {
 		return
 	}
-	if !r.plantQuiescent() {
-		ev.stable = 0
-		return
-	}
 	ev.cur.Reset()
-	if !ev.qp.QuiescentState(r.env, &ev.cur) {
+	if !r.plantQuiescent() || !ev.qp.QuiescentState(r.env, &ev.cur) ||
+		r.env.Rack.TruePower() != r.snap.MeasuredTotalW {
 		ev.stable = 0
 		return
 	}
@@ -142,10 +141,11 @@ func (r *Runner) probeQuiescence() {
 // plantQuiescent reports whether the plant side of the state machine is in
 // the regime where every skipped per-tick plant call is provably the
 // identity: no outage, a closed and thermally drained breaker conducting at
-// or below its rating, zero UPS discharge, no active fault, no dead or
-// capture-pending checkpoint runtime, and a rack whose true power equals
-// the last delivered measurement (so a job-phase or demand edge at a span
-// boundary cannot leak stale inputs into an immediately following span).
+// or below its rating, zero UPS discharge, no active fault, and no dead or
+// capture-pending checkpoint runtime. probeQuiescence adds the last
+// condition, the costly one: a rack whose true power equals the last
+// delivered measurement (so a job-phase or demand edge at a span boundary
+// cannot leak stale inputs into an immediately following span).
 func (r *Runner) plantQuiescent() bool {
 	env := r.env
 	if r.outage || r.snap.Outage || env.Breaker.Tripped() {
@@ -171,7 +171,7 @@ func (r *Runner) plantQuiescent() bool {
 			return false
 		}
 	}
-	return env.Rack.TruePower() == r.snap.MeasuredTotalW
+	return true
 }
 
 // plantState appends the engine-side mutable state to st: the pending

@@ -410,9 +410,9 @@ func TestEmitZeroAlloc(t *testing.T) {
 		t.Fatalf("retaining Emit allocates %.1f times per record, want 0", allocs)
 	}
 	// The amortized cost, counted over one batch: one allocation per
-	// float slab and one per max/4 records for the compaction's copy; 16
-	// more absorb the race runtime's own allocations. One allocation per
-	// record would add 4096.
+	// float slab, one per record chunk and one per max/4 records for the
+	// compaction's copy; 16 more absorb the race runtime's own
+	// allocations. One allocation per record would add 4096.
 	total := testing.AllocsPerRun(1, func() {
 		for i := 0; i < runs; i++ {
 			kept.Emit(d)
@@ -421,8 +421,8 @@ func TestEmitZeroAlloc(t *testing.T) {
 	// A float64 slab holds slabFloats r_weights elements, an F slab as
 	// many ref_traj_w and freqs_ghz elements.
 	slabs := (runs*len(d.MPC.RWeights)+runs*(len(d.MPC.RefTrajW)+len(d.MPC.FreqsGHz)))/slabFloats + 2
-	if bound := float64(slabs + runs/(max/4) + 16); total > bound {
-		t.Fatalf("retaining sink: %.0f allocations over %d records, want ≤ %.0f (float slabs and compactions only)", total, runs, bound)
+	if bound := float64(slabs + runs/chunkRecs + runs/(max/4) + 16); total > bound {
+		t.Fatalf("retaining sink: %.0f allocations over %d records, want ≤ %.0f (float slabs, record chunks and compactions only)", total, runs, bound)
 	}
 	if enc.Err() != nil || kept.Err() != nil {
 		t.Fatal(enc.Err(), kept.Err())

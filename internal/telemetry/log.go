@@ -12,12 +12,14 @@ import "sync"
 // A kept record is flat: its scalars and sections inline (floats as
 // 8-byte words), Policy and Mode by string header, and its ref_traj_w,
 // r_weights and freqs_ghz elements in float slabs the log shares across
-// records (one for the F slices, one for the float64 ones). Slabs start
-// small and double up to slabFloats elements, so memory is allocated once
-// per many records, not per record, and a short stream (or the first
-// control period of many streams) does not pay for a full slab. A
-// published record is never written again, so readers render outside the
-// lock.
+// records (one for the F slices, one for the float64 ones). Records
+// themselves live in chunks and are indexed by pointer, so growing the
+// index copies a pointer per record, never the record. Slabs and chunks
+// start small and double up to slabFloats and chunkRecs elements, so
+// memory is allocated once per many records, not per record, and a short
+// stream (or the first control period of many streams) does not pay for a
+// full slab. A published record is never written again, so readers render
+// outside the lock.
 //
 // The log is bounded: beyond max records the oldest are dropped (the
 // writer — the simulation — must never block or grow without bound
@@ -25,9 +27,10 @@ import "sync"
 // behind the drop horizon skip forward.
 type DecisionLog struct {
 	mu     sync.Mutex
-	recs   []keptDecision
-	first  int // global index of recs[0]: the records dropped so far
-	max    int // 0 = unbounded
+	recs   []*keptDecision
+	chunk  []keptDecision // where the next records are kept
+	first  int            // global index of recs[0]: the records dropped so far
+	max    int            // 0 = unbounded
 	closed bool
 	// wake is made by Next for its followers and closed (then dropped) on
 	// the next append or the close; with no follower it stays nil.
@@ -41,6 +44,9 @@ type DecisionLog struct {
 // slabFloats is the full length of one float slab: about 30 records of a
 // 64-core rack's r_weights, or of its ref_traj_w and freqs_ghz.
 const slabFloats = 2048
+
+// chunkRecs is the full length of one record chunk (76 KiB on 64-bit).
+const chunkRecs = 256
 
 // keptDecision is one kept record: a Decision with its sections inline
 // (has says which are present) and its MPC slices in the float slab.
@@ -64,12 +70,12 @@ const (
 )
 
 // DecisionBatch is a run of kept records, as Next returns them.
-type DecisionBatch []keptDecision
+type DecisionBatch []*keptDecision
 
 // Decision returns record i. Its sections and slices share the log's
 // memory: read them, never modify them.
 func (b DecisionBatch) Decision(i int) Decision {
-	k := &b[i]
+	k := b[i]
 	d := Decision{Schema: k.schema, T: k.t, Policy: k.policy, Mode: k.mode}
 	if k.has&hasAlloc != 0 {
 		d.Alloc = &k.alloc
@@ -108,7 +114,12 @@ func (l *DecisionLog) keep(d *Decision) error {
 		}
 	}
 	l.mu.Lock()
-	k := keptDecision{schema: d.Schema, t: d.T, policy: d.Policy, mode: d.Mode}
+	if len(l.chunk) == cap(l.chunk) {
+		l.chunk = make([]keptDecision, 0, min(max(2*cap(l.chunk), 1), chunkRecs))
+	}
+	l.chunk = l.chunk[:len(l.chunk)+1]
+	k := &l.chunk[len(l.chunk)-1]
+	*k = keptDecision{schema: d.Schema, t: d.T, policy: d.Policy, mode: d.Mode}
 	if d.Alloc != nil {
 		k.has |= hasAlloc
 		k.alloc = *d.Alloc
@@ -134,7 +145,7 @@ func (l *DecisionLog) keep(d *Decision) error {
 	if l.max > 0 && len(l.recs) > l.max+l.max/4 {
 		n := len(l.recs) - l.max
 		l.first += n
-		recs := make([]keptDecision, l.max, len(l.recs))
+		recs := make([]*keptDecision, l.max, len(l.recs))
 		copy(recs, l.recs[n:])
 		l.recs = recs
 	}
