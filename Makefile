@@ -53,20 +53,22 @@ soak:
 # interactive-trace CSV parser, batch-job advance, P-state quantizer,
 # generated tick ≡ event scenarios, decision encoder ≡ encoding/json,
 # decision log keep-then-render ≡ encoder, equal-off-diagonal QP kernels ≡
-# dense kernels, compact span tracer ≡ slice-backed reference), ten seconds
-# each (CI runs the same budget; leave the fuzzers running longer locally
-# with go test -fuzz=... -fuzztime=10m).
+# dense kernels, compact span tracer ≡ slice-backed reference, flat-table
+# rack ≡ per-core reference sweeps), ten seconds each with at most one second
+# spent minimizing a new input (CI runs the same budget; leave the fuzzers
+# running longer locally with go test -fuzz=... -fuzztime=10m).
 fuzz:
-	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/checkpoint/
-	$(GO) test -fuzz='^FuzzScenarioJSON$$' -fuzztime=10s -run='^$$' ./internal/sim/
-	$(GO) test -fuzz='^FuzzTraceFromCSV$$' -fuzztime=10s -run='^$$' ./internal/workload/
-	$(GO) test -fuzz='^FuzzBatchAdvance$$' -fuzztime=10s -run='^$$' ./internal/workload/
-	$(GO) test -fuzz='^FuzzQuantize$$' -fuzztime=10s -run='^$$' ./internal/cpu/
-	$(GO) test -fuzz='^FuzzEventMatchesTick$$' -fuzztime=10s -run='^$$' ./internal/core/
-	$(GO) test -fuzz='^FuzzAppendDecision$$' -fuzztime=10s -run='^$$' ./internal/telemetry/
-	$(GO) test -fuzz='^FuzzDecisionLog$$' -fuzztime=10s -run='^$$' ./internal/telemetry/
-	$(GO) test -fuzz='^FuzzEqualOffDiagKernels$$' -fuzztime=10s -run='^$$' ./internal/mathx/
-	$(GO) test -fuzz='^FuzzTracer$$' -fuzztime=10s -run='^$$' ./internal/obs/
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/checkpoint/
+	$(GO) test -fuzz='^FuzzScenarioJSON$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/sim/
+	$(GO) test -fuzz='^FuzzTraceFromCSV$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/workload/
+	$(GO) test -fuzz='^FuzzBatchAdvance$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/workload/
+	$(GO) test -fuzz='^FuzzQuantize$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/cpu/
+	$(GO) test -fuzz='^FuzzEventMatchesTick$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/core/
+	$(GO) test -fuzz='^FuzzAppendDecision$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/telemetry/
+	$(GO) test -fuzz='^FuzzDecisionLog$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/telemetry/
+	$(GO) test -fuzz='^FuzzEqualOffDiagKernels$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/mathx/
+	$(GO) test -fuzz='^FuzzTracer$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/obs/
+	$(GO) test -fuzz='^FuzzRackMatchesReference$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/rack/
 
 # Raw go-test micro-benchmarks (per-function, -benchmem).
 gobench:

@@ -153,11 +153,15 @@ type Core struct {
 // classes slices — so the per-tick plant math (power summation, batch
 // frequency writes) runs as contiguous slice sweeps instead of strided
 // struct walks. Core(i) reassembles the array-of-structs view on demand.
+// The frequency and utilization slices may be windows onto a larger table
+// owned by someone else (see Window); every frequency write that changes a
+// core's bits increments a generation counter that may be shared too.
 type CPU struct {
 	table   PStateTable
 	freqs   []float64
 	utils   []float64
 	classes []Class
+	gen     *uint64
 }
 
 // New returns a CPU with n idle cores at the lowest P-state.
@@ -172,11 +176,28 @@ func New(n int, table PStateTable) (*CPU, error) {
 	for i := range freqs {
 		freqs[i] = table.Min()
 	}
+	return Window(table, freqs, make([]float64, n), new(uint64))
+}
+
+// Window returns a CPU of len(freqs) idle cores whose frequencies and
+// utilizations are freqs[i] and utils[i]: the caller's storage, read and
+// written in place, so one table can hold the cores of many CPUs. The
+// entries are taken as they are; a frequency should already be a P-state.
+// Each frequency write that changes a core's bits increments *gen, which
+// several windows onto one table may share.
+func Window(table PStateTable, freqs, utils []float64, gen *uint64) (*CPU, error) {
+	if len(freqs) == 0 || len(utils) != len(freqs) {
+		return nil, fmt.Errorf("cpu: window of %d frequencies and %d utilizations", len(freqs), len(utils))
+	}
+	if table.Len() == 0 {
+		return nil, errors.New("cpu: empty P-state table")
+	}
 	return &CPU{
 		table:   table,
 		freqs:   freqs,
-		utils:   make([]float64, n),
-		classes: make([]Class, n),
+		utils:   utils,
+		classes: make([]Class, len(freqs)),
+		gen:     gen,
 	}, nil
 }
 
@@ -204,32 +225,39 @@ func (c *CPU) Utils() []float64 { return c.utils }
 // SetFreq requests frequency f on core i; the applied (quantized) frequency
 // is returned. This is the paper's "server modulator" writing a frequency.
 // A core only ever holds a P-state, and Quantize maps a P-state to itself,
-// so a request for the bits the core already has returns at once.
+// so a request for the bits the core already has returns at once. A write
+// that changes the core's bits increments the generation counter.
 func (c *CPU) SetFreq(i int, f float64) float64 {
 	if math.Float64bits(f) == math.Float64bits(c.freqs[i]) {
 		return f
 	}
 	q := c.table.Quantize(f)
-	c.freqs[i] = q
+	if math.Float64bits(q) != math.Float64bits(c.freqs[i]) {
+		*c.gen++
+		c.freqs[i] = q
+	}
 	return q
 }
 
-// SetUtil records core i's measured utilization, clamped to [0, 1]: values
-// above 1 (+Inf included) become 1, values at or below 0 (−0 and −Inf
-// included) become +0, and any NaN becomes math.NaN(). That is
-// math.Min(1, math.Max(0, u)) bit for bit as amd64 computes it, in
-// comparisons the compiler inlines. (The builtin min and max, and math.Max
-// on arm64, would pass a NaN's payload through instead.)
-func (c *CPU) SetUtil(i int, u float64) {
+// SetUtil records core i's measured utilization, clamped by ClampUtil.
+func (c *CPU) SetUtil(i int, u float64) { c.utils[i] = ClampUtil(u) }
+
+// ClampUtil clamps a utilization to [0, 1]: values above 1 (+Inf included)
+// become 1, values at or below 0 (−0 and −Inf included) become +0, and any
+// NaN becomes math.NaN(). That is math.Min(1, math.Max(0, u)) bit for bit
+// as amd64 computes it, in comparisons the compiler inlines. (The builtin
+// min and max, and math.Max on arm64, would pass a NaN's payload through
+// instead.)
+func ClampUtil(u float64) float64 {
 	switch {
 	case u >= 1:
-		u = 1
+		return 1
 	case u <= 0:
-		u = 0
+		return 0
 	case math.IsNaN(u):
-		u = math.NaN()
+		return math.NaN()
 	}
-	c.utils[i] = u
+	return u
 }
 
 // SetClass assigns the workload class of core i.

@@ -126,3 +126,44 @@ func TestNewValidation(t *testing.T) {
 		t.Error("empty table should fail")
 	}
 }
+
+// Windows onto one table read and write it in place, and share one
+// generation counter that moves only when a write changes a core's bits.
+func TestWindowSharesTable(t *testing.T) {
+	tab := DefaultPStates()
+	freqs := []float64{0.4, 0.4, 0.4, 0.4}
+	utils := make([]float64, 4)
+	var gen uint64
+	a, err := Window(tab, freqs[:2:2], utils[:2:2], &gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Window(tab, freqs[2:], utils[2:], &gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetFreq(1, 1.23)
+	b.SetUtil(0, 0.5)
+	if freqs[1] != 1.2 || utils[2] != 0.5 || b.Freq(0) != 0.4 {
+		t.Fatalf("table %v %v after writes through two windows", freqs, utils)
+	}
+	if gen != 1 {
+		t.Fatalf("generation %d after one changing write, want 1", gen)
+	}
+	a.SetFreq(1, 1.2)  // the same bits
+	a.SetFreq(1, 1.21) // quantizes to the P-state held
+	b.SetUtil(1, 0.7)  // utilization is not a frequency
+	if gen != 1 {
+		t.Fatalf("generation %d after writes that changed no frequency, want 1", gen)
+	}
+	b.SetFreq(1, 2.0)
+	if gen != 2 || freqs[3] != 2.0 {
+		t.Fatalf("generation %d, table %v after a second changing write", gen, freqs)
+	}
+	if _, err := Window(tab, freqs, utils[:3], &gen); err == nil {
+		t.Fatal("a window with mismatched slices should fail")
+	}
+	if _, err := Window(tab, nil, nil, &gen); err == nil {
+		t.Fatal("an empty window should fail")
+	}
+}

@@ -96,11 +96,40 @@ type FaultState struct {
 }
 
 // Rack is the assembled simulation target.
+//
+// The rack owns every core's state: one server-major table, where core c of
+// server s is entry s·Cores + c of freq and util, and each server's CPU is a
+// window onto its row. The per-tick sweeps walk the table through the
+// precomputed flat indices of the interactive and batch cores.
 type Rack struct {
 	cfg     Config
 	servers []*server.Server
 	batch   []CoreRef
 	inter   []CoreRef
+	// freq and util are the core table; batchIdx and interIdx hold the
+	// flat indices of batch and interactive cores in BatchCores() and
+	// InteractiveCores() order; offline mirrors each core's server's
+	// FaultState.Offline.
+	freq     []float64
+	util     []float64
+	batchIdx []int
+	interIdx []int
+	offline  []bool
+	// gen is the frequency generation: incremented by every frequency
+	// write that changes a core's bits (through any server's CPU), by
+	// SetFaultState and by RestoreState. The memos below are derived from
+	// the table and the fault states and are valid while gen holds.
+	gen uint64
+	// interOK records that the last SetInteractiveFreq call, for the
+	// frequency with bits interBits at generation interGen, changed
+	// nothing; a repeat of it is a no-op while gen holds.
+	interOK             bool
+	interBits, interGen uint64
+	// meanGen is the generation at which meanBatch and meanInter were
+	// computed; meanOK is false until the first computation.
+	meanOK               bool
+	meanGen              uint64
+	meanBatch, meanInter float64
 	// jobSeq holds the bound jobs in batch-core order (nil for unbound
 	// cores), so the per-tick sweeps walk a contiguous slice.
 	jobSeq []*workload.BatchJob
@@ -120,13 +149,28 @@ func New(cfg Config) (*Rack, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	nc := cfg.ServerParams.Cores
+	n := cfg.NumServers * nc
 	r := &Rack{
-		cfg: cfg,
-		env: server.Environment{AmbientC: 25},
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		cfg:      cfg,
+		env:      server.Environment{AmbientC: 25},
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		freq:     make([]float64, n),
+		util:     make([]float64, n),
+		offline:  make([]bool, n),
+		interIdx: make([]int, 0, cfg.NumServers*cfg.InteractiveCoresPerServer),
+		batchIdx: make([]int, 0, cfg.NumServers*cfg.BatchCoresPerServer),
+	}
+	for k := range r.freq {
+		r.freq[k] = cfg.ServerParams.PStates.Min()
 	}
 	for i := 0; i < cfg.NumServers; i++ {
-		s, err := server.New(i, cfg.ServerParams)
+		base := i * nc
+		c, err := cpu.Window(cfg.ServerParams.PStates, r.freq[base:base+nc:base+nc], r.util[base:base+nc:base+nc], &r.gen)
+		if err != nil {
+			return nil, err
+		}
+		s, err := server.NewOn(i, cfg.ServerParams, c)
 		if err != nil {
 			return nil, err
 		}
@@ -134,11 +178,12 @@ func New(cfg Config) (*Rack, error) {
 			s.CPU().SetClass(c, cpu.Interactive)
 			s.CPU().SetFreq(c, cfg.ServerParams.PStates.Max())
 			r.inter = append(r.inter, CoreRef{Server: i, Core: c})
+			r.interIdx = append(r.interIdx, base+c)
 		}
 		for c := cfg.InteractiveCoresPerServer; c < cfg.InteractiveCoresPerServer+cfg.BatchCoresPerServer; c++ {
 			s.CPU().SetClass(c, cpu.Batch)
-			s.CPU().SetFreq(c, cfg.ServerParams.PStates.Min())
 			r.batch = append(r.batch, CoreRef{Server: i, Core: c})
+			r.batchIdx = append(r.batchIdx, base+c)
 		}
 		r.servers = append(r.servers, s)
 	}
@@ -153,6 +198,18 @@ func (r *Rack) SetFaultState(serverIdx int, st FaultState) {
 		return
 	}
 	r.faults[serverIdx] = st
+	r.syncOffline(serverIdx)
+	r.gen++
+}
+
+// syncOffline copies server s's Offline fault flag to its cores' entries
+// of the offline table.
+func (r *Rack) syncOffline(s int) {
+	nc := r.cfg.ServerParams.Cores
+	off := r.offline[s*nc : (s+1)*nc]
+	for c := range off {
+		off[c] = r.faults[s].Offline
+	}
 }
 
 // FaultStateOf returns the current failure condition of one server.
@@ -202,14 +259,6 @@ func (r *Rack) batchIndex(ref CoreRef) int {
 	return -1
 }
 
-// Job returns the job bound to a core (nil if none).
-func (r *Rack) Job(ref CoreRef) *workload.BatchJob {
-	if i := r.batchIndex(ref); i >= 0 {
-		return r.jobSeq[i]
-	}
-	return nil
-}
-
 // BatchJobs returns the bound jobs in BatchCores() order, nil for a core
 // with no job (shared state, not a copy).
 func (r *Rack) BatchJobs() []*workload.BatchJob { return r.jobSeq }
@@ -223,23 +272,25 @@ func (r *Rack) BatchJobs() []*workload.BatchJob { return r.jobSeq }
 // cores.
 func (r *Rack) ApplyInteractiveDemand(demand float64) {
 	fmax := r.cfg.ServerParams.PStates.Max()
-	for _, ref := range r.inter {
+	jitter := r.cfg.UtilJitterStd
+	for _, k := range r.interIdx {
 		u := demand
-		if r.cfg.UtilJitterStd > 0 {
-			u += r.rng.NormFloat64() * r.cfg.UtilJitterStd
+		if jitter > 0 {
+			u += r.rng.NormFloat64() * jitter
 			r.normDraws++
 		}
-		if r.faults[ref.Server].Offline {
+		if r.offline[k] {
 			// A crashed server serves nothing; its share of the demand
 			// is lost (requests fail over outside the rack).
-			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+			r.util[k] = 0
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Freq(ref.Core)
-		if f > 0 {
+		// At f = fmax the factor is exactly 1, and multiplying by it
+		// changes no bit of u.
+		if f := r.freq[k]; f > 0 && f != fmax {
 			u *= fmax / f
 		}
-		r.servers[ref.Server].CPU().SetUtil(ref.Core, u)
+		r.util[k] = cpu.ClampUtil(u)
 	}
 }
 
@@ -248,9 +299,10 @@ func (r *Rack) ApplyInteractiveDemand(demand float64) {
 // through it, so injected actuator faults (stuck, lagging) and server
 // crashes affect all policies. It returns the frequency actually applied,
 // which the caller can compare against the command to detect a stuck
-// actuator.
+// actuator. A reference to a server or core the rack does not have writes
+// nothing and returns 0.
 func (r *Rack) SetCoreFreq(ref CoreRef, f float64) float64 {
-	if ref.Server < 0 || ref.Server >= len(r.servers) {
+	if ref.Server < 0 || ref.Server >= len(r.servers) || ref.Core < 0 || ref.Core >= r.cfg.ServerParams.Cores {
 		return 0
 	}
 	st := r.faults[ref.Server]
@@ -266,10 +318,20 @@ func (r *Rack) SetCoreFreq(ref CoreRef, f float64) float64 {
 
 // SetInteractiveFreq sets every interactive core to frequency f (the
 // SprintCon policy keeps this at peak during sprints; SGCT baselines vary it).
+// A call is a function of f, the core table and the fault states only, so
+// when the previous call asked for the same bits, changed nothing, and the
+// generation has not moved since, this one would change nothing either and
+// returns at once.
 func (r *Rack) SetInteractiveFreq(f float64) {
+	bits := math.Float64bits(f)
+	if r.interOK && r.interBits == bits && r.interGen == r.gen {
+		return
+	}
+	gen := r.gen
 	for _, ref := range r.inter {
 		r.SetCoreFreq(ref, f)
 	}
+	r.interOK, r.interBits, r.interGen = r.gen == gen, bits, gen
 }
 
 // SetBatchFreqsInto applies a frequency per batch core in BatchCores()
@@ -292,9 +354,9 @@ func (r *Rack) SetBatchFreqsInto(freqs, applied []float64) ([]float64, error) {
 
 // BatchFreqs returns the current frequency of every batch core.
 func (r *Rack) BatchFreqs() []float64 {
-	out := make([]float64, len(r.batch))
-	for i, ref := range r.batch {
-		out[i] = r.servers[ref.Server].CPU().Freq(ref.Core)
+	out := make([]float64, len(r.batchIdx))
+	for i, k := range r.batchIdx {
+		out[i] = r.freq[k]
 	}
 	return out
 }
@@ -304,16 +366,15 @@ func (r *Rack) BatchFreqs() []float64 {
 // workload specs (idle if unbound or between work).
 func (r *Rack) AdvanceBatch(dt, now float64) {
 	fmax := r.cfg.ServerParams.PStates.Max()
-	for i, ref := range r.batch {
+	for i, k := range r.batchIdx {
 		j := r.jobSeq[i]
-		if j == nil || r.faults[ref.Server].Offline {
+		if j == nil || r.offline[k] {
 			// No job, or a crashed server: no work executes this tick.
-			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+			r.util[k] = 0
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Freq(ref.Core)
-		j.Advance(f, fmax, dt, now)
-		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
+		j.Advance(r.freq[k], fmax, dt, now)
+		r.util[k] = cpu.ClampUtil(j.CurrentUtil())
 	}
 }
 
@@ -325,15 +386,14 @@ func (r *Rack) AdvanceBatch(dt, now float64) {
 // span replay kernel, reduced to the job progress arithmetic alone.
 func (r *Rack) AdvanceBatchTicks(dt, now0 float64, n int) {
 	fmax := r.cfg.ServerParams.PStates.Max()
-	for i, ref := range r.batch {
+	for i, k := range r.batchIdx {
 		j := r.jobSeq[i]
-		if j == nil || r.faults[ref.Server].Offline {
-			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+		if j == nil || r.offline[k] {
+			r.util[k] = 0
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Freq(ref.Core)
-		j.AdvanceTicks(f, fmax, dt, now0, n)
-		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
+		j.AdvanceTicks(r.freq[k], fmax, dt, now0, n)
+		r.util[k] = cpu.ClampUtil(j.CurrentUtil())
 	}
 }
 
@@ -345,13 +405,12 @@ func (r *Rack) AdvanceBatchTicks(dt, now0 float64, n int) {
 func (r *Rack) BatchStableTicks(dt float64, maxTicks int) int {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	min := maxTicks
-	for i, ref := range r.batch {
+	for i, k := range r.batchIdx {
 		j := r.jobSeq[i]
-		if j == nil || r.faults[ref.Server].Offline {
+		if j == nil || r.offline[k] {
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Freq(ref.Core)
-		if n := j.StableTicks(f, fmax, dt); n < min {
+		if n := j.StableTicks(r.freq[k], fmax, dt); n < min {
 			min = n
 		}
 	}
@@ -416,19 +475,19 @@ func (r *Rack) Measure(trueW float64) float64 {
 // EstimateInteractivePower evaluates Eq. (5), p_inter = K'·U + C', from the
 // per-core utilization monitors. It is exact only when interactive cores run
 // at peak frequency and carries model error otherwise — exactly the paper's
-// assumption.
+// assumption. The conversion rounds K'·u before the add, so no host fuses
+// the pair into a multiply-add wherever the loop is inlined.
 func (r *Rack) EstimateInteractivePower() float64 {
 	co := r.cfg.ServerParams.InteractiveCoeffs()
 	var p float64
-	for _, ref := range r.inter {
-		if r.faults[ref.Server].Offline {
+	for _, k := range r.interIdx {
+		if r.offline[k] {
 			// A dead server's heartbeat loss is visible to the
 			// controller; its cores are excluded from the estimate so
 			// Eq. (6)'s subtraction stays consistent with the monitor.
 			continue
 		}
-		u := r.servers[ref.Server].CPU().Util(ref.Core)
-		p += co.KWPerGHz*u + co.CIdleShareW
+		p += float64(co.KWPerGHz*r.util[k]) + co.CIdleShareW
 	}
 	return p
 }
@@ -470,31 +529,40 @@ func (r *Rack) RWeightsInto(dst []float64, now float64) []float64 {
 // MeanBatchFreqNorm returns the batch cores' mean frequency normalized to
 // peak (the paper's Fig. 7 metric).
 func (r *Rack) MeanBatchFreqNorm() float64 {
-	if len(r.batch) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, ref := range r.batch {
-		if r.faults[ref.Server].Offline {
-			continue // a dark core executes at frequency 0
-		}
-		sum += r.servers[ref.Server].CPU().Freq(ref.Core)
-	}
-	return sum / float64(len(r.batch)) / r.cfg.ServerParams.PStates.Max()
+	r.refreshMeans()
+	return r.meanBatch
 }
 
 // MeanInteractiveFreqNorm returns the interactive cores' mean normalized
 // frequency.
 func (r *Rack) MeanInteractiveFreqNorm() float64 {
-	if len(r.inter) == 0 {
+	r.refreshMeans()
+	return r.meanInter
+}
+
+// refreshMeans recomputes both mean frequency norms when the generation has
+// moved since they were last computed: they depend only on the core
+// frequencies and the offline flags.
+func (r *Rack) refreshMeans() {
+	if r.meanOK && r.meanGen == r.gen {
+		return
+	}
+	r.meanBatch = r.meanFreqNorm(r.batchIdx)
+	r.meanInter = r.meanFreqNorm(r.interIdx)
+	r.meanOK, r.meanGen = true, r.gen
+}
+
+// meanFreqNorm returns the mean normalized frequency of the cores at flat
+// indices idx; a dark core executes at frequency 0.
+func (r *Rack) meanFreqNorm(idx []int) float64 {
+	if len(idx) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, ref := range r.inter {
-		if r.faults[ref.Server].Offline {
-			continue
+	for _, k := range idx {
+		if !r.offline[k] {
+			sum += r.freq[k]
 		}
-		sum += r.servers[ref.Server].CPU().Freq(ref.Core)
 	}
-	return sum / float64(len(r.inter)) / r.cfg.ServerParams.PStates.Max()
+	return sum / float64(len(idx)) / r.cfg.ServerParams.PStates.Max()
 }

@@ -103,9 +103,9 @@ func TestBindAndAdvanceJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, ref := range r.BatchCores() {
-		if r.Job(ref) == nil {
-			t.Fatalf("core %v has no job", ref)
+	for i, j := range r.BatchJobs() {
+		if j == nil {
+			t.Fatalf("core %v has no job", r.BatchCores()[i])
 		}
 	}
 	// Run all batch cores at peak for 60 s; every job must make progress.
@@ -117,9 +117,9 @@ func TestBindAndAdvanceJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.AdvanceBatch(60, 0)
-	for _, ref := range r.BatchCores() {
-		if r.Job(ref).Progress() <= 0 {
-			t.Fatalf("job %v made no progress", ref)
+	for i, j := range r.BatchJobs() {
+		if j.Progress() <= 0 {
+			t.Fatalf("job %v made no progress", r.BatchCores()[i])
 		}
 	}
 	// Batch utilization reflects the specs.
@@ -145,11 +145,12 @@ func TestBindJobRejectsNonBatchCore(t *testing.T) {
 	}
 }
 
-// BatchJobs lists the bound jobs in BatchCores order, the order Job finds
-// them by reference.
+// BatchJobs lists the bound jobs in BatchCores order, each at the position
+// of the core BindJob bound it to.
 func TestBatchJobsFollowBatchCores(t *testing.T) {
 	r := mustNew(t)
 	specs := workload.SpecCPU2006()
+	bound := make([]*workload.BatchJob, len(r.BatchCores()))
 	for i, ref := range r.BatchCores() {
 		if i%3 == 0 {
 			continue // leave some cores unbound
@@ -158,18 +159,16 @@ func TestBatchJobsFollowBatchCores(t *testing.T) {
 		if err := r.BindJob(ref, j); err != nil {
 			t.Fatal(err)
 		}
+		bound[i] = j
 	}
 	jobs := r.BatchJobs()
 	if len(jobs) != len(r.BatchCores()) {
 		t.Fatalf("%d jobs for %d batch cores", len(jobs), len(r.BatchCores()))
 	}
 	for i, ref := range r.BatchCores() {
-		if jobs[i] != r.Job(ref) || (jobs[i] == nil) != (i%3 == 0) {
-			t.Fatalf("core %v: BatchJobs()[%d] = %p, Job = %p", ref, i, jobs[i], r.Job(ref))
+		if jobs[i] != bound[i] {
+			t.Fatalf("core %v: BatchJobs()[%d] = %p, bound %p", ref, i, jobs[i], bound[i])
 		}
-	}
-	if r.Job(CoreRef{Server: 0, Core: 0}) != nil {
-		t.Fatal("an interactive core has a job")
 	}
 }
 

@@ -105,6 +105,10 @@ func (r *Rack) RestoreState(st State) error {
 		}
 	}
 	copy(r.faults, st.Faults)
+	for si := range r.faults {
+		r.syncOffline(si)
+	}
+	r.gen++
 	r.rng = rand.New(rand.NewSource(r.cfg.Seed))
 	for i := int64(0); i < st.NormDraws; i++ {
 		r.rng.NormFloat64()

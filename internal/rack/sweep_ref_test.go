@@ -1,0 +1,506 @@
+package rack
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"sprintcon/internal/workload"
+)
+
+// The functions below are the rack's per-core sweeps as they were written
+// before the rack kept one flat core table: each walks CoreRefs through
+// servers[ref.Server].CPU() and faults[ref.Server], and none remembers
+// anything between calls. A reference rack driven only through them keeps
+// its state in the same places the fast paths do, so the two racks can be
+// compared core by core after every call.
+
+func applyInteractiveDemandRef(r *Rack, demand float64) {
+	fmax := r.cfg.ServerParams.PStates.Max()
+	for _, ref := range r.inter {
+		u := demand
+		if r.cfg.UtilJitterStd > 0 {
+			u += r.rng.NormFloat64() * r.cfg.UtilJitterStd
+			r.normDraws++
+		}
+		if r.faults[ref.Server].Offline {
+			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+			continue
+		}
+		f := r.servers[ref.Server].CPU().Freq(ref.Core)
+		if f > 0 {
+			u *= fmax / f
+		}
+		r.servers[ref.Server].CPU().SetUtil(ref.Core, u)
+	}
+}
+
+func setCoreFreqRef(r *Rack, ref CoreRef, f float64) float64 {
+	if ref.Server < 0 || ref.Server >= len(r.servers) {
+		return 0
+	}
+	st := r.faults[ref.Server]
+	cur := r.servers[ref.Server].CPU().Freq(ref.Core)
+	if st.Offline || st.Stuck {
+		return cur
+	}
+	if st.LagFrac > 0 && st.LagFrac < 1 {
+		f = cur + st.LagFrac*(f-cur)
+	}
+	return r.servers[ref.Server].CPU().SetFreq(ref.Core, f)
+}
+
+func setInteractiveFreqRef(r *Rack, f float64) {
+	for _, ref := range r.inter {
+		setCoreFreqRef(r, ref, f)
+	}
+}
+
+func setBatchFreqsRef(r *Rack, freqs, applied []float64) {
+	for i, ref := range r.batch {
+		applied[i] = setCoreFreqRef(r, ref, freqs[i])
+	}
+}
+
+func setFaultStateRef(r *Rack, serverIdx int, st FaultState) {
+	if serverIdx < 0 || serverIdx >= len(r.faults) {
+		return
+	}
+	r.faults[serverIdx] = st
+}
+
+func advanceBatchRef(r *Rack, dt, now float64) {
+	fmax := r.cfg.ServerParams.PStates.Max()
+	for i, ref := range r.batch {
+		j := r.jobSeq[i]
+		if j == nil || r.faults[ref.Server].Offline {
+			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+			continue
+		}
+		f := r.servers[ref.Server].CPU().Freq(ref.Core)
+		j.Advance(f, fmax, dt, now)
+		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
+	}
+}
+
+func advanceBatchTicksRef(r *Rack, dt, now0 float64, n int) {
+	fmax := r.cfg.ServerParams.PStates.Max()
+	for i, ref := range r.batch {
+		j := r.jobSeq[i]
+		if j == nil || r.faults[ref.Server].Offline {
+			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+			continue
+		}
+		f := r.servers[ref.Server].CPU().Freq(ref.Core)
+		j.AdvanceTicks(f, fmax, dt, now0, n)
+		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
+	}
+}
+
+func batchStableTicksRef(r *Rack, dt float64, maxTicks int) int {
+	fmax := r.cfg.ServerParams.PStates.Max()
+	min := maxTicks
+	for i, ref := range r.batch {
+		j := r.jobSeq[i]
+		if j == nil || r.faults[ref.Server].Offline {
+			continue
+		}
+		f := r.servers[ref.Server].CPU().Freq(ref.Core)
+		if n := j.StableTicks(f, fmax, dt); n < min {
+			min = n
+		}
+	}
+	if min < 0 {
+		min = 0
+	}
+	return min
+}
+
+func truePowerRef(r *Rack) float64 {
+	var p float64
+	for i, s := range r.servers {
+		if r.faults[i].Offline {
+			continue
+		}
+		p += s.Power(r.env)
+	}
+	return p
+}
+
+// estimateInteractivePowerRef rounds K'·u before the add, as the fast path
+// does, so the two agree on hosts that would fuse the pair.
+func estimateInteractivePowerRef(r *Rack) float64 {
+	co := r.cfg.ServerParams.InteractiveCoeffs()
+	var p float64
+	for _, ref := range r.inter {
+		if r.faults[ref.Server].Offline {
+			continue
+		}
+		u := r.servers[ref.Server].CPU().Util(ref.Core)
+		p += float64(co.KWPerGHz*u) + co.CIdleShareW
+	}
+	return p
+}
+
+func batchFeedbackRef(r *Rack, measuredTotal float64) float64 {
+	fb := measuredTotal - estimateInteractivePowerRef(r) - r.EstimateIdlePower()
+	return math.Max(0, fb)
+}
+
+func meanFreqNormRef(r *Rack, refs []CoreRef) float64 {
+	if len(refs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, ref := range refs {
+		if r.faults[ref.Server].Offline {
+			continue
+		}
+		sum += r.servers[ref.Server].CPU().Freq(ref.Core)
+	}
+	return sum / float64(len(refs)) / r.cfg.ServerParams.PStates.Max()
+}
+
+// restoreStateRef is RestoreState's apply half as it was, for snapshots
+// ExportState wrote (so there is nothing to validate).
+func restoreStateRef(t *testing.T, r *Rack, st State) {
+	for si, cores := range st.Cores {
+		c := r.servers[si].CPU()
+		for ci, cs := range cores {
+			c.SetFreq(ci, cs.FreqGHz)
+			c.SetUtil(ci, cs.Util)
+		}
+	}
+	copy(r.faults, st.Faults)
+	r.rng = rand.New(rand.NewSource(r.cfg.Seed))
+	for i := int64(0); i < st.NormDraws; i++ {
+		r.rng.NormFloat64()
+	}
+	r.normDraws = st.NormDraws
+	for i, j := range r.jobSeq {
+		if st.JobBound[i] {
+			if err := j.RestoreState(st.Jobs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// refConfigs are the rack shapes the equivalence harness drives: the
+// paper's rack, one with no interactive cores and idle cores, and one with
+// idle cores and no noise.
+func refConfigs() []Config {
+	paper := DefaultConfig()
+	paper.Seed = 11
+
+	noInter := DefaultConfig()
+	noInter.NumServers = 3
+	noInter.InteractiveCoresPerServer = 0
+	noInter.BatchCoresPerServer = 3
+	noInter.Seed = 5
+
+	idle := DefaultConfig()
+	idle.NumServers = 4
+	idle.InteractiveCoresPerServer = 2
+	idle.BatchCoresPerServer = 3
+	idle.MonitorNoiseStd = 0
+	idle.UtilJitterStd = 0
+	return []Config{paper, noInter, idle}
+}
+
+// refPair is a rack driven through its fast paths and a rack of the same
+// configuration driven through the reference sweeps above.
+type refPair struct {
+	t         *testing.T
+	fast, ref *Rack
+	now       float64
+	snapFast  []State
+	snapRef   []State
+	applied   [2][]float64
+}
+
+func newRefPair(t *testing.T, cfg Config) *refPair {
+	t.Helper()
+	p := &refPair{t: t}
+	specs := workload.SpecCPU2006()
+	for _, r := range []**Rack{&p.fast, &p.ref} {
+		rk, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ref := range rk.BatchCores() {
+			if i%5 == 4 {
+				continue // an unbound core idles
+			}
+			j, err := workload.NewBatchJob(specs[i%len(specs)], 0, 300+float64(i%7)*40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rk.BindJob(ref, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		*r = rk
+	}
+	n := len(p.fast.BatchCores())
+	p.applied = [2][]float64{make([]float64, n), make([]float64, n)}
+	return p
+}
+
+// refOps names the harness's operations, in the order the op byte selects
+// them.
+const (
+	opDemand = iota
+	opInterFreq
+	opBatchFreqs
+	opFault
+	opAdvance
+	opAdvanceTicks
+	opStableTicks
+	opSnapshot
+	opRestore
+	opCoreFreq
+	opMeasure
+	numOps
+)
+
+// interTargets are SetInteractiveFreq's targets: P-states, values between
+// them, and a request below the table.
+var interTargets = []float64{2.0, 2.0, 1.0, 1.5, 0.4, 1.23, 0.05}
+
+// faultStates covers healthy, crashed, stuck and lagging servers; a lag of
+// 0.01 moves less than half a P-state, so its writes quantize back to the
+// frequency the core holds.
+var faultStates = []FaultState{
+	{}, {Offline: true}, {Stuck: true}, {LagFrac: 0.5}, {LagFrac: 0.01}, {LagFrac: 0.3, Stuck: true}, {Offline: true, LagFrac: 0.5},
+}
+
+// step applies operation op, with arguments drawn from arg, to both racks
+// and compares every observable after it.
+func (p *refPair) step(op int, arg func() int) {
+	t, fast, ref := p.t, p.fast, p.ref
+	const dt = 1.0
+	switch op {
+	case opDemand:
+		d := float64(arg()) / 170
+		fast.ApplyInteractiveDemand(d)
+		applyInteractiveDemandRef(ref, d)
+	case opInterFreq:
+		f := interTargets[arg()%len(interTargets)]
+		fast.SetInteractiveFreq(f)
+		setInteractiveFreqRef(ref, f)
+	case opBatchFreqs:
+		rng := rand.New(rand.NewSource(int64(arg())))
+		freqs := make([]float64, len(fast.BatchCores()))
+		for i := range freqs {
+			freqs[i] = 0.2 + 2*rng.Float64()
+		}
+		if _, err := fast.SetBatchFreqsInto(freqs, p.applied[0]); err != nil {
+			t.Fatal(err)
+		}
+		setBatchFreqsRef(ref, freqs, p.applied[1])
+		for i := range freqs {
+			if math.Float64bits(p.applied[0][i]) != math.Float64bits(p.applied[1][i]) {
+				t.Fatalf("SetBatchFreqsInto applied[%d] = %v, reference %v", i, p.applied[0][i], p.applied[1][i])
+			}
+		}
+	case opFault:
+		s := arg() % len(fast.Servers())
+		st := faultStates[arg()%len(faultStates)]
+		fast.SetFaultState(s, st)
+		setFaultStateRef(ref, s, st)
+	case opAdvance:
+		fast.AdvanceBatch(dt, p.now)
+		advanceBatchRef(ref, dt, p.now)
+		p.now += dt
+	case opAdvanceTicks:
+		n := 1 + arg()%8
+		fast.AdvanceBatchTicks(dt, p.now, n)
+		advanceBatchTicksRef(ref, dt, p.now, n)
+		p.now += float64(n) * dt
+	case opStableTicks:
+		max := arg()
+		if got, want := fast.BatchStableTicks(dt, max), batchStableTicksRef(ref, dt, max); got != want {
+			t.Fatalf("BatchStableTicks = %d, reference %d", got, want)
+		}
+	case opSnapshot:
+		p.snapFast = append(p.snapFast, fast.ExportState())
+		p.snapRef = append(p.snapRef, ref.ExportState())
+	case opRestore:
+		if len(p.snapFast) == 0 {
+			return
+		}
+		i := arg() % len(p.snapFast)
+		if err := fast.RestoreState(p.snapFast[i]); err != nil {
+			t.Fatal(err)
+		}
+		restoreStateRef(t, ref, p.snapRef[i])
+	case opCoreFreq:
+		cref := CoreRef{Server: arg() % len(fast.Servers()), Core: arg() % fast.cfg.ServerParams.Cores}
+		f := 0.3 + float64(arg())/140
+		if got, want := fast.SetCoreFreq(cref, f), setCoreFreqRef(ref, cref, f); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SetCoreFreq(%v, %v) = %v, reference %v", cref, f, got, want)
+		}
+	case opMeasure:
+		got, want := fast.Measure(fast.TruePower()), ref.Measure(truePowerRef(ref))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Measure = %v, reference %v", got, want)
+		}
+	}
+	p.compare(op)
+}
+
+// compare checks, by math.Float64bits, every core's frequency and
+// utilization, the power readings and estimators, both mean norms, the
+// noise-stream position and every job's state.
+func (p *refPair) compare(op int) {
+	t, fast, ref := p.t, p.fast, p.ref
+	same := func(what string, got, want float64) {
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("after op %d: %s = %v (%#x), reference %v (%#x)", op, what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for si := range fast.Servers() {
+		fc, rc := fast.Servers()[si].CPU(), ref.Servers()[si].CPU()
+		for ci := 0; ci < fc.NumCores(); ci++ {
+			if math.Float64bits(fc.Freq(ci)) != math.Float64bits(rc.Freq(ci)) || math.Float64bits(fc.Util(ci)) != math.Float64bits(rc.Util(ci)) {
+				t.Fatalf("after op %d: core s%d/c%d at %v GHz, util %v; reference %v GHz, util %v",
+					op, si, ci, fc.Freq(ci), fc.Util(ci), rc.Freq(ci), rc.Util(ci))
+			}
+		}
+	}
+	tp := fast.TruePower()
+	same("TruePower", tp, truePowerRef(ref))
+	same("EstimateInteractivePower", fast.EstimateInteractivePower(), estimateInteractivePowerRef(ref))
+	same("BatchFeedback", fast.BatchFeedback(tp), batchFeedbackRef(ref, tp))
+	same("MeanBatchFreqNorm", fast.MeanBatchFreqNorm(), meanFreqNormRef(ref, ref.batch))
+	same("MeanInteractiveFreqNorm", fast.MeanInteractiveFreqNorm(), meanFreqNormRef(ref, ref.inter))
+	if fast.normDraws != ref.normDraws {
+		t.Fatalf("after op %d: normDraws = %d, reference %d", op, fast.normDraws, ref.normDraws)
+	}
+	for i, j := range fast.BatchJobs() {
+		if j == nil {
+			continue
+		}
+		a, b := j.ExportState(), ref.BatchJobs()[i].ExportState()
+		for _, f := range [][2]float64{
+			{a.StartTime, b.StartTime}, {a.Deadline, b.Deadline}, {a.TotalWork, b.TotalWork},
+			{a.Remaining, b.Remaining}, {a.DoneAt, b.DoneAt}, {a.ExecSecs, b.ExecSecs},
+		} {
+			same("job state", f[0], f[1])
+		}
+		if a.Completed != b.Completed {
+			t.Fatalf("after op %d: job %d completed %d times, reference %d", op, i, a.Completed, b.Completed)
+		}
+	}
+}
+
+// runRefBytes drives a rack pair from data: the first byte picks the
+// configuration, then each operation is one op byte followed by the
+// argument bytes it reads (zero once data runs out).
+func runRefBytes(t *testing.T, data []byte) {
+	cfgs := refConfigs()
+	pos := 0
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1])
+	}
+	p := newRefPair(t, cfgs[next()%len(cfgs)])
+	for ops := 0; pos < len(data) && ops < 400; ops++ {
+		p.step(next()%numOps, next)
+	}
+}
+
+// The fast sweeps and memos must match the reference sweeps bit for bit
+// over generated call sequences on every rack shape.
+func TestRackMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for seq := 0; seq < 300; seq++ {
+		data := make([]byte, 1+rng.Intn(600))
+		rng.Read(data)
+		// Bias toward the operations that run every tick, so jobs
+		// complete and the interactive memo repeats.
+		for i := 1; i < len(data); i += 3 {
+			if rng.Intn(2) == 0 {
+				data[i] = byte([]int{opDemand, opInterFreq, opAdvance, opInterFreq}[rng.Intn(4)])
+			}
+		}
+		runRefBytes(t, data)
+	}
+}
+
+// A fault state or a restore that changes no frequency must still end
+// the interactive memo and the mean caches: each sequence sets up a memo
+// of a call that changed nothing, then changes only fault states.
+func TestRackMemosFollowFaultsAndRestores(t *testing.T) {
+	arg := func(vals ...int) func() int {
+		return func() int {
+			v := vals[0]
+			vals = vals[1:]
+			return v
+		}
+	}
+	const stuck, offline, healthy = 2, 1, 0
+	const lagBack = 4 // LagFrac 0.01
+	const f1 = 2      // interTargets[2] = 1.0
+	for _, fault := range []int{stuck, offline, lagBack} {
+		// Through SetFaultState.
+		p := newRefPair(t, refConfigs()[0])
+		p.step(opFault, arg(0, fault))
+		p.step(opInterFreq, arg(f1))
+		p.step(opInterFreq, arg(f1)) // changes nothing: memo set
+		p.step(opFault, arg(0, healthy))
+		p.step(opInterFreq, arg(f1))
+
+		// Through RestoreState: the snapshot differs from the live
+		// rack only in server 0's fault state.
+		p = newRefPair(t, refConfigs()[0])
+		p.step(opFault, arg(0, fault))
+		p.step(opInterFreq, arg(f1))
+		p.step(opFault, arg(0, healthy))
+		p.step(opSnapshot, nil)
+		p.step(opFault, arg(0, fault))
+		p.step(opInterFreq, arg(f1))
+		p.step(opInterFreq, arg(f1))
+		p.step(opRestore, arg(0))
+		p.step(opInterFreq, arg(f1))
+	}
+}
+
+// A core reference past either end of a server writes nothing and returns
+// 0, as a server reference out of range does.
+func TestSetCoreFreqOutOfRangeCore(t *testing.T) {
+	r := mustNew(t)
+	cores := r.cfg.ServerParams.Cores
+	before := append([]float64(nil), r.freq...)
+	gen := r.gen
+	for _, s := range []int{0, len(r.Servers()) - 1} {
+		for _, c := range []int{-1, cores, cores + 1} {
+			if got := r.SetCoreFreq(CoreRef{Server: s, Core: c}, 1.0); got != 0 {
+				t.Fatalf("SetCoreFreq(s%d/c%d) = %v, want 0", s, c, got)
+			}
+		}
+	}
+	for k, f := range r.freq {
+		if math.Float64bits(f) != math.Float64bits(before[k]) {
+			t.Fatalf("core %d moved from %v to %v", k, before[k], f)
+		}
+	}
+	if r.gen != gen {
+		t.Fatalf("generation moved from %d to %d", gen, r.gen)
+	}
+}
+
+// FuzzRackMatchesReference drives TestRackMatchesReference's harness from
+// fuzz bytes.
+func FuzzRackMatchesReference(f *testing.F) {
+	f.Add([]byte{0, opDemand, 120, opInterFreq, 2, opInterFreq, 2, opAdvance, opMeasure})
+	f.Add([]byte{1, opBatchFreqs, 7, opFault, 1, 1, opAdvanceTicks, 5, opStableTicks, 9, opSnapshot, opFault, 1, 0, opRestore, 0})
+	f.Add([]byte{2, opFault, 0, 4, opInterFreq, 2, opInterFreq, 2, opFault, 0, 0, opInterFreq, 2, opCoreFreq, 3, 5, 99})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runRefBytes(t, data)
+	})
+}

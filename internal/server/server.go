@@ -110,6 +110,18 @@ func New(id int, p Params) (*Server, error) {
 	return &Server{id: id, p: p, cpu: c}, nil
 }
 
+// NewOn returns a server whose cores are c, which must have p.Cores cores:
+// a rack passes windows onto its own core table.
+func NewOn(id int, p Params, c *cpu.CPU) (*Server, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if c.NumCores() != p.Cores {
+		return nil, fmt.Errorf("server: CPU has %d cores, params %d", c.NumCores(), p.Cores)
+	}
+	return &Server{id: id, p: p, cpu: c}, nil
+}
+
 // ID returns the server's identifier.
 func (s *Server) ID() int { return s.id }
 
@@ -146,7 +158,10 @@ func (s *Server) Power(env Environment) float64 {
 	b := 1 - s.p.Alpha
 	var dyn float64
 	for i, f := range freqs {
-		fn := f / fmax
+		fn := 1.0 // f/fmax is exactly 1 at fmax: skip the division
+		if f != fmax {
+			fn = f / fmax
+		}
 		dyn += pcm * utils[i] * (a*fn + b*fn*fn*fn)
 	}
 	return s.p.IdleW + dyn + s.fanW(dyn, env)

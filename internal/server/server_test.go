@@ -40,6 +40,34 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// NewOn takes a CPU of exactly p.Cores cores, and the server's power reads
+// the caller's table through it.
+func TestNewOnReadsCallerTable(t *testing.T) {
+	p := DefaultParams()
+	p.FanW = 0
+	freqs := make([]float64, p.Cores)
+	utils := make([]float64, p.Cores)
+	for i := range freqs {
+		freqs[i] = p.PStates.Max()
+	}
+	var gen uint64
+	short, _ := cpu.Window(p.PStates, freqs[:3], utils[:3], &gen)
+	if _, err := NewOn(0, p, short); err == nil {
+		t.Fatal("a CPU with too few cores should fail")
+	}
+	c, _ := cpu.Window(p.PStates, freqs, utils, &gen)
+	s, err := NewOn(0, p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range utils {
+		utils[i] = 1
+	}
+	if got := s.Power(env()); math.Abs(got-p.MaxW) > 1e-9 {
+		t.Fatalf("full-load power = %v, want %v", got, p.MaxW)
+	}
+}
+
 func TestIdlePowerIs150W(t *testing.T) {
 	s := mustNew(t)
 	if got := s.Power(env()); math.Abs(got-150) > 1e-9 {

@@ -594,8 +594,8 @@ func finalize(res *Result, env *Env, controlled, over int, trackErrSum float64) 
 
 	end := res.Scenario.DurationS
 	latest := 0.0
-	for _, ref := range env.Rack.BatchCores() {
-		j := env.Rack.Job(ref)
+	refs := env.Rack.BatchCores()
+	for i, j := range env.Rack.BatchJobs() {
 		if j == nil {
 			continue
 		}
@@ -613,7 +613,7 @@ func finalize(res *Result, env *Env, controlled, over int, trackErrSum float64) 
 		res.BatchWorkDoneS += j.WorkDone()
 		res.Jobs = append(res.Jobs, JobResult{
 			Name:        j.Spec.Name,
-			Core:        ref.String(),
+			Core:        refs[i].String(),
 			CompletionS: j.CompletionTime(),
 			Progress:    j.Progress(),
 			Missed:      missed,

@@ -77,16 +77,16 @@ func TestBuildEnvBindsAllBatchCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	cores := env.Rack.BatchCores()
-	for _, ref := range cores {
-		if env.Rack.Job(ref) == nil {
-			t.Fatalf("batch core %v has no job", ref)
+	for i, j := range env.Rack.BatchJobs() {
+		if j == nil {
+			t.Fatalf("batch core %v has no job", cores[i])
 		}
 	}
 	if len(cores) != 64 {
 		t.Fatalf("batch cores = %d, want 64", len(cores))
 	}
 	// Jobs carry different fills (work sizes) deterministically.
-	work := func(env *Env, i int) float64 { return env.Rack.Job(env.Rack.BatchCores()[i]).ExportState().TotalWork }
+	work := func(env *Env, i int) float64 { return env.Rack.BatchJobs()[i].ExportState().TotalWork }
 	w0 := work(env, 0)
 	w1 := work(env, 8) // same spec, next round
 	if w0 == w1 {
