@@ -53,8 +53,9 @@ soak:
 # interactive-trace CSV parser, batch-job advance, P-state quantizer,
 # generated tick ≡ event scenarios, decision encoder ≡ encoding/json,
 # decision log keep-then-render ≡ encoder, equal-off-diagonal QP kernels ≡
-# dense kernels, compact span tracer ≡ slice-backed reference, flat-table
-# rack ≡ per-core reference sweeps), ten seconds each with at most one second
+# dense kernels, box QP solve ≡ dense active-set reference, compact span
+# tracer ≡ slice-backed reference, flat-table rack ≡ per-core reference
+# sweeps), ten seconds each with at most one second
 # spent minimizing a new input (CI runs the same budget; leave the fuzzers
 # running longer locally with go test -fuzz=... -fuzztime=10m).
 fuzz:
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzAppendDecision$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/telemetry/
 	$(GO) test -fuzz='^FuzzDecisionLog$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/telemetry/
 	$(GO) test -fuzz='^FuzzEqualOffDiagKernels$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/mathx/
+	$(GO) test -fuzz='^FuzzBoxQP$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/qp/
 	$(GO) test -fuzz='^FuzzTracer$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/obs/
 	$(GO) test -fuzz='^FuzzRackMatchesReference$$' -fuzztime=10s -fuzzminimizetime=1s -run='^$$' ./internal/rack/
 

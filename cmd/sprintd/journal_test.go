@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,7 +115,7 @@ func journalWithFixture(t *testing.T, id string) *journal {
 }
 
 // TestRowCheckpointFixtureResumes: the committed SPRDROW2 row checkpoint
-// (checkpoint.Version 1) loads, and the run resumed from it is
+// (checkpoint.Version 2) loads, and the run resumed from it is
 // bit-identical to an uninterrupted run over the rest of the window: the
 // row draw and every rack's power, charge and batch frequency. (The link
 // counters are not: a resumed row's coordinator is a fresh process and
@@ -184,14 +185,38 @@ func TestRowCheckpointV1ResumesFromStart(t *testing.T) {
 		v1 = binary.BigEndian.AppendUint32(v1, uint32(len(b)))
 		v1 = append(v1, b...)
 	}
-	if err := os.WriteFile(filepath.Join(j.runDir("r1"), "row0.ckpt"), v1, 0o644); err != nil {
+	resumesFromStart(t, j, "r1", v1, "not a row checkpoint file")
+}
+
+// TestRowCheckpointVersion1ResumesFromStart: a SPRDROW2 row checkpoint
+// whose frame carries checkpoint.Version 1 (the schema with the MPC
+// warm-start cache) is refused by the version check, and its run resumes
+// from step 0 and finishes with the uninterrupted run's summary.
+func TestRowCheckpointVersion1ResumesFromStart(t *testing.T) {
+	j := journalWithFixture(t, "r1")
+	b, err := os.ReadFile(filepath.Join(j.runDir("r1"), "row0.ckpt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.loadRowCheckpoint("r1", 0); err == nil {
-		t.Fatal("a SPRDROW1 file loaded")
+	// The frame follows the magic: "SPCK", then the version.
+	binary.BigEndian.PutUint32(b[len(rowCkptMagic)+4:], 1)
+	resumesFromStart(t, j, "r1", b, "format version 1, this binary speaks 2")
+}
+
+// resumesFromStart writes file as run id's row 0 checkpoint and checks that
+// it does not load (with an error containing why), that the journal offers
+// no resume set for it, and that a service recovering the running run from
+// the journal finishes it with the uninterrupted run's summary.
+func resumesFromStart(t *testing.T, j *journal, id string, file []byte, why string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(j.runDir(id), "row0.ckpt"), file, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if r := j.loadResume("r1", 1); r != nil {
-		t.Fatalf("resume set from a SPRDROW1 file: %v", r)
+	if _, err := j.loadRowCheckpoint(id, 0); err == nil || !strings.Contains(err.Error(), why) {
+		t.Fatalf("loading the row checkpoint: %v, want an error saying %q", err, why)
+	}
+	if r := j.loadResume(id, 1); r != nil {
+		t.Fatalf("resume set from a refused checkpoint: %v", r)
 	}
 
 	rs, cfg := fixtureConfig(t)
@@ -209,14 +234,14 @@ func TestRowCheckpointV1ResumesFromStart(t *testing.T) {
 	}
 
 	now := time.Now()
-	if err := j.saveRecord(journalRecord{ID: "r1", Mode: "linked", State: "running", Submitted: now, Started: now, Spec: rs}); err != nil {
+	if err := j.saveRecord(journalRecord{ID: id, Mode: "linked", State: "running", Submitted: now, Started: now, Spec: rs}); err != nil {
 		t.Fatal(err)
 	}
 	scfg := defaultServerConfig()
 	scfg.StateDir = j.dir
 	_, ts := newTestService(t, scfg)
-	doc := waitDone(t, ts, "r1")
+	doc := waitDone(t, ts, id)
 	if !reflect.DeepEqual(doc["result"], want) {
-		t.Fatalf("run recovered over a SPRDROW1 checkpoint finished with\n %v\nwant the uninterrupted\n %v", doc["result"], want)
+		t.Fatalf("run recovered over a refused checkpoint finished with\n %v\nwant the uninterrupted\n %v", doc["result"], want)
 	}
 }

@@ -105,8 +105,8 @@ func TestStaticClusterInputs(t *testing.T) {
 func TestPartitionSpanTraceGolden(t *testing.T) {
 	const (
 		wantLines = 4251
-		wantBytes = 519635
-		wantSHA   = "dbf18a0a2b9c271d5d61207b34d78f500db3245d9f6db97273d320d77b5585c5"
+		wantBytes = 526098
+		wantSHA   = "27b16b912e4e901e87333bb6d7b4fd52b39b9d30d67c4b6d023635c6214af8b1"
 	)
 	f, err := faults.Parse("link-partition:10:690:1:0")
 	if err != nil {

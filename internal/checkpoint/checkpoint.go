@@ -1,7 +1,7 @@
 // Package checkpoint implements crash-safe snapshots of the full control
 // state (DESIGN.md §11): the breaker thermal accumulator, UPS state of
 // charge, per-job batch progress, power-model parameters, measurement-guard
-// history, MPC warm cache, hardening flags and noise-stream positions. The
+// history, hardening flags and noise-stream positions. The
 // simulation engine serializes a snapshot every control period; after a
 // controller crash the controller restores from the latest one and
 // continues — bit-identically when the snapshot is fresh, through the
@@ -27,8 +27,10 @@ import (
 
 // Version is the snapshot schema version. Decoders reject snapshots from a
 // different version: schema drift across binaries must fail loudly into the
-// fail-safe path, not restore garbage.
-const Version = 1
+// fail-safe path, not restore garbage. Version 2 dropped the MPC warm-start
+// cache: a version 1 snapshot resumed without it reproduces neither
+// binary's uninterrupted decision stream, so it is refused.
+const Version = 2
 
 // Snapshot is one complete capture of a run's mutable state at a tick
 // boundary (taken after the tick completed, so SimTimeS is the time of the
@@ -81,7 +83,6 @@ type ControllerState struct {
 	HasRLS      bool
 	RLS         control.RLSState
 	Alloc       alloc.State
-	MPCWarm     control.MPCWarmState
 
 	// Hardening state (absent for the unhardened ablation).
 	HasHarden bool

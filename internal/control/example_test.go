@@ -10,11 +10,7 @@ import (
 // budget by moving core frequencies.
 func ExampleMPC_Step() {
 	const n = 8
-	k := make([]float64, n)
-	for i := range k {
-		k[i] = 9.6 // watts per GHz per core
-	}
-	m, err := control.NewMPC(control.DefaultMPCConfig(k))
+	m, err := control.NewMPC(control.DefaultMPCConfig(n, 9.6)) // 9.6 W per GHz per core
 	if err != nil {
 		panic(err)
 	}

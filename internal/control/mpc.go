@@ -50,29 +50,32 @@ type MPCConfig struct {
 	// larger values trade convergence speed for smaller overshoot
 	// (Section V-B).
 	RefTimeConstS float64
-	// KWPerGHz is the design-model slope per batch core (paper Eq. 1–4):
-	// the predicted change in batch power per GHz of that core, in W/GHz.
-	KWPerGHz []float64
+	// Cores is the number of batch cores the controller commands.
+	Cores int
+	// KWPerGHz is the design-model slope every batch core shares (paper
+	// Eq. 1–4): the predicted change in batch power per GHz of one core,
+	// in W/GHz.
+	KWPerGHz float64
 	// FMinGHz and FMaxGHz bound every core's frequency in GHz (Eq. 9).
 	FMinGHz, FMaxGHz float64
 	// FullHorizon replaces the paper's prediction simplification
-	// ("the same operation will continue") with a true receding-horizon
-	// optimization over controlHorizon *distinct* moves. The cumulative
-	// moves z_h = Σ_{i≤h} Δ_i substitute as decision variables, so the
-	// Eq. (9) bounds stay simple boxes and the same QP solver applies;
-	// only the first move is actuated.
+	// ("the same operation will continue") with a receding-horizon
+	// optimization over controlHorizon *distinct* moves, of which only the
+	// first is actuated. Its QP separates by move (see Step), so the first
+	// move solves a one-step problem of the same form.
 	FullHorizon bool
 }
 
 // DefaultMPCConfig returns the tuning used throughout the evaluation for a
-// rack with the given per-core model slopes (W/GHz).
+// rack of the given number of batch cores sharing one model slope (W/GHz).
 // With the paper's constant-move prediction simplification, the closed loop
 // closes roughly Σh·e_h/Σh² ≈ 40 % of the power gap per period, settling
 // well within the allocator's 30 s period at the 4 s control period.
-func DefaultMPCConfig(kWPerGHz []float64) MPCConfig {
+func DefaultMPCConfig(cores int, kWPerGHz float64) MPCConfig {
 	return MPCConfig{
 		PeriodS:       4,
 		RefTimeConstS: 2,
+		Cores:         cores,
 		KWPerGHz:      kWPerGHz,
 		FMinGHz:       0.4,
 		FMaxGHz:       2.0,
@@ -86,15 +89,12 @@ func (c MPCConfig) Validate() error {
 		return errors.New("control: PeriodS must be positive")
 	case c.RefTimeConstS <= 0:
 		return errors.New("control: RefTimeConstS must be positive")
-	case len(c.KWPerGHz) == 0:
-		return errors.New("control: KWPerGHz must not be empty")
+	case c.Cores <= 0:
+		return fmt.Errorf("control: Cores = %d must be positive", c.Cores)
+	case !(c.KWPerGHz > 0):
+		return fmt.Errorf("control: KWPerGHz = %g must be positive", c.KWPerGHz)
 	case c.FMinGHz <= 0 || c.FMaxGHz <= c.FMinGHz:
 		return errors.New("control: need 0 < FMin < FMax")
-	}
-	for i, k := range c.KWPerGHz {
-		if k <= 0 {
-			return fmt.Errorf("control: KWPerGHz[%d] = %g must be positive", i, k)
-		}
 	}
 	return nil
 }
@@ -102,10 +102,8 @@ func (c MPCConfig) Validate() error {
 // MPC is the model-predictive server power controller. Control-wise it is
 // stateless between periods: following the paper's formulation, each period
 // solves a fresh constrained optimization from the latest feedback
-// measurement (the receding-horizon principle). The retained state never
-// feeds back into control *decisions*: the last solve's diagnostics
-// (LastSolve) inform only telemetry, and the warm-start cache only chooses
-// where the QP's iteration starts, not where it converges.
+// measurement (the receding-horizon principle). The one retained value,
+// the last solve's diagnostics (LastSolve), informs only telemetry.
 //
 // An MPC instance owns preallocated solve buffers; after the first Step a
 // steady-state solve performs no heap allocation. Instances are not safe
@@ -118,39 +116,21 @@ type MPC struct {
 	approach [predictionHorizon]float64
 
 	// Preallocated per-solve state (the zero-alloc tick contract,
-	// DESIGN.md §10). Sized n for the constant-move formulation and
-	// n·controlHorizon for FullHorizon. The Hessian lives in offDiag, its
-	// O(n) form diag(D) + C·11ᵀ (qp.Problem.EqualOffDiag), when the
-	// formulation is constant-move and every KWPerGHz entry has the same
-	// bits; otherwise in the dense h. NewMPC chooses once, so KWPerGHz
-	// must not change after it.
-	h         *mathx.Matrix
-	offDiag   *qp.EqualOffDiag
-	g, lo, hi mathx.Vector
-	next      []float64
-	ws        *qp.Workspace
-
-	// Warm-start cache: the previous period's QP solution and the locked
-	// mask it was solved under. warmOK is false until the first solve and
-	// whenever the mask changes.
-	warmX    mathx.Vector
-	warmMask []bool
-	warmOK   bool
+	// DESIGN.md §10), one entry per core: the QP's D, g and box, and the
+	// returned frequencies.
+	d, g, lo, hi mathx.Vector
+	next         []float64
+	ws           *qp.Workspace
 }
 
 // SolveStats reports the diagnostics of the most recent Step, for the
 // telemetry layer's qp_iterations histogram and the decision trace.
 type SolveStats struct {
-	// Sweeps is the QP solver's coordinate-descent sweep count (0 when
-	// the unconstrained Cholesky shortcut was feasible).
+	// Sweeps is the QP solver's σ step count (qp.Result.Sweeps): 1 when
+	// the all-free σ solved the problem outright.
 	Sweeps int
 	// Converged reports whether the KKT residual met tolerance.
 	Converged bool
-	// Objective is the QP objective at the solution.
-	Objective float64
-	// Warm reports whether the solve was seeded from the previous
-	// period's solution.
-	Warm bool
 }
 
 // LastSolve returns the diagnostics of the most recent Step (zero value
@@ -179,32 +159,18 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(cfg.KWPerGHz)
-	nv := n
-	if cfg.FullHorizon {
-		nv = n * controlHorizon
-	}
+	n := cfg.Cores
 	m := &MPC{
-		cfg:      cfg,
-		g:        mathx.NewVector(nv),
-		lo:       mathx.NewVector(nv),
-		hi:       mathx.NewVector(nv),
-		next:     make([]float64, n),
-		ws:       qp.NewWorkspace(nv),
-		warmX:    mathx.NewVector(nv),
-		warmMask: make([]bool, n),
+		cfg:  cfg,
+		d:    mathx.NewVector(n),
+		g:    mathx.NewVector(n),
+		lo:   mathx.NewVector(n),
+		hi:   mathx.NewVector(n),
+		next: make([]float64, n),
+		ws:   qp.NewWorkspace(n),
 	}
 	for h := range m.approach {
 		m.approach[h] = 1 - math.Exp(-float64(h+1)*cfg.PeriodS/cfg.RefTimeConstS)
-	}
-	dense := cfg.FullHorizon
-	for _, k := range cfg.KWPerGHz {
-		dense = dense || math.Float64bits(k) != math.Float64bits(cfg.KWPerGHz[0])
-	}
-	if dense {
-		m.h = mathx.NewMatrix(nv, nv)
-	} else {
-		m.offDiag = &qp.EqualOffDiag{D: mathx.NewVector(n)}
 	}
 	return m, nil
 }
@@ -221,7 +187,26 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 // Following the paper's prediction simplification ("assuming the same
 // operation will continue in the following L_p control periods"), the move
 // Δf is constant over the horizon, so Eq. (8) collapses to a box-constrained
-// QP in Δf, solved exactly.
+// QP in Δf, solved exactly. With one slope k for every core its Hessian is
+// diag(D) + C·11ᵀ:
+//
+//	H = Σ_{h=1..Lp} Q·h²·k²·11ᵀ + Σ_{m=1..Lc} m²·diag(R·RScale)
+//	g = −Σ_{h=1..Lp} Q·h·e_h·k·1 + Σ_{m=1..Lc} m·diag(R·RScale)·(F − F_max)
+//
+// where e_h = p_r(t+h) − p_fb = (P_batch − p_fb)(1 − exp(−h·T/τ_r)) (Eq. 7).
+//
+// With FullHorizon the decision variables are the cumulative moves
+// z_m = Δ_1 + … + Δ_m (m = 1..Lc), so the Eq. (9) bounds stay boxes on
+// F + z_m, and prediction step h sees p_fb + k·1ᵀz_{min(h,Lc)}. Each
+// prediction step's tracking term and each R penalty then reads one z_m
+// only: the Hessian is block diagonal, one block per move, and the QP
+// separates. The actuated move z_1 is the minimizer of its own block,
+// which only prediction step 1 reads:
+//
+//	C = Q·k², D = RScale·R, g = −Q·e_1·k·1 + D·(F − F_max),
+//
+// so this ablation is one-step-ahead tracking with the control penalty,
+// solved over n variables instead of n·Lc.
 //
 // The returned slice is owned by the controller and overwritten by the next
 // Step; callers that retain frequencies across periods must copy it.
@@ -236,76 +221,53 @@ func (m *MPC) Step(pfbW, pTargetW float64, freqs, rweights []float64) ([]float64
 // hardened policy handles a stuck actuator: commanding it is pointless, and
 // pretending its moves contribute power would misallocate the budget.
 func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, locked []bool) ([]float64, error) {
-	n := len(m.cfg.KWPerGHz)
+	n := m.cfg.Cores
 	if len(freqs) != n || len(rweights) != n {
 		return nil, fmt.Errorf("control: Step got %d freqs and %d weights for %d cores", len(freqs), len(rweights), n)
 	}
 	if locked != nil && len(locked) != n {
 		return nil, fmt.Errorf("control: Step got %d locked flags for %d cores", len(locked), n)
 	}
-	if m.cfg.FullHorizon {
-		return m.stepFullHorizon(pfbW, pTargetW, freqs, rweights, locked)
-	}
-	k := mathx.Vector(m.cfg.KWPerGHz)
-
-	// H = Σ_{h=1..Lp} Q·h²·kkᵀ + Σ_{m=1..Lc} m²·diag(R·RScale)
-	// g = −Σ_{h=1..Lp} Q·h·e_h·k + Σ_{m=1..Lc} m·diag(R·RScale)·d
-	// where e_h = p_r(t+h) − p_fb = (P_batch − p_fb)(1 − exp(−h·T/τ_r))
-	// (Eq. 7) and d = F − F_max (how far below peak each core sits).
-	// When every core shares one slope k, H = diag(D) + C·11ᵀ with
-	// C = (Q·Σh²·k)·k and D the control penalty, so offDiag states it and
-	// no dense H is built.
-	g := m.g
-	for i := range g {
-		g[i] = 0
-	}
-	var sumH2 float64
+	k := m.cfg.KWPerGHz
 	gap := pTargetW - pfbW
-	for step := 1; step <= predictionHorizon; step++ {
-		hf := float64(step)
-		sumH2 += hf * hf
-		eh := gap * m.approach[step-1]
-		g.AXPY(-qWeight*hf*eh, k)
-	}
-	alpha := qWeight * sumH2
-	h, e := m.h, m.offDiag
-	if e != nil {
-		e.C = (alpha * k[0]) * k[0]
-	} else {
-		h.Zero()
-		h.OuterAdd(alpha, k, k)
-	}
 
-	var sumM, sumM2 float64
-	for mv := 1; mv <= controlHorizon; mv++ {
-		sumM += float64(mv)
-		sumM2 += float64(mv) * float64(mv)
+	// track is the tracking term of every g[i]; dScale and gScale weigh
+	// the per-core penalty R·RScale in D and in g.
+	var c, track, dScale, gScale float64
+	if m.cfg.FullHorizon {
+		c = (qWeight * k) * k
+		track = -(qWeight * (gap * m.approach[0])) * k
+		dScale, gScale = 1, 1
+	} else {
+		var sumH2 float64
+		for step := 1; step <= predictionHorizon; step++ {
+			hf := float64(step)
+			sumH2 += hf * hf
+			track += float64((-qWeight * hf * (gap * m.approach[step-1])) * k)
+		}
+		c = (qWeight * sumH2 * k) * k
+		for mv := 1; mv <= controlHorizon; mv++ {
+			gScale += float64(mv)
+			dScale += float64(mv) * float64(mv)
+		}
 	}
 	for i := 0; i < n; i++ {
 		r := rScale * math.Max(rweights[i], 1e-6)
-		d := sumM2 * r
-		if e != nil {
-			e.D[i] = d
-		} else {
-			h.Inc(i, i, d)
-		}
-		g[i] += sumM * r * (freqs[i] - m.cfg.FMaxGHz)
-	}
-
-	lo, hi := m.lo, m.hi
-	for i := 0; i < n; i++ {
+		m.d[i] = dScale * r
+		m.g[i] = track + float64(gScale*r*(freqs[i]-m.cfg.FMaxGHz))
 		if locked != nil && locked[i] {
-			lo[i], hi[i] = 0, 0 // no move for this core
+			m.lo[i], m.hi[i] = 0, 0 // no move for this core
 			continue
 		}
-		lo[i] = m.cfg.FMinGHz - freqs[i]
-		hi[i] = m.cfg.FMaxGHz - freqs[i]
+		m.lo[i] = m.cfg.FMinGHz - freqs[i]
+		m.hi[i] = m.cfg.FMaxGHz - freqs[i]
 	}
 
-	res, err := m.solve(locked)
+	res, err := qp.Solve(qp.Problem{C: c, D: m.d, G: m.g, Lo: m.lo, Hi: m.hi}, m.ws)
 	if err != nil {
 		return nil, fmt.Errorf("control: MPC QP: %w", err)
 	}
+	m.last = SolveStats{Sweeps: res.Sweeps, Converged: res.Converged}
 	next := m.next
 	for i := 0; i < n; i++ {
 		next[i] = freqs[i] + res.X[i]
@@ -318,126 +280,4 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 		}
 	}
 	return next, nil
-}
-
-// stepFullHorizon solves the receding-horizon problem with controlHorizon
-// distinct moves. Decision variables are the cumulative moves
-// z_h ∈ Rⁿ (h = 1..L_c); the predicted power at horizon step h is
-// p_fb + K·z_{min(h,L_c)} and the Eq. (9) bounds apply to F + z_h.
-func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64, locked []bool) ([]float64, error) {
-	n := len(m.cfg.KWPerGHz)
-	const lc = controlHorizon
-	k := mathx.Vector(m.cfg.KWPerGHz)
-	gap := pTargetW - pfbW
-
-	h := m.h
-	h.Zero()
-	g := m.g
-	for i := range g {
-		g[i] = 0
-	}
-
-	// Tracking term: for each prediction step hp, the active block is
-	// m(hp) = min(hp, Lc); accumulate Q·kkᵀ and −Q·e_hp·k there.
-	var blockQ [lc + 1]float64 // Σ Q over steps mapped to block
-	var blockE [lc + 1]float64 // Σ Q·e_hp over steps mapped to block
-	for hp := 1; hp <= predictionHorizon; hp++ {
-		blk := hp
-		if blk > lc {
-			blk = lc
-		}
-		e := gap * m.approach[hp-1]
-		blockQ[blk] += qWeight
-		blockE[blk] += qWeight * e
-	}
-	for blk := 1; blk <= lc; blk++ {
-		off := (blk - 1) * n
-		for i := 0; i < n; i++ {
-			gi := -blockE[blk] * k[i]
-			g[off+i] += gi
-			for j := 0; j < n; j++ {
-				h.Inc(off+i, off+j, blockQ[blk]*k[i]*k[j])
-			}
-		}
-	}
-
-	// Control penalty: Σ_{h=1..Lc} ||F + z_h − F_max||²_R.
-	for blk := 1; blk <= lc; blk++ {
-		off := (blk - 1) * n
-		for i := 0; i < n; i++ {
-			r := rScale * math.Max(rweights[i], 1e-6)
-			h.Inc(off+i, off+i, r)
-			g[off+i] += r * (freqs[i] - m.cfg.FMaxGHz)
-		}
-	}
-
-	lo, hi := m.lo, m.hi
-	for blk := 0; blk < lc; blk++ {
-		for i := 0; i < n; i++ {
-			if locked != nil && locked[i] {
-				lo[blk*n+i], hi[blk*n+i] = 0, 0 // excluded from the move set
-				continue
-			}
-			lo[blk*n+i] = m.cfg.FMinGHz - freqs[i]
-			hi[blk*n+i] = m.cfg.FMaxGHz - freqs[i]
-		}
-	}
-
-	res, err := m.solve(locked)
-	if err != nil {
-		return nil, fmt.Errorf("control: full-horizon MPC QP: %w", err)
-	}
-	next := m.next
-	for i := 0; i < n; i++ {
-		next[i] = freqs[i] + res.X[i] // first cumulative move z_1
-		if next[i] < m.cfg.FMinGHz {
-			next[i] = m.cfg.FMinGHz
-		} else if next[i] > m.cfg.FMaxGHz {
-			next[i] = m.cfg.FMaxGHz
-		}
-	}
-	return next, nil
-}
-
-// solve runs the QP over the prepared Hessian (h or offDiag) and g/lo/hi
-// buffers and refreshes the warm-start cache and LastSolve stats. Each
-// period's QP is seeded with the previous period's solution (the receding-horizon problems differ only by
-// the measured gap and the shifted bounds, so the previous minimizer — and
-// its active bound set — is almost exactly right). The cache is invalidated
-// whenever the locked-core mask changes — a stuck actuator being excluded,
-// a probe rejoining, a server crashing — and it dies with the controller, so
-// a core-set change or a model rebuild (online estimation) always re-solves
-// cold. A warm solve converges to the same minimizer within the QP's KKT
-// tolerance; see the warm-vs-cold equivalence test in the qp package.
-func (m *MPC) solve(locked []bool) (qp.Result, error) {
-	opt := qp.Options{Ws: m.ws}
-	warm := false
-	if m.warmOK && maskUnchanged(m.warmMask, locked) {
-		opt.Warm = m.warmX
-		warm = true
-	}
-	res, err := qp.Solve(qp.Problem{H: m.h, EqualOffDiag: m.offDiag, G: m.g, Lo: m.lo, Hi: m.hi}, opt)
-	if err != nil {
-		m.warmOK = false
-		return res, err
-	}
-	copy(m.warmX, res.X)
-	for i := range m.warmMask {
-		m.warmMask[i] = locked != nil && locked[i]
-	}
-	m.warmOK = true
-	m.last = SolveStats{Sweeps: res.Sweeps, Converged: res.Converged, Objective: res.Objective, Warm: warm}
-	return res, nil
-}
-
-// maskUnchanged reports whether the cached mask equals the requested one
-// (nil meaning all-unlocked).
-func maskUnchanged(cached []bool, locked []bool) bool {
-	for i, c := range cached {
-		l := locked != nil && locked[i]
-		if c != l {
-			return false
-		}
-	}
-	return true
 }

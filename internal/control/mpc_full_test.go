@@ -6,7 +6,7 @@ import (
 )
 
 func fullCfg(n int) MPCConfig {
-	cfg := DefaultMPCConfig(uniformK(n, 9.6))
+	cfg := DefaultMPCConfig(n, 9.6)
 	cfg.FullHorizon = true
 	return cfg
 }
@@ -57,7 +57,7 @@ func TestFullHorizonConvergesFasterThanSimplified(t *testing.T) {
 		}
 		return 40
 	}
-	simple := settle(DefaultMPCConfig(k))
+	simple := settle(DefaultMPCConfig(n, 9.6))
 	full := settle(fullCfg(n))
 	if full > simple {
 		t.Fatalf("full horizon settles in %d periods, simplified in %d", full, simple)

@@ -28,7 +28,7 @@ func linearPlant(k []float64, freqs []float64, c float64) float64 {
 }
 
 func TestMPCConfigValidate(t *testing.T) {
-	good := DefaultMPCConfig(uniformK(4, 9.6))
+	good := DefaultMPCConfig(4, 9.6)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
@@ -38,12 +38,13 @@ func TestMPCConfigValidate(t *testing.T) {
 	}{
 		{"zero period", func(c *MPCConfig) { c.PeriodS = 0 }},
 		{"zero tau", func(c *MPCConfig) { c.RefTimeConstS = 0 }},
-		{"empty K", func(c *MPCConfig) { c.KWPerGHz = nil }},
-		{"negative k", func(c *MPCConfig) { c.KWPerGHz = []float64{9, -1} }},
+		{"no cores", func(c *MPCConfig) { c.Cores = 0 }},
+		{"negative k", func(c *MPCConfig) { c.KWPerGHz = -1 }},
+		{"NaN k", func(c *MPCConfig) { c.KWPerGHz = math.NaN() }},
 		{"bad bounds", func(c *MPCConfig) { c.FMinGHz = 2.0; c.FMaxGHz = 0.4 }},
 	}
 	for _, tc := range cases {
-		cfg := DefaultMPCConfig(uniformK(4, 9.6))
+		cfg := DefaultMPCConfig(4, 9.6)
 		tc.mutate(&cfg)
 		if _, err := NewMPC(cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
@@ -73,7 +74,7 @@ func TestTuningConstants(t *testing.T) {
 }
 
 func TestMPCStepDimensionCheck(t *testing.T) {
-	m, _ := NewMPC(DefaultMPCConfig(uniformK(4, 9.6)))
+	m, _ := NewMPC(DefaultMPCConfig(4, 9.6))
 	if _, err := m.Step(100, 200, []float64{1, 1}, ones(4)); err == nil {
 		t.Fatal("wrong freqs length should fail")
 	}
@@ -83,7 +84,7 @@ func TestMPCStepDimensionCheck(t *testing.T) {
 }
 
 func TestMPCRespectsFrequencyBounds(t *testing.T) {
-	m, _ := NewMPC(DefaultMPCConfig(uniformK(8, 9.6)))
+	m, _ := NewMPC(DefaultMPCConfig(8, 9.6))
 	// Huge positive gap: wants max frequency everywhere.
 	next, err := m.Step(0, 1e6, uniformK(8, 1.0), ones(8))
 	if err != nil {
@@ -111,7 +112,7 @@ func TestMPCRespectsFrequencyBounds(t *testing.T) {
 func TestMPCSettlesWithinAllocatorPeriod(t *testing.T) {
 	n := 16
 	k := uniformK(n, 9.6)
-	cfg := DefaultMPCConfig(k)
+	cfg := DefaultMPCConfig(n, 9.6)
 	m, _ := NewMPC(cfg)
 	c := 150.0
 	freqs := uniformK(n, 0.4)
@@ -138,7 +139,7 @@ func TestMPCNoOvershootWithLargeTau(t *testing.T) {
 	// response and require it to approach from below.
 	n := 8
 	k := uniformK(n, 9.6)
-	cfg := DefaultMPCConfig(k)
+	cfg := DefaultMPCConfig(n, 9.6)
 	cfg.RefTimeConstS = 16
 	m, _ := NewMPC(cfg)
 	c := 100.0
@@ -162,7 +163,7 @@ func TestMPCNoOvershootWithLargeTau(t *testing.T) {
 func TestMPCUnreachableTargetSaturatesAtPeak(t *testing.T) {
 	n := 4
 	k := uniformK(n, 9.6)
-	m, _ := NewMPC(DefaultMPCConfig(k))
+	m, _ := NewMPC(DefaultMPCConfig(n, 9.6))
 	freqs := uniformK(n, 1.0)
 	for s := 0; s < 30; s++ {
 		p := linearPlant(k, freqs, 50)
@@ -185,7 +186,7 @@ func TestMPCUrgentCoresGetMoreFrequency(t *testing.T) {
 	// scarce.
 	n := 8
 	k := uniformK(n, 9.6)
-	m, _ := NewMPC(DefaultMPCConfig(k))
+	m, _ := NewMPC(DefaultMPCConfig(n, 9.6))
 	freqs := uniformK(n, 1.2)
 	weights := ones(n)
 	weights[0] = 10  // far behind schedule
@@ -224,7 +225,7 @@ func TestMPCConvergesOnNonlinearPlant(t *testing.T) {
 		srv.CPU().SetFreq(i, 0.4)
 	}
 	co := params.DesignCoeffs(0.9)
-	m, _ := NewMPC(DefaultMPCConfig(uniformK(8, co.KWPerGHz)))
+	m, _ := NewMPC(DefaultMPCConfig(8, co.KWPerGHz))
 	env := server.Environment{AmbientC: 28} // off-nominal ambient
 
 	target := 230.0 // between idle 150 and full ~300

@@ -12,18 +12,13 @@ import "sprintcon/internal/engine"
 // a pure function of the appended inputs, rebuilt from scratch on every
 // solve.
 
-// QuiescentState appends the MPC's mutable cross-period state: the
-// warm-start cache and the last solve diagnostics. The per-solve h/g/lo/hi
-// vectors and the QP workspace are rebuilt in full on every Step from the
-// appended inputs, so they carry no state across periods.
+// QuiescentState appends the MPC's mutable cross-period state: the last
+// solve diagnostics. The per-solve d/g/lo/hi vectors and the QP workspace
+// are rebuilt in full on every Step from its inputs, so they carry no
+// state across periods.
 func (m *MPC) QuiescentState(st *engine.State) {
-	st.F64s(m.warmX)
-	st.Bools(m.warmMask)
-	st.Bool(m.warmOK)
 	st.Int(m.last.Sweeps)
 	st.Bool(m.last.Converged)
-	st.F64(m.last.Objective)
-	st.Bool(m.last.Warm)
 }
 
 // QuiescentState appends the PI controller's integrator. A drifting

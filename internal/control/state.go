@@ -110,40 +110,3 @@ func (p *PI) RestoreIntegral(v float64) {
 	}
 	p.integral = math.Max(-1e6, math.Min(1e6, v))
 }
-
-// MPCWarmState snapshots the MPC warm-start cache. Losing it is never
-// unsafe — the next solve falls back to a cold start — but restoring it
-// keeps a resumed run's QP iterate sequence, and therefore its commanded
-// frequencies, bit-identical to the uninterrupted run.
-type MPCWarmState struct {
-	X    []float64
-	Mask []bool
-	OK   bool
-}
-
-// ExportWarmState captures the warm-start cache.
-func (m *MPC) ExportWarmState() MPCWarmState {
-	return MPCWarmState{
-		X:    append([]float64(nil), m.warmX...),
-		Mask: append([]bool(nil), m.warmMask...),
-		OK:   m.warmOK,
-	}
-}
-
-// RestoreWarmState installs a warm-start cache. Dimension mismatches or
-// non-finite entries leave the cache cold (warmOK false) rather than fail:
-// a cold start is always a safe solver state.
-func (m *MPC) RestoreWarmState(st MPCWarmState) {
-	m.warmOK = false
-	if !st.OK || len(st.X) != len(m.warmX) || len(st.Mask) != len(m.warmMask) {
-		return
-	}
-	for _, v := range st.X {
-		if !finite(v) {
-			return
-		}
-	}
-	copy(m.warmX, st.X)
-	copy(m.warmMask, st.Mask)
-	m.warmOK = true
-}

@@ -38,7 +38,6 @@ func (s *SprintCon) ExportCheckpoint(now float64) checkpoint.ControllerState {
 		PIIntegral:     s.pi.Integral(),
 		UPSTrimW:       s.upsctl.Trim(),
 		Alloc:          s.allocator.ExportState(),
-		MPCWarm:        s.mpc.ExportWarmState(),
 		InvCBMargin:    s.inv.cbMargin,
 		InvSoCFloor:    s.inv.socFloor,
 		InvFreqBounds:  s.inv.freqBounds,
@@ -123,7 +122,6 @@ func (s *SprintCon) RestoreCheckpoint(env *sim.Env, scn sim.Scenario, st *checkp
 	s.havePrev = st.HavePrev
 	s.pi.RestoreIntegral(st.PIIntegral)
 	s.upsctl.RestoreTrim(st.UPSTrimW)
-	s.mpc.RestoreWarmState(st.MPCWarm)
 	if err := s.allocator.RestoreState(st.Alloc); err != nil {
 		return err
 	}

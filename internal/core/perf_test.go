@@ -139,10 +139,11 @@ func BenchmarkClusterSweep(b *testing.B) {
 	}
 }
 
-// The warm-started MPC must keep its QP effort per control period bounded:
-// the mean sweeps per solve over the default closed-loop run stays within
-// 1.2× of its recorded value (2.8 at 300 s, 4.058 at 900 s), and no solve
-// hits the sweep cap. Both figures are deterministic.
+// The MPC must keep its QP effort per control period bounded: the mean σ
+// steps per solve over the default closed-loop run stays within the
+// bounds first set at 1.2× the active-set solver's 2.8 (300 s) and 4.058
+// (900 s) sweeps; the σ search takes 2.213 and 2.48. Every solve converges.
+// All figures are deterministic.
 func TestMPCSweepsPerSolveBounded(t *testing.T) {
 	for _, tc := range []struct {
 		durationS, maxMean float64

@@ -69,8 +69,9 @@ const (
 	ControllerMPC ServerController = iota
 	// ControllerPI is the single-loop ablation baseline (DESIGN.md A1).
 	ControllerPI
-	// ControllerMPCFull optimizes a true sequence of distinct moves over
-	// the control horizon (DESIGN.md A1 extension).
+	// ControllerMPCFull optimizes distinct moves over the control horizon
+	// (DESIGN.md A1 extension); its QP separates by move, so the actuated
+	// first move is one-step-ahead tracking (control.MPCConfig.FullHorizon).
 	ControllerMPCFull
 )
 
@@ -383,11 +384,7 @@ func (s *SprintCon) interactiveEstimate(env *sim.Env, t float64) float64 {
 func (s *SprintCon) rebuildControllers(n int) error {
 	s.pBatchMax = float64(n) * (s.kModel*s.fmax + s.cSharePer)
 	s.pBatchMin = float64(n) * (s.kModel*s.fmin + s.cSharePer)
-	k := make([]float64, n)
-	for i := range k {
-		k[i] = s.kModel
-	}
-	mcfg := control.DefaultMPCConfig(k)
+	mcfg := control.DefaultMPCConfig(n, s.kModel)
 	mcfg.PeriodS = s.cfg.ControlPeriodS
 	mcfg.RefTimeConstS = s.cfg.RefTimeConstS
 	mcfg.FMinGHz, mcfg.FMaxGHz = s.fmin, s.fmax

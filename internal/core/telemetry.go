@@ -49,10 +49,10 @@ func newCoreMetrics(r *telemetry.Registry) coreMetrics {
 			"wall-clock time of one server power controller step (excluded from golden comparisons)",
 			telemetry.DefTimeBuckets()),
 		qpIterations: r.Histogram("qp_iterations",
-			"QP coordinate-descent sweeps per MPC solve (0 = unconstrained shortcut)",
+			"QP σ steps per MPC solve (1 = the all-free σ solved it)",
 			qpSweepBuckets()),
 		qpUnconverged: r.Counter("qp_unconverged_total",
-			"MPC solves that hit the sweep cap before meeting tolerance"),
+			"MPC solves whose KKT residual missed tolerance"),
 		guardRejected: r.Counter("guard_rejected_samples_total",
 			"power readings the measurement guard rejected"),
 		guardConf: r.Gauge("guard_confidence",

@@ -54,12 +54,8 @@ func AblationController() (*Table, error) {
 		return settle, over, rmse
 	}
 
-	kvec := make([]float64, 16)
-	for i := range kvec {
-		kvec[i] = 9.6
-	}
 	mpcSettle, mpcOver, mpcRMSE := step(func() func(float64, float64, []float64) []float64 {
-		m, err := control.NewMPC(control.DefaultMPCConfig(kvec))
+		m, err := control.NewMPC(control.DefaultMPCConfig(16, 9.6))
 		if err != nil {
 			panic(err)
 		}
@@ -84,7 +80,7 @@ func AblationController() (*Table, error) {
 	})
 
 	fullSettle, fullOver, fullRMSE := step(func() func(float64, float64, []float64) []float64 {
-		cfg := control.DefaultMPCConfig(kvec)
+		cfg := control.DefaultMPCConfig(16, 9.6)
 		cfg.FullHorizon = true
 		m, err := control.NewMPC(cfg)
 		if err != nil {

@@ -1,113 +1,5 @@
 package mathx
 
-import "math"
-
-// Fused slice kernels for the QP and MPC hot path. These operate on
-// contiguous float64 slices with simple branch-free inner loops the compiler
-// can keep in registers (and, where profitable, auto-vectorize). They are
-// deliberately free of bounds re-checks beyond the initial length match so
-// they run as tight loops instead of per-element method calls.
-
-// Axpy computes y[i] += alpha*x[i] over matching slices.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mathx: Axpy length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
-// DotSlices returns Σ x[i]·y[i] over matching slices.
-func DotSlices(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("mathx: DotSlices length mismatch")
-	}
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
-// CholeskyFactor overwrites the lower triangle of the n×n row-major matrix a
-// with its Cholesky factor L (a = L·Lᵀ). It reads only the lower triangle
-// and leaves the strict upper triangle as it was. It returns -1 on success,
-// or the index of the first pivot that is not positive; a is then partly
-// overwritten. A NaN pivot does not stop it: NaN spreads to every later
-// pivot, so a caller that must reject NaN input tests the last diagonal
-// entry.
-//
-// Every entry is s = a[i][j] − Σ_{k<j} L[i][k]·L[j][k], with the products
-// subtracted in ascending k, then √s on the diagonal and s/L[j][j] below it.
-// That is the exact operation sequence of the textbook row-by-row loop, so
-// the factor is bit-identical to it. Within a column the kernel runs four
-// rows' dot-product chains side by side: they share the loads of row j and
-// are independent, so the CPU overlaps them.
-func CholeskyFactor(a []float64, n int) int {
-	if len(a) < n*n {
-		panic("mathx: CholeskyFactor matrix shorter than n×n")
-	}
-	for j := 0; j < n; j++ {
-		rj := a[j*n:][:j]
-		d := a[j*n+j]
-		for _, v := range rj {
-			d -= v * v
-		}
-		if d <= 0 {
-			return j
-		}
-		d = math.Sqrt(d)
-		a[j*n+j] = d
-		i := j + 1
-		for ; i+3 < n; i += 4 {
-			r0, r1, r2, r3 := a[i*n:][:j], a[(i+1)*n:][:j], a[(i+2)*n:][:j], a[(i+3)*n:][:j]
-			s0, s1, s2, s3 := a[i*n+j], a[(i+1)*n+j], a[(i+2)*n+j], a[(i+3)*n+j]
-			for k, v := range rj {
-				s0 -= r0[k] * v
-				s1 -= r1[k] * v
-				s2 -= r2[k] * v
-				s3 -= r3[k] * v
-			}
-			a[i*n+j], a[(i+1)*n+j], a[(i+2)*n+j], a[(i+3)*n+j] = s0/d, s1/d, s2/d, s3/d
-		}
-		for ; i < n; i++ {
-			ri := a[i*n:][:j]
-			s := a[i*n+j]
-			for k, v := range rj {
-				s -= ri[k] * v
-			}
-			a[i*n+j] = s / d
-		}
-	}
-	return -1
-}
-
-// CholeskySolve overwrites b with the solution x of (L·Lᵀ)·x = b, given the
-// factor L in the lower triangle of the n×n row-major l as CholeskyFactor
-// leaves it: forward substitution L·y = b, then back substitution Lᵀ·x = y,
-// each sum subtracted in ascending index order. It only reads l.
-func CholeskySolve(l, b []float64, n int) {
-	if len(l) < n*n || len(b) != n {
-		panic("mathx: CholeskySolve dimension mismatch")
-	}
-	for i := 0; i < n; i++ {
-		row := l[i*n:][:i]
-		s := b[i]
-		for k, v := range b[:i] {
-			s -= row[k] * v
-		}
-		b[i] = s / l[i*n+i]
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * b[k]
-		}
-		b[i] = s / l[i*n+i]
-	}
-}
-
 // The EqualOffDiag kernels work on the n×n symmetric matrix
 // H = diag(d) + c·11ᵀ: every off-diagonal entry is c and diagonal entry i is
 // d[i] + c. Sherman–Morrison gives H⁻¹ = D⁻¹ − γ·D⁻¹11ᵀD⁻¹ with
@@ -121,8 +13,9 @@ func CholeskySolve(l, b []float64, n int) {
 // accepts. The solve's rounding grows with den, and beyond about 1/ε its
 // refinement step cannot bring the residual back: for a 1×1 matrix with
 // c/d = 10⁴⁴ no digit of the solution is right. 2⁴⁰ keeps ε·den below
-// 2⁻¹³; the constant-move MPC reaches about 3·10¹⁰ < 2³⁵ (130 cores at
-// 40 W/GHz, every R weight at its 1e-6 floor).
+// 2⁻¹³; the constant-move MPC reaches about 3·10¹⁰ < 2³⁵ and its
+// full-horizon first move about 5·10⁹ (130 cores at 40 W/GHz, every R
+// weight at its 1e-6 floor).
 const maxEqualOffDiagDen = 0x1p40
 
 // EqualOffDiagFactor factors H = diag(d) + c·11ᵀ, n = len(d), for

@@ -175,7 +175,7 @@ func TestCholeskyKernelRejectsAtSamePivot(t *testing.T) {
 // equalOffDiag draws an m×m MPC-shaped equal-off-diagonal matrix: c =
 // (α·k)·k with one slope k for every core, and d[i] = 200·max(w, 1e-6) with
 // log-uniform weights w, a fifth of them at the 1e-6 floor. It returns c, d
-// and the dense matrix assembled the way the dense MPC path builds it:
+// and the dense matrix assembled the way the dense reference builds it:
 // 0 + c in every entry, then d[i] added on the diagonal.
 func equalOffDiag(rng *rand.Rand, m int) (float64, Vector, *Matrix) {
 	k := 8 + 3*rng.Float64()
@@ -354,6 +354,31 @@ func TestEqualOffDiagKernelsMatchReference(t *testing.T) {
 		}
 		if _, ok := EqualOffDiagFactor(math.NaN(), d, NewVector(m)); ok {
 			t.Fatalf("m=%d: factor accepted c = NaN", m)
+		}
+	}
+}
+
+// The MPC's extreme Hessians stay inside the factor's denominator cap: 130
+// cores at 40 W/GHz with every R weight at its 1e-6 floor (RScale 40), in
+// the constant-move form (C = 30·k², D = 5·40·1e-6) and in the full-horizon
+// first move's (C = k², D = 40·1e-6).
+func TestEqualOffDiagFactorAcceptsMPCExtremes(t *testing.T) {
+	const n, k, rFloor = 130, 40.0, 40 * 1e-6
+	for _, c := range []struct {
+		name    string
+		c, d    float64
+		wantDen float64
+	}{
+		{"constant move", (30 * k) * k, 5 * rFloor, 3.12e10},
+		{"full horizon", k * k, rFloor, 5.2e9},
+	} {
+		d := Constant(n, c.d)
+		den, ok := EqualOffDiagFactor(c.c, d, NewVector(n))
+		if !ok || !(den < maxEqualOffDiagDen) {
+			t.Fatalf("%s: factor accepted=%v with den %g, want accepted below %g", c.name, ok, den, float64(maxEqualOffDiagDen))
+		}
+		if math.Abs(den-c.wantDen) > 1e-3*c.wantDen {
+			t.Fatalf("%s: den %g, want about %g", c.name, den, c.wantDen)
 		}
 	}
 }

@@ -1,36 +1,18 @@
-// Package mathx provides the small dense linear-algebra kernel used by
-// SprintCon's model-predictive controller: vectors, row-major matrices,
-// Cholesky factorization and triangular solves. It is deliberately minimal
-// and stdlib-only; sizes in this project are at most a few hundred, so
-// clarity is preferred over blocking or SIMD tricks.
+// Package mathx provides the small linear-algebra kernel used by
+// SprintCon's model-predictive controller: vectors and the O(n)
+// Sherman–Morrison kernels for matrices of the form diag(d) + c·11ᵀ. It is
+// deliberately minimal and stdlib-only. A dense row-major matrix and its
+// Cholesky kernels live in the package's tests, as the reference the
+// Sherman–Morrison kernels are checked against.
 package mathx
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Vector is a dense column vector of float64.
 type Vector []float64
 
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
-
-// Dot returns the inner product of x and y. It panics if lengths differ.
-func (x Vector) Dot(y Vector) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mathx: Dot length mismatch %d vs %d", len(x), len(y)))
-	}
-	return DotSlices(x, y)
-}
-
-// AXPY performs x ← x + a·y in place.
-func (x Vector) AXPY(a float64, y Vector) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mathx: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	Axpy(a, y, x)
-}
 
 // NormInf returns the maximum absolute element of x (0 for an empty vector).
 func (x Vector) NormInf() float64 {
@@ -41,18 +23,4 @@ func (x Vector) NormInf() float64 {
 		}
 	}
 	return m
-}
-
-// Clamp limits every element of x to [lo[i], hi[i]] in place.
-func (x Vector) Clamp(lo, hi Vector) {
-	if len(x) != len(lo) || len(x) != len(hi) {
-		panic("mathx: Clamp length mismatch")
-	}
-	for i := range x {
-		if x[i] < lo[i] {
-			x[i] = lo[i]
-		} else if x[i] > hi[i] {
-			x[i] = hi[i]
-		}
-	}
 }

@@ -179,3 +179,55 @@ func (x Vector) Norm2() float64 {
 	}
 	return scale * math.Sqrt(ssq)
 }
+
+// Dot returns the inner product of x and y. It panics if lengths differ.
+func (x Vector) Dot(y Vector) float64 {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("mathx: Dot length mismatch %d vs %d", len(x), len(y)))
+	}
+	return DotSlices(x, y)
+}
+
+// AXPY performs x ← x + a·y in place.
+func (x Vector) AXPY(a float64, y Vector) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("mathx: AXPY length mismatch %d vs %d", len(x), len(y)))
+	}
+	Axpy(a, y, x)
+}
+
+// Clamp limits every element of x to [lo[i], hi[i]] in place.
+func (x Vector) Clamp(lo, hi Vector) {
+	if len(x) != len(lo) || len(x) != len(hi) {
+		panic("mathx: Clamp length mismatch")
+	}
+	for i := range x {
+		if x[i] < lo[i] {
+			x[i] = lo[i]
+		} else if x[i] > hi[i] {
+			x[i] = hi[i]
+		}
+	}
+}
+
+// Axpy computes y[i] += alpha*x[i] over matching slices.
+func Axpy(alpha float64, x, y []float64) {
+	if len(x) != len(y) {
+		panic("mathx: Axpy length mismatch")
+	}
+	for i := range x {
+		y[i] += alpha * x[i]
+	}
+}
+
+// DotSlices returns Σ x[i]·y[i] over matching slices.
+func DotSlices(x, y []float64) float64 {
+	if len(x) != len(y) {
+		panic("mathx: DotSlices length mismatch")
+	}
+	var s float64
+	for i := range x {
+		s += x[i] * y[i]
+	}
+	return s
+}

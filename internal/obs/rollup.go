@@ -186,7 +186,7 @@ func (h *RackHealth) Bind(reg *telemetry.Registry, prefix string) {
 	add(h.SoC, "soc", "observed UPS state of charge")
 	add(h.LeaseAge, "lease_age_seconds", "age of the live control lease")
 	add(h.Occupancy, "slot_occupancy", "fraction of ticks holding an overload slot")
-	add(h.Sweeps, "qp_sweeps", "QP solver sweeps per control period")
+	add(h.Sweeps, "qp_sweeps", "QP solver σ steps per control period")
 }
 
 // Publish refreshes the bound gauges from the current windows.

@@ -10,16 +10,14 @@ import (
 // A 2-variable box-constrained QP: the unconstrained minimum (1, 2) is cut
 // off by the box [0, 1.5]².
 func ExampleSolve() {
-	h := mathx.NewMatrix(2, 2) // the identity: zero plus a unit diagonal
-	h.Inc(0, 0, 1)
-	h.Inc(1, 1, 1)
 	p := qp.Problem{
-		H:  h,
+		C:  0, // H = diag(D) + C·11ᵀ is the identity
+		D:  mathx.Vector{1, 1},
 		G:  mathx.Vector{-1, -2},
 		Lo: mathx.Vector{0, 0},
 		Hi: mathx.Vector{1.5, 1.5},
 	}
-	res, err := qp.Solve(p, qp.Options{})
+	res, err := qp.Solve(p, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -2,6 +2,7 @@ package qp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,12 +22,13 @@ const (
 	farOutside                  // several coordinates 0.05–1 outside
 )
 
-// mpcShape is the fixed part of one rack's constant-move MPC QP: H in its
-// equal-off-diagonal form and as the assembled dense matrix, the box, and
-// the indices of the cores that are not locked.
+// mpcShape is the fixed part of one rack's constant-move MPC QP: C, D and
+// the assembled dense H, the box, and the indices of the cores that are not
+// locked.
 type mpcShape struct {
-	eod    *EqualOffDiag
-	h      *mathx.Matrix
+	c      float64
+	d      mathx.Vector
+	h      []float64
 	lo, hi mathx.Vector
 	free   []int
 }
@@ -41,19 +43,17 @@ func newMPCShape(rng *rand.Rand, n int, floorFrac, lockedFrac float64) mpcShape 
 	const alpha = 30
 	k := 8 + 3*rng.Float64()
 	s := mpcShape{
-		eod: &EqualOffDiag{C: (alpha * k) * k, D: mathx.NewVector(n)},
-		h:   mathx.NewMatrix(n, n),
-		lo:  mathx.NewVector(n),
-		hi:  mathx.NewVector(n),
+		c:  (alpha * k) * k,
+		d:  mathx.NewVector(n),
+		lo: mathx.NewVector(n),
+		hi: mathx.NewVector(n),
 	}
-	s.h.OuterAdd(alpha, constant(n, k), constant(n, k))
 	for i := 0; i < n; i++ {
 		w := math.Pow(10, -2+4*rng.Float64())
 		if rng.Float64() < floorFrac {
 			w = 0
 		}
-		s.eod.D[i] = 5 * (40 * math.Max(w, 1e-6))
-		s.h.Inc(i, i, s.eod.D[i])
+		s.d[i] = 5 * (40 * math.Max(w, 1e-6))
 		if rng.Float64() < lockedFrac {
 			continue // locked
 		}
@@ -61,11 +61,12 @@ func newMPCShape(rng *rand.Rand, n int, floorFrac, lockedFrac float64) mpcShape 
 		s.lo[i], s.hi[i] = 0.4-f, 2.0-f
 		s.free = append(s.free, i)
 	}
+	s.h = denseH(Problem{C: s.c, D: s.d})
 	return s
 }
 
-// problem returns the shape's QP in its equal-off-diagonal form with
-// g = −H·x*, for an unconstrained minimizer x* placed as asked.
+// problem returns the shape's QP with g = −H·x*, for an unconstrained
+// minimizer x* placed as asked.
 func (s mpcShape) problem(rng *rand.Rand, where placement) Problem {
 	xs := mathx.NewVector(len(s.lo))
 	for _, i := range s.free {
@@ -77,34 +78,26 @@ func (s mpcShape) problem(rng *rand.Rand, where placement) Problem {
 			xs[j] = s.hi[j] + 0.05 + rng.Float64()
 		}
 	}
-	g := s.h.MulVecInto(mathx.NewVector(len(xs)), xs)
+	g := denseMulVec(s.h, xs)
 	for i := range g {
 		g[i] *= -1
 	}
-	return Problem{EqualOffDiag: s.eod, G: g, Lo: s.lo, Hi: s.hi}
-}
-
-// dense returns p with its cost matrix given as the dense twin h.
-func dense(p Problem, h *mathx.Matrix) Problem {
-	p.EqualOffDiag, p.H = nil, h
-	return p
+	return Problem{C: s.c, D: s.d, G: g, Lo: s.lo, Hi: s.hi}
 }
 
 // oracleProblem draws one rack's constant-move MPC QP over n cores the way
-// control.MPC builds it, in the equal-off-diagonal form, together with the
-// dense twin of its Hessian: one slope k ∈ [1, 40] W/GHz, C = (α·k)·k with
+// control.MPC builds it, together with its Hessian assembled dense: one
+// slope k ∈ [1, 40] W/GHz, C = (α·k)·k with
 // α = Q·Σh² = 30, D = Σm²·RScale·r = 200·r with r log-uniform over
 // [1e-6, 10], current frequencies f ∈ [0.4, 2.0] GHz giving the box
 // [0.4 − f, 2.0 − f], a lockedFrac share of the cores locked (lo = hi = 0),
 // and g from an Eq. (7) gap whose size spans four decades of the rack's
 // peak batch power. With inside set, g = −H·x* instead, for an x* drawn
 // inside the box, so the unconstrained shortcut solves the problem.
-func oracleProblem(rng *rand.Rand, n int, lockedFrac float64, inside bool) (Problem, *mathx.Matrix) {
+func oracleProblem(rng *rand.Rand, n int, lockedFrac float64, inside bool) (Problem, []float64) {
 	const alpha = 30
 	k := 1 + 39*rng.Float64()
-	e := &EqualOffDiag{C: (alpha * k) * k, D: mathx.NewVector(n)}
-	h := mathx.NewMatrix(n, n)
-	h.OuterAdd(alpha, constant(n, k), constant(n, k))
+	p := Problem{C: (alpha * k) * k, D: mathx.NewVector(n)}
 	g, lo, hi := mathx.NewVector(n), mathx.NewVector(n), mathx.NewVector(n)
 	gap := float64(n) * k * 2 * (rng.Float64() - 0.5) * math.Pow(10, -3+3*rng.Float64())
 	var track float64 // Σ_h Q·h·e_h
@@ -113,136 +106,152 @@ func oracleProblem(rng *rand.Rand, n int, lockedFrac float64, inside bool) (Prob
 	}
 	for i := 0; i < n; i++ {
 		r := 40 * math.Pow(10, -6+7*rng.Float64())
-		e.D[i] = 5 * r
-		h.Inc(i, i, e.D[i])
+		p.D[i] = 5 * r
 		f := 0.4 + 1.6*rng.Float64()
 		g[i] = -track*k + 3*r*(f-2)
 		if rng.Float64() >= lockedFrac {
 			lo[i], hi[i] = 0.4-f, 2-f
 		}
 	}
+	h := denseH(p)
 	if inside {
 		xs := mathx.NewVector(n)
 		for i := range xs {
 			xs[i] = lo[i] + (hi[i]-lo[i])*(0.05+0.9*rng.Float64())
 		}
-		h.MulVecInto(g, xs)
+		g = denseMulVec(h, xs)
 		for i := range g {
 			g[i] = -g[i]
 		}
 	}
-	return Problem{EqualOffDiag: e, G: g, Lo: lo, Hi: hi}, h
+	p.G, p.Lo, p.Hi = g, lo, hi
+	return p, h
+}
+
+// clampAll rewrites p's g so that the minimizer has every coordinate at
+// its upper bound (atHi) or at its lower bound: each |g[i]| exceeds
+// D[i]·|x[i]| + C·Σ|x| at every point of the box.
+func clampAll(rng *rand.Rand, p Problem, atHi bool) Problem {
+	var sumAbs float64
+	for i := range p.Lo {
+		sumAbs += math.Max(math.Abs(p.Lo[i]), math.Abs(p.Hi[i]))
+	}
+	g := mathx.NewVector(len(p.G))
+	for i := range g {
+		bound := p.D[i]*math.Max(math.Abs(p.Lo[i]), math.Abs(p.Hi[i])) + p.C*sumAbs
+		g[i] = (1 + bound) * (1 + rng.Float64())
+		if atHi {
+			g[i] = -g[i]
+		}
+	}
+	p.G = g
+	return p
 }
 
 // The tolerance oracle. Over generated MPC-shaped problems (oracleProblem,
-// n = 1…130, box-constrained and solved by the shortcut), cold and warm, the O(n) equal-off-diagonal form must
-// converge and agree with its dense twin: |Δx|∞ ≤ δ = 16·n·κ̂·ε·(1 + ‖x‖∞)
-// with κ̂ = (max D + C·n)/min D, an upper bound on H's 2-norm condition
-// number, so n·κ̂·ε·‖x‖ is the first-order size of each path's rounding
-// error; the objectives, both evaluated with the dense H, within the gap
-// that δ allows; and the KKT residual of its minimizer, with the dense
-// gradient, within the solver's tolerance. A warm solve must land within δ
-// of the cold one.
+// n = 1…130, box-constrained and with an inactive box) and, for every n,
+// one whose minimizer has every coordinate at its upper bound, one with
+// every coordinate at its lower bound and one with every core locked, the
+// solve must converge within the step bound and agree with the dense
+// reference: |Δx|∞ ≤ δ = 16·n·κ̂·ε·(1 + ‖x‖∞) with κ̂ = (max D + C·n)/min D,
+// an upper bound on H's 2-norm condition number, so n·κ̂·ε·‖x‖ is the
+// first-order size of each path's rounding error; the objectives, both
+// evaluated with the dense H, within the gap that δ allows; and the KKT
+// residual of its minimizer, with the dense gradient, within the solver's
+// tolerance.
 func TestEqualOffDiagMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	extra := rand.New(rand.NewSource(41))
 	var worst float64 // largest |Δx|∞/δ seen, for the log
-	inBox, boxed := 0, 0
+	inBox, boxed, maxSweeps := 0, 0, 0
+	check := func(n int, name string, p Problem, h []float64) {
+		t.Helper()
+		want, ok := denseSolve(h, p.G, p.Lo, p.Hi)
+		if !ok {
+			t.Fatalf("n=%d %s: dense reference did not converge", n, name)
+		}
+		got := solve(t, p)
+		if !got.Converged {
+			t.Fatalf("n=%d %s: did not converge", n, name)
+		}
+		if got.Sweeps > stepBound(n) {
+			t.Fatalf("n=%d %s: %d sweeps, above the bound %d", n, name, got.Sweeps, stepBound(n))
+		}
+		maxSweeps = max(maxSweeps, got.Sweeps)
+		if got.Sweeps == 1 {
+			inBox++
+		} else {
+			boxed++
+		}
+		minD, maxD := math.Inf(1), 0.0
+		for _, d := range p.D {
+			minD, maxD = math.Min(minD, d), math.Max(maxD, d)
+		}
+		hNorm := maxD + p.C*float64(n)
+		tol := defaultTol * (1 + p.G.NormInf())
+		delta := 16 * float64(n) * (hNorm / minD) * epsilon * (1 + want.NormInf())
+		var dx float64
+		for i := range got.X {
+			dx = math.Max(dx, math.Abs(got.X[i]-want[i]))
+		}
+		if !(dx <= delta) {
+			t.Fatalf("n=%d %s: |Δx|∞ = %g > δ = %g", n, name, dx, delta)
+		}
+		worst = math.Max(worst, dx/delta)
+		// f(x) − f(x̂) = ∇f(x̂)·Δx + ½·ΔxᵀHΔx; the gradient is at most
+		// tol on free coordinates and Δx vanishes on shared bounds, and
+		// evaluating f rounds by n·ε times its absolute terms.
+		fGot, fWant := denseObjective(h, p.G, got.X), denseObjective(h, p.G, want)
+		var abs float64
+		for i, xi := range want {
+			abs += math.Abs(p.G[i]*xi) + 0.5*hNorm*math.Abs(xi)*want.NormInf()
+		}
+		objTol := float64(n)*delta*(tol+hNorm*delta) + 4*float64(n)*epsilon*abs
+		if gap := math.Abs(fGot - fWant); !(gap <= objTol) {
+			t.Fatalf("n=%d %s: objective %g, dense %g, gap %g > %g", n, name, fGot, fWant, gap, objTol)
+		}
+		if r := denseKKT(p, h, got.X); !(r <= tol) {
+			t.Fatalf("n=%d %s: KKT residual %g > tol %g", n, name, r, tol)
+		}
+	}
 	for n := 1; n <= 130; n++ {
 		for trial := 0; trial < 6; trial++ {
 			p, h := oracleProblem(rng, n, []float64{0, 0.05, 0.2, 0.5, 0, 0.2}[trial], trial >= 4)
-			twin := dense(p, h)
-			minD, maxD := math.Inf(1), 0.0
-			for _, d := range p.EqualOffDiag.D {
-				minD, maxD = math.Min(minD, d), math.Max(maxD, d)
-			}
-			hNorm := maxD + p.EqualOffDiag.C*float64(n)
-			tol := defaultTol * (1 + p.G.NormInf())
-			var cold mathx.Vector
-			for _, warm := range []bool{false, true} {
-				opt := Options{}
-				if warm {
-					opt.Warm = mathx.NewVector(n)
-					for i := range opt.Warm {
-						opt.Warm[i] = p.Lo[i] + (p.Hi[i]-p.Lo[i])*rng.Float64()
-					}
-				}
-				want, err := Solve(twin, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Solve(p, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Converged || !want.Converged {
-					t.Fatalf("n=%d trial %d warm=%v: converged %v, dense %v", n, trial, warm, got.Converged, want.Converged)
-				}
-				if got.Sweeps == 0 {
-					inBox++
-				} else {
-					boxed++
-				}
-				delta := 16 * float64(n) * (hNorm / minD) * epsilon * (1 + want.X.NormInf())
-				var dx float64
-				for i := range got.X {
-					dx = math.Max(dx, math.Abs(got.X[i]-want.X[i]))
-				}
-				if !(dx <= delta) {
-					t.Fatalf("n=%d trial %d warm=%v: |Δx|∞ = %g > δ = %g", n, trial, warm, dx, delta)
-				}
-				worst = math.Max(worst, dx/delta)
-				if cold == nil {
-					cold = append(mathx.Vector(nil), got.X...)
-				} else {
-					for i := range cold {
-						if d := math.Abs(got.X[i] - cold[i]); !(d <= delta) {
-							t.Fatalf("n=%d trial %d: warm x[%d] %g from cold > δ = %g", n, trial, i, d, delta)
-						}
-					}
-				}
-				// f(x) − f(x̂) = ∇f(x̂)·Δx + ½·ΔxᵀHΔx; the gradient is
-				// at most tol on free coordinates and Δx vanishes on
-				// shared bounds, and evaluating f rounds by n·ε times
-				// its absolute terms.
-				fGot, fWant := twin.Objective(got.X), twin.Objective(want.X)
-				var abs float64
-				for i, xi := range want.X {
-					abs += math.Abs(p.G[i]*xi) + 0.5*hNorm*math.Abs(xi)*want.X.NormInf()
-				}
-				objTol := float64(n)*delta*(tol+hNorm*delta) + 4*float64(n)*epsilon*abs
-				if gap := math.Abs(fGot - fWant); !(gap <= objTol) {
-					t.Fatalf("n=%d trial %d warm=%v: objective %g, dense %g, gap %g > %g", n, trial, warm, fGot, fWant, gap, objTol)
-				}
-				if r := twin.KKTResidual(got.X); !(r <= tol) {
-					t.Fatalf("n=%d trial %d warm=%v: KKT residual %g > tol %g", n, trial, warm, r, tol)
-				}
+			check(n, fmt.Sprintf("trial %d", trial), p, h)
+			// The draws of the warm start earlier versions also checked,
+			// kept so that the generated problems stay the same.
+			for i := 0; i < n; i++ {
+				rng.Float64()
 			}
 		}
+		p, h := oracleProblem(extra, n, 0, false)
+		check(n, "all at hi", clampAll(extra, p, true), h)
+		check(n, "all at lo", clampAll(extra, p, false), h)
+		p, h = oracleProblem(extra, n, 1, false)
+		check(n, "all locked", p, h)
 	}
 	if inBox == 0 || boxed == 0 {
-		t.Fatalf("oracle covered %d shortcut and %d box-constrained solves; want both", inBox, boxed)
+		t.Fatalf("oracle covered %d one-step and %d box-constrained solves; want both", inBox, boxed)
 	}
-	t.Logf("worst |Δx|∞/δ = %.3g over %d shortcut and %d box-constrained solves", worst, inBox, boxed)
+	t.Logf("worst |Δx|∞/δ = %.3g over %d one-step and %d box-constrained solves, at most %d sweeps", worst, inBox, boxed, maxSweeps)
 }
 
-// An MPC-shaped problem whose equal-off-diagonal D (the successor of the
-// old diagonal-plus-rank-one hint) is shorter than n is a dimension error
-// from Solve, not a silent read past the end or a wrong answer.
+// A problem whose D is shorter than n is a dimension error from Solve, not
+// a silent read past the end or a wrong answer.
 func TestHintDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := newMPCShape(rng, 8, 0, 0).problem(rng, inside)
-	p.EqualOffDiag = &EqualOffDiag{C: p.EqualOffDiag.C, D: p.EqualOffDiag.D[:7]}
-	if _, err := Solve(p, Options{}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("expected ErrDimension for a mismatched EqualOffDiag, got %v", err)
+	p.D = p.D[:7]
+	if _, err := Solve(p, nil); !errors.Is(err, ErrDimension) {
+		t.Fatalf("expected ErrDimension for a D of the wrong length, got %v", err)
 	}
 }
 
-// BenchmarkSolveMPC64Warm re-solves one 64-core rack's MPC QP with a
-// changing linear term, each solve seeded with the previous solution as
-// control.MPC does, in the equal-off-diagonal form and as the dense twin.
-// Half the solves have an inactive box and half a violated one, near the
-// 49 % / 51 % split of the benchmark workloads.
-func BenchmarkSolveMPC64Warm(b *testing.B) {
+// BenchmarkSolveMPC64 solves one 64-core rack's MPC QP with a changing
+// linear term on one workspace, as control.MPC does. Half the solves have
+// an inactive box and half a violated one, near the 49 % / 51 % split of
+// the benchmark workloads. sweeps/op reports the mean σ steps.
+func BenchmarkSolveMPC64(b *testing.B) {
 	const n = 64
 	rng := rand.New(rand.NewSource(64))
 	shape := newMPCShape(rng, n, 0, 0)
@@ -254,27 +263,16 @@ func BenchmarkSolveMPC64Warm(b *testing.B) {
 		}
 		probs[i] = shape.problem(rng, where)
 	}
-	for _, structured := range []bool{true, false} {
-		name := "structured"
-		if !structured {
-			name = "dense"
+	ws := NewWorkspace(n)
+	var sweeps int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Solve(probs[i%len(probs)], ws)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			ws := NewWorkspace(n)
-			warm := mathx.NewVector(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := probs[i%len(probs)]
-				if !structured {
-					p = dense(p, shape.h)
-				}
-				res, err := Solve(p, Options{Ws: ws, Warm: warm})
-				if err != nil {
-					b.Fatal(err)
-				}
-				copy(warm, res.X)
-			}
-		})
+		sweeps += res.Sweeps
 	}
+	b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
 }

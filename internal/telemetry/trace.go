@@ -126,8 +126,9 @@ type MPCDecision struct {
 	// ceiling (active box constraints).
 	ClampedLo int `json:"clamped_lo"`
 	ClampedHi int `json:"clamped_hi"`
-	// QPSweeps and QPConverged report the solver's effort and verdict
-	// (0 sweeps means the unconstrained Cholesky shortcut was feasible).
+	// QPSweeps and QPConverged report the solver's effort and verdict:
+	// its σ steps, each one O(n) pass (1 when the all-free σ solved it),
+	// and whether the KKT residual met tolerance.
 	QPSweeps    int  `json:"qp_sweeps"`
 	QPConverged bool `json:"qp_converged"`
 	// LockedCores counts cores excluded from the move set (stuck actuator
