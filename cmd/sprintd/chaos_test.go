@@ -293,8 +293,9 @@ func TestChaosServiceKillRestart(t *testing.T) {
 	h := startHelper(t, dir)
 	defer func() { _ = h.cmd.Process.Kill() }()
 
-	// One run to completion: its record and summary must survive kill -9.
-	code, doc := h.post(t, `{"rows": 1, "racks_per_row": 2, "duration_s": 240}`)
+	// One run to completion: its record and summary must survive kill -9,
+	// down to the summary's bytes.
+	code, doc := h.post(t, recordSpec)
 	if code != http.StatusAccepted {
 		t.Fatalf("short submit: %d", code)
 	}
@@ -310,6 +311,10 @@ func TestChaosServiceKillRestart(t *testing.T) {
 			t.Fatalf("short run state %v", d["state"])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	before := getBody(t, h.url+"/api/v1/runs/"+shortID)
+	if !strings.Contains(before, `"result"`) {
+		t.Fatalf("finished run serves no result section:\n%s", before)
 	}
 
 	// One run far too long to finish, with checkpoints every 300 simulated
@@ -355,10 +360,8 @@ func TestChaosServiceKillRestart(t *testing.T) {
 	if s := states[longID]; s != "queued" && s != "running" {
 		t.Fatalf("interrupted run recovered as %q, want queued or running", s)
 	}
-	var summary map[string]any
-	h2.getJSON(t, "/api/v1/runs/"+shortID, &summary)
-	if summary["result"] == nil {
-		t.Fatal("finished run lost its result summary across kill -9")
+	if after := getBody(t, h2.url+"/api/v1/runs/"+shortID); after != before {
+		t.Fatalf("finished run's summary changed across kill -9:\nbefore %s\nafter  %s", before, after)
 	}
 	// Decision streams are memory-only and must 404 with a cause, not hang.
 	if code := h2.getJSON(t, "/api/v1/runs/"+shortID+"/decisions?follow=0", nil); code != http.StatusNotFound {

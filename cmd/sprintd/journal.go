@@ -29,15 +29,18 @@ type journal struct {
 
 // journalRecord is the persisted lifecycle record of one run.
 type journalRecord struct {
-	ID        string         `json:"id"`
-	Mode      string         `json:"mode"`
-	State     string         `json:"state"`
-	Submitted time.Time      `json:"submitted"`
-	Started   time.Time      `json:"started"`
-	Finished  time.Time      `json:"finished"`
-	Error     string         `json:"error,omitempty"`
-	Spec      RunSpec        `json:"spec"`
-	Summary   map[string]any `json:"summary,omitempty"`
+	ID        string    `json:"id"`
+	Mode      string    `json:"mode"`
+	State     string    `json:"state"`
+	Submitted time.Time `json:"submitted"`
+	Started   time.Time `json:"started"`
+	Finished  time.Time `json:"finished"`
+	Error     string    `json:"error,omitempty"`
+	Spec      RunSpec   `json:"spec"`
+	// Summary is a terminal run's summary document, kept as the bytes it
+	// was rendered to, so a restored run serves exactly what it served
+	// before the restart.
+	Summary json.RawMessage `json:"summary,omitempty"`
 }
 
 func newJournal(dir string) (*journal, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -203,6 +204,58 @@ func TestRowCheckpointVersion1ResumesFromStart(t *testing.T) {
 	resumesFromStart(t, j, "r1", b, "format version 1, this binary speaks 2")
 }
 
+// recordSpec is the run behind the committed journal record
+// (testdata/journal/runs/r1/record.json, as an earlier sprintd wrote it
+// for the finished run) and the finished run of the kill -9 test. Its keys are not in alphabetical order, and its seed lies above
+// 2⁵³, where a float64 drops the last digit.
+const (
+	recordSpec    = `{"rows": 1, "racks_per_row": 2, "duration_s": 120, "seed": 9007199254740993}`
+	recordFixture = "testdata/journal/runs/r1/record.json"
+)
+
+// TestJournalFixtureServesRecordedSummary: a service restored from the
+// committed journal serves the finished run's summary as the record's
+// bytes, indented the way every document is served.
+func TestJournalFixtureServesRecordedSummary(t *testing.T) {
+	b, err := os.ReadFile(recordFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec journalRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		t.Fatal(err)
+	}
+	var spec RunSpec
+	if err := json.Unmarshal([]byte(recordSpec), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != stateDone || !reflect.DeepEqual(rec.Spec, spec) {
+		t.Fatalf("fixture holds a %s run of %+v, want a done run of %s", rec.State, rec.Spec, recordSpec)
+	}
+	var want bytes.Buffer
+	if err := json.Indent(&want, rec.Summary, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteByte('\n')
+
+	j, err := newJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(j.runDir(rec.ID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(j.runDir(rec.ID), "record.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := defaultServerConfig()
+	cfg.StateDir = j.dir
+	_, ts := newTestService(t, cfg)
+	if got := getBody(t, ts.URL+"/api/v1/runs/"+rec.ID); got != want.String() {
+		t.Fatalf("restored run serves\n%s\nwant the record's summary\n%s", got, want.String())
+	}
+}
+
 // resumesFromStart writes file as run id's row 0 checkpoint and checks that
 // it does not load (with an error containing why), that the journal offers
 // no resume set for it, and that a service recovering the running run from
@@ -224,7 +277,7 @@ func resumesFromStart(t *testing.T, j *journal, id string, file []byte, why stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal((&run{linked: full}).summary()["result"])
+	b, err := json.Marshal(linkedResult(full))
 	if err != nil {
 		t.Fatal(err)
 	}

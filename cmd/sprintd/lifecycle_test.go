@@ -382,6 +382,47 @@ func TestRetentionEvictsOldestStreams(t *testing.T) {
 	}
 }
 
+// TestFinishedRunsKeepOnlyTheirSummary: with Retain 0, a finished run
+// keeps its summary document and row counters and nothing it held to
+// execute. Over eight runs of the default 4×16 linked building, and over
+// eight sweeps of it, the heap in use after a collection grows by less
+// than 50 KB a run.
+func TestFinishedRunsKeepOnlyTheirSummary(t *testing.T) {
+	const runs, perRunMax = 8, 50 << 10
+	for _, spec := range []string{`{"duration_s": 300}`, `{"mode": "sweep", "duration_s": 300}`} {
+		cfg := defaultServerConfig()
+		cfg.Retain = 0
+		s, ts := newTestService(t, cfg)
+		finishOne := func() {
+			code, doc, _ := submit(t, ts, spec)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit %s: %d", spec, code)
+			}
+			waitState(t, ts, doc["id"].(string), "done")
+			s.wg.Wait() // the supervisor has evicted it and exited
+		}
+		finishOne() // first-use allocations are not per-run
+		before := heapInuse()
+		for i := 0; i < runs; i++ {
+			finishOne()
+		}
+		per := (heapInuse() - before) / runs
+		t.Logf("%s: %d bytes of heap kept per finished run", spec, per)
+		if per >= perRunMax {
+			t.Errorf("%s: %d bytes of heap kept per finished run, want < %d", spec, per, perRunMax)
+		}
+	}
+}
+
+// heapInuse returns the heap in use after a full collection.
+func heapInuse() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapInuse)
+}
+
 // TestDrainInterruptsAndRejects: drain stops admission (503), lets the
 // grace expire, and lands in-flight runs in the resumable "interrupted"
 // state.

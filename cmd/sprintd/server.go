@@ -157,26 +157,28 @@ func terminal(state string) bool {
 
 // run is one submitted scenario and its lifecycle.
 type run struct {
-	ID        string    `json:"id"`
-	Mode      string    `json:"mode"`
-	Spec      RunSpec   `json:"spec"`
-	Submitted time.Time `json:"submitted"`
+	ID        string
+	Mode      string
+	Spec      RunSpec
+	Submitted time.Time
 
+	// cfg and resume are what the run needs to execute; finish drops both.
 	cfg hier.Config
 
 	// stop closes (once) to cancel the run; the target state — canceled
-	// for DELETE, interrupted for a drain — is set before the close.
-	stop     chan struct{}
-	stopOnce sync.Once
+	// for DELETE, interrupted for a drain — is set before the close, and
+	// read only by the supervisor once the run has seen the close.
+	stop       chan struct{}
+	stopOnce   sync.Once
+	stopTarget string
 
 	// resume holds journaled row snapshots for a recovered run.
 	resume [][]*checkpoint.Snapshot
 
 	mu         sync.Mutex
 	state      string
-	stopTarget string
 	errMsg     string
-	Started    time.Time `json:"started"`
+	Started    time.Time
 	finished   time.Time
 	stepsTotal int
 	// firstTimed: sprintd_first_decision_seconds has observed this run,
@@ -188,13 +190,14 @@ type run struct {
 	// streams, metrics and obs are what a linked run serves beyond its
 	// summary: decision streams, the per-run registry and the
 	// observability planes. Eviction (or a restart) drops all three.
-	streams   map[[2]int]*telemetry.DecisionLog
-	metrics   *telemetry.Registry
-	obs       []*obs.Cluster
-	evicted   bool
-	recovered map[string]any
-	linked    *hier.Result
-	sweep     *hier.SweepResult
+	streams map[[2]int]*telemetry.DecisionLog
+	metrics *telemetry.Registry
+	obs     []*obs.Cluster
+	evicted bool
+	// doc is the run's summary document, rendered once by finish or read
+	// back from the journal. Once set it is all GET /api/v1/runs/{id}
+	// serves.
+	doc json.RawMessage
 }
 
 func (r *run) getState() string {
@@ -223,8 +226,7 @@ func (r *run) tryCancelQueued() bool {
 	if r.state != stateQueued {
 		return false
 	}
-	r.state = stateCanceled
-	r.finished = time.Now()
+	r.finish(stateCanceled, "", nil)
 	return true
 }
 
@@ -233,27 +235,26 @@ func (r *run) tryCancelQueued() bool {
 // sim.ErrCanceled, after which the supervisor lands the run in target.
 func (r *run) cancel(target string) {
 	r.stopOnce.Do(func() {
-		r.mu.Lock()
 		r.stopTarget = target
-		r.mu.Unlock()
 		close(r.stop)
 	})
 }
 
-func (r *run) cancelTarget() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stopTarget == "" {
-		return stateCanceled
-	}
-	return r.stopTarget
-}
-
-// finish lands the run in a terminal state.
-func (r *run) finish(state, errMsg string) {
-	r.mu.Lock()
+// finish lands the run in its final state. It renders the summary
+// document once, with result as its result section (nil when the run
+// produced none), and drops what the run held only to execute. Caller holds
+// r.mu, or is the run's only holder.
+func (r *run) finish(state, errMsg string, result map[string]any) {
 	r.state, r.errMsg, r.finished = state, errMsg, time.Now()
-	r.mu.Unlock()
+	doc := r.envelope()
+	if result != nil {
+		doc["result"] = result
+	}
+	var err error
+	if r.doc, err = json.Marshal(doc); err != nil {
+		log.Printf("sprintd: run %s summary: %v", r.ID, err)
+	}
+	r.cfg, r.resume = hier.Config{}, nil
 }
 
 // closeStreams completes every decision stream so followers drain and
@@ -291,23 +292,21 @@ func gone(w http.ResponseWriter, r *run, what string) {
 		"%s for run %s are gone (evicted by the retention cap, or not retained across a restart)", what, r.ID)
 }
 
-// execute drives the run to completion and records its result.
-func (r *run) execute() error {
-	var err error
+// execute drives the run to completion and returns its summary's result
+// section.
+func (r *run) execute() (map[string]any, error) {
 	if r.Mode == "sweep" {
-		var sweep *hier.SweepResult
-		sweep, err = hier.RunSweep(r.cfg)
-		r.mu.Lock()
-		r.sweep = sweep
-		r.mu.Unlock()
-	} else {
-		var linked *hier.Result
-		linked, err = hier.RunLinked(r.cfg)
-		r.mu.Lock()
-		r.linked = linked
-		r.mu.Unlock()
+		res, err := hier.RunSweep(r.cfg)
+		if err != nil {
+			return nil, err
+		}
+		return sweepResult(res), nil
 	}
-	return err
+	res, err := hier.RunLinked(r.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return linkedResult(res), nil
 }
 
 // serverConfig tunes the service's admission, retention and durability.
@@ -522,7 +521,7 @@ func (s *server) recover() error {
 				ID: rec.ID, Mode: rec.Mode, Spec: rec.Spec,
 				Submitted: rec.Submitted, Started: rec.Started,
 				state: rec.State, errMsg: rec.Error, finished: rec.Finished,
-				recovered: rec.Summary, evicted: true,
+				doc: rec.Summary, evicted: true,
 			}
 			s.registerLocked(r)
 			continue
@@ -531,12 +530,8 @@ func (s *server) recover() error {
 		if err != nil {
 			// Fail-safe: the journaled spec no longer builds a runnable
 			// configuration; keep the record, mark it failed.
-			r = &run{
-				Mode: rec.Mode, Spec: rec.Spec, Submitted: rec.Submitted,
-				state: stateFailed, errMsg: "recovery: " + err.Error(),
-				finished: time.Now(), evicted: true,
-			}
-			r.ID = rec.ID
+			r = &run{ID: rec.ID, Mode: rec.Mode, Spec: rec.Spec, Submitted: rec.Submitted, evicted: true}
+			r.finish(stateFailed, "recovery: "+err.Error(), nil)
 			s.registerLocked(r)
 			s.journalRun(r)
 			continue
@@ -568,11 +563,10 @@ func (s *server) journalRun(r *run) {
 		Submitted: r.Submitted, Started: r.Started, Finished: r.finished,
 		Error: r.errMsg, Spec: r.Spec,
 	}
-	isTerminal := terminal(r.state)
-	r.mu.Unlock()
-	if isTerminal {
-		rec.Summary = r.summary()
+	if terminal(r.state) {
+		rec.Summary = r.doc
 	}
+	r.mu.Unlock()
 	if err := s.jn.saveRecord(rec); err != nil {
 		log.Printf("sprintd: %v", err)
 	}
@@ -599,13 +593,19 @@ func (s *server) dispatchLocked() {
 // transition, journal record, stream closure and the follow-on dispatch.
 func (s *server) supervise(r *run) {
 	defer s.wg.Done()
+	// A run that neither returns nor is canceled has failed.
+	state, errMsg := stateFailed, ""
+	var result map[string]any
 	defer func() {
 		if p := recover(); p != nil {
 			// A panic that escaped the run fan-out's own isolation (e.g.
 			// from a sweep callback on this goroutine).
-			r.finish(stateFailed, fmt.Sprintf("panic: %v\n%s", p, debug.Stack()))
+			errMsg = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
 			s.mPanics.Inc()
 		}
+		r.mu.Lock()
+		r.finish(state, errMsg, result)
+		r.mu.Unlock()
 		r.closeStreams()
 		s.journalRun(r)
 		s.mu.Lock()
@@ -615,14 +615,15 @@ func (s *server) supervise(r *run) {
 		s.maybeEvict()
 	}()
 	s.journalRun(r)
-	err := r.execute()
+	var err error
+	result, err = r.execute()
 	switch {
 	case err == nil:
-		r.finish(stateDone, "")
+		state = stateDone
 	case errors.Is(err, sim.ErrCanceled):
-		r.finish(r.cancelTarget(), "")
+		state = r.stopTarget
 	default:
-		r.finish(stateFailed, err.Error())
+		errMsg = err.Error()
 		var pe *sim.PanicError
 		if errors.As(err, &pe) {
 			s.mPanics.Inc()
@@ -651,7 +652,6 @@ func (s *server) maybeEvict() {
 		held = held[1:]
 		r.mu.Lock()
 		r.streams, r.metrics, r.obs = nil, nil, nil
-		r.cfg.Metrics, r.cfg.Obs = nil, nil
 		r.evicted = true
 		r.mu.Unlock()
 		s.mEvicted.Inc()
@@ -708,6 +708,9 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes doc indented by one space. A json.RawMessage doc is
+// re-indented the same way, so a rendered document is served with the bytes
+// its map would have given.
 func writeJSON(w http.ResponseWriter, status int, doc any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -817,14 +820,21 @@ func (s *server) latest(needObs bool) *run {
 	return nil
 }
 
-// summary is the state document of GET /api/v1/runs/{id}.
-func (r *run) summary() map[string]any {
+// summary is the state document of GET /api/v1/runs/{id}: the document
+// finish rendered, or the live envelope of a queued or running run.
+func (r *run) summary() json.RawMessage {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.recovered != nil {
-		// A journal-restored terminal run serves its persisted summary.
-		return r.recovered
+	if r.doc != nil {
+		return r.doc
 	}
+	b, _ := json.Marshal(r.envelope())
+	return b
+}
+
+// envelope is the run's state document without a result section; caller
+// holds r.mu.
+func (r *run) envelope() map[string]any {
 	doc := map[string]any{
 		"id":        r.ID,
 		"mode":      r.Mode,
@@ -844,63 +854,67 @@ func (r *run) summary() map[string]any {
 			doc["wall_seconds"] = r.finished.Sub(r.Started).Seconds()
 		}
 	}
-	if r.linked != nil {
-		rows := make([]map[string]any, len(r.linked.Rows))
-		for i, row := range r.linked.Rows {
-			rows[i] = map[string]any{
-				"racks":             r.linked.Alloc.Rows[i].Racks,
-				"budget_w":          r.linked.Alloc.Rows[i].BudgetW,
-				"slot_capacity":     r.linked.Alloc.Rows[i].SlotCapacity,
-				"exceed_frac":       row.FeederExceedFrac,
-				"shadow_trips":      row.FeederTrips,
-				"degraded_seconds":  row.DegradedS(),
-				"resyncs":           row.Resyncs(),
-				"cb_trips":          row.CBTrips,
-				"deadline_misses":   row.DeadlineMisses,
-				"peak_aggregate_w":  row.PeakW,
-				"mean_aggregate_w":  row.MeanW,
-				"outage_seconds":    row.OutageS,
-				"transport_dropped": row.Transport.GrantsLost + row.Transport.BeatsLost,
-			}
-		}
-		doc["result"] = map[string]any{
-			"building_budget_w":    r.linked.Alloc.BuildingBudgetW,
-			"building_granted_w":   r.linked.Alloc.TotalGrantedW(),
-			"building_peak_w":      r.linked.BuildingPeakW,
-			"building_mean_w":      r.linked.BuildingMeanW,
-			"building_exceed_frac": r.linked.BuildingExceedFrac,
-			"building_trips":       r.linked.BuildingTrips,
-			"degraded_seconds":     r.linked.DegradedS(),
-			"cb_trips":             r.linked.CBTrips,
-			"deadline_misses":      r.linked.DeadlineMisses,
-			"resume_step":          r.linked.ResumeStep,
-			"rows":                 rows,
-		}
-	}
-	if r.sweep != nil {
-		rows := make([]map[string]any, len(r.sweep.Rows))
-		for i := range r.sweep.Rows {
-			rows[i] = map[string]any{
-				"racks":         r.sweep.Alloc.Rows[i].Racks,
-				"budget_w":      r.sweep.Alloc.Rows[i].BudgetW,
-				"slot_capacity": r.sweep.Alloc.Rows[i].SlotCapacity,
-				"exceed_frac":   r.sweep.RowExceedFrac[i],
-				"shadow_trips":  r.sweep.RowTrips[i],
-			}
-		}
-		doc["result"] = map[string]any{
-			"building_budget_w":    r.sweep.Alloc.BuildingBudgetW,
-			"building_granted_w":   r.sweep.Alloc.TotalGrantedW(),
-			"building_peak_w":      r.sweep.BuildingPeakW,
-			"building_mean_w":      r.sweep.BuildingMeanW,
-			"building_exceed_frac": r.sweep.BuildingExceedFrac,
-			"building_trips":       r.sweep.BuildingTrips,
-			"cb_trips":             r.sweep.CBTrips,
-			"deadline_misses":      r.sweep.DeadlineMisses,
-			"rows":                 rows,
-		}
-	}
 	return doc
+}
+
+// linkedResult is the result section of a finished linked run's summary.
+func linkedResult(res *hier.Result) map[string]any {
+	rows := make([]map[string]any, len(res.Rows))
+	for i, row := range res.Rows {
+		rows[i] = map[string]any{
+			"racks":             res.Alloc.Rows[i].Racks,
+			"budget_w":          res.Alloc.Rows[i].BudgetW,
+			"slot_capacity":     res.Alloc.Rows[i].SlotCapacity,
+			"exceed_frac":       row.FeederExceedFrac,
+			"shadow_trips":      row.FeederTrips,
+			"degraded_seconds":  row.DegradedS(),
+			"resyncs":           row.Resyncs(),
+			"cb_trips":          row.CBTrips,
+			"deadline_misses":   row.DeadlineMisses,
+			"peak_aggregate_w":  row.PeakW,
+			"mean_aggregate_w":  row.MeanW,
+			"outage_seconds":    row.OutageS,
+			"transport_dropped": row.Transport.GrantsLost + row.Transport.BeatsLost,
+		}
+	}
+	return map[string]any{
+		"building_budget_w":    res.Alloc.BuildingBudgetW,
+		"building_granted_w":   res.Alloc.TotalGrantedW(),
+		"building_peak_w":      res.BuildingPeakW,
+		"building_mean_w":      res.BuildingMeanW,
+		"building_exceed_frac": res.BuildingExceedFrac,
+		"building_trips":       res.BuildingTrips,
+		"degraded_seconds":     res.DegradedS(),
+		"cb_trips":             res.CBTrips,
+		"deadline_misses":      res.DeadlineMisses,
+		"resume_step":          res.ResumeStep,
+		"rows":                 rows,
+	}
+}
+
+// sweepResult is the result section of a finished sweep run's summary.
+func sweepResult(res *hier.SweepResult) map[string]any {
+	rows := make([]map[string]any, len(res.Rows))
+	for i := range res.Rows {
+		rows[i] = map[string]any{
+			"racks":         res.Alloc.Rows[i].Racks,
+			"budget_w":      res.Alloc.Rows[i].BudgetW,
+			"slot_capacity": res.Alloc.Rows[i].SlotCapacity,
+			"exceed_frac":   res.RowExceedFrac[i],
+			"shadow_trips":  res.RowTrips[i],
+		}
+	}
+	return map[string]any{
+		"building_budget_w":    res.Alloc.BuildingBudgetW,
+		"building_granted_w":   res.Alloc.TotalGrantedW(),
+		"building_peak_w":      res.BuildingPeakW,
+		"building_mean_w":      res.BuildingMeanW,
+		"building_exceed_frac": res.BuildingExceedFrac,
+		"building_trips":       res.BuildingTrips,
+		"cb_trips":             res.CBTrips,
+		"deadline_misses":      res.DeadlineMisses,
+		"rows":                 rows,
+	}
 }
 
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -258,10 +258,10 @@ func TestSweepMode(t *testing.T) {
 	}
 }
 
-// TestLinkedRunKeepsNoSeries: a finished linked run's racks hold at most
-// one series sample (nothing the service serves reads them), and its
-// summary is the one an in-process run that kept every rack's full series
-// gives.
+// TestLinkedRunKeepsNoSeries: a linked run's racks record their series at
+// a stride past the run's length, so they hold tick 0 only (nothing the
+// service serves reads them), and its summary is the one an in-process run
+// that kept every rack's full series gives.
 func TestLinkedRunKeepsNoSeries(t *testing.T) {
 	const spec = `{"rows": 2, "racks_per_row": 2, "duration_s": 240}`
 	var rs RunSpec
@@ -279,7 +279,7 @@ func TestLinkedRunKeepsNoSeries(t *testing.T) {
 	if n := len(full.Rows[0].Racks[0].Series.CBW); n < 240 {
 		t.Fatalf("reference run kept %d series samples, want the full series", n)
 	}
-	b, err := json.Marshal((&run{linked: full}).summary()["result"])
+	b, err := json.Marshal(linkedResult(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,15 +294,14 @@ func TestLinkedRunKeepsNoSeries(t *testing.T) {
 	if !reflect.DeepEqual(doc["result"], want) {
 		t.Fatalf("served result differs from the full-series run:\n got  %v\n want %v", doc["result"], want)
 	}
-	s.mu.Lock()
-	r := s.runs[id]
-	s.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, row := range r.linked.Rows {
-		for j, res := range row.Racks {
-			if n := len(res.Series.CBW); n > 1 || len(res.Series.Time) > 1 || cap(res.Series.CBW) > 2 {
-				t.Fatalf("row %d rack %d kept %d series samples (cap %d), want at most one", i, j, n, cap(res.Series.CBW))
+	r, err := s.buildRun(rs, "linked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row, rc := range r.cfg.Rows {
+		for rack := 0; rack < rc.Racks; rack++ {
+			if stride := r.cfg.RackOptions(row, rack).SeriesStride; stride <= r.stepsTotal {
+				t.Fatalf("row %d rack %d records its series every %d ticks; a %d-tick run keeps more than tick 0", row, rack, stride, r.stepsTotal)
 			}
 		}
 	}

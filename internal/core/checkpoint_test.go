@@ -381,3 +381,40 @@ func TestCrashRestorePreservesSupervisorFlags(t *testing.T) {
 		t.Errorf("degraded restore grants CB budget %g W above the %g W rating", got, scn.Breaker.RatedPower)
 	}
 }
+
+// TestRestoredBreachIsNotLoggedAgain: each invariant breach kind is logged
+// once per run, and the once is derived from the breach counter, which
+// travels through the checkpoint. A controller restored with a CB-margin
+// breach already counted must not log that breach a second time when it
+// recurs; the uninterrupted run would not have.
+func TestRestoredBreachIsNotLoggedAgain(t *testing.T) {
+	sp, scn := midRunSnapshot(t, 120)
+	st := sp.Controller
+	st.InvCBMargin = 1
+
+	env, err := sim.BuildEnv(scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(DefaultConfig())
+	if err := s.RestoreCheckpoint(env, scn, &st, st.CapturedAtS); err != nil {
+		t.Fatal(err)
+	}
+	invariantEvents := func() int {
+		n := 0
+		for _, e := range env.Events.Events() {
+			if e.Kind == "invariant" {
+				n++
+			}
+		}
+		return n
+	}
+	before := invariantEvents()
+	s.checkTickInvariants(env, sim.Snapshot{CBTripped: true})
+	if got := s.InvariantViolations().CBMargin; got != 2 {
+		t.Fatalf("CB-margin breaches after the recurrence: %d, want 2", got)
+	}
+	if n := invariantEvents() - before; n != 0 {
+		t.Fatalf("the restored controller logged %d new invariant events for a breach the run already reported", n)
+	}
+}

@@ -24,18 +24,15 @@ import (
 // healthy run every counter stays zero except deadline feasibility, which
 // reports overload demand rather than a controller fault.
 
-// invariantState is the supervisor's cumulative breach counters plus
-// once-per-run logging flags.
+// invariantState is the supervisor's cumulative breach counters. Each
+// breach kind is logged once per run, when its counter first reaches 1;
+// the counters travel through checkpoints, so a restored controller does
+// not log a breach its run already reported.
 type invariantState struct {
 	cbMargin   int
 	socFloor   int
 	freqBounds int
 	deadline   int
-
-	cbLogged       bool
-	socLogged      bool
-	freqLogged     bool
-	deadlineLogged bool
 }
 
 // InvariantReport is the supervisor's cumulative breach count per
@@ -76,24 +73,18 @@ func (s *SprintCon) checkTickInvariants(env *sim.Env, snap sim.Snapshot) {
 	if snap.CBTripped || snap.CBThermalFraction >= 1 {
 		s.inv.cbMargin++
 		s.everNearTrip = true // defense in depth; updateMode already escalated
-		if !s.inv.cbLogged {
-			s.inv.cbLogged = true
-			if env.Events != nil {
-				env.Events.Logf("invariant", "CB trip-curve margin exhausted (thermal %.2f, tripped %v)",
-					snap.CBThermalFraction, snap.CBTripped)
-			}
+		if s.inv.cbMargin == 1 && env.Events != nil {
+			env.Events.Logf("invariant", "CB trip-curve margin exhausted (thermal %.2f, tripped %v)",
+				snap.CBThermalFraction, snap.CBTripped)
 		}
 	}
 	if snap.UPSDepleted {
 		s.everDepleted = true
 		if snap.UPSPowerW > 1e-9 {
 			s.inv.socFloor++
-			if !s.inv.socLogged {
-				s.inv.socLogged = true
-				if env.Events != nil {
-					env.Events.Logf("invariant", "UPS delivering %.0f W below the DoD floor (SoC %.3f)",
-						snap.UPSPowerW, snap.UPSSoC)
-				}
+			if s.inv.socFloor == 1 && env.Events != nil {
+				env.Events.Logf("invariant", "UPS delivering %.0f W below the DoD floor (SoC %.3f)",
+					snap.UPSPowerW, snap.UPSSoC)
 			}
 		}
 	}
@@ -115,23 +106,17 @@ func (s *SprintCon) checkControlInvariants(env *sim.Env, next []float64, urgency
 			} else {
 				next[i] = clamp(f, s.fmin, s.fmax)
 			}
-			if !s.inv.freqLogged {
-				s.inv.freqLogged = true
-				if env.Events != nil {
-					env.Events.Logf("invariant", "commanded frequency %.3f GHz outside [%.2f, %.2f]: clamped",
-						f, s.fmin, s.fmax)
-				}
+			if s.inv.freqBounds == 1 && env.Events != nil {
+				env.Events.Logf("invariant", "commanded frequency %.3f GHz outside [%.2f, %.2f]: clamped",
+					f, s.fmin, s.fmax)
 			}
 		}
 	}
 	if urgency > 1+1e-9 {
 		s.inv.deadline++
-		if !s.inv.deadlineLogged {
-			s.inv.deadlineLogged = true
-			if env.Events != nil {
-				env.Events.Logf("invariant", "deadline infeasible: a job needs %.0f%% of peak frequency from now on",
-					100*urgency)
-			}
+		if s.inv.deadline == 1 && env.Events != nil {
+			env.Events.Logf("invariant", "deadline infeasible: a job needs %.0f%% of peak frequency from now on",
+				100*urgency)
 		}
 	}
 }

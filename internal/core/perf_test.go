@@ -140,16 +140,15 @@ func BenchmarkClusterSweep(b *testing.B) {
 }
 
 // The MPC must keep its QP effort per control period bounded: the mean σ
-// steps per solve over the default closed-loop run stays within the
-// bounds first set at 1.2× the active-set solver's 2.8 (300 s) and 4.058
-// (900 s) sweeps; the σ search takes 2.213 and 2.48. Every solve converges.
+// steps per solve over the default closed-loop run stays within 1.2× the
+// σ search's 2.213 (300 s) and 2.48 (900 s) steps. Every solve converges.
 // All figures are deterministic.
 func TestMPCSweepsPerSolveBounded(t *testing.T) {
 	for _, tc := range []struct {
 		durationS, maxMean float64
 	}{
-		{300, 3.36},
-		{900, 4.869},
+		{300, 2.656},
+		{900, 2.976},
 	} {
 		scn := sim.DefaultScenario()
 		scn.DurationS = tc.durationS

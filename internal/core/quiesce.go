@@ -65,10 +65,6 @@ func (s *SprintCon) QuiescentState(env *sim.Env, st *engine.State) bool {
 	st.Int(s.inv.socFloor)
 	st.Int(s.inv.freqBounds)
 	st.Int(s.inv.deadline)
-	st.Bool(s.inv.cbLogged)
-	st.Bool(s.inv.socLogged)
-	st.Bool(s.inv.freqLogged)
-	st.Bool(s.inv.deadlineLogged)
 	s.allocator.QuiescentState(st)
 	s.mpc.QuiescentState(st)
 	s.pi.QuiescentState(st)

@@ -33,10 +33,11 @@ type coreMetrics struct {
 	invBreaches *telemetry.Gauge
 }
 
-// qpSweepBuckets cover the solver's effort range: 0 means the Cholesky
-// shortcut, the default sweep cap is 500.
+// qpSweepBuckets cover the σ search's effort range: 1 step when every
+// coordinate is free, 2 to 8 when some are pinched, and room above for a
+// search the breakpoint safeguard had to finish.
 func qpSweepBuckets() []float64 {
-	return []float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 500}
+	return []float64{1, 2, 3, 4, 5, 6, 7, 8, 16, 32}
 }
 
 func newCoreMetrics(r *telemetry.Registry) coreMetrics {

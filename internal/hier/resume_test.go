@@ -83,9 +83,20 @@ func testCancelAndResumeBuilding(t *testing.T) {
 		latest[row] = snaps
 		mu.Unlock()
 	}
+	// Stop once every row has passed step 199, and so holds a capture:
+	// rows run on their own workers, and a row scheduled late may not have
+	// ticked at all when the first row gets there.
 	var once sync.Once
+	passed := map[int]bool{}
 	c.OnRowTick = func(row, step int, _, _ float64) {
-		if step >= 199 {
+		if step < 199 {
+			return
+		}
+		mu.Lock()
+		passed[row] = true
+		all := len(passed) == len(c.Rows)
+		mu.Unlock()
+		if all {
 			once.Do(func() { close(stop) })
 		}
 	}
