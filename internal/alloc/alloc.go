@@ -188,9 +188,6 @@ func (a *Allocator) SetPhaseOffsetS(s float64) {
 	a.cfg.PhaseOffsetS = s
 }
 
-// Config returns the allocator configuration.
-func (a *Allocator) Config() Config { return a.cfg }
-
 // BurstAnchorS returns the absolute simulation time the current burst's
 // periodic schedule is anchored at (StartBurst's now), or 0 when no burst is
 // active. PCb's square wave runs on mod(now − anchor + PhaseOffsetS, cycle),

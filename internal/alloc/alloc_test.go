@@ -128,7 +128,7 @@ func TestPeriodicScheduleRespectsBreakerBudget(t *testing.T) {
 	// One overload phase must consume less than the full trip budget:
 	// 150 s · (1.25²−1) = 84.4 < 87.2.
 	a := mustNew(t)
-	cfg := a.Config()
+	cfg := a.cfg
 	spent := cfg.OverloadS * (cfg.OverloadDegree*cfg.OverloadDegree - 1)
 	if spent >= budget {
 		t.Fatalf("overload phase spends %v of %v budget", spent, budget)

@@ -265,10 +265,11 @@ type coreRef struct {
 func (p *Policy) prioritizedCores(env *sim.Env, now float64) []coreRef {
 	cores := p.cores[:0]
 	fmax := p.fmax
-	for _, s := range env.Rack.Servers() {
-		for c := 0; c < s.CPU().NumCores(); c++ {
-			st := s.CPU().Core(c)
-			if st.Class == cpu.Idle {
+	for s := 0; s < p.scn.Rack.NumServers; s++ {
+		for c := 0; c < p.scn.Rack.ServerParams.Cores; c++ {
+			ref := rack.CoreRef{Server: s, Core: c}
+			freq, util, cl := env.Rack.Core(ref)
+			if cl == cpu.Idle {
 				continue
 			}
 			// Below-threshold cores leave the game: no sprint, nominal
@@ -278,20 +279,20 @@ func (p *Policy) prioritizedCores(env *sim.Env, now float64) []coreRef {
 			// saturated core, whose queue is building and whose true
 			// demand is unknown but high. Batch cores are saturated at
 			// any frequency, so demand = util.
-			demand := st.Util
-			if st.Class == cpu.Interactive && st.Util < 0.999 {
-				demand = st.Util * st.Freq / fmax
+			demand := util
+			if cl == cpu.Interactive && util < 0.999 {
+				demand = util * freq / fmax
 			}
 			if demand < sprintThreshold {
-				env.Rack.SetCoreFreq(rack.CoreRef{Server: s.ID(), Core: c}, p.fnom)
+				env.Rack.SetCoreFreq(ref, p.fnom)
 				continue
 			}
-			waited := now - p.lastSprinted[coreKey{s.ID(), c}]
+			waited := now - p.lastSprinted[coreKey{s, c}]
 			cores = append(cores, coreRef{
-				server:      s.ID(),
+				server:      s,
 				core:        c,
-				priority:    st.Util + agingBoostPerSecond*waited,
-				interactive: st.Class == cpu.Interactive,
+				priority:    util + agingBoostPerSecond*waited,
+				interactive: cl == cpu.Interactive,
 			})
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sprintcon/internal/cpu"
 	"sprintcon/internal/server"
 )
 
@@ -215,14 +214,12 @@ func TestMPCUrgentCoresGetMoreFrequency(t *testing.T) {
 // measurement model with fan disturbance.
 func TestMPCConvergesOnNonlinearPlant(t *testing.T) {
 	params := server.DefaultParams()
-	srv, err := server.New(0, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		srv.CPU().SetClass(i, cpu.Batch)
-		srv.CPU().SetUtil(i, 0.95)
-		srv.CPU().SetFreq(i, 0.4)
+	// One server's row of the rack's core table: eight batch cores.
+	freqs := make([]float64, 8)
+	utils := make([]float64, 8)
+	for i := range freqs {
+		freqs[i] = params.PStates.Quantize(0.4)
+		utils[i] = 0.95
 	}
 	co := params.DesignCoeffs(0.9)
 	m, _ := NewMPC(DefaultMPCConfig(8, co.KWPerGHz))
@@ -235,17 +232,17 @@ func TestMPCConvergesOnNonlinearPlant(t *testing.T) {
 	cmd := uniformK(8, 0.4)
 	var p float64
 	for s := 0; s < 30; s++ {
-		p = srv.Power(env)
+		p = params.Power(freqs, utils, env)
 		next, err := m.Step(p, target, cmd, ones(8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cmd = next
 		for i := 0; i < 8; i++ {
-			srv.CPU().SetFreq(i, next[i]) // quantized by the P-state table
+			freqs[i] = params.PStates.Quantize(next[i]) // the rack's modulator
 		}
 	}
-	p = srv.Power(env)
+	p = params.Power(freqs, utils, env)
 	if rel := math.Abs(p-target) / target; rel > 0.05 {
 		t.Fatalf("nonlinear plant: settled at %v vs target %v (rel %.3f)", p, target, rel)
 	}

@@ -26,7 +26,7 @@ func TestDefaultPStates(t *testing.T) {
 	if tab.Len() != 17 {
 		t.Fatalf("Len = %d, want 17 (0.4..2.0 by 0.1)", tab.Len())
 	}
-	fs := tab.Freqs()
+	fs := tab.freqs
 	for i := 1; i < len(fs); i++ {
 		if fs[i] <= fs[i-1] {
 			t.Fatal("P-states must be strictly ascending")
@@ -52,7 +52,7 @@ func TestQuantize(t *testing.T) {
 func TestQuantizeProperty(t *testing.T) {
 	tab := DefaultPStates()
 	member := func(f float64) bool {
-		for _, v := range tab.Freqs() {
+		for _, v := range tab.freqs {
 			if math.Abs(v-f) < 1e-12 {
 				return true
 			}
@@ -75,95 +75,11 @@ func TestQuantizeProperty(t *testing.T) {
 	}
 }
 
-func TestCPUCoreStateManagement(t *testing.T) {
-	c, err := New(8, DefaultPStates())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumCores() != 8 {
-		t.Fatalf("NumCores = %d", c.NumCores())
-	}
-	for i := 0; i < 4; i++ {
-		c.SetClass(i, Interactive)
-	}
-	for i := 4; i < 8; i++ {
-		c.SetClass(i, Batch)
-	}
-	if c.Core(3).Class != Interactive || c.Core(4).Class != Batch {
-		t.Fatalf("classes = %v, %v", c.Core(3).Class, c.Core(4).Class)
-	}
-	applied := c.SetFreq(5, 1.234)
-	if applied != 1.2 {
-		t.Fatalf("SetFreq applied %v, want quantized 1.2", applied)
-	}
-	if c.Core(5).Freq != 1.2 {
-		t.Fatal("core state not updated")
-	}
-	c.SetUtil(5, 1.7)
-	if c.Core(5).Util != 1 {
-		t.Fatal("Util should clamp to 1")
-	}
-	c.SetUtil(5, -0.5)
-	if c.Core(5).Util != 0 {
-		t.Fatal("Util should clamp to 0")
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if Idle.String() != "idle" || Interactive.String() != "interactive" || Batch.String() != "batch" {
 		t.Fatal("class names wrong")
 	}
 	if Class(42).String() == "" {
 		t.Fatal("unknown class should still print")
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0, DefaultPStates()); err == nil {
-		t.Error("zero cores should fail")
-	}
-	if _, err := New(4, PStateTable{}); err == nil {
-		t.Error("empty table should fail")
-	}
-}
-
-// Windows onto one table read and write it in place, and share one
-// generation counter that moves only when a write changes a core's bits.
-func TestWindowSharesTable(t *testing.T) {
-	tab := DefaultPStates()
-	freqs := []float64{0.4, 0.4, 0.4, 0.4}
-	utils := make([]float64, 4)
-	var gen uint64
-	a, err := Window(tab, freqs[:2:2], utils[:2:2], &gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Window(tab, freqs[2:], utils[2:], &gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetFreq(1, 1.23)
-	b.SetUtil(0, 0.5)
-	if freqs[1] != 1.2 || utils[2] != 0.5 || b.Freq(0) != 0.4 {
-		t.Fatalf("table %v %v after writes through two windows", freqs, utils)
-	}
-	if gen != 1 {
-		t.Fatalf("generation %d after one changing write, want 1", gen)
-	}
-	a.SetFreq(1, 1.2)  // the same bits
-	a.SetFreq(1, 1.21) // quantizes to the P-state held
-	b.SetUtil(1, 0.7)  // utilization is not a frequency
-	if gen != 1 {
-		t.Fatalf("generation %d after writes that changed no frequency, want 1", gen)
-	}
-	b.SetFreq(1, 2.0)
-	if gen != 2 || freqs[3] != 2.0 {
-		t.Fatalf("generation %d, table %v after a second changing write", gen, freqs)
-	}
-	if _, err := Window(tab, freqs, utils[:3], &gen); err == nil {
-		t.Fatal("a window with mismatched slices should fail")
-	}
-	if _, err := Window(tab, nil, nil, &gen); err == nil {
-		t.Fatal("an empty window should fail")
 	}
 }

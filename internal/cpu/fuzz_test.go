@@ -12,7 +12,7 @@ func FuzzQuantize(f *testing.F) {
 		tab := DefaultPStates()
 		q := tab.Quantize(in)
 		member := false
-		for _, v := range tab.Freqs() {
+		for _, v := range tab.freqs {
 			if v == q {
 				member = true
 				break

@@ -44,10 +44,6 @@ func RunAll(scn sim.Scenario) (map[string]*sim.Result, error) {
 // frequency rises — is what motivates controlled low-power sprinting.
 func Fig1PerWattSpeedup() (*Table, error) {
 	params := server.DefaultParams()
-	srv, err := server.New(0, params)
-	if err != nil {
-		return nil, err
-	}
 	specs := workload.Fig1Workloads()
 	freqs := []float64{0.4, 0.8, 1.2, 1.6, 2.0}
 
@@ -61,11 +57,19 @@ func Fig1PerWattSpeedup() (*Table, error) {
 	// Sprinting spends *dynamic* power: per-watt speedup is normalized to
 	// the frequency-dependent power above the idle floor, which is the
 	// power a sprint decision actually buys.
+	// One server's row: one active batch core, utilization from spec; the
+	// rest idle at the lowest P-state.
+	rowF := make([]float64, params.Cores)
+	rowU := make([]float64, params.Cores)
+	rowCl := make([]cpu.Class, params.Cores)
+	for i := range rowF {
+		rowF[i] = fmin
+	}
+	rowCl[0] = cpu.Batch
 	dynAt := func(f, util float64) float64 {
-		srv.CPU().SetClass(0, cpu.Batch) // one active core, utilization from spec
-		srv.CPU().SetFreq(0, f)
-		srv.CPU().SetUtil(0, util)
-		return srv.PowerOfClass(cpu.Batch, server.Environment{AmbientC: 25}) - idleShare
+		rowF[0] = params.PStates.Quantize(f)
+		rowU[0] = cpu.ClampUtil(util)
+		return params.PowerOfClass(rowF, rowU, rowCl, cpu.Batch, server.Environment{AmbientC: 25}) - idleShare
 	}
 	for _, f := range freqs {
 		row := []interface{}{f}

@@ -97,15 +97,15 @@ type FaultState struct {
 
 // Rack is the assembled simulation target.
 //
-// The rack owns every core's state: one server-major table, where core c of
-// server s is entry s·Cores + c of freq and util, and each server's CPU is a
-// window onto its row. The per-tick sweeps walk the table through the
-// precomputed flat indices of the interactive and batch cores.
+// The rack owns every core's state and is its only writer: one server-major
+// table, where core c of server s is entry s·Cores + c of freq and util. A
+// core's class follows from its position (see class). The per-tick sweeps
+// walk the table through the precomputed flat indices of the interactive
+// and batch cores.
 type Rack struct {
-	cfg     Config
-	servers []*server.Server
-	batch   []CoreRef
-	inter   []CoreRef
+	cfg   Config
+	batch []CoreRef
+	inter []CoreRef
 	// freq and util are the core table; batchIdx and interIdx hold the
 	// flat indices of batch and interactive cores in BatchCores() and
 	// InteractiveCores() order; offline mirrors each core's server's
@@ -116,9 +116,9 @@ type Rack struct {
 	interIdx []int
 	offline  []bool
 	// gen is the frequency generation: incremented by every frequency
-	// write that changes a core's bits (through any server's CPU), by
-	// SetFaultState and by RestoreState. The memos below are derived from
-	// the table and the fault states and are valid while gen holds.
+	// write that changes a core's bits (see setFreq), by SetFaultState and
+	// by RestoreState. The memos below are derived from the table and the
+	// fault states and are valid while gen holds.
 	gen uint64
 	// interOK records that the last SetInteractiveFreq call, for the
 	// frequency with bits interBits at generation interGen, changed
@@ -163,33 +163,46 @@ func New(cfg Config) (*Rack, error) {
 	}
 	for k := range r.freq {
 		r.freq[k] = cfg.ServerParams.PStates.Min()
+		if r.class(k%nc) == cpu.Interactive {
+			r.freq[k] = cfg.ServerParams.PStates.Max()
+		}
 	}
-	for i := 0; i < cfg.NumServers; i++ {
-		base := i * nc
-		c, err := cpu.Window(cfg.ServerParams.PStates, r.freq[base:base+nc:base+nc], r.util[base:base+nc:base+nc], &r.gen)
-		if err != nil {
-			return nil, err
+	for s := 0; s < cfg.NumServers; s++ {
+		for c := 0; c < nc; c++ {
+			ref := CoreRef{Server: s, Core: c}
+			switch r.class(c) {
+			case cpu.Interactive:
+				r.inter = append(r.inter, ref)
+				r.interIdx = append(r.interIdx, s*nc+c)
+			case cpu.Batch:
+				r.batch = append(r.batch, ref)
+				r.batchIdx = append(r.batchIdx, s*nc+c)
+			}
 		}
-		s, err := server.NewOn(i, cfg.ServerParams, c)
-		if err != nil {
-			return nil, err
-		}
-		for c := 0; c < cfg.InteractiveCoresPerServer; c++ {
-			s.CPU().SetClass(c, cpu.Interactive)
-			s.CPU().SetFreq(c, cfg.ServerParams.PStates.Max())
-			r.inter = append(r.inter, CoreRef{Server: i, Core: c})
-			r.interIdx = append(r.interIdx, base+c)
-		}
-		for c := cfg.InteractiveCoresPerServer; c < cfg.InteractiveCoresPerServer+cfg.BatchCoresPerServer; c++ {
-			s.CPU().SetClass(c, cpu.Batch)
-			r.batch = append(r.batch, CoreRef{Server: i, Core: c})
-			r.batchIdx = append(r.batchIdx, base+c)
-		}
-		r.servers = append(r.servers, s)
 	}
 	r.jobSeq = make([]*workload.BatchJob, len(r.batch))
 	r.faults = make([]FaultState, cfg.NumServers)
 	return r, nil
+}
+
+// class returns the workload class of core c of any server: the first
+// InteractiveCoresPerServer cores are interactive, the next
+// BatchCoresPerServer are batch and the rest are idle.
+func (r *Rack) class(c int) cpu.Class {
+	switch {
+	case c < r.cfg.InteractiveCoresPerServer:
+		return cpu.Interactive
+	case c < r.cfg.InteractiveCoresPerServer+r.cfg.BatchCoresPerServer:
+		return cpu.Batch
+	}
+	return cpu.Idle
+}
+
+// Core returns the frequency (GHz), utilization and class of core ref,
+// which must address a core of the rack.
+func (r *Rack) Core(ref CoreRef) (freq, util float64, cl cpu.Class) {
+	k := ref.Server*r.cfg.ServerParams.Cores + ref.Core
+	return r.freq[k], r.util[k], r.class(ref.Core)
 }
 
 // SetFaultState applies an injected failure condition to one server.
@@ -226,9 +239,6 @@ func (r *Rack) FaultStateOf(serverIdx int) FaultState {
 func (r *Rack) ServerOffline(serverIdx int) bool {
 	return r.FaultStateOf(serverIdx).Offline
 }
-
-// Servers returns the rack's servers (shared state, not a copy).
-func (r *Rack) Servers() []*server.Server { return r.servers }
 
 // BatchCores returns the references of all batch cores, in stable order.
 func (r *Rack) BatchCores() []CoreRef { return r.batch }
@@ -296,24 +306,45 @@ func (r *Rack) ApplyInteractiveDemand(demand float64) {
 
 // SetCoreFreq is the rack's single DVFS actuation path: every frequency
 // write — SprintCon's MPC moves and the baselines' theta walks alike — goes
-// through it, so injected actuator faults (stuck, lagging) and server
-// crashes affect all policies. It returns the frequency actually applied,
-// which the caller can compare against the command to detect a stuck
-// actuator. A reference to a server or core the rack does not have writes
-// nothing and returns 0.
+// through it (or through SetInteractiveFreq and SetBatchFreqsInto, which
+// apply the same rule), so injected actuator faults (stuck, lagging) and
+// server crashes affect all policies. It returns the frequency actually
+// applied, which the caller can compare against the command to detect a
+// stuck actuator. A reference to a server or core the rack does not have
+// writes nothing and returns 0.
 func (r *Rack) SetCoreFreq(ref CoreRef, f float64) float64 {
-	if ref.Server < 0 || ref.Server >= len(r.servers) || ref.Core < 0 || ref.Core >= r.cfg.ServerParams.Cores {
+	if ref.Server < 0 || ref.Server >= r.cfg.NumServers || ref.Core < 0 || ref.Core >= r.cfg.ServerParams.Cores {
 		return 0
 	}
-	st := r.faults[ref.Server]
-	cur := r.servers[ref.Server].CPU().Freq(ref.Core)
+	return r.setFreq(ref.Server*r.cfg.ServerParams.Cores+ref.Core, f, r.faults[ref.Server])
+}
+
+// setFreq is the rack's one frequency write rule: it requests frequency f
+// on the core at flat index k of a server in fault state st and returns the
+// frequency the core then holds. A crashed server or a stuck actuator
+// ignores the write; a lagging one moves only the fraction st.LagFrac of
+// the way from the current frequency. A core only ever holds a P-state,
+// and Quantize maps a P-state to itself, so a request for the bits the
+// core already has returns at once; otherwise the request is quantized to
+// the P-state table and written, and a write that changes the core's bits
+// moves the generation.
+func (r *Rack) setFreq(k int, f float64, st FaultState) float64 {
+	cur := r.freq[k]
 	if st.Offline || st.Stuck {
 		return cur
 	}
 	if st.LagFrac > 0 && st.LagFrac < 1 {
 		f = cur + st.LagFrac*(f-cur)
 	}
-	return r.servers[ref.Server].CPU().SetFreq(ref.Core, f)
+	if math.Float64bits(f) == math.Float64bits(cur) {
+		return f
+	}
+	q := r.cfg.ServerParams.PStates.Quantize(f)
+	if math.Float64bits(q) != math.Float64bits(cur) {
+		r.gen++
+		r.freq[k] = q
+	}
+	return q
 }
 
 // SetInteractiveFreq sets every interactive core to frequency f (the
@@ -328,8 +359,8 @@ func (r *Rack) SetInteractiveFreq(f float64) {
 		return
 	}
 	gen := r.gen
-	for _, ref := range r.inter {
-		r.SetCoreFreq(ref, f)
+	for i, ref := range r.inter {
+		r.setFreq(r.interIdx[i], f, r.faults[ref.Server])
 	}
 	r.interOK, r.interBits, r.interGen = r.gen == gen, bits, gen
 }
@@ -347,7 +378,7 @@ func (r *Rack) SetBatchFreqsInto(freqs, applied []float64) ([]float64, error) {
 		return nil, fmt.Errorf("rack: applied buffer length %d for %d batch cores", len(applied), len(r.batch))
 	}
 	for i, ref := range r.batch {
-		applied[i] = r.SetCoreFreq(ref, freqs[i])
+		applied[i] = r.setFreq(r.batchIdx[i], freqs[i], r.faults[ref.Server])
 	}
 	return applied, nil
 }
@@ -441,12 +472,14 @@ func (r *Rack) AllBatchJobsCompleted() bool {
 // TruePower returns the exact rack power (measurement model, no monitor
 // noise). Crashed servers draw nothing.
 func (r *Rack) TruePower() float64 {
+	nc := r.cfg.ServerParams.Cores
 	var p float64
-	for i, s := range r.servers {
-		if r.faults[i].Offline {
+	for s, st := range r.faults {
+		if st.Offline {
 			continue
 		}
-		p += s.Power(r.env)
+		base := s * nc
+		p += r.cfg.ServerParams.Power(r.freq[base:base+nc], r.util[base:base+nc], r.env)
 	}
 	return p
 }

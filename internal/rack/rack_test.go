@@ -42,21 +42,21 @@ func TestConfigValidate(t *testing.T) {
 
 func TestTopology(t *testing.T) {
 	r := mustNew(t)
-	if len(r.Servers()) != 16 {
-		t.Fatalf("servers = %d", len(r.Servers()))
+	if len(r.freq) != 16*8 || len(r.util) != 16*8 {
+		t.Fatalf("core table of %d/%d entries, want 16×8", len(r.freq), len(r.util))
 	}
 	if len(r.InteractiveCores()) != 64 || len(r.BatchCores()) != 64 {
 		t.Fatalf("core partition %d/%d, want 64/64", len(r.InteractiveCores()), len(r.BatchCores()))
 	}
 	// Interactive cores start at peak; batch cores at the floor.
 	for _, ref := range r.InteractiveCores() {
-		if f := r.Servers()[ref.Server].CPU().Core(ref.Core).Freq; f != 2.0 {
-			t.Fatalf("interactive core %v at %v, want 2.0", ref, f)
+		if f, _, cl := r.Core(ref); f != 2.0 || cl != cpu.Interactive {
+			t.Fatalf("interactive core %v: %v at %v, want interactive at 2.0", ref, cl, f)
 		}
 	}
 	for _, ref := range r.BatchCores() {
-		if f := r.Servers()[ref.Server].CPU().Core(ref.Core).Freq; f != 0.4 {
-			t.Fatalf("batch core %v at %v, want 0.4", ref, f)
+		if f, _, cl := r.Core(ref); f != 0.4 || cl != cpu.Batch {
+			t.Fatalf("batch core %v: %v at %v, want batch at 0.4", ref, cl, f)
 		}
 	}
 }
@@ -71,11 +71,13 @@ func TestRackMaxPowerMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range r.Servers() {
+	for s := 0; s < 16; s++ {
 		for c := 0; c < 8; c++ {
-			s.CPU().SetFreq(c, 2.0)
-			s.CPU().SetUtil(c, 1)
+			r.SetCoreFreq(CoreRef{Server: s, Core: c}, 2.0)
 		}
+	}
+	for k := range r.util {
+		r.util[k] = 1
 	}
 	if got := r.TruePower(); math.Abs(got-4800) > 1e-6 {
 		t.Fatalf("max rack power = %v, want 4800", got)
@@ -124,8 +126,7 @@ func TestBindAndAdvanceJobs(t *testing.T) {
 	}
 	// Batch utilization reflects the specs.
 	for _, ref := range r.BatchCores() {
-		u := r.Servers()[ref.Server].CPU().Core(ref.Core).Util
-		if u < 0.9 {
+		if _, u, _ := r.Core(ref); u < 0.9 {
 			t.Fatalf("batch core %v util %v, want spec value ≥0.9", ref, u)
 		}
 	}
@@ -178,13 +179,13 @@ func TestApplyInteractiveDemand(t *testing.T) {
 	r, _ := New(cfg)
 	r.ApplyInteractiveDemand(0.7)
 	for _, ref := range r.InteractiveCores() {
-		if u := r.Servers()[ref.Server].CPU().Core(ref.Core).Util; math.Abs(u-0.7) > 1e-9 {
+		if _, u, _ := r.Core(ref); math.Abs(u-0.7) > 1e-9 {
 			t.Fatalf("core %v util %v, want 0.7", ref, u)
 		}
 	}
 	r.ApplyInteractiveDemand(1.5) // saturates
 	for _, ref := range r.InteractiveCores() {
-		if u := r.Servers()[ref.Server].CPU().Core(ref.Core).Util; u != 1 {
+		if _, u, _ := r.Core(ref); u != 1 {
 			t.Fatalf("core %v util %v, want clamp to 1", ref, u)
 		}
 	}
@@ -199,15 +200,14 @@ func TestInteractiveUtilizationRisesWhenThrottled(t *testing.T) {
 	r.SetInteractiveFreq(1.0) // half of peak
 	r.ApplyInteractiveDemand(0.3)
 	for _, ref := range r.InteractiveCores() {
-		u := r.Servers()[ref.Server].CPU().Core(ref.Core).Util
-		if math.Abs(u-0.6) > 1e-9 {
+		if _, u, _ := r.Core(ref); math.Abs(u-0.6) > 1e-9 {
 			t.Fatalf("core %v util %v, want 0.6 (= 0.3 x 2.0/1.0)", ref, u)
 		}
 	}
 	// Saturation: demand beyond the throttled capacity clamps to 1.
 	r.ApplyInteractiveDemand(0.7)
 	for _, ref := range r.InteractiveCores() {
-		if u := r.Servers()[ref.Server].CPU().Core(ref.Core).Util; u != 1 {
+		if _, u, _ := r.Core(ref); u != 1 {
 			t.Fatalf("core %v util %v, want saturated", ref, u)
 		}
 	}
@@ -347,12 +347,110 @@ func TestClassPowerPartition(t *testing.T) {
 // TruePowerOfClass returns the exact rack power attributable to a class:
 // the test oracle for BatchFeedback's Eq. (6) estimate.
 func (r *Rack) TruePowerOfClass(cl cpu.Class) float64 {
+	nc := r.cfg.ServerParams.Cores
+	classes := make([]cpu.Class, nc)
+	for c := range classes {
+		classes[c] = r.class(c)
+	}
 	var p float64
-	for i, s := range r.servers {
-		if r.faults[i].Offline {
+	for s, st := range r.faults {
+		if st.Offline {
 			continue
 		}
-		p += s.PowerOfClass(cl, r.env)
+		base := s * nc
+		p += r.cfg.ServerParams.PowerOfClass(r.freq[base:base+nc], r.util[base:base+nc], classes, cl, r.env)
 	}
 	return p
+}
+
+// pStates lists the P-states of r's table in ascending order, read back
+// through Quantize on a grid finer than the table's step.
+func pStates(r *Rack) []float64 {
+	tab := r.cfg.ServerParams.PStates
+	var out []float64
+	for i := 0; ; i++ {
+		f := tab.Min() + float64(i)*0.01
+		if f > tab.Max() {
+			return out
+		}
+		if q := tab.Quantize(f); len(out) == 0 || q != out[len(out)-1] {
+			out = append(out, q)
+		}
+	}
+}
+
+// The write rule must return and store what quantizing every request does,
+// from every table entry as the core's frequency, for every entry, the
+// values one ulp around each entry and midway between entries, and
+// requests off the table; the generation moves exactly when a write
+// changes the core's bits.
+func TestSetFreqMatchesReference(t *testing.T) {
+	r := mustNew(t)
+	fs := pStates(r)
+	if len(fs) != 17 {
+		t.Fatalf("%d P-states read back, want 17", len(fs))
+	}
+	var req []float64
+	for i, f := range fs {
+		req = append(req, f, math.Nextafter(f, 0), math.Nextafter(f, 3))
+		if i > 0 {
+			mid := fs[i-1] + (f-fs[i-1])/2
+			req = append(req, mid, math.Nextafter(mid, 0), math.Nextafter(mid, 3))
+		}
+	}
+	req = append(req, 0, math.Copysign(0, -1), -1, 0.1, 2.5, math.Inf(1), math.Inf(-1), math.NaN())
+	ref := CoreRef{Server: 3, Core: 5}
+	k := at(r, ref)
+	for _, cur := range fs {
+		for _, f := range req {
+			r.freq[k] = cur
+			gen := r.gen
+			want := r.cfg.ServerParams.PStates.Quantize(f)
+			got := r.SetCoreFreq(ref, f)
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(r.freq[k]) != math.Float64bits(want) {
+				t.Fatalf("from %v, SetCoreFreq(%v) = %v (core %v), reference %v", cur, f, got, r.freq[k], want)
+			}
+			if moved := r.gen != gen; moved != (math.Float64bits(want) != math.Float64bits(cur)) {
+				t.Fatalf("from %v, SetCoreFreq(%v) to %v moved the generation: %v", cur, f, want, moved)
+			}
+		}
+	}
+}
+
+// A core's class follows from its position in its server, a frequency
+// write is quantized to the P-state table, and a stored utilization is
+// clamped to [0, 1].
+func TestCoreStateManagement(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InteractiveCoresPerServer = 2
+	cfg.BatchCoresPerServer = 3
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []cpu.Class{cpu.Interactive, cpu.Interactive, cpu.Batch, cpu.Batch, cpu.Batch, cpu.Idle, cpu.Idle, cpu.Idle}
+	for s := 0; s < cfg.NumServers; s++ {
+		for c, wc := range want {
+			if _, _, cl := r.Core(CoreRef{Server: s, Core: c}); cl != wc {
+				t.Fatalf("core s%d/c%d is %v, want %v", s, c, cl, wc)
+			}
+		}
+	}
+	ref := CoreRef{Server: 2, Core: 3}
+	if applied := r.SetCoreFreq(ref, 1.234); applied != 1.2 {
+		t.Fatalf("SetCoreFreq applied %v, want quantized 1.2", applied)
+	}
+	if f, _, _ := r.Core(ref); f != 1.2 {
+		t.Fatalf("core holds %v after the write, want 1.2", f)
+	}
+	for _, tc := range []struct{ in, want float64 }{{1.7, 1}, {-0.5, 0}, {0.25, 0.25}} {
+		st := r.ExportState()
+		st.Cores[ref.Server][ref.Core].Util = tc.in
+		if err := r.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if _, u, _ := r.Core(ref); u != tc.want {
+			t.Fatalf("restored utilization %v stored as %v, want %v", tc.in, u, tc.want)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"sprintcon/internal/cpu"
 	"sprintcon/internal/workload"
 )
 
@@ -33,18 +34,18 @@ const maxNormDraws = 100_000_000
 
 // ExportState captures the rack's mutable state.
 func (r *Rack) ExportState() State {
+	nc := r.cfg.ServerParams.Cores
 	st := State{
-		Cores:     make([][]CoreState, len(r.servers)),
+		Cores:     make([][]CoreState, r.cfg.NumServers),
 		Faults:    append([]FaultState(nil), r.faults...),
 		NormDraws: r.normDraws,
 		JobBound:  make([]bool, len(r.batch)),
 		Jobs:      make([]workload.JobState, len(r.batch)),
 	}
-	for si, s := range r.servers {
-		cores := make([]CoreState, s.CPU().NumCores())
+	for si := range st.Cores {
+		cores := make([]CoreState, nc)
 		for ci := range cores {
-			c := s.CPU().Core(ci)
-			cores[ci] = CoreState{FreqGHz: c.Freq, Util: c.Util}
+			cores[ci] = CoreState{FreqGHz: r.freq[si*nc+ci], Util: r.util[si*nc+ci]}
 		}
 		st.Cores[si] = cores
 	}
@@ -64,13 +65,13 @@ func (r *Rack) ExportState() State {
 // impossible core state. The noise stream is restored by replaying the
 // recorded number of draws against a fresh seeded source.
 func (r *Rack) RestoreState(st State) error {
-	if len(st.Cores) != len(r.servers) {
-		return fmt.Errorf("rack: snapshot has %d servers, rack has %d", len(st.Cores), len(r.servers))
+	nc := r.cfg.ServerParams.Cores
+	if len(st.Cores) != r.cfg.NumServers {
+		return fmt.Errorf("rack: snapshot has %d servers, rack has %d", len(st.Cores), r.cfg.NumServers)
 	}
 	for si, cores := range st.Cores {
-		if len(cores) != r.servers[si].CPU().NumCores() {
-			return fmt.Errorf("rack: snapshot server %d has %d cores, rack has %d",
-				si, len(cores), r.servers[si].CPU().NumCores())
+		if len(cores) != nc {
+			return fmt.Errorf("rack: snapshot server %d has %d cores, rack has %d", si, len(cores), nc)
 		}
 		for ci, c := range cores {
 			if math.IsNaN(c.FreqGHz) || math.IsInf(c.FreqGHz, 0) || c.FreqGHz < 0 {
@@ -97,11 +98,12 @@ func (r *Rack) RestoreState(st State) error {
 		}
 	}
 
+	// The frequencies go through the write rule as a healthy server's:
+	// the fault states are the snapshot's, installed below.
 	for si, cores := range st.Cores {
-		cpu := r.servers[si].CPU()
 		for ci, c := range cores {
-			cpu.SetFreq(ci, c.FreqGHz)
-			cpu.SetUtil(ci, c.Util)
+			r.setFreq(si*nc+ci, c.FreqGHz, FaultState{})
+			r.util[si*nc+ci] = cpu.ClampUtil(c.Util)
 		}
 	}
 	copy(r.faults, st.Faults)

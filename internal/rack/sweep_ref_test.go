@@ -5,15 +5,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"sprintcon/internal/cpu"
 	"sprintcon/internal/workload"
 )
 
-// The functions below are the rack's per-core sweeps as they were written
-// before the rack kept one flat core table: each walks CoreRefs through
-// servers[ref.Server].CPU() and faults[ref.Server], and none remembers
-// anything between calls. A reference rack driven only through them keeps
-// its state in the same places the fast paths do, so the two racks can be
-// compared core by core after every call.
+// The functions below are the rack's per-core sweeps written out plainly:
+// each walks CoreRefs, indexing the core table at s·Cores + c (see at) and
+// reading faults[ref.Server], and none remembers anything between calls. A
+// reference rack driven only through them keeps its state in the same
+// places the fast paths do, so the two racks can be compared core by core
+// after every call.
+
+// at returns ref's entry in the core table.
+func at(r *Rack, ref CoreRef) int { return ref.Server*r.cfg.ServerParams.Cores + ref.Core }
 
 func applyInteractiveDemandRef(r *Rack, demand float64) {
 	fmax := r.cfg.ServerParams.PStates.Max()
@@ -24,30 +28,34 @@ func applyInteractiveDemandRef(r *Rack, demand float64) {
 			r.normDraws++
 		}
 		if r.faults[ref.Server].Offline {
-			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+			r.util[at(r, ref)] = 0
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Freq(ref.Core)
+		f := r.freq[at(r, ref)]
 		if f > 0 {
 			u *= fmax / f
 		}
-		r.servers[ref.Server].CPU().SetUtil(ref.Core, u)
+		r.util[at(r, ref)] = cpu.ClampUtil(u)
 	}
 }
 
+// setCoreFreqRef quantizes every request that reaches the core, with no
+// early return for the bits the core already holds.
 func setCoreFreqRef(r *Rack, ref CoreRef, f float64) float64 {
-	if ref.Server < 0 || ref.Server >= len(r.servers) {
+	if ref.Server < 0 || ref.Server >= r.cfg.NumServers {
 		return 0
 	}
 	st := r.faults[ref.Server]
-	cur := r.servers[ref.Server].CPU().Freq(ref.Core)
+	cur := r.freq[at(r, ref)]
 	if st.Offline || st.Stuck {
 		return cur
 	}
 	if st.LagFrac > 0 && st.LagFrac < 1 {
 		f = cur + st.LagFrac*(f-cur)
 	}
-	return r.servers[ref.Server].CPU().SetFreq(ref.Core, f)
+	q := r.cfg.ServerParams.PStates.Quantize(f)
+	r.freq[at(r, ref)] = q
+	return q
 }
 
 func setInteractiveFreqRef(r *Rack, f float64) {
@@ -74,12 +82,12 @@ func advanceBatchRef(r *Rack, dt, now float64) {
 	for i, ref := range r.batch {
 		j := r.jobSeq[i]
 		if j == nil || r.faults[ref.Server].Offline {
-			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+			r.util[at(r, ref)] = 0
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Freq(ref.Core)
+		f := r.freq[at(r, ref)]
 		j.Advance(f, fmax, dt, now)
-		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
+		r.util[at(r, ref)] = cpu.ClampUtil(j.CurrentUtil())
 	}
 }
 
@@ -88,12 +96,12 @@ func advanceBatchTicksRef(r *Rack, dt, now0 float64, n int) {
 	for i, ref := range r.batch {
 		j := r.jobSeq[i]
 		if j == nil || r.faults[ref.Server].Offline {
-			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
+			r.util[at(r, ref)] = 0
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Freq(ref.Core)
+		f := r.freq[at(r, ref)]
 		j.AdvanceTicks(f, fmax, dt, now0, n)
-		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
+		r.util[at(r, ref)] = cpu.ClampUtil(j.CurrentUtil())
 	}
 }
 
@@ -105,7 +113,7 @@ func batchStableTicksRef(r *Rack, dt float64, maxTicks int) int {
 		if j == nil || r.faults[ref.Server].Offline {
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Freq(ref.Core)
+		f := r.freq[at(r, ref)]
 		if n := j.StableTicks(f, fmax, dt); n < min {
 			min = n
 		}
@@ -117,12 +125,13 @@ func batchStableTicksRef(r *Rack, dt float64, maxTicks int) int {
 }
 
 func truePowerRef(r *Rack) float64 {
+	nc := r.cfg.ServerParams.Cores
 	var p float64
-	for i, s := range r.servers {
-		if r.faults[i].Offline {
+	for s := 0; s < r.cfg.NumServers; s++ {
+		if r.faults[s].Offline {
 			continue
 		}
-		p += s.Power(r.env)
+		p += r.cfg.ServerParams.Power(r.freq[s*nc:(s+1)*nc], r.util[s*nc:(s+1)*nc], r.env)
 	}
 	return p
 }
@@ -136,7 +145,7 @@ func estimateInteractivePowerRef(r *Rack) float64 {
 		if r.faults[ref.Server].Offline {
 			continue
 		}
-		u := r.servers[ref.Server].CPU().Util(ref.Core)
+		u := r.util[at(r, ref)]
 		p += float64(co.KWPerGHz*u) + co.CIdleShareW
 	}
 	return p
@@ -156,7 +165,7 @@ func meanFreqNormRef(r *Rack, refs []CoreRef) float64 {
 		if r.faults[ref.Server].Offline {
 			continue
 		}
-		sum += r.servers[ref.Server].CPU().Freq(ref.Core)
+		sum += r.freq[at(r, ref)]
 	}
 	return sum / float64(len(refs)) / r.cfg.ServerParams.PStates.Max()
 }
@@ -165,10 +174,10 @@ func meanFreqNormRef(r *Rack, refs []CoreRef) float64 {
 // ExportState wrote (so there is nothing to validate).
 func restoreStateRef(t *testing.T, r *Rack, st State) {
 	for si, cores := range st.Cores {
-		c := r.servers[si].CPU()
 		for ci, cs := range cores {
-			c.SetFreq(ci, cs.FreqGHz)
-			c.SetUtil(ci, cs.Util)
+			ref := CoreRef{Server: si, Core: ci}
+			r.freq[at(r, ref)] = r.cfg.ServerParams.PStates.Quantize(cs.FreqGHz)
+			r.util[at(r, ref)] = cpu.ClampUtil(cs.Util)
 		}
 	}
 	copy(r.faults, st.Faults)
@@ -305,7 +314,7 @@ func (p *refPair) step(op int, arg func() int) {
 			}
 		}
 	case opFault:
-		s := arg() % len(fast.Servers())
+		s := arg() % fast.cfg.NumServers
 		st := faultStates[arg()%len(faultStates)]
 		fast.SetFaultState(s, st)
 		setFaultStateRef(ref, s, st)
@@ -336,7 +345,7 @@ func (p *refPair) step(op int, arg func() int) {
 		}
 		restoreStateRef(t, ref, p.snapRef[i])
 	case opCoreFreq:
-		cref := CoreRef{Server: arg() % len(fast.Servers()), Core: arg() % fast.cfg.ServerParams.Cores}
+		cref := CoreRef{Server: arg() % fast.cfg.NumServers, Core: arg() % fast.cfg.ServerParams.Cores}
 		f := 0.3 + float64(arg())/140
 		if got, want := fast.SetCoreFreq(cref, f), setCoreFreqRef(ref, cref, f); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("SetCoreFreq(%v, %v) = %v, reference %v", cref, f, got, want)
@@ -360,13 +369,11 @@ func (p *refPair) compare(op int) {
 			t.Fatalf("after op %d: %s = %v (%#x), reference %v (%#x)", op, what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	for si := range fast.Servers() {
-		fc, rc := fast.Servers()[si].CPU(), ref.Servers()[si].CPU()
-		for ci := 0; ci < fc.NumCores(); ci++ {
-			if math.Float64bits(fc.Freq(ci)) != math.Float64bits(rc.Freq(ci)) || math.Float64bits(fc.Util(ci)) != math.Float64bits(rc.Util(ci)) {
-				t.Fatalf("after op %d: core s%d/c%d at %v GHz, util %v; reference %v GHz, util %v",
-					op, si, ci, fc.Freq(ci), fc.Util(ci), rc.Freq(ci), rc.Util(ci))
-			}
+	nc := fast.cfg.ServerParams.Cores
+	for k := range fast.freq {
+		if math.Float64bits(fast.freq[k]) != math.Float64bits(ref.freq[k]) || math.Float64bits(fast.util[k]) != math.Float64bits(ref.util[k]) {
+			t.Fatalf("after op %d: core s%d/c%d at %v GHz, util %v; reference %v GHz, util %v",
+				op, k/nc, k%nc, fast.freq[k], fast.util[k], ref.freq[k], ref.util[k])
 		}
 	}
 	tp := fast.TruePower()
@@ -477,7 +484,7 @@ func TestSetCoreFreqOutOfRangeCore(t *testing.T) {
 	cores := r.cfg.ServerParams.Cores
 	before := append([]float64(nil), r.freq...)
 	gen := r.gen
-	for _, s := range []int{0, len(r.Servers()) - 1} {
+	for _, s := range []int{0, r.cfg.NumServers - 1} {
 		for _, c := range []int{-1, cores, cores + 1} {
 			if got := r.SetCoreFreq(CoreRef{Server: s, Core: c}, 1.0); got != 0 {
 				t.Fatalf("SetCoreFreq(s%d/c%d) = %v, want 0", s, c, got)

@@ -20,11 +20,10 @@ func fanWRef(p Params, dynW float64, env Environment) float64 {
 }
 
 // powerRef is Power summed per core through coreDynamicW, plus fanWRef.
-func powerRef(s *Server, env Environment) float64 {
+func powerRef(s *row, env Environment) float64 {
 	var dyn float64
-	for i := 0; i < s.cpu.NumCores(); i++ {
-		c := s.cpu.Core(i)
-		dyn += s.p.coreDynamicW(c.Freq, c.Util)
+	for i, f := range s.f {
+		dyn += s.p.coreDynamicW(f, s.u[i])
 	}
 	return s.p.IdleW + dyn + fanWRef(s.p, dyn, env)
 }
@@ -63,12 +62,9 @@ func TestPowerMatchesModel(t *testing.T) {
 	for _, fanW := range []float64{6, 0} {
 		p := DefaultParams()
 		p.FanW = fanW
-		s, err := New(0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < p.Cores; i++ {
-			s.CPU().SetClass(i, cpu.Class(i%3))
+		s := newRow(p)
+		for i := range s.cl {
+			s.cl[i] = cpu.Class(i % 3)
 		}
 		e := Environment{AmbientC: 25}
 		for step := 0; step < 5000; step++ {
@@ -76,23 +72,21 @@ func TestPowerMatchesModel(t *testing.T) {
 			case r < 0.5: // plateau: nothing changes
 			case r < 0.8:
 				i := rng.Intn(p.Cores)
-				s.CPU().SetFreq(i, 0.4+1.6*rng.Float64())
-				s.CPU().SetUtil(i, 1.2*rng.Float64())
+				s.set(i, s.cl[i], 0.4+1.6*rng.Float64(), 1.2*rng.Float64())
 			case r < 0.9:
 				e.AmbientC = []float64{25, 30, math.Copysign(0, -1), 0, -5, 40}[rng.Intn(6)]
 			default:
 				e.AmbientC = 15 + 25*rng.Float64()
 			}
-			if got, want := s.Power(e), powerRef(s, e); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := s.power(e), powerRef(s, e); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("FanW=%v step %d: Power = %v, model %v", fanW, step, got, want)
 			}
-			cl := s.CPU().Core(rng.Intn(p.Cores)).Class
+			cl := s.cl[rng.Intn(p.Cores)]
 			var dynClass, dynTotal, nClass float64
 			for i := 0; i < p.Cores; i++ {
-				c := s.CPU().Core(i)
-				d := p.coreDynamicW(c.Freq, c.Util)
+				d := p.coreDynamicW(s.f[i], s.u[i])
 				dynTotal += d
-				if c.Class == cl {
+				if s.cl[i] == cl {
 					dynClass, nClass = dynClass+d, nClass+1
 				}
 			}
@@ -100,7 +94,7 @@ func TestPowerMatchesModel(t *testing.T) {
 			if dynTotal > 0 {
 				want += fanWRef(p, dynTotal, e) * dynClass / dynTotal
 			}
-			if got := s.PowerOfClass(cl, e); math.Float64bits(got) != math.Float64bits(want) {
+			if got := s.powerOfClass(cl, e); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("FanW=%v step %d: PowerOfClass = %v, model %v", fanW, step, got, want)
 			}
 		}

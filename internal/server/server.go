@@ -1,5 +1,6 @@
-// Package server models one data-center server: a multi-core CPU with
-// per-core DVFS plus the two power models the paper distinguishes.
+// Package server models one data-center server: its parameters and the two
+// power models the paper distinguishes. The server's cores are a row of the
+// rack's core table (package rack); the models read that row.
 //
 // The *measurement* model (used by the simulation to play the role of the
 // physical rack and its power monitor) follows Horvath & Skadron [29]: power
@@ -13,7 +14,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"sprintcon/internal/cpu"
@@ -91,71 +91,35 @@ type Environment struct {
 	AmbientC float64
 }
 
-// Server is one server's mutable state.
-type Server struct {
-	id  int
-	p   Params
-	cpu *cpu.CPU
-}
-
-// New returns a server with all cores idle at the lowest P-state.
-func New(id int, p Params) (*Server, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	c, err := cpu.New(p.Cores, p.PStates)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{id: id, p: p, cpu: c}, nil
-}
-
-// NewOn returns a server whose cores are c, which must have p.Cores cores:
-// a rack passes windows onto its own core table.
-func NewOn(id int, p Params, c *cpu.CPU) (*Server, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if c.NumCores() != p.Cores {
-		return nil, fmt.Errorf("server: CPU has %d cores, params %d", c.NumCores(), p.Cores)
-	}
-	return &Server{id: id, p: p, cpu: c}, nil
-}
-
-// ID returns the server's identifier.
-func (s *Server) ID() int { return s.id }
-
-// CPU exposes the server's cores for class/frequency/utilization updates.
-func (s *Server) CPU() *cpu.CPU { return s.cpu }
-
 // fanW is the unmodeled disturbance: grows super-linearly with the dynamic
 // load, as loadFrac^1.5, and with ambient temperature above the 25 °C set
 // point. loadFrac^1.5 is computed as loadFrac·√loadFrac, from exactly
 // rounded operations only, and the conversions keep the products out of
 // fused multiply-adds, so every host computes the same bits.
-func (s *Server) fanW(dynW float64, env Environment) float64 {
-	if s.p.FanW == 0 {
+func (p Params) fanW(dynW float64, env Environment) float64 {
+	if p.FanW == 0 {
 		return 0
 	}
-	loadFrac := dynW / (s.p.MaxW - s.p.IdleW)
+	loadFrac := dynW / (p.MaxW - p.IdleW)
 	tempFactor := 1 + float64(0.04*(env.AmbientC-25))
 	if tempFactor < 0 {
 		tempFactor = 0
 	}
-	return float64(s.p.FanW * (loadFrac * math.Sqrt(loadFrac)) * tempFactor)
+	return float64(p.FanW * (loadFrac * math.Sqrt(loadFrac)) * tempFactor)
 }
 
-// Power returns the measured server power (measurement model + fan). The
-// summation runs fused over the CPU's struct-of-arrays frequency and
-// utilization slices with hoisted constants; every per-core operation is
-// performed in the same order as the scalar model, so the result is
-// bit-identical to summing coreDynamicW per core.
-func (s *Server) Power(env Environment) float64 {
-	freqs, utils := s.cpu.Freqs(), s.cpu.Utils()
-	pcm := s.p.perCoreMaxW()
-	fmax := s.p.PStates.Max()
-	a := s.p.Alpha
-	b := 1 - s.p.Alpha
+// Power returns the measured power (measurement model + fan) of one server
+// whose core i runs at freqs[i] GHz with utilization utils[i]: a row of the
+// rack's core table. The summation runs fused over the two slices with
+// hoisted constants; every per-core operation is performed in the same
+// order as the scalar model, so the result is bit-identical to summing
+// coreDynamicW per core.
+func (p Params) Power(freqs, utils []float64, env Environment) float64 {
+	utils = utils[:len(freqs)]
+	pcm := p.perCoreMaxW()
+	fmax := p.PStates.Max()
+	a := p.Alpha
+	b := 1 - p.Alpha
 	var dyn float64
 	for i, f := range freqs {
 		fn := 1.0 // f/fmax is exactly 1 at fmax: skip the division
@@ -164,28 +128,28 @@ func (s *Server) Power(env Environment) float64 {
 		}
 		dyn += pcm * utils[i] * (a*fn + b*fn*fn*fn)
 	}
-	return s.p.IdleW + dyn + s.fanW(dyn, env)
+	return p.IdleW + dyn + p.fanW(dyn, env)
 }
 
-// PowerOfClass returns this server's ground-truth power attributable to
+// PowerOfClass returns the ground-truth power of one server (core i at
+// freqs[i] GHz, utilization utils[i], class classes[i]) attributable to
 // cores of class cl, following the paper's Eq. (1) attribution: each core
 // carries its dynamic power plus an equal share c_i·m_i/M_i of the
 // frequency-independent power (the fan disturbance is attributed
 // proportionally to dynamic power).
-func (s *Server) PowerOfClass(cl cpu.Class, env Environment) float64 {
+func (p Params) PowerOfClass(freqs, utils []float64, classes []cpu.Class, cl cpu.Class, env Environment) float64 {
 	var dynClass, dynTotal float64
 	var nClass int
-	for i := 0; i < s.cpu.NumCores(); i++ {
-		c := s.cpu.Core(i)
-		d := s.p.coreDynamicW(c.Freq, c.Util)
+	for i, f := range freqs {
+		d := p.coreDynamicW(f, utils[i])
 		dynTotal += d
-		if c.Class == cl {
+		if classes[i] == cl {
 			dynClass += d
 			nClass++
 		}
 	}
-	idleShare := s.p.IdleW * float64(nClass) / float64(s.cpu.NumCores())
-	fan := s.fanW(dynTotal, env)
+	idleShare := p.IdleW * float64(nClass) / float64(len(freqs))
+	fan := p.fanW(dynTotal, env)
 	fanShare := 0.0
 	if dynTotal > 0 {
 		fanShare = fan * dynClass / dynTotal
@@ -223,9 +187,4 @@ func (p Params) InteractiveCoeffs() LinearCoeffs {
 		KWPerGHz:    p.perCoreMaxW(), // here: watts per unit utilization
 		CIdleShareW: p.IdleW / float64(p.Cores),
 	}
-}
-
-// String identifies the server in logs.
-func (s *Server) String() string {
-	return fmt.Sprintf("server%02d(%d cores)", s.id, s.cpu.NumCores())
 }

@@ -8,13 +8,50 @@ import (
 	"sprintcon/internal/cpu"
 )
 
-func mustNew(t *testing.T) *Server {
-	t.Helper()
-	s, err := New(0, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+// row is one server's cores as the rack's table holds them: a frequency,
+// a utilization and a class per core.
+type row struct {
+	p  Params
+	f  []float64
+	u  []float64
+	cl []cpu.Class
+}
+
+// newRow returns the cores of a server with parameters p, all idle at the
+// lowest P-state.
+func newRow(p Params) *row {
+	r := &row{p: p, f: make([]float64, p.Cores), u: make([]float64, p.Cores), cl: make([]cpu.Class, p.Cores)}
+	for i := range r.f {
+		r.f[i] = p.PStates.Min()
 	}
-	return s
+	return r
+}
+
+// set gives core i class cl, frequency f quantized to the P-state table
+// and utilization u clamped to [0, 1], as the rack stores them.
+func (r *row) set(i int, cl cpu.Class, f, u float64) {
+	r.cl[i], r.f[i], r.u[i] = cl, r.p.PStates.Quantize(f), cpu.ClampUtil(u)
+}
+
+func (r *row) power(e Environment) float64 { return r.p.Power(r.f, r.u, e) }
+
+func (r *row) powerOfClass(cl cpu.Class, e Environment) float64 {
+	return r.p.PowerOfClass(r.f, r.u, r.cl, cl, e)
+}
+
+// pStates lists p's P-states in ascending order, read back through
+// Quantize on a grid finer than the table's step.
+func pStates(p Params) []float64 {
+	var out []float64
+	for i := 0; ; i++ {
+		f := p.PStates.Min() + float64(i)*0.01
+		if f > p.PStates.Max() {
+			return out
+		}
+		if q := p.PStates.Quantize(f); len(out) == 0 || q != out[len(out)-1] {
+			out = append(out, q)
+		}
+	}
 }
 
 func env() Environment { return Environment{AmbientC: 25} }
@@ -34,55 +71,25 @@ func TestParamsValidate(t *testing.T) {
 	for _, tc := range cases {
 		p := DefaultParams()
 		tc.mutate(&p)
-		if _, err := New(0, p); err == nil {
+		if err := p.Validate(); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
 }
 
-// NewOn takes a CPU of exactly p.Cores cores, and the server's power reads
-// the caller's table through it.
-func TestNewOnReadsCallerTable(t *testing.T) {
-	p := DefaultParams()
-	p.FanW = 0
-	freqs := make([]float64, p.Cores)
-	utils := make([]float64, p.Cores)
-	for i := range freqs {
-		freqs[i] = p.PStates.Max()
-	}
-	var gen uint64
-	short, _ := cpu.Window(p.PStates, freqs[:3], utils[:3], &gen)
-	if _, err := NewOn(0, p, short); err == nil {
-		t.Fatal("a CPU with too few cores should fail")
-	}
-	c, _ := cpu.Window(p.PStates, freqs, utils, &gen)
-	s, err := NewOn(0, p, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range utils {
-		utils[i] = 1
-	}
-	if got := s.Power(env()); math.Abs(got-p.MaxW) > 1e-9 {
-		t.Fatalf("full-load power = %v, want %v", got, p.MaxW)
-	}
-}
-
 func TestIdlePowerIs150W(t *testing.T) {
-	s := mustNew(t)
-	if got := s.Power(env()); math.Abs(got-150) > 1e-9 {
+	s := newRow(DefaultParams())
+	if got := s.power(env()); math.Abs(got-150) > 1e-9 {
 		t.Fatalf("idle power = %v, want 150", got)
 	}
 }
 
 func TestFullLoadPeakPowerNear300W(t *testing.T) {
-	s := mustNew(t)
-	for i := 0; i < s.CPU().NumCores(); i++ {
-		s.CPU().SetClass(i, cpu.Batch)
-		s.CPU().SetFreq(i, 2.0)
-		s.CPU().SetUtil(i, 1)
+	s := newRow(DefaultParams())
+	for i := range s.f {
+		s.set(i, cpu.Batch, 2.0, 1)
 	}
-	got := s.Power(env())
+	got := s.power(env())
 	// 300 W plus the small fan disturbance at full load.
 	if got < 300 || got > 300+s.p.FanW+1 {
 		t.Fatalf("full-load power = %v, want ≈300 (+fan)", got)
@@ -90,17 +97,13 @@ func TestFullLoadPeakPowerNear300W(t *testing.T) {
 }
 
 func TestPowerMonotoneInFrequency(t *testing.T) {
-	s := mustNew(t)
-	for i := 0; i < 8; i++ {
-		s.CPU().SetClass(i, cpu.Batch)
-		s.CPU().SetUtil(i, 0.9)
-	}
+	s := newRow(DefaultParams())
 	prev := 0.0
-	for _, f := range s.p.PStates.Freqs() {
+	for _, f := range pStates(s.p) {
 		for i := 0; i < 8; i++ {
-			s.CPU().SetFreq(i, f)
+			s.set(i, cpu.Batch, f, 0.9)
 		}
-		p := s.Power(env())
+		p := s.power(env())
 		if p <= prev {
 			t.Fatalf("power not increasing at f=%v: %v <= %v", f, p, prev)
 		}
@@ -111,16 +114,12 @@ func TestPowerMonotoneInFrequency(t *testing.T) {
 func TestPowerSuperLinearInFrequency(t *testing.T) {
 	// The measurement model must be super-linear so the controller's
 	// linear design model has real error to reject.
-	s := mustNew(t)
-	for i := 0; i < 8; i++ {
-		s.CPU().SetClass(i, cpu.Batch)
-		s.CPU().SetUtil(i, 1)
-	}
+	s := newRow(DefaultParams())
 	powerAt := func(f float64) float64 {
 		for i := 0; i < 8; i++ {
-			s.CPU().SetFreq(i, f)
+			s.set(i, cpu.Batch, f, 1)
 		}
-		return s.Power(env())
+		return s.power(env())
 	}
 	lo, mid, hi := powerAt(0.4), powerAt(1.2), powerAt(2.0)
 	// Convexity check: the chord midpoint exceeds the curve midpoint.
@@ -130,48 +129,40 @@ func TestPowerSuperLinearInFrequency(t *testing.T) {
 }
 
 func TestPowerScalesWithUtilization(t *testing.T) {
-	s := mustNew(t)
-	s.CPU().SetClass(0, cpu.Interactive)
-	s.CPU().SetFreq(0, 2.0)
-	s.CPU().SetUtil(0, 0.5)
-	half := s.Power(env()) - 150
-	s.CPU().SetUtil(0, 1.0)
-	full := s.Power(env()) - 150
+	s := newRow(DefaultParams())
+	s.set(0, cpu.Interactive, 2.0, 0.5)
+	half := s.power(env()) - 150
+	s.set(0, cpu.Interactive, 2.0, 1.0)
+	full := s.power(env()) - 150
 	if half <= 0 || full <= half {
 		t.Fatalf("dynamic power should grow with utilization: %v vs %v", half, full)
 	}
 }
 
 func TestFanDisturbanceRespondsToAmbient(t *testing.T) {
-	s := mustNew(t)
+	s := newRow(DefaultParams())
 	for i := 0; i < 8; i++ {
-		s.CPU().SetClass(i, cpu.Batch)
-		s.CPU().SetFreq(i, 2.0)
-		s.CPU().SetUtil(i, 1)
+		s.set(i, cpu.Batch, 2.0, 1)
 	}
-	cool := s.Power(Environment{AmbientC: 20})
-	hot := s.Power(Environment{AmbientC: 35})
+	cool := s.power(Environment{AmbientC: 20})
+	hot := s.power(Environment{AmbientC: 35})
 	if hot <= cool {
 		t.Fatalf("hotter ambient should raise fan power: %v vs %v", hot, cool)
 	}
 }
 
 func TestPowerOfClassPartitionsTotal(t *testing.T) {
-	s := mustNew(t)
+	s := newRow(DefaultParams())
 	for i := 0; i < 4; i++ {
-		s.CPU().SetClass(i, cpu.Interactive)
-		s.CPU().SetFreq(i, 2.0)
-		s.CPU().SetUtil(i, 0.7)
+		s.set(i, cpu.Interactive, 2.0, 0.7)
 	}
 	for i := 4; i < 8; i++ {
-		s.CPU().SetClass(i, cpu.Batch)
-		s.CPU().SetFreq(i, 1.1)
-		s.CPU().SetUtil(i, 0.95)
+		s.set(i, cpu.Batch, 1.1, 0.95)
 	}
-	total := s.Power(env())
-	sum := s.PowerOfClass(cpu.Interactive, env()) +
-		s.PowerOfClass(cpu.Batch, env()) +
-		s.PowerOfClass(cpu.Idle, env())
+	total := s.power(env())
+	sum := s.powerOfClass(cpu.Interactive, env()) +
+		s.powerOfClass(cpu.Batch, env()) +
+		s.powerOfClass(cpu.Idle, env())
 	if math.Abs(total-sum) > 1e-9 {
 		t.Fatalf("class powers %v do not sum to total %v", sum, total)
 	}
@@ -180,18 +171,13 @@ func TestPowerOfClassPartitionsTotal(t *testing.T) {
 // Property: class partition holds for arbitrary core states.
 func TestPowerOfClassPartitionProperty(t *testing.T) {
 	f := func(freqs [8]float64, utils [8]float64, classes [8]uint8) bool {
-		s, err := New(0, DefaultParams())
-		if err != nil {
-			return false
-		}
+		s := newRow(DefaultParams())
 		for i := 0; i < 8; i++ {
-			s.CPU().SetClass(i, cpu.Class(classes[i]%3))
-			s.CPU().SetFreq(i, 0.4+math.Mod(math.Abs(freqs[i]), 1.6))
-			s.CPU().SetUtil(i, math.Mod(math.Abs(utils[i]), 1))
+			s.set(i, cpu.Class(classes[i]%3), 0.4+math.Mod(math.Abs(freqs[i]), 1.6), math.Mod(math.Abs(utils[i]), 1))
 		}
 		e := Environment{AmbientC: 28}
-		total := s.Power(e)
-		sum := s.PowerOfClass(cpu.Interactive, e) + s.PowerOfClass(cpu.Batch, e) + s.PowerOfClass(cpu.Idle, e)
+		total := s.power(e)
+		sum := s.powerOfClass(cpu.Interactive, e) + s.powerOfClass(cpu.Batch, e) + s.powerOfClass(cpu.Idle, e)
 		return math.Abs(total-sum) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -207,7 +193,7 @@ func TestDesignCoeffsApproximateMeasurement(t *testing.T) {
 	}
 	// The linear model should track the true per-core power within a
 	// bounded error over the frequency range at the reference utilization.
-	for _, f := range p.PStates.Freqs() {
+	for _, f := range pStates(p) {
 		truth := p.IdleW/float64(p.Cores) + p.coreDynamicW(f, 0.9)
 		approx := co.KWPerGHz*f + co.CIdleShareW
 		if math.Abs(truth-approx) > 0.25*p.perCoreMaxW() {
@@ -233,12 +219,5 @@ func TestInteractiveCoeffsExactAtPeak(t *testing.T) {
 		if math.Abs(truth-approx) > 1e-9 {
 			t.Fatalf("Eq.(5) model wrong at u=%v: truth %v approx %v", u, truth, approx)
 		}
-	}
-}
-
-func TestStringer(t *testing.T) {
-	s := mustNew(t)
-	if s.String() == "" || s.ID() != 0 {
-		t.Fatal("String/ID broken")
 	}
 }

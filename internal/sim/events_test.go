@@ -34,14 +34,7 @@ func TestEventLogBasics(t *testing.T) {
 
 func TestEngineRecordsTripAndOutageEvents(t *testing.T) {
 	scn := DefaultScenario()
-	p := &stubPolicy{name: "maxpower", onTick: func(env *Env, s Snapshot) float64 {
-		for _, srv := range env.Rack.Servers() {
-			for c := 0; c < srv.CPU().NumCores(); c++ {
-				srv.CPU().SetFreq(c, 2.0)
-			}
-		}
-		return 0
-	}}
+	p := maxPowerPolicy(scn)
 	res, err := Run(scn, p)
 	if err != nil {
 		t.Fatal(err)

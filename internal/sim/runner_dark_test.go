@@ -10,14 +10,7 @@ func TestRunnerDarkReportsOutage(t *testing.T) {
 	// Pin every core at peak frequency: the breaker trips, the UPS drains,
 	// and the rack eventually goes dark (same recipe as the outage-event
 	// test).
-	p := &stubPolicy{name: "maxpower", onTick: func(env *Env, s Snapshot) float64 {
-		for _, srv := range env.Rack.Servers() {
-			for c := 0; c < srv.CPU().NumCores(); c++ {
-				srv.CPU().SetFreq(c, 2.0)
-			}
-		}
-		return 0
-	}}
+	p := maxPowerPolicy(scn)
 	r, err := NewRunner(scn, p, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sprintcon/internal/cpu"
+	"sprintcon/internal/rack"
 )
 
 // stubPolicy exercises the engine without any control logic.
@@ -15,6 +16,20 @@ type stubPolicy struct {
 	ticks    int
 	upsReq   float64
 	onTick   func(env *Env, s Snapshot) float64
+}
+
+// maxPowerPolicy pins every core of scn's rack at peak frequency each
+// tick, through the rack's actuation path: the breaker trips, the UPS
+// drains, and the rack eventually goes dark.
+func maxPowerPolicy(scn Scenario) *stubPolicy {
+	return &stubPolicy{name: "maxpower", onTick: func(env *Env, s Snapshot) float64 {
+		for srv := 0; srv < scn.Rack.NumServers; srv++ {
+			for c := 0; c < scn.Rack.ServerParams.Cores; c++ {
+				env.Rack.SetCoreFreq(rack.CoreRef{Server: srv, Core: c}, 2.0)
+			}
+		}
+		return 0
+	}}
 }
 
 func (p *stubPolicy) Name() string { return p.name }
@@ -200,14 +215,7 @@ func TestTripUPSCarryAndOutage(t *testing.T) {
 	scn := DefaultScenario()
 	scn.DurationS = 900
 	scn.BurstDurationS = 900
-	p := &stubPolicy{name: "maxpower", onTick: func(env *Env, s Snapshot) float64 {
-		for _, srv := range env.Rack.Servers() {
-			for c := 0; c < srv.CPU().NumCores(); c++ {
-				srv.CPU().SetFreq(c, 2.0)
-			}
-		}
-		return 0
-	}}
+	p := maxPowerPolicy(scn)
 	res, err := Run(scn, p)
 	if err != nil {
 		t.Fatal(err)
@@ -240,14 +248,7 @@ func TestBreakerReclosesAfterOutage(t *testing.T) {
 	scn := DefaultScenario()
 	scn.DurationS = 900
 	scn.BurstDurationS = 900
-	p := &stubPolicy{name: "maxpower", onTick: func(env *Env, s Snapshot) float64 {
-		for _, srv := range env.Rack.Servers() {
-			for c := 0; c < srv.CPU().NumCores(); c++ {
-				srv.CPU().SetFreq(c, 2.0)
-			}
-		}
-		return 0
-	}}
+	p := maxPowerPolicy(scn)
 	res, err := Run(scn, p)
 	if err != nil {
 		t.Fatal(err)
