@@ -940,7 +940,8 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleRunStatus is the live view: per-row step counters and last
-// aggregate draws, usable while the run executes.
+// aggregate draws, usable while the run executes, and the seconds elapsed
+// since the run started (until it finished, once it has).
 func (s *server) handleRunStatus(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.get(req)
 	if !ok {
@@ -967,7 +968,14 @@ func (s *server) handleRunStatus(w http.ResponseWriter, req *http.Request) {
 		"last_building_w": building,
 	}
 	if !r.Started.IsZero() {
-		doc["elapsed_seconds"] = time.Since(r.Started).Seconds()
+		// A finished run's clock stopped when finish set r.finished (or
+		// the journal record did), the time its summary's wall_seconds
+		// is taken from.
+		end := r.finished
+		if end.IsZero() {
+			end = time.Now()
+		}
+		doc["elapsed_seconds"] = end.Sub(r.Started).Seconds()
 	}
 	r.mu.Unlock()
 	writeJSON(w, http.StatusOK, doc)

@@ -173,6 +173,35 @@ func TestAPISmoke(t *testing.T) {
 	}
 }
 
+// A finished run's clock has stopped: two status reads 50 ms apart report
+// the same elapsed_seconds, and it is the summary's wall_seconds, which is
+// taken from the same start and finish times.
+func TestFinishedRunElapsedStops(t *testing.T) {
+	ts := newTestServer(t)
+	id := postRun(t, ts, `{"rows": 1, "racks_per_row": 2, "duration_s": 120}`)
+	doc := waitDone(t, ts, id)
+	wall, ok := doc["wall_seconds"].(float64)
+	if !ok {
+		t.Fatalf("summary has no wall_seconds: %v", doc)
+	}
+	var elapsed [2]float64
+	for i := range elapsed {
+		if i > 0 {
+			time.Sleep(50 * time.Millisecond)
+		}
+		var status map[string]any
+		if code := getJSON(t, ts.URL+"/api/v1/runs/"+id+"/status", &status); code != http.StatusOK {
+			t.Fatalf("status: %d", code)
+		}
+		if elapsed[i], ok = status["elapsed_seconds"].(float64); !ok {
+			t.Fatalf("status has no elapsed_seconds: %v", status)
+		}
+	}
+	if elapsed[0] != elapsed[1] || elapsed[0] != wall {
+		t.Fatalf("elapsed_seconds %v then %v, summary wall_seconds %v: want all equal", elapsed[0], elapsed[1], wall)
+	}
+}
+
 // TestAcceptance3Level is the acceptance topology: a building feeding four
 // rows of sixteen racks runs under the service, streams decisions, and no
 // level's shadow breaker sees an exceedance or a trip.
