@@ -54,9 +54,6 @@ func Fig1PerWattSpeedup() (*Table, error) {
 	}
 	fmin := params.PStates.Min()
 	idleShare := params.IdleW / float64(params.Cores)
-	// Sprinting spends *dynamic* power: per-watt speedup is normalized to
-	// the frequency-dependent power above the idle floor, which is the
-	// power a sprint decision actually buys.
 	// One server's row: one active batch core, utilization from spec; the
 	// rest idle at the lowest P-state.
 	rowF := make([]float64, params.Cores)
@@ -66,6 +63,9 @@ func Fig1PerWattSpeedup() (*Table, error) {
 		rowF[i] = fmin
 	}
 	rowCl[0] = cpu.Batch
+	// Sprinting spends *dynamic* power: per-watt speedup is normalized to
+	// the frequency-dependent power above the idle floor, which is the
+	// power a sprint decision actually buys.
 	dynAt := func(f, util float64) float64 {
 		rowF[0] = params.PStates.Quantize(f)
 		rowU[0] = cpu.ClampUtil(util)

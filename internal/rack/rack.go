@@ -161,22 +161,18 @@ func New(cfg Config) (*Rack, error) {
 		interIdx: make([]int, 0, cfg.NumServers*cfg.InteractiveCoresPerServer),
 		batchIdx: make([]int, 0, cfg.NumServers*cfg.BatchCoresPerServer),
 	}
-	for k := range r.freq {
-		r.freq[k] = cfg.ServerParams.PStates.Min()
-		if r.class(k%nc) == cpu.Interactive {
-			r.freq[k] = cfg.ServerParams.PStates.Max()
-		}
-	}
 	for s := 0; s < cfg.NumServers; s++ {
 		for c := 0; c < nc; c++ {
-			ref := CoreRef{Server: s, Core: c}
+			k, ref := s*nc+c, CoreRef{Server: s, Core: c}
+			r.freq[k] = cfg.ServerParams.PStates.Min()
 			switch r.class(c) {
 			case cpu.Interactive:
+				r.freq[k] = cfg.ServerParams.PStates.Max()
 				r.inter = append(r.inter, ref)
-				r.interIdx = append(r.interIdx, s*nc+c)
+				r.interIdx = append(r.interIdx, k)
 			case cpu.Batch:
 				r.batch = append(r.batch, ref)
-				r.batchIdx = append(r.batchIdx, s*nc+c)
+				r.batchIdx = append(r.batchIdx, k)
 			}
 		}
 	}

@@ -96,7 +96,7 @@ type Environment struct {
 // point. loadFrac^1.5 is computed as loadFrac·√loadFrac, from exactly
 // rounded operations only, and the conversions keep the products out of
 // fused multiply-adds, so every host computes the same bits.
-func (p Params) fanW(dynW float64, env Environment) float64 {
+func (p *Params) fanW(dynW float64, env Environment) float64 {
 	if p.FanW == 0 {
 		return 0
 	}
@@ -113,8 +113,10 @@ func (p Params) fanW(dynW float64, env Environment) float64 {
 // rack's core table. The summation runs fused over the two slices with
 // hoisted constants; every per-core operation is performed in the same
 // order as the scalar model, so the result is bit-identical to summing
-// coreDynamicW per core.
-func (p Params) Power(freqs, utils []float64, env Environment) float64 {
+// coreDynamicW per core. Power, PowerOfClass and fanW take a pointer:
+// Params is too large for the compiler to keep in registers, and copying it
+// for every server of every tick costs more than the row's arithmetic.
+func (p *Params) Power(freqs, utils []float64, env Environment) float64 {
 	utils = utils[:len(freqs)]
 	pcm := p.perCoreMaxW()
 	fmax := p.PStates.Max()
@@ -137,7 +139,7 @@ func (p Params) Power(freqs, utils []float64, env Environment) float64 {
 // carries its dynamic power plus an equal share c_i·m_i/M_i of the
 // frequency-independent power (the fan disturbance is attributed
 // proportionally to dynamic power).
-func (p Params) PowerOfClass(freqs, utils []float64, classes []cpu.Class, cl cpu.Class, env Environment) float64 {
+func (p *Params) PowerOfClass(freqs, utils []float64, classes []cpu.Class, cl cpu.Class, env Environment) float64 {
 	var dynClass, dynTotal float64
 	var nClass int
 	for i, f := range freqs {
