@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -296,5 +297,45 @@ func resumesFromStart(t *testing.T, j *journal, id string, file []byte, why stri
 	doc := waitDone(t, ts, id)
 	if !reflect.DeepEqual(doc["result"], want) {
 		t.Fatalf("run recovered over a refused checkpoint finished with\n %v\nwant the uninterrupted\n %v", doc["result"], want)
+	}
+}
+
+// A run's journal copies land in the order they are taken: the running
+// copy submission journals, racing the supervisor's terminal record, never
+// overwrites it. Each round journals a running run from a second goroutine
+// while the run finishes and journals its terminal record.
+func TestJournalKeepsTerminalRecordOverRunningCopy(t *testing.T) {
+	jn, err := newJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{jn: jn}
+	for i := 0; i < 200; i++ {
+		now := time.Now()
+		r := &run{ID: strconv.Itoa(i), Mode: "sweep", Submitted: now, state: stateRunning, Started: now}
+		copied := make(chan struct{})
+		go func() {
+			defer close(copied)
+			s.journalRun(r)
+		}()
+		// Finish at staggered instants, so that in some rounds the copy
+		// is taken before the finish and written after it.
+		time.Sleep(time.Duration(i%25) * 4 * time.Microsecond)
+		r.mu.Lock()
+		r.finish(stateDone, "", nil)
+		r.mu.Unlock()
+		s.journalRun(r)
+		<-copied
+		b, err := os.ReadFile(filepath.Join(jn.runDir(r.ID), "record.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(b, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != stateDone || rec.Summary == nil {
+			t.Fatalf("round %d: record.json holds state %q (summary %s) after the terminal record was written", i, rec.State, rec.Summary)
+		}
 	}
 }

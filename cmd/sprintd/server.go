@@ -175,6 +175,11 @@ type run struct {
 	// resume holds journaled row snapshots for a recovered run.
 	resume [][]*checkpoint.Snapshot
 
+	// jmu serializes the run's journal writes: journalRun holds it from
+	// taking its copy of the record until the copy is on disk, so a copy
+	// taken later always lands later.
+	jmu sync.Mutex
+
 	mu         sync.Mutex
 	state      string
 	errMsg     string
@@ -552,11 +557,16 @@ func (s *server) recover() error {
 
 // journalRun persists the run's current lifecycle record (no-op without a
 // state dir). Terminal records carry the full summary so a restarted
-// service can serve results it did not compute.
+// service can serve results it did not compute. The copy and its write
+// happen under the run's journal lock, so a copy taken before another
+// cannot overwrite it: the running copy submission takes never replaces
+// the supervisor's terminal record.
 func (s *server) journalRun(r *run) {
 	if s.jn == nil {
 		return
 	}
+	r.jmu.Lock()
+	defer r.jmu.Unlock()
 	r.mu.Lock()
 	rec := journalRecord{
 		ID: r.ID, Mode: r.Mode, State: r.state,

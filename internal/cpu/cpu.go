@@ -46,6 +46,18 @@ func (c Class) String() string {
 // scenario files stay readable.
 type PStateTable struct {
 	freqs []float64
+	// scale is (Len()−1)/(Max()−Min()), the index step per GHz of an
+	// evenly spaced table with the same span: Quantize's first guess.
+	scale float64
+}
+
+// newPStateTable wraps a non-empty, strictly ascending frequency list.
+func newPStateTable(freqs []float64) PStateTable {
+	t := PStateTable{freqs: freqs}
+	if last := len(freqs) - 1; last > 0 {
+		t.scale = float64(last) / (freqs[last] - freqs[0])
+	}
+	return t
 }
 
 // MarshalJSON implements json.Marshaler.
@@ -71,7 +83,7 @@ func (t *PStateTable) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("cpu: P-states not strictly ascending at %d", i)
 		}
 	}
-	t.freqs = freqs
+	*t = newPStateTable(freqs)
 	return nil
 }
 
@@ -86,7 +98,7 @@ func NewPStateTable(minGHz, maxGHz, stepGHz float64) (PStateTable, error) {
 		freqs = append(freqs, f)
 	}
 	freqs = append(freqs, maxGHz)
-	return PStateTable{freqs: freqs}, nil
+	return newPStateTable(freqs), nil
 }
 
 // DefaultPStates returns the paper's 400 MHz – 2.0 GHz range in 100 MHz steps.
@@ -108,29 +120,35 @@ func (t PStateTable) Max() float64 { return t.freqs[len(t.freqs)-1] }
 func (t PStateTable) Len() int { return len(t.freqs) }
 
 // Quantize maps a requested frequency to the nearest available P-state
-// (ties round up), clamping to the table's range.
+// (ties round up), clamping to the table's range; a NaN request maps to
+// the lowest state. The first state ≥ f is found by guessing its index
+// from the table's span and walking from there, which is exact for any
+// strictly ascending table and takes a step or two on an even grid.
 func (t PStateTable) Quantize(f float64) float64 {
-	if f <= t.freqs[0] {
-		return t.freqs[0]
+	fs := t.freqs
+	if !(f > fs[0]) {
+		return fs[0]
 	}
-	last := len(t.freqs) - 1
-	if f >= t.freqs[last] {
-		return t.freqs[last]
+	last := len(fs) - 1
+	if f >= fs[last] {
+		return fs[last]
 	}
-	// Binary search for the first state ≥ f.
-	lo, hi := 0, last
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.freqs[mid] < f {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// fs[0] < f < fs[last], so the first state ≥ f has an index in
+	// [1, last] and both walks stop inside the table.
+	i := 1 + int((f-fs[0])*t.scale)
+	if i > last {
+		i = last
 	}
-	if lo > 0 && f-t.freqs[lo-1] < t.freqs[lo]-f {
-		return t.freqs[lo-1]
+	for fs[i] < f {
+		i++
 	}
-	return t.freqs[lo]
+	for fs[i-1] >= f {
+		i--
+	}
+	if f-fs[i-1] < fs[i]-f {
+		return fs[i-1]
+	}
+	return fs[i]
 }
 
 // ClampUtil clamps a utilization to [0, 1]: values above 1 (+Inf included)

@@ -101,7 +101,13 @@ type FaultState struct {
 // table, where core c of server s is entry s·Cores + c of freq and util. A
 // core's class follows from its position (see class). The per-tick sweeps
 // walk the table through the precomputed flat indices of the interactive
-// and batch cores.
+// and batch cores, and the bound jobs' per-tick words through the job
+// record table.
+//
+// The term table, the job records' segment memos and the memos below are
+// derived state: they follow from the core table, the fault states and the
+// jobs' saved words, and never enter State, a quiescent-span state or a
+// checkpoint.
 type Rack struct {
 	cfg   Config
 	batch []CoreRef
@@ -115,14 +121,21 @@ type Rack struct {
 	batchIdx []int
 	interIdx []int
 	offline  []bool
+	// term holds each core's frequency factor of the power model,
+	// ServerParams.FreqTerm(freq[k]); setFreq refreshes an entry when it
+	// changes the core's bits.
+	term []float64
 	// gen is the frequency generation: incremented by every frequency
 	// write that changes a core's bits (see setFreq), by SetFaultState and
-	// by RestoreState. The memos below are derived from the table and the
-	// fault states and are valid while gen holds.
+	// by RestoreState. The mean memo is valid while gen holds.
 	gen uint64
+	// igen is the interactive generation: incremented by a write through
+	// SetCoreFreq that changes an interactive core's bits, by
+	// SetFaultState and by RestoreState, but not by batch writes.
 	// interOK records that the last SetInteractiveFreq call, for the
-	// frequency with bits interBits at generation interGen, changed
-	// nothing; a repeat of it is a no-op while gen holds.
+	// frequency with bits interBits at interactive generation interGen,
+	// changed nothing; a repeat of it is a no-op while igen holds.
+	igen                uint64
 	interOK             bool
 	interBits, interGen uint64
 	// meanGen is the generation at which meanBatch and meanInter were
@@ -131,8 +144,11 @@ type Rack struct {
 	meanGen              uint64
 	meanBatch, meanInter float64
 	// jobSeq holds the bound jobs in batch-core order (nil for unbound
-	// cores), so the per-tick sweeps walk a contiguous slice.
+	// cores), and jobs their records: slot i holds the work accounting
+	// and segment memo of jobSeq[i], which its accessors read in place.
+	// The per-tick sweeps walk the record table.
 	jobSeq []*workload.BatchJob
+	jobs   []workload.Record
 	env    server.Environment
 	rng    *rand.Rand
 	// normDraws counts NormFloat64 calls on rng since construction. A
@@ -158,6 +174,7 @@ func New(cfg Config) (*Rack, error) {
 		freq:     make([]float64, n),
 		util:     make([]float64, n),
 		offline:  make([]bool, n),
+		term:     make([]float64, n),
 		interIdx: make([]int, 0, cfg.NumServers*cfg.InteractiveCoresPerServer),
 		batchIdx: make([]int, 0, cfg.NumServers*cfg.BatchCoresPerServer),
 	}
@@ -174,9 +191,11 @@ func New(cfg Config) (*Rack, error) {
 				r.batch = append(r.batch, ref)
 				r.batchIdx = append(r.batchIdx, k)
 			}
+			r.term[k] = r.cfg.ServerParams.FreqTerm(r.freq[k])
 		}
 	}
 	r.jobSeq = make([]*workload.BatchJob, len(r.batch))
+	r.jobs = make([]workload.Record, len(r.batch))
 	r.faults = make([]FaultState, cfg.NumServers)
 	return r, nil
 }
@@ -209,6 +228,7 @@ func (r *Rack) SetFaultState(serverIdx int, st FaultState) {
 	r.faults[serverIdx] = st
 	r.syncOffline(serverIdx)
 	r.gen++
+	r.igen++
 }
 
 // syncOffline copies server s's Offline fault flag to its cores' entries
@@ -245,11 +265,16 @@ func (r *Rack) InteractiveCores() []CoreRef { return r.inter }
 // SetAmbient sets the inlet air temperature seen by every server.
 func (r *Rack) SetAmbient(c float64) { r.env.AmbientC = c }
 
-// BindJob attaches a batch job to a batch core.
+// BindJob attaches a batch job to a batch core, moving the job's per-tick
+// words into the core's slot of the record table. A job can be bound to
+// one core only.
 func (r *Rack) BindJob(ref CoreRef, j *workload.BatchJob) error {
 	i := r.batchIndex(ref)
 	if i < 0 {
 		return fmt.Errorf("rack: core %v is not a batch core", ref)
+	}
+	if err := r.jobs[i].Bind(j); err != nil {
+		return fmt.Errorf("rack: core %v: %w", ref, err)
 	}
 	r.jobSeq[i] = j
 	return nil
@@ -312,7 +337,12 @@ func (r *Rack) SetCoreFreq(ref CoreRef, f float64) float64 {
 	if ref.Server < 0 || ref.Server >= r.cfg.NumServers || ref.Core < 0 || ref.Core >= r.cfg.ServerParams.Cores {
 		return 0
 	}
-	return r.setFreq(ref.Server*r.cfg.ServerParams.Cores+ref.Core, f, r.faults[ref.Server])
+	gen := r.gen
+	q := r.setFreq(ref.Server*r.cfg.ServerParams.Cores+ref.Core, f, r.faults[ref.Server])
+	if r.gen != gen && r.class(ref.Core) == cpu.Interactive {
+		r.igen++
+	}
+	return q
 }
 
 // setFreq is the rack's one frequency write rule: it requests frequency f
@@ -323,7 +353,7 @@ func (r *Rack) SetCoreFreq(ref CoreRef, f float64) float64 {
 // and Quantize maps a P-state to itself, so a request for the bits the
 // core already has returns at once; otherwise the request is quantized to
 // the P-state table and written, and a write that changes the core's bits
-// moves the generation.
+// refreshes its term entry and moves the generation.
 func (r *Rack) setFreq(k int, f float64, st FaultState) float64 {
 	cur := r.freq[k]
 	if st.Offline || st.Stuck {
@@ -339,26 +369,28 @@ func (r *Rack) setFreq(k int, f float64, st FaultState) float64 {
 	if math.Float64bits(q) != math.Float64bits(cur) {
 		r.gen++
 		r.freq[k] = q
+		r.term[k] = r.cfg.ServerParams.FreqTerm(q)
 	}
 	return q
 }
 
 // SetInteractiveFreq sets every interactive core to frequency f (the
 // SprintCon policy keeps this at peak during sprints; SGCT baselines vary it).
-// A call is a function of f, the core table and the fault states only, so
-// when the previous call asked for the same bits, changed nothing, and the
-// generation has not moved since, this one would change nothing either and
-// returns at once.
+// A call is a function of f, the interactive cores' frequencies and the
+// fault states only, so when the previous call asked for the same bits,
+// changed nothing, and the interactive generation has not moved since,
+// this one would change nothing either and returns at once. Batch writes
+// leave the memo standing.
 func (r *Rack) SetInteractiveFreq(f float64) {
 	bits := math.Float64bits(f)
-	if r.interOK && r.interBits == bits && r.interGen == r.gen {
+	if r.interOK && r.interBits == bits && r.interGen == r.igen {
 		return
 	}
 	gen := r.gen
 	for i, ref := range r.inter {
 		r.setFreq(r.interIdx[i], f, r.faults[ref.Server])
 	}
-	r.interOK, r.interBits, r.interGen = r.gen == gen, bits, gen
+	r.interOK, r.interBits, r.interGen = r.gen == gen, bits, r.igen
 }
 
 // SetBatchFreqsInto applies a frequency per batch core in BatchCores()
@@ -394,14 +426,14 @@ func (r *Rack) BatchFreqs() []float64 {
 func (r *Rack) AdvanceBatch(dt, now float64) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, k := range r.batchIdx {
-		j := r.jobSeq[i]
-		if j == nil || r.offline[k] {
+		if r.jobSeq[i] == nil || r.offline[k] {
 			// No job, or a crashed server: no work executes this tick.
 			r.util[k] = 0
 			continue
 		}
-		j.Advance(r.freq[k], fmax, dt, now)
-		r.util[k] = cpu.ClampUtil(j.CurrentUtil())
+		rec := &r.jobs[i]
+		rec.Advance(r.freq[k], fmax, dt, now)
+		r.util[k] = cpu.ClampUtil(rec.CurrentUtil())
 	}
 }
 
@@ -414,13 +446,13 @@ func (r *Rack) AdvanceBatch(dt, now float64) {
 func (r *Rack) AdvanceBatchTicks(dt, now0 float64, n int) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, k := range r.batchIdx {
-		j := r.jobSeq[i]
-		if j == nil || r.offline[k] {
+		if r.jobSeq[i] == nil || r.offline[k] {
 			r.util[k] = 0
 			continue
 		}
-		j.AdvanceTicks(r.freq[k], fmax, dt, now0, n)
-		r.util[k] = cpu.ClampUtil(j.CurrentUtil())
+		rec := &r.jobs[i]
+		rec.AdvanceTicks(r.freq[k], fmax, dt, now0, n)
+		r.util[k] = cpu.ClampUtil(rec.CurrentUtil())
 	}
 }
 
@@ -433,11 +465,10 @@ func (r *Rack) BatchStableTicks(dt float64, maxTicks int) int {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	min := maxTicks
 	for i, k := range r.batchIdx {
-		j := r.jobSeq[i]
-		if j == nil || r.offline[k] {
+		if r.jobSeq[i] == nil || r.offline[k] {
 			continue
 		}
-		if n := j.StableTicks(r.freq[k], fmax, dt); n < min {
+		if n := r.jobs[i].StableTicks(r.freq[k], fmax, dt); n < min {
 			min = n
 		}
 	}
@@ -466,7 +497,8 @@ func (r *Rack) AllBatchJobsCompleted() bool {
 // --- Power monitoring ------------------------------------------------------
 
 // TruePower returns the exact rack power (measurement model, no monitor
-// noise). Crashed servers draw nothing.
+// noise), evaluating each server's row of the term and utilization tables.
+// Crashed servers draw nothing.
 func (r *Rack) TruePower() float64 {
 	nc := r.cfg.ServerParams.Cores
 	var p float64
@@ -475,7 +507,7 @@ func (r *Rack) TruePower() float64 {
 			continue
 		}
 		base := s * nc
-		p += r.cfg.ServerParams.Power(r.freq[base:base+nc], r.util[base:base+nc], r.env)
+		p += r.cfg.ServerParams.Power(r.term[base:base+nc], r.util[base:base+nc], r.env)
 	}
 	return p
 }

@@ -2,6 +2,7 @@ package rack
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sprintcon/internal/cpu"
@@ -452,5 +453,47 @@ func TestCoreStateManagement(t *testing.T) {
 		if _, u, _ := r.Core(ref); u != tc.want {
 			t.Fatalf("restored utilization %v stored as %v, want %v", tc.in, u, tc.want)
 		}
+	}
+}
+
+// A bound job's accessors read its slot of the record table. Rebinding a
+// core hands the job it held a record of its own, which keeps the words it
+// had; a job already bound to a core cannot be bound to a second one.
+func TestBindJobMovesRecords(t *testing.T) {
+	r := mustNew(t)
+	specs := workload.SpecCPU2006()
+	a, _ := workload.NewBatchJob(specs[2], 0, 900)
+	b, _ := workload.NewBatchJob(specs[3], 0, 900)
+	refs := r.BatchCores()
+	if err := r.BindJob(refs[0], a); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.BindJob(refs[1], a); err == nil {
+		t.Fatal("binding a bound job to a second core should fail")
+	}
+	if err := r.BindJob(refs[0], a); err != nil {
+		t.Fatalf("rebinding a job to its own core: %v", err)
+	}
+	r.SetCoreFreq(refs[0], 1.5)
+	r.AdvanceBatch(30, 0)
+	if w := a.WorkDone(); w <= 0 || math.Float64bits(w) != math.Float64bits(a.ExportState().TotalWork-a.ExportState().Remaining) {
+		t.Fatalf("job reads work done %v after a tick on its core", w)
+	}
+	before := a.ExportState()
+	if err := r.BindJob(refs[0], b); err != nil {
+		t.Fatal(err)
+	}
+	if at, ok := sameWords(reflect.ValueOf(a.ExportState()), reflect.ValueOf(before), "state"); !ok {
+		t.Fatalf("the replaced job's state moved: %s", at)
+	}
+	r.AdvanceBatch(30, 30)
+	if at, ok := sameWords(reflect.ValueOf(a.ExportState()), reflect.ValueOf(before), "state"); !ok {
+		t.Fatalf("the replaced job still advances with its old core: %s", at)
+	}
+	if b.WorkDone() <= 0 {
+		t.Fatal("the new job made no progress on its core")
+	}
+	if err := r.BindJob(refs[1], a); err != nil {
+		t.Fatalf("binding the replaced job to a free core: %v", err)
 	}
 }

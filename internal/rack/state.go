@@ -111,6 +111,7 @@ func (r *Rack) RestoreState(st State) error {
 		r.syncOffline(si)
 	}
 	r.gen++
+	r.igen++
 	r.rng = rand.New(rand.NewSource(r.cfg.Seed))
 	for i := int64(0); i < st.NormDraws; i++ {
 		r.rng.NormFloat64()

@@ -1,8 +1,10 @@
 package rack
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sprintcon/internal/cpu"
@@ -14,7 +16,8 @@ import (
 // reading faults[ref.Server], and none remembers anything between calls. A
 // reference rack driven only through them keeps its state in the same
 // places the fast paths do, so the two racks can be compared core by core
-// after every call.
+// and job record by job record after every call. The reference computes
+// power from the frequencies and leaves the term table alone.
 
 // at returns ref's entry in the core table.
 func at(r *Rack, ref CoreRef) int { return ref.Server*r.cfg.ServerParams.Cores + ref.Core }
@@ -80,28 +83,29 @@ func setFaultStateRef(r *Rack, serverIdx int, st FaultState) {
 func advanceBatchRef(r *Rack, dt, now float64) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, ref := range r.batch {
-		j := r.jobSeq[i]
-		if j == nil || r.faults[ref.Server].Offline {
+		if r.jobSeq[i] == nil || r.faults[ref.Server].Offline {
 			r.util[at(r, ref)] = 0
 			continue
 		}
 		f := r.freq[at(r, ref)]
-		j.Advance(f, fmax, dt, now)
-		r.util[at(r, ref)] = cpu.ClampUtil(j.CurrentUtil())
+		r.jobs[i].Advance(f, fmax, dt, now)
+		r.util[at(r, ref)] = cpu.ClampUtil(r.jobSeq[i].CurrentUtil())
 	}
 }
 
+// advanceBatchTicksRef runs each job's n ticks as n Advance calls.
 func advanceBatchTicksRef(r *Rack, dt, now0 float64, n int) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, ref := range r.batch {
-		j := r.jobSeq[i]
-		if j == nil || r.faults[ref.Server].Offline {
+		if r.jobSeq[i] == nil || r.faults[ref.Server].Offline {
 			r.util[at(r, ref)] = 0
 			continue
 		}
 		f := r.freq[at(r, ref)]
-		j.AdvanceTicks(f, fmax, dt, now0, n)
-		r.util[at(r, ref)] = cpu.ClampUtil(j.CurrentUtil())
+		for k := 0; k < n; k++ {
+			r.jobs[i].Advance(f, fmax, dt, now0+float64(k)*dt)
+		}
+		r.util[at(r, ref)] = cpu.ClampUtil(r.jobSeq[i].CurrentUtil())
 	}
 }
 
@@ -109,12 +113,11 @@ func batchStableTicksRef(r *Rack, dt float64, maxTicks int) int {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	min := maxTicks
 	for i, ref := range r.batch {
-		j := r.jobSeq[i]
-		if j == nil || r.faults[ref.Server].Offline {
+		if r.jobSeq[i] == nil || r.faults[ref.Server].Offline {
 			continue
 		}
 		f := r.freq[at(r, ref)]
-		if n := j.StableTicks(f, fmax, dt); n < min {
+		if n := r.jobs[i].StableTicks(f, fmax, dt); n < min {
 			min = n
 		}
 	}
@@ -124,14 +127,20 @@ func batchStableTicksRef(r *Rack, dt float64, maxTicks int) int {
 	return min
 }
 
+// truePowerRef evaluates each server's row from its cores' frequencies
+// through the scalar FreqTerm, not through the term table.
 func truePowerRef(r *Rack) float64 {
 	nc := r.cfg.ServerParams.Cores
+	terms := make([]float64, nc)
 	var p float64
 	for s := 0; s < r.cfg.NumServers; s++ {
 		if r.faults[s].Offline {
 			continue
 		}
-		p += r.cfg.ServerParams.Power(r.freq[s*nc:(s+1)*nc], r.util[s*nc:(s+1)*nc], r.env)
+		for c := range terms {
+			terms[c] = r.cfg.ServerParams.FreqTerm(r.freq[at(r, CoreRef{Server: s, Core: c})])
+		}
+		p += r.cfg.ServerParams.Power(terms, r.util[s*nc:(s+1)*nc], r.env)
 	}
 	return p
 }
@@ -359,9 +368,45 @@ func (p *refPair) step(op int, arg func() int) {
 	p.compare(op)
 }
 
-// compare checks, by math.Float64bits, every core's frequency and
-// utilization, the power readings and estimators, both mean norms, the
-// noise-stream position and every job's state.
+// sameWords compares two values of one type field by field, floats by
+// math.Float64bits, and names the first field that differs. Pointers are
+// not compared: a job record's back-pointer names a different job in each
+// rack.
+func sameWords(a, b reflect.Value, path string) (string, bool) {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if at, ok := sameWords(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); !ok {
+				return at, false
+			}
+		}
+	case reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Sprintf("%s = %v, reference %v", path, a.Float(), b.Float()), false
+		}
+	case reflect.Uint64:
+		if a.Uint() != b.Uint() {
+			return fmt.Sprintf("%s = %#x, reference %#x", path, a.Uint(), b.Uint()), false
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return fmt.Sprintf("%s = %v, reference %v", path, a.Bool(), b.Bool()), false
+		}
+	case reflect.Int:
+		if a.Int() != b.Int() {
+			return fmt.Sprintf("%s = %d, reference %d", path, a.Int(), b.Int()), false
+		}
+	case reflect.Pointer:
+	default:
+		panic("sameWords: unhandled kind " + a.Kind().String() + " at " + path)
+	}
+	return "", true
+}
+
+// compare checks, by math.Float64bits, every core's frequency, utilization
+// and term entry, the power readings and estimators, both mean norms, the
+// noise-stream position, every word of every job record and every job's
+// accessors.
 func (p *refPair) compare(op int) {
 	t, fast, ref := p.t, p.fast, p.ref
 	same := func(what string, got, want float64) {
@@ -375,6 +420,7 @@ func (p *refPair) compare(op int) {
 			t.Fatalf("after op %d: core s%d/c%d at %v GHz, util %v; reference %v GHz, util %v",
 				op, k/nc, k%nc, fast.freq[k], fast.util[k], ref.freq[k], ref.util[k])
 		}
+		same(fmt.Sprintf("term of core s%d/c%d", k/nc, k%nc), fast.term[k], fast.cfg.ServerParams.FreqTerm(fast.freq[k]))
 	}
 	tp := fast.TruePower()
 	same("TruePower", tp, truePowerRef(ref))
@@ -385,11 +431,21 @@ func (p *refPair) compare(op int) {
 	if fast.normDraws != ref.normDraws {
 		t.Fatalf("after op %d: normDraws = %d, reference %d", op, fast.normDraws, ref.normDraws)
 	}
+	fmax := fast.cfg.ServerParams.PStates.Max()
 	for i, j := range fast.BatchJobs() {
+		if at, ok := sameWords(reflect.ValueOf(fast.jobs[i]), reflect.ValueOf(ref.jobs[i]), fmt.Sprintf("job record %d", i)); !ok {
+			t.Fatalf("after op %d: %s", op, at)
+		}
 		if j == nil {
 			continue
 		}
-		a, b := j.ExportState(), ref.BatchJobs()[i].ExportState()
+		rj := ref.BatchJobs()[i]
+		same("Progress", j.Progress(), rj.Progress())
+		same("WorkDone", j.WorkDone(), rj.WorkDone())
+		same("CurrentUtil", j.CurrentUtil(), rj.CurrentUtil())
+		same("RWeight", j.RWeight(p.now), rj.RWeight(p.now))
+		same("RequiredFreq", j.RequiredFreq(p.now, fmax), rj.RequiredFreq(p.now, fmax))
+		a, b := j.ExportState(), rj.ExportState()
 		for _, f := range [][2]float64{
 			{a.StartTime, b.StartTime}, {a.Deadline, b.Deadline}, {a.TotalWork, b.TotalWork},
 			{a.Remaining, b.Remaining}, {a.DoneAt, b.DoneAt}, {a.ExecSecs, b.ExecSecs},
@@ -475,6 +531,37 @@ func TestRackMemosFollowFaultsAndRestores(t *testing.T) {
 		p.step(opRestore, arg(0))
 		p.step(opInterFreq, arg(f1))
 	}
+
+	// A batch write that changes bits leaves the interactive memo valid;
+	// an interactive write, a fault and a restore each end it.
+	memo := func(p *refPair) bool { return p.fast.interOK && p.fast.interGen == p.fast.igen }
+	p := newRefPair(t, refConfigs()[0])
+	p.step(opSnapshot, nil)
+	for i, end := range []func(){
+		func() { p.step(opCoreFreq, arg(3, 1, 50)) }, // core 1 of server 3 is interactive
+		func() { p.step(opFault, arg(2, stuck)) },
+		func() { p.step(opRestore, arg(0)) },
+	} {
+		p.step(opInterFreq, arg(f1))
+		p.step(opInterFreq, arg(f1))
+		if !memo(p) {
+			t.Fatal("a repeated SetInteractiveFreq that changed nothing set no memo")
+		}
+		gen := p.fast.gen
+		p.step(opBatchFreqs, arg(9+i))
+		if p.fast.gen == gen {
+			t.Fatal("the batch write changed no bits")
+		}
+		if !memo(p) {
+			t.Fatal("a batch write ended the interactive memo")
+		}
+		p.step(opInterFreq, arg(f1))
+		end()
+		if memo(p) {
+			t.Fatal("the interactive memo outlived an interactive write, a fault or a restore")
+		}
+		p.step(opInterFreq, arg(f1))
+	}
 }
 
 // A core reference past either end of a server writes nothing and returns
@@ -507,6 +594,10 @@ func FuzzRackMatchesReference(f *testing.F) {
 	f.Add([]byte{0, opDemand, 120, opInterFreq, 2, opInterFreq, 2, opAdvance, opMeasure})
 	f.Add([]byte{1, opBatchFreqs, 7, opFault, 1, 1, opAdvanceTicks, 5, opStableTicks, 9, opSnapshot, opFault, 1, 0, opRestore, 0})
 	f.Add([]byte{2, opFault, 0, 4, opInterFreq, 2, opInterFreq, 2, opFault, 0, 0, opInterFreq, 2, opCoreFreq, 3, 5, 99})
+	// Batch frequencies change in the middle of the multi-phase jobs'
+	// segments, between ticks and between spans of ticks.
+	f.Add([]byte{0, opBatchFreqs, 1, opAdvance, opAdvance, opAdvance, opBatchFreqs, 2, opAdvance, opStableTicks, 50,
+		opAdvanceTicks, 6, opBatchFreqs, 3, opAdvanceTicks, 7, opAdvance, opBatchFreqs, 4, opAdvance, opMeasure})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runRefBytes(t, data)
 	})

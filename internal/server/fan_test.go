@@ -19,11 +19,16 @@ func fanWRef(p Params, dynW float64, env Environment) float64 {
 	return p.FanW * (loadFrac * math.Sqrt(loadFrac)) * tempFactor
 }
 
-// powerRef is Power summed per core through coreDynamicW, plus fanWRef.
+// powerRef is Power over raw frequencies, as it was before the rack kept a
+// frequency factor per core: the model written out per core from f/f_max,
+// plus fanWRef. Each product is rounded before its add, as Power's are.
 func powerRef(s *row, env Environment) float64 {
+	a, fmax := s.p.Alpha, s.p.PStates.Max()
 	var dyn float64
 	for i, f := range s.f {
-		dyn += s.p.coreDynamicW(f, s.u[i])
+		fn := f / fmax
+		term := float64(a*fn) + float64((1-a)*fn*fn*fn)
+		dyn += float64(s.p.perCoreMaxW() * s.u[i] * term)
 	}
 	return s.p.IdleW + dyn + fanWRef(s.p, dyn, env)
 }

@@ -1,6 +1,7 @@
 // Package server models one data-center server: its parameters and the two
 // power models the paper distinguishes. The server's cores are a row of the
-// rack's core table (package rack); the models read that row.
+// rack's core table (package rack), which also keeps each core's frequency
+// factor (FreqTerm); the models read that row.
 //
 // The *measurement* model (used by the simulation to play the role of the
 // physical rack and its power monitor) follows Horvath & Skadron [29]: power
@@ -77,10 +78,25 @@ func (p Params) perCoreMaxW() float64 {
 	return (p.MaxW - p.IdleW) / float64(p.Cores)
 }
 
-// coreDynamicW is the measurement model's per-core dynamic power.
+// FreqTerm returns the frequency factor of the measurement model's
+// per-core dynamic power at f GHz: α·f̂ + (1−α)·f̂³ with f̂ = f/f_max (f/f_max
+// is exactly 1 at f_max, so the division is skipped there). The
+// conversions round each product before the add, so no host fuses the
+// pair into a multiply-add. The rack keeps this factor per core beside the
+// core's frequency.
+func (p *Params) FreqTerm(f float64) float64 {
+	fmax := p.PStates.Max()
+	fn := 1.0
+	if f != fmax {
+		fn = f / fmax
+	}
+	return float64(p.Alpha*fn) + float64((1-p.Alpha)*fn*fn*fn)
+}
+
+// coreDynamicW is the measurement model's per-core dynamic power, rounded
+// before any caller's sum.
 func (p Params) coreDynamicW(freqGHz, util float64) float64 {
-	fn := freqGHz / p.PStates.Max()
-	return p.perCoreMaxW() * util * (p.Alpha*fn + (1-p.Alpha)*fn*fn*fn)
+	return float64(p.perCoreMaxW() * util * p.FreqTerm(freqGHz))
 }
 
 // Environment carries the rack-level disturbance inputs the controllers do
@@ -109,26 +125,19 @@ func (p *Params) fanW(dynW float64, env Environment) float64 {
 }
 
 // Power returns the measured power (measurement model + fan) of one server
-// whose core i runs at freqs[i] GHz with utilization utils[i]: a row of the
-// rack's core table. The summation runs fused over the two slices with
-// hoisted constants; every per-core operation is performed in the same
-// order as the scalar model, so the result is bit-identical to summing
-// coreDynamicW per core. Power, PowerOfClass and fanW take a pointer:
-// Params is too large for the compiler to keep in registers, and copying it
-// for every server of every tick costs more than the row's arithmetic.
-func (p *Params) Power(freqs, utils []float64, env Environment) float64 {
-	utils = utils[:len(freqs)]
+// whose core i has frequency factor terms[i] (FreqTerm of its frequency)
+// and utilization utils[i]: a row of the rack's term and core tables. Each
+// core adds perCoreMax·u·term, rounded before the add, so the result is
+// bit-identical to summing coreDynamicW per core. Power, PowerOfClass and
+// fanW take a pointer: Params is too large for the compiler to keep in
+// registers, and copying it for every server of every tick costs more than
+// the row's arithmetic.
+func (p *Params) Power(terms, utils []float64, env Environment) float64 {
+	utils = utils[:len(terms)]
 	pcm := p.perCoreMaxW()
-	fmax := p.PStates.Max()
-	a := p.Alpha
-	b := 1 - p.Alpha
 	var dyn float64
-	for i, f := range freqs {
-		fn := 1.0 // f/fmax is exactly 1 at fmax: skip the division
-		if f != fmax {
-			fn = f / fmax
-		}
-		dyn += pcm * utils[i] * (a*fn + b*fn*fn*fn)
+	for i, term := range terms {
+		dyn += float64(pcm * utils[i] * term)
 	}
 	return p.IdleW + dyn + p.fanW(dyn, env)
 }

@@ -33,7 +33,15 @@ func (r *row) set(i int, cl cpu.Class, f, u float64) {
 	r.cl[i], r.f[i], r.u[i] = cl, r.p.PStates.Quantize(f), cpu.ClampUtil(u)
 }
 
-func (r *row) power(e Environment) float64 { return r.p.Power(r.f, r.u, e) }
+// power evaluates Power on the row's frequency factors, as the rack does
+// from its term table.
+func (r *row) power(e Environment) float64 {
+	terms := make([]float64, len(r.f))
+	for i, f := range r.f {
+		terms[i] = r.p.FreqTerm(f)
+	}
+	return r.p.Power(terms, r.u, e)
+}
 
 func (r *row) powerOfClass(cl cpu.Class, e Environment) float64 {
 	return r.p.PowerOfClass(r.f, r.u, r.cl, cl, e)

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// Advance, AdvanceTicks and StableTicks drive a job's record rules on a
+// job that no rack has bound, as a rack drives the record in its slot.
+func (j *BatchJob) Advance(f, fmax, dt, now float64) { j.rec.Advance(f, fmax, dt, now) }
+
+func (j *BatchJob) AdvanceTicks(f, fmax, dt, now0 float64, n int) {
+	j.rec.AdvanceTicks(f, fmax, dt, now0, n)
+}
+
+func (j *BatchJob) StableTicks(f, fmax, dt float64) int { return j.rec.StableTicks(f, fmax, dt) }
+
 // advanceRef is BatchJob.Advance as it was before the job remembered its
 // segment: every call walks the phases from phaseIndexAt. The fast path
 // must reproduce it bit for bit.
@@ -13,41 +23,41 @@ func advanceRef(j *BatchJob, f, fmax, dt, now float64) {
 	if dt < 0 {
 		panic("workload: negative dt")
 	}
-	j.execSecs += dt
+	j.rec.execSecs += dt
 	timeLeft := dt
 	for timeLeft > 1e-12 {
-		pos := j.totalWork - j.remaining
-		idx := j.Spec.phaseIndexAt(pos, j.totalWork)
+		pos := j.rec.totalWork - j.rec.remaining
+		idx := j.Spec.phaseIndexAt(pos, j.rec.totalWork)
 		rate := phaseRate(j.Spec.phases()[idx], f, fmax)
 		if rate <= 0 {
 			return
 		}
-		segWork := j.Spec.phaseEndWork(idx, j.totalWork) - pos
-		if segWork > j.remaining {
-			segWork = j.remaining
+		segWork := j.Spec.phaseEndWork(idx, j.rec.totalWork) - pos
+		if segWork > j.rec.remaining {
+			segWork = j.rec.remaining
 		}
 		segTime := segWork / rate
 		if segTime > timeLeft {
-			j.remaining -= rate * timeLeft
+			j.rec.remaining -= rate * timeLeft
 			return
 		}
 		timeLeft -= segTime
-		j.remaining -= segWork
-		if j.remaining <= 1e-9 {
+		j.rec.remaining -= segWork
+		if j.rec.remaining <= 1e-9 {
 			t := now + (dt - timeLeft)
 			if math.IsNaN(j.doneAt) {
 				j.doneAt = t
 			}
 			j.completed++
-			j.remaining = j.totalWork
+			j.rec.remaining = j.rec.totalWork
 		}
 	}
 }
 
 // currentUtilRef is CurrentUtil without the remembered segment.
 func currentUtilRef(j *BatchJob) float64 {
-	pos := j.totalWork - j.remaining
-	return j.Spec.phases()[j.Spec.phaseIndexAt(pos, j.totalWork)].Util
+	pos := j.rec.totalWork - j.rec.remaining
+	return j.Spec.phases()[j.Spec.phaseIndexAt(pos, j.rec.totalWork)].Util
 }
 
 // randomPhasedSpec draws a spec with one to six phases of random length,
@@ -108,8 +118,8 @@ func (p *advancePair) check(what string) {
 	if !jobStateEqual(a, b) {
 		p.t.Fatalf("%s: %s after %d ticks: fast rem=%x exec=%x done=%x comp=%d, reference rem=%x exec=%x done=%x comp=%d",
 			a.Spec.Name, what, p.ticks,
-			math.Float64bits(a.remaining), math.Float64bits(a.execSecs), math.Float64bits(a.doneAt), a.completed,
-			math.Float64bits(b.remaining), math.Float64bits(b.execSecs), math.Float64bits(b.doneAt), b.completed)
+			math.Float64bits(a.rec.remaining), math.Float64bits(a.rec.execSecs), math.Float64bits(a.doneAt), a.completed,
+			math.Float64bits(b.rec.remaining), math.Float64bits(b.rec.execSecs), math.Float64bits(b.doneAt), b.completed)
 	}
 	if u, w := a.CurrentUtil(), currentUtilRef(b); math.Float64bits(u) != math.Float64bits(w) {
 		p.t.Fatalf("%s: %s after %d ticks: CurrentUtil %v, reference %v", a.Spec.Name, what, p.ticks, u, w)
@@ -208,7 +218,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 			case r < 0.97:
 				p.advanceTicks(f, drawDt(rng), 1+rng.Intn(40))
 			default:
-				p.restore(p.fast.totalWork * rng.Float64())
+				p.restore(p.fast.rec.totalWork * rng.Float64())
 			}
 		}
 		if p.fast.completed == 0 {
@@ -225,7 +235,7 @@ func TestAdvanceNearPhaseEndsMatchesReference(t *testing.T) {
 	offsets := []float64{0, 1e-13, 5e-13, 9e-13, 1e-12, 1.1e-12, 1.5e-12, 2e-12, 1e-11, -1e-13, -1e-12}
 	for _, spec := range advanceSpecs(rng, 10) {
 		p := newAdvancePair(t, spec, 0.1+rng.Float64())
-		total := p.fast.totalWork
+		total := p.fast.rec.totalWork
 		for idx := range spec.phases() {
 			end := spec.phaseEndWork(idx, total)
 			for _, off := range offsets {
@@ -236,7 +246,7 @@ func TestAdvanceNearPhaseEndsMatchesReference(t *testing.T) {
 				start := spec.phaseEndWork(idx-1, total) // 0 for idx 0
 				p.restore(start + 0.5*(end-start))
 				p.advance(f, 1e-6)
-				pos := p.fast.totalWork - p.fast.remaining
+				pos := p.fast.rec.totalWork - p.fast.rec.remaining
 				if dt := (end - off - pos) / rate; dt >= 0 {
 					p.advance(f, dt)
 				}
@@ -249,6 +259,41 @@ func TestAdvanceNearPhaseEndsMatchesReference(t *testing.T) {
 					p.advance(f, 1e-3*rng.Float64())
 				}
 			}
+		}
+	}
+}
+
+// A frequency change inside a segment keeps the memo: the tick after it
+// recomputes only the rate from the remembered memory-boundness, and stays
+// bit-identical to the walk. Requests far below the table make rate·dt
+// subnormal, where the in-segment test keeps its division; f ≤ 0 makes no
+// progress.
+func TestAdvanceKeepsSegmentAcrossFrequencyChanges(t *testing.T) {
+	p := newAdvancePair(t, SpecCPU2006()[2], 1) // gcc: a 104 s first phase
+	p.advance(1.0, 1)
+	for _, f := range []float64{1.5, 0.4, 2, 2.5, 0, -1, 1.1, 5e-301, 1e-290, 0.7} {
+		dt := 1.0
+		if f < 1e-200 {
+			dt = 1e-9
+		}
+		p.advance(f, dt)
+		if !p.fast.rec.seg.ok {
+			t.Fatalf("f = %v: the segment memo was dropped", f)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, spec := range advanceSpecs(rng, 20) {
+		p := newAdvancePair(t, spec, 0.05+rng.Float64())
+		for step := 0; step < 400; step++ {
+			f := 0.4 + 0.1*float64(rng.Intn(17))
+			if rng.Intn(8) == 0 {
+				f = []float64{5e-301, 3e-305, 1e-290}[rng.Intn(3)]
+			}
+			dt := 1.0
+			if f < 1 && rng.Intn(2) == 0 {
+				dt = 1e-9
+			}
+			p.advance(f, dt)
 		}
 	}
 }

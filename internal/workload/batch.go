@@ -128,7 +128,9 @@ func Fig1Workloads() []BatchSpec {
 }
 
 // BatchJob is the mutable execution state of one batch workload instance
-// bound to one CPU core.
+// bound to one CPU core. The words that change every tick live in the
+// job's Record (see record.go): its own until a rack binds the job, then a
+// slot of the rack's record table.
 type BatchJob struct {
 	Spec BatchSpec
 	// Deadline is the absolute completion deadline in seconds of
@@ -137,28 +139,10 @@ type BatchJob struct {
 	Deadline float64
 
 	startTime float64
-	totalWork float64 // peak-seconds to complete once
-	remaining float64
 	doneAt    float64 // first completion time, NaN until complete
 	completed int     // completions (paper: jobs re-execute immediately)
-	execSecs  float64 // wall seconds spent executing
 
-	seg segment // where the last Advance call ended; derived, never saved
-}
-
-// segment is the phase segment the last Advance call ended inside, with the
-// rate it ran at. Work position only grows within one execution, so while
-// the position stays below the segment's end by phaseIndexAt's own margin,
-// phaseIndexAt would return the segment's phase again; while f and fmax
-// keep their bits, phaseRate would return the same rate. A wrap and
-// RestoreState invalidate it (ScaleWork cannot follow an Advance that sets
-// it).
-type segment struct {
-	ok      bool
-	f, fmax uint64 // bits of the f and fmax the rate was computed for
-	rate    float64
-	end     float64 // phaseEndWork of the segment's phase
-	util    float64 // that phase's Util
+	rec *Record // work accounting and segment memo
 }
 
 // NewBatchJob starts a job at simulation time start with the given absolute
@@ -170,14 +154,14 @@ func NewBatchJob(spec BatchSpec, start, deadline float64) (*BatchJob, error) {
 	if deadline <= start {
 		return nil, fmt.Errorf("workload: %s: deadline %g not after start %g", spec.Name, deadline, start)
 	}
-	return &BatchJob{
+	j := &BatchJob{
 		Spec:      spec,
 		Deadline:  deadline,
 		startTime: start,
-		totalWork: spec.PeakSeconds,
-		remaining: spec.PeakSeconds,
 		doneAt:    math.NaN(),
-	}, nil
+	}
+	j.rec = &Record{job: j, totalWork: spec.PeakSeconds, remaining: spec.PeakSeconds}
+	return j, nil
 }
 
 // ScaleWork multiplies the job's total (and remaining) work, used by the
@@ -187,170 +171,21 @@ func (j *BatchJob) ScaleWork(factor float64) {
 	if factor <= 0 {
 		panic("workload: ScaleWork factor must be positive")
 	}
-	if j.execSecs > 0 {
+	if j.rec.execSecs > 0 {
 		panic("workload: ScaleWork after execution started")
 	}
-	j.totalWork *= factor
-	j.remaining = j.totalWork
-}
-
-// Advance executes the job for dt seconds at frequency f (with table peak
-// fmax) starting at simulation time now, walking phase boundaries at their
-// own rates. On completion it records the completion time and immediately
-// restarts (continuous re-execution, as in the paper's trace methodology).
-//
-// A tick that stays inside the segment the previous call ended in, at the
-// same f and fmax, takes AdvanceTicks's two-flop within-segment branch on
-// the remembered phase, rate and end; its tests are the ones the segment
-// walk would make, so the result is the same to the bit.
-func (j *BatchJob) Advance(f, fmax, dt, now float64) {
-	if dt < 0 {
-		panic("workload: negative dt")
-	}
-	j.execSecs += dt
-	if sg := &j.seg; sg.ok && dt > 1e-12 &&
-		math.Float64bits(f) == sg.f && math.Float64bits(fmax) == sg.fmax {
-		pos := j.totalWork - j.remaining
-		if pos < sg.end-1e-12 {
-			segWork := sg.end - pos
-			if segWork > j.remaining {
-				segWork = j.remaining
-			}
-			if segWork/sg.rate > dt {
-				j.remaining -= sg.rate * dt
-				return
-			}
-		}
-	}
-	j.seg.ok = false
-	timeLeft := dt
-	for timeLeft > 1e-12 {
-		pos := j.totalWork - j.remaining
-		idx := j.Spec.phaseIndexAt(pos, j.totalWork)
-		ph := j.Spec.phases()[idx]
-		rate := phaseRate(ph, f, fmax)
-		if rate <= 0 {
-			return
-		}
-		end := j.Spec.phaseEndWork(idx, j.totalWork)
-		segWork := end - pos
-		if segWork > j.remaining {
-			segWork = j.remaining
-		}
-		segTime := segWork / rate
-		if segTime > timeLeft {
-			j.remaining -= rate * timeLeft
-			j.seg = segment{ok: true, f: math.Float64bits(f), fmax: math.Float64bits(fmax),
-				rate: rate, end: end, util: ph.Util}
-			return
-		}
-		timeLeft -= segTime
-		j.remaining -= segWork
-		if j.remaining <= 1e-9 {
-			t := now + (dt - timeLeft) // within-step completion time
-			if math.IsNaN(j.doneAt) {
-				j.doneAt = t
-			}
-			j.completed++
-			j.remaining = j.totalWork // re-execute immediately
-		}
-	}
-}
-
-// AdvanceTicks executes n consecutive dt-second ticks at constant frequency
-// f starting at simulation time now0, bit-identically to calling
-// Advance(f, fmax, dt, now0+k·dt) for k = 0..n−1. Ticks that provably stay
-// inside the current phase segment take a two-flop fast path (Advance's
-// within-segment branch reduces to remaining -= rate·dt when timeLeft = dt);
-// ticks that may cross a phase boundary, complete, or wrap fall back to one
-// exact Advance call, after which the phase is re-derived. The event engine
-// uses this to replay batch progress across quiescent spans in O(phases)
-// rather than O(ticks) of full phase walks.
-func (j *BatchJob) AdvanceTicks(f, fmax, dt, now0 float64, n int) {
-	if dt < 0 {
-		panic("workload: negative dt")
-	}
-	if dt <= 1e-12 {
-		// Advance's segment loop never runs at dt ≤ 1e-12: only wall time
-		// accrues.
-		for k := 0; k < n; k++ {
-			j.execSecs += dt
-		}
-		return
-	}
-	k := 0
-	for k < n {
-		pos := j.totalWork - j.remaining
-		idx := j.Spec.phaseIndexAt(pos, j.totalWork)
-		rate := phaseRate(j.Spec.phases()[idx], f, fmax)
-		if rate <= 0 {
-			// Advance returns after accruing execSecs when the phase makes
-			// no progress, and the phase cannot change without progress.
-			for ; k < n; k++ {
-				j.execSecs += dt
-			}
-			return
-		}
-		endW := j.Spec.phaseEndWork(idx, j.totalWork)
-		step := rate * dt // == rate*timeLeft with timeLeft = dt, bit-exact
-		for k < n {
-			segWork := endW - (j.totalWork - j.remaining)
-			if segWork > j.remaining {
-				segWork = j.remaining
-			}
-			// Same comparison as Advance's segTime > timeLeft gate.
-			if segWork/rate > dt {
-				j.execSecs += dt
-				j.remaining -= step
-				k++
-				continue
-			}
-			// Boundary, completion or wrap inside this tick: exact slow
-			// path, then re-derive the phase.
-			j.Advance(f, fmax, dt, now0+float64(k)*dt)
-			k++
-			break
-		}
-	}
-}
-
-// StableTicks returns a conservative count of whole dt-second ticks of
-// execution at constant frequency f during which CurrentUtil() cannot
-// change. Single-phase specs report an effectively unbounded horizon: their
-// utilization is constant even across re-execution wraps. Multi-phase specs
-// report the ticks that certainly remain inside the current phase, which
-// the event engine uses as a quiescent-span barrier.
-func (j *BatchJob) StableTicks(f, fmax, dt float64) int {
-	const unbounded = math.MaxInt32
-	phases := j.Spec.phases()
-	if len(phases) == 1 {
-		return unbounded
-	}
-	pos := j.totalWork - j.remaining
-	idx := j.Spec.phaseIndexAt(pos, j.totalWork)
-	rate := phaseRate(phases[idx], f, fmax)
-	if rate <= 0 {
-		return unbounded // no progress at f ≤ 0: the phase cannot change
-	}
-	segWork := j.Spec.phaseEndWork(idx, j.totalWork) - pos
-	if segWork > j.remaining {
-		segWork = j.remaining
-	}
-	n := int(segWork/rate/dt) - 1
-	if n < 0 {
-		n = 0
-	}
-	return n
+	j.rec.totalWork *= factor
+	j.rec.remaining = j.rec.totalWork
 }
 
 // Progress returns completed fraction of the current execution in [0, 1).
-func (j *BatchJob) Progress() float64 { return 1 - j.remaining/j.totalWork }
+func (j *BatchJob) Progress() float64 { return 1 - j.rec.remaining/j.rec.totalWork }
 
 // WorkDone returns the total work executed so far in peak-seconds
 // (completed executions plus the current one's progress) — the throughput
 // numerator for energy-efficiency accounting.
 func (j *BatchJob) WorkDone() float64 {
-	return float64(j.completed)*j.totalWork + (j.totalWork - j.remaining)
+	return float64(j.completed)*j.rec.totalWork + (j.rec.totalWork - j.rec.remaining)
 }
 
 // Completed reports whether the job has finished at least once.

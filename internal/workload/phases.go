@@ -97,20 +97,14 @@ func (s BatchSpec) phaseEndWork(idx int, total float64) float64 {
 
 // CurrentPhase returns the phase the job is executing now.
 func (j *BatchJob) CurrentPhase() Phase {
-	pos := j.totalWork - j.remaining
-	return j.Spec.phases()[j.Spec.phaseIndexAt(pos, j.totalWork)]
+	pos := j.rec.totalWork - j.rec.remaining
+	return j.Spec.phases()[j.Spec.phaseIndexAt(pos, j.rec.totalWork)]
 }
 
 // CurrentUtil returns the utilization of the current phase — what the
-// core's performance counters would report this period. While the position
-// is inside the segment the last Advance ended in, by phaseIndexAt's own
-// test, that segment's phase is the current one.
-func (j *BatchJob) CurrentUtil() float64 {
-	if j.seg.ok && j.totalWork-j.remaining < j.seg.end-1e-12 {
-		return j.seg.util
-	}
-	return j.CurrentPhase().Util
-}
+// core's performance counters would report this period (see
+// Record.CurrentUtil).
+func (j *BatchJob) CurrentUtil() float64 { return j.rec.CurrentUtil() }
 
 // RequiredFreq returns the constant frequency that completes the job's
 // remaining (phase-aware) work exactly at its deadline, clamped to
@@ -126,12 +120,12 @@ func (j *BatchJob) RequiredFreq(now, fmax float64) float64 {
 		return fmax
 	}
 	var wBeta, wComp float64 // Σw·β and Σw·(1−β) over remaining work
-	pos := j.totalWork - j.remaining
+	pos := j.rec.totalWork - j.rec.remaining
 	phases := j.Spec.phases()
 	var cum float64
 	for _, p := range phases {
 		segStart := cum
-		cum += p.Frac * j.totalWork
+		cum += p.Frac * j.rec.totalWork
 		segEnd := cum
 		if segEnd <= pos {
 			continue

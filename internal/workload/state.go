@@ -24,11 +24,11 @@ func (j *BatchJob) ExportState() JobState {
 	return JobState{
 		StartTime: j.startTime,
 		Deadline:  j.Deadline,
-		TotalWork: j.totalWork,
-		Remaining: j.remaining,
+		TotalWork: j.rec.totalWork,
+		Remaining: j.rec.remaining,
 		DoneAt:    j.doneAt,
 		Completed: j.completed,
-		ExecSecs:  j.execSecs,
+		ExecSecs:  j.rec.execSecs,
 	}
 }
 
@@ -67,11 +67,11 @@ func (j *BatchJob) RestoreState(st JobState) error {
 	}
 	j.startTime = st.StartTime
 	j.Deadline = st.Deadline
-	j.totalWork = st.TotalWork
-	j.remaining = st.Remaining
+	j.rec.totalWork = st.TotalWork
+	j.rec.remaining = st.Remaining
 	j.doneAt = st.DoneAt
 	j.completed = st.Completed
-	j.execSecs = st.ExecSecs
-	j.seg = segment{}
+	j.rec.execSecs = st.ExecSecs
+	j.rec.seg = segment{}
 	return nil
 }
