@@ -41,6 +41,12 @@ type journalRecord struct {
 	// was rendered to, so a restored run serves exactly what it served
 	// before the restart.
 	Summary json.RawMessage `json:"summary,omitempty"`
+	// StepsTotal, RowStep and RowAggW are a terminal run's final progress
+	// counters (steps, each row's steps done and last draw in W), which
+	// its status document serves.
+	StepsTotal int       `json:"steps_total,omitempty"`
+	RowStep    []int     `json:"row_step,omitempty"`
+	RowAggW    []float64 `json:"row_aggregate_w,omitempty"`
 }
 
 func newJournal(dir string) (*journal, error) {

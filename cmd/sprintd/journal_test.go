@@ -321,10 +321,7 @@ func TestJournalKeepsTerminalRecordOverRunningCopy(t *testing.T) {
 		// Finish at staggered instants, so that in some rounds the copy
 		// is taken before the finish and written after it.
 		time.Sleep(time.Duration(i%25) * 4 * time.Microsecond)
-		r.mu.Lock()
-		r.finish(stateDone, "", nil)
-		r.mu.Unlock()
-		s.journalRun(r)
+		s.landRun(r, stateDone, "", nil)
 		<-copied
 		b, err := os.ReadFile(filepath.Join(jn.runDir(r.ID), "record.json"))
 		if err != nil {
@@ -337,5 +334,64 @@ func TestJournalKeepsTerminalRecordOverRunningCopy(t *testing.T) {
 		if rec.State != stateDone || rec.Summary == nil {
 			t.Fatalf("round %d: record.json holds state %q (summary %s) after the terminal record was written", i, rec.State, rec.Summary)
 		}
+	}
+}
+
+// A finished run serves the same status document after a restart on the
+// same state dir as before it: the terminal record keeps the run's final
+// progress counters, a linked run's and a sweep's alike.
+func TestRestoredRunServesItsStatus(t *testing.T) {
+	cfg := defaultServerConfig()
+	cfg.StateDir = t.TempDir()
+	_, ts := newTestService(t, cfg)
+	before := map[string]string{}
+	for _, spec := range []string{recordSpec, `{"mode": "sweep", "rows": 2, "racks_per_row": 2, "duration_s": 120}`} {
+		id := postRun(t, ts, spec)
+		waitDone(t, ts, id)
+		before[id] = getBody(t, ts.URL+"/api/v1/runs/"+id+"/status")
+		if !strings.Contains(before[id], `"step": 120`) {
+			t.Fatalf("run %s: finished run's status shows no final step:\n%s", id, before[id])
+		}
+	}
+	_, ts2 := newTestService(t, cfg)
+	for id, want := range before {
+		if got := getBody(t, ts2.URL+"/api/v1/runs/"+id+"/status"); got != want {
+			t.Fatalf("run %s: status after the restart\n%s\nbefore it\n%s", id, got, want)
+		}
+	}
+}
+
+// A run is served as finished only once its terminal record is on disk: a
+// reader that sees the terminal state finds it in record.json as well, so
+// a kill -9 can never make a restart run again a run served as done.
+func TestTerminalRecordOnDiskBeforeServed(t *testing.T) {
+	jn, err := newJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{jn: jn}
+	for i := 0; i < 100; i++ {
+		now := time.Now()
+		r := &run{ID: strconv.Itoa(i), Mode: "sweep", Submitted: now, state: stateRunning, Started: now}
+		s.journalRun(r)
+		landed := make(chan struct{})
+		go func() {
+			defer close(landed)
+			s.landRun(r, stateDone, "", nil)
+		}()
+		for r.getState() != stateDone {
+		}
+		b, err := os.ReadFile(filepath.Join(jn.runDir(r.ID), "record.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(b, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != stateDone {
+			t.Fatalf("round %d: the run was served as done while record.json held %q", i, rec.State)
+		}
+		<-landed
 	}
 }

@@ -175,9 +175,9 @@ type run struct {
 	// resume holds journaled row snapshots for a recovered run.
 	resume [][]*checkpoint.Snapshot
 
-	// jmu serializes the run's journal writes: journalRun holds it from
-	// taking its copy of the record until the copy is on disk, so a copy
-	// taken later always lands later.
+	// jmu serializes the run's journal writes: journalRun and landRun
+	// hold it from taking their copy of the record until the copy is on
+	// disk, so a copy taken later always lands later.
 	jmu sync.Mutex
 
 	mu         sync.Mutex
@@ -231,7 +231,7 @@ func (r *run) tryCancelQueued() bool {
 	if r.state != stateQueued {
 		return false
 	}
-	r.finish(stateCanceled, "", nil)
+	r.land(r.terminalRecord(stateCanceled, "", nil))
 	return true
 }
 
@@ -245,20 +245,33 @@ func (r *run) cancel(target string) {
 	})
 }
 
-// finish lands the run in its final state. It renders the summary
-// document once, with result as its result section (nil when the run
-// produced none), and drops what the run held only to execute. Caller holds
-// r.mu, or is the run's only holder.
-func (r *run) finish(state, errMsg string, result map[string]any) {
-	r.state, r.errMsg, r.finished = state, errMsg, time.Now()
-	doc := r.envelope()
+// terminalRecord returns, without changing the run, its record once it
+// lands in state: the summary document, rendered once with result as its
+// result section (nil when the run produced none), and the final progress
+// counters. The finish time keeps no monotonic clock reading, so
+// wall_seconds and the status elapsed_seconds are the same wall-clock
+// difference before and after a restart. Caller holds r.mu.
+func (r *run) terminalRecord(state, errMsg string, result map[string]any) journalRecord {
+	rec := r.record()
+	rec.State, rec.Error, rec.Finished = state, errMsg, time.Now().Round(0)
+	rec.StepsTotal, rec.RowStep, rec.RowAggW = r.stepsTotal, r.rowStep, r.rowAggW
+	doc := rec.envelope()
 	if result != nil {
 		doc["result"] = result
 	}
 	var err error
-	if r.doc, err = json.Marshal(doc); err != nil {
+	if rec.Summary, err = json.Marshal(doc); err != nil {
 		log.Printf("sprintd: run %s summary: %v", r.ID, err)
 	}
+	return rec
+}
+
+// land makes a terminal record the run's state, summary and progress, and
+// drops what the run held only to execute. Caller holds r.mu, or is the
+// run's only holder.
+func (r *run) land(rec journalRecord) {
+	r.state, r.errMsg, r.finished, r.doc = rec.State, rec.Error, rec.Finished, rec.Summary
+	r.stepsTotal, r.rowStep, r.rowAggW = rec.StepsTotal, rec.RowStep, rec.RowAggW
 	r.cfg, r.resume = hier.Config{}, nil
 }
 
@@ -524,10 +537,9 @@ func (s *server) recover() error {
 		if terminal(rec.State) {
 			r := &run{
 				ID: rec.ID, Mode: rec.Mode, Spec: rec.Spec,
-				Submitted: rec.Submitted, Started: rec.Started,
-				state: rec.State, errMsg: rec.Error, finished: rec.Finished,
-				doc: rec.Summary, evicted: true,
+				Submitted: rec.Submitted, Started: rec.Started, evicted: true,
 			}
+			r.land(rec)
 			s.registerLocked(r)
 			continue
 		}
@@ -536,9 +548,8 @@ func (s *server) recover() error {
 			// Fail-safe: the journaled spec no longer builds a runnable
 			// configuration; keep the record, mark it failed.
 			r = &run{ID: rec.ID, Mode: rec.Mode, Spec: rec.Spec, Submitted: rec.Submitted, evicted: true}
-			r.finish(stateFailed, "recovery: "+err.Error(), nil)
+			s.landRun(r, stateFailed, "recovery: "+err.Error(), nil)
 			s.registerLocked(r)
-			s.journalRun(r)
 			continue
 		}
 		r.ID = rec.ID
@@ -556,18 +567,47 @@ func (s *server) recover() error {
 }
 
 // journalRun persists the run's current lifecycle record (no-op without a
-// state dir). Terminal records carry the full summary so a restarted
-// service can serve results it did not compute. The copy and its write
-// happen under the run's journal lock, so a copy taken before another
-// cannot overwrite it: the running copy submission takes never replaces
-// the supervisor's terminal record.
+// state dir). Terminal records carry the full summary and the final
+// progress counters, so a restarted service can serve results it did not
+// compute. The copy and its write happen under the run's journal lock, so
+// a copy taken before another cannot overwrite it: the running copy
+// submission takes never replaces the supervisor's terminal record.
 func (s *server) journalRun(r *run) {
-	if s.jn == nil {
-		return
-	}
 	r.jmu.Lock()
 	defer r.jmu.Unlock()
 	r.mu.Lock()
+	rec := r.record()
+	r.mu.Unlock()
+	s.save(rec)
+}
+
+// landRun lands the run in its terminal state once the terminal record is
+// on disk, so no handler sees a run finished whose record a kill -9 could
+// still lose (a restart would run it again).
+func (s *server) landRun(r *run, state, errMsg string, result map[string]any) {
+	r.jmu.Lock()
+	defer r.jmu.Unlock()
+	r.mu.Lock()
+	rec := r.terminalRecord(state, errMsg, result)
+	r.mu.Unlock()
+	s.save(rec)
+	r.mu.Lock()
+	r.land(rec)
+	r.mu.Unlock()
+}
+
+// save writes a run's record to the journal, if there is one.
+func (s *server) save(rec journalRecord) {
+	if s.jn == nil {
+		return
+	}
+	if err := s.jn.saveRecord(rec); err != nil {
+		log.Printf("sprintd: %v", err)
+	}
+}
+
+// record returns the run's current lifecycle record; caller holds r.mu.
+func (r *run) record() journalRecord {
 	rec := journalRecord{
 		ID: r.ID, Mode: r.Mode, State: r.state,
 		Submitted: r.Submitted, Started: r.Started, Finished: r.finished,
@@ -575,11 +615,9 @@ func (s *server) journalRun(r *run) {
 	}
 	if terminal(r.state) {
 		rec.Summary = r.doc
+		rec.StepsTotal, rec.RowStep, rec.RowAggW = r.stepsTotal, r.rowStep, r.rowAggW
 	}
-	r.mu.Unlock()
-	if err := s.jn.saveRecord(rec); err != nil {
-		log.Printf("sprintd: %v", err)
-	}
+	return rec
 }
 
 // dispatchLocked starts queued runs while slots are free; caller holds
@@ -613,11 +651,8 @@ func (s *server) supervise(r *run) {
 			errMsg = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
 			s.mPanics.Inc()
 		}
-		r.mu.Lock()
-		r.finish(state, errMsg, result)
-		r.mu.Unlock()
+		s.landRun(r, state, errMsg, result)
 		r.closeStreams()
-		s.journalRun(r)
 		s.mu.Lock()
 		s.running--
 		s.dispatchLocked()
@@ -838,30 +873,30 @@ func (r *run) summary() json.RawMessage {
 	if r.doc != nil {
 		return r.doc
 	}
-	b, _ := json.Marshal(r.envelope())
+	b, _ := json.Marshal(r.record().envelope())
 	return b
 }
 
-// envelope is the run's state document without a result section; caller
-// holds r.mu.
-func (r *run) envelope() map[string]any {
+// envelope is the state document of the run rec records, without a
+// result section.
+func (rec journalRecord) envelope() map[string]any {
 	doc := map[string]any{
-		"id":        r.ID,
-		"mode":      r.Mode,
-		"state":     r.state,
-		"submitted": r.Submitted,
-		"spec":      r.Spec,
+		"id":        rec.ID,
+		"mode":      rec.Mode,
+		"state":     rec.State,
+		"submitted": rec.Submitted,
+		"spec":      rec.Spec,
 	}
-	if !r.Started.IsZero() {
-		doc["started"] = r.Started
+	if !rec.Started.IsZero() {
+		doc["started"] = rec.Started
 	}
-	if r.errMsg != "" {
-		doc["error"] = r.errMsg
+	if rec.Error != "" {
+		doc["error"] = rec.Error
 	}
-	if !r.finished.IsZero() {
-		doc["finished"] = r.finished
-		if !r.Started.IsZero() {
-			doc["wall_seconds"] = r.finished.Sub(r.Started).Seconds()
+	if !rec.Finished.IsZero() {
+		doc["finished"] = rec.Finished
+		if !rec.Started.IsZero() {
+			doc["wall_seconds"] = rec.Finished.Sub(rec.Started).Seconds()
 		}
 	}
 	return doc
@@ -978,7 +1013,7 @@ func (s *server) handleRunStatus(w http.ResponseWriter, req *http.Request) {
 		"last_building_w": building,
 	}
 	if !r.Started.IsZero() {
-		// A finished run's clock stopped when finish set r.finished (or
+		// A finished run's clock stopped when land set r.finished (or
 		// the journal record did), the time its summary's wall_seconds
 		// is taken from.
 		end := r.finished

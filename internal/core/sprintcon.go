@@ -711,8 +711,10 @@ func (s *SprintCon) serverPowerControl(env *sim.Env, snap sim.Snapshot, pcb, pIn
 // unclamped per-job required frequency as a fraction of peak (1 means some
 // job needs peak from now on; > 1 means a miss is already unavoidable).
 func (s *SprintCon) deadlinePowerFloor(env *sim.Env, now float64) (floorW, urgency float64) {
-	for _, j := range env.Rack.BatchJobs() {
-		if j == nil || j.Completed() {
+	jobs := env.Rack.BatchJobs()
+	for i := range jobs {
+		j := &jobs[i]
+		if j.Completed() {
 			floorW += s.kModel*s.fmin + s.cSharePer
 			continue
 		}

@@ -123,16 +123,6 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// stepBound is the most σ steps Solve takes on an n-variable problem,
-// 2n + ⌊log₂(2n)⌋ + 4 (see Solve).
-func stepBound(n int) int {
-	k := 0
-	for m := 2 * n; m > 1; m >>= 1 {
-		k++
-	}
-	return 2*n + k + 4
-}
-
 // Solve minimizes the problem, in ws when it is non-nil and in a fresh
 // workspace otherwise; the returned Result is valid even when Converged is
 // false. An error is returned only for a problem Validate rejects or whose

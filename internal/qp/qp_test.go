@@ -237,3 +237,13 @@ func BenchmarkSolve128(b *testing.B) {
 		}
 	}
 }
+
+// stepBound is the most σ steps Solve takes on an n-variable problem,
+// 2n + ⌊log₂(2n)⌋ + 4 (see Solve).
+func stepBound(n int) int {
+	k := 0
+	for m := 2 * n; m > 1; m >>= 1 {
+		k++
+	}
+	return 2*n + k + 4
+}

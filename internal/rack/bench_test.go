@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"sprintcon/internal/workload"
 )
 
 // BenchmarkRackTick times one plant tick of the paper's rack in the order
@@ -14,21 +12,15 @@ import (
 // period over a 1 s tick) with MPC-like values between P-states, the batch
 // jobs' progress, and the noisy power reading.
 func BenchmarkRackTick(b *testing.B) {
-	r, err := New(DefaultConfig())
+	cfg := DefaultConfig()
+	jobs := testJobs(b, cfg, due900)
+	for i := range jobs {
+		j := &jobs[i]
+		j.ScaleWork((0.5 + 0.5*math.Mod(float64(i)*0.6180339887498949, 1)) * 600 / j.Spec.PeakSeconds)
+	}
+	r, err := New(cfg, jobs)
 	if err != nil {
 		b.Fatal(err)
-	}
-	specs := workload.SpecCPU2006()
-	for i, ref := range r.BatchCores() {
-		spec := specs[i%len(specs)]
-		j, err := workload.NewBatchJob(spec, 0, 900)
-		if err != nil {
-			b.Fatal(err)
-		}
-		j.ScaleWork((0.5 + 0.5*math.Mod(float64(i)*0.6180339887498949, 1)) * 600 / spec.PeakSeconds)
-		if err := r.BindJob(ref, j); err != nil {
-			b.Fatal(err)
-		}
 	}
 	const periods = 64
 	rng := rand.New(rand.NewSource(1))

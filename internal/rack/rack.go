@@ -1,9 +1,10 @@
 // Package rack assembles servers into the paper's evaluation unit: a rack
-// of 16 servers behind one circuit breaker and one UPS. It binds batch jobs
-// to cores, applies interactive demand to the interactive cores, provides
-// the (noisy) rack power monitor, and implements the feedback measurement
-// model of paper Eq. (5)–(6): batch power cannot be measured directly on
-// shared servers, so it is estimated as p_fb = p_total − (K'·U + C').
+// of 16 servers behind one circuit breaker and one UPS. It runs one batch
+// job on each batch core, applies interactive demand to the interactive
+// cores, provides the (noisy) rack power monitor, and implements the
+// feedback measurement model of paper Eq. (5)–(6): batch power cannot be
+// measured directly on shared servers, so it is estimated as
+// p_fb = p_total − (K'·U + C').
 package rack
 
 import (
@@ -101,10 +102,10 @@ type FaultState struct {
 // table, where core c of server s is entry s·Cores + c of freq and util. A
 // core's class follows from its position (see class). The per-tick sweeps
 // walk the table through the precomputed flat indices of the interactive
-// and batch cores, and the bound jobs' per-tick words through the job
-// record table.
+// and batch cores, and the batch jobs through the job table, which holds
+// one job by value per batch core.
 //
-// The term table, the job records' segment memos and the memos below are
+// The term table, the jobs' segment memos and the memos below are
 // derived state: they follow from the core table, the fault states and the
 // jobs' saved words, and never enter State, a quiescent-span state or a
 // checkpoint.
@@ -143,14 +144,11 @@ type Rack struct {
 	meanOK               bool
 	meanGen              uint64
 	meanBatch, meanInter float64
-	// jobSeq holds the bound jobs in batch-core order (nil for unbound
-	// cores), and jobs their records: slot i holds the work accounting
-	// and segment memo of jobSeq[i], which its accessors read in place.
-	// The per-tick sweeps walk the record table.
-	jobSeq []*workload.BatchJob
-	jobs   []workload.Record
-	env    server.Environment
-	rng    *rand.Rand
+	// jobs is the job table: jobs[i] runs on batch core i, in
+	// BatchCores() order.
+	jobs []workload.BatchJob
+	env  server.Environment
+	rng  *rand.Rand
 	// normDraws counts NormFloat64 calls on rng since construction. A
 	// checkpoint records the count and a restore replays it against a
 	// fresh seeded source, putting the noise stream back in the exact
@@ -160,15 +158,21 @@ type Rack struct {
 }
 
 // New assembles a rack with all interactive cores at peak frequency and all
-// batch cores at the lowest P-state.
-func New(cfg Config) (*Rack, error) {
+// batch cores at the lowest P-state. jobs holds one job per batch core, in
+// BatchCores() order; the rack keeps the slice as its job table and
+// advances the jobs in place, so the caller must not use it afterwards.
+func New(cfg Config, jobs []workload.BatchJob) (*Rack, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if nb := cfg.NumServers * cfg.BatchCoresPerServer; len(jobs) != nb {
+		return nil, fmt.Errorf("rack: got %d jobs for %d batch cores", len(jobs), nb)
 	}
 	nc := cfg.ServerParams.Cores
 	n := cfg.NumServers * nc
 	r := &Rack{
 		cfg:      cfg,
+		jobs:     jobs,
 		env:      server.Environment{AmbientC: 25},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		freq:     make([]float64, n),
@@ -194,8 +198,6 @@ func New(cfg Config) (*Rack, error) {
 			r.term[k] = r.cfg.ServerParams.FreqTerm(r.freq[k])
 		}
 	}
-	r.jobSeq = make([]*workload.BatchJob, len(r.batch))
-	r.jobs = make([]workload.Record, len(r.batch))
 	r.faults = make([]FaultState, cfg.NumServers)
 	return r, nil
 }
@@ -265,34 +267,9 @@ func (r *Rack) InteractiveCores() []CoreRef { return r.inter }
 // SetAmbient sets the inlet air temperature seen by every server.
 func (r *Rack) SetAmbient(c float64) { r.env.AmbientC = c }
 
-// BindJob attaches a batch job to a batch core, moving the job's per-tick
-// words into the core's slot of the record table. A job can be bound to
-// one core only.
-func (r *Rack) BindJob(ref CoreRef, j *workload.BatchJob) error {
-	i := r.batchIndex(ref)
-	if i < 0 {
-		return fmt.Errorf("rack: core %v is not a batch core", ref)
-	}
-	if err := r.jobs[i].Bind(j); err != nil {
-		return fmt.Errorf("rack: core %v: %w", ref, err)
-	}
-	r.jobSeq[i] = j
-	return nil
-}
-
-// batchIndex returns ref's position in BatchCores(), or -1.
-func (r *Rack) batchIndex(ref CoreRef) int {
-	for i, b := range r.batch {
-		if b == ref {
-			return i
-		}
-	}
-	return -1
-}
-
-// BatchJobs returns the bound jobs in BatchCores() order, nil for a core
-// with no job (shared state, not a copy).
-func (r *Rack) BatchJobs() []*workload.BatchJob { return r.jobSeq }
+// BatchJobs returns the job table: the job of each batch core, in
+// BatchCores() order (shared state, not a copy).
+func (r *Rack) BatchJobs() []workload.BatchJob { return r.jobs }
 
 // ApplyInteractiveDemand sets the utilization of every interactive core
 // from the demand fraction plus per-core jitter. Demand is expressed
@@ -420,20 +397,19 @@ func (r *Rack) BatchFreqs() []float64 {
 	return out
 }
 
-// AdvanceBatch executes every bound job for dt seconds at its core's
-// current frequency and refreshes the batch cores' utilizations from their
-// workload specs (idle if unbound or between work).
+// AdvanceBatch executes every job for dt seconds at its core's current
+// frequency and refreshes the batch cores' utilizations from their
+// workload specs (idle on a crashed server).
 func (r *Rack) AdvanceBatch(dt, now float64) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, k := range r.batchIdx {
-		if r.jobSeq[i] == nil || r.offline[k] {
-			// No job, or a crashed server: no work executes this tick.
+		if r.offline[k] {
+			// A crashed server: no work executes this tick.
 			r.util[k] = 0
 			continue
 		}
-		rec := &r.jobs[i]
-		rec.Advance(r.freq[k], fmax, dt, now)
-		r.util[k] = cpu.ClampUtil(rec.CurrentUtil())
+		r.jobs[i].Advance(r.freq[k], fmax, dt, now)
+		r.util[k] = cpu.ClampUtil(r.jobs[i].CurrentUtil())
 	}
 }
 
@@ -446,26 +422,25 @@ func (r *Rack) AdvanceBatch(dt, now float64) {
 func (r *Rack) AdvanceBatchTicks(dt, now0 float64, n int) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, k := range r.batchIdx {
-		if r.jobSeq[i] == nil || r.offline[k] {
+		if r.offline[k] {
 			r.util[k] = 0
 			continue
 		}
-		rec := &r.jobs[i]
-		rec.AdvanceTicks(r.freq[k], fmax, dt, now0, n)
-		r.util[k] = cpu.ClampUtil(rec.CurrentUtil())
+		r.jobs[i].AdvanceTicks(r.freq[k], fmax, dt, now0, n)
+		r.util[k] = cpu.ClampUtil(r.jobs[i].CurrentUtil())
 	}
 }
 
 // BatchStableTicks returns a conservative number of upcoming ticks of size
 // dt over which no batch core's reported utilization can change at the
-// current frequencies: the minimum of the bound jobs' phase-stability
+// current frequencies: the minimum of the jobs' phase-stability
 // horizons. Single-phase jobs (constant utilization across re-execution
 // wraps) impose no bound. The result is capped at maxTicks.
 func (r *Rack) BatchStableTicks(dt float64, maxTicks int) int {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	min := maxTicks
 	for i, k := range r.batchIdx {
-		if r.jobSeq[i] == nil || r.offline[k] {
+		if r.offline[k] {
 			continue
 		}
 		if n := r.jobs[i].StableTicks(r.freq[k], fmax, dt); n < min {
@@ -478,16 +453,13 @@ func (r *Rack) BatchStableTicks(dt float64, maxTicks int) int {
 	return min
 }
 
-// AllBatchJobsCompleted reports whether every bound batch job has finished
-// at least once. Completed jobs have time-independent control weights
+// AllBatchJobsCompleted reports whether every batch job has finished at
+// least once. Completed jobs have time-independent control weights
 // (RWeight is the constant re-execution urgency), which is one of the event
 // engine's eligibility conditions for closing a quiescent span analytically.
 func (r *Rack) AllBatchJobsCompleted() bool {
-	for _, j := range r.jobSeq {
-		if j == nil {
-			continue
-		}
-		if !j.Completed() {
+	for i := range r.jobs {
+		if !r.jobs[i].Completed() {
 			return false
 		}
 	}
@@ -571,18 +543,14 @@ func (r *Rack) BatchFeedback(measuredTotal float64) float64 {
 
 // RWeightsInto writes the paper's per-batch-core control-penalty weights
 // R_{i,j} (dimensionless) at time now into the preallocated dst (returned),
-// in BatchCores() order (1 for unbound cores), for allocation-free control
-// periods. dst must have one element per batch core.
+// in BatchCores() order, for allocation-free control periods. dst must
+// have one element per batch core.
 func (r *Rack) RWeightsInto(dst []float64, now float64) []float64 {
 	if len(dst) != len(r.batch) {
 		panic(fmt.Sprintf("rack: RWeightsInto dst length %d for %d batch cores", len(dst), len(r.batch)))
 	}
-	for i := range r.batch {
-		if j := r.jobSeq[i]; j != nil {
-			dst[i] = j.RWeight(now)
-		} else {
-			dst[i] = 1
-		}
+	for i := range r.jobs {
+		dst[i] = r.jobs[i].RWeight(now)
 	}
 	return dst
 }

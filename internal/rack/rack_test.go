@@ -2,20 +2,44 @@ package rack
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"sprintcon/internal/cpu"
 	"sprintcon/internal/workload"
 )
 
-func mustNew(t *testing.T) *Rack {
+// testJobs returns one job per batch core of cfg, cycling through the SPEC
+// CPU2006 models, each started at 0 and due at deadline(i).
+func testJobs(t testing.TB, cfg Config, deadline func(i int) float64) []workload.BatchJob {
 	t.Helper()
-	r, err := New(DefaultConfig())
+	specs := workload.SpecCPU2006()
+	jobs := make([]workload.BatchJob, cfg.NumServers*cfg.BatchCoresPerServer)
+	for i := range jobs {
+		j, err := workload.NewBatchJob(specs[i%len(specs)], 0, deadline(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	return jobs
+}
+
+// due900 gives every job a 900 s deadline.
+func due900(int) float64 { return 900 }
+
+// newRack builds a rack of cfg with testJobs' jobs, due at 900 s.
+func newRack(t testing.TB, cfg Config) *Rack {
+	t.Helper()
+	r, err := New(cfg, testJobs(t, cfg, due900))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+func mustNew(t *testing.T) *Rack {
+	t.Helper()
+	return newRack(t, DefaultConfig())
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -35,7 +59,7 @@ func TestConfigValidate(t *testing.T) {
 	for _, tc := range cases {
 		cfg := DefaultConfig()
 		tc.mutate(&cfg)
-		if _, err := New(cfg); err == nil {
+		if _, err := New(cfg, testJobs(t, cfg, due900)); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -68,10 +92,7 @@ func TestRackMaxPowerMatchesPaper(t *testing.T) {
 	cfg.MonitorNoiseStd = 0
 	cfg.UtilJitterStd = 0
 	cfg.ServerParams.FanW = 0
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRack(t, cfg)
 	for s := 0; s < 16; s++ {
 		for c := 0; c < 8; c++ {
 			r.SetCoreFreq(CoreRef{Server: s, Core: c}, 2.0)
@@ -88,7 +109,7 @@ func TestRackMaxPowerMatchesPaper(t *testing.T) {
 func TestRackIdlePower(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ServerParams.FanW = 0
-	r, _ := New(cfg)
+	r := newRack(t, cfg)
 	if got := r.TruePower(); math.Abs(got-16*150) > 1e-6 {
 		t.Fatalf("idle rack power = %v, want 2400", got)
 	}
@@ -96,21 +117,6 @@ func TestRackIdlePower(t *testing.T) {
 
 func TestBindAndAdvanceJobs(t *testing.T) {
 	r := mustNew(t)
-	specs := workload.SpecCPU2006()
-	for i, ref := range r.BatchCores() {
-		j, err := workload.NewBatchJob(specs[i%len(specs)], 0, 900)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.BindJob(ref, j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, j := range r.BatchJobs() {
-		if j == nil {
-			t.Fatalf("core %v has no job", r.BatchCores()[i])
-		}
-	}
 	// Run all batch cores at peak for 60 s; every job must make progress.
 	freqs := make([]float64, 64)
 	for i := range freqs {
@@ -120,8 +126,8 @@ func TestBindAndAdvanceJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.AdvanceBatch(60, 0)
-	for i, j := range r.BatchJobs() {
-		if j.Progress() <= 0 {
+	for i := range r.BatchJobs() {
+		if r.BatchJobs()[i].Progress() <= 0 {
 			t.Fatalf("job %v made no progress", r.BatchCores()[i])
 		}
 	}
@@ -133,51 +139,49 @@ func TestBindAndAdvanceJobs(t *testing.T) {
 	}
 }
 
-func TestBindJobRejectsNonBatchCore(t *testing.T) {
-	r := mustNew(t)
-	j, _ := workload.NewBatchJob(workload.SpecCPU2006()[0], 0, 900)
-	if err := r.BindJob(CoreRef{Server: 0, Core: 0}, j); err == nil {
-		t.Fatal("binding to an interactive core should fail")
+// New takes exactly one job per batch core.
+func TestNewRejectsJobCountMismatch(t *testing.T) {
+	cfg := DefaultConfig()
+	jobs := testJobs(t, cfg, due900)
+	for _, n := range []int{0, 1, len(jobs) - 1} {
+		if _, err := New(cfg, jobs[:n]); err == nil {
+			t.Fatalf("%d jobs for %d batch cores: no error", n, len(jobs))
+		}
 	}
-	if err := r.BindJob(CoreRef{Server: 99, Core: 0}, j); err == nil {
-		t.Fatal("binding to a bad server should fail")
-	}
-	if err := r.BindJob(CoreRef{Server: 0, Core: 99}, j); err == nil {
-		t.Fatal("binding to a bad core should fail")
+	extra := append(testJobs(t, cfg, due900), jobs[0])
+	if _, err := New(cfg, extra); err == nil {
+		t.Fatalf("%d jobs for %d batch cores: no error", len(extra), len(jobs))
 	}
 }
 
-// BatchJobs lists the bound jobs in BatchCores order, each at the position
-// of the core BindJob bound it to.
+// BatchJobs is the job table New was given, in BatchCores order: the rack
+// advances the jobs in place rather than in a copy.
 func TestBatchJobsFollowBatchCores(t *testing.T) {
-	r := mustNew(t)
-	specs := workload.SpecCPU2006()
-	bound := make([]*workload.BatchJob, len(r.BatchCores()))
-	for i, ref := range r.BatchCores() {
-		if i%3 == 0 {
-			continue // leave some cores unbound
-		}
-		j, _ := workload.NewBatchJob(specs[i%len(specs)], 0, 900)
-		if err := r.BindJob(ref, j); err != nil {
-			t.Fatal(err)
-		}
-		bound[i] = j
+	cfg := DefaultConfig()
+	jobs := testJobs(t, cfg, due900)
+	r, err := New(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	jobs := r.BatchJobs()
-	if len(jobs) != len(r.BatchCores()) {
-		t.Fatalf("%d jobs for %d batch cores", len(jobs), len(r.BatchCores()))
+	table := r.BatchJobs()
+	if len(table) != len(r.BatchCores()) {
+		t.Fatalf("%d jobs for %d batch cores", len(table), len(r.BatchCores()))
 	}
 	for i, ref := range r.BatchCores() {
-		if jobs[i] != bound[i] {
-			t.Fatalf("core %v: BatchJobs()[%d] = %p, bound %p", ref, i, jobs[i], bound[i])
+		if &table[i] != &jobs[i] {
+			t.Fatalf("core %v: BatchJobs()[%d] is not the job New was given", ref, i)
 		}
+	}
+	r.AdvanceBatch(10, 0)
+	if jobs[0].Progress() <= 0 {
+		t.Fatal("the job New was given made no progress on its core")
 	}
 }
 
 func TestApplyInteractiveDemand(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UtilJitterStd = 0
-	r, _ := New(cfg)
+	r := newRack(t, cfg)
 	r.ApplyInteractiveDemand(0.7)
 	for _, ref := range r.InteractiveCores() {
 		if _, u, _ := r.Core(ref); math.Abs(u-0.7) > 1e-9 {
@@ -197,7 +201,7 @@ func TestInteractiveUtilizationRisesWhenThrottled(t *testing.T) {
 	// request stream makes a throttled core proportionally busier.
 	cfg := DefaultConfig()
 	cfg.UtilJitterStd = 0
-	r, _ := New(cfg)
+	r := newRack(t, cfg)
 	r.SetInteractiveFreq(1.0) // half of peak
 	r.ApplyInteractiveDemand(0.3)
 	for _, ref := range r.InteractiveCores() {
@@ -243,7 +247,7 @@ func TestSetBatchFreqsQuantizesAndValidates(t *testing.T) {
 func TestMeasuredPowerNoise(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MonitorNoiseStd = 0.01
-	r, _ := New(cfg)
+	r := newRack(t, cfg)
 	truth := r.TruePower()
 	var deviated bool
 	for i := 0; i < 32; i++ {
@@ -259,7 +263,7 @@ func TestMeasuredPowerNoise(t *testing.T) {
 		t.Fatal("noisy monitor never deviated from truth")
 	}
 	cfg.MonitorNoiseStd = 0
-	r2, _ := New(cfg)
+	r2 := newRack(t, cfg)
 	if r2.MeasuredPower() != r2.TruePower() {
 		t.Fatal("zero noise must measure exactly")
 	}
@@ -272,12 +276,7 @@ func TestBatchFeedbackTracksTrueBatchPower(t *testing.T) {
 	cfg.MonitorNoiseStd = 0
 	cfg.UtilJitterStd = 0
 	cfg.ServerParams.FanW = 0 // remove disturbance for the exactness check
-	r, _ := New(cfg)
-	specs := workload.SpecCPU2006()
-	for i, ref := range r.BatchCores() {
-		j, _ := workload.NewBatchJob(specs[i%len(specs)], 0, 900)
-		r.BindJob(ref, j)
-	}
+	r := newRack(t, cfg)
 	r.ApplyInteractiveDemand(0.6)
 	freqs := make([]float64, 64)
 	for i := range freqs {
@@ -301,19 +300,19 @@ func TestBatchFeedbackNeverNegative(t *testing.T) {
 }
 
 func TestRWeights(t *testing.T) {
-	r := mustNew(t)
-	specs := workload.SpecCPU2006()
-	j, _ := workload.NewBatchJob(specs[0], 0, 600)
-	r.BindJob(r.BatchCores()[0], j)
+	cfg := DefaultConfig()
+	r, err := New(cfg, testJobs(t, cfg, func(i int) float64 { return 600 + float64(i%3)*150 }))
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := r.RWeightsInto(make([]float64, len(r.BatchCores())), 0)
 	if len(w) != 64 {
 		t.Fatalf("weights length %d", len(w))
 	}
-	if w[0] <= 0 {
-		t.Fatalf("bound core weight %v", w[0])
-	}
-	if w[1] != 1 {
-		t.Fatalf("unbound core weight %v, want 1", w[1])
+	for i := range w {
+		if want := r.BatchJobs()[i].RWeight(0); w[i] <= 0 || w[i] != want {
+			t.Fatalf("core %v weight %v, want its job's %v", r.BatchCores()[i], w[i], want)
+		}
 	}
 }
 
@@ -425,10 +424,7 @@ func TestCoreStateManagement(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InteractiveCoresPerServer = 2
 	cfg.BatchCoresPerServer = 3
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRack(t, cfg)
 	want := []cpu.Class{cpu.Interactive, cpu.Interactive, cpu.Batch, cpu.Batch, cpu.Batch, cpu.Idle, cpu.Idle, cpu.Idle}
 	for s := 0; s < cfg.NumServers; s++ {
 		for c, wc := range want {
@@ -453,47 +449,5 @@ func TestCoreStateManagement(t *testing.T) {
 		if _, u, _ := r.Core(ref); u != tc.want {
 			t.Fatalf("restored utilization %v stored as %v, want %v", tc.in, u, tc.want)
 		}
-	}
-}
-
-// A bound job's accessors read its slot of the record table. Rebinding a
-// core hands the job it held a record of its own, which keeps the words it
-// had; a job already bound to a core cannot be bound to a second one.
-func TestBindJobMovesRecords(t *testing.T) {
-	r := mustNew(t)
-	specs := workload.SpecCPU2006()
-	a, _ := workload.NewBatchJob(specs[2], 0, 900)
-	b, _ := workload.NewBatchJob(specs[3], 0, 900)
-	refs := r.BatchCores()
-	if err := r.BindJob(refs[0], a); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.BindJob(refs[1], a); err == nil {
-		t.Fatal("binding a bound job to a second core should fail")
-	}
-	if err := r.BindJob(refs[0], a); err != nil {
-		t.Fatalf("rebinding a job to its own core: %v", err)
-	}
-	r.SetCoreFreq(refs[0], 1.5)
-	r.AdvanceBatch(30, 0)
-	if w := a.WorkDone(); w <= 0 || math.Float64bits(w) != math.Float64bits(a.ExportState().TotalWork-a.ExportState().Remaining) {
-		t.Fatalf("job reads work done %v after a tick on its core", w)
-	}
-	before := a.ExportState()
-	if err := r.BindJob(refs[0], b); err != nil {
-		t.Fatal(err)
-	}
-	if at, ok := sameWords(reflect.ValueOf(a.ExportState()), reflect.ValueOf(before), "state"); !ok {
-		t.Fatalf("the replaced job's state moved: %s", at)
-	}
-	r.AdvanceBatch(30, 30)
-	if at, ok := sameWords(reflect.ValueOf(a.ExportState()), reflect.ValueOf(before), "state"); !ok {
-		t.Fatalf("the replaced job still advances with its old core: %s", at)
-	}
-	if b.WorkDone() <= 0 {
-		t.Fatal("the new job made no progress on its core")
-	}
-	if err := r.BindJob(refs[1], a); err != nil {
-		t.Fatalf("binding the replaced job to a free core: %v", err)
 	}
 }

@@ -18,7 +18,9 @@ type CoreState struct {
 // State is the serializable snapshot of a rack's mutable state: every
 // core's frequency and utilization, the per-server injected-fault
 // condition, the noise-stream position, and the batch jobs' execution
-// state (in BatchCores order, with JobBound marking cores that have a job).
+// state (in BatchCores order). Every batch core has a job, so ExportState
+// writes JobBound true throughout; RestoreState rejects a snapshot with a
+// false entry as one that disagrees with the scenario.
 type State struct {
 	Cores     [][]CoreState // [server][core]
 	Faults    []FaultState
@@ -49,11 +51,9 @@ func (r *Rack) ExportState() State {
 		}
 		st.Cores[si] = cores
 	}
-	for i, j := range r.jobSeq {
-		if j != nil {
-			st.JobBound[i] = true
-			st.Jobs[i] = j.ExportState()
-		}
+	for i := range r.jobs {
+		st.JobBound[i] = true
+		st.Jobs[i] = r.jobs[i].ExportState()
 	}
 	return st
 }
@@ -93,7 +93,7 @@ func (r *Rack) RestoreState(st State) error {
 			len(st.JobBound), len(st.Jobs), len(r.batch))
 	}
 	for i, ref := range r.batch {
-		if st.JobBound[i] != (r.jobSeq[i] != nil) {
+		if !st.JobBound[i] {
 			return fmt.Errorf("rack: snapshot job binding for %v disagrees with the scenario", ref)
 		}
 	}
@@ -117,11 +117,8 @@ func (r *Rack) RestoreState(st State) error {
 		r.rng.NormFloat64()
 	}
 	r.normDraws = st.NormDraws
-	for i, j := range r.jobSeq {
-		if !st.JobBound[i] {
-			continue
-		}
-		if err := j.RestoreState(st.Jobs[i]); err != nil {
+	for i := range r.jobs {
+		if err := r.jobs[i].RestoreState(st.Jobs[i]); err != nil {
 			return err
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sprintcon/internal/cpu"
-	"sprintcon/internal/workload"
 )
 
 // The functions below are the rack's per-core sweeps written out plainly:
@@ -16,8 +15,8 @@ import (
 // reading faults[ref.Server], and none remembers anything between calls. A
 // reference rack driven only through them keeps its state in the same
 // places the fast paths do, so the two racks can be compared core by core
-// and job record by job record after every call. The reference computes
-// power from the frequencies and leaves the term table alone.
+// and job by job after every call. The reference computes power from the
+// frequencies and leaves the term table alone.
 
 // at returns ref's entry in the core table.
 func at(r *Rack, ref CoreRef) int { return ref.Server*r.cfg.ServerParams.Cores + ref.Core }
@@ -83,13 +82,13 @@ func setFaultStateRef(r *Rack, serverIdx int, st FaultState) {
 func advanceBatchRef(r *Rack, dt, now float64) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, ref := range r.batch {
-		if r.jobSeq[i] == nil || r.faults[ref.Server].Offline {
+		if r.faults[ref.Server].Offline {
 			r.util[at(r, ref)] = 0
 			continue
 		}
 		f := r.freq[at(r, ref)]
 		r.jobs[i].Advance(f, fmax, dt, now)
-		r.util[at(r, ref)] = cpu.ClampUtil(r.jobSeq[i].CurrentUtil())
+		r.util[at(r, ref)] = cpu.ClampUtil(r.jobs[i].CurrentUtil())
 	}
 }
 
@@ -97,7 +96,7 @@ func advanceBatchRef(r *Rack, dt, now float64) {
 func advanceBatchTicksRef(r *Rack, dt, now0 float64, n int) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, ref := range r.batch {
-		if r.jobSeq[i] == nil || r.faults[ref.Server].Offline {
+		if r.faults[ref.Server].Offline {
 			r.util[at(r, ref)] = 0
 			continue
 		}
@@ -105,7 +104,7 @@ func advanceBatchTicksRef(r *Rack, dt, now0 float64, n int) {
 		for k := 0; k < n; k++ {
 			r.jobs[i].Advance(f, fmax, dt, now0+float64(k)*dt)
 		}
-		r.util[at(r, ref)] = cpu.ClampUtil(r.jobSeq[i].CurrentUtil())
+		r.util[at(r, ref)] = cpu.ClampUtil(r.jobs[i].CurrentUtil())
 	}
 }
 
@@ -113,7 +112,7 @@ func batchStableTicksRef(r *Rack, dt float64, maxTicks int) int {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	min := maxTicks
 	for i, ref := range r.batch {
-		if r.jobSeq[i] == nil || r.faults[ref.Server].Offline {
+		if r.faults[ref.Server].Offline {
 			continue
 		}
 		f := r.freq[at(r, ref)]
@@ -195,11 +194,9 @@ func restoreStateRef(t *testing.T, r *Rack, st State) {
 		r.rng.NormFloat64()
 	}
 	r.normDraws = st.NormDraws
-	for i, j := range r.jobSeq {
-		if st.JobBound[i] {
-			if err := j.RestoreState(st.Jobs[i]); err != nil {
-				t.Fatal(err)
-			}
+	for i := range r.jobs {
+		if err := r.jobs[i].RestoreState(st.Jobs[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -240,23 +237,10 @@ type refPair struct {
 func newRefPair(t *testing.T, cfg Config) *refPair {
 	t.Helper()
 	p := &refPair{t: t}
-	specs := workload.SpecCPU2006()
 	for _, r := range []**Rack{&p.fast, &p.ref} {
-		rk, err := New(cfg)
+		rk, err := New(cfg, testJobs(t, cfg, func(i int) float64 { return 300 + float64(i%7)*40 }))
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i, ref := range rk.BatchCores() {
-			if i%5 == 4 {
-				continue // an unbound core idles
-			}
-			j, err := workload.NewBatchJob(specs[i%len(specs)], 0, 300+float64(i%7)*40)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rk.BindJob(ref, j); err != nil {
-				t.Fatal(err)
-			}
 		}
 		*r = rk
 	}
@@ -368,10 +352,9 @@ func (p *refPair) step(op int, arg func() int) {
 	p.compare(op)
 }
 
-// sameWords compares two values of one type field by field, floats by
-// math.Float64bits, and names the first field that differs. Pointers are
-// not compared: a job record's back-pointer names a different job in each
-// rack.
+// sameWords compares two values of one type field by field and element by
+// element, floats by math.Float64bits, and names the first field that
+// differs.
 func sameWords(a, b reflect.Value, path string) (string, bool) {
 	switch a.Kind() {
 	case reflect.Struct:
@@ -396,7 +379,19 @@ func sameWords(a, b reflect.Value, path string) (string, bool) {
 		if a.Int() != b.Int() {
 			return fmt.Sprintf("%s = %d, reference %d", path, a.Int(), b.Int()), false
 		}
-	case reflect.Pointer:
+	case reflect.String:
+		if a.String() != b.String() {
+			return fmt.Sprintf("%s = %q, reference %q", path, a.String(), b.String()), false
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s has %d elements, reference %d", path, a.Len(), b.Len()), false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if at, ok := sameWords(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); !ok {
+				return at, false
+			}
+		}
 	default:
 		panic("sameWords: unhandled kind " + a.Kind().String() + " at " + path)
 	}
@@ -405,7 +400,7 @@ func sameWords(a, b reflect.Value, path string) (string, bool) {
 
 // compare checks, by math.Float64bits, every core's frequency, utilization
 // and term entry, the power readings and estimators, both mean norms, the
-// noise-stream position, every word of every job record and every job's
+// noise-stream position, every word of every job and every job's
 // accessors.
 func (p *refPair) compare(op int) {
 	t, fast, ref := p.t, p.fast, p.ref
@@ -432,14 +427,11 @@ func (p *refPair) compare(op int) {
 		t.Fatalf("after op %d: normDraws = %d, reference %d", op, fast.normDraws, ref.normDraws)
 	}
 	fmax := fast.cfg.ServerParams.PStates.Max()
-	for i, j := range fast.BatchJobs() {
-		if at, ok := sameWords(reflect.ValueOf(fast.jobs[i]), reflect.ValueOf(ref.jobs[i]), fmt.Sprintf("job record %d", i)); !ok {
+	for i := range fast.BatchJobs() {
+		j, rj := &fast.BatchJobs()[i], &ref.BatchJobs()[i]
+		if at, ok := sameWords(reflect.ValueOf(*j), reflect.ValueOf(*rj), fmt.Sprintf("job %d", i)); !ok {
 			t.Fatalf("after op %d: %s", op, at)
 		}
-		if j == nil {
-			continue
-		}
-		rj := ref.BatchJobs()[i]
 		same("Progress", j.Progress(), rj.Progress())
 		same("WorkDone", j.WorkDone(), rj.WorkDone())
 		same("CurrentUtil", j.CurrentUtil(), rj.CurrentUtil())

@@ -484,7 +484,28 @@ func RunWith(scn Scenario, p Policy, opts RunOptions) (*Result, error) {
 // BuildEnv assembles the rack, breaker, UPS, interactive trace and batch
 // jobs of a scenario. Exported for policies' unit tests.
 func BuildEnv(scn Scenario) (*Env, error) {
-	r, err := rack.New(scn.Rack)
+	if err := scn.Rack.Validate(); err != nil {
+		return nil, err
+	}
+	specs := scn.BatchSpecs
+	if len(specs) == 0 {
+		specs = workload.SpecCPU2006()
+	}
+	jobs := make([]workload.BatchJob, scn.Rack.NumServers*scn.Rack.BatchCoresPerServer)
+	for i := range jobs {
+		spec := specs[i%len(specs)]
+		j, err := workload.NewBatchJob(spec, 0, scn.BatchDeadlineS)
+		if err != nil {
+			return nil, err
+		}
+		// Deterministic per-core fill in [WorkFillMin, WorkFillMax]
+		// via the golden-ratio low-discrepancy sequence.
+		frac := math.Mod(float64(i)*0.6180339887498949, 1)
+		fill := scn.WorkFillMin + (scn.WorkFillMax-scn.WorkFillMin)*frac
+		j.ScaleWork(fill * scn.WorkReferenceS / spec.PeakSeconds)
+		jobs[i] = j
+	}
+	r, err := rack.New(scn.Rack, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -498,28 +519,8 @@ func BuildEnv(scn Scenario) (*Env, error) {
 	}
 	tr := scn.Trace
 	if tr == nil {
-		var err error
 		tr, err = workload.GenInteractive(scn.Interactive, scn.DurationS, scn.DtS)
 		if err != nil {
-			return nil, err
-		}
-	}
-	specs := scn.BatchSpecs
-	if len(specs) == 0 {
-		specs = workload.SpecCPU2006()
-	}
-	for i, ref := range r.BatchCores() {
-		spec := specs[i%len(specs)]
-		j, err := workload.NewBatchJob(spec, 0, scn.BatchDeadlineS)
-		if err != nil {
-			return nil, err
-		}
-		// Deterministic per-core fill in [WorkFillMin, WorkFillMax]
-		// via the golden-ratio low-discrepancy sequence.
-		frac := math.Mod(float64(i)*0.6180339887498949, 1)
-		fill := scn.WorkFillMin + (scn.WorkFillMax-scn.WorkFillMin)*frac
-		j.ScaleWork(fill * scn.WorkReferenceS / spec.PeakSeconds)
-		if err := r.BindJob(ref, j); err != nil {
 			return nil, err
 		}
 	}
@@ -595,10 +596,9 @@ func finalize(res *Result, env *Env, controlled, over int, trackErrSum float64) 
 	end := res.Scenario.DurationS
 	latest := 0.0
 	refs := env.Rack.BatchCores()
-	for i, j := range env.Rack.BatchJobs() {
-		if j == nil {
-			continue
-		}
+	jobs := env.Rack.BatchJobs()
+	for i := range jobs {
+		j := &jobs[i]
 		res.JobsTotal++
 		if j.Completed() {
 			res.JobsCompletedOnce++

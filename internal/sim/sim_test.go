@@ -92,10 +92,8 @@ func TestBuildEnvBindsAllBatchCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	cores := env.Rack.BatchCores()
-	for i, j := range env.Rack.BatchJobs() {
-		if j == nil {
-			t.Fatalf("batch core %v has no job", cores[i])
-		}
+	if n := len(env.Rack.BatchJobs()); n != len(cores) {
+		t.Fatalf("%d jobs for %d batch cores", n, len(cores))
 	}
 	if len(cores) != 64 {
 		t.Fatalf("batch cores = %d, want 64", len(cores))

@@ -6,16 +6,6 @@ import (
 	"testing"
 )
 
-// Advance, AdvanceTicks and StableTicks drive a job's record rules on a
-// job that no rack has bound, as a rack drives the record in its slot.
-func (j *BatchJob) Advance(f, fmax, dt, now float64) { j.rec.Advance(f, fmax, dt, now) }
-
-func (j *BatchJob) AdvanceTicks(f, fmax, dt, now0 float64, n int) {
-	j.rec.AdvanceTicks(f, fmax, dt, now0, n)
-}
-
-func (j *BatchJob) StableTicks(f, fmax, dt float64) int { return j.rec.StableTicks(f, fmax, dt) }
-
 // advanceRef is BatchJob.Advance as it was before the job remembered its
 // segment: every call walks the phases from phaseIndexAt. The fast path
 // must reproduce it bit for bit.
@@ -23,41 +13,41 @@ func advanceRef(j *BatchJob, f, fmax, dt, now float64) {
 	if dt < 0 {
 		panic("workload: negative dt")
 	}
-	j.rec.execSecs += dt
+	j.execSecs += dt
 	timeLeft := dt
 	for timeLeft > 1e-12 {
-		pos := j.rec.totalWork - j.rec.remaining
-		idx := j.Spec.phaseIndexAt(pos, j.rec.totalWork)
+		pos := j.totalWork - j.remaining
+		idx := j.Spec.phaseIndexAt(pos, j.totalWork)
 		rate := phaseRate(j.Spec.phases()[idx], f, fmax)
 		if rate <= 0 {
 			return
 		}
-		segWork := j.Spec.phaseEndWork(idx, j.rec.totalWork) - pos
-		if segWork > j.rec.remaining {
-			segWork = j.rec.remaining
+		segWork := j.Spec.phaseEndWork(idx, j.totalWork) - pos
+		if segWork > j.remaining {
+			segWork = j.remaining
 		}
 		segTime := segWork / rate
 		if segTime > timeLeft {
-			j.rec.remaining -= rate * timeLeft
+			j.remaining -= rate * timeLeft
 			return
 		}
 		timeLeft -= segTime
-		j.rec.remaining -= segWork
-		if j.rec.remaining <= 1e-9 {
+		j.remaining -= segWork
+		if j.remaining <= 1e-9 {
 			t := now + (dt - timeLeft)
 			if math.IsNaN(j.doneAt) {
 				j.doneAt = t
 			}
 			j.completed++
-			j.rec.remaining = j.rec.totalWork
+			j.remaining = j.totalWork
 		}
 	}
 }
 
 // currentUtilRef is CurrentUtil without the remembered segment.
 func currentUtilRef(j *BatchJob) float64 {
-	pos := j.rec.totalWork - j.rec.remaining
-	return j.Spec.phases()[j.Spec.phaseIndexAt(pos, j.rec.totalWork)].Util
+	pos := j.totalWork - j.remaining
+	return j.Spec.phases()[j.Spec.phaseIndexAt(pos, j.totalWork)].Util
 }
 
 // randomPhasedSpec draws a spec with one to six phases of random length,
@@ -109,7 +99,7 @@ func newAdvancePair(t *testing.T, spec BatchSpec, scale float64) *advancePair {
 	ref, _ := NewBatchJob(spec, 0, 1e6)
 	fast.ScaleWork(scale)
 	ref.ScaleWork(scale)
-	return &advancePair{t: t, fast: fast, ref: ref, fmax: 2}
+	return &advancePair{t: t, fast: &fast, ref: &ref, fmax: 2}
 }
 
 func (p *advancePair) check(what string) {
@@ -118,8 +108,8 @@ func (p *advancePair) check(what string) {
 	if !jobStateEqual(a, b) {
 		p.t.Fatalf("%s: %s after %d ticks: fast rem=%x exec=%x done=%x comp=%d, reference rem=%x exec=%x done=%x comp=%d",
 			a.Spec.Name, what, p.ticks,
-			math.Float64bits(a.rec.remaining), math.Float64bits(a.rec.execSecs), math.Float64bits(a.doneAt), a.completed,
-			math.Float64bits(b.rec.remaining), math.Float64bits(b.rec.execSecs), math.Float64bits(b.doneAt), b.completed)
+			math.Float64bits(a.remaining), math.Float64bits(a.execSecs), math.Float64bits(a.doneAt), a.completed,
+			math.Float64bits(b.remaining), math.Float64bits(b.execSecs), math.Float64bits(b.doneAt), b.completed)
 	}
 	if u, w := a.CurrentUtil(), currentUtilRef(b); math.Float64bits(u) != math.Float64bits(w) {
 		p.t.Fatalf("%s: %s after %d ticks: CurrentUtil %v, reference %v", a.Spec.Name, what, p.ticks, u, w)
@@ -218,7 +208,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 			case r < 0.97:
 				p.advanceTicks(f, drawDt(rng), 1+rng.Intn(40))
 			default:
-				p.restore(p.fast.rec.totalWork * rng.Float64())
+				p.restore(p.fast.totalWork * rng.Float64())
 			}
 		}
 		if p.fast.completed == 0 {
@@ -235,7 +225,7 @@ func TestAdvanceNearPhaseEndsMatchesReference(t *testing.T) {
 	offsets := []float64{0, 1e-13, 5e-13, 9e-13, 1e-12, 1.1e-12, 1.5e-12, 2e-12, 1e-11, -1e-13, -1e-12}
 	for _, spec := range advanceSpecs(rng, 10) {
 		p := newAdvancePair(t, spec, 0.1+rng.Float64())
-		total := p.fast.rec.totalWork
+		total := p.fast.totalWork
 		for idx := range spec.phases() {
 			end := spec.phaseEndWork(idx, total)
 			for _, off := range offsets {
@@ -246,7 +236,7 @@ func TestAdvanceNearPhaseEndsMatchesReference(t *testing.T) {
 				start := spec.phaseEndWork(idx-1, total) // 0 for idx 0
 				p.restore(start + 0.5*(end-start))
 				p.advance(f, 1e-6)
-				pos := p.fast.rec.totalWork - p.fast.rec.remaining
+				pos := p.fast.totalWork - p.fast.remaining
 				if dt := (end - off - pos) / rate; dt >= 0 {
 					p.advance(f, dt)
 				}
@@ -277,7 +267,7 @@ func TestAdvanceKeepsSegmentAcrossFrequencyChanges(t *testing.T) {
 			dt = 1e-9
 		}
 		p.advance(f, dt)
-		if !p.fast.rec.seg.ok {
+		if !p.fast.seg.ok {
 			t.Fatalf("f = %v: the segment memo was dropped", f)
 		}
 	}

@@ -128,9 +128,11 @@ func Fig1Workloads() []BatchSpec {
 }
 
 // BatchJob is the mutable execution state of one batch workload instance
-// bound to one CPU core. The words that change every tick live in the
-// job's Record (see record.go): its own until a rack binds the job, then a
-// slot of the rack's record table.
+// running on one CPU core: its deadline, its completions, and the words
+// that change every tick, namely the work accounting (total and remaining
+// work, execution seconds) and the segment memo. A rack holds its jobs by
+// value, one per batch core in one table, and its per-tick sweeps walk
+// that table.
 type BatchJob struct {
 	Spec BatchSpec
 	// Deadline is the absolute completion deadline in seconds of
@@ -142,26 +144,31 @@ type BatchJob struct {
 	doneAt    float64 // first completion time, NaN until complete
 	completed int     // completions (paper: jobs re-execute immediately)
 
-	rec *Record // work accounting and segment memo
+	totalWork float64 // peak-seconds to complete once
+	remaining float64
+	execSecs  float64 // wall seconds spent executing
+	// seg is derived state: ExportState leaves it out and RestoreState
+	// clears it.
+	seg segment
 }
 
 // NewBatchJob starts a job at simulation time start with the given absolute
 // deadline. The job's work equals the spec's PeakSeconds.
-func NewBatchJob(spec BatchSpec, start, deadline float64) (*BatchJob, error) {
+func NewBatchJob(spec BatchSpec, start, deadline float64) (BatchJob, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return BatchJob{}, err
 	}
 	if deadline <= start {
-		return nil, fmt.Errorf("workload: %s: deadline %g not after start %g", spec.Name, deadline, start)
+		return BatchJob{}, fmt.Errorf("workload: %s: deadline %g not after start %g", spec.Name, deadline, start)
 	}
-	j := &BatchJob{
+	return BatchJob{
 		Spec:      spec,
 		Deadline:  deadline,
 		startTime: start,
 		doneAt:    math.NaN(),
-	}
-	j.rec = &Record{job: j, totalWork: spec.PeakSeconds, remaining: spec.PeakSeconds}
-	return j, nil
+		totalWork: spec.PeakSeconds,
+		remaining: spec.PeakSeconds,
+	}, nil
 }
 
 // ScaleWork multiplies the job's total (and remaining) work, used by the
@@ -171,21 +178,21 @@ func (j *BatchJob) ScaleWork(factor float64) {
 	if factor <= 0 {
 		panic("workload: ScaleWork factor must be positive")
 	}
-	if j.rec.execSecs > 0 {
+	if j.execSecs > 0 {
 		panic("workload: ScaleWork after execution started")
 	}
-	j.rec.totalWork *= factor
-	j.rec.remaining = j.rec.totalWork
+	j.totalWork *= factor
+	j.remaining = j.totalWork
 }
 
 // Progress returns completed fraction of the current execution in [0, 1).
-func (j *BatchJob) Progress() float64 { return 1 - j.rec.remaining/j.rec.totalWork }
+func (j *BatchJob) Progress() float64 { return 1 - j.remaining/j.totalWork }
 
 // WorkDone returns the total work executed so far in peak-seconds
 // (completed executions plus the current one's progress) — the throughput
 // numerator for energy-efficiency accounting.
 func (j *BatchJob) WorkDone() float64 {
-	return float64(j.completed)*j.rec.totalWork + (j.rec.totalWork - j.rec.remaining)
+	return float64(j.completed)*j.totalWork + (j.totalWork - j.remaining)
 }
 
 // Completed reports whether the job has finished at least once.
@@ -226,4 +233,185 @@ func (j *BatchJob) RWeight(now float64) float64 {
 		w = 100
 	}
 	return w
+}
+
+// segment is the phase segment the last Advance call ended inside: its
+// end, its phase's utilization and memory-boundness, and the rate at the f
+// and fmax whose bits it keeps. Work position only grows within one
+// execution, so while the position stays below the segment's end by
+// phaseIndexAt's own margin, phaseIndexAt would return the segment's phase
+// again, and phaseRate of that phase at the same f and fmax gives the rate
+// the memo recomputes on a frequency change. A wrap and RestoreState
+// invalidate it (ScaleWork cannot follow an Advance that sets it).
+type segment struct {
+	ok       bool
+	f, fmax  uint64 // bits of the f and fmax rate was computed for
+	rate     float64
+	end      float64 // phaseEndWork of the segment's phase
+	util     float64 // that phase's Util
+	memBound float64 // that phase's MemBound
+}
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// inSegment reports whether a tick of dt seconds at rate, which executes
+// step = rate·dt rounded, ends before segWork more work: segWork/rate > dt.
+// When step is a normal number, round-to-nearest keeps it within a
+// relative 2⁻⁵³ of rate·dt, so segWork > 2·step puts segWork/rate above
+// 1.99·dt and its rounded quotient above dt; the division is then skipped.
+func inSegment(segWork, rate, step, dt float64) bool {
+	return step >= minNormal && segWork > 2*step || segWork/rate > dt
+}
+
+// Advance executes the job for dt seconds at frequency f (with table peak
+// fmax) starting at simulation time now, walking phase boundaries at their
+// own rates. On completion it records the completion time and immediately
+// restarts (continuous re-execution, as in the paper's trace methodology).
+//
+// A tick that stays inside the segment the previous call ended in takes
+// the within-segment branch on the remembered end and rate, recomputing
+// the rate from the remembered memory-boundness first if f or fmax
+// changed. Its tests are the ones the segment walk would make, so the
+// result is the same to the bit.
+func (j *BatchJob) Advance(f, fmax, dt, now float64) {
+	if dt < 0 {
+		panic("workload: negative dt")
+	}
+	j.execSecs += dt
+	if sg := &j.seg; sg.ok && dt > 1e-12 {
+		if math.Float64bits(f) != sg.f || math.Float64bits(fmax) != sg.fmax {
+			sg.f, sg.fmax = math.Float64bits(f), math.Float64bits(fmax)
+			sg.rate = phaseRate(Phase{MemBound: sg.memBound}, f, fmax)
+		}
+		pos := j.totalWork - j.remaining
+		if pos < sg.end-1e-12 {
+			if sg.rate <= 0 {
+				return // the walk makes no progress in this phase
+			}
+			segWork := sg.end - pos
+			if segWork > j.remaining {
+				segWork = j.remaining
+			}
+			if step := sg.rate * dt; inSegment(segWork, sg.rate, step, dt) {
+				j.remaining -= step
+				return
+			}
+		}
+	}
+	j.walk(f, fmax, dt, now)
+}
+
+// walk is Advance's segment walk: it executes dt seconds from the current
+// position phase by phase and remembers the segment it ends in.
+func (j *BatchJob) walk(f, fmax, dt, now float64) {
+	j.seg.ok = false
+	timeLeft := dt
+	for timeLeft > 1e-12 {
+		pos := j.totalWork - j.remaining
+		idx := j.Spec.phaseIndexAt(pos, j.totalWork)
+		ph := j.Spec.phases()[idx]
+		rate := phaseRate(ph, f, fmax)
+		if rate <= 0 {
+			return
+		}
+		end := j.Spec.phaseEndWork(idx, j.totalWork)
+		segWork := end - pos
+		if segWork > j.remaining {
+			segWork = j.remaining
+		}
+		segTime := segWork / rate
+		if segTime > timeLeft {
+			j.remaining -= rate * timeLeft
+			j.seg = segment{ok: true, f: math.Float64bits(f), fmax: math.Float64bits(fmax),
+				rate: rate, end: end, util: ph.Util, memBound: ph.MemBound}
+			return
+		}
+		timeLeft -= segTime
+		j.remaining -= segWork
+		if j.remaining <= 1e-9 {
+			t := now + (dt - timeLeft) // within-step completion time
+			if math.IsNaN(j.doneAt) {
+				j.doneAt = t
+			}
+			j.completed++
+			j.remaining = j.totalWork // re-execute immediately
+		}
+	}
+}
+
+// AdvanceTicks executes n consecutive dt-second ticks at constant frequency
+// f starting at simulation time now0, bit-identically to calling
+// Advance(f, fmax, dt, now0+k·dt) for k = 0..n−1, segment memo included.
+// After each Advance call, the ticks that Advance's within-segment branch
+// would take run in a tight loop on the memo's end and rate, which hold
+// while f, fmax and dt do; the first tick that may cross a phase
+// boundary, complete or wrap goes through Advance again. The event engine
+// uses this to replay batch progress across quiescent spans.
+func (j *BatchJob) AdvanceTicks(f, fmax, dt, now0 float64, n int) {
+	sg := &j.seg
+	for k := 0; k < n; k++ {
+		j.Advance(f, fmax, dt, now0+float64(k)*dt)
+		if !sg.ok || !(dt > 1e-12) || sg.rate <= 0 {
+			continue
+		}
+		step := sg.rate * dt
+		for k+1 < n {
+			pos := j.totalWork - j.remaining
+			if !(pos < sg.end-1e-12) {
+				break
+			}
+			segWork := sg.end - pos
+			if segWork > j.remaining {
+				segWork = j.remaining
+			}
+			if !inSegment(segWork, sg.rate, step, dt) {
+				break
+			}
+			j.execSecs += dt
+			j.remaining -= step
+			k++
+		}
+	}
+}
+
+// StableTicks returns a conservative count of whole dt-second ticks of
+// execution at constant frequency f during which CurrentUtil() cannot
+// change. Single-phase specs report an effectively unbounded horizon: their
+// utilization is constant even across re-execution wraps. Multi-phase specs
+// report the ticks that certainly remain inside the current phase, which
+// the event engine uses as a quiescent-span barrier.
+func (j *BatchJob) StableTicks(f, fmax, dt float64) int {
+	const unbounded = math.MaxInt32
+	spec := &j.Spec
+	phases := spec.phases()
+	if len(phases) == 1 {
+		return unbounded
+	}
+	pos := j.totalWork - j.remaining
+	idx := spec.phaseIndexAt(pos, j.totalWork)
+	rate := phaseRate(phases[idx], f, fmax)
+	if rate <= 0 {
+		return unbounded // no progress at f ≤ 0: the phase cannot change
+	}
+	segWork := spec.phaseEndWork(idx, j.totalWork) - pos
+	if segWork > j.remaining {
+		segWork = j.remaining
+	}
+	n := int(segWork/rate/dt) - 1
+	if n < 0 {
+		n = 0
+	}
+	return n
+}
+
+// CurrentUtil returns the utilization of the job's current phase, what
+// the core's performance counters would report this period. While the
+// position is inside the segment the last Advance ended in, by
+// phaseIndexAt's own test, that segment's phase is the current one.
+func (j *BatchJob) CurrentUtil() float64 {
+	if j.seg.ok && j.totalWork-j.remaining < j.seg.end-1e-12 {
+		return j.seg.util
+	}
+	return j.Spec.phases()[j.Spec.phaseIndexAt(j.totalWork-j.remaining, j.totalWork)].Util
 }

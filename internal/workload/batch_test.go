@@ -223,7 +223,7 @@ func TestRWeightPaperExample(t *testing.T) {
 	j, _ := NewBatchJob(spec, 0, 600) // 10-minute deadline from t=0
 	j.Advance(2.0, 2.0, 360, 0)       // 6 minutes at peak → but that is 60 % progress
 	// Force the paper's exact state: 80 % progress at t = 360.
-	j.rec.remaining = 0.2 * j.rec.totalWork
+	j.remaining = 0.2 * j.totalWork
 	if got := j.RWeight(360); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("RWeight = %v, want 0.5 (paper example)", got)
 	}
@@ -233,8 +233,8 @@ func TestRWeightUrgencyOrdering(t *testing.T) {
 	spec := BatchSpec{Name: "x", MemBound: 0, Util: 1, PeakSeconds: 600}
 	ahead, _ := NewBatchJob(spec, 0, 600)
 	behind, _ := NewBatchJob(spec, 0, 600)
-	ahead.rec.remaining = 0.1 * ahead.rec.totalWork   // 90 % done
-	behind.rec.remaining = 0.9 * behind.rec.totalWork // 10 % done
+	ahead.remaining = 0.1 * ahead.totalWork   // 90 % done
+	behind.remaining = 0.9 * behind.totalWork // 10 % done
 	if ahead.RWeight(300) >= behind.RWeight(300) {
 		t.Fatal("the job that is behind must get the larger R weight")
 	}
@@ -342,12 +342,12 @@ func (j *BatchJob) RemainingSeconds(f, fmax float64) float64 {
 	if f <= 0 {
 		return math.Inf(1)
 	}
-	pos := j.rec.totalWork - j.rec.remaining
+	pos := j.totalWork - j.remaining
 	phases := j.Spec.phases()
 	var cum, secs float64
 	for _, p := range phases {
 		segStart := cum
-		cum += p.Frac * j.rec.totalWork
+		cum += p.Frac * j.totalWork
 		if cum <= pos {
 			continue
 		}
@@ -362,10 +362,10 @@ func (j *BatchJob) RemainingSeconds(f, fmax float64) float64 {
 func (j *BatchJob) RequiredRate(now float64) float64 {
 	left := j.Deadline - now
 	if left <= 0 {
-		if j.rec.remaining > 0 && !j.Completed() {
+		if j.remaining > 0 && !j.Completed() {
 			return math.Inf(1)
 		}
 		return 0
 	}
-	return j.rec.remaining / left
+	return j.remaining / left
 }

@@ -95,17 +95,6 @@ func (s BatchSpec) phaseEndWork(idx int, total float64) float64 {
 	return cum
 }
 
-// CurrentPhase returns the phase the job is executing now.
-func (j *BatchJob) CurrentPhase() Phase {
-	pos := j.rec.totalWork - j.rec.remaining
-	return j.Spec.phases()[j.Spec.phaseIndexAt(pos, j.rec.totalWork)]
-}
-
-// CurrentUtil returns the utilization of the current phase — what the
-// core's performance counters would report this period (see
-// Record.CurrentUtil).
-func (j *BatchJob) CurrentUtil() float64 { return j.rec.CurrentUtil() }
-
 // RequiredFreq returns the constant frequency that completes the job's
 // remaining (phase-aware) work exactly at its deadline, clamped to
 // [0, fmax]; fmax if no frequency suffices. Derivation: the remaining wall
@@ -120,12 +109,12 @@ func (j *BatchJob) RequiredFreq(now, fmax float64) float64 {
 		return fmax
 	}
 	var wBeta, wComp float64 // Σw·β and Σw·(1−β) over remaining work
-	pos := j.rec.totalWork - j.rec.remaining
+	pos := j.totalWork - j.remaining
 	phases := j.Spec.phases()
 	var cum float64
 	for _, p := range phases {
 		segStart := cum
-		cum += p.Frac * j.rec.totalWork
+		cum += p.Frac * j.totalWork
 		segEnd := cum
 		if segEnd <= pos {
 			continue

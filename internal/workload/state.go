@@ -24,11 +24,11 @@ func (j *BatchJob) ExportState() JobState {
 	return JobState{
 		StartTime: j.startTime,
 		Deadline:  j.Deadline,
-		TotalWork: j.rec.totalWork,
-		Remaining: j.rec.remaining,
+		TotalWork: j.totalWork,
+		Remaining: j.remaining,
 		DoneAt:    j.doneAt,
 		Completed: j.completed,
-		ExecSecs:  j.rec.execSecs,
+		ExecSecs:  j.execSecs,
 	}
 }
 
@@ -67,11 +67,11 @@ func (j *BatchJob) RestoreState(st JobState) error {
 	}
 	j.startTime = st.StartTime
 	j.Deadline = st.Deadline
-	j.rec.totalWork = st.TotalWork
-	j.rec.remaining = st.Remaining
+	j.totalWork = st.TotalWork
+	j.remaining = st.Remaining
 	j.doneAt = st.DoneAt
 	j.completed = st.Completed
-	j.rec.execSecs = st.ExecSecs
-	j.rec.seg = segment{}
+	j.execSecs = st.ExecSecs
+	j.seg = segment{}
 	return nil
 }

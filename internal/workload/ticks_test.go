@@ -7,8 +7,8 @@ import (
 )
 
 func jobStateEqual(a, b *BatchJob) bool {
-	return math.Float64bits(a.rec.remaining) == math.Float64bits(b.rec.remaining) &&
-		math.Float64bits(a.rec.execSecs) == math.Float64bits(b.rec.execSecs) &&
+	return math.Float64bits(a.remaining) == math.Float64bits(b.remaining) &&
+		math.Float64bits(a.execSecs) == math.Float64bits(b.execSecs) &&
 		math.Float64bits(a.doneAt) == math.Float64bits(b.doneAt) &&
 		a.completed == b.completed
 }
@@ -40,11 +40,11 @@ func TestAdvanceTicksMatchesAdvance(t *testing.T) {
 					jb.Advance(f, fmax, dt, float64(step+k)*dt)
 				}
 				step += n
-				if !jobStateEqual(ja, jb) {
+				if !jobStateEqual(&ja, &jb) {
 					t.Fatalf("%s f=%g: state diverged at step %d:\n ticks: rem=%x exec=%x done=%x comp=%d\n loop:  rem=%x exec=%x done=%x comp=%d",
 						spec.Name, f, step,
-						math.Float64bits(ja.rec.remaining), math.Float64bits(ja.rec.execSecs), math.Float64bits(ja.doneAt), ja.completed,
-						math.Float64bits(jb.rec.remaining), math.Float64bits(jb.rec.execSecs), math.Float64bits(jb.doneAt), jb.completed)
+						math.Float64bits(ja.remaining), math.Float64bits(ja.execSecs), math.Float64bits(ja.doneAt), ja.completed,
+						math.Float64bits(jb.remaining), math.Float64bits(jb.execSecs), math.Float64bits(jb.doneAt), jb.completed)
 				}
 			}
 			if ja.completed == 0 {
@@ -64,7 +64,7 @@ func TestAdvanceTicksZeroFrequency(t *testing.T) {
 	for k := 0; k < 50; k++ {
 		jb.Advance(0, 1, 1, float64(k))
 	}
-	if !jobStateEqual(ja, jb) {
+	if !jobStateEqual(&ja, &jb) {
 		t.Fatal("zero-frequency tick replay diverged from Advance")
 	}
 }
